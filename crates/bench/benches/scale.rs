@@ -10,15 +10,14 @@
 //!   the pre-PR bulk-loading path, O(N) memmove per insert) vs the
 //!   batch path (`build_bulk`, [`Plane::with_obstacles`], one sort).
 //!   A dedicated 10k-obstacle instance anchors the headline ratio.
-//! * **route_cold** — serial `route_all` on a fresh session: flat,
-//!   sharded, and (at the 120/1k tiers) `route_cold_delegated` — the
-//!   sharded plane with its corner queries routed through the flat slab
-//!   scan, i.e. the pre-PR configuration, so sharded-vs-delegated is
-//!   the corner-table before/after on identical code elsewhere.
+//! * **route_cold** — serial `route_all` on a fresh session, flat and
+//!   sharded. (Rows named `route_cold_delegated` in older
+//!   `BENCH_scale.json` runs timed a since-deleted baseline that sent
+//!   sharded corner queries through the flat slab scan.)
 //! * **reroute_warm** — an ECO drop (one small obstacle) plus
 //!   `reroute_dirty` against the still-warm cold-route sessions.
 //! * **query_sweep** — seeded raw `ray_hit` + `corner_candidates_into`
-//!   probes, caches invalidated between samples for honest cold costs.
+//!   probes.
 //!
 //! Every timed configuration of a tier is asserted byte-identical to
 //! the tier's flat reference route, so every number is a time for *the
@@ -37,11 +36,9 @@ use gcr_workload::generator::{generate, GeneratorParams};
 use gcr_workload::{random_free_point, rng_for};
 
 /// `(label, nets, timed samples, deep)` — samples shrink as tiers grow
-/// so the whole bench stays in CI budget. `deep` tiers additionally
-/// price the pre-PR delegated corner path and take several cold-route
-/// samples; the 10k tier routes each configuration exactly once (a full
-/// 10k-net route is minutes, and the before/after ratios are anchored
-/// at 120/1k).
+/// so the whole bench stays in CI budget. `deep` tiers take several
+/// cold-route samples; the 10k tier routes each configuration exactly
+/// once (a full 10k-net route is minutes).
 const TIERS: &[(&str, usize, usize, bool)] = &[
     ("120", 120, 10, true),
     ("1k", 1000, 5, true),
@@ -130,16 +127,13 @@ fn assert_identical(a: &GlobalRouting, b: &GlobalRouting, what: &str) {
     }
 }
 
-/// A fresh serial session over `layout`; `delegated` additionally routes
-/// sharded corner queries through the flat slab scan (the pre-PR path).
-fn session(layout: &gcr_layout::Layout, index: PlaneIndexKind, delegated: bool) -> RoutingSession {
-    let mut s = RoutingSession::builder(layout.clone())
+/// A fresh serial session over `layout`.
+fn session(layout: &gcr_layout::Layout, index: PlaneIndexKind) -> RoutingSession {
+    RoutingSession::builder(layout.clone())
         .config(RouterConfig::default())
         .index(index)
         .serial()
-        .build();
-    s.set_corner_delegation(delegated);
-    s
+        .build()
 }
 
 /// The incremental-insert baseline: every insert maintains the sorted
@@ -197,8 +191,6 @@ fn bench_query_sweep(
 ) {
     let flat = layout.to_plane();
     let sharded = ShardedPlane::new(flat.clone());
-    let mut delegated = ShardedPlane::new(flat.clone());
-    delegated.set_corner_delegation(true);
 
     // Seeded probe set, shared by every implementation.
     let mut rng = rng_for("scale-sweep", 0);
@@ -206,7 +198,7 @@ fn bench_query_sweep(
         .map(|_| random_free_point(&flat, &mut rng))
         .collect();
 
-    // Differential: all three agree on every probe before any timing.
+    // Differential: both agree on every probe before any timing.
     let mut a = Vec::new();
     let mut b = Vec::new();
     for &p in &probes[..probes.len().min(200)] {
@@ -216,8 +208,6 @@ fn bench_query_sweep(
             flat.corner_candidates_into(p, dir, hit.stop, &mut a);
             sharded.corner_candidates_into(p, dir, hit.stop, &mut b);
             assert_eq!(a, b, "{tier}: corners {p} {dir:?}");
-            delegated.corner_candidates_into(p, dir, hit.stop, &mut b);
-            assert_eq!(a, b, "{tier}: delegated corners {p} {dir:?}");
         }
     }
 
@@ -238,31 +228,13 @@ fn bench_query_sweep(
         None
     });
     let m_sharded = time_samples(samples, || {
-        // Cold every sample: a warm memo would time the cache, not the
-        // corner tables.
-        sharded.invalidate();
-        sharded.clear_cache();
         sweep(&sharded);
-        None
-    });
-    let m_delegated = time_samples(samples, || {
-        delegated.invalidate();
-        delegated.clear_cache();
-        sweep(&delegated);
         None
     });
     print_row(tier, "flat", "query_sweep", &m_flat);
     print_row(tier, "sharded", "query_sweep", &m_sharded);
-    print_row(tier, "sharded", "query_sweep_delegated", &m_delegated);
     rows.push(row(tier, nets, "flat", "query_sweep", &m_flat));
     rows.push(row(tier, nets, "sharded", "query_sweep", &m_sharded));
-    rows.push(row(
-        tier,
-        nets,
-        "sharded",
-        "query_sweep_delegated",
-        &m_delegated,
-    ));
 }
 
 fn main() {
@@ -316,24 +288,13 @@ fn main() {
         let route_samples = if deep { samples } else { 1 };
         let mut reference: Option<GlobalRouting> = None;
         let mut warm: Vec<(&str, RoutingSession)> = Vec::new();
-        for (index, kind, delegated, phase) in [
-            ("flat", PlaneIndexKind::Flat, false, "route_cold"),
-            ("sharded", PlaneIndexKind::Sharded, false, "route_cold"),
-            (
-                "sharded",
-                PlaneIndexKind::Sharded,
-                true,
-                "route_cold_delegated",
-            ),
+        for (index, kind) in [
+            ("flat", PlaneIndexKind::Flat),
+            ("sharded", PlaneIndexKind::Sharded),
         ] {
-            if delegated && !deep {
-                // The pre-PR slab-scan baseline is priced at 120/1k;
-                // at 10k it alone would dwarf the rest of the bench.
-                continue;
-            }
             let mut kept = None;
             let m = time_samples(route_samples, || {
-                let mut s = session(&layout, kind, delegated);
+                let mut s = session(&layout, kind);
                 let routing = s.route_all();
                 let expanded = routing.stats().expanded;
                 kept = Some((s, routing));
@@ -342,13 +303,11 @@ fn main() {
             let (s, routing) = kept.take().expect("at least one sample");
             match &reference {
                 None => reference = Some(routing),
-                Some(r) => assert_identical(r, &routing, &format!("{tier}/{index}/{phase}")),
+                Some(r) => assert_identical(r, &routing, &format!("{tier}/{index}/route_cold")),
             }
-            if !delegated {
-                warm.push((index, s));
-            }
-            print_row(tier, index, phase, &m);
-            rows.push(row(tier, nets, index, phase, &m));
+            warm.push((index, s));
+            print_row(tier, index, "route_cold", &m);
+            rows.push(row(tier, nets, index, "route_cold", &m));
         }
 
         // Warm ECO loop: drop one small obstacle into free space and

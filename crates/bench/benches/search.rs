@@ -35,8 +35,8 @@ struct Measurement {
 }
 
 fn time_route_all<E: gcr_core::RoutingEngine>(router: &BatchRouter<'_, E>) -> Measurement {
-    // Warm-up: one untimed run (builds the lazy plane store, warms any
-    // plane-side cache exactly as a long-running service would be warm).
+    // Warm-up: one untimed run (builds the lazy plane store, as a
+    // long-running service would have it built).
     let reference = router.route_all();
     let expanded = reference.stats().expanded;
     let mut times = Vec::with_capacity(SAMPLES);

@@ -4,12 +4,12 @@
 //! For each workload scaling instance the harness times
 //!
 //! * **cold-full** — building a fresh session and routing every net
-//!   (index construction + cold caches + cold arenas, the one-shot
-//!   batch workload), and
+//!   (index construction + cold arenas, the one-shot batch workload),
+//!   and
 //! * **warm-reroute** — ripping up one committed net and
 //!   [`reroute_dirty`](gcr_core::RoutingSession::reroute_dirty)-ing it
-//!   inside a long-lived session (warm plane index, warm sharded query
-//!   cache, pooled search arenas),
+//!   inside a long-lived session (warm plane index, pooled search
+//!   arenas),
 //!
 //! over both plane indexes, and writes machine-readable
 //! `BENCH_session.json` at the repository root (CI publishes it to the
@@ -81,7 +81,7 @@ fn main() {
             assert_eq!(fresh.wire_length(), again.wire_length(), "{label}");
             assert_eq!(fresh.stats(), again.stats(), "{label}");
 
-            // Cold-full: fresh session (index build + cold caches) and a
+            // Cold-full: fresh session (index build + cold arenas) and a
             // complete route, per sample.
             let mut cold_times = Vec::with_capacity(SAMPLES);
             for _ in 0..SAMPLES {

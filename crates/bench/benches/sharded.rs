@@ -88,17 +88,6 @@ fn bench_queries(c: &mut Criterion) {
         b.iter(|| segment_sweep(&sharded, &probes))
     });
     group.finish();
-
-    // Cold-cache variant: invalidate between iterations so the sharded
-    // numbers show the bucket walk itself, not only the memo.
-    let mut group = c.benchmark_group("ray-sweep-cold");
-    group.bench_with_input(BenchmarkId::new("sharded", n), &(), |b, ()| {
-        b.iter(|| {
-            sharded.invalidate();
-            ray_sweep(&sharded, &probes)
-        })
-    });
-    group.finish();
 }
 
 fn bench_batch_route(c: &mut Criterion) {

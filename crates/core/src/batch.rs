@@ -33,16 +33,15 @@ use crate::{RouteError, RouterConfig, SearchScratch};
 ///
 /// Both implementations answer every query bit-identically (asserted by
 /// `tests/plane_equivalence.rs`); the knob only changes how the answers
-/// are computed — and whether repeated connection queries are memoized.
+/// are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlaneIndexKind {
     /// The flat ray-traced [`Plane`] with its sorted-face topological
     /// index.
     #[default]
     Flat,
-    /// The bucket-gridded [`ShardedPlane`] with the memoized
-    /// connection-query cache, shared (and reused) across all nets of the
-    /// batch.
+    /// The bucket-gridded [`ShardedPlane`] with its perpendicular-pruned
+    /// corner tables, shared across all nets of the batch.
     Sharded,
 }
 
@@ -301,12 +300,6 @@ impl<'a, E: RoutingEngine> BatchRouter<'a, E> {
     #[must_use]
     pub fn route_two_pass(&self) -> TwoPassReport {
         let first = self.route_all();
-        // Pass 1 is committed here: invalidate memoized connection
-        // queries before the congestion analysis and reroute. The plane
-        // geometry itself is unchanged (nets are never obstacles), so
-        // this is a correctness barrier, not a semantic change — pass-2
-        // queries recompute cold and must (and do) agree bit for bit.
-        self.store().invalidate_cache();
         let passages = find_passages(self.store().index());
         let collect = |routing: &GlobalRouting| {
             routing

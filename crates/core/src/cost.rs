@@ -27,7 +27,6 @@ pub fn bend_is_anchored(plane: &dyn PlaneIndex, q: Point) -> bool {
 /// plus congestion surcharges when a congestion pass is active.
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeCoster<'a> {
-    plane: &'a dyn PlaneIndex,
     corner_penalty: bool,
     congestion: Option<&'a CongestionPenalty>,
 }
@@ -35,9 +34,8 @@ pub struct EdgeCoster<'a> {
 impl<'a> EdgeCoster<'a> {
     /// A coster for the plain first pass (no congestion surcharges).
     #[must_use]
-    pub fn new(plane: &'a dyn PlaneIndex, config: &RouterConfig) -> EdgeCoster<'a> {
+    pub fn new(config: &RouterConfig) -> EdgeCoster<'a> {
         EdgeCoster {
-            plane,
             corner_penalty: config.corner_penalty,
             congestion: None,
         }
@@ -48,12 +46,10 @@ impl<'a> EdgeCoster<'a> {
     /// nets could penalize those paths which chose the congested area").
     #[must_use]
     pub fn with_congestion(
-        plane: &'a dyn PlaneIndex,
         config: &RouterConfig,
         penalty: &'a CongestionPenalty,
     ) -> EdgeCoster<'a> {
         EdgeCoster {
-            plane,
             corner_penalty: config.corner_penalty,
             congestion: Some(penalty),
         }
@@ -65,19 +61,18 @@ impl<'a> EdgeCoster<'a> {
     /// The primary component is the Manhattan length plus any congestion
     /// surcharge (both commensurable with length, keeping the Manhattan ĥ
     /// admissible); the ε component charges a bend at `from.point` that
-    /// does not hug geometry.
+    /// does not hug geometry. `anchored` is [`bend_is_anchored`] at
+    /// `from.point`: it depends only on the state being expanded, so the
+    /// successor generator probes it once per expansion and passes it to
+    /// every edge.
     #[must_use]
-    pub fn edge(&self, from: &RouteState, to: Point, dir: Dir) -> LexCost {
+    pub fn edge(&self, from: &RouteState, to: Point, dir: Dir, anchored: bool) -> LexCost {
         let mut primary = from.point.manhattan(to);
         if let Some(c) = self.congestion {
             let seg = Segment::new(from.point, to).expect("search edges are axis-aligned");
             primary += c.surcharge(&seg);
         }
-        let mut penalty = 0;
-        if self.corner_penalty && from.bends_into(dir) && !bend_is_anchored(self.plane, from.point)
-        {
-            penalty = 1;
-        }
+        let penalty = i64::from(self.corner_penalty && from.bends_into(dir) && !anchored);
         LexCost::new(primary, penalty)
     }
 }
@@ -104,49 +99,48 @@ mod tests {
 
     #[test]
     fn straight_moves_cost_length_only() {
-        let p = plane();
-        let coster = EdgeCoster::new(&p, &RouterConfig::default());
+        let coster = EdgeCoster::new(&RouterConfig::default());
         let from = RouteState::arrived(Point::new(0, 10), Dir::East);
-        let c = coster.edge(&from, Point::new(20, 10), Dir::East);
+        let c = coster.edge(&from, Point::new(20, 10), Dir::East, false);
         assert_eq!(c, LexCost::new(20, 0));
     }
 
     #[test]
     fn unanchored_bend_costs_epsilon() {
         let p = plane();
-        let coster = EdgeCoster::new(&p, &RouterConfig::default());
+        let coster = EdgeCoster::new(&RouterConfig::default());
         let from = RouteState::arrived(Point::new(10, 10), Dir::East);
-        let c = coster.edge(&from, Point::new(10, 20), Dir::North);
+        let anchored = bend_is_anchored(&p, from.point);
+        let c = coster.edge(&from, Point::new(10, 20), Dir::North, anchored);
         assert_eq!(c, LexCost::new(10, 1));
     }
 
     #[test]
     fn anchored_bend_is_free_of_epsilon() {
         let p = plane();
-        let coster = EdgeCoster::new(&p, &RouterConfig::default());
+        let coster = EdgeCoster::new(&RouterConfig::default());
         // Bend exactly at the block's south-west corner.
         let from = RouteState::arrived(Point::new(30, 30), Dir::East);
-        let c = coster.edge(&from, Point::new(30, 80), Dir::North);
+        let anchored = bend_is_anchored(&p, from.point);
+        let c = coster.edge(&from, Point::new(30, 80), Dir::North, anchored);
         assert_eq!(c, LexCost::new(50, 0));
     }
 
     #[test]
     fn source_states_never_pay_epsilon() {
-        let p = plane();
-        let coster = EdgeCoster::new(&p, &RouterConfig::default());
+        let coster = EdgeCoster::new(&RouterConfig::default());
         let from = RouteState::source(Point::new(10, 10));
-        let c = coster.edge(&from, Point::new(10, 20), Dir::North);
+        let c = coster.edge(&from, Point::new(10, 20), Dir::North, false);
         assert_eq!(c, LexCost::new(10, 0));
     }
 
     #[test]
     fn penalty_can_be_disabled() {
-        let p = plane();
         let mut cfg = RouterConfig::default();
         cfg.corner_penalty(false);
-        let coster = EdgeCoster::new(&p, &cfg);
+        let coster = EdgeCoster::new(&cfg);
         let from = RouteState::arrived(Point::new(10, 10), Dir::East);
-        let c = coster.edge(&from, Point::new(10, 20), Dir::North);
+        let c = coster.edge(&from, Point::new(10, 20), Dir::North, false);
         assert_eq!(c, LexCost::new(10, 0));
     }
 }

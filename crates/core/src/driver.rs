@@ -11,7 +11,7 @@
 //! [`PlaneStore`] is the other shared piece: the obstacle plane in
 //! whichever spatial index the caller selected, with the mutation
 //! entry points the incremental session needs (obstacle insertion and
-//! translation with targeted cache invalidation).
+//! targeted translation).
 
 use gcr_geom::{Plane, PlaneIndex, Rect, ShardedPlane};
 use gcr_layout::{Layout, Net, NetId};
@@ -53,16 +53,8 @@ impl PlaneStore {
         }
     }
 
-    /// Invalidates memoized connection queries (a no-op for the flat
-    /// plane, which caches nothing).
-    pub(crate) fn invalidate_cache(&self) {
-        if let PlaneStore::Sharded(s) = self {
-            s.invalidate();
-        }
-    }
-
     /// Adds a rectangular obstacle; the sharded store registers it in its
-    /// buckets and retires every memoized query.
+    /// buckets and corner tables.
     pub(crate) fn add_obstacle(&mut self, rect: Rect) -> usize {
         match self {
             PlaneStore::Flat(p) => p.add_obstacle(rect),
@@ -80,19 +72,9 @@ impl PlaneStore {
         }
     }
 
-    /// Routes the sharded store's cold corner queries through the flat
-    /// plane's slab scan instead of the dedicated corner tables. A no-op
-    /// on the flat store. Exists for benchmarking the pre-pruning
-    /// baseline; both paths are locked bit-identical by tests.
-    pub(crate) fn set_corner_delegation(&mut self, delegate: bool) {
-        if let PlaneStore::Sharded(s) = self {
-            s.set_corner_delegation(delegate);
-        }
-    }
-
     /// Translates obstacle `id` in place (see
     /// [`Plane::translate_obstacle`]); the sharded store rewrites only
-    /// the touched buckets and retires every memoized query.
+    /// the touched buckets and corner-table columns.
     pub(crate) fn translate_obstacle(&mut self, id: usize, dx: i64, dy: i64) -> bool {
         match self {
             PlaneStore::Flat(p) => p.translate_obstacle(id, dx, dy),
@@ -138,8 +120,8 @@ pub(crate) fn grow_net<E: RoutingEngine + ?Sized>(
         }
     }
     let coster = match penalty {
-        Some(p) => EdgeCoster::with_congestion(plane, config, p),
-        None => EdgeCoster::new(plane, config),
+        Some(p) => EdgeCoster::with_congestion(config, p),
+        None => EdgeCoster::new(config),
     };
 
     let mut tree = RouteTree::new();

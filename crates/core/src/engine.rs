@@ -525,7 +525,7 @@ mod tests {
     fn all_engines_route_a_simple_detour() {
         let plane = plane_with_block();
         let config = RouterConfig::default();
-        let coster = EdgeCoster::new(&plane, &config);
+        let coster = EdgeCoster::new(&config);
         let (tree, goals) = two_point_request(Point::new(10, 50), Point::new(90, 50));
         for e in engines() {
             let caps = e.capabilities();
@@ -550,7 +550,7 @@ mod tests {
     fn complete_engines_agree_with_each_other() {
         let plane = plane_with_block();
         let config = RouterConfig::default();
-        let coster = EdgeCoster::new(&plane, &config);
+        let coster = EdgeCoster::new(&config);
         for (a, b) in [
             (Point::new(0, 0), Point::new(100, 100)),
             (Point::new(10, 50), Point::new(90, 50)),
@@ -573,7 +573,7 @@ mod tests {
         // engine must rasterize the trunk and leave from (50, 40).
         let plane = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
         let config = RouterConfig::default();
-        let coster = EdgeCoster::new(&plane, &config);
+        let coster = EdgeCoster::new(&config);
         let mut tree = RouteTree::new();
         tree.add_polyline(
             &gcr_geom::Polyline::new(vec![Point::new(0, 40), Point::new(100, 40)]).unwrap(),
@@ -603,7 +603,7 @@ mod tests {
         let plane = plane_with_block();
         let mut config = RouterConfig::default();
         config.max_expansions(Some(1));
-        let coster = EdgeCoster::new(&plane, &config);
+        let coster = EdgeCoster::new(&config);
         let (tree, goals) = two_point_request(Point::new(10, 50), Point::new(90, 50));
         let r = GridEngine::default().route_connection(&plane, &tree, &goals, &coster, &config);
         assert!(matches!(r, Err(RouteError::LimitExceeded { limit: 1, .. })));
@@ -613,7 +613,7 @@ mod tests {
     fn grid_engine_terminates_on_goal_segment_interior() {
         let plane = Plane::new(gcr_geom::Rect::new(0, 0, 100, 100).unwrap());
         let config = RouterConfig::default();
-        let coster = EdgeCoster::new(&plane, &config);
+        let coster = EdgeCoster::new(&config);
         let mut tree = RouteTree::new();
         tree.add_point(Point::new(50, 10));
         let mut goals = GoalSet::new();
@@ -633,7 +633,7 @@ mod tests {
         // Unreachable, and capabilities must say the engine is incomplete.
         let plane = plane_with_block();
         let config = RouterConfig::default();
-        let coster = EdgeCoster::new(&plane, &config);
+        let coster = EdgeCoster::new(&config);
         let engine = HightowerEngine {
             config: gcr_hightower::HightowerConfig {
                 max_level: 0,

@@ -204,9 +204,7 @@ impl NegotiationReport {
 /// Route everything, then while overflow remains and the cap allows:
 /// grow history, price every passage (present + history), mark the nets
 /// through over-subscribed passages dirty — plus any net a previous
-/// surcharged round failed — and reroute exactly that set. Occupancies
-/// change every round, so the sharded query cache is invalidated at
-/// each commit point, exactly like the two-pass barrier. Engines
+/// surcharged round failed — and reroute exactly that set. Engines
 /// without [`supports_congestion`](crate::EngineCaps::supports_congestion)
 /// never iterate: the report is the plain first pass.
 pub fn negotiate<E: RoutingEngine>(
@@ -246,8 +244,6 @@ fn negotiate_impl<E: RoutingEngine>(
             let _ = session.route_all();
         }
     }
-    // First pass committed: same cache barrier as the batch pipeline.
-    session.invalidate_plane_cache();
     let passages = find_passages(session.plane());
     let before = session.analyze_committed(&passages);
     // Nets the plain pass could not route at all (geometric failures):
@@ -287,7 +283,6 @@ fn negotiate_impl<E: RoutingEngine>(
             session.mark_all_dirty();
             let outcome = session.reroute_dirty_inner(None, budget)?;
             rerouted += outcome.rerouted;
-            session.invalidate_plane_cache();
             current = session.analyze_committed(&passages);
             let mut replay_cost = NegotiationCost::new(passages.len());
             for _ in 0..best.1 {
@@ -332,7 +327,7 @@ fn negotiate_impl<E: RoutingEngine>(
 
 /// One surcharged round of the loop: grow history, price every passage,
 /// reroute the nets through over-subscribed passages, restore surcharge
-/// casualties at true cost, and re-analyze behind a fresh cache.
+/// casualties at true cost, and re-analyze.
 #[allow(clippy::too_many_arguments)]
 fn negotiation_round<E: RoutingEngine>(
     session: &mut RoutingSession<E>,
@@ -369,9 +364,6 @@ fn negotiation_round<E: RoutingEngine>(
         let repair = session.reroute_dirty_inner(None, budget)?;
         *rerouted += repair.rerouted;
     }
-    // Occupancies changed; invalidate at the commit point before
-    // re-analyzing (stale-cache discipline, per iteration).
-    session.invalidate_plane_cache();
     Ok(session.analyze_committed(passages))
 }
 

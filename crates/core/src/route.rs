@@ -67,7 +67,7 @@ pub fn route_two_points(
     }
     let goals = GoalSet::from_point(b);
     let sources = [(RouteState::source(a), LexCost::zero())];
-    let coster = EdgeCoster::new(plane, config);
+    let coster = EdgeCoster::new(config);
     run(
         plane,
         &goals,
@@ -367,7 +367,7 @@ mod tests {
         tree.add_polyline(&Polyline::new(vec![Point::new(0, 50), Point::new(100, 50)]).unwrap());
         let mut goals = GoalSet::from_point(Point::new(40, 90));
         goals.add_point(Point::new(70, 58));
-        let coster = EdgeCoster::new(&plane, &config);
+        let coster = EdgeCoster::new(&config);
         let r = route_from_tree(&plane, &tree, &goals, coster, &config).unwrap();
         // Nearest goal is (70,58), 8 above the trunk.
         assert_eq!(r.cost.primary, 8);
@@ -381,7 +381,7 @@ mod tests {
         let config = RouterConfig::default();
         let tree = RouteTree::new();
         let goals = GoalSet::from_point(Point::new(1, 1));
-        let coster = EdgeCoster::new(&plane, &config);
+        let coster = EdgeCoster::new(&config);
         assert!(matches!(
             route_from_tree(&plane, &tree, &goals, coster, &config),
             Err(RouteError::NothingToRoute { .. })

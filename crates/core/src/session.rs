@@ -2,14 +2,14 @@
 //!
 //! [`BatchRouter`](crate::BatchRouter) answers "route this layout once":
 //! it borrows the layout, builds a plane index, routes, and discards the
-//! index, the query caches and the search arenas with it. Real routing
+//! index and the search arenas with it. Real routing
 //! services are iterative — floorplan-change loops and congestion-driven
 //! re-routing both perturb a design and cheaply re-route the affected
 //! nets. A session is the surface for that workload:
 //!
-//! * it **owns** its [`Layout`] and keeps the plane index, the sharded
-//!   query cache, a pool of per-worker [`SearchScratch`] arenas and the
-//!   committed routes alive across calls — the warm state is a
+//! * it **owns** its [`Layout`] and keeps the plane index, a pool of
+//!   per-worker [`SearchScratch`] arenas and the committed routes alive
+//!   across calls — the warm state is a
 //!   cross-call asset, not a per-call one;
 //! * [`RoutingSession::route_all`] / [`RoutingSession::route_net`]
 //!   **commit** routes as the session's occupancy;
@@ -48,7 +48,7 @@
 //! // An ECO: a blockage drops onto the routed net's path …
 //! session.add_obstacle("blk", Rect::new(40, 40, 60, 60)?)?;
 //! assert_eq!(session.dirty_nets().len(), 1);
-//! // … and only the affected net is re-routed, against warm caches.
+//! // … and only the affected net is re-routed, on warm arenas.
 //! let outcome = session.reroute_dirty();
 //! assert_eq!(outcome.rerouted, 1);
 //! # Ok(())
@@ -960,8 +960,6 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// (asserted by `tests/session.rs`).
     pub fn route_two_pass(&mut self) -> TwoPassReport {
         let _ = self.route_all();
-        // Pass 1 is committed: same cache barrier as the batch pipeline.
-        self.plane.invalidate_cache();
         let passages = find_passages(self.plane.index());
         let before = self.analyze_committed(&passages);
         let affected = before.affected_nets();
@@ -1222,18 +1220,9 @@ impl<E: RoutingEngine> RoutingSession<E> {
         }
     }
 
-    /// Routes the sharded plane's cold corner queries through the flat
-    /// slab scan instead of the bucketed corner tables (a no-op on the
-    /// flat index). Both paths return bit-identical candidates; this
-    /// switch exists so `benches/scale.rs` can measure the pre-pruning
-    /// baseline on the same session.
-    pub fn set_corner_delegation(&mut self, delegate: bool) {
-        self.plane.set_corner_delegation(delegate);
-    }
-
     /// Moves a cell by `(dx, dy)`: the layout edit (outline + attached
     /// pins, see [`Layout::move_cell`]) and the live-plane edit (in-place
-    /// obstacle translation with targeted cache invalidation) happen
+    /// obstacle translation with targeted index maintenance) happen
     /// together, and the dirty set is the union of
     ///
     /// * nets with a pin on the moved cell (their terminals moved),
@@ -1306,13 +1295,6 @@ impl<E: RoutingEngine> RoutingSession<E> {
                 self.set_dirty_slot(idx);
             }
         }
-    }
-
-    /// Drops every memoized plane query (sharded index only; a no-op on
-    /// the flat plane). The session calls this at its own commit points;
-    /// exposed for callers that mutate state the plane cannot see.
-    pub fn invalidate_plane_cache(&self) {
-        self.plane.invalidate_cache();
     }
 }
 

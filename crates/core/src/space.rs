@@ -30,10 +30,10 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 
-use gcr_geom::{CornerCandidate, PlaneIndex};
+use gcr_geom::{Coord, PlaneIndex};
 use gcr_search::{LexCost, SearchSpace};
 
-use crate::{EdgeCoster, GoalSet, RouteState};
+use crate::{bend_is_anchored, EdgeCoster, GoalSet, RouteState};
 
 /// Per-expansion staging buffers of the successor generator, reused for
 /// every expansion of a search instead of reallocated (the generator
@@ -44,8 +44,10 @@ use crate::{EdgeCoster, GoalSet, RouteState};
 /// contended.
 #[derive(Debug, Clone, Default)]
 struct SuccessorBufs {
-    stops: Vec<gcr_geom::Coord>,
-    corners: Vec<CornerCandidate>,
+    /// One ray's stop coordinates, ascending.
+    stops: Vec<Coord>,
+    /// One ray's goal alignments, unsorted.
+    goal_stops: Vec<Coord>,
 }
 
 /// The gridless routing problem fed to the generic A\* engine.
@@ -61,7 +63,7 @@ pub struct RoutingSpace<'a> {
     /// When set, successors step only to the adjacent Hanan grid line
     /// (per-axis sorted coordinate lists, obstacle edges ∪ goal
     /// alignments) instead of jumping along full rays — the E9 ablation.
-    hanan: Option<(Vec<gcr_geom::Coord>, Vec<gcr_geom::Coord>)>,
+    hanan: Option<(Vec<Coord>, Vec<Coord>)>,
     bufs: RefCell<SuccessorBufs>,
 }
 
@@ -140,10 +142,14 @@ impl SearchSpace for RoutingSpace<'_> {
 
     fn successors(&self, state: &RouteState, out: &mut Vec<(RouteState, LexCost)>) {
         let p = state.point;
+        // The ε probe depends only on the popped state: once per
+        // expansion, not once per bending successor. A source never
+        // bends, so it skips the probe.
+        let anchored = state.arrival.is_some() && bend_is_anchored(self.plane, p);
         // Hot path: one borrow per expansion, buffers cleared per ray —
         // no allocation once the high-water capacity is reached.
         let mut bufs = self.bufs.borrow_mut();
-        let SuccessorBufs { stops, corners } = &mut *bufs;
+        let SuccessorBufs { stops, goal_stops } = &mut *bufs;
         for dir in gcr_geom::Dir::ALL {
             if state.reverses_into(dir) {
                 continue;
@@ -172,23 +178,35 @@ impl SearchSpace for RoutingSpace<'_> {
                         .copied()
                         .filter(|&c| c >= hit.stop)
                 };
-                if let Some(c) = next {
-                    stops.push(c);
-                }
+                stops.extend(next);
             } else {
-                self.goals.stops_along_ray_into(p, dir, hit.stop, stops);
-                self.plane.corner_candidates_into(p, dir, hit.stop, corners);
-                for c in corners.iter() {
-                    stops.push(c.at);
+                // Corner stops arrive distinct and in travel order, and
+                // the ray stop lies at or beyond all of them, so one pass
+                // builds a strictly monotone list; reversed, a West or
+                // South ray's list ascends like the others.
+                self.plane.corner_stops_into(p, dir, hit.stop, stops);
+                if stops.last() != Some(&hit.stop) {
+                    stops.push(hit.stop);
                 }
-                stops.push(hit.stop);
+                if dir.sign() < 0 {
+                    stops.reverse();
+                }
+                // The few goal alignments merge in by binary search.
+                goal_stops.clear();
+                self.goals
+                    .stops_along_ray_into(p, dir, hit.stop, goal_stops);
+                for &c in goal_stops.iter() {
+                    if let Err(i) = stops.binary_search(&c) {
+                        stops.insert(i, c);
+                    }
+                }
             }
-            stops.sort_unstable();
-            stops.dedup();
+            // Ascending stop order is the successor order, which sets the
+            // A* `seq` tie-break.
             for &c in stops.iter() {
                 let to = p.with_coord(axis, c);
                 debug_assert_ne!(to, p, "zero-length successor");
-                let edge = self.coster.edge(state, to, dir);
+                let edge = self.coster.edge(state, to, dir, anchored);
                 out.push((RouteState::arrived(to, dir), edge));
             }
         }
@@ -207,7 +225,7 @@ impl SearchSpace for RoutingSpace<'_> {
 mod tests {
     use super::*;
     use crate::RouterConfig;
-    use gcr_geom::{Dir, Plane, Point, Rect};
+    use gcr_geom::{Dir, Plane, Point, Rect, Segment, ShardedPlane};
     use gcr_search::PathCost;
 
     fn one_block() -> Plane {
@@ -226,7 +244,7 @@ mod tests {
             plane,
             goals,
             vec![(RouteState::source(from), LexCost::zero())],
-            EdgeCoster::new(plane, config),
+            EdgeCoster::new(config),
         )
     }
 
@@ -310,6 +328,131 @@ mod tests {
             space.heuristic(&RouteState::source(Point::new(10, 50))),
             LexCost::primary(80)
         );
+    }
+
+    /// The reference successor list, built from the full candidates: every
+    /// corner candidate's `at`, the goal alignments and the ray stop,
+    /// sorted and deduplicated, each edge priced with its own
+    /// `bend_is_anchored` probe.
+    fn reference_successors(
+        plane: &dyn PlaneIndex,
+        goals: &GoalSet,
+        config: &RouterConfig,
+        state: &RouteState,
+    ) -> Vec<(RouteState, LexCost)> {
+        let p = state.point;
+        let mut out = Vec::new();
+        for dir in Dir::ALL {
+            if state.reverses_into(dir) {
+                continue;
+            }
+            let hit = plane.ray_hit(p, dir);
+            if hit.distance == 0 {
+                continue;
+            }
+            let mut stops = goals.stops_along_ray(p, dir, hit.stop);
+            stops.extend(
+                plane
+                    .corner_candidates(p, dir, hit.stop)
+                    .iter()
+                    .map(|c| c.at),
+            );
+            stops.push(hit.stop);
+            stops.sort_unstable();
+            stops.dedup();
+            for c in stops {
+                let to = p.with_coord(dir.axis(), c);
+                let eps =
+                    config.corner_penalty && state.bends_into(dir) && !bend_is_anchored(plane, p);
+                out.push((
+                    RouteState::arrived(to, dir),
+                    LexCost::new(p.manhattan(to), i64::from(eps)),
+                ));
+            }
+        }
+        out
+    }
+
+    fn seeded_plane(case: u64) -> Plane {
+        let mut state = case.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |m: i64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) as i64).rem_euclid(m)
+        };
+        let mut plane = Plane::new(Rect::new(0, 0, 200, 200).unwrap());
+        for _ in 0..14 {
+            let (x, y) = (next(180), next(180));
+            let (w, h) = (next(18) + 1, next(18) + 1);
+            plane.add_obstacle(Rect::new(x, y, x + w, y + h).unwrap());
+        }
+        plane.build_index();
+        plane
+    }
+
+    /// Successor-order lockdown. Successor order is the A* `seq`
+    /// tie-break, so on seeded flat and sharded planes the generator must
+    /// match [`reference_successors`] exactly — same states, same order,
+    /// same length and ε — from source and arrived states, along every
+    /// ray direction, against a multi-pin goal set whose points and
+    /// segments share coordinates with obstacle corners and ray stops.
+    #[test]
+    fn successors_match_the_sorted_reference_exactly() {
+        let config = RouterConfig::default();
+        let (mut compared, mut charged) = (0usize, 0usize);
+        for case in 0..6u64 {
+            let flat = seeded_plane(case);
+            let sharded = ShardedPlane::new(flat.clone());
+            let (a, b) = (flat.rects()[0].0, flat.rects()[1].0);
+            let mut goals = GoalSet::new();
+            // Points on obstacle corners: goal alignments that coincide
+            // with corner stops (and with ray stops at those faces).
+            goals.add_point(Point::new(a.xmax(), a.ymax()));
+            goals.add_point(Point::new(b.xmin(), b.ymin()));
+            // A point on the plane boundary: coincides with ray stops.
+            goals.add_point(Point::new(200, b.ymax()));
+            // A segment along an obstacle face and one along the
+            // boundary: crossings land on corner and ray-stop coordinates.
+            goals.add_segment(
+                Segment::new(
+                    Point::new(a.xmin(), a.ymin()),
+                    Point::new(a.xmin(), a.ymax()),
+                )
+                .unwrap(),
+            );
+            goals.add_segment(Segment::new(Point::new(0, 0), Point::new(0, 200)).unwrap());
+            for plane in [&flat as &dyn PlaneIndex, &sharded] {
+                let space = RoutingSpace::new(
+                    plane,
+                    &goals,
+                    vec![(RouteState::source(Point::new(0, 0)), LexCost::zero())],
+                    EdgeCoster::new(&config),
+                );
+                let xs = plane.corner_coords(gcr_geom::Axis::X);
+                let ys = plane.corner_coords(gcr_geom::Axis::Y);
+                let mut succ = Vec::new();
+                for &x in &xs {
+                    for &y in &ys {
+                        let p = Point::new(x, y);
+                        if !plane.point_free(p) {
+                            continue;
+                        }
+                        let arrived = Dir::ALL.map(|d| RouteState::arrived(p, d));
+                        for state in std::iter::once(RouteState::source(p)).chain(arrived) {
+                            succ.clear();
+                            space.successors(&state, &mut succ);
+                            let want = reference_successors(plane, &goals, &config, &state);
+                            assert_eq!(succ, want, "case {case} {plane:?}: {state}");
+                            compared += succ.len();
+                            charged += succ.iter().filter(|(_, c)| c.penalty > 0).count();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 10_000, "the sweep must compare real work");
+        assert!(charged > 0, "the sweep must cover ε-charged bends");
     }
 
     #[test]

@@ -29,6 +29,15 @@
 //! scan is locked by the differential suites (`tests/plane_equivalence.rs`,
 //! `crates/geom/tests/sharded.rs`).
 //!
+//! The successor generator needs only the coordinates, not the anchoring
+//! obstacle or side, so each axis also keeps a compact `reach` array
+//! parallel to `coords`: a column's `(max perp_lo, min perp_hi)`. A
+//! coordinate anchors a turn from the ray line `w` exactly when
+//! `max_lo ≥ w` (some rectangle wholly on the positive side) or
+//! `min_hi ≤ w` (one wholly on the negative side), so
+//! [`CornerIndex::stops_into`] answers from two contiguous arrays and
+//! never touches a column.
+//!
 //! Degenerate rectangles never anchor a turn (see
 //! [`turn_side_of`](crate::plane::turn_side_of)) and are excluded at
 //! insertion; straddling rectangles are excluded per query by the `w`
@@ -42,6 +51,8 @@ use crate::{Axis, Coord, CornerCandidate, Dir, ObstacleId, Point, Rect, TurnSide
 struct AxisCorners {
     /// Distinct face coordinates on the ray axis, ascending.
     coords: Vec<Coord>,
+    /// Parallel to `coords`: each column's [`Column::reach`].
+    reach: Vec<(Coord, Coord)>,
     /// Parallel to `coords`.
     columns: Vec<Column>,
 }
@@ -87,6 +98,14 @@ impl Column {
         self.pos.is_empty()
     }
 
+    /// `(max perp_lo, min perp_hi)` of a non-empty column: a ray line at
+    /// `w` finds a positive-side rectangle iff `max_lo ≥ w` and a
+    /// negative-side one iff `min_hi ≤ w` — exactly when
+    /// [`Column::positive_at`] or [`Column::negative_at`] is `Some`.
+    fn reach(&self) -> (Coord, Coord) {
+        (self.pos[self.pos.len() - 1].0, self.neg[0].0)
+    }
+
     /// The minimum obstacle id among rectangles wholly on the positive
     /// side of the ray line `w`, if any.
     fn positive_at(&self, w: Coord) -> Option<ObstacleId> {
@@ -110,6 +129,7 @@ impl AxisCorners {
             Ok(i) => i,
             Err(i) => {
                 self.coords.insert(i, c);
+                self.reach.insert(i, (lo, hi));
                 self.columns.insert(i, Column::default());
                 i
             }
@@ -120,6 +140,7 @@ impl AxisCorners {
         let at = col.neg.partition_point(|e| *e < (hi, id));
         col.neg.insert(at, (hi, id));
         col.recompute_mins();
+        self.reach[i] = col.reach();
     }
 
     /// Removes one face (the exact inverse of
@@ -143,8 +164,30 @@ impl AxisCorners {
         };
         if emptied {
             self.coords.remove(i);
+            self.reach.remove(i);
             self.columns.remove(i);
+        } else {
+            self.reach[i] = self.columns[i].reach();
         }
+    }
+
+    /// The indices of the coordinates strictly ahead of `u0` up to and
+    /// including `stop`: `(u0, stop]` for a positive ray, `[stop, u0)`
+    /// for a negative one (ascending either way; empty when `stop` lies
+    /// behind the origin).
+    fn ahead(&self, u0: Coord, stop: Coord, positive: bool) -> std::ops::Range<usize> {
+        let (lo, hi) = if positive {
+            (
+                self.coords.partition_point(|&c| c <= u0),
+                self.coords.partition_point(|&c| c <= stop),
+            )
+        } else {
+            (
+                self.coords.partition_point(|&c| c < stop),
+                self.coords.partition_point(|&c| c < u0),
+            )
+        };
+        lo..hi.max(lo)
     }
 }
 
@@ -194,6 +237,14 @@ impl CornerIndex {
         self.y.remove_face(ys.hi(), xs.lo(), xs.hi(), id);
     }
 
+    /// The tables of the axis a ray along `axis` travels.
+    fn axis(&self, axis: Axis) -> &AxisCorners {
+        match axis {
+            Axis::X => &self.x,
+            Axis::Y => &self.y,
+        }
+    }
+
     /// Fills `out` with the corner candidates along the clipped ray, in
     /// the canonical order and dedup of the flat plane's
     /// [`corner_candidates_into`](crate::Plane::corner_candidates_into):
@@ -209,13 +260,8 @@ impl CornerIndex {
     ) {
         out.clear();
         let axis = dir.axis();
-        let perp = axis.perpendicular();
-        let u0 = origin.coord(axis);
-        let w = origin.coord(perp);
-        let ac = match axis {
-            Axis::X => &self.x,
-            Axis::Y => &self.y,
-        };
+        let w = origin.coord(axis.perpendicular());
+        let ac = self.axis(axis);
         let mut emit = |i: usize| {
             let (at, col) = (ac.coords[i], &ac.columns[i]);
             if let Some(obstacle) = col.positive_at(w) {
@@ -233,24 +279,30 @@ impl CornerIndex {
                 });
             }
         };
+        let range = ac.ahead(origin.coord(axis), stop, dir.sign() > 0);
         if dir.sign() > 0 {
-            // Coordinates in (u0, stop], ascending.
-            let from = ac.coords.partition_point(|&c| c <= u0);
-            for i in from..ac.coords.len() {
-                if ac.coords[i] > stop {
-                    break;
-                }
-                emit(i);
-            }
+            range.for_each(&mut emit);
         } else {
-            // Coordinates in [stop, u0), descending.
-            let end = ac.coords.partition_point(|&c| c < u0);
-            for i in (0..end).rev() {
-                if ac.coords[i] < stop {
-                    break;
-                }
-                emit(i);
-            }
+            range.rev().for_each(&mut emit);
+        }
+    }
+
+    /// Appends the distinct `at` values of
+    /// [`candidates_into`](CornerIndex::candidates_into) to `out`, in
+    /// travel order, reading only `coords` and `reach`.
+    pub(crate) fn stops_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
+        let axis = dir.axis();
+        let w = origin.coord(axis.perpendicular());
+        let ac = self.axis(axis);
+        let range = ac.ahead(origin.coord(axis), stop, dir.sign() > 0);
+        let slab = ac.coords[range.clone()].iter().zip(&ac.reach[range]);
+        let anchored = |(&at, &(max_lo, min_hi)): (&Coord, &(Coord, Coord))| {
+            (max_lo >= w || min_hi <= w).then_some(at)
+        };
+        if dir.sign() > 0 {
+            out.extend(slab.filter_map(anchored));
+        } else {
+            out.extend(slab.rev().filter_map(anchored));
         }
     }
 }
@@ -286,6 +338,7 @@ fn build_axis(rects: &[(Rect, ObstacleId)], axis: Axis) -> AxisCorners {
         col.neg.sort_unstable();
         col.recompute_mins();
         ac.coords.push(c);
+        ac.reach.push(col.reach());
         ac.columns.push(col);
     }
     ac
@@ -296,10 +349,15 @@ mod tests {
     use super::*;
     use crate::Plane;
 
+    /// Both table queries against the flat slab scan: the candidates
+    /// bit for bit, and the coordinate-only stops as the distinct `at`s
+    /// of the flat candidates — from the tables and from the flat
+    /// plane's own `corner_stops_into` — for full and clipped stops.
     fn differential(plane: &Plane, index: &CornerIndex, what: &str) {
         let xs = plane.corner_coords(Axis::X);
         let ys = plane.corner_coords(Axis::Y);
         let mut buf = Vec::new();
+        let mut stops = Vec::new();
         for &x in &xs {
             for &y in &ys {
                 let p = Point::new(x, y);
@@ -310,12 +368,17 @@ mod tests {
                     let hit = plane.ray_hit(p, dir);
                     let mid = (p.coord(dir.axis()) + hit.stop) / 2;
                     for stop in [hit.stop, mid] {
+                        let want = plane.corner_candidates(p, dir, stop);
                         index.candidates_into(p, dir, stop, &mut buf);
-                        assert_eq!(
-                            buf,
-                            plane.corner_candidates(p, dir, stop),
-                            "{what}: {p} {dir:?} @{stop}"
-                        );
+                        assert_eq!(buf, want, "{what}: {p} {dir:?} @{stop}");
+                        let mut ats: Vec<Coord> = want.iter().map(|c| c.at).collect();
+                        ats.dedup();
+                        stops.clear();
+                        index.stops_into(p, dir, stop, &mut stops);
+                        assert_eq!(stops, ats, "{what}: table stops {p} {dir:?} @{stop}");
+                        stops.clear();
+                        plane.corner_stops_into(p, dir, stop, &mut stops);
+                        assert_eq!(stops, ats, "{what}: flat stops {p} {dir:?} @{stop}");
                     }
                 }
             }
@@ -384,6 +447,9 @@ mod tests {
         let mut out = Vec::new();
         index.candidates_into(Point::new(0, 30), Dir::East, 100, &mut out);
         assert!(out.is_empty(), "degenerate faces anchor nothing");
+        let mut stops = Vec::new();
+        index.stops_into(Point::new(0, 30), Dir::East, 100, &mut stops);
+        assert!(stops.is_empty(), "degenerate faces stop nothing");
         index.remove(&Rect::new(10, 0, 10, 50).unwrap(), 0);
     }
 

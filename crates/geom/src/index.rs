@@ -22,7 +22,8 @@
 //! perpendicular-pruned corner tables (`corners.rs`) for corner
 //! enumeration — the equality contract (not a shared code path) is what
 //! keeps them interchangeable, and the differential sweeps are what
-//! enforce it.
+//! enforce it. Neither memoizes: every answer is computed from the
+//! geometry as it stands, so a mutation is visible to the next query.
 
 use std::fmt;
 
@@ -70,13 +71,11 @@ pub trait PlaneIndex: fmt::Debug + Sync {
     /// Buffer-reuse form of [`PlaneIndex::corner_candidates`]: clears
     /// `out` and fills it with the same candidates in the same order.
     ///
-    /// This is the form the hot search loop calls (one corner query per
-    /// ray per expansion) so that a reused buffer amortizes the
-    /// allocation away. The default is a compatibility shim that pays
-    /// one allocation by delegating to the allocate-and-return form;
-    /// both shipped implementations override it with a genuinely
-    /// allocation-free path (the flat plane fills `out` in place, the
-    /// sharded plane copies from its memoized `Arc` slice).
+    /// The default pays one allocation by delegating to the
+    /// allocate-and-return form; both shipped implementations fill `out`
+    /// in place. The search does not call it: successor generation needs
+    /// only the coordinates, which [`PlaneIndex::corner_stops_into`]
+    /// answers more cheaply.
     fn corner_candidates_into(
         &self,
         origin: Point,
@@ -87,6 +86,16 @@ pub trait PlaneIndex: fmt::Debug + Sync {
         out.clear();
         out.extend(self.corner_candidates(origin, dir, stop));
     }
+
+    /// Appends the distinct [`CornerCandidate::at`] values of
+    /// [`PlaneIndex::corner_candidates`] to `out`, in travel order
+    /// (nearest to the ray origin first).
+    ///
+    /// This is the form the hot search loop calls (one corner query per
+    /// ray per expansion): it skips the anchoring obstacle and side the
+    /// successor generator never reads, and appends so the caller can
+    /// build its stop list in one pass over a reused buffer.
+    fn corner_stops_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>);
 
     /// The sorted, deduplicated coordinates of all obstacle edges on
     /// `axis`, including the plane boundary.
@@ -148,6 +157,10 @@ impl PlaneIndex for Plane {
         out: &mut Vec<CornerCandidate>,
     ) {
         Plane::corner_candidates_into(self, origin, dir, stop, out);
+    }
+
+    fn corner_stops_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
+        Plane::corner_stops_into(self, origin, dir, stop, out);
     }
 
     fn corner_coords(&self, axis: Axis) -> Vec<Coord> {

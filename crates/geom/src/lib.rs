@@ -58,4 +58,4 @@ pub use polyline::Polyline;
 pub use rect::Rect;
 pub use rpolygon::RectilinearPolygon;
 pub use segment::Segment;
-pub use sharded::{PlaneCacheStats, ShardedPlane};
+pub use sharded::ShardedPlane;

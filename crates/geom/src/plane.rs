@@ -657,6 +657,44 @@ impl Plane {
         out: &mut Vec<CornerCandidate>,
     ) {
         out.clear();
+        self.slab_corners(origin, dir, stop, |at, obstacle, side| {
+            out.push(CornerCandidate { at, obstacle, side });
+        });
+        finish_corner_candidates(out, dir.sign() > 0);
+    }
+
+    /// Appends the distinct `at` values of [`Plane::corner_candidates`]
+    /// to `out`, in travel order (nearest to the origin first). The same
+    /// slab scan, sorting and deduplicating bare coordinates in place.
+    pub fn corner_stops_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
+        let start = out.len();
+        self.slab_corners(origin, dir, stop, |at, _, _| out.push(at));
+        let found = &mut out[start..];
+        if dir.sign() > 0 {
+            found.sort_unstable();
+        } else {
+            found.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        let mut len = start;
+        for i in start..out.len() {
+            if len == start || out[i] != out[len - 1] {
+                out[len] = out[i];
+                len += 1;
+            }
+        }
+        out.truncate(len);
+    }
+
+    /// The slab scan behind both corner queries: reports every anchoring
+    /// `(at, obstacle, side)` ahead of the origin up to `stop`, unsorted
+    /// and with duplicates.
+    fn slab_corners(
+        &self,
+        origin: Point,
+        dir: Dir,
+        stop: Coord,
+        mut found: impl FnMut(Coord, ObstacleId, TurnSide),
+    ) {
         let axis = dir.axis();
         let perp = axis.perpendicular();
         let u0 = origin.coord(axis);
@@ -689,11 +727,7 @@ impl Plane {
                         debug_assert!(ahead(c), "sliced range must be ahead");
                         let (r, id) = &self.rects[ri as usize];
                         if let Some(side) = classify(r) {
-                            out.push(CornerCandidate {
-                                at: c,
-                                obstacle: *id,
-                                side,
-                            });
+                            found(c, *id, side);
                         }
                     }
                 }
@@ -704,17 +738,12 @@ impl Plane {
                     let m = r.span(axis);
                     for c in [m.lo(), m.hi()] {
                         if ahead(c) {
-                            out.push(CornerCandidate {
-                                at: c,
-                                obstacle: *id,
-                                side,
-                            });
+                            found(c, *id, side);
                         }
                     }
                 }
             }
         }
-        finish_corner_candidates(out, positive);
     }
 
     /// The sorted, deduplicated coordinates of all obstacle edges on `axis`,

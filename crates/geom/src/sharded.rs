@@ -1,5 +1,4 @@
-//! [`ShardedPlane`]: a bucket-grid spatial index over the obstacle plane,
-//! with a memoized connection-query cache.
+//! [`ShardedPlane`]: a bucket-grid spatial index over the obstacle plane.
 //!
 //! The flat [`Plane`] answers every query by scanning (or
 //! binary-searching) one global obstacle list. Once the batch pipeline
@@ -14,7 +13,8 @@
 //!   nearest, see `ray_scan_sharded`),
 //! * [`PlaneIndex::segment_free`] / [`PlaneIndex::point_free`] test only
 //!   the rectangles registered in the buckets the probe touches,
-//! * [`PlaneIndex::corner_candidates`] is served by dedicated **corner
+//! * [`PlaneIndex::corner_candidates`] and
+//!   [`PlaneIndex::corner_stops_into`] are served by dedicated **corner
 //!   tables** ([`CornerIndex`]): anchoring corners sit at any
 //!   perpendicular distance from the ray line, so the uniform buckets
 //!   have no locality to offer — instead the faces are grouped per
@@ -22,22 +22,13 @@
 //!   pre-sorted, making the cost proportional to the distinct face
 //!   coordinates in the slab (plus one binary search each) rather than
 //!   to every obstacle sharing it, and the canonical output order falls
-//!   out with no query-time sort. A baseline switch
-//!   ([`ShardedPlane::set_corner_delegation`]) can still route cold
-//!   corner queries through the flat plane's slab scan for differential
-//!   tests and before/after benchmarks.
+//!   out with no query-time sort.
 //!
-//! On top of the shards sits a **memoized connection-query cache**: ray
-//! casts and segment-legality checks are keyed by their (net-id
-//! independent) query rectangle — the degenerate rect from the ray origin
-//! along its direction, or the segment's own rect — so identical probes
-//! issued while routing different nets are answered once. Entries are
-//! stamped with the plane's **generation**; inserting an obstacle (or an
-//! explicit [`ShardedPlane::invalidate`] at a pipeline commit point) bumps
-//! the generation and silently retires every stale entry. Because a cache
-//! hit returns exactly what the cold query would compute, caching is
-//! invisible to callers — determinism and flat/sharded equivalence are
-//! asserted by `tests/plane_equivalence.rs` and the differential tests in
+//! Nothing is memoized: every query reads the buckets and tables as they
+//! stand, and every mutation updates them in place, so no answer can go
+//! stale. (An earlier query memo cost more in hashing and locking than
+//! the bucket walks it saved.) Flat/sharded equivalence is asserted by
+//! `tests/plane_equivalence.rs` and the differential tests in
 //! `crates/geom/tests/sharded.rs`.
 //!
 //! **Shard sizing heuristic:** the constructor aims at ~4 buckets per
@@ -46,18 +37,7 @@
 //! Few large cells → coarse buckets that degenerate gracefully toward the
 //! flat scan; many small cells → fine buckets with O(1) rects each.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-// FNV-1a over 8-byte words: the cache keys are a handful of `i64`
-// coordinates, and the hit path must be cheaper than the flat plane's
-// binary-searched ray cast — SipHash would eat the entire win. The
-// hasher is shared with the A* state index (`gcr_search::fnv`).
-use gcr_search::{FnvBuildHasher as FnvBuild, FnvHasher};
-use gcr_telemetry::Counter;
 
 use crate::corners::CornerIndex;
 use crate::plane::ray_entry;
@@ -66,214 +46,12 @@ use crate::{
     Rect, RectilinearPolygon,
 };
 
-/// Number of independently locked ways the query cache is split into, so
-/// parallel batch workers rarely contend on the same lock.
-const CACHE_WAYS: usize = 16;
-
-/// Per-way entry cap; a way that fills up is cleared wholesale (the cache
-/// is a memo, not a store — recomputing is always correct).
-const CACHE_WAY_CAP: usize = 1 << 16;
-
 /// Hard ceiling on the bucket-grid size chosen by the sizing heuristic.
 const MAX_BUCKETS: usize = 1 << 20;
 
-/// A connection query, keyed net-id-independently by its query rectangle:
-/// a ray is the degenerate rect at its origin extended along `dir`; a
-/// segment is its own (canonicalized) rect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueryKey {
-    /// Ray cast from a point in a direction.
-    Ray(Point, Dir),
-    /// Segment legality between two canonically ordered endpoints.
-    Segment(Point, Point),
-    /// Corner-candidate enumeration along a clipped ray.
-    Corners(Point, Dir, Coord),
-}
-
-impl QueryKey {
-    /// One FNV pass over the key's coordinates, used both to pick the
-    /// cache way and as the map hash (via [`FnvHasher`]).
-    fn fnv(&self) -> u64 {
-        let mut h = FnvHasher::default();
-        std::hash::Hash::hash(self, &mut h);
-        h.finish()
-    }
-
-    /// Index into the per-kind registry counters (ray/segment/corner).
-    fn kind(&self) -> usize {
-        match self {
-            QueryKey::Ray(..) => 0,
-            QueryKey::Segment(..) => 1,
-            QueryKey::Corners(..) => 2,
-        }
-    }
-}
-
-/// Process-global hit/miss counters per query kind, registered as
-/// `gcr_geom_cache_{hits,misses}_total{kind=...}`. Per-plane counts
-/// stay on the owning [`QueryCache`] (the exact numbers
-/// [`ShardedPlane::cache_stats`] reports); these aggregate across every
-/// plane in the process for the `METRICS` exposition.
-struct CacheMetrics {
-    hits: [&'static Counter; 3],
-    misses: [&'static Counter; 3],
-}
-
-fn cache_metrics() -> &'static CacheMetrics {
-    static METRICS: std::sync::OnceLock<CacheMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = gcr_telemetry::global();
-        const HITS_HELP: &str = "Sharded-plane query-cache hits, by query kind";
-        const MISSES_HELP: &str = "Sharded-plane query-cache misses, by query kind";
-        CacheMetrics {
-            hits: ["ray", "segment", "corner"].map(|kind| {
-                reg.counter_labeled("gcr_geom_cache_hits_total", HITS_HELP, "kind", kind)
-            }),
-            misses: ["ray", "segment", "corner"].map(|kind| {
-                reg.counter_labeled("gcr_geom_cache_misses_total", MISSES_HELP, "kind", kind)
-            }),
-        }
-    })
-}
-
-impl std::hash::Hash for QueryKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            QueryKey::Ray(p, dir) => {
-                state.write_u8(*dir as u8);
-                state.write_i64(p.x);
-                state.write_i64(p.y);
-            }
-            QueryKey::Segment(a, b) => {
-                state.write_u8(4);
-                state.write_i64(a.x);
-                state.write_i64(a.y);
-                state.write_i64(b.x);
-                state.write_i64(b.y);
-            }
-            QueryKey::Corners(p, dir, stop) => {
-                // Tags 0..=3 are the ray directions, 4 the segment key.
-                state.write_u8(5 + *dir as u8);
-                state.write_i64(p.x);
-                state.write_i64(p.y);
-                state.write_i64(*stop);
-            }
-        }
-    }
-}
-
-/// A memoized query answer. Corner lists are shared behind an `Arc` so a
-/// cache hit is one refcount bump, not a list copy.
-#[derive(Debug, Clone)]
-enum QueryValue {
-    Ray(RayHit),
-    Free(bool),
-    Corners(Arc<[CornerCandidate]>),
-}
-
-/// One lock-guarded way of the memo: generation-stamped values by key.
-type CacheWay = Mutex<HashMap<QueryKey, (u64, QueryValue), FnvBuild>>;
-
-/// The sharded, generation-stamped query memo. The hit/miss counters
-/// are the telemetry primitives directly — per-plane exact counts with
-/// no second bookkeeping copy.
-struct QueryCache {
-    ways: Vec<CacheWay>,
-    hits: Counter,
-    misses: Counter,
-}
-
-impl QueryCache {
-    fn new() -> QueryCache {
-        QueryCache {
-            ways: (0..CACHE_WAYS)
-                .map(|_| Mutex::new(HashMap::default()))
-                .collect(),
-            hits: Counter::new(),
-            misses: Counter::new(),
-        }
-    }
-
-    /// Looks `key` up under `generation`; on miss (or stale generation)
-    /// computes, stores and returns the fresh value. The value is a pure
-    /// function of the plane geometry and the key, so concurrent
-    /// computations of the same key store identical values — the race is
-    /// benign and the answer deterministic.
-    fn get_or(
-        &self,
-        generation: u64,
-        key: QueryKey,
-        compute: impl FnOnce() -> QueryValue,
-    ) -> QueryValue {
-        // Way selection uses bits 48.. of the hash: the per-way map reuses
-        // the same FNV hash, and hashbrown derives its bucket index from
-        // the low bits and its control tags from the top 7 — picking the
-        // way from either range would cluster every key in a way onto a
-        // fraction of the map's probe positions (or tag values).
-        let way = &self.ways[((key.fnv() >> 48) as usize) & (CACHE_WAYS - 1)];
-        {
-            let map = way
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some((g, v)) = map.get(&key) {
-                if *g == generation {
-                    self.hits.inc();
-                    if gcr_telemetry::enabled() {
-                        cache_metrics().hits[key.kind()].inc();
-                    }
-                    return v.clone();
-                }
-            }
-        }
-        let v = compute();
-        self.misses.inc();
-        if gcr_telemetry::enabled() {
-            cache_metrics().misses[key.kind()].inc();
-        }
-        let mut map = way
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if map.len() >= CACHE_WAY_CAP {
-            map.clear();
-        }
-        map.insert(key, (generation, v.clone()));
-        v
-    }
-
-    fn clear(&self) {
-        for way in &self.ways {
-            way.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.ways
-            .iter()
-            .map(|w| {
-                w.lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum()
-    }
-}
-
-/// Hit/miss counters of a [`ShardedPlane`]'s query cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlaneCacheStats {
-    /// Queries answered from the memo.
-    pub hits: u64,
-    /// Queries computed cold (and memoized).
-    pub misses: u64,
-    /// Entries currently resident (stale generations included).
-    pub entries: usize,
-}
-
 /// A spatially sharded obstacle plane: drop-in [`PlaneIndex`] replacement
-/// for the flat [`Plane`] with bucket-local queries and a memoized,
-/// generation-invalidated connection-query cache.
+/// for the flat [`Plane`] with bucket-local queries and table-backed
+/// corner enumeration.
 ///
 /// ```
 /// use gcr_geom::{Dir, Plane, PlaneIndex, Point, Rect, ShardedPlane};
@@ -285,12 +63,10 @@ pub struct PlaneCacheStats {
 /// // Bit-identical answers through the shared trait.
 /// let p = Point::new(10, 50);
 /// assert_eq!(sharded.ray_hit(p, Dir::East), flat.ray_hit(p, Dir::East));
-/// // The second identical query is a cache hit.
-/// sharded.ray_hit(p, Dir::East);
-/// assert!(sharded.cache_stats().hits >= 1);
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone)]
 pub struct ShardedPlane {
     flat: Plane,
     shard: Coord,
@@ -300,12 +76,6 @@ pub struct ShardedPlane {
     /// Perpendicular-pruned corner tables (see [`CornerIndex`]); kept in
     /// lockstep with `flat` by every mutation.
     corners: CornerIndex,
-    /// When set, cold corner queries delegate to the flat plane's slab
-    /// scan instead of `corners` — the pre-bucketing baseline, kept for
-    /// differential tests and before/after benchmarks.
-    delegate_corners: bool,
-    generation: AtomicU64,
-    cache: QueryCache,
 }
 
 impl ShardedPlane {
@@ -321,14 +91,12 @@ impl ShardedPlane {
     /// least 1). Mostly useful for tests that want to force shard
     /// boundaries through specific coordinates.
     #[must_use]
-    pub fn with_shard_size(mut plane: Plane, shard: Coord) -> ShardedPlane {
-        // The flat topological index stays built: ray casts over very
-        // coarse shards and the out-of-bounds fallbacks still consult
-        // it, and the corner-delegation baseline needs it. Corner
-        // queries themselves are served by the dedicated corner tables
-        // (built once here, in bulk); buckets serve the local queries
-        // (points, segments, rays).
-        plane.build_index();
+    pub fn with_shard_size(plane: Plane, shard: Coord) -> ShardedPlane {
+        // No sharded query reads the flat plane's topological index, so
+        // it is neither built nor dropped here: a plane passed in indexed
+        // stays indexed for `flat()` callers. Corner queries are served
+        // by the dedicated corner tables (built once here, in bulk);
+        // buckets serve the local queries (points, segments, rays).
         let corners = CornerIndex::build(plane.rects());
         let shard = shard.max(1);
         let b = plane.bounds();
@@ -341,9 +109,6 @@ impl ShardedPlane {
             ny,
             buckets: vec![Vec::new(); nx * ny],
             corners,
-            delegate_corners: false,
-            generation: AtomicU64::new(0),
-            cache: QueryCache::new(),
         };
         sharded.index_rects(0);
         sharded
@@ -373,88 +138,46 @@ impl ShardedPlane {
         (self.nx, self.ny)
     }
 
-    /// The current cache generation. Every mutation (and every explicit
-    /// [`ShardedPlane::invalidate`]) increments it, retiring all cached
-    /// answers stamped with earlier generations.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-
-    /// Bumps the cache generation, invalidating every memoized query.
-    /// Callers with commit points (e.g. the batch pipeline between its
-    /// congestion passes) use this as a cheap barrier: geometry queries
-    /// recompute cold afterwards, so no stale answer can survive a
-    /// mutation the caller is about to make (or has made through
-    /// interior-mutable state the plane cannot see).
-    pub fn invalidate(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Drops every cache entry (generation is unchanged; this frees
-    /// memory rather than invalidating).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-
-    /// Cache hit/miss/occupancy counters (monotonic over the plane's
-    /// lifetime; cleared entries still count as their original misses).
-    #[must_use]
-    pub fn cache_stats(&self) -> PlaneCacheStats {
-        PlaneCacheStats {
-            hits: self.cache.hits.get(),
-            misses: self.cache.misses.get(),
-            entries: self.cache.len(),
-        }
-    }
-
     /// Adds a rectangular obstacle and returns its id (see
-    /// [`Plane::add_obstacle`]). Invalidates the query cache. The flat
-    /// topological index is maintained incrementally by the insert
-    /// (sorted-insert, not a rebuild), so mutation is O(log n) per face
-    /// list plus the bucket registration.
+    /// [`Plane::add_obstacle`]). A built flat index is maintained
+    /// incrementally by the insert (sorted-insert, not a rebuild), so
+    /// mutation is O(log n) per face list plus the bucket and
+    /// corner-table registration.
     pub fn add_obstacle(&mut self, rect: Rect) -> ObstacleId {
         let from = self.flat.rects().len();
         let id = self.flat.add_obstacle(rect);
-        debug_assert!(self.flat.has_index(), "constructor built the index");
         self.index_rects(from);
         self.index_corners(from);
-        self.invalidate();
         id
     }
 
     /// Adds a batch of rectangular obstacles in one step (see
-    /// [`Plane::add_obstacles`]): the flat topological index is rebuilt
-    /// once by sort, the corner tables are rebuilt in bulk, buckets are
-    /// appended, and the query cache is invalidated once — the bulk
-    /// construction path for large generated instances and batched ECOs.
+    /// [`Plane::add_obstacles`]): a built flat index is rebuilt once by
+    /// sort, the corner tables are rebuilt in bulk and buckets are
+    /// appended — the bulk construction path for large generated
+    /// instances and batched ECOs.
     pub fn add_obstacles(&mut self, rects: &[Rect]) -> std::ops::Range<ObstacleId> {
         let from = self.flat.rects().len();
         let ids = self.flat.add_obstacles(rects);
         self.index_rects(from);
         self.corners = CornerIndex::build(self.flat.rects());
-        self.invalidate();
         ids
     }
 
     /// Adds a rectilinear-polygon obstacle and returns its id (see
-    /// [`Plane::add_polygon`]). Invalidates the query cache; the flat
-    /// index is maintained incrementally, as in
+    /// [`Plane::add_polygon`]), maintained like
     /// [`ShardedPlane::add_obstacle`].
     pub fn add_polygon(&mut self, polygon: &RectilinearPolygon) -> ObstacleId {
         let from = self.flat.rects().len();
         let id = self.flat.add_polygon(polygon);
-        debug_assert!(self.flat.has_index(), "constructor built the index");
         self.index_rects(from);
         self.index_corners(from);
-        self.invalidate();
         id
     }
 
     /// Translates every rectangle of obstacle `id` by `(dx, dy)` (see
     /// [`Plane::translate_obstacle`]). Bucket maintenance is **targeted**:
-    /// only the buckets the old and new rectangles touch are rewritten;
-    /// the query cache is invalidated by a generation bump.
+    /// only the buckets the old and new rectangles touch are rewritten.
     pub fn translate_obstacle(&mut self, id: ObstacleId, dx: Coord, dy: Coord) -> bool {
         let moves: Vec<(u32, Rect)> = self
             .flat
@@ -478,7 +201,6 @@ impl ShardedPlane {
             self.register_rect(ri, &new);
             self.corners.insert(&new, id);
         }
-        self.invalidate();
         true
     }
 
@@ -496,19 +218,7 @@ impl ShardedPlane {
         }
         self.index_rects(0);
         self.corners = CornerIndex::build(self.flat.rects());
-        self.invalidate();
         true
-    }
-
-    /// Routes cold corner queries through the flat plane's slab scan
-    /// instead of the corner tables. Both paths are bit-identical (the
-    /// differential suites assert it); the switch exists so benches and
-    /// tests can measure and lock the pre-bucketing baseline. Bumps the
-    /// cache generation so subsequent queries recompute on the selected
-    /// path.
-    pub fn set_corner_delegation(&mut self, delegate: bool) {
-        self.delegate_corners = delegate;
-        self.invalidate();
     }
 
     /// Registers the corner faces of rectangles `from..` in the corner
@@ -768,26 +478,12 @@ impl PlaneIndex for ShardedPlane {
         if a == b {
             return self.point_free(a);
         }
-        let key = QueryKey::Segment(a.min(b), a.max(b));
-        let v = self.cache.get_or(self.generation(), key, || {
-            QueryValue::Free(!self.segment_blocked(a, b))
-        });
-        match v {
-            QueryValue::Free(free) => free,
-            _ => unreachable!("segment key stores Free values"),
-        }
+        !self.segment_blocked(a, b)
     }
 
     fn ray_hit(&self, origin: Point, dir: Dir) -> RayHit {
         debug_assert!(self.point_free(origin), "ray origin must be free: {origin}");
-        let key = QueryKey::Ray(origin, dir);
-        let v = self.cache.get_or(self.generation(), key, || {
-            QueryValue::Ray(self.ray_scan_sharded(origin, dir))
-        });
-        match v {
-            QueryValue::Ray(hit) => hit,
-            _ => unreachable!("ray key stores Ray values"),
-        }
+        self.ray_scan_sharded(origin, dir)
     }
 
     fn corner_candidates(&self, origin: Point, dir: Dir, stop: Coord) -> Vec<CornerCandidate> {
@@ -805,33 +501,16 @@ impl PlaneIndex for ShardedPlane {
     ) {
         // The uniform buckets have no locality to offer here (anchoring
         // corners sit at any perpendicular distance from the ray line),
-        // so queries go to the dedicated corner tables instead: cost
-        // proportional to the distinct face coordinates in the slab,
-        // with the perpendicular side resolved by binary search and the
-        // canonical output order emitted directly — no query-time sort,
-        // no dedup, no allocation. The tables answer **below** the memo
-        // layer: a table lookup is cheaper than the memo's own
-        // hash + lock + `Arc` insertion, so memoizing it would be a
-        // pessimization (measured ~4 µs memo overhead vs sub-µs table
-        // query at the 1k-net tier). The delegated path keeps the memo
-        // because the flat slab scan it wraps is the expensive pre-PR
-        // configuration the memo was built for.
-        if !self.delegate_corners {
-            self.corners.candidates_into(origin, dir, stop, out);
-            return;
-        }
-        out.clear();
-        let key = QueryKey::Corners(origin, dir, stop);
-        let v = self.cache.get_or(self.generation(), key, || {
-            let mut fresh = Vec::new();
-            self.flat
-                .corner_candidates_into(origin, dir, stop, &mut fresh);
-            QueryValue::Corners(fresh.into())
-        });
-        match v {
-            QueryValue::Corners(c) => out.extend_from_slice(&c),
-            _ => unreachable!("corner key stores Corners values"),
-        }
+        // so corner queries go to the dedicated tables: cost proportional
+        // to the distinct face coordinates in the slab, with the
+        // perpendicular side resolved by binary search and the canonical
+        // output order emitted directly — no sort, no dedup, no
+        // allocation.
+        self.corners.candidates_into(origin, dir, stop, out);
+    }
+
+    fn corner_stops_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
+        self.corners.stops_into(origin, dir, stop, out);
     }
 
     fn corner_coords(&self, axis: Axis) -> Vec<Coord> {
@@ -854,24 +533,6 @@ impl PlaneIndex for ShardedPlane {
     }
 }
 
-impl Clone for ShardedPlane {
-    /// Clones geometry and shards; the clone starts with a fresh, empty
-    /// cache at generation 0.
-    fn clone(&self) -> ShardedPlane {
-        ShardedPlane {
-            flat: self.flat.clone(),
-            shard: self.shard,
-            nx: self.nx,
-            ny: self.ny,
-            buckets: self.buckets.clone(),
-            corners: self.corners.clone(),
-            delegate_corners: self.delegate_corners,
-            generation: AtomicU64::new(0),
-            cache: QueryCache::new(),
-        }
-    }
-}
-
 impl fmt::Debug for ShardedPlane {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedPlane")
@@ -879,7 +540,6 @@ impl fmt::Debug for ShardedPlane {
             .field("rects", &self.flat.rects().len())
             .field("shard", &self.shard)
             .field("grid", &(self.nx, self.ny))
-            .field("generation", &self.generation())
             .finish_non_exhaustive()
     }
 }
@@ -931,39 +591,13 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_on_repeat_queries() {
-        let (flat, _) = one_block();
-        let s = ShardedPlane::new(flat);
-        let p = Point::new(0, 50);
-        let first = s.ray_hit(p, Dir::East);
-        let stats0 = s.cache_stats();
-        assert_eq!(stats0.misses, 1);
-        let second = s.ray_hit(p, Dir::East);
-        assert_eq!(first, second);
-        let stats1 = s.cache_stats();
-        assert_eq!(stats1.hits, stats0.hits + 1);
-        assert_eq!(stats1.misses, stats0.misses);
-    }
-
-    #[test]
-    fn corner_candidates_answer_below_the_memo() {
-        // In the default (bucketed) mode a corner query is a direct
-        // table lookup — cheaper than the memo's own bookkeeping — so
-        // it must leave the cache completely untouched while still
-        // answering identically to the flat plane and tracking
-        // mutations immediately.
+    fn corner_candidates_track_clipping_and_mutation() {
         let (flat, _) = one_block();
         let s = ShardedPlane::new(flat.clone());
         let (p, stop) = (Point::new(0, 10), 100);
-        let cold = s.corner_candidates(p, Dir::East, stop);
-        assert_eq!(cold, flat.corner_candidates(p, Dir::East, stop));
-        assert_eq!(s.corner_candidates(p, Dir::East, stop), cold);
-        assert_eq!(
-            s.cache_stats(),
-            PlaneCacheStats::default(),
-            "table-backed corner queries must not touch the memo"
-        );
-        // A clipped stop changes the answer (no stale memo to hide it).
+        let full = s.corner_candidates(p, Dir::East, stop);
+        assert_eq!(full, flat.corner_candidates(p, Dir::East, stop));
+        // A clipped stop changes the answer.
         let clipped = s.corner_candidates(p, Dir::East, 50);
         assert_eq!(clipped, flat.corner_candidates(p, Dir::East, 50));
         // Mutation updates the tables: the new obstacle must appear.
@@ -975,30 +609,24 @@ mod tests {
     }
 
     #[test]
-    fn delegated_corner_candidates_are_memoized_and_invalidated() {
-        // The pre-PR slab-scan path keeps its memo: that is the
-        // configuration the cache was built for.
+    fn corner_stops_append_in_travel_order() {
         let (flat, _) = one_block();
-        let mut s = ShardedPlane::new(flat.clone());
-        s.set_corner_delegation(true);
-        let (p, stop) = (Point::new(0, 10), 100);
-        let cold = s.corner_candidates(p, Dir::East, stop);
-        assert_eq!(cold, flat.corner_candidates(p, Dir::East, stop));
-        let misses = s.cache_stats().misses;
-        // Identical query: answered from the memo, identically.
-        let warm = s.corner_candidates(p, Dir::East, stop);
-        assert_eq!(warm, cold);
-        assert_eq!(s.cache_stats().misses, misses);
-        assert!(s.cache_stats().hits >= 1);
-        // A different stop is a different key (clipping changes answers).
-        let clipped = s.corner_candidates(p, Dir::East, 50);
-        assert_eq!(clipped, flat.corner_candidates(p, Dir::East, 50));
-        assert_eq!(s.cache_stats().misses, misses + 1);
-        // Mutation retires the memo: the new obstacle must appear.
-        s.add_obstacle(Rect::new(80, 20, 90, 40).unwrap());
-        let fresh = s.corner_candidates(p, Dir::East, stop);
-        assert!(fresh.iter().any(|c| c.at == 80));
-        assert_eq!(fresh, s.flat().corner_candidates(p, Dir::East, stop));
+        let s = ShardedPlane::new(flat.clone());
+        for (p, dir, stop, want) in [
+            (Point::new(0, 10), Dir::East, 100, vec![30, 70]),
+            (Point::new(100, 10), Dir::West, 0, vec![70, 30]),
+            (Point::new(10, 100), Dir::South, 0, vec![70, 30]),
+            (Point::new(0, 10), Dir::East, 50, vec![30]),
+            (Point::new(0, 50), Dir::East, 30, vec![]),
+        ] {
+            for plane in [&s as &dyn PlaneIndex, &flat] {
+                // Appends after whatever the buffer already holds.
+                let mut out = vec![-1];
+                plane.corner_stops_into(p, dir, stop, &mut out);
+                assert_eq!(out[0], -1, "{plane:?} {p} {dir:?}");
+                assert_eq!(out[1..], want, "{plane:?} {p} {dir:?} @{stop}");
+            }
+        }
     }
 
     #[test]
@@ -1016,58 +644,24 @@ mod tests {
     }
 
     #[test]
-    fn segment_cache_is_direction_canonical() {
+    fn segment_free_is_direction_independent() {
         let (flat, _) = one_block();
         let s = ShardedPlane::new(flat);
         assert!(s.segment_free(Point::new(0, 10), Point::new(100, 10)));
-        let misses = s.cache_stats().misses;
-        // The reversed segment is the same query rect: must hit.
         assert!(s.segment_free(Point::new(100, 10), Point::new(0, 10)));
-        assert_eq!(s.cache_stats().misses, misses);
-        assert!(s.cache_stats().hits >= 1);
+        assert!(!s.segment_free(Point::new(100, 50), Point::new(0, 50)));
     }
 
     #[test]
-    fn insert_bumps_generation_and_retires_cached_answers() {
-        let s0 = ShardedPlane::from_bounds(Rect::new(0, 0, 100, 100).unwrap());
-        let mut s = s0;
+    fn insert_changes_later_answers() {
+        let mut s = ShardedPlane::from_bounds(Rect::new(0, 0, 100, 100).unwrap());
         let p = Point::new(0, 50);
         let open = s.ray_hit(p, Dir::East);
         assert_eq!(open.stop, 100);
-        let g0 = s.generation();
         s.add_obstacle(Rect::new(40, 40, 60, 60).unwrap());
-        assert!(s.generation() > g0);
-        // The memoized boundary answer must not survive the insert.
         let blocked = s.ray_hit(p, Dir::East);
         assert_eq!(blocked.stop, 40);
         assert!(blocked.blocker.is_some());
-    }
-
-    #[test]
-    fn explicit_invalidate_forces_cold_recompute() {
-        let (flat, _) = one_block();
-        let s = ShardedPlane::new(flat);
-        let p = Point::new(0, 50);
-        s.ray_hit(p, Dir::East);
-        let misses = s.cache_stats().misses;
-        s.invalidate();
-        s.ray_hit(p, Dir::East);
-        assert_eq!(
-            s.cache_stats().misses,
-            misses + 1,
-            "stale entry must not hit"
-        );
-    }
-
-    #[test]
-    fn clear_cache_frees_entries_without_changing_answers() {
-        let (flat, _) = one_block();
-        let s = ShardedPlane::new(flat);
-        let a = s.ray_hit(Point::new(0, 50), Dir::East);
-        assert!(s.cache_stats().entries > 0);
-        s.clear_cache();
-        assert_eq!(s.cache_stats().entries, 0);
-        assert_eq!(s.ray_hit(Point::new(0, 50), Dir::East), a);
     }
 
     #[test]
@@ -1091,12 +685,10 @@ mod tests {
     }
 
     #[test]
-    fn clone_starts_with_a_cold_cache() {
+    fn clone_answers_identically() {
         let (flat, _) = one_block();
         let s = ShardedPlane::new(flat);
-        s.ray_hit(Point::new(0, 50), Dir::East);
         let c = s.clone();
-        assert_eq!(c.cache_stats(), PlaneCacheStats::default());
         assert_eq!(
             c.ray_hit(Point::new(0, 50), Dir::East),
             s.ray_hit(Point::new(0, 50), Dir::East)
@@ -1112,12 +704,11 @@ mod tests {
     }
 
     #[test]
-    fn translate_obstacle_matches_flat_and_retires_cache() {
+    fn translate_obstacle_matches_flat() {
         let (mut flat, id) = one_block();
         flat.build_index();
         for shard in [1, 7, 33, 1000] {
             let mut s = ShardedPlane::with_shard_size(flat.clone(), shard);
-            // Warm the cache with answers the move must retire.
             let p = Point::new(0, 50);
             assert_eq!(s.ray_hit(p, Dir::East).stop, 30, "shard {shard}");
             assert!(s.translate_obstacle(id, 15, 10));
@@ -1154,7 +745,6 @@ mod tests {
         let b = flat.add_obstacle(Rect::new(50, 40, 60, 60).unwrap());
         flat.build_index();
         let mut s = ShardedPlane::with_shard_size(flat.clone(), 8);
-        s.ray_hit(Point::new(0, 50), Dir::East); // warm
         assert!(s.remove_obstacle(a));
         assert!(!s.remove_obstacle(a));
         let mut removed = flat;
@@ -1187,13 +777,14 @@ mod tests {
         out
     }
 
-    /// Every corner query has three implementations that must agree bit for
-    /// bit: the flat plane's slab scan, the sharded plane's dedicated corner
-    /// tables (default), and the delegation fallback that routes the sharded
-    /// plane's cold queries back to the flat scan. Sweep all three across
-    /// bulk construction and every mutation kind.
+    /// Every corner query has two implementations that must agree bit for
+    /// bit: the flat plane's slab scan and the sharded plane's dedicated
+    /// corner tables, for both the full candidates and the coordinate-only
+    /// stops (the distinct `at`s of the flat candidates, in travel order).
+    /// Sweep both across bulk construction and every mutation kind, for
+    /// full and clipped stops.
     #[test]
-    fn bucketed_corners_match_delegated_and_flat_across_mutations() {
+    fn bucketed_corners_match_flat_across_mutations() {
         let extent: Coord = 200;
         let bounds = Rect::new(0, 0, extent, extent).unwrap();
         for seed in 0..6u64 {
@@ -1201,11 +792,8 @@ mod tests {
             let flat = Plane::with_obstacles(bounds, &rects);
             let mut bucketed = ShardedPlane::from_bounds(bounds);
             bucketed.add_obstacles(&rects);
-            let mut delegated = ShardedPlane::from_bounds(bounds);
-            delegated.add_obstacles(&rects);
-            delegated.set_corner_delegation(true);
 
-            let check = |flat: &Plane, bucketed: &ShardedPlane, delegated: &ShardedPlane| {
+            let check = |flat: &Plane, bucketed: &ShardedPlane| {
                 let mut probes = vec![0, extent / 2, extent];
                 for &(r, _) in flat.rects().iter().take(12) {
                     probes.push(r.span(Axis::X).lo());
@@ -1213,6 +801,7 @@ mod tests {
                 }
                 probes.sort_unstable();
                 probes.dedup();
+                let mut stops = Vec::new();
                 for &u in &probes {
                     for &v in &probes {
                         let origin = Point::new(u, v);
@@ -1220,45 +809,49 @@ mod tests {
                             continue;
                         }
                         for dir in [Dir::East, Dir::West, Dir::North, Dir::South] {
-                            let stop = flat.ray_hit(origin, dir).stop;
-                            let want = flat.corner_candidates(origin, dir, stop);
-                            assert_eq!(
-                                bucketed.corner_candidates(origin, dir, stop),
-                                want,
-                                "bucketed seed {seed} origin {origin} dir {dir:?}"
-                            );
-                            assert_eq!(
-                                delegated.corner_candidates(origin, dir, stop),
-                                want,
-                                "delegated seed {seed} origin {origin} dir {dir:?}"
-                            );
+                            let hit = flat.ray_hit(origin, dir).stop;
+                            let mid = (origin.coord(dir.axis()) + hit) / 2;
+                            for stop in [hit, mid] {
+                                let want = flat.corner_candidates(origin, dir, stop);
+                                assert_eq!(
+                                    bucketed.corner_candidates(origin, dir, stop),
+                                    want,
+                                    "bucketed seed {seed} origin {origin} dir {dir:?} @{stop}"
+                                );
+                                let mut want_stops: Vec<Coord> =
+                                    want.iter().map(|c| c.at).collect();
+                                want_stops.dedup();
+                                for plane in [bucketed as &dyn PlaneIndex, flat] {
+                                    stops.clear();
+                                    plane.corner_stops_into(origin, dir, stop, &mut stops);
+                                    assert_eq!(
+                                        stops, want_stops,
+                                        "{plane:?} seed {seed} origin {origin} dir {dir:?} @{stop}"
+                                    );
+                                }
+                            }
                         }
                     }
                 }
             };
-            check(&flat, &bucketed, &delegated);
+            check(&flat, &bucketed);
 
             // Mutations: translate one obstacle, remove another, insert one.
             let mut flat = flat;
             let victim = flat.rects()[(seed as usize * 7) % flat.rects().len()].1;
-            for p in [&mut bucketed, &mut delegated] {
-                assert!(p.translate_obstacle(victim, 3, -2));
-            }
+            assert!(bucketed.translate_obstacle(victim, 3, -2));
             assert!(flat.translate_obstacle(victim, 3, -2));
-            check(&flat, &bucketed, &delegated);
+            check(&flat, &bucketed);
 
             let gone = flat.rects()[(seed as usize * 3) % flat.rects().len()].1;
-            for p in [&mut bucketed, &mut delegated] {
-                assert!(p.remove_obstacle(gone));
-            }
+            assert!(bucketed.remove_obstacle(gone));
             assert!(flat.remove_obstacle(gone));
-            check(&flat, &bucketed, &delegated);
+            check(&flat, &bucketed);
 
             let extra = Rect::new(11, 13, 23, 29).unwrap();
             bucketed.add_obstacle(extra);
-            delegated.add_obstacle(extra);
             flat.add_obstacle(extra);
-            check(&flat, &bucketed, &delegated);
+            check(&flat, &bucketed);
         }
     }
 

@@ -1,11 +1,10 @@
-//! Differential and cache-invalidation tests for [`ShardedPlane`]
-//! (seeded sweeps; the environment has no proptest, so cases are drawn
-//! from a deterministic RNG instead).
+//! Differential and mutation tests for [`ShardedPlane`] (seeded sweeps;
+//! the environment has no proptest, so cases are drawn from a
+//! deterministic RNG instead).
 //!
 //! The contract under test: for any obstacle set, any shard size and any
 //! query, the sharded plane answers **bit-identically** to the flat
-//! plane — including immediately after mutations, which must retire every
-//! memoized answer via the generation stamp.
+//! plane — including immediately after mutations.
 
 use gcr_geom::{Dir, Plane, PlaneIndex, Point, Rect, ShardedPlane};
 use rand::rngs::StdRng;
@@ -76,11 +75,24 @@ fn random_queries_agree_with_flat_for_all_shard_sizes() {
                             sharded.ray_hit(p, dir),
                             "case {case} shard {shard}: ray {p} {dir:?}"
                         );
+                        let corners = PlaneIndex::corner_candidates(&flat, p, dir, hit.stop);
                         assert_eq!(
-                            PlaneIndex::corner_candidates(&flat, p, dir, hit.stop),
+                            corners,
                             sharded.corner_candidates(p, dir, hit.stop),
                             "case {case} shard {shard}: corners {p} {dir:?}"
                         );
+                        // Coordinate-only stops: the distinct `at`s, in
+                        // travel order, on both planes.
+                        let mut ats: Vec<i64> = corners.iter().map(|c| c.at).collect();
+                        ats.dedup();
+                        for plane in [&flat as &dyn PlaneIndex, &sharded] {
+                            let mut stops = Vec::new();
+                            plane.corner_stops_into(p, dir, hit.stop, &mut stops);
+                            assert_eq!(
+                                stops, ats,
+                                "case {case} shard {shard}: stops {p} {dir:?} on {plane:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -88,17 +100,17 @@ fn random_queries_agree_with_flat_for_all_shard_sizes() {
     }
 }
 
-/// After every insert, a cached connection query must match a cold query
-/// against a fresh plane holding the same rectangles — the generation
-/// stamp may never leak a pre-insert answer.
+/// After every insert, a connection query must match the same query
+/// against a fresh plane holding the same rectangles — no pre-insert
+/// answer may survive the mutation.
 #[test]
-fn cached_queries_match_cold_queries_after_each_insert() {
+fn queries_after_each_insert_match_a_fresh_plane() {
     let mut rng = StdRng::seed_from_u64(77);
     let mut sharded =
         ShardedPlane::with_shard_size(Plane::new(Rect::new(0, 0, RANGE, RANGE).unwrap()), 32);
     let probes: Vec<Point> = (0..24).map(|_| probe(&mut rng)).collect();
     for step in 0..10 {
-        // Warm the cache with every legal probe before mutating.
+        // Ask every legal probe before mutating.
         for &p in &probes {
             if sharded.point_free(p) {
                 for dir in Dir::ALL {
@@ -229,10 +241,10 @@ fn incremental_insert_preserves_tie_break_order() {
 
 /// Regression: a query whose rect straddles shard boundaries (ray and
 /// segment both crossing several bucket columns, obstacle registered in
-/// multiple buckets) must be answered — and cached — correctly before
-/// *and* after an insert on the far side of the boundary.
+/// multiple buckets) must be answered correctly before *and* after an
+/// insert on the far side of the boundary.
 #[test]
-fn straddling_queries_survive_cache_invalidation() {
+fn straddling_queries_track_a_far_insert() {
     // Shard size 10 on a 100-wide plane: boundaries at 10, 20, ... The
     // obstacle spans columns 2..=5; the probes cross it and the seams.
     let mut sharded =
@@ -243,14 +255,13 @@ fn straddling_queries_survive_cache_invalidation() {
     assert_eq!((hit.stop, hit.distance), (25, 20));
     // Straddling segment along the obstacle's face line is legal wire.
     assert!(sharded.segment_free(Point::new(0, 35), Point::new(100, 35)));
-    // Warm entries exist for both queries now; insert a blocker inside a
-    // different shard column than the query origins.
+    // Insert a blocker inside a different shard column than the query
+    // origins.
     sharded.add_obstacle(Rect::new(72, 30, 88, 70).unwrap());
     // The face-line segment now crosses the new blocker's interior? No —
-    // y=35 is inside (30, 70), so it does: the cached `true` must die.
+    // y=35 is inside (30, 70), so it does: the earlier `true` must flip.
     assert!(!sharded.segment_free(Point::new(0, 35), Point::new(100, 35)));
-    // The eastward ray still stops on the first obstacle (unchanged
-    // answer, recomputed cold under the new generation).
+    // The eastward ray still stops on the first obstacle.
     assert_eq!(sharded.ray_hit(origin, Dir::East), hit);
     // A ray past the first obstacle's face line finds the new blocker
     // across three shard columns of empty space.

@@ -1,12 +1,11 @@
 //! The FNV-1a hasher shared by every hot, small-key hash map in the
 //! workspace.
 //!
-//! The A\* state index and the sharded plane's connection-query cache
-//! both hash keys that are a handful of `i64` coordinates, millions of
-//! times per batch. The standard library's SipHash is DoS-resistant but
-//! an order of magnitude slower on such keys; since every key is
-//! program-generated geometry (never attacker-controlled input), the
-//! plain FNV-1a mix is the right trade. The hasher is deterministic
+//! The A\* state index hashes keys that are a handful of `i64`
+//! coordinates, millions of times per batch. The standard library's
+//! SipHash is DoS-resistant but an order of magnitude slower on such
+//! keys; since every key is program-generated geometry (never
+//! attacker-controlled input), the plain FNV-1a mix is the right trade. The hasher is deterministic
 //! (fixed offset basis, no per-process seed), which also keeps hash-map
 //! *capacity growth* reproducible across runs — though no caller may
 //! depend on iteration order.

@@ -36,7 +36,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use gcr_core::{
@@ -45,7 +45,7 @@ use gcr_core::{
 };
 use gcr_layout::format;
 use gcr_telemetry::{
-    init_slow_log, sample_trace, slow_log, Counter, SlowEntry, SpanHandle, SpanRecorder, TraceId,
+    init_slow_log, sample_trace, slow_log, SlowEntry, SpanHandle, SpanRecorder, TraceId,
     DEFAULT_SLOW_LOG_CAP,
 };
 
@@ -428,37 +428,11 @@ struct TraceOutput {
     sampled: bool,
 }
 
-/// The process-global geometry-cache counters (hits/misses ×
-/// ray/segment/corner), fetched idempotently from the registry and
-/// paired with the span-counter key each delta is attributed under.
-fn geom_cache_counters() -> &'static [(&'static str, &'static Counter); 6] {
-    static HANDLES: OnceLock<[(&'static str, &'static Counter); 6]> = OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let reg = gcr_telemetry::global();
-        const HITS: &str = "Sharded-plane query-cache hits, by query kind";
-        const MISSES: &str = "Sharded-plane query-cache misses, by query kind";
-        let hit = |kind| reg.counter_labeled("gcr_geom_cache_hits_total", HITS, "kind", kind);
-        let miss = |kind| reg.counter_labeled("gcr_geom_cache_misses_total", MISSES, "kind", kind);
-        [
-            ("cache-hits-ray", hit("ray")),
-            ("cache-hits-segment", hit("segment")),
-            ("cache-hits-corner", hit("corner")),
-            ("cache-misses-ray", miss("ray")),
-            ("cache-misses-segment", miss("segment")),
-            ("cache-misses-corner", miss("corner")),
-        ]
-    })
-}
-
 /// Runs `f` with span-tree tracing armed and returns its response plus
 /// the recorder (left unfinished — finishing builds the tree, and the
 /// caller only pays for that when the trace is actually read): builds
-/// the `request` → op span skeleton, parks
-/// the op handle in [`REQUEST_SPAN`] for [`with_session`] to thread
-/// into the session, and attributes the geometry-cache deltas to the
-/// op span as the plane-query rollup. The rollup reads process-global
-/// counters, so it is exact for a lone in-flight request and
-/// approximate while other workers route concurrently.
+/// the `request` → op span skeleton and parks the op handle in
+/// [`REQUEST_SPAN`] for [`with_session`] to thread into the session.
 fn trace_request(
     ctx: &Ctx<'_>,
     trace: TraceId,
@@ -470,23 +444,9 @@ fn trace_request(
     let recorder = SpanRecorder::new("request", &trace.to_string());
     let root = SpanHandle::new(Arc::clone(&recorder), recorder.root());
     let op = root.child(verb, &sid.to_string());
-    let handles = geom_cache_counters();
-    let cache_before = handles.map(|(_, c)| c.get());
     REQUEST_SPAN.with(|slot| *slot.borrow_mut() = Some(op.clone()));
     let response = f();
     REQUEST_SPAN.with(|slot| *slot.borrow_mut() = None);
-    let mut rollup = [("", 0u64); 6];
-    let mut nonzero = 0;
-    for (i, &(key, counter)) in handles.iter().enumerate() {
-        let delta = counter.get().saturating_sub(cache_before[i]);
-        if delta > 0 {
-            rollup[nonzero] = (key, delta);
-            nonzero += 1;
-        }
-    }
-    if nonzero > 0 {
-        op.add_many(&rollup[..nonzero]);
-    }
     op.end();
     // Close the root here too, so every span carries its final duration
     // and a retained recorder reads correctly however much later its

@@ -3,7 +3,7 @@
 //! A [`SpanRecorder`] captures one request's work as a tree of spans —
 //! request → session op → per-net route → engine search — each span
 //! carrying its wall-clock window (offsets from the recorder's epoch,
-//! in microseconds) plus attributed counters (expansions, cache hits,
+//! in microseconds) plus attributed counters (expansions, attempts,
 //! negotiation rounds, …). Recording is **lock-cheap, not lock-free**:
 //! every span operation is one short mutex push on a per-request (never
 //! shared across requests) mutex, and the granularity is per *net* and

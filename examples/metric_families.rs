@@ -5,7 +5,7 @@
 //! Families register lazily (each layer's handle struct initializes on
 //! first use), so this drives the smallest traffic that touches every
 //! instrumented layer: an in-process daemon (service families), one
-//! sharded routed session (search and geometry-cache families) and a
+//! sharded routed session (search families) and a
 //! rip-up + reroute ECO (the session-layer families).
 //!
 //! ```text

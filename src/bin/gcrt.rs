@@ -5,7 +5,7 @@
 //! gcrt route chip.gcl --two-pass      # congestion-aware two-pass flow
 //! gcrt route chip.gcl --negotiate     # PathFinder negotiated congestion
 //! gcrt route chip.gcl --engine grid   # pick the routing backend
-//! gcrt route chip.gcl --sharded       # bucket-grid plane + query cache
+//! gcrt route chip.gcl --sharded       # bucket-grid plane + corner tables
 //! gcrt route chip.gcl --render 2      # ASCII-render layout + routes
 //! gcrt eco chip.gcl changes.eco       # replay an ECO change list
 //! gcrt check chip.gcl                 # parse + validate only
@@ -144,7 +144,7 @@ fn run(args: &[String]) -> Result<(), String> {
                  options:\n\
                  \x20 --engine E      routing backend: gridless (default), grid,\n\
                  \x20                 lee-moore, hightower\n\
-                 \x20 --sharded       bucket-grid plane index with query caching\n\
+                 \x20 --sharded       bucket-grid plane index with corner tables\n\
                  \x20 --serial        disable parallel net routing\n\
                  \x20 --two-pass      congestion-aware two-pass routing\n\
                  \x20 --negotiate     PathFinder negotiated-congestion routing\n\

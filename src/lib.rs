@@ -38,8 +38,8 @@
 //! # Quickstart: a routing session
 //!
 //! [`RoutingSession`](router::RoutingSession) is the primary entry
-//! point: it **owns** the layout, keeps the plane index, query caches
-//! and search arenas warm across calls, and supports incremental
+//! point: it **owns** the layout, keeps the plane index and search
+//! arenas warm across calls, and supports incremental
 //! rip-up-and-reroute on top of one-shot routing:
 //!
 //! ```
@@ -67,8 +67,8 @@
 //! assert_eq!(route.wire_length(), 15);
 //!
 //! // An ECO: a blockage lands on the routed wire. The session marks
-//! // exactly the affected nets dirty and re-routes only those, against
-//! // the still-warm caches.
+//! // exactly the affected nets dirty and re-routes only those, on the
+//! // still-warm session.
 //! session.add_obstacle("blk", Rect::new(44, 45, 51, 55)?)?;
 //! assert_eq!(session.dirty_nets(), vec![net]);
 //! let outcome = session.reroute_dirty();

@@ -253,6 +253,38 @@ fn generator_gcl_roundtrip_is_byte_identical_and_routes_identically() {
     assert_eq!(ra.stats().expanded, rb.stats().expanded);
 }
 
+/// The search-work pin: a serial default-config route of the seeded
+/// 120-net die must do exactly this much A\* work and emit exactly this
+/// `DUMP`, on both plane indexes. Any change to successor generation
+/// that alters the successors' set, order or cost (and with them the
+/// A\* tie-breaks) moves these numbers.
+#[test]
+fn search_work_and_route_digest_are_pinned() {
+    use gcr::search::FnvHasher;
+    use gcr::service::dump_routing;
+    use std::hash::Hasher;
+
+    let layout = generate(&GeneratorParams::with_nets(120, 4));
+    for index in [PlaneIndexKind::Flat, PlaneIndexKind::Sharded] {
+        let routing = BatchRouter::gridless(&layout, RouterConfig::default())
+            .with_batch(BatchConfig::serial().with_index(index))
+            .route_all();
+        let stats = routing.stats();
+        assert_eq!(
+            (stats.expanded, stats.generated, stats.touched),
+            (8054, 705_291, 189_456),
+            "{index:?}: {stats:?}"
+        );
+        let mut fnv = FnvHasher::default();
+        fnv.write(dump_routing(&routing).as_bytes());
+        assert_eq!(
+            format!("{:016x}", fnv.finish()),
+            "6a6f9d3a0b6ea838",
+            "{index:?}"
+        );
+    }
+}
+
 #[test]
 fn format_roundtrip_preserves_routing_results() {
     let layout = build();

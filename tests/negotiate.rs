@@ -223,10 +223,9 @@ fn negotiation_is_schedule_and_index_invariant() {
     }
 }
 
-/// Satellite: the sharded query cache must be invalidated at every
-/// negotiation commit point. A session whose cache is warm from
-/// pre-negotiation queries must produce byte-identical results to a
-/// cold one.
+/// A session that already routed and answered congestion queries (its
+/// arenas and committed state warm) must negotiate byte-identically to
+/// a fresh one.
 #[test]
 fn warm_cache_negotiation_equals_cold() {
     let layout = congested_instance(64, 1);
@@ -240,8 +239,8 @@ fn warm_cache_negotiation_equals_cold() {
     ] {
         let cold =
             session_with(&layout, &config, batch).route_negotiated(&NegotiationConfig::default());
-        // Warm: route everything, run congestion queries (which prime
-        // the sharded query cache), then negotiate on the warm session.
+        // Warm: route everything, run congestion queries, then negotiate
+        // on the warm session.
         let mut warm_session = session_with(&layout, &config, batch);
         warm_session.route_all();
         let _ = warm_session.congestion();

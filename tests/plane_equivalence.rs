@@ -132,9 +132,9 @@ fn lee_moore_engine_flat_equals_sharded() {
     sweep_engine(GridEngine::lee_moore(), "lee-moore", 4);
 }
 
-/// The two-pass congestion flow exercises the cache-invalidation commit
-/// point between passes: the sharded report must match the flat one
-/// exactly, before and after the reroute.
+/// The two-pass congestion flow (route, analyze, reroute under
+/// surcharge): the sharded report must match the flat one exactly,
+/// before and after the reroute.
 #[test]
 fn two_pass_reports_are_identical_across_plane_indexes() {
     for case in 0..6u64 {
@@ -166,22 +166,36 @@ fn two_pass_reports_are_identical_across_plane_indexes() {
     }
 }
 
-/// Query-level sweep for the buffer-reuse corner contract: on every
+/// What `corner_stops_into` must append: the distinct `at`s of the flat
+/// plane's candidates, in their travel order.
+fn distinct_ats(reference: &[gcr::geom::CornerCandidate]) -> Vec<Coord> {
+    let mut ats: Vec<Coord> = reference.iter().map(|c| c.at).collect();
+    ats.dedup();
+    ats
+}
+
+/// `corner_stops_into` over a buffer that already holds a sentinel: the
+/// query must append after it, never clear it.
+fn stops_after_sentinel(plane: &dyn PlaneIndex, p: Point, dir: Dir, stop: Coord) -> Vec<Coord> {
+    let mut out = vec![Coord::MIN];
+    plane.corner_stops_into(p, dir, stop, &mut out);
+    assert_eq!(out[0], Coord::MIN, "{p} {dir:?}: appended, not cleared");
+    out.split_off(1)
+}
+
+/// Query-level sweep for the buffer-reuse corner contracts: on every
 /// workload plane, `corner_candidates_into` must agree with the
-/// allocating form and across implementations — flat vs bucketed
-/// sharded vs delegated sharded, cold vs warm (the delegated path
-/// memoizes corner lists; the bucketed tables answer below the memo
-/// and must leave the cache untouched), and after an insert
-/// invalidates both. The reused buffer is deliberately left dirty
-/// between queries.
+/// allocating form across implementations (flat vs bucketed sharded,
+/// repeated queries included), and `corner_stops_into` must append the
+/// distinct `at`s of the flat candidates on both planes — for full and
+/// clipped stops, and again after an insert rebuilds the tables. The
+/// reused candidate buffer is deliberately left dirty between queries.
 #[test]
-fn corner_candidates_into_equivalence_flat_sharded_warm_and_invalidated() {
+fn corner_queries_agree_flat_sharded_before_and_after_insert() {
     for case in 0..CASES {
         let layout = scaling_instance(2, 2, 3, 1, case);
         let flat = layout.to_plane();
         let mut sharded = ShardedPlane::new(layout.to_plane());
-        let mut delegated = ShardedPlane::new(layout.to_plane());
-        delegated.set_corner_delegation(true);
         let xs = PlaneIndex::corner_coords(&flat, Axis::X);
         let ys = PlaneIndex::corner_coords(&flat, Axis::Y);
         let mut buf = Vec::new();
@@ -201,33 +215,28 @@ fn corner_candidates_into_equivalence_flat_sharded_warm_and_invalidated() {
                         let reference = PlaneIndex::corner_candidates(&flat, p, dir, stop);
                         PlaneIndex::corner_candidates_into(&flat, p, dir, stop, &mut buf);
                         assert_eq!(buf, reference, "case {case}: flat into {p} {dir:?}");
-                        // Bucketed sharded: table-backed, repeated
-                        // queries answer identically without the memo.
                         sharded.corner_candidates_into(p, dir, stop, &mut buf);
-                        assert_eq!(buf, reference, "case {case}: sharded cold {p} {dir:?}");
+                        assert_eq!(buf, reference, "case {case}: sharded {p} {dir:?}");
                         sharded.corner_candidates_into(p, dir, stop, &mut buf);
-                        assert_eq!(buf, reference, "case {case}: sharded warm {p} {dir:?}");
-                        // Delegated sharded: cold computes via the flat
-                        // scan, warm must hit the memo identically.
-                        delegated.corner_candidates_into(p, dir, stop, &mut buf);
-                        assert_eq!(buf, reference, "case {case}: delegated cold {p} {dir:?}");
-                        delegated.corner_candidates_into(p, dir, stop, &mut buf);
-                        assert_eq!(buf, reference, "case {case}: delegated warm {p} {dir:?}");
+                        assert_eq!(buf, reference, "case {case}: sharded again {p} {dir:?}");
+                        let ats = distinct_ats(&reference);
+                        assert_eq!(
+                            stops_after_sentinel(&flat, p, dir, stop),
+                            ats,
+                            "case {case}: flat stops {p} {dir:?} @{stop}"
+                        );
+                        assert_eq!(
+                            stops_after_sentinel(&sharded, p, dir, stop),
+                            ats,
+                            "case {case}: sharded stops {p} {dir:?} @{stop}"
+                        );
                         probes.push((p, dir, stop));
                     }
                 }
             }
         }
-        let warmed = delegated.cache_stats();
-        assert!(warmed.hits > 0, "case {case}: warm pass must hit the memo");
-        assert_eq!(
-            sharded.cache_stats(),
-            gcr::geom::PlaneCacheStats::default(),
-            "case {case}: bucketed corner queries must not touch the memo"
-        );
-        // Insert an obstacle: the generation bump must retire every
-        // memoized corner list, the bucketed tables must rebuild, and
-        // all planes must agree again.
+        // Insert an obstacle: the bucketed tables must update in place
+        // and both planes must agree again.
         let b = PlaneIndex::bounds(&flat);
         let (cx, cy) = ((b.xmin() + b.xmax()) / 2, (b.ymin() + b.ymax()) / 2);
         let blocker = Rect::new(cx, cy, (cx + 9).min(b.xmax()), (cy + 9).min(b.ymax()))
@@ -235,7 +244,6 @@ fn corner_candidates_into_equivalence_flat_sharded_warm_and_invalidated() {
         let mut flat2 = layout.to_plane();
         flat2.add_obstacle(blocker);
         sharded.add_obstacle(blocker);
-        delegated.add_obstacle(blocker);
         for (p, dir, stop) in probes {
             if !PlaneIndex::point_free(&flat2, p) {
                 continue;
@@ -246,10 +254,16 @@ fn corner_candidates_into_equivalence_flat_sharded_warm_and_invalidated() {
                 buf, reference,
                 "case {case}: post-insert {p} {dir:?} @{stop}"
             );
-            delegated.corner_candidates_into(p, dir, stop, &mut buf);
+            let ats = distinct_ats(&reference);
             assert_eq!(
-                buf, reference,
-                "case {case}: post-insert delegated {p} {dir:?} @{stop}"
+                stops_after_sentinel(&flat2, p, dir, stop),
+                ats,
+                "case {case}: post-insert flat stops {p} {dir:?} @{stop}"
+            );
+            assert_eq!(
+                stops_after_sentinel(&sharded, p, dir, stop),
+                ats,
+                "case {case}: post-insert sharded stops {p} {dir:?} @{stop}"
             );
         }
     }
@@ -257,17 +271,15 @@ fn corner_candidates_into_equivalence_flat_sharded_warm_and_invalidated() {
 
 /// Scale-tier query differential: on the full 1k-net generated die (~900
 /// obstacles — an order of magnitude past the macro-grid cases above),
-/// the bucketed corner tables must agree bit for bit with both the flat
-/// slab scan and the delegated pre-PR sharded path, across sampled free
-/// probes, every direction, full and clipped stops, and after a mutation
-/// invalidates the tables.
+/// the bucketed corner tables must agree bit for bit with the flat slab
+/// scan — full candidates and coordinate-only stops — across sampled
+/// free probes, every direction, full and clipped stops, and after a
+/// mutation updates the tables.
 #[test]
-fn scale_tier_bucketed_corners_match_flat_and_delegated() {
+fn scale_tier_bucketed_corners_match_flat() {
     let layout = generate(&GeneratorParams::with_nets(1000, 0));
     let flat = layout.to_plane();
     let mut bucketed = ShardedPlane::new(layout.to_plane());
-    let mut delegated = ShardedPlane::new(layout.to_plane());
-    delegated.set_corner_delegation(true);
     let mut rng = rng_for("scale-eqv", 0);
     let mut probes = Vec::new();
     for i in 0..250 {
@@ -284,16 +296,22 @@ fn scale_tier_bucketed_corners_match_flat_and_delegated() {
                     reference,
                     "probe {i}: bucketed {p} {dir:?} @{stop}"
                 );
+                let ats = distinct_ats(&reference);
                 assert_eq!(
-                    delegated.corner_candidates(p, dir, stop),
-                    reference,
-                    "probe {i}: delegated {p} {dir:?} @{stop}"
+                    stops_after_sentinel(&flat, p, dir, stop),
+                    ats,
+                    "probe {i}: flat stops {p} {dir:?} @{stop}"
+                );
+                assert_eq!(
+                    stops_after_sentinel(&bucketed, p, dir, stop),
+                    ats,
+                    "probe {i}: bucketed stops {p} {dir:?} @{stop}"
                 );
             }
         }
     }
-    // Mutate all three planes identically: the corner tables must be
-    // rebuilt (and the sharded memos retired) without drifting.
+    // Mutate both planes identically: the corner tables must be updated
+    // without drifting.
     let b = PlaneIndex::bounds(&flat);
     let (cx, cy) = ((b.xmin() + b.xmax()) / 2, (b.ymin() + b.ymax()) / 2);
     let blocker = Rect::new(cx, cy, (cx + 15).min(b.xmax()), (cy + 15).min(b.ymax()))
@@ -301,7 +319,6 @@ fn scale_tier_bucketed_corners_match_flat_and_delegated() {
     let mut flat2 = layout.to_plane();
     flat2.add_obstacle(blocker);
     bucketed.add_obstacle(blocker);
-    delegated.add_obstacle(blocker);
     for (i, &p) in probes.iter().enumerate() {
         if !PlaneIndex::point_free(&flat2, p) {
             continue;
@@ -315,10 +332,16 @@ fn scale_tier_bucketed_corners_match_flat_and_delegated() {
                 reference,
                 "post-insert probe {i}: bucketed {p} {dir:?}"
             );
+            let ats = distinct_ats(&reference);
             assert_eq!(
-                delegated.corner_candidates(p, dir, hit.stop),
-                reference,
-                "post-insert probe {i}: delegated {p} {dir:?}"
+                stops_after_sentinel(&flat2, p, dir, hit.stop),
+                ats,
+                "post-insert probe {i}: flat stops {p} {dir:?}"
+            );
+            assert_eq!(
+                stops_after_sentinel(&bucketed, p, dir, hit.stop),
+                ats,
+                "post-insert probe {i}: bucketed stops {p} {dir:?}"
             );
         }
     }

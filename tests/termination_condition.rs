@@ -19,7 +19,7 @@ fn routing_space<'a>(
         plane,
         goals,
         vec![(RouteState::source(from), LexCost::zero())],
-        EdgeCoster::new(plane, config),
+        EdgeCoster::new(config),
     )
 }
 
