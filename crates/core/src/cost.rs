@@ -72,8 +72,17 @@ impl<'a> EdgeCoster<'a> {
             let seg = Segment::new(from.point, to).expect("search edges are axis-aligned");
             primary += c.surcharge(&seg);
         }
-        let penalty = i64::from(self.corner_penalty && from.bends_into(dir) && !anchored);
-        LexCost::new(primary, penalty)
+        LexCost::primary(primary) + self.departure(from, dir, anchored)
+    }
+
+    /// The part of every edge from `from` in `dir` that is paid before
+    /// any wire: the ε of an unanchored bend at `from.point`, or zero.
+    /// [`EdgeCoster::edge`] adds it to the wire's cost.
+    #[must_use]
+    pub fn departure(&self, from: &RouteState, dir: Dir, anchored: bool) -> LexCost {
+        LexCost::epsilon(i64::from(
+            self.corner_penalty && from.bends_into(dir) && !anchored,
+        ))
     }
 }
 
@@ -81,6 +90,7 @@ impl<'a> EdgeCoster<'a> {
 mod tests {
     use super::*;
     use gcr_geom::{Plane, Rect};
+    use gcr_search::PathCost;
 
     fn plane() -> Plane {
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
@@ -103,6 +113,7 @@ mod tests {
         let from = RouteState::arrived(Point::new(0, 10), Dir::East);
         let c = coster.edge(&from, Point::new(20, 10), Dir::East, false);
         assert_eq!(c, LexCost::new(20, 0));
+        assert_eq!(coster.departure(&from, Dir::East, false), LexCost::zero());
     }
 
     #[test]
@@ -113,6 +124,8 @@ mod tests {
         let anchored = bend_is_anchored(&p, from.point);
         let c = coster.edge(&from, Point::new(10, 20), Dir::North, anchored);
         assert_eq!(c, LexCost::new(10, 1));
+        let departure = coster.departure(&from, Dir::North, anchored);
+        assert_eq!(departure, LexCost::epsilon(1));
     }
 
     #[test]
@@ -124,6 +137,10 @@ mod tests {
         let anchored = bend_is_anchored(&p, from.point);
         let c = coster.edge(&from, Point::new(30, 80), Dir::North, anchored);
         assert_eq!(c, LexCost::new(50, 0));
+        assert_eq!(
+            coster.departure(&from, Dir::North, anchored),
+            LexCost::zero()
+        );
     }
 
     #[test]

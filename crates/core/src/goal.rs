@@ -113,10 +113,11 @@ impl GoalSet {
     }
 
     /// Buffer-reuse form of [`GoalSet::stops_along_ray`]: **appends** the
-    /// stop coordinates to `out` without sorting or deduplicating, so the
-    /// successor generator can merge several stop sources into one buffer
-    /// and sort once. (The allocating wrapper sorts and dedups to keep
-    /// its historical contract.)
+    /// stop coordinates to `out` without sorting or deduplicating. The
+    /// successor generator collects them in a buffer of their own and
+    /// merges each into the ray's ascending stop list by binary search.
+    /// (The allocating wrapper sorts and dedups to keep its historical
+    /// contract.)
     pub fn stops_along_ray_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
         let axis = dir.axis();
         let u0 = origin.coord(axis);

@@ -83,8 +83,8 @@ pub fn route_two_points(
 /// point) to the nearest member of `goals`, using `coster` for pricing.
 ///
 /// This is one growth step of the paper's Steiner approximation; the
-/// net-level driver in [`GlobalRouter`](crate::GlobalRouter) calls it once
-/// per terminal.
+/// net driver (`driver::grow_net`) runs it once per terminal, through
+/// [`GridlessEngine`](crate::GridlessEngine)'s `route_connection_in`.
 ///
 /// # Errors
 ///

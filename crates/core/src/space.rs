@@ -26,12 +26,47 @@
 //! (admissible, per the paper's argument) finds one. The experiment suite
 //! cross-validates this against the Lee–Moore router on thousands of
 //! random instances (experiment E3).
+//!
+//! ## Why skipping a swept ray is exact
+//!
+//! Rays are maximal, so an expansion re-casts rays along lines that
+//! earlier expansions already swept. Given the engine's [`Labels`], the
+//! generator skips the ray from `p` in direction `d` when the arrived
+//! state `(p, d)`, its *witness*, already holds a label `L` no worse than
+//! the expanding state's ĝ plus the ε its bend into `d` would pay. The
+//! straight-ahead ray is the case where the witness is the expanding
+//! state itself, so an arrived state never casts it. The skip is exact:
+//!
+//! 1. `(p, d)` is an arrived state, so `L` was set when its parent was
+//!    expanded, by that parent's ray in direction `d`, which passed
+//!    through `p`. Sources have no arrival direction, so a source is never
+//!    a witness.
+//! 2. That ray generated every stop the skipped ray would generate ahead
+//!    of `p`: corner stops depend only on the ray's line, direction and
+//!    range; goal alignments depend on the same three; and the ray stop is
+//!    the same first blocker. (If `p` is that blocker's face, the skipped
+//!    ray has no length and generates nothing.)
+//! 3. That expansion priced each such stop `c` at `L + cost(p → c)`: wire
+//!    length and the congestion surcharge both add up along a ray, and
+//!    going straight pays no ε.
+//! 4. Labels only fall, so each such `c` still holds a label no worse
+//!    than `L + cost(p → c)`, which is no worse than the skipped ray's
+//!    offer of ĝ + ε + `cost(p → c)`. No successor on the skipped ray
+//!    can improve its target's label. The engine discards such a
+//!    successor without touching OPEN, the node table or the `seq`
+//!    tie-break counter. So expansion order, `expanded`, `touched`,
+//!    `reopened`, `max_open`, costs and paths stay identical, and only
+//!    `generated` falls.
+//!
+//! The Hanan-walk ablation steps only to the next grid line, so step 2
+//! fails there and it never skips a ray. Nor does a space handed a source
+//! that carries an arrival direction, for which step 1 fails.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 
 use gcr_geom::{Coord, PlaneIndex};
-use gcr_search::{LexCost, SearchSpace};
+use gcr_search::{Labels, LexCost, SearchSpace};
 
 use crate::{bend_is_anchored, EdgeCoster, GoalSet, RouteState};
 
@@ -64,6 +99,9 @@ pub struct RoutingSpace<'a> {
     /// (per-axis sorted coordinate lists, obstacle edges ∪ goal
     /// alignments) instead of jumping along full rays — the E9 ablation.
     hanan: Option<(Vec<Coord>, Vec<Coord>)>,
+    /// No source carries an arrival direction, so every arrived state's
+    /// label was set by a ray (step 1 of the module doc's proof).
+    unarrived_sources: bool,
     bufs: RefCell<SuccessorBufs>,
 }
 
@@ -77,10 +115,12 @@ impl<'a> RoutingSpace<'a> {
         sources: impl Into<Cow<'a, [(RouteState, LexCost)]>>,
         coster: EdgeCoster<'a>,
     ) -> RoutingSpace<'a> {
+        let sources = sources.into();
         RoutingSpace {
             plane,
             goals,
-            sources: sources.into(),
+            unarrived_sources: sources.iter().all(|(s, _)| s.arrival.is_none()),
+            sources,
             coster,
             hanan: None,
             bufs: RefCell::new(SuccessorBufs::default()),
@@ -140,12 +180,23 @@ impl SearchSpace for RoutingSpace<'_> {
         out.extend_from_slice(&self.sources);
     }
 
-    fn successors(&self, state: &RouteState, out: &mut Vec<(RouteState, LexCost)>) {
+    fn successors(
+        &self,
+        state: &RouteState,
+        labels: &dyn Labels<RouteState, LexCost>,
+        out: &mut Vec<(RouteState, LexCost)>,
+    ) {
         let p = state.point;
         // The ε probe depends only on the popped state: once per
         // expansion, not once per bending successor. A source never
         // bends, so it skips the probe.
         let anchored = state.arrival.is_some() && bend_is_anchored(self.plane, p);
+        // This state's label, when its swept rays may be skipped (see
+        // the module doc); `None` casts every ray.
+        let g = match self.hanan {
+            None if self.unarrived_sources => labels.label(state),
+            _ => None,
+        };
         // Hot path: one borrow per expansion, buffers cleared per ray —
         // no allocation once the high-water capacity is reached.
         let mut bufs = self.bufs.borrow_mut();
@@ -153,6 +204,13 @@ impl SearchSpace for RoutingSpace<'_> {
         for dir in gcr_geom::Dir::ALL {
             if state.reverses_into(dir) {
                 continue;
+            }
+            if let Some(g) = g {
+                let offered = g + self.coster.departure(state, dir, anchored);
+                let witness = RouteState::arrived(p, dir);
+                if labels.label(&witness).is_some_and(|l| l <= offered) {
+                    continue;
+                }
             }
             let hit = self.plane.ray_hit(p, dir);
             if hit.distance == 0 {
@@ -226,7 +284,17 @@ mod tests {
     use super::*;
     use crate::RouterConfig;
     use gcr_geom::{Dir, Plane, Point, Rect, Segment, ShardedPlane};
-    use gcr_search::PathCost;
+    use gcr_search::{NoLabels, PathCost};
+    use std::collections::HashMap;
+
+    /// A label view holding chosen labels.
+    struct Chosen(HashMap<RouteState, LexCost>);
+
+    impl Labels<RouteState, LexCost> for Chosen {
+        fn label(&self, state: &RouteState) -> Option<LexCost> {
+            self.0.get(state).copied()
+        }
+    }
 
     fn one_block() -> Plane {
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
@@ -255,7 +323,11 @@ mod tests {
         let config = RouterConfig::default();
         let space = space_over(&plane, &goals, &config, Point::new(10, 10));
         let mut succ = Vec::new();
-        space.successors(&RouteState::source(Point::new(10, 10)), &mut succ);
+        space.successors(
+            &RouteState::source(Point::new(10, 10)),
+            &NoLabels,
+            &mut succ,
+        );
         // East: goal alignment at x=40 and the boundary at x=100.
         assert!(succ
             .iter()
@@ -276,7 +348,11 @@ mod tests {
         let config = RouterConfig::default();
         let space = space_over(&plane, &goals, &config, Point::new(10, 50));
         let mut succ = Vec::new();
-        space.successors(&RouteState::source(Point::new(10, 50)), &mut succ);
+        space.successors(
+            &RouteState::source(Point::new(10, 50)),
+            &NoLabels,
+            &mut succ,
+        );
         // The eastward ray must stop exactly on the block's west face.
         assert!(succ
             .iter()
@@ -296,7 +372,7 @@ mod tests {
         // xs (30 and 70) are anchored candidates.
         let space = space_over(&plane, &goals, &config, Point::new(0, 10));
         let mut succ = Vec::new();
-        space.successors(&RouteState::source(Point::new(0, 10)), &mut succ);
+        space.successors(&RouteState::source(Point::new(0, 10)), &NoLabels, &mut succ);
         assert!(succ.iter().any(|(s, _)| s.point == Point::new(30, 10)));
         assert!(succ.iter().any(|(s, _)| s.point == Point::new(70, 10)));
     }
@@ -309,7 +385,7 @@ mod tests {
         let space = space_over(&plane, &goals, &config, Point::new(10, 10));
         let state = RouteState::arrived(Point::new(50, 10), Dir::East);
         let mut succ = Vec::new();
-        space.successors(&state, &mut succ);
+        space.successors(&state, &NoLabels, &mut succ);
         assert!(
             succ.iter().all(|(s, _)| s.arrival != Some(Dir::West)),
             "westward successor would reverse the arrival direction"
@@ -391,6 +467,48 @@ mod tests {
         plane
     }
 
+    /// A multi-pin goal set whose points and segments share coordinates
+    /// with `flat`'s obstacle corners and ray stops.
+    fn lockdown_goals(flat: &Plane) -> GoalSet {
+        let (a, b) = (flat.rects()[0].0, flat.rects()[1].0);
+        let mut goals = GoalSet::new();
+        // Points on obstacle corners: goal alignments that coincide
+        // with corner stops (and with ray stops at those faces).
+        goals.add_point(Point::new(a.xmax(), a.ymax()));
+        goals.add_point(Point::new(b.xmin(), b.ymin()));
+        // A point on the plane boundary: coincides with ray stops.
+        goals.add_point(Point::new(200, b.ymax()));
+        // A segment along an obstacle face and one along the
+        // boundary: crossings land on corner and ray-stop coordinates.
+        goals.add_segment(
+            Segment::new(
+                Point::new(a.xmin(), a.ymin()),
+                Point::new(a.xmin(), a.ymax()),
+            )
+            .unwrap(),
+        );
+        goals.add_segment(Segment::new(Point::new(0, 0), Point::new(0, 200)).unwrap());
+        goals
+    }
+
+    /// Every source and arrived state at the free corner-grid points of
+    /// `plane`.
+    fn corner_grid_states(plane: &dyn PlaneIndex) -> Vec<RouteState> {
+        let xs = plane.corner_coords(gcr_geom::Axis::X);
+        let ys = plane.corner_coords(gcr_geom::Axis::Y);
+        let mut states = Vec::new();
+        for &x in &xs {
+            for &y in &ys {
+                let p = Point::new(x, y);
+                if plane.point_free(p) {
+                    states.push(RouteState::source(p));
+                    states.extend(Dir::ALL.map(|d| RouteState::arrived(p, d)));
+                }
+            }
+        }
+        states
+    }
+
     /// Successor-order lockdown. Successor order is the A* `seq`
     /// tie-break, so on seeded flat and sharded planes the generator must
     /// match [`reference_successors`] exactly — same states, same order,
@@ -404,24 +522,7 @@ mod tests {
         for case in 0..6u64 {
             let flat = seeded_plane(case);
             let sharded = ShardedPlane::new(flat.clone());
-            let (a, b) = (flat.rects()[0].0, flat.rects()[1].0);
-            let mut goals = GoalSet::new();
-            // Points on obstacle corners: goal alignments that coincide
-            // with corner stops (and with ray stops at those faces).
-            goals.add_point(Point::new(a.xmax(), a.ymax()));
-            goals.add_point(Point::new(b.xmin(), b.ymin()));
-            // A point on the plane boundary: coincides with ray stops.
-            goals.add_point(Point::new(200, b.ymax()));
-            // A segment along an obstacle face and one along the
-            // boundary: crossings land on corner and ray-stop coordinates.
-            goals.add_segment(
-                Segment::new(
-                    Point::new(a.xmin(), a.ymin()),
-                    Point::new(a.xmin(), a.ymax()),
-                )
-                .unwrap(),
-            );
-            goals.add_segment(Segment::new(Point::new(0, 0), Point::new(0, 200)).unwrap());
+            let goals = lockdown_goals(&flat);
             for plane in [&flat as &dyn PlaneIndex, &sharded] {
                 let space = RoutingSpace::new(
                     plane,
@@ -429,30 +530,107 @@ mod tests {
                     vec![(RouteState::source(Point::new(0, 0)), LexCost::zero())],
                     EdgeCoster::new(&config),
                 );
-                let xs = plane.corner_coords(gcr_geom::Axis::X);
-                let ys = plane.corner_coords(gcr_geom::Axis::Y);
                 let mut succ = Vec::new();
-                for &x in &xs {
-                    for &y in &ys {
-                        let p = Point::new(x, y);
-                        if !plane.point_free(p) {
-                            continue;
-                        }
-                        let arrived = Dir::ALL.map(|d| RouteState::arrived(p, d));
-                        for state in std::iter::once(RouteState::source(p)).chain(arrived) {
-                            succ.clear();
-                            space.successors(&state, &mut succ);
-                            let want = reference_successors(plane, &goals, &config, &state);
-                            assert_eq!(succ, want, "case {case} {plane:?}: {state}");
-                            compared += succ.len();
-                            charged += succ.iter().filter(|(_, c)| c.penalty > 0).count();
-                        }
-                    }
+                for state in corner_grid_states(plane) {
+                    succ.clear();
+                    space.successors(&state, &NoLabels, &mut succ);
+                    let want = reference_successors(plane, &goals, &config, &state);
+                    assert_eq!(succ, want, "case {case} {plane:?}: {state}");
+                    compared += succ.len();
+                    charged += succ.iter().filter(|(_, c)| c.penalty > 0).count();
                 }
             }
         }
         assert!(compared > 10_000, "the sweep must compare real work");
         assert!(charged > 0, "the sweep must cover ε-charged bends");
+    }
+
+    /// The lockdown with labels. The expanding state holds label `g`, and
+    /// each other `(p, d)` holds a label chosen around it. The generator
+    /// must emit [`reference_successors`] minus exactly the rays whose
+    /// witness `(p, d)` holds a label no worse than `g` plus the ε the
+    /// bend into `d` pays. Under the Hanan walk, and when a source carries
+    /// an arrival direction, it must emit its full output.
+    #[test]
+    fn labelled_successors_drop_exactly_the_dominated_rays() {
+        let config = RouterConfig::default();
+        let g = LexCost::new(500, 3);
+        // Below `g`, equal, one ε above (dominated only by an ε-paying
+        // bend), two ε above, one unit of wire above, and no label.
+        let witness_labels = [
+            Some(LexCost::new(493, 8)),
+            Some(g),
+            Some(LexCost::new(500, 4)),
+            Some(LexCost::new(500, 5)),
+            Some(LexCost::new(501, 0)),
+            None,
+        ];
+        let (mut kept, mut dropped, mut dropped_by_epsilon) = (0usize, 0usize, 0usize);
+        let mut k = 0usize;
+        for case in 0..6u64 {
+            let flat = seeded_plane(case);
+            let sharded = ShardedPlane::new(flat.clone());
+            let goals = lockdown_goals(&flat);
+            for plane in [&flat as &dyn PlaneIndex, &sharded] {
+                let source = Point::new(0, 0);
+                let space = RoutingSpace::new(
+                    plane,
+                    &goals,
+                    vec![(RouteState::source(source), LexCost::zero())],
+                    EdgeCoster::new(&config),
+                );
+                let hanan = space.clone().with_hanan_walk(true);
+                let arrived_source = RoutingSpace::new(
+                    plane,
+                    &goals,
+                    vec![(RouteState::arrived(source, Dir::East), LexCost::zero())],
+                    EdgeCoster::new(&config),
+                );
+                let (mut succ, mut full) = (Vec::new(), Vec::new());
+                for state in corner_grid_states(plane) {
+                    let p = state.point;
+                    let mut view = Chosen(HashMap::from([(state, g)]));
+                    for d in Dir::ALL {
+                        let witness = RouteState::arrived(p, d);
+                        if witness != state {
+                            k += 1;
+                            if let Some(l) = witness_labels[k % witness_labels.len()] {
+                                view.0.insert(witness, l);
+                            }
+                        }
+                    }
+                    let anchored = bend_is_anchored(plane, p);
+                    let witness_label = |d: Dir| view.label(&RouteState::arrived(p, d));
+                    let dominated = |d: Dir| {
+                        let eps = config.corner_penalty && state.bends_into(d) && !anchored;
+                        let offered = g + LexCost::epsilon(i64::from(eps));
+                        witness_label(d).is_some_and(|l| l <= offered)
+                    };
+                    let mut want = reference_successors(plane, &goals, &config, &state);
+                    let all = want.len();
+                    want.retain(|(t, _)| !dominated(t.arrival.expect("successors arrive")));
+                    succ.clear();
+                    space.successors(&state, &view, &mut succ);
+                    assert_eq!(succ, want, "case {case} {plane:?}: {state}");
+                    kept += want.len();
+                    dropped += all - want.len();
+                    dropped_by_epsilon += Dir::ALL
+                        .into_iter()
+                        .filter(|&d| dominated(d) && witness_label(d) > Some(g))
+                        .count();
+                    for blind in [&hanan, &arrived_source] {
+                        succ.clear();
+                        blind.successors(&state, &view, &mut succ);
+                        full.clear();
+                        blind.successors(&state, &NoLabels, &mut full);
+                        assert_eq!(succ, full, "case {case} {plane:?}: {state}");
+                    }
+                }
+            }
+        }
+        assert!(kept > 10_000, "the sweep must keep real work");
+        assert!(dropped > 10_000, "the sweep must drop real work");
+        assert!(dropped_by_epsilon > 0, "the sweep must cover the ε bound");
     }
 
     #[test]
@@ -462,7 +640,11 @@ mod tests {
         let config = RouterConfig::default();
         let space = space_over(&plane, &goals, &config, Point::new(10, 50));
         let mut succ = Vec::new();
-        space.successors(&RouteState::source(Point::new(10, 50)), &mut succ);
+        space.successors(
+            &RouteState::source(Point::new(10, 50)),
+            &NoLabels,
+            &mut succ,
+        );
         for (s, c) in succ {
             assert_eq!(c.primary, Point::new(10, 50).manhattan(s.point));
         }

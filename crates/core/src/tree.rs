@@ -150,6 +150,9 @@ impl RouteTree {
             stage.push(s.a());
             stage.push(s.b());
         }
+        // Each axis's corner coordinates are fetched at most once: the
+        // query collects and sorts every obstacle edge.
+        let (mut xs, mut ys) = (None, None);
         for seg in &self.segments {
             pts.push(seg.a());
             pts.push(seg.b());
@@ -158,11 +161,14 @@ impl RouteTree {
             }
             let axis = seg.axis();
             let span = seg.span();
-            for &c in &plane.corner_coords(axis) {
-                if span.contains(c) {
-                    pts.push(seg.a().with_coord(axis, c));
-                }
+            let coords = match axis {
+                Axis::X => &mut xs,
+                Axis::Y => &mut ys,
             }
+            .get_or_insert_with(|| plane.corner_coords(axis));
+            let lo = coords.partition_point(|&c| c < span.lo());
+            let hi = coords.partition_point(|&c| c <= span.hi());
+            pts.extend(coords[lo..hi].iter().map(|&c| seg.a().with_coord(axis, c)));
         }
         // Sorting + dedup reproduces the historical `BTreeSet<Point>`
         // iteration order exactly (both are `Point`'s total order).
@@ -261,6 +267,43 @@ mod tests {
             assert_eq!(s.arrival, None);
             assert_eq!(*c, LexCost::zero());
         }
+
+        // Two segments on each axis: every segment takes the corner
+        // coordinates inside its own span, endpoints included.
+        let mut t = RouteTree::new();
+        t.add_polyline(
+            &Polyline::new(vec![
+                Point::new(0, 10),
+                Point::new(80, 10),
+                Point::new(80, 70),
+                Point::new(20, 70),
+                Point::new(20, 95),
+            ])
+            .unwrap(),
+        );
+        let pts: Vec<Point> = t
+            .seeds(&plane, &goals)
+            .iter()
+            .map(|(s, _)| s.point)
+            .collect();
+        let want = [
+            (0, 10),  // endpoint and corner x = 0 (plane boundary)
+            (20, 70), // endpoint
+            (20, 90), // goal projection
+            (20, 95), // endpoint
+            (30, 10), // corner x
+            (30, 70), // corner x
+            (40, 10), // corner x
+            (40, 70), // corner x
+            (55, 10), // goal projection
+            (55, 70), // goal projection
+            (80, 10), // endpoint
+            (80, 50), // corner y
+            (80, 60), // corner y
+            (80, 70), // endpoint and goal projection
+        ]
+        .map(|(x, y)| Point::new(x, y));
+        assert_eq!(pts, want);
     }
 
     #[test]

@@ -27,8 +27,8 @@ use std::fmt;
 
 use gcr_geom::{Coord, PlaneIndex, Point, Polyline};
 use gcr_search::{
-    astar, astar_with_limits_in, breadth_first, Found, SearchArena, SearchLimits, SearchOutcome,
-    SearchSpace, SearchStats, ZeroHeuristic,
+    astar, astar_with_limits_in, breadth_first, Found, Labels, SearchArena, SearchLimits,
+    SearchOutcome, SearchSpace, SearchStats, ZeroHeuristic,
 };
 
 /// The reusable search arena of the grid routers: state = grid node,
@@ -214,7 +214,12 @@ impl SearchSpace for GridSpace<'_> {
         vec![(self.start, 0)]
     }
 
-    fn successors(&self, s: &(i32, i32), out: &mut Vec<((i32, i32), i64)>) {
+    fn successors(
+        &self,
+        s: &(i32, i32),
+        _: &dyn Labels<(i32, i32), i64>,
+        out: &mut Vec<((i32, i32), i64)>,
+    ) {
         for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
             let n = (s.0 + dx, s.1 + dy);
             if self.grid.edge_usable(*s, n) {
@@ -337,7 +342,12 @@ impl SearchSpace for MultiGridSpace<'_> {
         self.starts.iter().map(|&s| (s, 0)).collect()
     }
 
-    fn successors(&self, s: &(i32, i32), out: &mut Vec<((i32, i32), i64)>) {
+    fn successors(
+        &self,
+        s: &(i32, i32),
+        _: &dyn Labels<(i32, i32), i64>,
+        out: &mut Vec<((i32, i32), i64)>,
+    ) {
         for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
             let n = (s.0 + dx, s.1 + dy);
             if self.grid.edge_usable(*s, n) {

@@ -4,7 +4,7 @@ use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
 use crate::{
-    Budget, CancelReason, FnvHashMap, PathCost, SearchSpace, SearchStats, ZeroHeuristic,
+    Budget, CancelReason, FnvHashMap, Labels, PathCost, SearchSpace, SearchStats, ZeroHeuristic,
     CHARGE_BLOCK,
 };
 
@@ -72,6 +72,19 @@ struct Node<S, C> {
     closed: bool,
 }
 
+/// The node table seen as [`Labels`]: what A\* hands the space on each
+/// expansion.
+struct NodeLabels<'a, S, C> {
+    index: &'a FnvHashMap<S, usize>,
+    nodes: &'a [Node<S, C>],
+}
+
+impl<S: Eq + std::hash::Hash, C: Copy> Labels<S, C> for NodeLabels<'_, S, C> {
+    fn label(&self, state: &S) -> Option<C> {
+        self.index.get(state).map(|&id| self.nodes[id].g)
+    }
+}
+
 /// Heap entry ordered for a min-heap on (f̂, larger-ĝ-first, sequence).
 ///
 /// The ĝ tie-break prefers deeper nodes among equal f̂, which reaches goals
@@ -122,12 +135,14 @@ impl<C: PathCost> Ord for HeapEntry<C> {
 ///
 /// ```
 /// use gcr_search::{astar_with_limits, astar_with_limits_in, SearchArena, SearchLimits};
-/// # use gcr_search::SearchSpace;
+/// # use gcr_search::{Labels, SearchSpace};
 /// # struct Line;
 /// # impl SearchSpace for Line {
 /// #     type State = i32; type Cost = i64;
 /// #     fn start_states(&self) -> Vec<(i32, i64)> { vec![(0, 0)] }
-/// #     fn successors(&self, s: &i32, out: &mut Vec<(i32, i64)>) { out.push((s + 1, 1)); }
+/// #     fn successors(&self, s: &i32, _: &dyn Labels<i32, i64>, out: &mut Vec<(i32, i64)>) {
+/// #         out.push((s + 1, 1));
+/// #     }
 /// #     fn is_goal(&self, s: &i32) -> bool { *s == 5 }
 /// # }
 /// let mut arena = SearchArena::new();
@@ -392,6 +407,9 @@ fn astar_budgeted_into_raw<Sp: SearchSpace>(
 
         if let Some(max) = limits.max_expansions {
             if stats.expanded >= max {
+                if let Some(b) = budget {
+                    let _ = b.charge(uncharged);
+                }
                 return SearchOutcome::LimitReached(stats);
             }
         }
@@ -413,7 +431,11 @@ fn astar_budgeted_into_raw<Sp: SearchSpace>(
         stats.expanded += 1;
 
         succ_buf.clear();
-        space.successors(&nodes[id].state, succ_buf);
+        let labels = NodeLabels {
+            index: &*index,
+            nodes: &nodes[..],
+        };
+        space.successors(&nodes[id].state, &labels, succ_buf);
         stats.generated += succ_buf.len();
         for (succ, edge) in succ_buf.drain(..) {
             let g = nodes[id].g.plus(edge);
@@ -492,7 +514,7 @@ mod tests {
         fn start_states(&self) -> Vec<(usize, i64)> {
             self.starts.clone()
         }
-        fn successors(&self, s: &usize, out: &mut Vec<(usize, i64)>) {
+        fn successors(&self, s: &usize, _: &dyn Labels<usize, i64>, out: &mut Vec<(usize, i64)>) {
             out.extend(self.edges[*s].iter().copied());
         }
         fn is_goal(&self, s: &usize) -> bool {
@@ -772,6 +794,31 @@ mod tests {
         assert_eq!(x.stats, y.stats);
         // The meter was flushed on exit.
         assert_eq!(b.expansions(), y.stats.expanded as u64);
+    }
+
+    #[test]
+    fn capped_search_charges_every_expansion_to_the_budget() {
+        // A long line stopped by the expansion cap: the expansions run
+        // since the last block charge must reach the shared meter too.
+        let n = 200usize;
+        let g = Graph {
+            edges: (0..n).map(|i| vec![((i + 1).min(n - 1), 1)]).collect(),
+            h: vec![0; n],
+            starts: vec![(0, 0)],
+            goals: vec![n - 1],
+        };
+        let limits = SearchLimits {
+            max_expansions: Some(CHARGE_BLOCK as usize + 5),
+        };
+        let b = Budget::unlimited();
+        let mut arena = SearchArena::new();
+        let mut path = Vec::new();
+        let out = astar_budgeted_into(&g, limits, Some(&b), &mut arena, &mut path);
+        let SearchOutcome::LimitReached(stats) = out else {
+            panic!("the cap must stop the search: {out:?}");
+        };
+        assert_eq!(stats.expanded, CHARGE_BLOCK as usize + 5);
+        assert_eq!(b.expansions(), stats.expanded as u64);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use gcr_search::{astar, SearchSpace, Found};
+//! use gcr_search::{astar, Found, Labels, SearchSpace};
 //!
 //! /// Shortest path on a tiny weighted digraph.
 //! struct Graph {
@@ -35,7 +35,7 @@
 //!     type State = usize;
 //!     type Cost = i64;
 //!     fn start_states(&self) -> Vec<(usize, i64)> { vec![(0, 0)] }
-//!     fn successors(&self, s: &usize, out: &mut Vec<(usize, i64)>) {
+//!     fn successors(&self, s: &usize, _: &dyn Labels<usize, i64>, out: &mut Vec<(usize, i64)>) {
 //!         out.extend(self.edges[*s].iter().copied());
 //!     }
 //!     fn is_goal(&self, s: &usize) -> bool { *s == self.goal }
@@ -72,5 +72,5 @@ pub use engine::{
 };
 pub use fnv::{FnvBuildHasher, FnvHashMap, FnvHasher};
 pub use parallel::{default_threads, effective_threads, parallel_map, parallel_map_with};
-pub use space::{SearchSpace, ZeroHeuristic};
+pub use space::{Labels, NoLabels, SearchSpace, ZeroHeuristic};
 pub use stats::SearchStats;

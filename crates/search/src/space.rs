@@ -4,6 +4,28 @@ use std::hash::Hash;
 
 use crate::PathCost;
 
+/// A read-only view of the labels a search engine holds, where a state's
+/// label is its best known ĝ. Labels only fall while a search runs.
+///
+/// [`SearchSpace::successors`] receives one so a space can leave out
+/// successors the engine would discard anyway. A\* passes its node table;
+/// the blind engines pass [`NoLabels`].
+pub trait Labels<S, C> {
+    /// The label of `state`, or `None` when the engine holds none.
+    fn label(&self, state: &S) -> Option<C>;
+}
+
+/// The view that knows no labels: a space handed it generates every
+/// successor.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoLabels;
+
+impl<S, C> Labels<S, C> for NoLabels {
+    fn label(&self, _state: &S) -> Option<C> {
+        None
+    }
+}
+
 /// A problem the search engines can explore: states, weighted successor
 /// edges, goal test and (optionally) a heuristic.
 ///
@@ -50,7 +72,21 @@ pub trait SearchSpace {
     /// Appends each successor of `state` to `out` along with the edge cost
     /// of reaching it. Edge costs must be non-negative in the ordering
     /// sense: `c.plus(edge) >= c` must hold for all `c`.
-    fn successors(&self, state: &Self::State, out: &mut Vec<(Self::State, Self::Cost)>);
+    ///
+    /// `labels` is the engine's view of its labels, `state`'s own among
+    /// them. A space may leave out a successor only when the view proves
+    /// it cannot improve any label: its target already holds a label no
+    /// worse than `state`'s label plus the edge. The engine would discard
+    /// such a successor without touching its frontier, so leaving it out
+    /// changes no expansion, path or cost, only
+    /// [`SearchStats::generated`](crate::SearchStats::generated). Under
+    /// [`NoLabels`] a space must generate every successor.
+    fn successors(
+        &self,
+        state: &Self::State,
+        labels: &dyn Labels<Self::State, Self::Cost>,
+        out: &mut Vec<(Self::State, Self::Cost)>,
+    );
 
     /// Returns `true` if `state` is a goal.
     fn is_goal(&self, state: &Self::State) -> bool;
@@ -70,12 +106,12 @@ pub trait SearchSpace {
 /// case of the general search algorithm": same successor generator, ĥ = 0.
 ///
 /// ```
-/// use gcr_search::{astar, SearchSpace, ZeroHeuristic};
+/// use gcr_search::{astar, Labels, SearchSpace, ZeroHeuristic};
 /// # struct S;
 /// # impl SearchSpace for S {
 /// #     type State = u8; type Cost = i64;
 /// #     fn start_states(&self) -> Vec<(u8, i64)> { vec![(0, 0)] }
-/// #     fn successors(&self, s: &u8, out: &mut Vec<(u8, i64)>) {
+/// #     fn successors(&self, s: &u8, _: &dyn Labels<u8, i64>, out: &mut Vec<(u8, i64)>) {
 /// #         if *s < 3 { out.push((s + 1, 1)); }
 /// #     }
 /// #     fn is_goal(&self, s: &u8) -> bool { *s == 3 }
@@ -101,8 +137,13 @@ impl<S: SearchSpace> SearchSpace for ZeroHeuristic<'_, S> {
         self.0.start_states_into(out);
     }
 
-    fn successors(&self, state: &Self::State, out: &mut Vec<(Self::State, Self::Cost)>) {
-        self.0.successors(state, out);
+    fn successors(
+        &self,
+        state: &Self::State,
+        labels: &dyn Labels<Self::State, Self::Cost>,
+        out: &mut Vec<(Self::State, Self::Cost)>,
+    ) {
+        self.0.successors(state, labels, out);
     }
 
     fn is_goal(&self, state: &Self::State) -> bool {
@@ -122,7 +163,7 @@ mod tests {
         fn start_states(&self) -> Vec<(i32, i64)> {
             vec![(0, 0)]
         }
-        fn successors(&self, s: &i32, out: &mut Vec<(i32, i64)>) {
+        fn successors(&self, s: &i32, _: &dyn Labels<i32, i64>, out: &mut Vec<(i32, i64)>) {
             out.push((s + 1, 1));
         }
         fn is_goal(&self, s: &i32) -> bool {
@@ -143,8 +184,8 @@ mod tests {
         assert!(blind.is_goal(&5));
         let mut a = Vec::new();
         let mut b = Vec::new();
-        space.successors(&2, &mut a);
-        blind.successors(&2, &mut b);
+        space.successors(&2, &NoLabels, &mut a);
+        blind.successors(&2, &NoLabels, &mut b);
         assert_eq!(a, b);
     }
 
@@ -157,7 +198,7 @@ mod tests {
             fn start_states(&self) -> Vec<(u8, u32)> {
                 vec![(0, 0)]
             }
-            fn successors(&self, _: &u8, _: &mut Vec<(u8, u32)>) {}
+            fn successors(&self, _: &u8, _: &dyn Labels<u8, u32>, _: &mut Vec<(u8, u32)>) {}
             fn is_goal(&self, _: &u8) -> bool {
                 false
             }

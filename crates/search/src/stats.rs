@@ -13,7 +13,8 @@ use std::fmt;
 pub struct SearchStats {
     /// Nodes removed from OPEN and expanded.
     pub expanded: usize,
-    /// Successor edges generated (before duplicate filtering).
+    /// Successor edges the space generated: after those it left out by
+    /// the engine's labels, before the engine's duplicate filtering.
     pub generated: usize,
     /// Distinct states ever given a cost (≈ OPEN ∪ CLOSED, the memory
     /// footprint of the search).

@@ -3,7 +3,7 @@
 //! 15-puzzle"), so we exercise the engine on the 8-puzzle and on random
 //! weighted graphs checked against Bellman–Ford.
 
-use gcr_search::{astar, best_first, breadth_first, exhaustive, SearchSpace};
+use gcr_search::{astar, best_first, breadth_first, exhaustive, Labels, SearchSpace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,7 +67,7 @@ impl SearchSpace for EightPuzzle {
     fn start_states(&self) -> Vec<(Tray, i64)> {
         vec![(self.start.clone(), 0)]
     }
-    fn successors(&self, s: &Tray, out: &mut Vec<(Tray, i64)>) {
+    fn successors(&self, s: &Tray, _: &dyn Labels<Tray, i64>, out: &mut Vec<(Tray, i64)>) {
         out.extend(s.neighbors().into_iter().map(|t| (t, 1)));
     }
     fn is_goal(&self, s: &Tray) -> bool {
@@ -136,7 +136,7 @@ impl SearchSpace for RandomGraph {
     fn start_states(&self) -> Vec<(usize, i64)> {
         vec![(0, 0)]
     }
-    fn successors(&self, s: &usize, out: &mut Vec<(usize, i64)>) {
+    fn successors(&self, s: &usize, _: &dyn Labels<usize, i64>, out: &mut Vec<(usize, i64)>) {
         out.extend(self.edges[*s].iter().copied());
     }
     fn is_goal(&self, s: &usize) -> bool {

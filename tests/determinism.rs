@@ -272,7 +272,7 @@ fn search_work_and_route_digest_are_pinned() {
         let stats = routing.stats();
         assert_eq!(
             (stats.expanded, stats.generated, stats.touched),
-            (8054, 705_291, 189_456),
+            (8054, 344_403, 189_456),
             "{index:?}: {stats:?}"
         );
         let mut fnv = FnvHasher::default();

@@ -4,10 +4,19 @@
 //! expanded. This is called exhaustive search." Exhaustive search must
 //! find the same optimum while expanding the entire reachable sparse
 //! graph; A*'s early termination is what makes the router practical.
+//!
+//! The same oracle idea checks the successor generator's ray skipping: A*
+//! over a space that skips swept rays must do the same work and find the
+//! same route as A* over the same space handed no labels.
 
 use gcr::prelude::*;
-use gcr::router::{EdgeCoster, GoalSet, RouteState, RoutingSpace};
-use gcr::search::{astar, exhaustive, LexCost, PathCost};
+use gcr::router::congestion::{find_passages, CongestionPenalty};
+use gcr::router::{EdgeCoster, GoalSet, RouteState, RouteTree, RoutingSpace};
+use gcr::search::{
+    astar, astar_with_limits, exhaustive, Labels, LexCost, NoLabels, PathCost, SearchLimits,
+    SearchOutcome, SearchSpace,
+};
+use gcr::workload::generator::{generate, GeneratorParams};
 
 fn routing_space<'a>(
     plane: &'a Plane,
@@ -69,4 +78,140 @@ fn exhaustive_search_agrees_on_detour_instances() {
             "{s} -> {t}: termination condition changed the optimum"
         );
     }
+}
+
+/// Hands the wrapped space a view that knows no labels, so it generates
+/// every successor.
+struct Unpruned<'s, 'a>(&'s RoutingSpace<'a>);
+
+impl SearchSpace for Unpruned<'_, '_> {
+    type State = RouteState;
+    type Cost = LexCost;
+    fn start_states(&self) -> Vec<(RouteState, LexCost)> {
+        self.0.start_states()
+    }
+    fn successors(
+        &self,
+        state: &RouteState,
+        _: &dyn Labels<RouteState, LexCost>,
+        out: &mut Vec<(RouteState, LexCost)>,
+    ) {
+        self.0.successors(state, &NoLabels, out);
+    }
+    fn is_goal(&self, state: &RouteState) -> bool {
+        self.0.is_goal(state)
+    }
+    fn heuristic(&self, state: &RouteState) -> LexCost {
+        self.0.heuristic(state)
+    }
+}
+
+/// Runs A* over `space` and over its unpruned twin, asserts they agree on
+/// everything but `generated`, and returns the found path's points with
+/// both `generated` counts.
+fn run_both(space: &RoutingSpace<'_>, what: &str) -> (Option<Vec<Point>>, usize, usize) {
+    let limits = SearchLimits::default();
+    let pruned = astar_with_limits(space, limits);
+    let full = astar_with_limits(&Unpruned(space), limits);
+    let (p, f) = (*pruned.stats(), *full.stats());
+    assert_eq!(
+        (p.expanded, p.touched, p.reopened, p.max_open),
+        (f.expanded, f.touched, f.reopened, f.max_open),
+        "{what}: {p} vs {f}"
+    );
+    assert!(p.generated <= f.generated, "{what}: {p} vs {f}");
+    let path = match (pruned, full) {
+        (SearchOutcome::Found(p), SearchOutcome::Found(f)) => {
+            assert_eq!(p.path, f.path, "{what}");
+            assert_eq!(p.cost, f.cost, "{what}");
+            Some(p.path.iter().map(|s| s.point).collect())
+        }
+        (SearchOutcome::Exhausted(_), SearchOutcome::Exhausted(_)) => None,
+        (p, f) => panic!("{what}: outcomes differ: {p:?} vs {f:?}"),
+    };
+    (path, p.generated, f.generated)
+}
+
+/// Grows every net of a seeded die the way the net driver does — a
+/// multi-source search from the tree's seeds toward every pin of the
+/// unconnected terminals, repeated until all terminals are on the tree —
+/// on flat and sharded planes, with and without a congestion surcharge,
+/// and with the Hanan walk. Skipping swept rays must leave every
+/// expansion, path and cost as they were; it must generate strictly
+/// fewer successors over the sweep, and exactly as many under the Hanan
+/// walk, which never skips.
+#[test]
+fn skipping_swept_rays_changes_nothing_but_generated() {
+    let config = RouterConfig::default();
+    let (mut pruned, mut full, mut hanan_pruned, mut hanan_full) = (0, 0, 0, 0);
+    let (mut from_wire, mut multi_goal) = (0, 0);
+    for seed in 0..3u64 {
+        let layout = generate(&GeneratorParams::with_nets(12, seed));
+        let mut flat = layout.to_plane();
+        flat.build_index();
+        let sharded = ShardedPlane::new(flat.clone());
+        let congestion = CongestionPenalty::from_weighted_regions(
+            find_passages(&flat)
+                .iter()
+                .step_by(2)
+                .map(|p| (p.rect, p.corridor_axis, 3))
+                .collect(),
+        );
+        assert!(congestion.region_count() > 0, "seed {seed}: no surcharge");
+        for plane in [&flat as &dyn PlaneIndex, &sharded] {
+            for (coster, hanan) in [
+                (EdgeCoster::new(&config), false),
+                (EdgeCoster::with_congestion(&config, &congestion), false),
+                (EdgeCoster::new(&config), true),
+            ] {
+                for net in layout.nets() {
+                    let terminals = net.terminals();
+                    let mut tree = RouteTree::new();
+                    for pin in terminals[0].pins() {
+                        tree.add_point(pin.position);
+                    }
+                    let mut remaining: Vec<usize> = (1..terminals.len()).collect();
+                    while !remaining.is_empty() {
+                        let mut goals = GoalSet::new();
+                        for &t in &remaining {
+                            for pin in terminals[t].pins() {
+                                goals.add_point(pin.position);
+                            }
+                        }
+                        let seeds = tree.seeds(plane, &goals);
+                        from_wire += usize::from(!tree.segments().is_empty());
+                        multi_goal += usize::from(goals.points().len() > 1);
+                        let space =
+                            RoutingSpace::new(plane, &goals, seeds, coster).with_hanan_walk(hanan);
+                        let what = format!("seed {seed} {plane:?} hanan {hanan} {}", net.name());
+                        let (path, p, f) = run_both(&space, &what);
+                        if hanan {
+                            hanan_pruned += p;
+                            hanan_full += f;
+                        } else {
+                            pruned += p;
+                            full += f;
+                        }
+                        let Some(points) = path else { break };
+                        let reached = *points.last().expect("a path has a goal");
+                        let t = *remaining
+                            .iter()
+                            .find(|&&t| terminals[t].pins().iter().any(|p| p.position == reached))
+                            .expect("the search ends on a goal pin");
+                        if points.len() > 1 {
+                            tree.add_polyline(&Polyline::new(points).unwrap().simplified());
+                        }
+                        for pin in terminals[t].pins() {
+                            tree.add_point(pin.position);
+                        }
+                        remaining.retain(|&x| x != t);
+                    }
+                }
+            }
+        }
+    }
+    assert!(from_wire > 0 && multi_goal > 0, "the sweep must grow trees");
+    assert!(pruned < full, "skipping must save work: {pruned} vs {full}");
+    assert_eq!(hanan_pruned, hanan_full, "the Hanan walk never skips");
+    assert!(hanan_full > 0, "the sweep must run the Hanan walk");
 }
