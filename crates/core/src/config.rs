@@ -64,7 +64,10 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the congestion penalty weight.
+    /// Sets the congestion penalty weight. It must be non-negative: a
+    /// congestion-aware pass panics when it builds a penalty from a
+    /// negative weight (see
+    /// [`CongestionPenalty::from_regions`](crate::congestion::CongestionPenalty::from_regions)).
     pub fn congestion_weight(&mut self, weight: i64) -> &mut RouterConfig {
         self.congestion_weight = weight;
         self

@@ -276,6 +276,16 @@ where
     }
 }
 
+/// Panics with a message naming `what` unless `weight` is non-negative.
+/// A negative congestion weight would make a surcharge negative, and the
+/// search's edge costs must never be.
+pub(crate) fn assert_non_negative(what: &str, weight: i64) {
+    assert!(
+        weight >= 0,
+        "{what} {weight} is negative: congestion surcharges must not be"
+    );
+}
+
 /// Penalty regions for a congestion-aware pass: wire running along a
 /// region's corridor axis inside the region is surcharged
 /// `weight × overlap-length`. Each region carries its own weight — the
@@ -290,8 +300,13 @@ impl CongestionPenalty {
     /// Builds a penalty from explicit regions under one uniform weight
     /// (mostly for tests; normally produced by
     /// [`CongestionAnalysis::penalty`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight` is negative.
     #[must_use]
     pub fn from_regions(regions: Vec<(Rect, Axis)>, weight: i64) -> CongestionPenalty {
+        assert_non_negative("congestion weight", weight);
         CongestionPenalty {
             regions: regions.into_iter().map(|(r, a)| (r, a, weight)).collect(),
         }
@@ -299,8 +314,15 @@ impl CongestionPenalty {
 
     /// Builds a penalty with an explicit weight per region — the
     /// negotiated-congestion form ([`crate::NegotiationCost::penalty`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any region's weight is negative.
     #[must_use]
     pub fn from_weighted_regions(regions: Vec<(Rect, Axis, i64)>) -> CongestionPenalty {
+        for &(_, _, weight) in &regions {
+            assert_non_negative("congestion weight", weight);
+        }
         CongestionPenalty { regions }
     }
 
@@ -467,6 +489,93 @@ mod tests {
         assert_eq!(p.surcharge(&Segment::vertical(65, 20, 80)), 60 * 7);
         // A wire through both strips pays each region's own rate.
         assert_eq!(p.surcharge(&Segment::horizontal(50, 0, 100)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "congestion weight -1 is negative")]
+    fn negative_uniform_weight_is_rejected() {
+        let _ = CongestionPenalty::from_regions(vec![], -1);
+    }
+
+    #[test]
+    #[should_panic(expected = "congestion weight -1 is negative")]
+    fn negative_region_weight_is_rejected() {
+        let a = Rect::new(40, 20, 50, 80).unwrap();
+        let _ = CongestionPenalty::from_weighted_regions(vec![(a, Axis::Y, 2), (a, Axis::X, -1)]);
+    }
+
+    #[test]
+    fn zero_weights_are_accepted() {
+        let a = Rect::new(40, 20, 50, 80).unwrap();
+        let uniform = CongestionPenalty::from_regions(vec![(a, Axis::Y)], 0);
+        let weighted = CongestionPenalty::from_weighted_regions(vec![(a, Axis::Y, 0)]);
+        for p in [uniform, weighted] {
+            assert_eq!(p.surcharge(&Segment::vertical(45, 20, 80)), 0);
+        }
+    }
+
+    /// Four nets squeezed through one alley between two cells: at pitch 5
+    /// the first pass congests it.
+    fn congested_session(config: &crate::RouterConfig) -> crate::RoutingSession {
+        use gcr_layout::{Layout, Pin};
+        let mut l = Layout::new(Rect::new(0, 0, 200, 120).unwrap());
+        l.add_cell("a", Rect::new(40, 20, 95, 100).unwrap())
+            .unwrap();
+        l.add_cell("b", Rect::new(105, 20, 160, 100).unwrap())
+            .unwrap();
+        for i in 0..4i64 {
+            let x = 96 + i * 2;
+            let id = l.add_net(format!("n{i}"));
+            let t0 = l.add_terminal(id, "s");
+            l.add_pin(t0, Pin::floating(Point::new(x, 0))).unwrap();
+            let t1 = l.add_terminal(id, "t");
+            l.add_pin(t1, Pin::floating(Point::new(x, 110))).unwrap();
+        }
+        crate::RoutingSession::builder(l)
+            .config(config.clone())
+            .build()
+    }
+
+    #[test]
+    fn a_zero_weight_route_is_accepted() {
+        let mut config = crate::RouterConfig::default();
+        config.wire_pitch(5).congestion_weight(0);
+        let report = congested_session(&config).route_two_pass();
+        assert!(report.before.total_overflow() > 0, "scenario must congest");
+        let mut negotiation = crate::NegotiationConfig::default();
+        negotiation
+            .max_iters(2)
+            .present_weight(0)
+            .history_increment(0);
+        let _ = congested_session(&config).route_negotiated(&negotiation);
+    }
+
+    #[test]
+    #[should_panic(expected = "congestion weight -1 is negative")]
+    fn a_negative_router_weight_panics_in_a_route() {
+        let mut config = crate::RouterConfig::default();
+        config.wire_pitch(5).congestion_weight(-1);
+        let _ = congested_session(&config).route_two_pass();
+    }
+
+    #[test]
+    #[should_panic(expected = "present weight -1 is negative")]
+    fn a_negative_present_weight_panics_in_a_route() {
+        let mut config = crate::RouterConfig::default();
+        config.wire_pitch(5);
+        let mut negotiation = crate::NegotiationConfig::default();
+        negotiation.present_weight(-1);
+        let _ = congested_session(&config).route_negotiated(&negotiation);
+    }
+
+    #[test]
+    #[should_panic(expected = "history increment -1 is negative")]
+    fn a_negative_history_increment_panics_in_a_route() {
+        let mut config = crate::RouterConfig::default();
+        config.wire_pitch(5);
+        let mut negotiation = crate::NegotiationConfig::default();
+        negotiation.history_increment(-1);
+        let _ = congested_session(&config).route_negotiated(&negotiation);
     }
 
     #[test]

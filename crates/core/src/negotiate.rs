@@ -35,7 +35,9 @@ use std::collections::BTreeSet;
 
 use gcr_search::Budget;
 
-use crate::congestion::{find_passages, CongestionAnalysis, CongestionPenalty, Passage};
+use crate::congestion::{
+    assert_non_negative, find_passages, CongestionAnalysis, CongestionPenalty, Passage,
+};
 use crate::engine::RoutingEngine;
 use crate::net_router::GlobalRouting;
 use crate::session::RoutingSession;
@@ -89,13 +91,17 @@ impl NegotiationConfig {
         self
     }
 
-    /// Sets the present-cost weight.
+    /// Sets the present-cost weight. It must be non-negative: a
+    /// negotiation round panics when it prices passages with a negative
+    /// one (see [`NegotiationCost::penalty`]).
     pub fn present_weight(&mut self, weight: i64) -> &mut NegotiationConfig {
         self.present_weight = weight;
         self
     }
 
-    /// Sets the history growth per over-subscribed iteration.
+    /// Sets the history growth per over-subscribed iteration. It must be
+    /// non-negative: a negotiation round panics when it grows history by
+    /// a negative one (see [`NegotiationCost::absorb`]).
     pub fn history_increment(&mut self, increment: i64) -> &mut NegotiationConfig {
         self.history_increment = increment;
         self
@@ -131,8 +137,10 @@ impl NegotiationCost {
     ///
     /// # Panics
     ///
-    /// Panics if the analysis covers a different passage list.
+    /// Panics if the analysis covers a different passage list, or if
+    /// `increment` is negative.
     pub fn absorb(&mut self, analysis: &CongestionAnalysis, increment: i64) {
+        assert_non_negative("history increment", increment);
         assert_eq!(
             analysis.passages.len(),
             self.history.len(),
@@ -149,8 +157,13 @@ impl NegotiationCost {
     /// Prices the current state: passage `i` is surcharged
     /// `present_weight × overflow(i) + history(i)` per unit of wire.
     /// Passages with zero total price produce no region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `present_weight` is negative.
     #[must_use]
     pub fn penalty(&self, analysis: &CongestionAnalysis, present_weight: i64) -> CongestionPenalty {
+        assert_non_negative("present weight", present_weight);
         let regions = (0..self.history.len().min(analysis.passages.len()))
             .filter_map(|i| {
                 let weight = present_weight * analysis.overflow(i) + self.history[i];

@@ -27,46 +27,67 @@
 //! cross-validates this against the Lee–Moore router on thousands of
 //! random instances (experiment E3).
 //!
-//! ## Why skipping a swept ray is exact
+//! ## Why ending a ray early is exact
 //!
 //! Rays are maximal, so an expansion re-casts rays along lines that
-//! earlier expansions already swept. Given the engine's [`Labels`], the
-//! generator skips the ray from `p` in direction `d` when the arrived
-//! state `(p, d)`, its *witness*, already holds a label `L` no worse than
-//! the expanding state's ĝ plus the ε its bend into `d` would pay. The
-//! straight-ahead ray is the case where the witness is the expanding
-//! state itself, so an arrived state never casts it. The skip is exact:
+//! earlier expansions already swept, and it offers stops A\* will never
+//! pop. Given the engine's [`Labels`] (its ĝ labels and its **goal bound**
+//! U, the smallest f̂ among the goal entries it has pushed), the
+//! generator walks the ray from `p` in direction `d` in travel order and
+//! ends it at the first stop `c`, `p` itself included, where either
 //!
-//! 1. `(p, d)` is an arrived state, so `L` was set when its parent was
-//!    expanded, by that parent's ray in direction `d`, which passed
-//!    through `p`. Sources have no arrival direction, so a source is never
-//!    a witness.
-//! 2. That ray generated every stop the skipped ray would generate ahead
-//!    of `p`: corner stops depend only on the ray's line, direction and
-//!    range; goal alignments depend on the same three; and the ray stop is
-//!    the same first blocker. (If `p` is that blocker's face, the skipped
-//!    ray has no length and generates nothing.)
-//! 3. That expansion priced each such stop `c` at `L + cost(p → c)`: wire
-//!    length and the congestion surcharge both add up along a ray, and
-//!    going straight pays no ε.
-//! 4. Labels only fall, so each such `c` still holds a label no worse
-//!    than `L + cost(p → c)`, which is no worse than the skipped ray's
-//!    offer of ĝ + ε + `cost(p → c)`. No successor on the skipped ray
-//!    can improve its target's label. The engine discards such a
-//!    successor without touching OPEN, the node table or the `seq`
-//!    tie-break counter. So expansion order, `expanded`, `touched`,
-//!    `reopened`, `max_open`, costs and paths stay identical, and only
-//!    `generated` falls.
+//! * (a) the arrived state `(c, d)` holds a label no worse than the offer
+//!   ĝ + ε + cost(p → c), where ε is the bend's departure charge; or
+//! * (b) the offer plus ĥ(c) exceeds U.
 //!
-//! The Hanan-walk ablation steps only to the next grid line, so step 2
-//! fails there and it never skips a ray. Nor does a space handed a source
-//! that carries an arrival direction, for which step 1 fails.
+//! At `p` itself, (a) is the test that skips a ray an earlier expansion
+//! already swept at no greater cost; the straight-ahead ray is the case
+//! where `(p, d)` is the expanding state itself, so an arrived state never
+//! casts it. Nothing left out changes an expansion:
+//!
+//! 1. **f̂ never falls along a ray in travel order.** Each step adds at
+//!    least its length to ĝ: wire plus a non-negative surcharge, with the
+//!    ε paid once at departure. ĥ, the Manhattan distance to the nearest
+//!    goal, falls by at most that length. So after (b), every later stop
+//!    also exceeds U.
+//! 2. **An entry above U is never popped.** A\* pops a goal entry with
+//!    f̂ ≤ U before any entry above U, and stops there. Leaving such an
+//!    entry out skips one `seq` number; later numbers shift uniformly, so
+//!    the order of every entry that is popped stays the same. If the same
+//!    state is offered again later, the engine pushes the offer exactly
+//!    when it would have pushed it with the entry made, with the same f̂
+//!    and ĝ; otherwise the offer is above U again.
+//! 3. **Invariant.** For an arrived state `(c, d)` with label L, each stop
+//!    `c′` ahead of `c` on its ray either holds a label no worse than
+//!    L + cost(c → c′), or has L + cost(c → c′) + ĥ(c′) > U. It holds when
+//!    L is set: L was set by a ray in direction `d` through `c` (sources
+//!    carry no arrival direction), and that ray generated every stop
+//!    ahead of `c` the ray from `c` would, priced at L + cost(c → c′)
+//!    (corner stops and goal alignments depend only on the ray's line,
+//!    direction and range, the ray stop is the same first blocker, and
+//!    wire and surcharge add up along a ray while going straight pays no
+//!    ε). So that ray either went on to offer `c′` at L + cost(c → c′),
+//!    or stopped by (a) at some `(c″, d)`, whose own invariant covers
+//!    `c′`, or stopped by (b), which step 1 covers. It stays true,
+//!    because labels and U only fall.
+//! 4. **Conclusion.** After (a) at `c`, every later offer is either no
+//!    better than its target's label (the engine discards it without
+//!    touching OPEN, the node table or the `seq` counter) or above U
+//!    (step 2). So expansion order, `expanded`, paths, costs and routes
+//!    are identical, and `generated`, `touched` and `max_open` fall.
+//!    `reopened` can only fall, and it is 0 on every routing search,
+//!    because ĥ is consistent.
+//!
+//! The Hanan-walk ablation steps only to the next grid line, so its rays
+//! are not maximal, the invariant's base case fails, and it never ends a
+//! ray early. Nor does a space handed a source that carries an arrival
+//! direction, whose label no ray set.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 
 use gcr_geom::{Coord, PlaneIndex};
-use gcr_search::{Labels, LexCost, SearchSpace};
+use gcr_search::{Labels, LexCost, PathCost, SearchSpace};
 
 use crate::{bend_is_anchored, EdgeCoster, GoalSet, RouteState};
 
@@ -79,7 +100,7 @@ use crate::{bend_is_anchored, EdgeCoster, GoalSet, RouteState};
 /// contended.
 #[derive(Debug, Clone, Default)]
 struct SuccessorBufs {
-    /// One ray's stop coordinates, ascending.
+    /// One ray's stop coordinates, in travel order.
     stops: Vec<Coord>,
     /// One ray's goal alignments, unsorted.
     goal_stops: Vec<Coord>,
@@ -100,7 +121,7 @@ pub struct RoutingSpace<'a> {
     /// alignments) instead of jumping along full rays — the E9 ablation.
     hanan: Option<(Vec<Coord>, Vec<Coord>)>,
     /// No source carries an arrival direction, so every arrived state's
-    /// label was set by a ray (step 1 of the module doc's proof).
+    /// label was set by a ray (step 3 of the module doc's proof).
     unarrived_sources: bool,
     bufs: RefCell<SuccessorBufs>,
 }
@@ -191,11 +212,18 @@ impl SearchSpace for RoutingSpace<'_> {
         // expansion, not once per bending successor. A source never
         // bends, so it skips the probe.
         let anchored = state.arrival.is_some() && bend_is_anchored(self.plane, p);
-        // This state's label, when its swept rays may be skipped (see
-        // the module doc); `None` casts every ray.
+        // This state's label, when its rays may end early (see the
+        // module doc); `None` walks every ray to its end.
         let g = match self.hanan {
             None if self.unarrived_sources => labels.label(state),
             _ => None,
+        };
+        let bound = labels.bound();
+        // Rules (a) and (b) of the module doc: A* throws the offer of
+        // `to` away.
+        let discarded = |to: &RouteState, offer: LexCost| {
+            labels.label(to).is_some_and(|l| l <= offer)
+                || bound.is_some_and(|u| offer.plus(self.heuristic(to)) > u)
         };
         // Hot path: one borrow per expansion, buffers cleared per ray —
         // no allocation once the high-water capacity is reached.
@@ -205,10 +233,10 @@ impl SearchSpace for RoutingSpace<'_> {
             if state.reverses_into(dir) {
                 continue;
             }
+            // The walk's step at `p` itself.
             if let Some(g) = g {
-                let offered = g + self.coster.departure(state, dir, anchored);
-                let witness = RouteState::arrived(p, dir);
-                if labels.label(&witness).is_some_and(|l| l <= offered) {
+                let offer = g.plus(self.coster.departure(state, dir, anchored));
+                if discarded(&RouteState::arrived(p, dir), offer) {
                     continue;
                 }
             }
@@ -240,32 +268,40 @@ impl SearchSpace for RoutingSpace<'_> {
             } else {
                 // Corner stops arrive distinct and in travel order, and
                 // the ray stop lies at or beyond all of them, so one pass
-                // builds a strictly monotone list; reversed, a West or
-                // South ray's list ascends like the others.
+                // builds a strictly monotone travel-order list.
                 self.plane.corner_stops_into(p, dir, hit.stop, stops);
                 if stops.last() != Some(&hit.stop) {
                     stops.push(hit.stop);
-                }
-                if dir.sign() < 0 {
-                    stops.reverse();
                 }
                 // The few goal alignments merge in by binary search.
                 goal_stops.clear();
                 self.goals
                     .stops_along_ray_into(p, dir, hit.stop, goal_stops);
+                let positive = dir.sign() > 0;
                 for &c in goal_stops.iter() {
-                    if let Err(i) = stops.binary_search(&c) {
+                    let travel = |&s: &Coord| if positive { s.cmp(&c) } else { c.cmp(&s) };
+                    if let Err(i) = stops.binary_search_by(travel) {
                         stops.insert(i, c);
                     }
                 }
             }
-            // Ascending stop order is the successor order, which sets the
-            // A* `seq` tie-break.
+            // Walk the ray in travel order and end it at the first stop
+            // A* would throw away.
+            let first = out.len();
             for &c in stops.iter() {
                 let to = p.with_coord(axis, c);
                 debug_assert_ne!(to, p, "zero-length successor");
                 let edge = self.coster.edge(state, to, dir, anchored);
-                out.push((RouteState::arrived(to, dir), edge));
+                let arrived = RouteState::arrived(to, dir);
+                if g.is_some_and(|g| discarded(&arrived, g.plus(edge))) {
+                    break;
+                }
+                out.push((arrived, edge));
+            }
+            // Ascending stop order is the successor order, which sets the
+            // A* `seq` tie-break.
+            if dir.sign() < 0 {
+                out[first..].reverse();
             }
         }
     }
@@ -631,6 +667,168 @@ mod tests {
         assert!(kept > 10_000, "the sweep must keep real work");
         assert!(dropped > 10_000, "the sweep must drop real work");
         assert!(dropped_by_epsilon > 0, "the sweep must cover the ε bound");
+    }
+
+    /// A label view holding chosen labels and a chosen goal bound.
+    struct ChosenBound(Chosen, Option<LexCost>);
+
+    impl Labels<RouteState, LexCost> for ChosenBound {
+        fn label(&self, state: &RouteState) -> Option<LexCost> {
+            self.0.label(state)
+        }
+
+        fn bound(&self) -> Option<LexCost> {
+            self.1
+        }
+    }
+
+    /// The walk with labels at every stop and a goal bound. The expanding
+    /// state holds label `g`; each witness `(p, d)` and each stop along
+    /// each ray holds a label chosen around its offer, and the bound is
+    /// chosen around one stop's f̂. The generator must emit
+    /// [`reference_successors`] minus exactly, per ray, the travel-order
+    /// suffix from the first step, `p` itself included, whose offer the
+    /// target's label is no worse than or whose f̂ exceeds the bound.
+    /// Under the Hanan walk, and when a source carries an arrival
+    /// direction, it must emit its full output.
+    #[test]
+    fn labelled_successors_end_each_ray_at_the_first_discarded_stop() {
+        let config = RouterConfig::default();
+        let g = LexCost::new(500, 3);
+        let eps = LexCost::epsilon(1);
+        let unit = LexCost::primary(1);
+        // Labels relative to an offer: below, at, one ε above, one unit
+        // above, and none.
+        let label_at = |k: usize, offer: LexCost| match k % 9 {
+            0 => Some(LexCost::new(offer.primary - 1, offer.penalty)),
+            3 => Some(offer),
+            5 => Some(offer + eps),
+            7 => Some(offer + unit),
+            _ => None,
+        };
+        let (mut kept, mut dropped) = (0usize, 0usize);
+        let (mut mid_ray_cuts, mut bound_cuts, mut bound_ties) = (0usize, 0usize, 0usize);
+        let mut k = 0usize;
+        for case in 0..6u64 {
+            let flat = seeded_plane(case);
+            let sharded = ShardedPlane::new(flat.clone());
+            let goals = lockdown_goals(&flat);
+            for plane in [&flat as &dyn PlaneIndex, &sharded] {
+                let source = Point::new(0, 0);
+                let space = RoutingSpace::new(
+                    plane,
+                    &goals,
+                    vec![(RouteState::source(source), LexCost::zero())],
+                    EdgeCoster::new(&config),
+                );
+                let hanan = space.clone().with_hanan_walk(true);
+                let arrived_source = RoutingSpace::new(
+                    plane,
+                    &goals,
+                    vec![(RouteState::arrived(source, Dir::East), LexCost::zero())],
+                    EdgeCoster::new(&config),
+                );
+                let (mut succ, mut full) = (Vec::new(), Vec::new());
+                for state in corner_grid_states(plane) {
+                    let p = state.point;
+                    let anchored = bend_is_anchored(plane, p);
+                    let departure = |d: Dir| {
+                        let bends = config.corner_penalty && state.bends_into(d) && !anchored;
+                        LexCost::epsilon(i64::from(bends))
+                    };
+                    let reference = reference_successors(plane, &goals, &config, &state);
+                    let f_hat = |(t, edge): &(RouteState, LexCost)| g + *edge + space.heuristic(t);
+                    let mut labels = HashMap::from([(state, g)]);
+                    for d in Dir::ALL {
+                        let witness = RouteState::arrived(p, d);
+                        if witness != state {
+                            k += 1;
+                            if let Some(l) = label_at(k, g + departure(d)) {
+                                labels.insert(witness, l);
+                            }
+                        }
+                    }
+                    for (t, edge) in &reference {
+                        k += 1;
+                        if let Some(l) = label_at(k, g + *edge) {
+                            labels.insert(*t, l);
+                        }
+                    }
+                    // The bound sits below, at or just above one stop's f̂,
+                    // or is absent.
+                    k += 1;
+                    let bound = reference.get(k % reference.len().max(1)).and_then(|s| {
+                        let f = f_hat(s);
+                        [
+                            None,
+                            Some(LexCost::new(f.primary - 1, f.penalty)),
+                            Some(f),
+                            Some(f + eps),
+                        ][k % 4]
+                    });
+                    let view = ChosenBound(Chosen(labels), bound);
+                    let discarded = |t: &RouteState, offer: LexCost| {
+                        view.label(t).is_some_and(|l| l <= offer)
+                            || bound.is_some_and(|u| offer + space.heuristic(t) > u)
+                    };
+                    let mut want = Vec::new();
+                    for d in Dir::ALL {
+                        if discarded(&RouteState::arrived(p, d), g + departure(d)) {
+                            dropped += reference
+                                .iter()
+                                .filter(|(t, _)| t.arrival == Some(d))
+                                .count();
+                            continue;
+                        }
+                        let mut ray: Vec<_> = reference
+                            .iter()
+                            .filter(|(t, _)| t.arrival == Some(d))
+                            .copied()
+                            .collect();
+                        if d.sign() < 0 {
+                            ray.reverse();
+                        }
+                        let cut = ray
+                            .iter()
+                            .position(|(t, edge)| discarded(t, g + *edge))
+                            .unwrap_or(ray.len());
+                        mid_ray_cuts += usize::from(cut > 0 && cut < ray.len());
+                        if let Some(s) = ray.get(cut) {
+                            bound_cuts += usize::from(bound.is_some_and(|u| f_hat(s) > u));
+                        }
+                        bound_ties += ray[..cut]
+                            .iter()
+                            .filter(|s| Some(f_hat(s)) == bound)
+                            .count();
+                        dropped += ray.len() - cut;
+                        ray.truncate(cut);
+                        if d.sign() < 0 {
+                            ray.reverse();
+                        }
+                        want.extend(ray);
+                    }
+                    succ.clear();
+                    space.successors(&state, &view, &mut succ);
+                    assert_eq!(succ, want, "case {case} {plane:?}: {state} bound {bound:?}");
+                    kept += want.len();
+                    for blind in [&hanan, &arrived_source] {
+                        succ.clear();
+                        blind.successors(&state, &view, &mut succ);
+                        full.clear();
+                        blind.successors(&state, &NoLabels, &mut full);
+                        assert_eq!(succ, full, "case {case} {plane:?}: {state}");
+                    }
+                }
+            }
+        }
+        assert!(kept > 50_000, "the sweep must keep real work: {kept}");
+        assert!(dropped > 50_000, "the sweep must drop real work: {dropped}");
+        assert!(
+            mid_ray_cuts > 10_000,
+            "rays must end mid-way: {mid_ray_cuts}"
+        );
+        assert!(bound_cuts > 1_000, "the bound must end rays: {bound_cuts}");
+        assert!(bound_ties > 0, "the sweep must keep stops at the bound");
     }
 
     #[test]

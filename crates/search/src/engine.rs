@@ -72,16 +72,21 @@ struct Node<S, C> {
     closed: bool,
 }
 
-/// The node table seen as [`Labels`]: what A\* hands the space on each
-/// expansion.
+/// The node table and the goal bound seen as [`Labels`]: what A\* hands
+/// the space on each expansion.
 struct NodeLabels<'a, S, C> {
     index: &'a FnvHashMap<S, usize>,
     nodes: &'a [Node<S, C>],
+    bound: Option<C>,
 }
 
 impl<S: Eq + std::hash::Hash, C: Copy> Labels<S, C> for NodeLabels<'_, S, C> {
     fn label(&self, state: &S) -> Option<C> {
         self.index.get(state).map(|&id| self.nodes[id].g)
+    }
+
+    fn bound(&self) -> Option<C> {
+        self.bound
     }
 }
 
@@ -330,6 +335,10 @@ fn astar_budgeted_into_raw<Sp: SearchSpace>(
     let mut stats = SearchStats::default();
     let mut seq: u64 = 0;
     let mut open_valid: usize = 0;
+    // The goal bound handed to the space: the smallest f̂ among the goal
+    // successors pushed so far. A goal entry no worse than it is on OPEN
+    // until the search stops, so no entry above it is ever popped.
+    let mut bound: Option<Sp::Cost> = None;
     // Expansions run since the shared meter was last charged; flushed in
     // blocks (and on exit) so parallel searches share one ceiling
     // without a fetch_add per expansion.
@@ -434,6 +443,7 @@ fn astar_budgeted_into_raw<Sp: SearchSpace>(
         let labels = NodeLabels {
             index: &*index,
             nodes: &nodes[..],
+            bound,
         };
         space.successors(&nodes[id].state, &labels, succ_buf);
         stats.generated += succ_buf.len();
@@ -478,6 +488,9 @@ fn astar_budgeted_into_raw<Sp: SearchSpace>(
             // An improvement to an already-open node replaces its entry
             // (the stale one is skipped on pop), leaving open_valid as-is.
             let f = g.plus(space.heuristic(&succ));
+            if bound.is_none_or(|u| f < u) && space.is_goal(&succ) {
+                bound = Some(f);
+            }
             open.push(HeapEntry {
                 f,
                 g,
@@ -498,7 +511,7 @@ fn astar_budgeted_into_raw<Sp: SearchSpace>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SearchSpace;
+    use crate::{breadth_first, depth_first, exhaustive, SearchSpace};
 
     /// A weighted digraph with an optional per-node heuristic.
     struct Graph {
@@ -850,6 +863,84 @@ mod tests {
         // An untraced search records nothing further.
         let _ = astar(&diamond()).unwrap();
         assert_eq!(rec.finish().find_all("search").len(), 1);
+    }
+
+    /// A graph space that records the goal bound each expansion hands it.
+    struct BoundRecorder {
+        graph: Graph,
+        seen: std::cell::RefCell<Vec<Option<i64>>>,
+    }
+
+    impl SearchSpace for BoundRecorder {
+        type State = usize;
+        type Cost = i64;
+        fn start_states(&self) -> Vec<(usize, i64)> {
+            self.graph.start_states()
+        }
+        fn successors(
+            &self,
+            s: &usize,
+            labels: &dyn Labels<usize, i64>,
+            out: &mut Vec<(usize, i64)>,
+        ) {
+            self.seen.borrow_mut().push(labels.bound());
+            self.graph.successors(s, labels, out);
+        }
+        fn is_goal(&self, s: &usize) -> bool {
+            self.graph.is_goal(s)
+        }
+        fn heuristic(&self, s: &usize) -> i64 {
+            self.graph.heuristic(s)
+        }
+    }
+
+    #[test]
+    fn the_goal_bound_is_the_best_goal_entry_pushed_so_far() {
+        // Goals 4 and 5 are each offered several times, while non-goal
+        // successors sit below the bound. The expansions run 0, 2, 1, 3
+        // (equal f̂ pops the larger ĝ first), then goal 5 is popped:
+        //   0 pushes 1 (f̂ 3), 2 (f̂ 3) and goal 4 (f̂ 10) → bound 10;
+        //   2 pushes goal 5 (f̂ 5); goal 4 at ĝ 22 improves nothing
+        //                                                → bound 5;
+        //   1 improves goal 4 to f̂ 7 and pushes 3 (f̂ 3)  → bound 5;
+        //   3 improves goal 5 to f̂ 3                     → bound 3.
+        let graph = Graph {
+            edges: vec![
+                vec![(1, 1), (2, 2), (4, 10)],
+                vec![(4, 6), (3, 1)],
+                vec![(5, 3), (4, 20)],
+                vec![(5, 1)],
+                vec![],
+                vec![],
+            ],
+            h: vec![3, 2, 1, 1, 0, 0],
+            starts: vec![(0, 0)],
+            goals: vec![4, 5],
+        };
+        let space = BoundRecorder {
+            graph,
+            seen: std::cell::RefCell::new(Vec::new()),
+        };
+        let found = astar(&space).unwrap();
+        assert_eq!((found.path, found.cost), (vec![0, 1, 3, 5], 3));
+        assert_eq!(
+            *space.seen.borrow(),
+            [None, Some(10), Some(5), Some(5)],
+            "None until a goal successor improved, then the best goal f̂"
+        );
+        // The blind engines know no bound, and best-first search hides
+        // it: the space's own ĥ is not the zero it was taken with.
+        for run in [
+            best_first as fn(&BoundRecorder) -> _,
+            breadth_first,
+            |s: &BoundRecorder| depth_first(s, 8),
+            exhaustive,
+        ] {
+            space.seen.borrow_mut().clear();
+            assert!(run(&space).is_some());
+            assert!(space.seen.borrow().iter().all(Option::is_none));
+            assert!(!space.seen.borrow().is_empty());
+        }
     }
 
     #[test]

@@ -5,14 +5,23 @@ use std::hash::Hash;
 use crate::PathCost;
 
 /// A read-only view of the labels a search engine holds, where a state's
-/// label is its best known ĝ. Labels only fall while a search runs.
+/// label is its best known ĝ, and of its goal bound. Labels and the bound
+/// only fall while a search runs.
 ///
 /// [`SearchSpace::successors`] receives one so a space can leave out
-/// successors the engine would discard anyway. A\* passes its node table;
-/// the blind engines pass [`NoLabels`].
+/// successors that change no expansion. A\* passes its node table and
+/// goal bound; the blind engines pass [`NoLabels`].
 pub trait Labels<S, C> {
     /// The label of `state`, or `None` when the engine holds none.
     fn label(&self, state: &S) -> Option<C>;
+
+    /// The goal bound: the smallest f̂ = ĝ + ĥ among the goal entries the
+    /// engine has put on OPEN, or `None` before there is one. A\* stops
+    /// at a goal entry no worse than it, so it never expands an entry
+    /// whose f̂ exceeds it. The default knows no bound.
+    fn bound(&self) -> Option<C> {
+        None
+    }
 }
 
 /// The view that knows no labels: a space handed it generates every
@@ -74,13 +83,25 @@ pub trait SearchSpace {
     /// sense: `c.plus(edge) >= c` must hold for all `c`.
     ///
     /// `labels` is the engine's view of its labels, `state`'s own among
-    /// them. A space may leave out a successor only when the view proves
-    /// it cannot improve any label: its target already holds a label no
-    /// worse than `state`'s label plus the edge. The engine would discard
-    /// such a successor without touching its frontier, so leaving it out
-    /// changes no expansion, path or cost, only
-    /// [`SearchStats::generated`](crate::SearchStats::generated). Under
-    /// [`NoLabels`] a space must generate every successor.
+    /// them, and of its goal bound. A space may leave out a successor
+    /// only when the view proves that it changes no expansion, because
+    /// its offer, `state`'s label plus the edge, is one the engine throws
+    /// away:
+    ///
+    /// * its target already holds a label no worse than the offer, so the
+    ///   engine discards it without touching its frontier; or
+    /// * its f̂, the offer plus the target's [`heuristic`], exceeds
+    ///   [`Labels::bound`], so the engine never expands it.
+    ///
+    /// The proof may be direct, or rest on an invariant that the space's
+    /// own successor structure keeps (as the gridless routing space's
+    /// rays do). Leaving such successors out changes no expansion, path
+    /// or cost; it lowers only
+    /// [`SearchStats::generated`](crate::SearchStats::generated),
+    /// `touched` and `max_open`. Under [`NoLabels`] a space must generate
+    /// every successor.
+    ///
+    /// [`heuristic`]: SearchSpace::heuristic
     fn successors(
         &self,
         state: &Self::State,
@@ -104,6 +125,9 @@ pub trait SearchSpace {
 ///
 /// This is the precise sense in which the paper calls Lee–Moore "a special
 /// case of the general search algorithm": same successor generator, ĥ = 0.
+/// The wrapped space gets the engine's labels but no [`Labels::bound`]:
+/// the engine takes that bound with ĥ = 0, so the space's own f̂ cannot
+/// be tested against it.
 ///
 /// ```
 /// use gcr_search::{astar, Labels, SearchSpace, ZeroHeuristic};
@@ -143,13 +167,22 @@ impl<S: SearchSpace> SearchSpace for ZeroHeuristic<'_, S> {
         labels: &dyn Labels<Self::State, Self::Cost>,
         out: &mut Vec<(Self::State, Self::Cost)>,
     ) {
-        self.0.successors(state, labels, out);
+        self.0.successors(state, &Unbounded(labels), out);
     }
 
     fn is_goal(&self, state: &Self::State) -> bool {
         self.0.is_goal(state)
     }
     // heuristic: default zero.
+}
+
+/// A label view with the goal bound hidden.
+struct Unbounded<'a, S, C>(&'a dyn Labels<S, C>);
+
+impl<S, C> Labels<S, C> for Unbounded<'_, S, C> {
+    fn label(&self, state: &S) -> Option<C> {
+        self.0.label(state)
+    }
 }
 
 #[cfg(test)]

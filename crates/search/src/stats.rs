@@ -13,11 +13,14 @@ use std::fmt;
 pub struct SearchStats {
     /// Nodes removed from OPEN and expanded.
     pub expanded: usize,
-    /// Successor edges the space generated: after those it left out by
-    /// the engine's labels, before the engine's duplicate filtering.
+    /// Successor edges the space generated: after those it left out
+    /// because the engine's labels and goal bound prove they change no
+    /// expansion, before the engine's duplicate filtering.
     pub generated: usize,
     /// Distinct states ever given a cost (≈ OPEN ∪ CLOSED, the memory
-    /// footprint of the search).
+    /// footprint of the search). A space that leaves out successors
+    /// above the goal bound never creates their nodes, so this falls
+    /// with `generated` while `expanded` stays put.
     pub touched: usize,
     /// Nodes whose cost improved after they were closed and that were moved
     /// back to OPEN ("its pointers must be redirected").

@@ -3,7 +3,10 @@
 //! 15-puzzle"), so we exercise the engine on the 8-puzzle and on random
 //! weighted graphs checked against Bellman–Ford.
 
-use gcr_search::{astar, best_first, breadth_first, exhaustive, Labels, SearchSpace};
+use gcr_search::{
+    astar, astar_with_limits, best_first, breadth_first, exhaustive, Labels, SearchLimits,
+    SearchOutcome, SearchSpace,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -247,4 +250,114 @@ fn found_paths_are_valid_and_priced_right() {
             assert_eq!(total, found.cost, "case {case} seed {seed}");
         }
     }
+}
+
+// ------------------------------------------- pruning above the goal bound
+
+/// A random digraph with several goals and an admissible but generally
+/// inconsistent heuristic. With `prune` set it leaves out every
+/// successor whose f̂ exceeds the goal bound the engine hands it.
+struct BoundedGraph {
+    edges: Vec<Vec<(usize, i64)>>,
+    h: Vec<i64>,
+    goals: Vec<usize>,
+    prune: bool,
+}
+
+impl SearchSpace for BoundedGraph {
+    type State = usize;
+    type Cost = i64;
+    fn start_states(&self) -> Vec<(usize, i64)> {
+        vec![(0, 0)]
+    }
+    fn successors(&self, s: &usize, labels: &dyn Labels<usize, i64>, out: &mut Vec<(usize, i64)>) {
+        let cut = match (labels.label(s), labels.bound()) {
+            (Some(g), Some(u)) if self.prune => Some((g, u)),
+            _ => None,
+        };
+        out.extend(
+            self.edges[*s]
+                .iter()
+                .copied()
+                .filter(|&(t, w)| cut.is_none_or(|(g, u)| g + w + self.h[t] <= u)),
+        );
+    }
+    fn is_goal(&self, s: &usize) -> bool {
+        self.goals.contains(s)
+    }
+    fn heuristic(&self, s: &usize) -> i64 {
+        self.h[*s]
+    }
+}
+
+#[test]
+fn pruning_above_the_goal_bound_changes_no_expansion_path_or_cost() {
+    let mut meta = StdRng::seed_from_u64(0xb0b0);
+    let (mut pruned_generated, mut full_generated, mut reopened, mut found) = (0, 0, 0, 0);
+    for case in 0..200 {
+        let seed = meta.gen_range(0..10_000u64);
+        let n = meta.gen_range(4usize..40);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let edges = random_edges(&mut rng, n, 4, 60);
+        let goals: Vec<usize> = (0..3).map(|_| rng.gen_range(1..n)).collect();
+        // Exact remaining cost: shortest distance to any goal over the
+        // reversed edges. A random share of it is admissible.
+        let mut reversed = vec![Vec::new(); n + 1];
+        for (u, adj) in edges.iter().enumerate() {
+            for &(v, w) in adj {
+                reversed[v].push((u, w));
+            }
+        }
+        reversed[n] = goals.iter().map(|&g| (g, 0)).collect();
+        let exact = bellman_ford(&reversed, n);
+        let h: Vec<i64> = (0..n)
+            .map(|v| match exact[v] {
+                Some(d) => rng.gen_range(0..=d),
+                None => rng.gen_range(0..200),
+            })
+            .collect();
+        let space = |prune| BoundedGraph {
+            edges: edges.clone(),
+            h: h.clone(),
+            goals: goals.clone(),
+            prune,
+        };
+        let limits = SearchLimits::default();
+        let p = astar_with_limits(&space(true), limits);
+        let f = astar_with_limits(&space(false), limits);
+        let (ps, fs) = (*p.stats(), *f.stats());
+        assert_eq!(
+            ps.expanded, fs.expanded,
+            "case {case} seed {seed}: {ps} vs {fs}"
+        );
+        assert!(
+            ps.reopened <= fs.reopened,
+            "case {case} seed {seed}: {ps} vs {fs}"
+        );
+        assert!(
+            ps.generated <= fs.generated,
+            "case {case} seed {seed}: {ps} vs {fs}"
+        );
+        match (p, f) {
+            (SearchOutcome::Found(p), SearchOutcome::Found(f)) => {
+                assert_eq!(
+                    (p.path, p.cost),
+                    (f.path, f.cost),
+                    "case {case} seed {seed}"
+                );
+                found += 1;
+            }
+            (SearchOutcome::Exhausted(_), SearchOutcome::Exhausted(_)) => {}
+            (p, f) => panic!("case {case} seed {seed}: outcomes differ: {p:?} vs {f:?}"),
+        }
+        pruned_generated += ps.generated;
+        full_generated += fs.generated;
+        reopened += fs.reopened;
+    }
+    assert!(found > 100, "the sweep must find paths: {found}");
+    assert!(
+        pruned_generated < full_generated,
+        "pruning must leave successors out: {pruned_generated} vs {full_generated}"
+    );
+    assert!(reopened > 0, "the sweep must cover reopened nodes");
 }

@@ -19,7 +19,10 @@
 //!   (no request bytes yet) closes quietly, a *mid-frame* timeout (a
 //!   slow-loris trickling half a request) answers `ERR TIMEOUT` first.
 //! * **Failure domains**: request bytes are read under
-//!   [`WireLimits`] (`ERR TOO-LARGE` past the caps), and session work
+//!   [`WireLimits`] (`ERR TOO-LARGE` past the caps; after any framing
+//!   error the reply is flushed, the write side half-closed and the
+//!   peer's input drained for a moment, so a peer still writing is not
+//!   reset before it reads the reply), and session work
 //!   runs under `catch_unwind` — a panicking request poisons only its
 //!   own session, which is then **quarantined** (`ERR QUARANTINED`
 //!   until `CLOSE`d) while the worker, the connection, and every other
@@ -32,7 +35,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
@@ -396,6 +399,36 @@ impl<W: Write> Write for CountingWriter<W> {
     }
 }
 
+/// The longest a connection closed after a framing error keeps draining
+/// its peer's input (never longer than the read timeout).
+const LINGER: Duration = Duration::from_secs(1);
+/// The most input a lingering close discards.
+const LINGER_BYTES: usize = 1 << 20;
+
+/// Closes a connection whose input can no longer be framed without
+/// resetting a peer that is still writing. Closing a socket with unread
+/// input makes the kernel reset the connection, which fails the peer's
+/// pending writes and can discard the typed reply before the peer reads
+/// it. So, with the reply already flushed, this half-closes the write
+/// side and reads and discards until EOF, [`LINGER_BYTES`], or a
+/// deadline of [`LINGER`] capped by `read_timeout`.
+fn linger_close(reader: &mut impl Read, stream: &TcpStream, read_timeout: Option<Duration>) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + read_timeout.map_or(LINGER, |t| t.min(LINGER));
+    let mut sink = [0u8; 8192];
+    let mut drained = 0;
+    while drained < LINGER_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match reader.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
+}
+
 fn is_timeout(e: &io::Error) -> bool {
     // set_read_timeout expiry surfaces as WouldBlock on Unix and
     // TimedOut on Windows.
@@ -559,6 +592,7 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx<'_>) {
                 None => ctx.metrics.malformed.inc(),
             }
         }
+        let framing_error = message.is_err();
         let (response, close_after) = match message {
             // Malformed request: answer with the typed error, then close
             // — after a framing error the stream position is untrusted.
@@ -634,6 +668,9 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx<'_>) {
             written_accounted = written_now;
         }
         if close_after || ctx.drain.load(Ordering::SeqCst) {
+            if framing_error {
+                linger_close(&mut reader, &writer.get_ref().inner, ctx.read_timeout);
+            }
             return; // finish the in-flight request, then drain
         }
     }

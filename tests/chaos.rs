@@ -228,6 +228,51 @@ fn chaos_oversize_body_is_rejected_typed() {
     handle.join().unwrap();
 }
 
+/// The oversize body again, over 200 fresh connections, each sending
+/// four times `max_body` line by line while the daemon has already
+/// answered. A daemon that closed with the body unread would reset the
+/// client mid-write or before it read the reply; every client must
+/// finish its writes and read `ERR TOO-LARGE`, and the daemon must keep
+/// serving.
+#[test]
+fn chaos_oversize_body_is_rejected_typed_on_every_connection() {
+    let limits = WireLimits {
+        max_line: 1024,
+        max_body: 512,
+    };
+    let (addr, handle) = spawn_server(ServerConfig {
+        limits,
+        ..chaos_config()
+    });
+    let line = b"net filler 0 0 9 9\n";
+    for attempt in 0..200 {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(CLIENT_IO)).unwrap();
+        let mut send = |bytes: &[u8]| {
+            stream
+                .write_all(bytes)
+                .unwrap_or_else(|e| panic!("connection {attempt}: write failed: {e}"));
+        };
+        send(b"OPEN gridless flat\n");
+        for _ in 0..(4 * limits.max_body).div_ceil(line.len()) {
+            send(line);
+        }
+        send(b".\n");
+        let mut reader = BufReader::new(stream);
+        match proto::read_response(&mut reader) {
+            Ok(Response::Err(e)) => assert_eq!(e.code, ErrCode::TooLarge, "{attempt}: {e}"),
+            other => panic!("connection {attempt}: expected ERR TOO-LARGE, got {other:?}"),
+        }
+    }
+
+    let mut direct = direct_client(addr);
+    direct.ping().unwrap();
+    let stats = direct.stats(None).unwrap();
+    assert_eq!(stats.int_field("sessions"), Some(0));
+    direct.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 /// A worker panic (the gated `CRASH` probe) quarantines only its own
 /// session; a bystander session's `DUMP` stays byte-identical to the
 /// in-process reference.

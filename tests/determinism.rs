@@ -255,9 +255,10 @@ fn generator_gcl_roundtrip_is_byte_identical_and_routes_identically() {
 
 /// The search-work pin: a serial default-config route of the seeded
 /// 120-net die must do exactly this much A\* work and emit exactly this
-/// `DUMP`, on both plane indexes. Any change to successor generation
-/// that alters the successors' set, order or cost (and with them the
-/// A\* tie-breaks) moves these numbers.
+/// `DUMP`, on both plane indexes. Pruning that leaves out successors A\*
+/// would throw away shrinks the successor set, so it moves `generated`
+/// and `touched` only; a change to the successors' order or cost, or
+/// to the A\* tie-breaks, moves `expanded` or the digest too.
 #[test]
 fn search_work_and_route_digest_are_pinned() {
     use gcr::search::FnvHasher;
@@ -272,7 +273,7 @@ fn search_work_and_route_digest_are_pinned() {
         let stats = routing.stats();
         assert_eq!(
             (stats.expanded, stats.generated, stats.touched),
-            (8054, 344_403, 189_456),
+            (8054, 111_606, 101_319),
             "{index:?}: {stats:?}"
         );
         let mut fnv = FnvHasher::default();
