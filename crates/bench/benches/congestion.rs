@@ -2,17 +2,17 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gcr_bench::experiments::congestion_layout;
-use gcr_core::{GlobalRouter, RouterConfig};
+use gcr_core::{RouterConfig, RoutingSession};
 
 fn bench_congestion(c: &mut Criterion) {
     let (layout, _) = congestion_layout(4);
     let mut config = RouterConfig::default();
     config.wire_pitch(5).congestion_weight(6);
-    let router = GlobalRouter::new(&layout, config);
+    let mut session = RoutingSession::gridless(layout, config);
 
     let mut group = c.benchmark_group("congestion");
-    group.bench_function("single_pass", |b| b.iter(|| router.route_all()));
-    group.bench_function("two_pass", |b| b.iter(|| router.route_two_pass()));
+    group.bench_function("single_pass", |b| b.iter(|| session.route_all()));
+    group.bench_function("two_pass", |b| b.iter(|| session.route_two_pass()));
     group.finish();
 }
 

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gcr_bench::experiments::grid_layout;
-use gcr_core::{GlobalRouter, RouterConfig};
+use gcr_core::{RouterConfig, RoutingSession};
 use gcr_workload::{netlists, rng_for};
 
 fn bench_multiterm(c: &mut Criterion) {
@@ -15,18 +15,18 @@ fn bench_multiterm(c: &mut Criterion) {
             k,
             &mut rng_for("bench-e6", k as u64),
         );
-        let router = GlobalRouter::new(&layout, RouterConfig::default());
+        let mut session = RoutingSession::gridless(layout, RouterConfig::default());
         group.bench_with_input(BenchmarkId::new("segment_tree", k), &ids, |b, ids| {
             b.iter(|| {
                 for &id in ids {
-                    let _ = router.route_net(id);
+                    let _ = session.route_net(id);
                 }
             })
         });
         group.bench_with_input(BenchmarkId::new("pin_tree", k), &ids, |b, ids| {
             b.iter(|| {
                 for &id in ids {
-                    let _ = router.route_net_pin_tree(id);
+                    let _ = session.route_net_pin_tree(id);
                 }
             })
         });

@@ -1,17 +1,18 @@
-//! Search-core throughput tracker: end-to-end serial gridless batch
-//! times and A\* expansion rates on the workload scaling instances, over
+//! Search-core throughput tracker: end-to-end serial gridless session
+//! route times and A\* expansion rates on the workload scaling instances, over
 //! both plane indexes, written as machine-readable `BENCH_search.json`
 //! at the repository root so successive PRs can record the perf
 //! trajectory (CI publishes the same numbers to the job summary).
 //!
 //! Before any timing, the harness asserts the differential invariants of
 //! the zero-allocation refactor on each instance: flat ≡ sharded output
-//! and batch (reused per-worker arenas) ≡ per-net fresh-scratch output.
+//! and `route_all` (one reused arena) ≡ net-by-net routing on a fresh
+//! session.
 //! Every number in the JSON is therefore a time for *the same answer*.
 
 use std::time::Instant;
 
-use gcr_core::{BatchConfig, BatchRouter, GlobalRouting, PlaneIndexKind, RouterConfig};
+use gcr_core::{BatchConfig, GlobalRouting, PlaneIndexKind, RouterConfig, RoutingSession};
 use gcr_workload::scaling_instance;
 
 /// `(label, rows, cols, two-pin nets, multi-terminal nets)` — the same
@@ -34,15 +35,15 @@ struct Measurement {
     expansions_per_sec: f64,
 }
 
-fn time_route_all<E: gcr_core::RoutingEngine>(router: &BatchRouter<'_, E>) -> Measurement {
-    // Warm-up: one untimed run (builds the lazy plane store, as a
-    // long-running service would have it built).
-    let reference = router.route_all();
+fn time_route_all(session: &mut RoutingSession) -> Measurement {
+    // Warm-up: one untimed run (warms the pooled arenas, as a
+    // long-running service would have them).
+    let reference = session.route_all();
     let expanded = reference.stats().expanded;
     let mut times = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
         let start = Instant::now();
-        let routing = router.route_all();
+        let routing = session.route_all();
         times.push(start.elapsed().as_secs_f64());
         assert_eq!(routing.stats(), reference.stats(), "run must be stable");
     }
@@ -76,23 +77,29 @@ fn main() {
     for &(label, r, c, two_pin, multi) in SCALES {
         let layout = scaling_instance(r, c, two_pin, multi, 0);
         let config = RouterConfig::default();
-        let flat = BatchRouter::gridless(&layout, config.clone()).with_batch(BatchConfig::serial());
-        let sharded = BatchRouter::gridless(&layout, config.clone())
-            .with_batch(BatchConfig::serial().with_index(PlaneIndexKind::Sharded));
+        let session = |index| {
+            RoutingSession::builder(layout.clone())
+                .config(config.clone())
+                .batch(BatchConfig::serial().with_index(index))
+                .build()
+        };
+        let mut flat = session(PlaneIndexKind::Flat);
+        let mut sharded = session(PlaneIndexKind::Sharded);
 
         // Differential preconditions: same answers across indexes, and
-        // the batch path (per-worker reused arenas) agrees with per-net
-        // fresh-scratch routing.
+        // `route_all` (one reused arena) agrees with net-by-net routing
+        // on a fresh session.
         let flat_routing = flat.route_all();
         assert_identical(&flat_routing, &sharded.route_all(), label);
+        let mut net_by_net = session(PlaneIndexKind::Flat);
         for route in &flat_routing.routes {
-            let fresh = flat.route_net(route.id).expect("batch routed it");
+            let fresh = net_by_net.route_net(route.id).expect("route_all routed it");
             assert_eq!(route.stats, fresh.stats, "{label}: net {}", route.net);
         }
 
         let nets = layout.nets().len();
-        let m_flat = time_route_all(&flat);
-        let m_sharded = time_route_all(&sharded);
+        let m_flat = time_route_all(&mut flat);
+        let m_sharded = time_route_all(&mut sharded);
         for (index, m) in [("flat", &m_flat), ("sharded", &m_sharded)] {
             println!(
                 "batch-route/{index}/{label:<10} mean {:8.2} ms  min {:8.2} ms  \

@@ -19,11 +19,8 @@
 //! time for *the same answer*.
 //!
 //! The JSON also carries a **dirty-tracking note**: for obstacle drops
-//! on the acceptance instance, how many nets the conservative
-//! bounding-box test marks dirty versus the exact segment-vs-rect test
-//! (`SessionBuilder::precise_dirty`), and what each reroute then costs.
-//! The precise test stays opt-in until this note shows a consistent
-//! reroute-set shrink.
+//! on the acceptance instance, how many nets the bounding-box test marks
+//! dirty and what the reroute then costs.
 
 use std::time::Instant;
 
@@ -130,7 +127,7 @@ fn main() {
         }
     }
 
-    // Dirty-tracking note: bbox vs precise reroute sets on the
+    // Dirty-tracking note: the bounding-box reroute set on the
     // acceptance instance, for obstacle drops across the die.
     let mut dirty_rows = Vec::new();
     {
@@ -144,47 +141,33 @@ fn main() {
             let x = bounds.xmin() + ((bounds.width() as f64) * fx) as i64;
             let y = bounds.ymin() + ((bounds.height() as f64) * fy) as i64;
             let blk = gcr_geom::Rect::new(x, y, x + 4, y + 4).expect("probe rect");
-            let mut counts = [0usize; 2];
-            let mut reroute_ms = [0f64; 2];
-            for (mode, precise) in [(0usize, false), (1usize, true)] {
-                let mut session = RoutingSession::builder(layout.clone())
-                    .config(RouterConfig::default())
-                    .batch(BatchConfig::serial())
-                    .precise_dirty(precise)
-                    .build();
-                session.route_all();
-                session
-                    .add_obstacle(format!("probe{i}"), blk)
-                    .expect("unique probe name");
-                counts[mode] = session.dirty_nets().len();
-                let start = Instant::now();
-                session.reroute_dirty();
-                reroute_ms[mode] = start.elapsed().as_secs_f64() * 1e3;
-            }
-            assert!(
-                counts[1] <= counts[0],
-                "precise dirty set must never exceed the bbox set"
-            );
+            let mut session = RoutingSession::builder(layout.clone())
+                .config(RouterConfig::default())
+                .batch(BatchConfig::serial())
+                .build();
+            session.route_all();
+            session
+                .add_obstacle(format!("probe{i}"), blk)
+                .expect("unique probe name");
+            let dirty = session.dirty_nets().len();
+            let start = Instant::now();
+            session.reroute_dirty();
+            let reroute_ms = start.elapsed().as_secs_f64() * 1e3;
             println!(
-                "session/dirty/{label} probe{i} at ({x},{y}): bbox {} net(s) \
-                 ({:.3} ms) vs precise {} net(s) ({:.3} ms)",
-                counts[0], reroute_ms[0], counts[1], reroute_ms[1]
+                "session/dirty/{label} probe{i} at ({x},{y}): {dirty} net(s) ({reroute_ms:.3} ms)"
             );
             dirty_rows.push(format!(
                 concat!(
                     "    {{\"instance\": \"{}\", \"probe\": [{}, {}, {}, {}], ",
-                    "\"dirty_bbox\": {}, \"dirty_precise\": {}, ",
-                    "\"reroute_bbox_ms\": {:.4}, \"reroute_precise_ms\": {:.4}}}"
+                    "\"dirty_bbox\": {}, \"reroute_bbox_ms\": {:.4}}}"
                 ),
                 label,
                 blk.xmin(),
                 blk.ymin(),
                 blk.xmax(),
                 blk.ymax(),
-                counts[0],
-                counts[1],
-                reroute_ms[0],
-                reroute_ms[1]
+                dirty,
+                reroute_ms
             ));
         }
     }

@@ -1,10 +1,10 @@
 //! Flat vs sharded connection-query throughput on the largest workload
-//! scaling instance, plus the end-to-end batch route through both plane
+//! scaling instance, plus the end-to-end session route through both plane
 //! indexes. Answers are asserted identical before timing, so every
 //! speedup is for *the same answer*.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gcr_core::{BatchConfig, BatchRouter, RouterConfig};
+use gcr_core::{BatchConfig, PlaneIndexKind, RouterConfig, RoutingSession};
 use gcr_geom::{Dir, Plane, PlaneIndex, Point, ShardedPlane};
 use gcr_workload::scaling_instance;
 
@@ -92,10 +92,14 @@ fn bench_queries(c: &mut Criterion) {
 
 fn bench_batch_route(c: &mut Criterion) {
     let layout = largest();
-    let config = RouterConfig::default();
-    let flat = BatchRouter::gridless(&layout, config.clone()).with_batch(BatchConfig::serial());
-    let sharded = BatchRouter::gridless(&layout, config)
-        .with_batch(BatchConfig::serial().with_index(gcr_core::PlaneIndexKind::Sharded));
+    let session = |index| {
+        RoutingSession::builder(layout.clone())
+            .config(RouterConfig::default())
+            .batch(BatchConfig::serial().with_index(index))
+            .build()
+    };
+    let mut flat = session(PlaneIndexKind::Flat);
+    let mut sharded = session(PlaneIndexKind::Sharded);
     let a = flat.route_all();
     let b = sharded.route_all();
     assert_eq!(a.wire_length(), b.wire_length());

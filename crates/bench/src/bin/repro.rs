@@ -1,4 +1,4 @@
-//! `repro` — regenerates every table in EXPERIMENTS.md.
+//! `repro` — regenerates the paper's experiment tables (E1–E10).
 //!
 //! Usage:
 //!

@@ -1,9 +1,9 @@
-//! The experiment implementations (DESIGN.md §3, recorded in
-//! EXPERIMENTS.md).
+//! The experiment implementations: one function per table the `repro`
+//! binary prints.
 
 use std::time::{Duration, Instant};
 
-use gcr_core::{route_two_points, GlobalRouter, RouterConfig};
+use gcr_core::{route_two_points, RouterConfig, RoutingSession};
 use gcr_detail::route_details;
 use gcr_geom::{Plane, Point};
 use gcr_grid::{grid_astar, lee_moore};
@@ -390,14 +390,15 @@ pub fn e6_multiterm() -> Table {
         let mut layout = grid_layout(3, 3, 600 + k as u64);
         let ids =
             netlists::add_multi_terminal_nets(&mut layout, 15, k, &mut rng_for("e6", k as u64));
-        let router = GlobalRouter::new(&layout, RouterConfig::default());
+        let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
         let mut seg_total = 0i64;
         let mut pin_total = 0i64;
         let mut ios_total = 0i64;
         let mut exact_total: Option<i64> = Some(0);
         let mut nets = 0;
         for id in ids {
-            let (Ok(seg), Ok(pin)) = (router.route_net(id), router.route_net_pin_tree(id)) else {
+            let pin = session.route_net_pin_tree(id);
+            let (Ok(seg), Ok(pin)) = (session.route_net(id), pin) else {
                 continue;
             };
             nets += 1;
@@ -455,8 +456,8 @@ pub fn e7_fullflow() -> Table {
         let mut rng = rng_for("e7", rows as u64 * 10 + cols as u64);
         netlists::add_two_pin_nets(&mut layout, two_pin, &mut rng);
         netlists::add_multi_terminal_nets(&mut layout, multi, 4, &mut rng);
-        let router = GlobalRouter::new(&layout, RouterConfig::default());
-        let (routing, global_time) = timed(|| router.route_all());
+        let (routing, global_time) =
+            timed(|| RoutingSession::gridless(layout.clone(), RouterConfig::default()).route_all());
         let plane = layout.to_plane();
         let (report, detail_time) = timed(|| route_details(&plane, &routing));
         t.row([
@@ -470,7 +471,7 @@ pub fn e7_fullflow() -> Table {
             report.total_vias().to_string(),
         ]);
     }
-    t.note("The paper reports global routing always cheaper than detailed routing + layer assignment on its production detailed router; our substrate implements track assignment only, so the absolute balance differs — see EXPERIMENTS.md for the discussion.");
+    t.note("The paper reports global routing always cheaper than detailed routing + layer assignment on its production detailed router; our substrate implements track assignment only, so the absolute balance differs.");
     t
 }
 
@@ -508,8 +509,8 @@ pub fn e8_congestion() -> Table {
     let (layout, ids) = congestion_layout(4);
     let mut config = RouterConfig::default();
     config.wire_pitch(5).congestion_weight(6);
-    let router = GlobalRouter::new(&layout, config);
-    let report = router.route_two_pass();
+    let mut session = RoutingSession::gridless(layout, config);
+    let report = session.route_two_pass();
     t.row([
         "total passage overflow".to_string(),
         report.before.total_overflow().to_string(),
@@ -532,24 +533,14 @@ pub fn e8_congestion() -> Table {
     ]);
     // Order independence of pass 1: route nets one by one in two different
     // orders and compare per-net lengths.
-    let mut forward: Vec<i64> = Vec::new();
-    for &id in &ids {
-        forward.push(
-            router
-                .route_net(id)
-                .expect("alley nets route")
-                .wire_length(),
-        );
-    }
-    let mut backward: Vec<i64> = Vec::new();
-    for &id in ids.iter().rev() {
-        backward.push(
-            router
-                .route_net(id)
-                .expect("alley nets route")
-                .wire_length(),
-        );
-    }
+    let mut length = |id| {
+        session
+            .route_net(id)
+            .expect("alley nets route")
+            .wire_length()
+    };
+    let forward: Vec<i64> = ids.iter().map(|&id| length(id)).collect();
+    let mut backward: Vec<i64> = ids.iter().rev().map(|&id| length(id)).collect();
     backward.reverse();
     let independent = forward == backward;
     t.row([

@@ -1,4 +1,4 @@
-//! Router configuration.
+//! Router and scheduling configuration.
 
 use std::fmt;
 
@@ -84,6 +84,82 @@ impl RouterConfig {
     pub fn hanan_walk(&mut self, on: bool) -> &mut RouterConfig {
         self.hanan_walk = on;
         self
+    }
+}
+
+/// Which spatial index backs a session's obstacle plane.
+///
+/// Both implementations answer every query bit-identically (asserted by
+/// `tests/plane_equivalence.rs`); the knob only changes how the answers
+/// are computed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlaneIndexKind {
+    /// The flat ray-traced [`Plane`](gcr_geom::Plane) with its
+    /// sorted-face topological index.
+    #[default]
+    Flat,
+    /// The bucket-gridded [`ShardedPlane`](gcr_geom::ShardedPlane) with
+    /// its perpendicular-pruned corner tables, shared across all nets of
+    /// the session.
+    Sharded,
+}
+
+/// How a [`RoutingSession`](crate::RoutingSession) schedules the nets of
+/// one routing call, and which plane index it routes them over.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchConfig {
+    /// Route nets on worker threads (`false` = plain serial loop). Output
+    /// is byte-identical either way.
+    pub parallel: bool,
+    /// Worker count; `None` = the machine's available parallelism, capped
+    /// by the number of nets in the call.
+    pub threads: Option<usize>,
+    /// The spatial index answering the engines' connection queries.
+    /// Output is byte-identical either way.
+    pub index: PlaneIndexKind,
+}
+
+impl Default for BatchConfig {
+    fn default() -> BatchConfig {
+        BatchConfig {
+            parallel: true,
+            threads: None,
+            index: PlaneIndexKind::Flat,
+        }
+    }
+}
+
+impl BatchConfig {
+    /// A forced-serial configuration (useful for baselines and for
+    /// verifying the parallel/serial equivalence).
+    #[must_use]
+    pub fn serial() -> BatchConfig {
+        BatchConfig {
+            parallel: false,
+            ..BatchConfig::default()
+        }
+    }
+
+    /// The default schedule over the sharded plane index.
+    #[must_use]
+    pub fn sharded() -> BatchConfig {
+        BatchConfig::default().with_index(PlaneIndexKind::Sharded)
+    }
+
+    /// Replaces the spatial-index selection.
+    #[must_use]
+    pub fn with_index(mut self, index: PlaneIndexKind) -> BatchConfig {
+        self.index = index;
+        self
+    }
+
+    pub(crate) fn threads_for(&self, items: usize) -> usize {
+        if !self.parallel {
+            return 1;
+        }
+        self.threads
+            .unwrap_or_else(|| gcr_search::default_threads(items))
+            .max(1)
     }
 }
 

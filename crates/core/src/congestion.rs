@@ -23,7 +23,7 @@ use gcr_geom::{Axis, Coord, PlaneIndex, Rect, Segment};
 /// One side of a passage: a cell (by obstacle id) or the plane boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PassageSide {
-    /// A cell, identified by its obstacle id in the [`Plane`].
+    /// A cell, identified by its obstacle id in the plane.
     Cell(usize),
     /// The routing boundary.
     Boundary,

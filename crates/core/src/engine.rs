@@ -7,9 +7,9 @@
 //! these goals over this obstacle plane*. This module pins that question
 //! down as a trait so the gridless A\* router (the paper's
 //! contribution), the Lee–Moore / grid-A\* baseline and the Hightower
-//! line-probe baseline are interchangeable behind the
-//! [`BatchRouter`](crate::BatchRouter) pipeline, and future engines
-//! (sharded, cached, hierarchical) plug in without touching callers.
+//! line-probe baseline are interchangeable behind
+//! [`RoutingSession`](crate::RoutingSession), and future engines (for
+//! example a hierarchical one) plug in without touching callers.
 //!
 //! Engines advertise [`EngineCaps`] so drivers can reason about what a
 //! result means: a complete engine failing to connect proves
@@ -54,8 +54,8 @@ pub struct EngineCaps {
 /// Implementations must be deterministic (identical inputs ⇒ identical
 /// output, across runs and across threads) and pure per call — they see
 /// the plane immutably and keep no mutable state between calls. Those two
-/// properties are what make the batch pipeline's parallel mode
-/// byte-identical to its serial mode.
+/// properties are what make a session's parallel schedule byte-identical
+/// to its serial one.
 pub trait RoutingEngine: Sync {
     /// The engine's capability statement.
     fn capabilities(&self) -> EngineCaps;
@@ -73,8 +73,8 @@ pub trait RoutingEngine: Sync {
     /// reused scratch is bit-identical to one through a fresh scratch
     /// (every arena resets on entry, every buffer is cleared before
     /// use). That, plus per-call purity over the immutable plane, is
-    /// what keeps the batch pipeline's parallel mode byte-identical to
-    /// its serial mode.
+    /// what keeps a session's parallel schedule byte-identical to its
+    /// serial one.
     ///
     /// # Errors
     ///
@@ -93,8 +93,8 @@ pub trait RoutingEngine: Sync {
 
     /// Convenience form of [`RoutingEngine::route_connection_in`] that
     /// owns a fresh [`SearchScratch`] for the call. Hot drivers (the
-    /// batch pipeline, the net-tree grower) keep a scratch and call the
-    /// `_in` form directly.
+    /// session's net-tree grower) keep a scratch and call the `_in` form
+    /// directly.
     ///
     /// # Errors
     ///

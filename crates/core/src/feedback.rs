@@ -12,7 +12,8 @@
 //! It has not been shown that this approach is guaranteed to converge."*
 //!
 //! This module implements that feedback loop so the open question can be
-//! *measured*: each iteration routes all nets, finds the most
+//! *measured*: each iteration routes all nets on a fresh
+//! [`RoutingSession`], finds the most
 //! over-subscribed cell-to-cell passage, widens it by exactly the missing
 //! capacity (shifting every cell beyond it and stretching the die), and
 //! reroutes. The report records per-iteration overflow so convergence —
@@ -21,8 +22,8 @@
 use gcr_geom::{Axis, Coord, Point, Rect};
 use gcr_layout::{CellOutline, Layout, Pin};
 
-use crate::congestion::{analyze, find_passages, Passage, PassageSide};
-use crate::{GlobalRouter, RouterConfig};
+use crate::congestion::{Passage, PassageSide};
+use crate::{RouterConfig, RoutingSession};
 
 /// Limits for the feedback loop.
 #[derive(Debug, Clone, Copy)]
@@ -77,26 +78,16 @@ pub fn placement_feedback(
     let mut iterations = Vec::new();
     let mut converged = false;
     for _ in 0..options.max_iterations {
-        let router = GlobalRouter::new(&current, config.clone());
-        let routing = router.route_all();
-        let plane = current.to_plane();
-        let passages = find_passages(&plane);
-        let segs: Vec<(usize, Vec<gcr_geom::Segment>)> = routing
-            .routes
-            .iter()
-            .map(|r| (r.id.index(), r.segments().to_vec()))
-            .collect();
-        let analysis = analyze(
-            &passages,
-            segs.iter().map(|(i, s)| (*i, s.as_slice())),
-            config.wire_pitch,
-        );
+        let mut session = RoutingSession::gridless(current, config.clone());
+        session.route_all();
+        let analysis = session.congestion();
         let mut record = IterationRecord {
             total_overflow: analysis.total_overflow(),
             max_overflow: analysis.max_overflow(),
-            wire_length: routing.wire_length(),
+            wire_length: session.stats().wire_length,
             widened_by: 0,
         };
+        current = session.into_layout();
         if record.total_overflow == 0 {
             iterations.push(record);
             converged = true;
@@ -271,8 +262,8 @@ mod tests {
         assert!(adjusted.bounds().width() > layout.bounds().width());
         adjusted.validate().unwrap();
         // Everything still routes on the adjusted placement.
-        let router = GlobalRouter::new(&adjusted, config);
-        assert!(router.route_all().failures.is_empty());
+        let mut session = RoutingSession::gridless(adjusted, config);
+        assert!(session.route_all().failures.is_empty());
     }
 
     #[test]

@@ -53,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod config;
 pub mod congestion;
 mod cost;
@@ -64,8 +63,8 @@ mod error;
 mod feedback;
 mod goal;
 pub mod negotiate;
-mod net_router;
 mod route;
+mod routing;
 mod scratch;
 mod session;
 mod space;
@@ -73,8 +72,7 @@ mod state;
 mod telem;
 mod tree;
 
-pub use batch::{BatchConfig, BatchRouter, PlaneIndexKind};
-pub use config::RouterConfig;
+pub use config::{BatchConfig, PlaneIndexKind, RouterConfig};
 pub use cost::{bend_is_anchored, EdgeCoster};
 pub use eco::{apply_eco, parse_eco, write_eco, EcoError, EcoOp, EcoReport, EcoStep};
 pub use engine::{EngineCaps, GridEngine, GridlessEngine, HightowerEngine, RoutingEngine};
@@ -83,8 +81,8 @@ pub use feedback::{placement_feedback, FeedbackOptions, FeedbackReport, Iteratio
 pub use gcr_search::{Budget, CancelReason};
 pub use goal::GoalSet;
 pub use negotiate::{negotiate, NegotiationConfig, NegotiationCost, NegotiationReport};
-pub use net_router::{GlobalRouter, GlobalRouting, NetRoute, TwoPassReport};
 pub use route::{route_from_tree, route_from_tree_in, route_two_points, RoutedPath};
+pub use routing::{GlobalRouting, NetRoute, TwoPassReport};
 pub use scratch::SearchScratch;
 pub use session::{
     failure_cause, NetExplain, RerouteOutcome, RoutingSession, SessionBuilder, SessionStats,

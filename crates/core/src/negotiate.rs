@@ -39,9 +39,8 @@ use crate::congestion::{
     assert_non_negative, find_passages, CongestionAnalysis, CongestionPenalty, Passage,
 };
 use crate::engine::RoutingEngine;
-use crate::net_router::GlobalRouting;
 use crate::session::RoutingSession;
-use crate::RouteError;
+use crate::{GlobalRouting, RouteError};
 
 /// Tuning knobs for the negotiation loop (non-consuming builder, like
 /// [`RouterConfig`](crate::RouterConfig)).
@@ -177,8 +176,9 @@ impl NegotiationCost {
     }
 }
 
-/// What a negotiation run produced — the [`TwoPassReport`]
-/// (crate::TwoPassReport) shape plus the loop's own telemetry.
+/// What a negotiation run produced — the
+/// [`TwoPassReport`](crate::TwoPassReport) shape plus the loop's own
+/// telemetry.
 #[derive(Debug, Clone)]
 pub struct NegotiationReport {
     /// The final assembled routing.

@@ -109,7 +109,7 @@ pub fn route_from_tree(
 
 /// [`route_from_tree`] with a caller-owned [`SearchScratch`], so the net
 /// driver reuses one arena across every connection of a multi-terminal
-/// net (and the batch pipeline across every net of a worker). Results
+/// net (and a session across every net of a worker). Results
 /// are bit-identical to the fresh-scratch form.
 ///
 /// # Errors

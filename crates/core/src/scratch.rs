@@ -1,7 +1,7 @@
 //! [`SearchScratch`]: the reusable allocation footprint of one routing
 //! worker.
 //!
-//! Routing a batch runs thousands of searches, each of which used to
+//! Routing a layout runs thousands of searches, each of which used to
 //! build its node table, state index, OPEN heap and staging buffers from
 //! nothing. This struct bundles every reusable piece — one
 //! [`SearchArena`] per search-state type plus the point-staging buffers
@@ -11,9 +11,9 @@
 //!
 //! Ownership discipline (asserted by `tests/determinism.rs`):
 //!
-//! * [`BatchRouter`](crate::BatchRouter) creates one scratch **per
-//!   `parallel_map` worker** and reuses it across every net that worker
-//!   claims;
+//! * [`RoutingSession`](crate::RoutingSession) keeps a pool of scratches
+//!   alive across calls and checks one out **per `parallel_map`
+//!   worker**, which reuses it across every net that worker claims;
 //! * the net driver reuses the same scratch across **all connections of
 //!   a multi-terminal net**;
 //! * the public convenience entry points (`route_connection`,

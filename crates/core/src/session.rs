@@ -1,59 +1,5 @@
-//! [`RoutingSession`]: the owned, incremental routing API (ECO flow).
-//!
-//! [`BatchRouter`](crate::BatchRouter) answers "route this layout once":
-//! it borrows the layout, builds a plane index, routes, and discards the
-//! index and the search arenas with it. Real routing
-//! services are iterative — floorplan-change loops and congestion-driven
-//! re-routing both perturb a design and cheaply re-route the affected
-//! nets. A session is the surface for that workload:
-//!
-//! * it **owns** its [`Layout`] and keeps the plane index, a pool of
-//!   per-worker [`SearchScratch`] arenas and the committed routes alive
-//!   across calls — the warm state is a
-//!   cross-call asset, not a per-call one;
-//! * [`RoutingSession::route_all`] / [`RoutingSession::route_net`]
-//!   **commit** routes as the session's occupancy;
-//!   [`RoutingSession::rip_up`] removes a net's committed segments;
-//! * layout mutations ([`RoutingSession::add_net`],
-//!   [`RoutingSession::add_obstacle`], [`RoutingSession::move_cell`])
-//!   mark affected nets **dirty** via a bounding-box-vs-route
-//!   intersection test, and [`RoutingSession::reroute_dirty`] re-routes
-//!   exactly the invalidated set, in parallel;
-//! * the paper's two-pass congestion flow is a short loop over these
-//!   primitives ([`RoutingSession::route_two_pass`]), reproducing the
-//!   batch pipeline's [`TwoPassReport`] exactly.
-//!
-//! Exactness is the contract: a session routes **byte-identically** to a
-//! batch over the same geometry (`tests/session.rs` asserts it for every
-//! engine, both plane indexes, serial and parallel), and after a
-//! mutation it answers exactly like a fresh session built from the
-//! mutated layout — the plane mutations in `gcr-geom` preserve rectangle
-//! slot order precisely so that no tie-break can drift.
-//!
-//! ```
-//! use gcr_core::{PlaneIndexKind, RouterConfig, RoutingSession};
-//! use gcr_geom::{Point, Rect};
-//! use gcr_layout::Layout;
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut layout = Layout::new(Rect::new(0, 0, 100, 100)?);
-//! layout.add_two_pin_net("a", Point::new(5, 50), Point::new(95, 50));
-//!
-//! let mut session = RoutingSession::builder(layout)
-//!     .config(RouterConfig::default())
-//!     .index(PlaneIndexKind::Sharded)
-//!     .build();
-//! assert_eq!(session.route_all().routed_count(), 1);
-//!
-//! // An ECO: a blockage drops onto the routed net's path …
-//! session.add_obstacle("blk", Rect::new(40, 40, 60, 60)?)?;
-//! assert_eq!(session.dirty_nets().len(), 1);
-//! // … and only the affected net is re-routed, on warm arenas.
-//! let outcome = session.reroute_dirty();
-//! assert_eq!(outcome.rerouted, 1);
-//! # Ok(())
-//! # }
-//! ```
+//! [`RoutingSession`]: the routing front end, one-shot and incremental
+//! (ECO flow).
 
 use std::sync::{Mutex, PoisonError};
 
@@ -66,8 +12,10 @@ use crate::congestion::{analyze, find_passages, CongestionAnalysis, CongestionPe
 use crate::driver::{grow_net, PlaneStore};
 use crate::engine::{GridlessEngine, RoutingEngine};
 use crate::negotiate::{NegotiationConfig, NegotiationReport};
-use crate::net_router::{GlobalRouting, NetRoute, TwoPassReport};
-use crate::{BatchConfig, PlaneIndexKind, RouteError, RouterConfig, SearchScratch};
+use crate::{
+    BatchConfig, GlobalRouting, NetRoute, PlaneIndexKind, RouteError, RouterConfig, SearchScratch,
+    TwoPassReport,
+};
 
 /// Builds a [`RoutingSession`]; see [`RoutingSession::builder`].
 #[derive(Debug)]
@@ -76,7 +24,6 @@ pub struct SessionBuilder<E: RoutingEngine = GridlessEngine> {
     config: RouterConfig,
     batch: BatchConfig,
     engine: E,
-    precise_dirty: bool,
 }
 
 impl SessionBuilder<GridlessEngine> {
@@ -86,7 +33,6 @@ impl SessionBuilder<GridlessEngine> {
             config: RouterConfig::default(),
             batch: BatchConfig::default(),
             engine: GridlessEngine,
-            precise_dirty: false,
         }
     }
 }
@@ -108,24 +54,7 @@ impl<E: RoutingEngine> SessionBuilder<E> {
             config: self.config,
             batch: self.batch,
             engine,
-            precise_dirty: self.precise_dirty,
         }
-    }
-
-    /// Switches the mutation dirty test from the conservative
-    /// bounding-box-vs-route intersection to the exact
-    /// segment-vs-rectangle test ([`Segment::intersects_rect`]): a route
-    /// is marked dirty only when its committed wire (or a tree point)
-    /// actually touches the mutated cell's extent, not merely its
-    /// bounding box. Shrinks the reroute set on layouts whose routes
-    /// span wide bounding boxes; `BENCH_session.json` records the effect
-    /// (off by default until the measurement says it should flip).
-    ///
-    /// [`Segment::intersects_rect`]: gcr_geom::Segment::intersects_rect
-    #[must_use]
-    pub fn precise_dirty(mut self, on: bool) -> SessionBuilder<E> {
-        self.precise_dirty = on;
-        self
     }
 
     /// Selects the spatial index backing the session's plane.
@@ -179,7 +108,6 @@ impl<E: RoutingEngine> SessionBuilder<E> {
             routed_count: 0,
             failed_count: 0,
             wire_length: 0,
-            precise_dirty: self.precise_dirty,
             reroutes: 0,
             trace: None,
         }
@@ -210,7 +138,7 @@ struct NetState {
 }
 
 /// A pool of per-worker [`SearchScratch`] arenas owned by the session, so
-/// every `route_*` call — not just calls within one batch — reuses warm
+/// every `route_*` call — not just the nets within one call — reuses warm
 /// allocations. Workers check a scratch out for the duration of a
 /// parallel map and return it on drop.
 #[derive(Debug, Default)]
@@ -269,7 +197,7 @@ const DIRTY_GRID_DIM: i64 = 64;
 /// rip-up maintain this; the candidate query then over-approximates the
 /// set of routes whose bounding box can intersect a mutation rectangle —
 /// two intersecting rectangles share a point, hence a grid cell, so no
-/// affected route is ever missed. The per-candidate bbox/precise test is
+/// affected route is ever missed. The per-candidate bounding-box test is
 /// unchanged from the scan-everything implementation, which keeps the
 /// dirty set byte-identical (asserted by `tests/session.rs`).
 #[derive(Debug, Clone, Default)]
@@ -443,8 +371,72 @@ impl std::fmt::Display for SessionStats {
     }
 }
 
-/// An owned, incremental routing session; see the [module docs](self)
-/// for the contract and an example.
+/// The routing front end: an owned session over one layout that routes
+/// it once or incrementally (ECO flow).
+///
+/// The paper's flow is one loop over one committed routing state: route
+/// every net independently, then reroute the congested ones (two-pass)
+/// or widen the placement and reroute (feedback). A session is that
+/// state:
+///
+/// * it **owns** its [`Layout`] and keeps the plane index, a pool of
+///   per-worker [`SearchScratch`] arenas and the committed routes alive
+///   across calls — the warm state is a
+///   cross-call asset, not a per-call one;
+/// * [`RoutingSession::route_all`] / [`RoutingSession::route_net`]
+///   **commit** routes as the session's occupancy;
+///   [`RoutingSession::rip_up`] removes a net's committed segments;
+/// * layout mutations ([`RoutingSession::add_net`],
+///   [`RoutingSession::add_obstacle`], [`RoutingSession::move_cell`])
+///   mark affected nets **dirty** via a bounding-box-vs-route
+///   intersection test, and [`RoutingSession::reroute_dirty`] re-routes
+///   exactly the invalidated set, in parallel;
+/// * the paper's two-pass congestion flow is a short loop over these
+///   primitives ([`RoutingSession::route_two_pass`]), and so is
+///   PathFinder negotiation ([`RoutingSession::route_negotiated`]).
+///
+/// # The schedule
+///
+/// Every `route_*` call routes its nets against one shared plane through
+/// [`gcr_search::parallel_map_with`], one pooled scratch per worker,
+/// and commits the results in stable net-id order. Three invariants
+/// follow, and the root test suites hold them for every engine:
+///
+/// 1. **serial ≡ parallel**, byte for byte, at any thread count: nets
+///    are independent ("the only obstacles are the cells") and the merge
+///    is in net-id order (`tests/determinism.rs`);
+/// 2. **flat ≡ sharded**: both plane indexes answer every query
+///    bit-identically (`tests/plane_equivalence.rs`);
+/// 3. **incremental ≡ fresh**: net-by-net routing, rip-up + reroute and
+///    mutation + [`RoutingSession::reroute_dirty`] commit exactly what a
+///    fresh session over the same layout routes (`tests/session.rs`);
+///    the plane mutations in `gcr-geom` preserve rectangle slot order
+///    precisely so that no tie-break can drift.
+///
+/// ```
+/// use gcr_core::{PlaneIndexKind, RouterConfig, RoutingSession};
+/// use gcr_geom::{Point, Rect};
+/// use gcr_layout::Layout;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut layout = Layout::new(Rect::new(0, 0, 100, 100)?);
+/// layout.add_two_pin_net("a", Point::new(5, 50), Point::new(95, 50));
+///
+/// let mut session = RoutingSession::builder(layout)
+///     .config(RouterConfig::default())
+///     .index(PlaneIndexKind::Sharded)
+///     .build();
+/// assert_eq!(session.route_all().routed_count(), 1);
+///
+/// // An ECO: a blockage drops onto the routed net's path …
+/// session.add_obstacle("blk", Rect::new(40, 40, 60, 60)?)?;
+/// assert_eq!(session.dirty_nets().len(), 1);
+/// // … and only the affected net is re-routed, on warm arenas.
+/// let outcome = session.reroute_dirty();
+/// assert_eq!(outcome.rerouted, 1);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
 pub struct RoutingSession<E: RoutingEngine = GridlessEngine> {
     layout: Layout,
@@ -466,8 +458,6 @@ pub struct RoutingSession<E: RoutingEngine = GridlessEngine> {
     failed_count: usize,
     /// Running total wire length over all committed routes.
     wire_length: i64,
-    /// Dirty-test selection (see [`SessionBuilder::precise_dirty`]).
-    precise_dirty: bool,
     /// Cumulative committed re-routes (see [`SessionStats::reroutes`]).
     reroutes: u64,
     /// Span handle of the traced request currently driving this session
@@ -623,7 +613,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// attempt's search stats, and each individual search inside it
     /// records a `search` leaf (see `gcr-search`'s flush point). The
     /// handle is request-scoped state, deliberately outside
-    /// [`SessionCheckpoint`]: a rollback must not resurrect a dead
+    /// the session checkpoint: a rollback must not resurrect a dead
     /// trace. Tracing is observation only — routed bytes are identical
     /// with or without a handle installed.
     pub fn set_trace(&mut self, trace: Option<SpanHandle>) {
@@ -824,10 +814,34 @@ impl<E: RoutingEngine> RoutingSession<E> {
         }
     }
 
+    /// Routes one net with the paper's strawman connection rule: the
+    /// spanning tree "would only consider the pins (vertices) as potential
+    /// connection points" — new connections may start only at already
+    /// connected *pins*, never at tree segments. Commits nothing; exists
+    /// to quantify the benefit of the segment-connection Steiner
+    /// approximation (experiment E6).
+    ///
+    /// # Errors
+    ///
+    /// See [`RouteError`].
+    pub fn route_net_pin_tree(&self, id: NetId) -> Result<NetRoute, RouteError> {
+        let mut scratch = self.pool.checkout();
+        grow_net(
+            &self.layout,
+            self.plane.index(),
+            &self.engine,
+            &self.config,
+            id,
+            None,
+            false,
+            &mut scratch.scratch,
+        )
+    }
+
     /// Routes every net of the layout (in parallel on the configured
     /// schedule), commits all results, and returns the assembled routing.
-    /// Byte-identical to [`BatchRouter::route_all`](crate::BatchRouter)
-    /// over the same layout, engine and index.
+    /// Byte-identical on every schedule and index (see
+    /// [`RoutingSession`]).
     pub fn route_all(&mut self) -> GlobalRouting {
         let ids = self.layout.net_ids();
         let results = self.route_many(&ids, None, None);
@@ -955,9 +969,15 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// The paper's two-pass congestion flow, expressed over the session
     /// primitives: route everything, commit as occupancy, find the
     /// over-subscribed passages, mark the nets through them dirty, and
-    /// re-route exactly that set under surcharge. Produces the same
-    /// [`TwoPassReport`] as [`BatchRouter::route_two_pass`](crate::BatchRouter)
-    /// (asserted by `tests/session.rs`).
+    /// re-route exactly that set under surcharge. Engines that do not
+    /// price congestion ([`EngineCaps::supports_congestion`] is `false`)
+    /// skip the second pass — rerouting them could not change anything —
+    /// and report `rerouted == 0`. The report equals an independent
+    /// route → analyze → surcharge → reroute pipeline over the driver
+    /// core byte for byte (the `two_pass_matches_the_pipeline_oracle`
+    /// unit test).
+    ///
+    /// [`EngineCaps::supports_congestion`]: crate::EngineCaps::supports_congestion
     pub fn route_two_pass(&mut self) -> TwoPassReport {
         let _ = self.route_all();
         let passages = find_passages(self.plane.index());
@@ -991,10 +1011,9 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// PathFinder-style negotiated congestion: the iterative
     /// generalization of [`RoutingSession::route_two_pass`] — reroute
     /// under growing present + history prices until zero overflow or
-    /// `config.max_iters` rounds. See [`crate::negotiate`] for the cost
-    /// model; byte-identical to
-    /// [`BatchRouter::route_negotiated`](crate::BatchRouter) and across
-    /// serial/parallel × flat/sharded schedules.
+    /// `config.max_iters` rounds. See [`negotiate`](mod@crate::negotiate)
+    /// for the cost model; byte-identical across serial/parallel ×
+    /// flat/sharded schedules.
     pub fn route_negotiated(&mut self, config: &NegotiationConfig) -> NegotiationReport {
         crate::negotiate::negotiate(self, config)
     }
@@ -1260,13 +1279,9 @@ impl<E: RoutingEngine> RoutingSession<E> {
     }
 
     /// Marks every committed route that `rect` may have affected as
-    /// dirty. The default test is conservative — a route whose **bounding
-    /// box** intersects the rectangle is marked (a route that does not
-    /// even touch the rectangle cannot have been affected). With
-    /// [`SessionBuilder::precise_dirty`] the test is exact instead: only
-    /// routes whose committed wire (segments or tree points) actually
-    /// touches `rect` are marked, so L-shaped detours with large empty
-    /// bounding boxes stop dragging unaffected nets into the reroute set.
+    /// dirty. The test is conservative — a route whose **bounding box**
+    /// intersects the rectangle is marked (a route that does not even
+    /// touch the rectangle cannot have been affected).
     ///
     /// Cost is O(local): the [`DirtyGrid`] narrows the scan to routes
     /// whose bounding box shares a grid cell with `rect`, so a mutation
@@ -1286,12 +1301,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
                 // Registered ⇒ routed; tolerate a stale candidate anyway.
                 continue;
             };
-            let touched = if self.precise_dirty {
-                route_touches_rect(route, &rect)
-            } else {
-                route_bounding_box(route).is_some_and(|bb| bb.intersect(&rect).is_some())
-            };
-            if touched {
+            if route_bounding_box(route).is_some_and(|bb| bb.intersect(&rect).is_some()) {
                 self.set_dirty_slot(idx);
             }
         }
@@ -1397,21 +1407,9 @@ fn route_bounding_box(route: &NetRoute) -> Option<Rect> {
     Rect::bounding(points.chain(ends))
 }
 
-/// Exact occupancy-vs-rectangle test: does any committed wire segment —
-/// or any tree point (a pin of a multi-pin terminal need not lie on a
-/// segment) — touch the closed rectangle? Touching counts: a hugging
-/// route is re-checked rather than silently trusted, which keeps the
-/// precise test conservative in the only direction that matters.
-fn route_touches_rect(route: &NetRoute, rect: &Rect) -> bool {
-    let tree = &route.tree;
-    tree.segments().iter().any(|s| s.intersects_rect(rect))
-        || tree.points().iter().any(|p| rect.contains(*p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BatchRouter;
     use gcr_geom::{Point, Rect};
 
     fn two_net_layout() -> Layout {
@@ -1422,19 +1420,6 @@ mod tests {
         l.add_two_pin_net("top", Point::new(5, 90), Point::new(95, 90));
         l.add_two_pin_net("mid", Point::new(5, 50), Point::new(95, 50));
         l
-    }
-
-    #[test]
-    fn session_routes_match_batch_routes() {
-        let layout = two_net_layout();
-        let batch = BatchRouter::gridless(&layout, RouterConfig::default()).route_all();
-        let mut session = RoutingSession::gridless(layout, RouterConfig::default());
-        let routing = session.route_all();
-        assert_eq!(routing.wire_length(), batch.wire_length());
-        assert_eq!(routing.stats(), batch.stats());
-        for (a, b) in routing.routes.iter().zip(&batch.routes) {
-            assert_eq!(a.tree.segments(), b.tree.segments());
-        }
     }
 
     #[test]
@@ -1610,101 +1595,6 @@ mod tests {
         assert!(text.contains("1 failed"), "{text}");
     }
 
-    #[test]
-    fn precise_dirty_marks_a_subset_of_bbox_dirty() {
-        // The mid net detours around the block: its bounding box covers
-        // the whole corridor, but its wire hugs the south face. A small
-        // obstacle inside the bbox-but-off-the-wire region must dirty the
-        // net under the bbox test and NOT under the precise test.
-        let build = |precise: bool| {
-            let mut s = RoutingSession::builder(two_net_layout())
-                .config(RouterConfig::default())
-                .precise_dirty(precise)
-                .build();
-            s.route_all();
-            s
-        };
-        let mut bbox = build(false);
-        let mut precise = build(true);
-        for (a, b) in bbox.routing().routes.iter().zip(&precise.routing().routes) {
-            assert_eq!(
-                a.tree.segments(),
-                b.tree.segments(),
-                "flag changes no routes"
-            );
-        }
-        let mid = bbox.layout().net_by_name("mid").unwrap();
-        let wire = bbox.route(mid).unwrap().tree.segments().to_vec();
-        // Find a 2x2 probe inside the route's bounding box that no wire
-        // segment touches (inflated by 1 so "touching" misses too).
-        let bb = route_bounding_box(bbox.route(mid).unwrap()).unwrap();
-        let probe = (bb.ymin()..bb.ymax())
-            .flat_map(|y| (bb.xmin()..bb.xmax()).map(move |x| (x, y)))
-            .filter_map(|(x, y)| Rect::new(x, y, x + 2, y + 2).ok())
-            .find(|r| {
-                let grown = r.inflate(1).unwrap();
-                !wire.iter().any(|s| s.intersects_rect(&grown))
-            })
-            .expect("detour bbox has wire-free space");
-        bbox.add_obstacle("probe", probe).unwrap();
-        precise.add_obstacle("probe", probe).unwrap();
-        let bbox_dirty = bbox.dirty_nets();
-        let precise_dirty = precise.dirty_nets();
-        assert!(
-            precise_dirty.iter().all(|id| bbox_dirty.contains(id)),
-            "precise set must be a subset of the bbox set"
-        );
-        assert!(bbox_dirty.contains(&mid), "bbox test trips on the probe");
-        assert!(
-            !precise_dirty.contains(&mid),
-            "wire never touches the probe, so the precise test skips it"
-        );
-        // Both modes converge to legal, equal-length committed state.
-        bbox.reroute_dirty();
-        precise.reroute_dirty();
-        assert_eq!(
-            bbox.routing().wire_length(),
-            precise.routing().wire_length(),
-            "equal-cost outcomes either way"
-        );
-        for route in &precise.routing().routes {
-            for conn in &route.connections {
-                assert!(
-                    precise.plane().polyline_free(&conn.polyline),
-                    "committed wire stays legal under precise tracking"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn precise_dirty_still_catches_wire_hits() {
-        // An obstacle dropped ON the wire must dirty the net in both
-        // modes, and both reroutes must equal the fresh route.
-        let mut precise = RoutingSession::builder(two_net_layout())
-            .config(RouterConfig::default())
-            .precise_dirty(true)
-            .build();
-        precise.route_all();
-        let mid = precise.layout().net_by_name("mid").unwrap();
-        let hit = *precise
-            .route(mid)
-            .unwrap()
-            .tree
-            .segments()
-            .iter()
-            .max_by_key(|s| s.len())
-            .unwrap();
-        let m = hit.closest_point_to(hit.bounding_rect().center());
-        let rect = Rect::new(m.x, m.y, m.x + 1, m.y + 1).unwrap();
-        precise.add_obstacle("blk", rect).unwrap();
-        assert!(precise.dirty_nets().contains(&mid));
-        precise.reroute_dirty();
-        let fresh =
-            RoutingSession::gridless(precise.layout().clone(), RouterConfig::default()).route_all();
-        assert_eq!(precise.routing().wire_length(), fresh.wire_length());
-    }
-
     /// The scan-everything definition of [`SessionStats`], recomputed
     /// from scratch; the running aggregates must agree after any
     /// transition sequence.
@@ -1788,10 +1678,8 @@ mod tests {
         check(&session);
     }
 
-    /// A congested alley whose nets route fine at true cost but blow
-    /// the expansion budget once a congestion surcharge inflates the
-    /// heuristic gap: penalty reroutes turn Routed slots into Failed
-    /// ones mid-flight.
+    /// The congested alley: two cells 10 apart and four nets whose
+    /// shortest routes all run through the gap.
     fn alley_layout() -> Layout {
         let mut l = Layout::new(Rect::new(0, 0, 200, 120).unwrap());
         l.add_cell("a", Rect::new(40, 20, 95, 100).unwrap())
@@ -1808,7 +1696,9 @@ mod tests {
     /// A penalty reroute that downgrades a Routed slot to Failed must
     /// keep the running [`SessionStats`] aggregates and the dirty-grid
     /// registry in lockstep with a from-scratch recount — for both the
-    /// two-pass report and the negotiated driver.
+    /// two-pass report and the negotiated driver. The alley nets route
+    /// fine at true cost but blow a tight expansion budget once the
+    /// surcharge inflates the heuristic gap.
     #[test]
     fn routed_to_failed_transitions_keep_aggregates_consistent() {
         let mut config = RouterConfig::default();
@@ -1897,6 +1787,157 @@ mod tests {
         assert!(!session.is_dirty(lonely), "attempt clears the dirty mark");
         let routing = session.routing();
         assert_eq!(routing.failures.len(), 1);
+    }
+
+    #[test]
+    fn route_all_collects_failures() {
+        let mut l = two_net_layout();
+        let bad = l.add_net("bad");
+        let t = l.add_terminal(bad, "only");
+        l.add_pin(t, Pin::floating(Point::new(5, 95))).unwrap();
+        let routing = RoutingSession::gridless(l, RouterConfig::default()).route_all();
+        assert_eq!(routing.routed_count(), 2);
+        assert_eq!(routing.failures.len(), 1);
+        assert_eq!(routing.failures[0].0, bad);
+        assert!(routing.wire_length() > 0);
+        assert!(routing.route_for(bad).is_none());
+    }
+
+    #[test]
+    fn two_pass_reduces_alley_congestion() {
+        // A narrow alley (capacity 2 at pitch 5) and four nets whose
+        // shortest routes all run through it, while a slightly longer
+        // path around the outside exists.
+        let mut config = RouterConfig::default();
+        config.wire_pitch(5).congestion_weight(6);
+        let report = RoutingSession::gridless(alley_layout(), config).route_two_pass();
+        assert!(report.before.total_overflow() > 0, "scenario must congest");
+        assert!(report.rerouted > 0);
+        assert!(
+            report.after.total_overflow() < report.before.total_overflow(),
+            "second pass should relieve the alley: before {}, after {}",
+            report.before.total_overflow(),
+            report.after.total_overflow()
+        );
+        assert_eq!(report.routing.routed_count(), 4);
+    }
+
+    /// The two-pass flow written out once more, independently of the
+    /// session: on a fresh flat plane, route every net through the
+    /// driver core in net-id order and analyze; surcharge the congested
+    /// passages; reroute each affected net under that penalty unless the
+    /// engine cannot price it; analyze again.
+    fn two_pass_oracle<E: RoutingEngine>(
+        layout: &Layout,
+        config: &RouterConfig,
+        engine: &E,
+    ) -> TwoPassReport {
+        let plane = layout.to_plane();
+        let passages = find_passages(&plane);
+        let mut scratch = SearchScratch::new();
+        let mut route = |id, penalty| {
+            grow_net(
+                layout,
+                &plane,
+                engine,
+                config,
+                id,
+                penalty,
+                true,
+                &mut scratch,
+            )
+        };
+        let analyze_all = |results: &[(NetId, Result<NetRoute, RouteError>)]| {
+            let routed = results.iter().filter_map(|(id, result)| {
+                let route = result.as_ref().ok()?;
+                Some((id.index(), route.segments()))
+            });
+            analyze(&passages, routed, config.wire_pitch)
+        };
+        let mut results: Vec<_> = layout
+            .net_ids()
+            .into_iter()
+            .map(|id| (id, route(id, None)))
+            .collect();
+        let before = analyze_all(&results);
+        let affected = before.affected_nets();
+        let penalty = before.penalty(config.congestion_weight);
+        let mut rerouted = 0;
+        if engine.capabilities().supports_congestion {
+            for (id, result) in &mut results {
+                if affected.contains(&id.index()) {
+                    *result = route(*id, Some(&penalty));
+                    rerouted += usize::from(result.is_ok());
+                }
+            }
+        }
+        let after = analyze_all(&results);
+        let mut routing = GlobalRouting::default();
+        for (id, result) in results {
+            match result {
+                Ok(route) => routing.routes.push(route),
+                Err(e) => routing.failures.push((id, e)),
+            }
+        }
+        TwoPassReport {
+            routing,
+            before,
+            after,
+            rerouted,
+        }
+    }
+
+    fn assert_two_pass_matches_oracle<E: RoutingEngine + Clone>(
+        layout: &Layout,
+        config: &RouterConfig,
+        engine: &E,
+        what: &str,
+    ) -> TwoPassReport {
+        let oracle = two_pass_oracle(layout, config, engine);
+        for index in [PlaneIndexKind::Flat, PlaneIndexKind::Sharded] {
+            let report = RoutingSession::builder(layout.clone())
+                .config(config.clone())
+                .engine(engine.clone())
+                .index(index)
+                .build()
+                .route_two_pass();
+            let what = format!("{what}/{index:?}");
+            assert_eq!(report.rerouted, oracle.rerouted, "{what}: rerouted");
+            // Every field is a Vec, BTreeSet or integer, so equal Debug
+            // renderings mean byte-identical reports.
+            let bytes = |v: &dyn std::fmt::Debug| format!("{v:?}");
+            assert_eq!(bytes(&report.before), bytes(&oracle.before), "{what}");
+            assert_eq!(bytes(&report.after), bytes(&oracle.after), "{what}");
+            assert_eq!(bytes(&report.routing), bytes(&oracle.routing), "{what}");
+        }
+        oracle
+    }
+
+    /// `route_two_pass` ≡ the independent pipeline, byte for byte, on
+    /// both indexes: on a seeded sweep, on the congested alley, and on a
+    /// congestion-blind engine.
+    #[test]
+    fn two_pass_matches_the_pipeline_oracle() {
+        let mut config = RouterConfig::default();
+        config.wire_pitch(4).congestion_weight(5);
+        let mut rerouted = 0;
+        for case in 0..4u64 {
+            let layout = gcr_workload::scaling_instance(2, 2, 8, 2, case);
+            let what = format!("case {case}");
+            rerouted +=
+                assert_two_pass_matches_oracle(&layout, &config, &GridlessEngine, &what).rerouted;
+        }
+        assert!(rerouted > 0, "the sweep must exercise the second pass");
+
+        let mut alley = RouterConfig::default();
+        alley.wire_pitch(5).congestion_weight(6);
+        let report =
+            assert_two_pass_matches_oracle(&alley_layout(), &alley, &GridlessEngine, "alley");
+        assert!(report.rerouted > 0 && report.after.total_overflow() == 0);
+
+        let blind = crate::GridEngine::default();
+        let report = assert_two_pass_matches_oracle(&alley_layout(), &alley, &blind, "blind");
+        assert!(report.before.total_overflow() > 0 && report.rerouted == 0);
     }
 
     #[test]

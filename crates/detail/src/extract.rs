@@ -163,7 +163,7 @@ pub fn route_details(plane: &dyn PlaneIndex, routing: &GlobalRouting) -> DetailR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcr_core::{GlobalRouter, RouterConfig};
+    use gcr_core::{RouterConfig, RoutingSession};
     use gcr_geom::{Point, Rect};
     use gcr_layout::{Layout, Pin};
 
@@ -180,8 +180,8 @@ mod tests {
             let t1 = l.add_terminal(id, "t");
             l.add_pin(t1, Pin::floating(Point::new(x, 100))).unwrap();
         }
-        let router = GlobalRouter::new(&l, RouterConfig::default());
-        let routing = router.route_all();
+        let mut session = RoutingSession::gridless(l.clone(), RouterConfig::default());
+        let routing = session.route_all();
         assert_eq!(routing.routed_count(), 3);
         (l, routing)
     }
@@ -235,8 +235,8 @@ mod tests {
         l.add_pin(t0, Pin::floating(Point::new(0, 10))).unwrap();
         let t1 = l.add_terminal(id, "e");
         l.add_pin(t1, Pin::floating(Point::new(100, 10))).unwrap();
-        let router = GlobalRouter::new(&l, RouterConfig::default());
-        let routing = router.route_all();
+        let mut session = RoutingSession::gridless(l.clone(), RouterConfig::default());
+        let routing = session.route_all();
         let plane = l.to_plane();
         let channels = extract_channels(&plane, &routing);
         let alley = channels

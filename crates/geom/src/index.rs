@@ -31,7 +31,7 @@ use crate::{Axis, Coord, CornerCandidate, Dir, ObstacleId, Plane, Point, Polylin
 
 /// The query interface of an obstacle plane.
 ///
-/// Implementations must be [`Sync`] (the batch pipeline shares one plane
+/// Implementations must be [`Sync`] (a routing session shares one plane
 /// across worker threads) and **deterministic**: identical queries return
 /// identical answers, across runs and across threads, regardless of any
 /// internal caching or index layout. Wires may run *on* obstacle

@@ -138,19 +138,6 @@ impl Segment {
         self.bounding_rect().contains(p)
     }
 
-    /// Returns `true` if the segment and the closed rectangle share at
-    /// least one point (boundary contact counts).
-    ///
-    /// Because the segment is axis-aligned, its (possibly degenerate)
-    /// bounding rectangle *is* the segment as a point set, so this is the
-    /// exact segment-vs-rectangle intersection test — the finer
-    /// alternative to testing a whole route's bounding box against a
-    /// mutated cell (see `RoutingSession`'s dirty tracking in `gcr-core`).
-    #[must_use]
-    pub fn intersects_rect(&self, rect: &Rect) -> bool {
-        self.bounding_rect().intersect(rect).is_some()
-    }
-
     /// The point on the segment nearest to `p` in Manhattan distance.
     #[must_use]
     pub fn closest_point_to(&self, p: Point) -> Point {
@@ -239,28 +226,6 @@ mod tests {
     #[test]
     fn rejects_diagonal() {
         assert!(Segment::new(Point::new(0, 0), Point::new(1, 1)).is_err());
-    }
-
-    #[test]
-    fn intersects_rect_is_exact() {
-        let r = Rect::new(10, 10, 20, 20).unwrap();
-        // Crossing, contained, touching a face, touching a corner.
-        assert!(Segment::horizontal(15, 0, 30).intersects_rect(&r));
-        assert!(Segment::vertical(15, 12, 18).intersects_rect(&r));
-        assert!(Segment::horizontal(10, 0, 30).intersects_rect(&r));
-        assert!(Segment::vertical(20, 20, 40).intersects_rect(&r));
-        // Near misses that a bounding-box-of-the-whole-route test would
-        // conflate: parallel one unit off each face, and a degenerate
-        // point just outside the corner.
-        assert!(!Segment::horizontal(9, 0, 30).intersects_rect(&r));
-        assert!(!Segment::horizontal(21, 0, 30).intersects_rect(&r));
-        assert!(!Segment::vertical(9, 0, 30).intersects_rect(&r));
-        assert!(!Segment::vertical(21, 0, 30).intersects_rect(&r));
-        assert!(!Segment::horizontal(15, 0, 9).intersects_rect(&r));
-        let dot = Segment::new(Point::new(21, 21), Point::new(21, 21)).unwrap();
-        assert!(!dot.intersects_rect(&r));
-        let on = Segment::new(Point::new(20, 20), Point::new(20, 20)).unwrap();
-        assert!(on.intersects_rect(&r));
     }
 
     #[test]

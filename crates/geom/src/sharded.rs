@@ -1,7 +1,7 @@
 //! [`ShardedPlane`]: a bucket-grid spatial index over the obstacle plane.
 //!
 //! The flat [`Plane`] answers every query by scanning (or
-//! binary-searching) one global obstacle list. Once the batch pipeline
+//! binary-searching) one global obstacle list. Once a routing session
 //! hammers the plane from every net at once, the plane is the hot path —
 //! so this implementation shards the surface into a uniform grid of
 //! buckets, each holding the interval list of the obstacle rectangles

@@ -8,7 +8,7 @@
 //! be 0 then it is equivalent to the Lee–Moore algorithm."*
 //!
 //! This crate provides exactly that: a uniform [`RoutingGrid`] rasterized
-//! from the same [`Plane`] the gridless router searches, plus
+//! from the same [`Plane`](gcr_geom::Plane) the gridless router searches, plus
 //!
 //! * [`lee_moore`] — wavefront (breadth-first) expansion, ĥ = 0,
 //! * [`grid_astar`] — the same grid successors with the Manhattan ĥ,

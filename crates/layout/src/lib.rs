@@ -14,7 +14,7 @@
 //! * placement validation ([`Layout::validate`]) enforcing the paper's
 //!   restrictions,
 //! * conversion to the routing surface ([`Layout::to_plane`]),
-//! * a plain-text interchange format ([`format`]),
+//! * a plain-text interchange format ([`format`](mod@format)),
 //! * an ASCII renderer for examples and debugging ([`render`]).
 //!
 //! # Example

@@ -110,7 +110,7 @@ pub fn depth_first<Sp: SearchSpace>(
 }
 
 /// Exhaustive search: uniform-cost relaxation that ignores the termination
-/// condition and stops "only when no more nodes [are] left on OPEN",
+/// condition and stops "only when no more nodes \[are\] left on OPEN",
 /// then reports the best goal discovered.
 ///
 /// As the paper notes, with this policy "the order in which nodes were

@@ -235,8 +235,8 @@ pub fn best_first<Sp: SearchSpace>(space: &Sp) -> Option<Found<Sp::State, Sp::Co
 /// Runs A\* under resource limits; see [`astar`].
 ///
 /// Thin wrapper over [`astar_with_limits_in`] that owns a fresh
-/// [`SearchArena`]; hot callers (the batch pipeline, the net driver)
-/// keep an arena and call the `_in` form directly.
+/// [`SearchArena`]; hot callers (the routing session's net driver) keep
+/// an arena and call the `_in` form directly.
 pub fn astar_with_limits<Sp: SearchSpace>(
     space: &Sp,
     limits: SearchLimits,
@@ -270,7 +270,7 @@ pub fn astar_with_limits_in<Sp: SearchSpace>(
 /// reconstruction — without allocating. On the other outcomes
 /// `path_out` is cleared.
 ///
-/// This is the form the routing hot path uses ([`SearchScratch`] in
+/// This is the form the routing hot path uses (`SearchScratch` in
 /// `gcr-core` carries the buffer); [`astar_with_limits_in`] wraps it for
 /// callers that want an owned path.
 pub fn astar_with_limits_into<Sp: SearchSpace>(

@@ -1,11 +1,11 @@
 //! A deterministic parallel map over independent work items.
 //!
-//! The batch routing pipeline routes every net against the same immutable
+//! A routing session routes every net against the same immutable
 //! obstacle plane, so per-item work is pure: `out[i]` depends only on
 //! `items[i]`. That makes the parallel schedule unobservable — this map
 //! returns results **in input order** no matter how the OS schedules the
-//! workers, which is what lets `BatchRouter` promise byte-identical
-//! serial and parallel output.
+//! workers, which is what lets `gcr-core`'s `RoutingSession` promise
+//! byte-identical serial and parallel output.
 //!
 //! The environment has no crates.io access, so instead of rayon this is
 //! a small self-scheduling executor on `std::thread::scope`: workers pull
@@ -74,7 +74,7 @@ where
 /// through every item it claims. The serial path (`threads <= 1`) builds
 /// one state for the whole loop.
 ///
-/// This is the seam the batch router uses to keep one reusable search
+/// This is the seam a routing session uses to keep one reusable search
 /// arena per worker — allocation amortization without any cross-thread
 /// sharing. The state must not influence results (`f` must still be pure
 /// per item up to its scratch space), or the schedule becomes observable

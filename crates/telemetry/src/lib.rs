@@ -11,7 +11,7 @@
 //!   registration; observation is two relaxed `fetch_add`s plus a
 //!   branch-free bucket search over a tiny sorted slice.
 //! - [`MetricsRegistry`] — get-or-register by `&'static` name (and an
-//!   optional single label), Prometheus-style text [exposition]
+//!   optional single label), Prometheus-style text exposition
 //!   (`MetricsRegistry::expose`), and a matching [`parse_exposition`]
 //!   used by the load generator to cross-check a server's view against
 //!   its own.

@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation is experiential ("actual experience using this
 //! algorithm…") on layouts that no longer exist; this crate substitutes
-//! deterministic synthetic instances (see DESIGN.md §4). Everything is
-//! seeded, so every number in EXPERIMENTS.md is reproducible bit for bit.
+//! deterministic synthetic instances. Everything is
+//! seeded, so every number `repro` prints is reproducible bit for bit.
 //!
 //! * [`placements`] — macro grids, shelf rows and pad rings of
 //!   general cells,

@@ -33,8 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Global routing, two-pass (congestion-aware).
     let mut config = RouterConfig::default();
     config.wire_pitch(2).congestion_weight(4);
-    let router = GlobalRouter::new(&layout, config);
-    let report = router.route_two_pass();
+    let mut session = RoutingSession::gridless(layout.clone(), config);
+    let report = session.route_two_pass();
     println!("\nglobal routing: {}", report.routing);
     println!("  search effort over all nets: {}", report.routing.stats());
     println!(

@@ -21,8 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     layout.add_two_pin_net("drop", Point::new(50, 5), Point::new(90, 95));
     layout.validate()?;
 
-    // The session owns the layout, the plane index, the sharded query
-    // cache, the scratch-arena pool and the committed routes.
+    // The session owns the layout, the sharded plane index, the
+    // scratch-arena pool and the committed routes.
     let mut session = RoutingSession::builder(layout)
         .config(RouterConfig::default())
         .index(PlaneIndexKind::Sharded)
@@ -31,8 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let baseline = session.route_all();
     println!("baseline      : {baseline}");
 
-    // ECO 1: the ram macro shifts east. Only nets whose committed wire
-    // (or pins) the move touches become dirty; the rest stay committed.
+    // ECO 1: the ram macro shifts east. Only nets with a pin on it or a
+    // route whose bounding box it touches become dirty; the rest stay
+    // committed.
     session.move_cell(session.layout().cell_by_name("ram").unwrap(), 5, 0)?;
     report(&mut session, "move ram +5x");
 
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     report(&mut session, "add blockage");
 
     // ECO 3: a new net appears; it starts dirty and routes on the next
-    // flush against the already-warm caches.
+    // flush on the already-warm plane and arenas.
     session.add_two_pin_net("eco0", Point::new(5, 75), Point::new(135, 75));
     report(&mut session, "add net eco0");
 

@@ -40,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     layout.add_pin(t1, Pin::on_cell(u_id, Point::new(140, 44)))?;
     layout.validate()?;
 
-    let router = GlobalRouter::new(&layout, RouterConfig::default());
-    let route = router.route_net(net)?;
+    let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
+    let route = session.route_net(net)?;
     println!("routed {}:", route.net);
     for c in &route.connections {
         println!("  path  : {}", c.polyline);

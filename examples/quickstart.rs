@@ -24,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     layout.validate()?;
 
     // Route it with the gridless A* router.
-    let router = GlobalRouter::new(&layout, RouterConfig::default());
-    let route = router.route_net(net)?;
+    let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
+    let route = session.route_net(net)?;
 
     println!("routed net {}:", route.net);
     for connection in &route.connections {

@@ -1,10 +1,9 @@
 //! Three generations of maze routing behind **one** `RoutingEngine`
-//! trait, driven by the same `BatchRouter` pipeline on the same
-//! instances: Hightower line probes (1969, fast but incomplete),
-//! Lee-Moore / grid A* (1961, complete but grid-bound), and the paper's
-//! gridless A* (1984, both). The batch pipeline also demonstrates the
-//! paper's order-free parallelism: serial and parallel runs produce
-//! byte-identical routing.
+//! trait, each driven by a `RoutingSession` on the same instances:
+//! Hightower line probes (1969, fast but incomplete), Lee-Moore / grid
+//! A* (1961, complete but grid-bound), and the paper's gridless A*
+//! (1984, both). The session also demonstrates the paper's order-free
+//! parallelism: serial and parallel runs produce byte-identical routing.
 //!
 //! ```text
 //! cargo run --release --example router_shootout
@@ -20,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let layout = scaling_instance(4, 4, 24, 6, 0);
     let nets = layout.nets().len();
     println!(
-        "routing {nets} nets over a {}-cell layout, one BatchRouter, four engines\n",
+        "routing {nets} nets over a {}-cell layout, one session per engine, four engines\n",
         layout.cells().len()
     );
     println!(
@@ -37,9 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = RouterConfig::default();
     for engine in engines {
         let caps = engine.capabilities();
-        let router = BatchRouter::new(&layout, config.clone(), engine);
+        let mut session = RoutingSession::builder(layout.clone())
+            .config(config.clone())
+            .engine(engine)
+            .build();
         let t0 = Instant::now();
-        let routing = router.route_all();
+        let routing = session.route_all();
         let elapsed = t0.elapsed().as_secs_f64() * 1e3;
         let capstr = format!(
             "{}{}{}",
@@ -59,20 +61,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\ncaps: C complete, O optimal, G congestion-aware");
 
-    // The order-free parallel pipeline: identical output, less wall time.
-    let router = BatchRouter::gridless(&layout, config.clone());
-    let serial_router =
-        BatchRouter::gridless(&layout, config.clone()).with_batch(BatchConfig::serial());
+    // The order-free parallel schedule: identical output, less wall time.
+    let mut serial_session = RoutingSession::builder(layout.clone())
+        .config(config.clone())
+        .serial()
+        .build();
+    let mut parallel_session = RoutingSession::gridless(layout, config.clone());
     let t0 = Instant::now();
-    let serial = serial_router.route_all();
+    let serial = serial_session.route_all();
     let t_serial = t0.elapsed();
     let t0 = Instant::now();
-    let parallel = router.route_all();
+    let parallel = parallel_session.route_all();
     let t_parallel = t0.elapsed();
     assert_eq!(serial.wire_length(), parallel.wire_length());
     assert_eq!(serial.stats(), parallel.stats());
     println!(
-        "\nbatch determinism: serial {:.2} ms == parallel {:.2} ms (same wire {}, same stats)",
+        "\nschedule determinism: serial {:.2} ms == parallel {:.2} ms (same wire {}, same stats)",
         t_serial.as_secs_f64() * 1e3,
         t_parallel.as_secs_f64() * 1e3,
         serial.wire_length(),

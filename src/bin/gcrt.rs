@@ -76,19 +76,36 @@ const VALUE_FLAGS: &[&str] = &[
     "--kind",
 ];
 
+/// Flags that take no value.
+const BOOL_FLAGS: &[&str] = &[
+    "--help",
+    "--two-pass",
+    "--negotiate",
+    "--sharded",
+    "--serial",
+    "--no-epsilon",
+    "--collapsed",
+];
+
 fn run(args: &[String]) -> Result<(), String> {
     // Positional arguments: everything that is neither a flag nor the
-    // value of a value-taking flag.
+    // value of a value-taking flag. An unknown flag, or a value flag
+    // with nothing after it, is an error rather than silently ignored.
     let mut positionals: Vec<&String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if a.starts_with("--") {
-            i += if VALUE_FLAGS.contains(&a.as_str()) {
-                2
+            if VALUE_FLAGS.contains(&a.as_str()) {
+                if i + 1 == args.len() {
+                    return Err(format!("option {a} requires a value"));
+                }
+                i += 2;
+            } else if BOOL_FLAGS.contains(&a.as_str()) {
+                i += 1;
             } else {
-                1
-            };
+                return Err(format!("unknown option {a}; try gcrt help"));
+            }
             continue;
         }
         positionals.push(a);
@@ -150,7 +167,6 @@ fn run(args: &[String]) -> Result<(), String> {
                  \x20 --negotiate     PathFinder negotiated-congestion routing\n\
                  \x20 --max-iters N   negotiation iteration cap (default 16)\n\
                  \x20 --pitch N       wire pitch for passage capacities (default 1)\n\
-                 \x20 --precise-dirty exact segment-vs-rect ECO dirty tracking\n\
                  \x20 --render N      ASCII-render at N layout units per column\n\
                  \x20 --no-epsilon    disable the inverted-corner penalty\n\n\
                  gen options (all deterministic in --seed):\n\
@@ -817,7 +833,6 @@ fn build_session(
     let mut builder = RoutingSession::builder(layout)
         .config(config)
         .engine(engine)
-        .precise_dirty(flag("--precise-dirty"))
         .index(if flag("--sharded") {
             PlaneIndexKind::Sharded
         } else {

@@ -13,11 +13,10 @@
 //! * [`router`] — **the paper's contribution**: the gridless A\* global
 //!   router with cell hugging, Steiner-tree growth, the inverted-corner ε
 //!   and two-pass congestion routing — plus the
-//!   [`RoutingEngine`](router::RoutingEngine) trait, the parallel
-//!   [`BatchRouter`](router::BatchRouter) pipeline, and the owned,
-//!   incremental [`RoutingSession`](router::RoutingSession) (rip-up &
-//!   reroute, ECO change lists) that drive **every** backend below
-//!   through one contract,
+//!   [`RoutingEngine`](router::RoutingEngine) trait and the owned,
+//!   incremental [`RoutingSession`](router::RoutingSession) (parallel
+//!   routing, rip-up & reroute, ECO change lists) that drives **every**
+//!   backend below through one contract,
 //! * [`grid`] — the Lee–Moore baseline (and grid A\*), the special case,
 //! * [`hightower`] — the incomplete line-probe baseline,
 //! * [`steiner`] — rectilinear Steiner references (MST, 1-Steiner, exact),
@@ -33,11 +32,11 @@
 //!   expose.
 //!
 //! See `ARCHITECTURE.md` for the crate DAG, the engine contract and the
-//! parallel-batch invariants.
+//! session's schedule invariants.
 //!
 //! # Quickstart: a routing session
 //!
-//! [`RoutingSession`](router::RoutingSession) is the primary entry
+//! [`RoutingSession`](router::RoutingSession) is the routing entry
 //! point: it **owns** the layout, keeps the plane index and search
 //! arenas warm across calls, and supports incremental
 //! rip-up-and-reroute on top of one-shot routing:
@@ -78,12 +77,11 @@
 //! # }
 //! ```
 //!
-//! # Batch routing through any engine
+//! # Routing through any engine
 //!
-//! One-shot workloads can borrow a layout through
-//! [`BatchRouter`](router::BatchRouter) — the same driver core as the
-//! session, in parallel by default, with output byte-identical to a
-//! serial run — and the backend is pluggable in both APIs:
+//! The backend is pluggable: the session builder swaps the engine, and
+//! a layout routes the same way through every one of them, in parallel
+//! by default with output byte-identical to a serial run:
 //!
 //! ```
 //! use gcr::prelude::*;
@@ -94,18 +92,15 @@
 //! layout.add_two_pin_net("b", Point::new(5, 95), Point::new(95, 95));
 //!
 //! // The paper's gridless engine, all nets in parallel.
-//! let routing = BatchRouter::gridless(&layout, RouterConfig::default()).route_all();
+//! let routing = RoutingSession::gridless(layout.clone(), RouterConfig::default()).route_all();
 //! assert_eq!(routing.routed_count(), 2);
 //!
-//! // The same pipeline over the Lee-Moore baseline.
-//! let baseline =
-//!     BatchRouter::new(&layout, RouterConfig::default(), GridEngine::lee_moore()).route_all();
+//! // The same layout over the Lee-Moore baseline, picked at run time.
+//! let baseline = RoutingSession::builder(layout)
+//!     .engine(Box::new(GridEngine::lee_moore()) as Box<dyn RoutingEngine>)
+//!     .build()
+//!     .route_all();
 //! assert_eq!(baseline.wire_length(), routing.wire_length());
-//!
-//! // The session form of the same choice: an owned, boxed engine.
-//! let session = RoutingSession::builder(layout)
-//!     .engine(Box::new(GridEngine::lee_moore()) as Box<dyn RoutingEngine>);
-//! # let _ = session;
 //! # Ok(())
 //! # }
 //! ```
@@ -128,10 +123,10 @@ pub use gcr_workload as workload;
 /// The most common imports in one place.
 pub mod prelude {
     pub use gcr_core::{
-        route_two_points, BatchConfig, BatchRouter, Budget, CancelReason, EngineCaps, GlobalRouter,
-        GlobalRouting, GridEngine, GridlessEngine, HightowerEngine, NetRoute, PlaneIndexKind,
-        RerouteOutcome, RouteError, RouteTree, RoutedPath, RouterConfig, RoutingEngine,
-        RoutingSession, SearchScratch, SessionBuilder, SessionStats,
+        route_two_points, BatchConfig, Budget, CancelReason, EngineCaps, GlobalRouting, GridEngine,
+        GridlessEngine, HightowerEngine, NetRoute, PlaneIndexKind, RerouteOutcome, RouteError,
+        RouteTree, RoutedPath, RouterConfig, RoutingEngine, RoutingSession, SearchScratch,
+        SessionBuilder, SessionStats,
     };
     pub use gcr_geom::{
         Axis, Coord, Dir, Interval, Plane, PlaneIndex, Point, Polyline, Rect, Segment, ShardedPlane,

@@ -52,6 +52,15 @@ fn spiral_separates_the_router_generations() {
     assert!(g.stats.expanded < lm.stats.expanded);
 }
 
+/// Routes every net of `layout` through `engine` on a fresh session
+/// (default config and schedule).
+fn route_all<E: RoutingEngine>(layout: &Layout, engine: E) -> GlobalRouting {
+    RoutingSession::builder(layout.clone())
+        .engine(engine)
+        .build()
+        .route_all()
+}
+
 /// The tentpole's cross-backend contract, exercised on the standard
 /// workload fixtures through the one `RoutingEngine` trait: the gridless
 /// router's universe of paths contains every grid path, so per connection
@@ -60,12 +69,10 @@ fn spiral_separates_the_router_generations() {
 #[test]
 fn all_three_engines_route_the_workload_fixtures_through_the_trait() {
     let layout = gcr::workload::scaling_instance(3, 3, 12, 0, 7);
-    let config = RouterConfig::default();
-
-    let gridless = BatchRouter::new(&layout, config.clone(), GridlessEngine).route_all();
-    let grid = BatchRouter::new(&layout, config.clone(), GridEngine::default()).route_all();
-    let lee = BatchRouter::new(&layout, config.clone(), GridEngine::lee_moore()).route_all();
-    let probes = BatchRouter::new(&layout, config, HightowerEngine::default()).route_all();
+    let gridless = route_all(&layout, GridlessEngine);
+    let grid = route_all(&layout, GridEngine::default());
+    let lee = route_all(&layout, GridEngine::lee_moore());
+    let probes = route_all(&layout, HightowerEngine::default());
 
     // Complete engines route everything the layout admits.
     assert!(gridless.failures.is_empty(), "{:?}", gridless.failures);
@@ -121,9 +128,8 @@ fn all_three_engines_route_the_workload_fixtures_through_the_trait() {
 #[test]
 fn engines_agree_on_multi_terminal_workloads() {
     let layout = gcr::workload::scaling_instance(2, 3, 0, 6, 11);
-    let config = RouterConfig::default();
-    let gridless = BatchRouter::new(&layout, config.clone(), GridlessEngine).route_all();
-    let grid = BatchRouter::new(&layout, config, GridEngine::default()).route_all();
+    let gridless = route_all(&layout, GridlessEngine);
+    let grid = route_all(&layout, GridEngine::default());
     assert!(gridless.failures.is_empty(), "{:?}", gridless.failures);
     assert!(grid.failures.is_empty(), "{:?}", grid.failures);
     let plane = layout.to_plane();
@@ -191,9 +197,9 @@ fn router_steiner_tree_beats_its_own_pin_tree_on_fixtures() {
         let t = layout.add_terminal(id, format!("t{i}"));
         layout.add_pin(t, Pin::floating(*p)).unwrap();
     }
-    let router = GlobalRouter::new(&layout, RouterConfig::default());
-    let steiner = router.route_net(id).unwrap().wire_length();
-    let pin_tree = router.route_net_pin_tree(id).unwrap().wire_length();
+    let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
+    let steiner = session.route_net(id).unwrap().wire_length();
+    let pin_tree = session.route_net_pin_tree(id).unwrap().wire_length();
     assert_eq!(steiner, 150); // trunk 100 + stem 50
     assert!(pin_tree > steiner);
     // And the obstacle-free exact reference agrees.

@@ -25,12 +25,34 @@ fn generation_is_reproducible() {
     assert_eq!(format::write(&build()), format::write(&build()));
 }
 
+fn gridless(layout: &Layout) -> RoutingSession {
+    RoutingSession::gridless(layout.clone(), RouterConfig::default())
+}
+
+fn with_batch<E: RoutingEngine>(
+    layout: &Layout,
+    engine: E,
+    batch: BatchConfig,
+) -> RoutingSession<E> {
+    RoutingSession::builder(layout.clone())
+        .engine(engine)
+        .batch(batch)
+        .build()
+}
+
+fn on_threads(threads: usize) -> BatchConfig {
+    BatchConfig {
+        parallel: true,
+        threads: Some(threads),
+        ..BatchConfig::default()
+    }
+}
+
 #[test]
 fn routing_is_reproducible() {
-    let layout = build();
-    let router = GlobalRouter::new(&layout, RouterConfig::default());
-    let a = router.route_all();
-    let b = router.route_all();
+    let mut session = gridless(&build());
+    let a = session.route_all();
+    let b = session.route_all();
     assert_eq!(a.routed_count(), b.routed_count());
     assert_eq!(a.wire_length(), b.wire_length());
     for (ra, rb) in a.routes.iter().zip(&b.routes) {
@@ -46,33 +68,25 @@ fn routing_is_reproducible() {
 #[test]
 fn routing_is_stable_across_router_instances() {
     let layout = build();
-    let r1 = GlobalRouter::new(&layout, RouterConfig::default()).route_all();
-    let r2 = GlobalRouter::new(&layout, RouterConfig::default()).route_all();
+    let r1 = gridless(&layout).route_all();
+    let r2 = gridless(&layout).route_all();
     assert_eq!(r1.wire_length(), r2.wire_length());
 }
 
-/// The tentpole invariant: the parallel batch pipeline must produce the
-/// exact routes, costs, statistics and failure lists of the serial one —
-/// the schedule is unobservable because nets are independent and the
-/// merge is in stable net-id order.
+/// The schedule invariant: a parallel session must produce the exact
+/// routes, costs, statistics and failure lists of a serial one — the
+/// schedule is unobservable because nets are independent and the merge
+/// is in stable net-id order.
 #[test]
 fn parallel_batch_output_is_byte_identical_to_serial() {
     let layout = build();
-    let serial = BatchRouter::gridless(&layout, RouterConfig::default())
-        .with_batch(BatchConfig::serial())
-        .route_all();
+    let serial = with_batch(&layout, GridlessEngine, BatchConfig::serial()).route_all();
     for threads in [2usize, 3, 8, 32] {
-        let parallel = BatchRouter::gridless(&layout, RouterConfig::default())
-            .with_batch(BatchConfig {
-                parallel: true,
-                threads: Some(threads),
-                ..BatchConfig::default()
-            })
-            .route_all();
+        let parallel = with_batch(&layout, GridlessEngine, on_threads(threads)).route_all();
         assert_routing_identical(&serial, &parallel, threads);
     }
     // And with the machine-default thread count.
-    let parallel = BatchRouter::gridless(&layout, RouterConfig::default()).route_all();
+    let parallel = gridless(&layout).route_all();
     assert_routing_identical(&serial, &parallel, 0);
 }
 
@@ -81,57 +95,14 @@ fn parallel_batch_output_is_byte_identical_to_serial() {
 #[test]
 fn parallel_equivalence_holds_for_all_engines() {
     let layout = build();
-    let config = RouterConfig::default();
-    let serial_grid = BatchRouter::new(&layout, config.clone(), GridEngine::default())
-        .with_batch(BatchConfig::serial())
-        .route_all();
-    let parallel_grid = BatchRouter::new(&layout, config.clone(), GridEngine::default())
-        .with_batch(BatchConfig {
-            parallel: true,
-            threads: Some(4),
-            ..BatchConfig::default()
-        })
-        .route_all();
+    let serial_grid = with_batch(&layout, GridEngine::default(), BatchConfig::serial()).route_all();
+    let parallel_grid = with_batch(&layout, GridEngine::default(), on_threads(4)).route_all();
     assert_routing_identical(&serial_grid, &parallel_grid, 4);
 
-    let serial_ht = BatchRouter::new(&layout, config.clone(), HightowerEngine::default())
-        .with_batch(BatchConfig::serial())
-        .route_all();
-    let parallel_ht = BatchRouter::new(&layout, config, HightowerEngine::default())
-        .with_batch(BatchConfig {
-            parallel: true,
-            threads: Some(4),
-            ..BatchConfig::default()
-        })
-        .route_all();
+    let serial_ht =
+        with_batch(&layout, HightowerEngine::default(), BatchConfig::serial()).route_all();
+    let parallel_ht = with_batch(&layout, HightowerEngine::default(), on_threads(4)).route_all();
     assert_routing_identical(&serial_ht, &parallel_ht, 4);
-}
-
-/// The two-pass congestion flow reroutes in parallel too; its report must
-/// also be schedule independent.
-#[test]
-fn parallel_two_pass_matches_serial_two_pass() {
-    let layout = build();
-    let serial = BatchRouter::gridless(&layout, RouterConfig::default())
-        .with_batch(BatchConfig::serial())
-        .route_two_pass();
-    let parallel = BatchRouter::gridless(&layout, RouterConfig::default())
-        .with_batch(BatchConfig {
-            parallel: true,
-            threads: Some(4),
-            ..BatchConfig::default()
-        })
-        .route_two_pass();
-    assert_eq!(serial.rerouted, parallel.rerouted);
-    assert_eq!(
-        serial.before.total_overflow(),
-        parallel.before.total_overflow()
-    );
-    assert_eq!(
-        serial.after.total_overflow(),
-        parallel.after.total_overflow()
-    );
-    assert_routing_identical(&serial.routing, &parallel.routing, 4);
 }
 
 fn assert_routing_identical(a: &GlobalRouting, b: &GlobalRouting, threads: usize) {
@@ -160,15 +131,38 @@ fn assert_routing_identical(a: &GlobalRouting, b: &GlobalRouting, threads: usize
     }
 }
 
-/// Arena-poisoning differential: routing interleaved, differently-shaped
-/// nets through ONE reused [`SearchScratch`] must be byte-identical to
-/// fresh-scratch runs — for all three engines, over both plane indexes.
-/// This is the contract that lets the batch pipeline keep one arena per
-/// worker: reuse amortizes allocations and must never leak state.
+/// Asserts two outcomes of routing one net are byte-identical.
+fn assert_net_identical(
+    a: Result<&NetRoute, RouteError>,
+    b: Result<&NetRoute, RouteError>,
+    what: &str,
+) {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.stats, b.stats, "{what}: net {}", a.net);
+            assert_eq!(a.tree.points(), b.tree.points(), "{what}");
+            assert_eq!(a.tree.segments(), b.tree.segments(), "{what}");
+            assert_eq!(a.connections.len(), b.connections.len(), "{what}");
+            for (ca, cb) in a.connections.iter().zip(&b.connections) {
+                assert_eq!(ca.polyline, cb.polyline, "{what}");
+                assert_eq!(ca.cost, cb.cost, "{what}");
+                assert_eq!(ca.stats, cb.stats, "{what}");
+            }
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b, "{what}"),
+        (a, b) => panic!("{what}: outcomes diverge: {a:?} vs {b:?}"),
+    }
+}
+
+/// Arena-poisoning differential: one serial session routing interleaved,
+/// differently-shaped nets through its ONE pooled [`SearchScratch`] must
+/// be byte-identical to each net routed on a fresh session — for all
+/// engines, over both plane indexes. This is the contract that lets a
+/// session keep one arena per worker across calls: reuse amortizes
+/// allocations and must never leak state.
 #[test]
 fn reused_scratch_is_byte_identical_to_fresh_for_all_engines_and_indexes() {
     let layout = build();
-    let ids = layout.net_ids();
     let engines: Vec<(&str, Box<dyn RoutingEngine>)> = vec![
         ("gridless", Box::new(GridlessEngine)),
         ("grid-astar", Box::new(GridEngine::default())),
@@ -177,60 +171,35 @@ fn reused_scratch_is_byte_identical_to_fresh_for_all_engines_and_indexes() {
     ];
     for (name, engine) in &engines {
         for index in [PlaneIndexKind::Flat, PlaneIndexKind::Sharded] {
-            let router = BatchRouter::new(&layout, RouterConfig::default(), engine)
-                .with_batch(BatchConfig::serial().with_index(index));
-            // One scratch across every net, visited in reverse id order
-            // (multi-terminal nets first, then the two-pin ones), so
-            // each search inherits a dirty arena shaped by a
-            // differently-sized predecessor.
-            let mut scratch = SearchScratch::new();
-            let mut order: Vec<_> = ids.clone();
-            order.reverse();
-            for &id in &order {
-                let reused = router.route_net_in(id, None, &mut scratch);
-                let fresh = router.route_net(id);
-                match (reused, fresh) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.stats, b.stats, "{name}/{index:?}: net {}", a.net);
-                        assert_eq!(a.tree.points(), b.tree.points(), "{name}/{index:?}");
-                        assert_eq!(a.tree.segments(), b.tree.segments(), "{name}/{index:?}");
-                        for (ca, cb) in a.connections.iter().zip(&b.connections) {
-                            assert_eq!(ca.polyline, cb.polyline, "{name}/{index:?}");
-                            assert_eq!(ca.cost, cb.cost, "{name}/{index:?}");
-                            assert_eq!(ca.stats, cb.stats, "{name}/{index:?}");
-                        }
-                    }
-                    (Err(a), Err(b)) => {
-                        assert_eq!(a, b, "{name}/{index:?}: failure for {id}");
-                    }
-                    (a, b) => panic!("{name}/{index:?}: outcomes diverge for {id}: {a:?} vs {b:?}"),
-                }
+            let batch = BatchConfig::serial().with_index(index);
+            let mut reused = with_batch(&layout, engine, batch);
+            // Every net in reverse id order (multi-terminal nets first,
+            // then the two-pin ones), so each search inherits a dirty
+            // arena shaped by a differently-sized predecessor.
+            for id in layout.net_ids().into_iter().rev() {
+                let mut fresh = with_batch(&layout, engine, batch);
+                assert_net_identical(
+                    reused.route_net(id),
+                    fresh.route_net(id),
+                    &format!("{name}/{index:?}: {id}"),
+                );
             }
         }
     }
 }
 
-/// The reused-scratch seam must also leave the batch entry points
-/// unchanged: `route_all` (per-worker scratch) against per-net
-/// fresh-scratch routing.
+/// The pooled scratch must also leave `route_all` unchanged: a serial
+/// session's `route_all` (one scratch across every net) against each net
+/// routed on a fresh session.
 #[test]
 fn batch_route_all_matches_per_net_fresh_scratch_routing() {
     let layout = build();
-    let router =
-        BatchRouter::gridless(&layout, RouterConfig::default()).with_batch(BatchConfig::serial());
-    let batch = router.route_all();
-    let mut routes = 0;
-    for r in &batch.routes {
-        let fresh = router.route_net(r.id).expect("batch routed it");
-        assert_eq!(r.stats, fresh.stats, "net {}", r.net);
-        assert_eq!(r.tree.segments(), fresh.tree.segments(), "net {}", r.net);
-        for (ca, cb) in r.connections.iter().zip(&fresh.connections) {
-            assert_eq!(ca.polyline, cb.polyline, "net {}", r.net);
-            assert_eq!(ca.cost, cb.cost, "net {}", r.net);
-        }
-        routes += 1;
+    let routing = with_batch(&layout, GridlessEngine, BatchConfig::serial()).route_all();
+    for r in &routing.routes {
+        let mut fresh = gridless(&layout);
+        assert_net_identical(Ok(r), fresh.route_net(r.id), "route_all vs fresh");
     }
-    assert_eq!(routes, batch.routed_count());
+    assert!(routing.routed_count() > 0);
 }
 
 /// The scale-tier generator is part of the reproducibility contract too:
@@ -246,14 +215,14 @@ fn generator_gcl_roundtrip_is_byte_identical_and_routes_identically() {
     assert_eq!(text, format::write(&b), "same params ⇒ same .gcl bytes");
     let reparsed = format::parse(&text).expect("generator output parses");
     assert_eq!(text, format::write(&reparsed), "write∘parse is identity");
-    let ra = GlobalRouter::new(&a, RouterConfig::default()).route_all();
-    let rb = GlobalRouter::new(&reparsed, RouterConfig::default()).route_all();
+    let ra = gridless(&a).route_all();
+    let rb = gridless(&reparsed).route_all();
     assert_eq!(ra.routed_count(), rb.routed_count());
     assert_eq!(ra.wire_length(), rb.wire_length());
     assert_eq!(ra.stats().expanded, rb.stats().expanded);
 }
 
-/// The search-work pin: a serial default-config route of the seeded
+/// The search-work pin: a serial default-config session route of the seeded
 /// 120-net die must do exactly this much A\* work and emit exactly this
 /// `DUMP`, on both plane indexes. Pruning that leaves out successors A\*
 /// would throw away shrinks the successor set, so it moves `generated`
@@ -267,9 +236,8 @@ fn search_work_and_route_digest_are_pinned() {
 
     let layout = generate(&GeneratorParams::with_nets(120, 4));
     for index in [PlaneIndexKind::Flat, PlaneIndexKind::Sharded] {
-        let routing = BatchRouter::gridless(&layout, RouterConfig::default())
-            .with_batch(BatchConfig::serial().with_index(index))
-            .route_all();
+        let batch = BatchConfig::serial().with_index(index);
+        let routing = with_batch(&layout, GridlessEngine, batch).route_all();
         let stats = routing.stats();
         assert_eq!(
             (stats.expanded, stats.generated, stats.touched),
@@ -290,8 +258,8 @@ fn search_work_and_route_digest_are_pinned() {
 fn format_roundtrip_preserves_routing_results() {
     let layout = build();
     let reparsed = format::parse(&format::write(&layout)).expect("own output parses");
-    let a = GlobalRouter::new(&layout, RouterConfig::default()).route_all();
-    let b = GlobalRouter::new(&reparsed, RouterConfig::default()).route_all();
+    let a = gridless(&layout).route_all();
+    let b = gridless(&reparsed).route_all();
     assert_eq!(a.wire_length(), b.wire_length());
     assert_eq!(a.stats().expanded, b.stats().expanded);
 }

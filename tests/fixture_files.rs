@@ -13,8 +13,8 @@ fn demo_gcl_parses_validates_and_routes() {
     assert_eq!(layout.cells().len(), 4);
     assert_eq!(layout.nets().len(), 3);
 
-    let router = GlobalRouter::new(&layout, RouterConfig::default());
-    let routing = router.route_all();
+    let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
+    let routing = session.route_all();
     assert!(routing.failures.is_empty(), "{:?}", routing.failures);
     assert_eq!(routing.routed_count(), 3);
 
@@ -39,8 +39,8 @@ fn dense_gcl_parses_validates_and_routes() {
     assert_eq!(layout.cells().len(), 9);
     assert_eq!(layout.nets().len(), 5);
 
-    let router = GlobalRouter::new(&layout, RouterConfig::default());
-    let routing = router.route_all();
+    let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
+    let routing = session.route_all();
     assert!(routing.failures.is_empty(), "{:?}", routing.failures);
     assert_eq!(routing.routed_count(), 5);
 
@@ -66,12 +66,14 @@ fn dense_gcl_routes_identically_over_flat_and_sharded_planes() {
     let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/dense.gcl"))
         .expect("fixture present");
     let layout = format::parse(&text).expect("fixture parses");
-    let flat = BatchRouter::gridless(&layout, RouterConfig::default())
-        .with_batch(BatchConfig::serial())
-        .route_all();
-    let sharded = BatchRouter::gridless(&layout, RouterConfig::default())
-        .with_batch(BatchConfig::sharded())
-        .route_all();
+    let route = |batch| {
+        RoutingSession::builder(layout.clone())
+            .batch(batch)
+            .build()
+            .route_all()
+    };
+    let flat = route(BatchConfig::serial());
+    let sharded = route(BatchConfig::sharded());
     assert_eq!(flat.wire_length(), sharded.wire_length());
     assert_eq!(flat.stats(), sharded.stats());
     for (a, b) in flat.routes.iter().zip(&sharded.routes) {

@@ -32,8 +32,8 @@ fn generated_chip_validates() {
 #[test]
 fn all_nets_route_and_wires_are_legal() {
     let layout = assembled_layout();
-    let router = GlobalRouter::new(&layout, RouterConfig::default());
-    let routing = router.route_all();
+    let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
+    let routing = session.route_all();
     assert!(
         routing.failures.is_empty(),
         "all nets must route: {:?}",
@@ -56,10 +56,10 @@ fn all_nets_route_and_wires_are_legal() {
 #[test]
 fn every_terminal_is_connected_to_its_tree() {
     let layout = assembled_layout();
-    let router = GlobalRouter::new(&layout, RouterConfig::default());
+    let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
     for (idx, net) in layout.nets().iter().enumerate() {
         let id = layout.net_by_name(net.name()).expect("enumerated net");
-        let route = router
+        let route = session
             .route_net(id)
             .unwrap_or_else(|e| panic!("net {idx}: {e}"));
         // Each terminal must have at least one pin on the routed tree
@@ -84,8 +84,8 @@ fn two_pass_keeps_everything_routed_and_legal() {
     let layout = assembled_layout();
     let mut config = RouterConfig::default();
     config.wire_pitch(2).congestion_weight(4);
-    let router = GlobalRouter::new(&layout, config);
-    let report = router.route_two_pass();
+    let mut session = RoutingSession::gridless(layout.clone(), config);
+    let report = session.route_two_pass();
     assert!(report.routing.failures.is_empty());
     assert_eq!(report.routing.routed_count(), layout.nets().len());
     assert!(
@@ -105,8 +105,8 @@ fn two_pass_keeps_everything_routed_and_legal() {
 #[test]
 fn detailed_routing_covers_used_passages() {
     let layout = assembled_layout();
-    let router = GlobalRouter::new(&layout, RouterConfig::default());
-    let routing = router.route_all();
+    let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
+    let routing = session.route_all();
     let plane = layout.to_plane();
     let report = route_details(&plane, &routing);
     assert!(report.channel_count() > 0, "a routed chip uses passages");

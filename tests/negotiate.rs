@@ -254,22 +254,6 @@ fn warm_cache_negotiation_equals_cold() {
     }
 }
 
-/// `BatchRouter::route_negotiated` is the one-shot spelling of the
-/// session flow: identical report, identical routing.
-#[test]
-fn batch_route_negotiated_matches_session() {
-    let layout = congested_instance(64, 3);
-    let config = congested_config();
-    let ncfg = NegotiationConfig::default();
-    let batch = BatchRouter::gridless(&layout, config.clone()).route_negotiated(&ncfg);
-    let session = session_with(&layout, &config, BatchConfig::default()).route_negotiated(&ncfg);
-    assert_eq!(batch.iterations, session.iterations);
-    assert_eq!(batch.rerouted, session.rerouted);
-    assert_eq!(batch.converged, session.converged);
-    assert_eq!(batch.restored, session.restored);
-    assert_routing_identical(&session.routing, &batch.routing, "batch vs session");
-}
-
 /// A congestion-blind engine never iterates: the report is the plain
 /// first pass, zero rounds, zero reroutes.
 #[test]

@@ -1,8 +1,9 @@
-//! The differential harness guarding the sharded spatial plane: routing
-//! over [`ShardedPlane`] must be **byte-identical** to routing over the
-//! flat [`Plane`] — same polylines, same costs, same statistics, same
-//! failure lists — for every engine, serially and in parallel, across
-//! seeded random layouts.
+//! The differential harness guarding the session's schedule and the
+//! sharded spatial plane: a [`RoutingSession`] over [`ShardedPlane`] must
+//! route **byte-identically** to one over the flat [`Plane`], and a
+//! parallel session to a serial one — same polylines, same costs, same
+//! statistics, same failure lists — for every engine, across seeded
+//! random layouts. The reference is always a fresh serial flat session.
 //!
 //! This is the lockdown the plane refactor ships under: a faster spatial
 //! index that changes even one route is a broken spatial index. The
@@ -86,25 +87,64 @@ fn assert_routing_identical(reference: &GlobalRouting, other: &GlobalRouting, wh
     }
 }
 
+fn session<E: RoutingEngine>(
+    layout: &Layout,
+    config: &RouterConfig,
+    engine: E,
+    batch: BatchConfig,
+) -> RoutingSession<E> {
+    RoutingSession::builder(layout.clone())
+        .config(config.clone())
+        .engine(engine)
+        .batch(batch)
+        .build()
+}
+
+/// The four schedules every differential runs: both plane indexes,
+/// serial and on four workers.
+fn schedules() -> [(BatchConfig, &'static str); 4] {
+    let parallel = BatchConfig {
+        threads: Some(4),
+        ..BatchConfig::default()
+    };
+    [
+        (BatchConfig::serial(), "flat-serial"),
+        (
+            BatchConfig::serial().with_index(PlaneIndexKind::Sharded),
+            "sharded-serial",
+        ),
+        (parallel, "flat-parallel"),
+        (
+            parallel.with_index(PlaneIndexKind::Sharded),
+            "sharded-parallel",
+        ),
+    ]
+}
+
+/// Every schedule's `route_all` ≡ a fresh serial flat session's; and
+/// routing net by net through the session's single-net entry point
+/// commits the same state as `route_all`.
 fn sweep_engine<E: RoutingEngine + Clone>(engine: E, name: &str, cases: u64) {
+    let config = RouterConfig::default();
     for case in 0..cases {
         let layout = scaling_instance(2, 2, 5, 2, case);
-        let config = RouterConfig::default();
-        let reference = BatchRouter::new(&layout, config.clone(), engine.clone())
-            .with_batch(BatchConfig::serial())
-            .route_all();
-        for (batch, label) in [
-            (
-                BatchConfig::serial().with_index(PlaneIndexKind::Sharded),
-                "sharded-serial",
-            ),
-            (BatchConfig::default(), "flat-parallel"),
-            (BatchConfig::sharded(), "sharded-parallel"),
-        ] {
-            let routed = BatchRouter::new(&layout, config.clone(), engine.clone())
-                .with_batch(batch)
-                .route_all();
-            assert_routing_identical(&reference, &routed, &format!("{name}/{label}/case {case}"));
+        let reference =
+            session(&layout, &config, engine.clone(), BatchConfig::serial()).route_all();
+        for (batch, label) in schedules() {
+            let what = format!("{name}/{label}/case {case}");
+            let mut session = session(&layout, &config, engine.clone(), batch);
+            assert_routing_identical(&reference, &session.route_all(), &what);
+            for id in layout.net_ids() {
+                session.rip_up(id);
+            }
+            for id in layout.net_ids() {
+                let _ = session.route_net(id);
+            }
+            assert_routing_identical(
+                &reference,
+                &session.routing(),
+                &format!("{what}: net-by-net"),
+            );
         }
     }
 }
@@ -133,37 +173,29 @@ fn lee_moore_engine_flat_equals_sharded() {
 }
 
 /// The two-pass congestion flow (route, analyze, reroute under
-/// surcharge): the sharded report must match the flat one exactly,
-/// before and after the reroute.
+/// surcharge) on every schedule: the report — both analyses, the reroute
+/// count and the routing — must match the serial flat one exactly.
 #[test]
 fn two_pass_reports_are_identical_across_plane_indexes() {
+    let mut config = RouterConfig::default();
+    config.wire_pitch(4).congestion_weight(5);
+    let mut rerouted = 0;
     for case in 0..6u64 {
         let layout = scaling_instance(2, 2, 8, 2, case);
-        let mut config = RouterConfig::default();
-        config.wire_pitch(4).congestion_weight(5);
-        let flat = BatchRouter::gridless(&layout, config.clone())
-            .with_batch(BatchConfig::serial())
-            .route_two_pass();
-        let sharded = BatchRouter::gridless(&layout, config.clone())
-            .with_batch(BatchConfig::sharded())
-            .route_two_pass();
-        assert_eq!(flat.rerouted, sharded.rerouted, "case {case}");
-        assert_eq!(
-            flat.before.total_overflow(),
-            sharded.before.total_overflow(),
-            "case {case}"
-        );
-        assert_eq!(
-            flat.after.total_overflow(),
-            sharded.after.total_overflow(),
-            "case {case}"
-        );
-        assert_routing_identical(
-            &flat.routing,
-            &sharded.routing,
-            &format!("two-pass/case {case}"),
-        );
+        let reference =
+            session(&layout, &config, GridlessEngine, BatchConfig::serial()).route_two_pass();
+        rerouted += reference.rerouted;
+        for (batch, label) in schedules() {
+            let what = format!("two-pass/{label}/case {case}");
+            let report = session(&layout, &config, GridlessEngine, batch).route_two_pass();
+            assert_eq!(report.rerouted, reference.rerouted, "{what}");
+            assert_eq!(report.before.users, reference.before.users, "{what}");
+            assert_eq!(report.after.users, reference.after.users, "{what}");
+            assert_eq!(report.after.passages, reference.after.passages, "{what}");
+            assert_routing_identical(&reference.routing, &report.routing, &what);
+        }
     }
+    assert!(rerouted > 0, "the sweep must exercise the second pass");
 }
 
 /// What `corner_stops_into` must append: the distinct `at`s of the flat
@@ -354,26 +386,15 @@ fn scale_tier_bucketed_corners_match_flat() {
 fn scale_tier_sampled_routes_flat_sharded_serial_parallel_identical() {
     let layout = sampled_scale_instance(50);
     let config = RouterConfig::default();
-    let reference = BatchRouter::gridless(&layout, config.clone())
-        .with_batch(BatchConfig::serial())
-        .route_all();
+    let reference = session(&layout, &config, GridlessEngine, BatchConfig::serial()).route_all();
     assert!(
         reference.routed_count() * 10 >= layout.nets().len() * 9,
         "scale tier must be routable: {} of {} routed",
         reference.routed_count(),
         layout.nets().len()
     );
-    for (batch, label) in [
-        (
-            BatchConfig::serial().with_index(PlaneIndexKind::Sharded),
-            "sharded-serial",
-        ),
-        (BatchConfig::default(), "flat-parallel"),
-        (BatchConfig::sharded(), "sharded-parallel"),
-    ] {
-        let routed = BatchRouter::gridless(&layout, config.clone())
-            .with_batch(batch)
-            .route_all();
+    for (batch, label) in &schedules()[1..] {
+        let routed = session(&layout, &config, GridlessEngine, *batch).route_all();
         assert_routing_identical(&reference, &routed, &format!("scale-tier/{label}"));
     }
 }

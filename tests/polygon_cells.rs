@@ -85,8 +85,8 @@ fn pins_on_polygon_boundaries_validate_and_route() {
         .add_pin(t1, Pin::on_cell(ell, Point::new(80, 30)))
         .unwrap();
     layout.validate().unwrap();
-    let router = GlobalRouter::new(&layout, RouterConfig::default());
-    let route = router.route_net(net).unwrap();
+    let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
+    let route = session.route_net(net).unwrap();
     let plane = layout.to_plane();
     for c in &route.connections {
         assert!(plane.polyline_free(&c.polyline));
@@ -134,8 +134,8 @@ fn mixed_rect_and_polygon_layout_full_flow() {
         .add_pin(t1, Pin::on_cell(rom, Point::new(120, 50)))
         .unwrap();
     layout.validate().unwrap();
-    let router = GlobalRouter::new(&layout, RouterConfig::default());
-    let route = router.route_net(net).unwrap();
+    let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
+    let route = session.route_net(net).unwrap();
     assert_eq!(route.wire_length(), 30, "straight shot between facing pins");
 }
 

@@ -1,10 +1,9 @@
-//! The differential harness guarding [`RoutingSession`]: the owned,
-//! incremental API must be **byte-identical** to the one-shot
-//! [`BatchRouter`] over the same geometry — same polylines, same costs,
-//! same statistics, same failure lists — for every engine, both plane
-//! indexes, serially and in parallel; and its incremental paths (net-by-
-//! net routing, rip-up + reroute, mutation + reroute_dirty) must commit
-//! exactly what a cold route of the same state computes.
+//! The differential harness guarding [`RoutingSession`]'s incremental
+//! paths: net-by-net routing, rip-up + reroute, mutation +
+//! `reroute_dirty`, the budgeted all-or-nothing entry points and the
+//! two-pass flow on congestion-blind engines must commit exactly what a
+//! fresh session over the same state routes — same polylines, same
+//! costs, same statistics, same failure lists.
 //!
 //! The sweeps reuse the seeded-loop style of `tests/plane_equivalence.rs`
 //! (`gcr::workload` instances are fully determined by their arguments),
@@ -44,18 +43,8 @@ fn assert_routing_identical(reference: &GlobalRouting, other: &GlobalRouting, wh
             assert_eq!(ca.stats, cb.stats, "{what}: net {}", a.net);
         }
     }
-    // Failure *sets* must agree; the batch two-pass appends reroute
-    // failures out of net-id order, so compare order-independently.
-    let sorted = |r: &GlobalRouting| {
-        let mut f: Vec<(NetId, String)> = r
-            .failures
-            .iter()
-            .map(|(id, e)| (*id, e.to_string()))
-            .collect();
-        f.sort();
-        f
-    };
-    assert_eq!(sorted(reference), sorted(other), "{what}: failures");
+    // A session lists failures in net-id order.
+    assert_eq!(reference.failures, other.failures, "{what}: failures");
 }
 
 fn session_for<E: RoutingEngine + Clone>(
@@ -70,72 +59,9 @@ fn session_for<E: RoutingEngine + Clone>(
         .build()
 }
 
-/// Session `route_all` ≡ batch `route_all`, across engines × indexes ×
-/// schedules; and routing net-by-net through the session commits the
-/// same state as `route_all`.
-fn sweep_engine<E: RoutingEngine + Clone>(engine: E, name: &str, cases: u64) {
-    for case in 0..cases {
-        let layout = scaling_instance(2, 2, 5, 2, case);
-        let reference = BatchRouter::new(&layout, RouterConfig::default(), engine.clone())
-            .with_batch(BatchConfig::serial())
-            .route_all();
-        for (batch, label) in [
-            (BatchConfig::serial(), "flat-serial"),
-            (
-                BatchConfig::serial().with_index(PlaneIndexKind::Sharded),
-                "sharded-serial",
-            ),
-            (BatchConfig::default(), "flat-parallel"),
-            (BatchConfig::sharded(), "sharded-parallel"),
-        ] {
-            let mut session = session_for(&layout, &engine, batch);
-            let routed = session.route_all();
-            assert_routing_identical(
-                &reference,
-                &routed,
-                &format!("{name}/{label}/case {case}: session vs batch"),
-            );
-            // Incremental commit path: rip everything up, route one net
-            // at a time through the single-net entry point, and compare
-            // the committed state again.
-            for id in session.layout().net_ids() {
-                session.rip_up(id);
-            }
-            for id in session.layout().net_ids() {
-                let _ = session.route_net(id);
-            }
-            assert_routing_identical(
-                &reference,
-                &session.routing(),
-                &format!("{name}/{label}/case {case}: net-by-net"),
-            );
-        }
-    }
-}
-
-#[test]
-fn gridless_session_equals_batch_everywhere() {
-    sweep_engine(GridlessEngine, "gridless", 8);
-}
-
-#[test]
-fn grid_session_equals_batch_everywhere() {
-    sweep_engine(GridEngine::default(), "grid-astar", 5);
-}
-
-#[test]
-fn lee_moore_session_equals_batch() {
-    sweep_engine(GridEngine::lee_moore(), "lee-moore", 2);
-}
-
-#[test]
-fn hightower_session_equals_batch_everywhere() {
-    sweep_engine(HightowerEngine::default(), "hightower", 5);
-}
-
 /// route → rip_up → reroute must reproduce the fresh route
-/// byte-identically: warm arenas, warm caches and committed neighbours
-/// may not influence a net's result.
+/// byte-identically: warm arenas and committed neighbours may not
+/// influence a net's result.
 #[test]
 fn rip_up_reroute_is_deterministic() {
     for case in 0..6u64 {
@@ -174,72 +100,10 @@ fn assert_analysis_identical(a: &CongestionAnalysis, b: &CongestionAnalysis, wha
     assert_eq!(a.pitch, b.pitch, "{what}: pitch");
 }
 
-/// `route_two_pass` rebuilt on the session primitives must reproduce the
-/// batch pipeline's report exactly.
-#[test]
-fn two_pass_report_matches_batch_pipeline() {
-    // Seeded sweep over both plane indexes …
-    for case in 0..4u64 {
-        let layout = scaling_instance(2, 2, 8, 2, case);
-        let mut config = RouterConfig::default();
-        config.wire_pitch(4).congestion_weight(5);
-        for (batch, label) in [
-            (BatchConfig::serial(), "flat"),
-            (BatchConfig::sharded(), "sharded"),
-        ] {
-            let reference = BatchRouter::gridless(&layout, config.clone())
-                .with_batch(batch)
-                .route_two_pass();
-            let mut session = RoutingSession::builder(layout.clone())
-                .config(config.clone())
-                .batch(batch)
-                .build();
-            let report = session.route_two_pass();
-            let what = format!("{label}/case {case}");
-            assert_eq!(report.rerouted, reference.rerouted, "{what}");
-            assert_analysis_identical(&report.before, &reference.before, &what);
-            assert_analysis_identical(&report.after, &reference.after, &what);
-            assert_routing_identical(&reference.routing, &report.routing, &what);
-        }
-    }
-    // … plus the canonical congested-alley scenario.
-    let mut layout = Layout::new(Rect::new(0, 0, 200, 120).unwrap());
-    layout
-        .add_cell("a", Rect::new(40, 20, 95, 100).unwrap())
-        .unwrap();
-    layout
-        .add_cell("b", Rect::new(105, 20, 160, 100).unwrap())
-        .unwrap();
-    for i in 0..4i64 {
-        let x = 96 + i * 2;
-        layout.add_two_pin_net(format!("n{i}"), Point::new(x, 0), Point::new(x, 110));
-    }
-    let mut config = RouterConfig::default();
-    config.wire_pitch(5).congestion_weight(6);
-    let reference = BatchRouter::gridless(&layout, config.clone()).route_two_pass();
-    assert!(
-        reference.before.total_overflow() > 0,
-        "scenario must congest"
-    );
-    assert!(reference.rerouted > 0);
-    let mut session = RoutingSession::builder(layout)
-        .config(config)
-        .index(PlaneIndexKind::Sharded)
-        .build();
-    let report = session.route_two_pass();
-    assert_eq!(report.rerouted, reference.rerouted);
-    assert_eq!(
-        report.after.total_overflow(),
-        reference.after.total_overflow()
-    );
-    assert_routing_identical(&reference.routing, &report.routing, "alley");
-}
-
 /// Congestion-blind engines (`supports_congestion == false`) must make
-/// `route_two_pass` a pure first pass on the session exactly as on the
-/// batch pipeline: zero reroutes, no dirty marks left behind, reports
-/// identical, and the committed state indistinguishable from
-/// `route_all`.
+/// `route_two_pass` a pure first pass: zero reroutes, no dirty marks left
+/// behind, both analyses equal to the plain first pass's congestion, and
+/// the committed state indistinguishable from `route_all`.
 #[test]
 fn two_pass_on_congestion_blind_engines_never_reroutes() {
     let engines: Vec<(&str, gcr::service::BoxedEngine)> = vec![
@@ -256,37 +120,28 @@ fn two_pass_on_congestion_blind_engines_never_reroutes() {
             let layout = scaling_instance(2, 2, 8, 2, case);
             let mut config = RouterConfig::default();
             config.wire_pitch(4).congestion_weight(5);
-            let reference = BatchRouter::new(&layout, config.clone(), &*engine)
-                .with_batch(BatchConfig::serial())
-                .route_two_pass();
-            let mut session = RoutingSession::builder(layout.clone())
-                .config(config.clone())
-                .engine(&*engine)
-                .batch(BatchConfig::serial())
-                .build();
+            let build = || {
+                RoutingSession::builder(layout.clone())
+                    .config(config.clone())
+                    .engine(&*engine)
+                    .batch(BatchConfig::serial())
+                    .build()
+            };
+            let mut session = build();
             let report = session.route_two_pass();
             let what = format!("{name}/case {case}");
-            assert_eq!(report.rerouted, 0, "{what}: batch skips the reroute");
-            assert_eq!(reference.rerouted, 0, "{what}");
+            assert_eq!(report.rerouted, 0, "{what}: the reroute is skipped");
             assert!(
                 session.dirty_nets().is_empty(),
                 "{what}: no dirty marks may leak from the skipped pass"
             );
             assert_eq!(session.stats().reroutes, 0, "{what}: no reroute counted");
-            assert_analysis_identical(&report.before, &reference.before, &what);
-            assert_analysis_identical(&report.after, &reference.after, &what);
-            assert_eq!(
-                report.before.users, report.after.users,
-                "{what}: occupancy untouched"
-            );
-            assert_routing_identical(&reference.routing, &report.routing, &what);
             // The committed state is exactly the plain first pass.
-            let mut plain = RoutingSession::builder(layout)
-                .config(config)
-                .engine(&*engine)
-                .batch(BatchConfig::serial())
-                .build();
+            let mut plain = build();
             let routed = plain.route_all();
+            let congestion = plain.congestion();
+            assert_analysis_identical(&report.before, &congestion, &what);
+            assert_analysis_identical(&report.after, &congestion, &what);
             assert_routing_identical(&routed, &report.routing, &what);
         }
     }
@@ -295,7 +150,10 @@ fn two_pass_on_congestion_blind_engines_never_reroutes() {
 /// After a mutation + `reroute_dirty`, every re-routed net must be
 /// byte-identical to what a **fresh** session over the mutated layout
 /// computes, and every committed route (refreshed or not) must be legal
-/// wire on the mutated plane.
+/// wire on the mutated plane. The mutations: an ECO (nudge a macro, drop
+/// a blockage, add a net), and a small blockage whose position walks
+/// with the case, so the bounding-box dirty test sees hits, misses and
+/// boundary touches.
 #[test]
 fn mutations_converge_to_the_fresh_route() {
     for case in 0..4u64 {
@@ -303,10 +161,12 @@ fn mutations_converge_to_the_fresh_route() {
         let cell = layout
             .cell_by_name("m0_0")
             .expect("scaling instances name their macros m<r>_<c>");
+        let offset = 2 + (case as i64) * 7;
+        let walking = Rect::new(offset, offset, offset + 4, offset + 4).unwrap();
         for batch in [BatchConfig::serial(), BatchConfig::sharded()] {
+            let what = format!("case {case}/{:?}", batch.index);
             let mut session = session_for(&layout, &GridlessEngine, batch);
             session.route_all();
-            // An ECO: nudge a macro, drop a blockage, add a net.
             session.move_cell(cell, 3, 2).unwrap();
             session
                 .add_obstacle("eco_blk", Rect::new(2, 2, 6, 6).unwrap())
@@ -316,37 +176,42 @@ fn mutations_converge_to_the_fresh_route() {
                 Point::new(0, 0),
                 Point::new(0, session.layout().bounds().ymax()),
             );
-            let dirty = session.dirty_nets();
-            assert!(dirty.contains(&added));
-            session.reroute_dirty();
-            assert!(session.dirty_nets().is_empty(), "case {case}");
+            assert!(session.is_dirty(added), "{what}");
+            assert_converges_to_fresh(session, batch, &format!("{what}: eco"));
 
-            let fresh = session_for(session.layout(), &GridlessEngine, batch).route_all();
-            for id in session.layout().net_ids() {
-                let mine = session.route(id);
-                let theirs = fresh.route_for(id);
-                assert_eq!(mine.is_some(), theirs.is_some(), "case {case} {id}");
-                let (Some(mine), Some(theirs)) = (mine, theirs) else {
-                    continue;
-                };
-                // Every committed route is legal on the mutated plane.
-                assert!(
-                    mine.tree
-                        .segments()
-                        .iter()
-                        .all(|s| session.plane().segment_free(s.a(), s.b())),
-                    "case {case} {id}: stale illegal wire"
-                );
-                if dirty.contains(&id) {
-                    // Re-routed nets match the fresh computation exactly.
-                    assert_eq!(
-                        mine.tree.segments(),
-                        theirs.tree.segments(),
-                        "case {case} {id}"
-                    );
-                    assert_eq!(mine.stats, theirs.stats, "case {case} {id}");
-                }
-            }
+            let mut session = session_for(&layout, &GridlessEngine, batch);
+            session.route_all();
+            session.add_obstacle("blk", walking).unwrap();
+            assert_converges_to_fresh(session, batch, &format!("{what}: blockage"));
+        }
+    }
+}
+
+/// Re-routes the dirty set of a mutated `session` and checks it against
+/// a fresh session over the mutated layout.
+fn assert_converges_to_fresh(mut session: RoutingSession, batch: BatchConfig, what: &str) {
+    let dirty = session.dirty_nets();
+    session.reroute_dirty();
+    assert!(session.dirty_nets().is_empty(), "{what}");
+    let fresh = session_for(session.layout(), &GridlessEngine, batch).route_all();
+    for id in session.layout().net_ids() {
+        let mine = session.route(id);
+        let theirs = fresh.route_for(id);
+        assert_eq!(mine.is_some(), theirs.is_some(), "{what} {id}");
+        let (Some(mine), Some(theirs)) = (mine, theirs) else {
+            continue;
+        };
+        assert!(
+            mine.tree
+                .segments()
+                .iter()
+                .all(|s| session.plane().segment_free(s.a(), s.b())),
+            "{what} {id}: stale illegal wire"
+        );
+        if dirty.contains(&id) {
+            // Re-routed nets match the fresh computation exactly.
+            assert_eq!(mine.tree.segments(), theirs.tree.segments(), "{what} {id}");
+            assert_eq!(mine.stats, theirs.stats, "{what} {id}");
         }
     }
 }
@@ -385,84 +250,6 @@ fn stats_agree_with_the_assembled_routing() {
         assert_eq!(again.reroutes, stats.nets as u64, "{name}");
         assert_eq!(again.wire_length, stats.wire_length, "{name}: stable");
         assert_eq!(again.dirty, 0, "{name}");
-    }
-}
-
-/// The precise (segment-vs-rect) dirty test must mark a **subset** of
-/// what the bounding-box test marks, reroute that subset to exactly the
-/// fresh result, and leave every committed route legal — across seeded
-/// instances, both plane indexes.
-#[test]
-fn precise_dirty_tracking_differential() {
-    for case in 0..4u64 {
-        let layout = scaling_instance(2, 2, 6, 1, case);
-        // A small blockage whose position walks with the case, so the
-        // sweep sees hits, misses and boundary touches.
-        let offset = 2 + (case as i64) * 7;
-        let blk = Rect::new(offset, offset, offset + 4, offset + 4).unwrap();
-        for batch in [BatchConfig::serial(), BatchConfig::sharded()] {
-            let what = format!("case {case}/{:?}", batch.index);
-            let build = |precise: bool| {
-                RoutingSession::builder(layout.clone())
-                    .config(RouterConfig::default())
-                    .batch(batch)
-                    .precise_dirty(precise)
-                    .build()
-            };
-            let mut bbox = build(false);
-            let mut precise = build(true);
-            assert_routing_identical(
-                &bbox.route_all(),
-                &precise.route_all(),
-                &format!("{what}: the flag must not change routing"),
-            );
-            bbox.add_obstacle("blk", blk).unwrap();
-            precise.add_obstacle("blk", blk).unwrap();
-            let bbox_dirty = bbox.dirty_nets();
-            let precise_dirty = precise.dirty_nets();
-            assert!(
-                precise_dirty.iter().all(|id| bbox_dirty.contains(id)),
-                "{what}: precise ⊆ bbox ({precise_dirty:?} vs {bbox_dirty:?})"
-            );
-            bbox.reroute_dirty();
-            precise.reroute_dirty();
-            // Both modes commit equal-cost states (ties may resolve to
-            // different but equally long wire).
-            assert_eq!(
-                bbox.routing().wire_length(),
-                precise.routing().wire_length(),
-                "{what}: equal wire either way"
-            );
-            assert_eq!(
-                bbox.routing().failures.len(),
-                precise.routing().failures.len(),
-                "{what}"
-            );
-            // Precise mode: every re-routed net equals the fresh route,
-            // and every committed route is legal on the mutated plane.
-            let fresh = RoutingSession::builder(precise.layout().clone())
-                .config(RouterConfig::default())
-                .batch(batch)
-                .build()
-                .route_all();
-            for id in precise.layout().net_ids() {
-                let Some(mine) = precise.route(id) else {
-                    continue;
-                };
-                assert!(
-                    mine.tree
-                        .segments()
-                        .iter()
-                        .all(|s| precise.plane().segment_free(s.a(), s.b())),
-                    "{what} {id}: committed wire must stay legal"
-                );
-                if precise_dirty.contains(&id) {
-                    let theirs = fresh.route_for(id).unwrap();
-                    assert_eq!(mine.tree.segments(), theirs.tree.segments(), "{what} {id}");
-                    assert_eq!(mine.stats, theirs.stats, "{what} {id}");
-                }
-            }
-        }
     }
 }
 

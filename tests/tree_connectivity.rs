@@ -86,9 +86,9 @@ fn net_is_electrically_connected(tree: &RouteTree, terminals: &[Vec<Point>]) -> 
 }
 
 fn check_layout_nets(layout: &Layout, ids: &[NetId], case: u64) {
-    let router = GlobalRouter::new(layout, RouterConfig::default());
+    let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
     for &id in ids {
-        let route = router.route_net(id).expect("net routes");
+        let route = session.route_net(id).expect("net routes");
         let net = layout.net(id).expect("net exists");
         // At least one pin of every terminal must be on the tree.
         for t in net.terminals() {
