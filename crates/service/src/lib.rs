@@ -1,9 +1,8 @@
 //! `gcr-service` — the long-running routing daemon.
 //!
-//! The ROADMAP's incremental-session benchmarks put a warm single-net
-//! reroute at **two orders of magnitude** below a cold full route
-//! (`BENCH_session.json`). A one-shot CLI throws that warmth away after
-//! every invocation; this crate keeps it: a daemon that holds
+//! A warm single-net reroute costs a small fraction of a cold full
+//! route (`tests/session.rs` holds that as a bar). A one-shot CLI
+//! throws that warmth away after every invocation; this crate keeps it: a daemon that holds
 //! [`RoutingSession`](gcr_core::RoutingSession)s alive behind a TCP
 //! surface, so an iterative floorplan/ECO loop pays the warm price per
 //! request instead of the cold one.

@@ -3,12 +3,13 @@
 //! The paper's evaluation is experiential ("actual experience using this
 //! algorithm…") on layouts that no longer exist; this crate substitutes
 //! deterministic synthetic instances. Everything is
-//! seeded, so every number `repro` prints is reproducible bit for bit.
+//! seeded, so every number `gcrt repro` prints is reproducible bit for
+//! bit.
 //!
 //! * [`placements`] — macro grids, shelf rows and pad rings of
 //!   general cells,
 //! * [`generator`] — the parametric large-die generator behind the
-//!   scaling tier (`gcrt gen`, `BENCH_scale.json`),
+//!   scaling tier (`gcrt gen`, routebench's `cold-1k`),
 //! * [`netlists`] — random 2-pin, k-terminal and multi-pin netlists with
 //!   pins legally placed on cell boundaries,
 //! * [`fixtures`] — hand-reconstructed Figure 1 / Figure 2 scenes and the

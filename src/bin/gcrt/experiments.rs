@@ -1,18 +1,39 @@
-//! The experiment implementations: one function per table the `repro`
-//! binary prints.
+//! The paper's experiments: one function per table `gcrt repro` prints.
+//! Every scene is seeded through [`rng_for`], so the tables are
+//! reproducible.
 
 use std::time::{Duration, Instant};
 
-use gcr_core::{route_two_points, RouterConfig, RoutingSession};
-use gcr_detail::route_details;
-use gcr_geom::{Plane, Point};
-use gcr_grid::{grid_astar, lee_moore};
-use gcr_hightower::{hightower, HightowerConfig};
-use gcr_layout::{Layout, NetId};
-use gcr_steiner::{exact_rsmt, iterated_one_steiner};
-use gcr_workload::{fixtures, netlists, placements, random_free_point, rng_for};
+use gcr::detail::route_details;
+use gcr::geom::{Point, Rect};
+use gcr::grid::{grid_astar, lee_moore};
+use gcr::hightower::{hightower, HightowerConfig};
+use gcr::layout::{Layout, NetId, Pin};
+use gcr::router::{
+    placement_feedback, route_two_points, FeedbackOptions, RouterConfig, RoutingSession,
+};
+use gcr::steiner::{exact_rsmt, iterated_one_steiner};
+use gcr::workload::{fixtures, netlists, placements, random_free_point, rng_for};
 
-use crate::Table;
+use super::table::Table;
+
+/// An experiment's id, a one-line title for `--list`, and the function
+/// that builds its table.
+type Experiment = (&'static str, &'static str, fn() -> Table);
+
+/// Every experiment `gcrt repro` runs, in print order.
+pub const CATALOG: [Experiment; 10] = [
+    ("e1", "Figure 1: node expansion, gridless vs grid", e1_fig1),
+    ("e2", "Figure 2: the inverted corner", e2_fig2),
+    ("e3", "optimality vs Lee-Moore", e3_optimality),
+    ("e4", "search effort scaling", e4_scaling),
+    ("e5", "Hightower line probing", e5_hightower),
+    ("e6", "multi-terminal Steiner quality", e6_multiterm),
+    ("e7", "global vs detailed routing effort", e7_fullflow),
+    ("e8", "two-pass congestion routing", e8_congestion),
+    ("e9", "successor-generation ablation", e9_ablation),
+    ("e10", "placement feedback convergence", e10_feedback),
+];
 
 fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
@@ -34,7 +55,7 @@ fn mean(values: &[f64]) -> f64 {
 
 /// A macro-grid layout with `rows × cols` cells, deterministic per case.
 #[must_use]
-pub fn grid_layout(rows: usize, cols: usize, case: u64) -> Layout {
+fn grid_layout(rows: usize, cols: usize, case: u64) -> Layout {
     let params = placements::MacroGridParams {
         rows,
         cols,
@@ -45,7 +66,7 @@ pub fn grid_layout(rows: usize, cols: usize, case: u64) -> Layout {
 
 /// E1 (Figure 1): node expansion on the reconstructed figure scene.
 #[must_use]
-pub fn e1_fig1() -> Table {
+fn e1_fig1() -> Table {
     let (plane, s, d) = fixtures::figure1();
     let config = RouterConfig::default();
     let mut t = Table::new(
@@ -102,7 +123,7 @@ pub fn e1_fig1() -> Table {
 /// two equal-length routes is an arbitrary tie-break (and flips with the
 /// direction); with ε the cell-hugging route wins every time.
 #[must_use]
-pub fn e2_fig2() -> Table {
+fn e2_fig2() -> Table {
     let (plane, a, b, block) = fixtures::figure2();
     let mut t = Table::new(
         "E2 (Figure 2) — the inverted corner",
@@ -147,7 +168,7 @@ pub fn e2_fig2() -> Table {
 
 /// E3: exact optimality of the gridless router vs Lee–Moore.
 #[must_use]
-pub fn e3_optimality() -> Table {
+fn e3_optimality() -> Table {
     let config = RouterConfig::default();
     let mut t = Table::new(
         "E3 — gridless A* is exactly optimal (vs Lee-Moore, pitch 1)",
@@ -201,7 +222,7 @@ pub fn e3_optimality() -> Table {
 /// E4: efficiency scaling — grid node counts grow with area/pitch², the
 /// gridless search does not.
 #[must_use]
-pub fn e4_scaling() -> Table {
+fn e4_scaling() -> Table {
     let config = RouterConfig::default();
     let mut t = Table::new(
         "E4 — search effort vs problem size and grid pitch",
@@ -277,7 +298,7 @@ pub fn e4_scaling() -> Table {
 
 /// E5: Hightower line probing — fast but incomplete.
 #[must_use]
-pub fn e5_hightower() -> Table {
+fn e5_hightower() -> Table {
     let config = RouterConfig::default();
     let ht_config = HightowerConfig::default();
     let mut t = Table::new(
@@ -373,7 +394,7 @@ pub fn e5_hightower() -> Table {
 
 /// E6: multi-terminal quality — segment connections vs pin-only trees.
 #[must_use]
-pub fn e6_multiterm() -> Table {
+fn e6_multiterm() -> Table {
     let mut t = Table::new(
         "E6 — Steiner quality of the multi-terminal extension",
         &[
@@ -433,7 +454,7 @@ pub fn e6_multiterm() -> Table {
 
 /// E7: the full flow — global routing time vs detailed routing time.
 #[must_use]
-pub fn e7_fullflow() -> Table {
+fn e7_fullflow() -> Table {
     let mut t = Table::new(
         "E7 — chip assembly: global vs detailed routing effort",
         &[
@@ -478,22 +499,20 @@ pub fn e7_fullflow() -> Table {
 /// The congested-alley layout used by E8: two big cells with a narrow
 /// alley and `nets` nets whose shortest paths all run through it.
 #[must_use]
-pub fn congestion_layout(nets: usize) -> (Layout, Vec<NetId>) {
-    let mut l = Layout::new(gcr_geom::Rect::new(0, 0, 200, 120).unwrap());
-    l.add_cell("west", gcr_geom::Rect::new(40, 20, 95, 100).unwrap())
+fn congestion_layout(nets: usize) -> (Layout, Vec<NetId>) {
+    let mut l = Layout::new(Rect::new(0, 0, 200, 120).unwrap());
+    l.add_cell("west", Rect::new(40, 20, 95, 100).unwrap())
         .unwrap();
-    l.add_cell("east", gcr_geom::Rect::new(105, 20, 160, 100).unwrap())
+    l.add_cell("east", Rect::new(105, 20, 160, 100).unwrap())
         .unwrap();
     let mut ids = Vec::new();
     for i in 0..nets {
         let x = 96 + (i as i64 % 4) * 2;
         let id = l.add_net(format!("n{i}"));
         let t0 = l.add_terminal(id, "s");
-        l.add_pin(t0, gcr_layout::Pin::floating(Point::new(x, 0)))
-            .unwrap();
+        l.add_pin(t0, Pin::floating(Point::new(x, 0))).unwrap();
         let t1 = l.add_terminal(id, "t");
-        l.add_pin(t1, gcr_layout::Pin::floating(Point::new(x, 110)))
-            .unwrap();
+        l.add_pin(t1, Pin::floating(Point::new(x, 110))).unwrap();
         ids.push(id);
     }
     (l, ids)
@@ -501,7 +520,7 @@ pub fn congestion_layout(nets: usize) -> (Layout, Vec<NetId>) {
 
 /// E8: congestion-aware two-pass routing and order independence.
 #[must_use]
-pub fn e8_congestion() -> Table {
+fn e8_congestion() -> Table {
     let mut t = Table::new(
         "E8 — two-pass congestion routing over the narrow alley",
         &["quantity", "pass 1", "pass 2"],
@@ -562,7 +581,7 @@ pub fn e8_congestion() -> Table {
 /// paper). Both are complete and optimal; ray jumps keep node counts
 /// "surprisingly few".
 #[must_use]
-pub fn e9_ablation() -> Table {
+fn e9_ablation() -> Table {
     let anchored_cfg = RouterConfig::default();
     let mut hanan_cfg = RouterConfig::default();
     hanan_cfg.hanan_walk(true);
@@ -640,8 +659,7 @@ pub fn e9_ablation() -> Table {
 /// concerned about convergence … It has not been shown that this approach
 /// is guaranteed to converge").
 #[must_use]
-pub fn e10_feedback() -> Table {
-    use gcr_core::{placement_feedback, FeedbackOptions};
+fn e10_feedback() -> Table {
     let mut t = Table::new(
         "E10 — placement feedback: widen congested passages and reroute",
         &[
@@ -653,7 +671,7 @@ pub fn e10_feedback() -> Table {
             "widened by",
         ],
     );
-    let cases: Vec<(&str, gcr_layout::Layout, i64)> = vec![
+    let cases: Vec<(&str, Layout, i64)> = vec![
         ("alley ×4 nets", congestion_layout(4).0, 5),
         ("alley ×8 nets", congestion_layout(8).0, 5),
         (
@@ -702,29 +720,6 @@ pub fn e10_feedback() -> Table {
     t
 }
 
-/// Every experiment in order.
-#[must_use]
-pub fn all() -> Vec<Table> {
-    vec![
-        e1_fig1(),
-        e2_fig2(),
-        e3_optimality(),
-        e4_scaling(),
-        e5_hightower(),
-        e6_multiterm(),
-        e7_fullflow(),
-        e8_congestion(),
-        e9_ablation(),
-        e10_feedback(),
-    ]
-}
-
-/// A plane/endpoint scene for the Criterion fig1 bench.
-#[must_use]
-pub fn fig1_scene() -> (Plane, Point, Point) {
-    fixtures::figure1()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,13 +750,29 @@ mod tests {
         assert!(t.rows.iter().all(|r| r[2] == t.rows[0][2]));
     }
 
+    /// Every row of `t`'s "equal cost" column reads n/n, and there is
+    /// at least one row.
+    fn assert_always_equal(t: &Table) {
+        let col = t
+            .headers
+            .iter()
+            .position(|h| h == "equal cost")
+            .expect("an equal cost column");
+        assert!(!t.rows.is_empty(), "{}: no rows", t.title);
+        for row in &t.rows {
+            let (equal, total) = row[col].split_once('/').expect("an n/n cell");
+            assert_eq!(equal, total, "optimality violated: {row:?}");
+        }
+    }
+
     #[test]
     fn e3_is_always_equal() {
-        let t = e3_optimality();
-        for row in &t.rows {
-            let parts: Vec<&str> = row[2].split('/').collect();
-            assert_eq!(parts[0], parts[1], "optimality violated: {row:?}");
-        }
+        assert_always_equal(&e3_optimality());
+    }
+
+    #[test]
+    fn e9_is_always_equal() {
+        assert_always_equal(&e9_ablation());
     }
 
     #[test]
@@ -772,7 +783,11 @@ mod tests {
         let after: i64 = overflow[2].parse().unwrap();
         assert!(before > 0);
         assert!(after < before);
-        let independent = &t.rows[4];
+        let independent = t
+            .rows
+            .iter()
+            .find(|r| r[0] == "pass-1 order independent")
+            .expect("an order-independence row");
         assert_eq!(independent[1], "yes");
     }
 

@@ -13,6 +13,7 @@
 //! gcrt gen big.gcl --nets 1000        # generate a seeded scaling instance
 //! gcrt serve --addr 127.0.0.1:4242    # run the routing daemon
 //! gcrt client 127.0.0.1:4242 ping     # drive a running daemon
+//! gcrt repro e2 e3                    # print the paper's experiment tables
 //! ```
 //!
 //! Every routing command drives a [`RoutingSession`]: the CLI is a thin
@@ -21,6 +22,9 @@
 //! protocol (see `gcrt client` for the request verbs).
 
 use std::process::ExitCode;
+
+mod experiments;
+mod table;
 
 use gcr::detail::route_details;
 use gcr::layout::{format, render};
@@ -85,6 +89,7 @@ const BOOL_FLAGS: &[&str] = &[
     "--serial",
     "--no-epsilon",
     "--collapsed",
+    "--list",
 ];
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -157,7 +162,9 @@ fn run(args: &[String]) -> Result<(), String> {
                  \x20 loadgen measure a daemon's req/s ceiling: gcrt loadgen <addr> [...]\n\
                  \x20 profile trace requests against a daemon and render span trees:\n\
                  \x20         gcrt profile <addr> [--requests N] [--collapsed]\n\
-                 \x20 explain per-net cost attribution: gcrt explain <addr> <sid> <net>\n\n\
+                 \x20 explain per-net cost attribution: gcrt explain <addr> <sid> <net>\n\
+                 \x20 repro   print the paper's experiment tables:\n\
+                 \x20         gcrt repro [e1 ... e10 | all] [--list]\n\n\
                  options:\n\
                  \x20 --engine E      routing backend: gridless (default), grid,\n\
                  \x20                 lee-moore, hightower\n\
@@ -226,6 +233,7 @@ fn run(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
+        "repro" => repro(&positionals[1..], flag("--list")),
         "check" => {
             let layout = load(path)?;
             layout.validate().map_err(|e| e.to_string())?;
@@ -794,6 +802,32 @@ fn run_client(addr: &str, verb: &str, rest: &[&String], args: &[String]) -> Resu
     let reply = reply.map_err(|e| format!("{addr}: {e}"))?;
     println!("OK {}", reply.head);
     print!("{}", reply.body);
+    Ok(())
+}
+
+/// `gcrt repro`: prints the tables of the selected experiments (all of
+/// them for no id or `all`) in catalog order. Ids are case-insensitive,
+/// and every one is checked before any experiment runs.
+fn repro(ids: &[&String], list: bool) -> Result<(), String> {
+    use experiments::CATALOG;
+    if list {
+        for (id, title, _) in CATALOG {
+            println!("{id}  {title}");
+        }
+        return Ok(());
+    }
+    let wanted: Vec<String> = ids.iter().map(|id| id.to_lowercase()).collect();
+    for (given, id) in ids.iter().zip(&wanted) {
+        if id != "all" && !CATALOG.iter().any(|(known, _, _)| known == id) {
+            return Err(format!("unknown experiment {given}; try gcrt repro --list"));
+        }
+    }
+    let run_all = wanted.is_empty() || wanted.iter().any(|id| id == "all");
+    for (id, _, table) in CATALOG {
+        if run_all || wanted.iter().any(|w| w == id) {
+            println!("{}", table());
+        }
+    }
     Ok(())
 }
 

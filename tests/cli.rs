@@ -54,3 +54,28 @@ fn unknown_and_valueless_options_exit_2_naming_the_flag() {
         assert_eq!(result.status.code(), Some(0), "{args:?}: {result:?}");
     }
 }
+
+/// `gcrt repro` checks every experiment id before it runs any: a typo
+/// fails with exit 2 and prints no table.
+#[test]
+fn repro_rejects_unknown_options_and_experiment_ids() {
+    for (args, culprit) in [
+        (vec!["repro", "--lsit"], "--lsit"),
+        (vec!["repro", "e2", "e99"], "e99"),
+    ] {
+        let result = gcrt(&args);
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(result.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(culprit), "{args:?}: {stderr}");
+        assert!(result.stdout.is_empty(), "{args:?}: ran an experiment");
+    }
+    let list = gcrt(&["repro", "--list"]);
+    assert_eq!(list.status.code(), Some(0), "{list:?}");
+    assert_eq!(String::from_utf8_lossy(&list.stdout).lines().count(), 10);
+    // Ids are case-insensitive.
+    for id in ["e2", "E2"] {
+        let e2 = gcrt(&["repro", id]);
+        assert_eq!(e2.status.code(), Some(0), "{e2:?}");
+        assert!(String::from_utf8_lossy(&e2.stdout).starts_with("### E2 "));
+    }
+}

@@ -5,7 +5,7 @@
 use gcr::layout::format;
 use gcr::prelude::*;
 use gcr::workload::generator::{generate, GeneratorParams};
-use gcr::workload::{netlists, placements, rng_for};
+use gcr::workload::{netlists, placements, rng_for, scaling_instance};
 
 fn build() -> Layout {
     let params = placements::MacroGridParams {
@@ -76,18 +76,24 @@ fn routing_is_stable_across_router_instances() {
 /// The schedule invariant: a parallel session must produce the exact
 /// routes, costs, statistics and failure lists of a serial one — the
 /// schedule is unobservable because nets are independent and the merge
-/// is in stable net-id order.
+/// is in stable net-id order. Checked on the seeded macro grid and on
+/// the 40- and 120-net workload scaling instances.
 #[test]
 fn parallel_batch_output_is_byte_identical_to_serial() {
-    let layout = build();
-    let serial = with_batch(&layout, GridlessEngine, BatchConfig::serial()).route_all();
-    for threads in [2usize, 3, 8, 32] {
-        let parallel = with_batch(&layout, GridlessEngine, on_threads(threads)).route_all();
-        assert_routing_identical(&serial, &parallel, threads);
+    for (label, layout) in [
+        ("macro grid", build()),
+        ("4x4-40", scaling_instance(4, 4, 32, 8, 0)),
+        ("6x6-120", scaling_instance(6, 6, 96, 24, 0)),
+    ] {
+        let serial = with_batch(&layout, GridlessEngine, BatchConfig::serial()).route_all();
+        for threads in [2usize, 3, 8, 32] {
+            let parallel = with_batch(&layout, GridlessEngine, on_threads(threads)).route_all();
+            assert_routing_identical(&serial, &parallel, &format!("{label}, {threads} threads"));
+        }
+        // And with the machine-default thread count.
+        let parallel = gridless(&layout).route_all();
+        assert_routing_identical(&serial, &parallel, &format!("{label}, default threads"));
     }
-    // And with the machine-default thread count.
-    let parallel = gridless(&layout).route_all();
-    assert_routing_identical(&serial, &parallel, 0);
 }
 
 /// The same invariant must hold for every engine behind the trait, not
@@ -97,36 +103,32 @@ fn parallel_equivalence_holds_for_all_engines() {
     let layout = build();
     let serial_grid = with_batch(&layout, GridEngine::default(), BatchConfig::serial()).route_all();
     let parallel_grid = with_batch(&layout, GridEngine::default(), on_threads(4)).route_all();
-    assert_routing_identical(&serial_grid, &parallel_grid, 4);
+    assert_routing_identical(&serial_grid, &parallel_grid, "grid, 4 threads");
 
     let serial_ht =
         with_batch(&layout, HightowerEngine::default(), BatchConfig::serial()).route_all();
     let parallel_ht = with_batch(&layout, HightowerEngine::default(), on_threads(4)).route_all();
-    assert_routing_identical(&serial_ht, &parallel_ht, 4);
+    assert_routing_identical(&serial_ht, &parallel_ht, "hightower, 4 threads");
 }
 
-fn assert_routing_identical(a: &GlobalRouting, b: &GlobalRouting, threads: usize) {
-    assert_eq!(a.routed_count(), b.routed_count(), "{threads} threads");
-    assert_eq!(a.wire_length(), b.wire_length(), "{threads} threads");
-    assert_eq!(a.stats(), b.stats(), "{threads} threads");
-    assert_eq!(a.failures.len(), b.failures.len(), "{threads} threads");
+fn assert_routing_identical(a: &GlobalRouting, b: &GlobalRouting, what: &str) {
+    assert_eq!(a.routed_count(), b.routed_count(), "{what}");
+    assert_eq!(a.wire_length(), b.wire_length(), "{what}");
+    assert_eq!(a.stats(), b.stats(), "{what}");
+    assert_eq!(a.failures.len(), b.failures.len(), "{what}");
     for ((ida, ea), (idb, eb)) in a.failures.iter().zip(&b.failures) {
-        assert_eq!(ida, idb, "{threads} threads");
-        assert_eq!(ea, eb, "{threads} threads");
+        assert_eq!(ida, idb, "{what}");
+        assert_eq!(ea, eb, "{what}");
     }
     for (ra, rb) in a.routes.iter().zip(&b.routes) {
-        assert_eq!(ra.net, rb.net, "{threads} threads");
-        assert_eq!(ra.id, rb.id, "{threads} threads");
-        assert_eq!(ra.stats, rb.stats, "{threads} threads");
-        assert_eq!(
-            ra.connections.len(),
-            rb.connections.len(),
-            "{threads} threads"
-        );
+        assert_eq!(ra.net, rb.net, "{what}");
+        assert_eq!(ra.id, rb.id, "{what}");
+        assert_eq!(ra.stats, rb.stats, "{what}");
+        assert_eq!(ra.connections.len(), rb.connections.len(), "{what}");
         for (ca, cb) in ra.connections.iter().zip(&rb.connections) {
-            assert_eq!(ca.polyline, cb.polyline, "{threads} threads");
-            assert_eq!(ca.cost, cb.cost, "{threads} threads");
-            assert_eq!(ca.stats, cb.stats, "{threads} threads");
+            assert_eq!(ca.polyline, cb.polyline, "{what}");
+            assert_eq!(ca.cost, cb.cost, "{what}");
+            assert_eq!(ca.stats, cb.stats, "{what}");
         }
     }
 }
@@ -189,17 +191,29 @@ fn reused_scratch_is_byte_identical_to_fresh_for_all_engines_and_indexes() {
 }
 
 /// The pooled scratch must also leave `route_all` unchanged: a serial
-/// session's `route_all` (one scratch across every net) against each net
-/// routed on a fresh session.
+/// session's `route_all` (one scratch across every net) against one
+/// fresh session routing the nets one by one, and against each net
+/// routed on a fresh session of its own. Checked on the seeded macro
+/// grid and on the 30-, 60- and 120-net workload scaling instances.
 #[test]
 fn batch_route_all_matches_per_net_fresh_scratch_routing() {
-    let layout = build();
-    let routing = with_batch(&layout, GridlessEngine, BatchConfig::serial()).route_all();
-    for r in &routing.routes {
-        let mut fresh = gridless(&layout);
-        assert_net_identical(Ok(r), fresh.route_net(r.id), "route_all vs fresh");
+    for (label, layout) in [
+        ("macro grid", build()),
+        ("2x2-30", scaling_instance(2, 2, 24, 6, 0)),
+        ("4x4-60", scaling_instance(4, 4, 48, 12, 0)),
+        ("6x6-120", scaling_instance(6, 6, 96, 24, 0)),
+    ] {
+        let routing = with_batch(&layout, GridlessEngine, BatchConfig::serial()).route_all();
+        let mut net_by_net = gridless(&layout);
+        for r in &routing.routes {
+            let what = format!("{label}: route_all vs net by net");
+            assert_net_identical(Ok(r), net_by_net.route_net(r.id), &what);
+            let mut fresh = gridless(&layout);
+            let what = format!("{label}: route_all vs fresh");
+            assert_net_identical(Ok(r), fresh.route_net(r.id), &what);
+        }
+        assert!(routing.routed_count() > 0, "{label}");
     }
-    assert!(routing.routed_count() > 0);
 }
 
 /// The scale-tier generator is part of the reproducibility contract too:

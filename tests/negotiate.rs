@@ -77,55 +77,88 @@ fn assert_routing_identical(reference: &GlobalRouting, other: &GlobalRouting, wh
     assert_eq!(sorted(reference), sorted(other), "{what}: failures");
 }
 
-/// Satellite: the seeded congested sweep. On every instance negotiation
-/// must leave strictly fewer failed nets than two-pass, total overflow
-/// no worse, and reach zero overflow within the default cap where
-/// two-pass leaves residue (the tentpole's acceptance bar).
+/// The seeded congested sweep. On every instance negotiation must leave
+/// strictly fewer failed nets than two-pass, total overflow no worse,
+/// and reach zero overflow within the default cap where two-pass leaves
+/// residue. Each instance is checked on a thread of its own.
 #[test]
 fn negotiation_beats_two_pass_on_seeded_congested_instances() {
-    let config = congested_config();
-    let instances: Vec<(String, Layout)> = [(64usize, 0u64), (64, 1), (64, 3), (120, 1)]
-        .into_iter()
-        .map(|(nets, seed)| {
-            (
-                format!("{nets} nets / seed {seed}"),
-                congested_instance(nets, seed),
-            )
-        })
-        .collect();
-    let mut two_pass_failed_total = 0usize;
-    for (what, layout) in &instances {
-        let two_pass = session_with(layout, &config, BatchConfig::serial()).route_two_pass();
-        let negotiated = session_with(layout, &config, BatchConfig::serial())
-            .route_negotiated(&NegotiationConfig::default());
-        assert!(
-            two_pass.after.total_overflow() > 0,
-            "{what}: two-pass must leave residual overflow for the bar to mean anything"
-        );
-        assert!(
-            !two_pass.routing.failures.is_empty(),
-            "{what}: the surcharge must cost two-pass at least one net"
-        );
-        assert!(
-            negotiated.routing.failures.len() < two_pass.routing.failures.len(),
-            "{what}: strictly fewer failed nets ({} vs {})",
-            negotiated.routing.failures.len(),
-            two_pass.routing.failures.len()
-        );
-        assert!(
-            negotiated.after.total_overflow() <= two_pass.after.total_overflow(),
-            "{what}: no more overflow ({} vs {})",
-            negotiated.after.total_overflow(),
-            two_pass.after.total_overflow()
-        );
-        assert!(
-            negotiated.converged && negotiated.is_clean(),
-            "{what}: negotiation reaches zero overflow where two-pass does not"
-        );
-        assert!(negotiated.routing.failures.is_empty(), "{what}");
-        two_pass_failed_total += two_pass.routing.failures.len();
-    }
+    let config = &congested_config();
+    let instances = [
+        (64usize, 0u64),
+        (64, 1),
+        (64, 3),
+        (120, 0),
+        (120, 1),
+        (120, 2),
+    ];
+    let two_pass_failed_total: usize = std::thread::scope(|scope| {
+        let checks: Vec<_> = instances
+            .into_iter()
+            .map(|(nets, seed)| scope.spawn(move || beats_two_pass(nets, seed, config)))
+            .collect();
+        checks
+            .into_iter()
+            .map(|check| check.join().expect("instance check passed"))
+            .sum()
+    });
     assert!(two_pass_failed_total > 0);
+}
+
+/// One instance of the congested sweep; returns the nets two-pass failed.
+fn beats_two_pass(nets: usize, seed: u64, config: &RouterConfig) -> usize {
+    let what = format!("{nets} nets / seed {seed}");
+    let layout = &congested_instance(nets, seed);
+    let two_pass = session_with(layout, config, BatchConfig::serial()).route_two_pass();
+    let negotiated = session_with(layout, config, BatchConfig::serial())
+        .route_negotiated(&NegotiationConfig::default());
+    assert!(
+        two_pass.after.total_overflow() > 0,
+        "{what}: two-pass must leave residual overflow for the bar to mean anything"
+    );
+    assert!(
+        !two_pass.routing.failures.is_empty(),
+        "{what}: the surcharge must cost two-pass at least one net"
+    );
+    assert!(
+        negotiated.routing.failures.len() < two_pass.routing.failures.len(),
+        "{what}: strictly fewer failed nets ({} vs {})",
+        negotiated.routing.failures.len(),
+        two_pass.routing.failures.len()
+    );
+    assert!(
+        negotiated.after.total_overflow() <= two_pass.after.total_overflow(),
+        "{what}: no more overflow ({} vs {})",
+        negotiated.after.total_overflow(),
+        two_pass.after.total_overflow()
+    );
+    assert!(
+        negotiated.converged && negotiated.is_clean(),
+        "{what}: negotiation reaches zero overflow where two-pass does not"
+    );
+    assert!(negotiated.routing.failures.is_empty(), "{what}");
+    two_pass.routing.failures.len()
+}
+
+/// The 1k-net congested panel: negotiation never fails more nets than
+/// two-pass there either.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a 1k-net negotiation is slow unoptimized; runs under cargo test --release"
+)]
+fn negotiation_fails_no_more_nets_than_two_pass_at_1k() {
+    let layout = congested_instance(1000, 0);
+    let config = congested_config();
+    let two_pass = session_with(&layout, &config, BatchConfig::default()).route_two_pass();
+    let negotiated = session_with(&layout, &config, BatchConfig::default())
+        .route_negotiated(&NegotiationConfig::default());
+    assert!(
+        negotiated.routing.failures.len() <= two_pass.routing.failures.len(),
+        "negotiation failed {} nets, two-pass {}",
+        negotiated.routing.failures.len(),
+        two_pass.routing.failures.len()
+    );
 }
 
 /// The shipped dense fixture. Its alley capacity is genuinely

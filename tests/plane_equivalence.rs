@@ -121,37 +121,50 @@ fn schedules() -> [(BatchConfig, &'static str); 4] {
     ]
 }
 
-/// Every schedule's `route_all` ≡ a fresh serial flat session's; and
-/// routing net by net through the session's single-net entry point
-/// commits the same state as `route_all`.
 fn sweep_engine<E: RoutingEngine + Clone>(engine: E, name: &str, cases: u64) {
-    let config = RouterConfig::default();
     for case in 0..cases {
         let layout = scaling_instance(2, 2, 5, 2, case);
-        let reference =
-            session(&layout, &config, engine.clone(), BatchConfig::serial()).route_all();
-        for (batch, label) in schedules() {
-            let what = format!("{name}/{label}/case {case}");
-            let mut session = session(&layout, &config, engine.clone(), batch);
-            assert_routing_identical(&reference, &session.route_all(), &what);
-            for id in layout.net_ids() {
-                session.rip_up(id);
-            }
-            for id in layout.net_ids() {
-                let _ = session.route_net(id);
-            }
-            assert_routing_identical(
-                &reference,
-                &session.routing(),
-                &format!("{what}: net-by-net"),
-            );
-        }
+        sweep_layout(&engine, &format!("{name}/case {case}"), &layout);
     }
 }
 
+/// Every schedule's `route_all` ≡ a fresh serial flat session's; and
+/// routing net by net through the session's single-net entry point
+/// commits the same state as `route_all`.
+fn sweep_layout<E: RoutingEngine + Clone>(engine: &E, name: &str, layout: &Layout) {
+    let config = RouterConfig::default();
+    let reference = session(layout, &config, engine.clone(), BatchConfig::serial()).route_all();
+    for (batch, label) in schedules() {
+        let what = format!("{name}/{label}");
+        let mut session = session(layout, &config, engine.clone(), batch);
+        assert_routing_identical(&reference, &session.route_all(), &what);
+        for id in layout.net_ids() {
+            session.rip_up(id);
+        }
+        for id in layout.net_ids() {
+            let _ = session.route_net(id);
+        }
+        assert_routing_identical(
+            &reference,
+            &session.routing(),
+            &format!("{what}: net-by-net"),
+        );
+    }
+}
+
+/// The gridless sweep also covers the 30-, 60- and 120-net workload
+/// scaling instances.
 #[test]
 fn gridless_engine_flat_equals_sharded_serial_and_parallel() {
     sweep_engine(GridlessEngine, "gridless", CASES);
+    for (label, rows, cols, two_pin, multi) in [
+        ("2x2-30", 2, 2, 24, 6),
+        ("4x4-60", 4, 4, 48, 12),
+        ("6x6-120", 6, 6, 96, 24),
+    ] {
+        let layout = scaling_instance(rows, cols, two_pin, multi, 0);
+        sweep_layout(&GridlessEngine, &format!("gridless/{label}"), &layout);
+    }
 }
 
 #[test]
@@ -399,21 +412,24 @@ fn scale_tier_sampled_routes_flat_sharded_serial_parallel_identical() {
     }
 }
 
-/// Raw query-level differential sweep over the workload planes: every
-/// ray, segment and corner query an engine could issue must agree between
-/// the flat and sharded implementations. Routing equivalence (above)
-/// exercises the reachable subset; this covers queries the particular
-/// routes never asked.
+/// Raw query-level differential sweep over the workload planes (the
+/// seeded cases and the 120-net scaling instance): every ray, segment
+/// and corner query an engine could issue must agree between the flat
+/// and sharded implementations. Routing equivalence (above) exercises
+/// the reachable subset; this covers queries the particular routes
+/// never asked.
 #[test]
 fn query_level_flat_sharded_agreement_on_workload_planes() {
-    for case in 0..CASES {
-        let layout = scaling_instance(2, 2, 3, 1, case);
+    let cases = (0..CASES).map(|case| (format!("case {case}"), scaling_instance(2, 2, 3, 1, case)));
+    let largest = ("6x6-120".to_string(), scaling_instance(6, 6, 96, 24, 0));
+    for (case, layout) in cases.chain([largest]) {
         let flat = layout.to_plane();
         let sharded = ShardedPlane::new(layout.to_plane());
         let xs = PlaneIndex::corner_coords(&flat, Axis::X);
         let ys = PlaneIndex::corner_coords(&flat, Axis::Y);
         assert_eq!(xs, sharded.corner_coords(Axis::X), "case {case}");
         assert_eq!(ys, sharded.corner_coords(Axis::Y), "case {case}");
+        let mut free = Vec::new();
         for &x in &xs {
             for &y in &ys {
                 let p = Point::new(x, y);
@@ -430,6 +446,7 @@ fn query_level_flat_sharded_agreement_on_workload_planes() {
                 if !PlaneIndex::point_free(&flat, p) {
                     continue;
                 }
+                free.push(p);
                 for dir in Dir::ALL {
                     let hit = PlaneIndex::ray_hit(&flat, p, dir);
                     assert_eq!(hit, sharded.ray_hit(p, dir), "case {case}: ray {p} {dir:?}");
@@ -452,5 +469,130 @@ fn query_level_flat_sharded_agreement_on_workload_planes() {
                 );
             }
         }
+        // Consecutive free crossings, bent into an L where they share
+        // neither coordinate.
+        for w in free.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            let legs = if a.x == b.x || a.y == b.y {
+                vec![(a, b)]
+            } else {
+                let corner = Point::new(a.x, b.y);
+                vec![(a, corner), (corner, b)]
+            };
+            for (s, t) in legs {
+                assert_eq!(
+                    PlaneIndex::segment_free(&flat, s, t),
+                    sharded.segment_free(s, t),
+                    "case {case}: segment {s}-{t}"
+                );
+            }
+        }
     }
+}
+
+/// Bulk-loading a plane (`Plane::with_obstacles`, one sort) must build
+/// the same plane as inserting the rectangles one at a time.
+fn assert_bulk_build_equals_incremental(bounds: Rect, rects: &[Rect], what: &str) {
+    let mut incremental = Plane::new(bounds);
+    incremental.build_index();
+    for &r in rects {
+        incremental.add_obstacle(r);
+    }
+    let bulk = Plane::with_obstacles(bounds, rects);
+    assert_eq!(incremental.rects(), bulk.rects(), "{what}: build parity");
+}
+
+/// A whole generated scale tier (`with_nets(nets, 0)`):
+/// * the bulk plane build equals incremental insertion;
+/// * a cold serial route over the sharded plane equals the flat one
+///   byte for byte;
+/// * `ecos` seeded obstacle drops then each reroute exactly the nets
+///   they marked dirty, on both sessions;
+/// * 1,500 seeded free probes get the same `ray_hit` and full-ray
+///   `corner_candidates_into` answers from both planes.
+fn assert_scale_tier_flat_equals_sharded(nets: usize, ecos: usize) {
+    let layout = generate(&GeneratorParams::with_nets(nets, 0));
+    let bounds = layout.bounds();
+    let rects: Vec<Rect> = layout.cells().iter().map(|c| c.rect()).collect();
+    assert_bulk_build_equals_incremental(bounds, &rects, &format!("{nets} nets"));
+
+    let config = RouterConfig::default();
+    let serial = |index| BatchConfig::serial().with_index(index);
+    let mut flat = session(
+        &layout,
+        &config,
+        GridlessEngine,
+        serial(PlaneIndexKind::Flat),
+    );
+    let mut sharded = session(
+        &layout,
+        &config,
+        GridlessEngine,
+        serial(PlaneIndexKind::Sharded),
+    );
+    let reference = flat.route_all();
+    assert_routing_identical(&reference, &sharded.route_all(), &format!("{nets} nets"));
+    for (index, warm) in [("flat", &mut flat), ("sharded", &mut sharded)] {
+        let mut rng = rng_for("scale-eco", 0);
+        for eco in 0..ecos {
+            let p = random_free_point(warm.plane(), &mut rng);
+            let x = p.x.clamp(bounds.xmin(), bounds.xmax() - 2);
+            let y = p.y.clamp(bounds.ymin(), bounds.ymax() - 2);
+            let rect = Rect::new(x, y, x + 2, y + 2).expect("in bounds");
+            warm.add_obstacle(format!("eco{eco}"), rect)
+                .expect("unique");
+            let dirty = warm.stats().dirty;
+            let outcome = warm.reroute_dirty();
+            assert_eq!(outcome.attempted, dirty, "{nets} nets/{index}: eco {eco}");
+        }
+    }
+
+    let flat = layout.to_plane();
+    let sharded = ShardedPlane::new(flat.clone());
+    let mut rng = rng_for("scale-sweep", 0);
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for i in 0..1500 {
+        let p = random_free_point(&flat, &mut rng);
+        for dir in Dir::ALL {
+            let hit = PlaneIndex::ray_hit(&flat, p, dir);
+            assert_eq!(hit, sharded.ray_hit(p, dir), "{nets} nets, probe {i}: ray");
+            PlaneIndex::corner_candidates_into(&flat, p, dir, hit.stop, &mut a);
+            sharded.corner_candidates_into(p, dir, hit.stop, &mut b);
+            assert_eq!(a, b, "{nets} nets, probe {i}: corners {p} {dir:?}");
+        }
+    }
+}
+
+#[test]
+fn scale_tier_120_flat_equals_sharded() {
+    assert_scale_tier_flat_equals_sharded(120, 10);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a 1k-net die is slow unoptimized; runs under cargo test --release"
+)]
+fn scale_tier_1k_flat_equals_sharded() {
+    assert_scale_tier_flat_equals_sharded(1000, 5);
+}
+
+/// The headline build instance: exactly 10,000 obstacles (a fully
+/// filled 100×100 slot grid).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "10k one-at-a-time inserts cost O(N²); runs under cargo test --release"
+)]
+fn bulk_build_equals_incremental_on_the_10k_obstacle_grid() {
+    let layout = generate(&GeneratorParams {
+        rows: 100,
+        cols: 100,
+        fill: 1.0,
+        nets: 1,
+        ..GeneratorParams::default()
+    });
+    let rects: Vec<Rect> = layout.cells().iter().map(|c| c.rect()).collect();
+    assert_eq!(rects.len(), 10_000);
+    assert_bulk_build_equals_incremental(layout.bounds(), &rects, "10k obstacles");
 }

@@ -13,6 +13,7 @@ use gcr::prelude::*;
 use gcr::router::congestion::CongestionAnalysis;
 use gcr::router::{apply_eco, parse_eco, NegotiationConfig};
 use gcr::workload::scaling_instance;
+use std::time::{Duration, Instant};
 
 fn assert_routing_identical(reference: &GlobalRouting, other: &GlobalRouting, what: &str) {
     assert_eq!(
@@ -64,12 +65,13 @@ fn session_for<E: RoutingEngine + Clone>(
 /// influence a net's result.
 #[test]
 fn rip_up_reroute_is_deterministic() {
-    for case in 0..6u64 {
-        let layout = scaling_instance(2, 2, 6, 2, case);
+    let cases = (0..6u64).map(|case| (format!("case {case}"), scaling_instance(2, 2, 6, 2, case)));
+    for (what, layout) in cases.chain(scaling_instances()) {
         for batch in [BatchConfig::serial(), BatchConfig::sharded()] {
             let mut session = session_for(&layout, &GridlessEngine, batch);
             let fresh = session.route_all();
-            // Rip up every other net, then every net, rerouting between.
+            // Rip up every other net, then every net, then the last one
+            // alone, rerouting between.
             let ids = session.layout().net_ids();
             for id in ids.iter().step_by(2) {
                 assert_eq!(session.rip_up(*id), fresh.route_for(*id).is_some());
@@ -78,17 +80,78 @@ fn rip_up_reroute_is_deterministic() {
             assert_routing_identical(
                 &fresh,
                 &session.routing(),
-                &format!("case {case}: partial rip-up"),
+                &format!("{what}: partial rip-up"),
             );
             for id in &ids {
                 session.rip_up(*id);
             }
             let outcome = session.reroute_dirty();
-            assert_eq!(outcome.attempted, ids.len(), "case {case}");
-            assert_routing_identical(
-                &fresh,
-                &session.routing(),
-                &format!("case {case}: full rip-up"),
+            assert_eq!(outcome.attempted, ids.len(), "{what}");
+            assert_routing_identical(&fresh, &session.routing(), &format!("{what}: full rip-up"));
+            let victim = *ids.last().expect("instance has nets");
+            assert!(session.rip_up(victim), "{what}: the last net routed");
+            assert_eq!(session.reroute_dirty().attempted, 1, "{what}");
+            assert_routing_identical(&fresh, &session.routing(), &format!("{what}: one net"));
+        }
+    }
+}
+
+/// The 30-, 60- and 120-net workload scaling instances.
+fn scaling_instances() -> [(String, Layout); 3] {
+    [
+        ("2x2-30", 2, 2, 24, 6),
+        ("4x4-60", 4, 4, 48, 12),
+        ("6x6-120", 6, 6, 96, 24),
+    ]
+    .map(|(label, rows, cols, two_pin, multi)| {
+        (
+            label.to_string(),
+            scaling_instance(rows, cols, two_pin, multi, 0),
+        )
+    })
+}
+
+/// Session warmth: rerouting one ripped-up net in a long-lived session
+/// must beat a cold full route (a fresh session and `route_all`), min
+/// against min over ten samples each, on every scaling instance and
+/// both plane indexes.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a timing bar, meaningful only optimized; runs under cargo test --release"
+)]
+fn warm_single_net_reroute_beats_a_cold_full_route() {
+    const SAMPLES: usize = 10;
+    for (label, layout) in scaling_instances() {
+        for index in [PlaneIndexKind::Flat, PlaneIndexKind::Sharded] {
+            let what = format!("{label}/{index:?}");
+            let batch = BatchConfig::serial().with_index(index);
+            let mut warm = session_for(&layout, &GridlessEngine, batch);
+            let fresh = warm.route_all();
+            let mut cold = Duration::MAX;
+            for _ in 0..SAMPLES {
+                let start = Instant::now();
+                let routing = session_for(&layout, &GridlessEngine, batch).route_all();
+                cold = cold.min(start.elapsed());
+                assert_eq!(routing.stats(), fresh.stats(), "{what}: run must be stable");
+            }
+            let victim = *layout.net_ids().last().expect("instance has nets");
+            let mut reroute = Duration::MAX;
+            for _ in 0..SAMPLES {
+                warm.rip_up(victim);
+                let start = Instant::now();
+                let outcome = warm.reroute_dirty();
+                reroute = reroute.min(start.elapsed());
+                assert_eq!(outcome.rerouted, 1, "{what}: the victim must reroute");
+            }
+            assert_eq!(
+                warm.routing().stats(),
+                fresh.stats(),
+                "{what}: warm state stable"
+            );
+            assert!(
+                reroute < cold,
+                "{what}: a warm single-net reroute ({reroute:?}) must beat a cold full route ({cold:?})"
             );
         }
     }
