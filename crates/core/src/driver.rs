@@ -140,14 +140,14 @@ pub(crate) fn grow_net<E: RoutingEngine + ?Sized>(
             }
         }
         let routed = if segment_connections {
-            engine.route_connection_in(plane, &tree, &goals, &coster, config, scratch)
+            engine.route_connection(plane, &tree, &goals, &coster, config, scratch)
         } else {
             // Strawman: seed only from connected pins/junction points.
             let mut pin_tree = RouteTree::new();
             for p in tree.points() {
                 pin_tree.add_point(*p);
             }
-            engine.route_connection_in(plane, &pin_tree, &goals, &coster, config, scratch)
+            engine.route_connection(plane, &pin_tree, &goals, &coster, config, scratch)
         };
         scratch.goal_set = goals;
         let routed = routed.map_err(|e| match e {

@@ -24,7 +24,7 @@ use gcr_geom::{PlaneIndex, Point};
 use gcr_search::{LexCost, SearchStats};
 
 use crate::{
-    route_from_tree_in, EdgeCoster, GoalSet, RouteError, RouteTree, RoutedPath, RouterConfig,
+    route_from_tree, EdgeCoster, GoalSet, RouteError, RouteTree, RoutedPath, RouterConfig,
     SearchScratch,
 };
 
@@ -63,7 +63,8 @@ pub trait RoutingEngine: Sync {
     /// Routes one connection from `tree` (the net's connected set so far)
     /// to the nearest member of `goals`, pricing edges with `coster`
     /// where supported, using `scratch` for every reusable allocation
-    /// (search arenas, staging buffers).
+    /// (search arenas, staging buffers). An engine whose search polls a
+    /// budget polls the scratch's.
     ///
     /// The returned polyline starts on the tree and ends exactly on a
     /// goal point (the net driver uses the endpoint to identify which
@@ -80,8 +81,9 @@ pub trait RoutingEngine: Sync {
     ///
     /// See [`RouteError`]. For incomplete engines an `Unreachable` error
     /// means "not found", not "proven absent" — check
-    /// [`EngineCaps::complete`].
-    fn route_connection_in(
+    /// [`EngineCaps::complete`]. A search stopped by the scratch's budget
+    /// is [`RouteError::Cancelled`].
+    fn route_connection(
         &self,
         plane: &dyn PlaneIndex,
         tree: &RouteTree,
@@ -90,32 +92,6 @@ pub trait RoutingEngine: Sync {
         config: &RouterConfig,
         scratch: &mut SearchScratch,
     ) -> Result<RoutedPath, RouteError>;
-
-    /// Convenience form of [`RoutingEngine::route_connection_in`] that
-    /// owns a fresh [`SearchScratch`] for the call. Hot drivers (the
-    /// session's net-tree grower) keep a scratch and call the `_in` form
-    /// directly.
-    ///
-    /// # Errors
-    ///
-    /// See [`RoutingEngine::route_connection_in`].
-    fn route_connection(
-        &self,
-        plane: &dyn PlaneIndex,
-        tree: &RouteTree,
-        goals: &GoalSet,
-        coster: &EdgeCoster<'_>,
-        config: &RouterConfig,
-    ) -> Result<RoutedPath, RouteError> {
-        self.route_connection_in(
-            plane,
-            tree,
-            goals,
-            coster,
-            config,
-            &mut SearchScratch::new(),
-        )
-    }
 }
 
 // Engines compose as references and trait objects, so callers can hold a
@@ -125,7 +101,7 @@ impl<E: RoutingEngine + ?Sized> RoutingEngine for &E {
         (**self).capabilities()
     }
 
-    fn route_connection_in(
+    fn route_connection(
         &self,
         plane: &dyn PlaneIndex,
         tree: &RouteTree,
@@ -134,7 +110,7 @@ impl<E: RoutingEngine + ?Sized> RoutingEngine for &E {
         config: &RouterConfig,
         scratch: &mut SearchScratch,
     ) -> Result<RoutedPath, RouteError> {
-        (**self).route_connection_in(plane, tree, goals, coster, config, scratch)
+        (**self).route_connection(plane, tree, goals, coster, config, scratch)
     }
 }
 
@@ -143,7 +119,7 @@ impl<E: RoutingEngine + ?Sized> RoutingEngine for Box<E> {
         (**self).capabilities()
     }
 
-    fn route_connection_in(
+    fn route_connection(
         &self,
         plane: &dyn PlaneIndex,
         tree: &RouteTree,
@@ -152,7 +128,7 @@ impl<E: RoutingEngine + ?Sized> RoutingEngine for Box<E> {
         config: &RouterConfig,
         scratch: &mut SearchScratch,
     ) -> Result<RoutedPath, RouteError> {
-        (**self).route_connection_in(plane, tree, goals, coster, config, scratch)
+        (**self).route_connection(plane, tree, goals, coster, config, scratch)
     }
 }
 
@@ -175,7 +151,7 @@ impl RoutingEngine for GridlessEngine {
         }
     }
 
-    fn route_connection_in(
+    fn route_connection(
         &self,
         plane: &dyn PlaneIndex,
         tree: &RouteTree,
@@ -184,7 +160,7 @@ impl RoutingEngine for GridlessEngine {
         config: &RouterConfig,
         scratch: &mut SearchScratch,
     ) -> Result<RoutedPath, RouteError> {
-        route_from_tree_in(plane, tree, goals, *coster, config, scratch)
+        route_from_tree(plane, tree, goals, *coster, config, scratch)
     }
 }
 
@@ -296,7 +272,7 @@ impl RoutingEngine for GridEngine {
         }
     }
 
-    fn route_connection_in(
+    fn route_connection(
         &self,
         plane: &dyn PlaneIndex,
         tree: &RouteTree,
@@ -309,6 +285,7 @@ impl RoutingEngine for GridEngine {
             grid: arena,
             sources,
             goals: goal_points,
+            budget,
             ..
         } = scratch;
         self.grid_sources_into(plane, tree, sources);
@@ -327,13 +304,14 @@ impl RoutingEngine for GridEngine {
             self.lattice_points(plane, s, goal_points);
             goal_points.extend([s.a(), s.b()].into_iter().filter(|&p| on_grid(p)));
         }
-        let route = gcr_grid::route_multi_in(
+        let route = gcr_grid::route_multi(
             plane,
             sources,
             goal_points,
             self.pitch,
             self.informed,
             config.max_expansions,
+            budget,
             arena,
         )
         .map_err(|e| match e {
@@ -347,6 +325,10 @@ impl RoutingEngine for GridEngine {
             gcr_grid::GridRouteError::LimitExceeded { limit } => RouteError::LimitExceeded {
                 what: "grid connection".into(),
                 limit,
+            },
+            gcr_grid::GridRouteError::Cancelled { reason } => RouteError::Cancelled {
+                what: "grid connection".into(),
+                reason,
             },
             _ => RouteError::NothingToRoute {
                 what: "grid connection".into(),
@@ -397,7 +379,7 @@ impl RoutingEngine for HightowerEngine {
         }
     }
 
-    fn route_connection_in(
+    fn route_connection(
         &self,
         plane: &dyn PlaneIndex,
         tree: &RouteTree,
@@ -530,7 +512,14 @@ mod tests {
         for e in engines() {
             let caps = e.capabilities();
             let r = e
-                .route_connection(&plane, &tree, &goals, &coster, &config)
+                .route_connection(
+                    &plane,
+                    &tree,
+                    &goals,
+                    &coster,
+                    &config,
+                    &mut SearchScratch::new(),
+                )
                 .unwrap_or_else(|err| panic!("{}: {err}", caps.name));
             assert!(
                 plane.polyline_free(&r.polyline),
@@ -558,10 +547,24 @@ mod tests {
         ] {
             let (tree, goals) = two_point_request(a, b);
             let gridless = GridlessEngine
-                .route_connection(&plane, &tree, &goals, &coster, &config)
+                .route_connection(
+                    &plane,
+                    &tree,
+                    &goals,
+                    &coster,
+                    &config,
+                    &mut SearchScratch::new(),
+                )
                 .unwrap();
             let grid = GridEngine::default()
-                .route_connection(&plane, &tree, &goals, &coster, &config)
+                .route_connection(
+                    &plane,
+                    &tree,
+                    &goals,
+                    &coster,
+                    &config,
+                    &mut SearchScratch::new(),
+                )
                 .unwrap();
             assert_eq!(gridless.cost.primary, grid.cost.primary, "{a} -> {b}");
         }
@@ -580,7 +583,14 @@ mod tests {
         );
         let goals = GoalSet::from_point(Point::new(50, 10));
         let r = GridEngine::default()
-            .route_connection(&plane, &tree, &goals, &coster, &config)
+            .route_connection(
+                &plane,
+                &tree,
+                &goals,
+                &coster,
+                &config,
+                &mut SearchScratch::new(),
+            )
             .unwrap();
         assert_eq!(r.cost.primary, 30);
         assert_eq!(r.polyline.start(), Point::new(50, 40));
@@ -605,7 +615,14 @@ mod tests {
         config.max_expansions(Some(1));
         let coster = EdgeCoster::new(&config);
         let (tree, goals) = two_point_request(Point::new(10, 50), Point::new(90, 50));
-        let r = GridEngine::default().route_connection(&plane, &tree, &goals, &coster, &config);
+        let r = GridEngine::default().route_connection(
+            &plane,
+            &tree,
+            &goals,
+            &coster,
+            &config,
+            &mut SearchScratch::new(),
+        );
         assert!(matches!(r, Err(RouteError::LimitExceeded { limit: 1, .. })));
     }
 
@@ -619,7 +636,14 @@ mod tests {
         let mut goals = GoalSet::new();
         goals.add_segment(gcr_geom::Segment::horizontal(40, 0, 100));
         let r = GridEngine::default()
-            .route_connection(&plane, &tree, &goals, &coster, &config)
+            .route_connection(
+                &plane,
+                &tree,
+                &goals,
+                &coster,
+                &config,
+                &mut SearchScratch::new(),
+            )
             .unwrap();
         // Straight up to the segment interior at (50, 40): cost 30, not
         // a detour to an endpoint.
@@ -642,7 +666,14 @@ mod tests {
             max_pairs: 1,
         };
         let (tree, goals) = two_point_request(Point::new(10, 50), Point::new(90, 50));
-        let r = engine.route_connection(&plane, &tree, &goals, &coster, &config);
+        let r = engine.route_connection(
+            &plane,
+            &tree,
+            &goals,
+            &coster,
+            &config,
+            &mut SearchScratch::new(),
+        );
         assert!(matches!(r, Err(RouteError::Unreachable { .. })));
         assert!(!engine.capabilities().complete);
     }

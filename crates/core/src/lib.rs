@@ -80,8 +80,8 @@ pub use error::RouteError;
 pub use feedback::{placement_feedback, FeedbackOptions, FeedbackReport, IterationRecord};
 pub use gcr_search::{Budget, CancelReason};
 pub use goal::GoalSet;
-pub use negotiate::{negotiate, NegotiationConfig, NegotiationCost, NegotiationReport};
-pub use route::{route_from_tree, route_from_tree_in, route_two_points, RoutedPath};
+pub use negotiate::{NegotiationConfig, NegotiationCost, NegotiationReport};
+pub use route::{route_from_tree, route_two_points, RoutedPath};
 pub use routing::{GlobalRouting, NetRoute, TwoPassReport};
 pub use scratch::SearchScratch;
 pub use session::{

@@ -16,14 +16,14 @@
 //!   prices of both strips ratchet up until one net finds a third path
 //!   (or the cap ends the argument).
 //!
-//! [`NegotiationCost`] holds the per-passage history, [`negotiate`] is
-//! the driver loop over the existing [`RoutingSession`] primitives
-//! (dirty-marking + `reroute_dirty_with(penalty)`), and
-//! [`NegotiationReport`] is the two-pass-shaped summary. The loop runs
-//! until zero overflow or [`NegotiationConfig::max_iters`]; within each
-//! round any net a *surcharged* search failed is retried at true cost,
-//! so negotiation never ends with fewer routed nets than the plain
-//! first pass. A capped run that ends mid-oscillation is rolled back to
+//! [`NegotiationCost`] holds the per-passage history, the driver loop
+//! behind [`RoutingSession::route_negotiated`] runs over the existing
+//! session primitives (dirty-marking + a surcharged reroute of the
+//! dirty set), and [`NegotiationReport`] is the two-pass-shaped
+//! summary. The loop runs until zero overflow or
+//! [`NegotiationConfig::max_iters`]; within each round any net a
+//! *surcharged* search failed is retried at true cost, so negotiation
+//! never ends with fewer routed nets than the plain first pass. A capped run that ends mid-oscillation is rolled back to
 //! the best state it visited (keep-best), so a bigger budget never buys
 //! a worse answer.
 //!
@@ -212,7 +212,7 @@ impl NegotiationReport {
     }
 }
 
-/// The negotiation driver loop; see the [module docs](self).
+/// The negotiation driver loop; see the module docs.
 ///
 /// Route everything, then while overflow remains and the cap allows:
 /// grow history, price every passage (present + history), mark the nets
@@ -220,43 +220,21 @@ impl NegotiationReport {
 /// surcharged round failed — and reroute exactly that set. Engines
 /// without [`supports_congestion`](crate::EngineCaps::supports_congestion)
 /// never iterate: the report is the plain first pass.
-pub fn negotiate<E: RoutingEngine>(
-    session: &mut RoutingSession<E>,
-    config: &NegotiationConfig,
-) -> NegotiationReport {
-    negotiate_impl(session, config, None).expect("unbudgeted negotiation cannot be cancelled")
-}
-
-/// [`negotiate`] under a cooperative [`Budget`]. Commits happen between
-/// rounds, so the caller
-/// ([`RoutingSession::route_negotiated_budgeted`](crate::RoutingSession::route_negotiated_budgeted))
-/// is responsible for checkpoint/rollback on error; this function only
-/// guarantees that it stops promptly and reports why.
+///
+/// Every pass runs under `budget`. Commits happen between rounds, so the
+/// caller restores a checkpoint on error (see
+/// [`RoutingSession::route_negotiated_budgeted`]); this function only
+/// stops promptly and reports why.
 ///
 /// # Errors
 ///
 /// [`RouteError::Cancelled`] when the budget expired or was cancelled.
-pub(crate) fn negotiate_budgeted<E: RoutingEngine>(
+pub(crate) fn negotiate<E: RoutingEngine>(
     session: &mut RoutingSession<E>,
     config: &NegotiationConfig,
     budget: &Budget,
 ) -> Result<NegotiationReport, RouteError> {
-    negotiate_impl(session, config, Some(budget))
-}
-
-fn negotiate_impl<E: RoutingEngine>(
-    session: &mut RoutingSession<E>,
-    config: &NegotiationConfig,
-    budget: Option<&Budget>,
-) -> Result<NegotiationReport, RouteError> {
-    match budget {
-        Some(b) => {
-            let _ = session.route_all_budgeted(b)?;
-        }
-        None => {
-            let _ = session.route_all();
-        }
-    }
+    let _ = session.route_all_budgeted(budget)?;
     let passages = find_passages(session.plane());
     let before = session.analyze_committed(&passages);
     // Nets the plain pass could not route at all (geometric failures):
@@ -294,7 +272,7 @@ fn negotiate_impl<E: RoutingEngine>(
         // state byte-for-byte.
         if current.total_overflow() > best.0 {
             session.mark_all_dirty();
-            let outcome = session.reroute_dirty_inner(None, budget)?;
+            let outcome = session.reroute(None, budget)?;
             rerouted += outcome.rerouted;
             current = session.analyze_committed(&passages);
             let mut replay_cost = NegotiationCost::new(passages.len());
@@ -350,14 +328,14 @@ fn negotiation_round<E: RoutingEngine>(
     cost: &mut NegotiationCost,
     current: &CongestionAnalysis,
     rerouted: &mut usize,
-    budget: Option<&Budget>,
+    budget: &Budget,
 ) -> Result<CongestionAnalysis, RouteError> {
     cost.absorb(current, config.history_increment);
     let penalty = cost.penalty(current, config.present_weight);
     for idx in current.affected_nets() {
         session.set_dirty_slot(idx);
     }
-    let outcome = session.reroute_dirty_inner(Some(&penalty), budget)?;
+    let outcome = session.reroute(Some(&penalty), budget)?;
     *rerouted += outcome.rerouted;
     // Surcharge casualties — nets whose expansion budget blew up under
     // the inflated costs — are restored at true cost right away
@@ -374,7 +352,7 @@ fn negotiation_round<E: RoutingEngine>(
         for idx in casualties {
             session.set_dirty_slot(idx);
         }
-        let repair = session.reroute_dirty_inner(None, budget)?;
+        let repair = session.reroute(None, budget)?;
         *rerouted += repair.rerouted;
     }
     Ok(session.analyze_committed(passages))

@@ -1,9 +1,7 @@
 //! Point-to-point and tree-to-goal routing entry points.
 
 use gcr_geom::{PlaneIndex, Point, Polyline};
-use gcr_search::{
-    astar_budgeted_into, Found, LexCost, PathCost, SearchLimits, SearchOutcome, SearchStats,
-};
+use gcr_search::{astar_in, Found, LexCost, PathCost, SearchOutcome, SearchStats};
 
 use crate::{
     EdgeCoster, GoalSet, RouteError, RouteState, RouteTree, RouterConfig, RoutingSpace,
@@ -80,42 +78,21 @@ pub fn route_two_points(
 }
 
 /// Routes from an existing [`RouteTree`] (every segment a legal connection
-/// point) to the nearest member of `goals`, using `coster` for pricing.
+/// point) to the nearest member of `goals`, using `coster` for pricing
+/// and `scratch` for every reusable allocation and for its budget.
 ///
 /// This is one growth step of the paper's Steiner approximation; the
 /// net driver (`driver::grow_net`) runs it once per terminal, through
-/// [`GridlessEngine`](crate::GridlessEngine)'s `route_connection_in`.
+/// [`GridlessEngine`](crate::GridlessEngine), reusing one scratch across
+/// every connection of a net (and a session across every net of a
+/// worker). Results never depend on what ran in the scratch before.
 ///
 /// # Errors
 ///
 /// As [`route_two_points`], with [`RouteError::NothingToRoute`] when the
-/// tree or goal set is empty.
+/// tree or goal set is empty and [`RouteError::Cancelled`] when the
+/// scratch's budget runs out.
 pub fn route_from_tree(
-    plane: &dyn PlaneIndex,
-    tree: &RouteTree,
-    goals: &GoalSet,
-    coster: EdgeCoster<'_>,
-    config: &RouterConfig,
-) -> Result<RoutedPath, RouteError> {
-    route_from_tree_in(
-        plane,
-        tree,
-        goals,
-        coster,
-        config,
-        &mut SearchScratch::new(),
-    )
-}
-
-/// [`route_from_tree`] with a caller-owned [`SearchScratch`], so the net
-/// driver reuses one arena across every connection of a multi-terminal
-/// net (and a session across every net of a worker). Results
-/// are bit-identical to the fresh-scratch form.
-///
-/// # Errors
-///
-/// As [`route_from_tree`].
-pub fn route_from_tree_in(
     plane: &dyn PlaneIndex,
     tree: &RouteTree,
     goals: &GoalSet,
@@ -154,9 +131,6 @@ fn run(
     what: impl Fn() -> String,
 ) -> Result<RoutedPath, RouteError> {
     let space = RoutingSpace::new(plane, goals, sources, coster).with_hanan_walk(config.hanan_walk);
-    let limits = SearchLimits {
-        max_expansions: config.max_expansions,
-    };
     let SearchScratch {
         gridless,
         path_states,
@@ -164,10 +138,7 @@ fn run(
         budget,
         ..
     } = scratch;
-    // The budget rides inside the scratch (not the engine signature) so
-    // every existing caller stays source-compatible; an unlimited
-    // default budget costs one relaxed load per expansion.
-    match astar_budgeted_into(&space, limits, Some(budget), gridless, path_states) {
+    match astar_in(&space, config.max_expansions, budget, gridless, path_states) {
         SearchOutcome::Found(Found { cost, stats, .. }) => {
             let polyline = if path_states.len() == 1 {
                 Polyline::single(path_states[0].point)
@@ -368,7 +339,15 @@ mod tests {
         let mut goals = GoalSet::from_point(Point::new(40, 90));
         goals.add_point(Point::new(70, 58));
         let coster = EdgeCoster::new(&config);
-        let r = route_from_tree(&plane, &tree, &goals, coster, &config).unwrap();
+        let r = route_from_tree(
+            &plane,
+            &tree,
+            &goals,
+            coster,
+            &config,
+            &mut SearchScratch::new(),
+        )
+        .unwrap();
         // Nearest goal is (70,58), 8 above the trunk.
         assert_eq!(r.cost.primary, 8);
         assert_eq!(r.polyline.start(), Point::new(70, 50));
@@ -382,8 +361,9 @@ mod tests {
         let tree = RouteTree::new();
         let goals = GoalSet::from_point(Point::new(1, 1));
         let coster = EdgeCoster::new(&config);
+        let mut scratch = SearchScratch::new();
         assert!(matches!(
-            route_from_tree(&plane, &tree, &goals, coster, &config),
+            route_from_tree(&plane, &tree, &goals, coster, &config, &mut scratch),
             Err(RouteError::NothingToRoute { .. })
         ));
     }

@@ -16,9 +16,8 @@
 //!   worker**, which reuses it across every net that worker claims;
 //! * the net driver reuses the same scratch across **all connections of
 //!   a multi-terminal net**;
-//! * the public convenience entry points (`route_connection`,
-//!   `route_net`, `route_from_tree`) own a fresh scratch per call, so
-//!   casual callers never see the seam.
+//! * the one-shot `route_two_points` owns a fresh scratch per call;
+//!   every other entry point takes one.
 //!
 //! Scratch state is worker-local and never influences results: every
 //! arena is reset on entry to the search and every buffer is cleared
@@ -59,17 +58,17 @@ pub struct SearchScratch {
     /// (taken out around the search like `goal_set`).
     pub(crate) seeds: Vec<(RouteState, LexCost)>,
     /// Path-reconstruction buffer the gridless search fills
-    /// (`astar_with_limits_into`).
+    /// (`astar_in`).
     pub(crate) path_states: Vec<RouteState>,
     /// Polyline-simplification staging buffer; only the final exact-size
     /// vertex vector of a routed connection is allocated.
     pub(crate) path_points: Vec<Point>,
-    /// The cooperative cancellation budget the gridless A\* polls.
-    /// Defaults to unlimited (checks never fail); session drivers
-    /// install a request-scoped clone before routing and restore the
-    /// unlimited default afterwards. Like every other scratch field it
-    /// can stop work but never steer it, so scratch reuse stays
-    /// result-invisible.
+    /// The cooperative cancellation budget every A\* of this scratch
+    /// polls, gridless and grid alike. Unlimited in a fresh scratch; the
+    /// session's scratch pool installs the calling request's budget on
+    /// every checkout, so a cancelled token never outlives its call.
+    /// Like every other scratch field it can stop work but never steer
+    /// it, so scratch reuse stays result-invisible.
     pub(crate) budget: Budget,
 }
 

@@ -147,13 +147,17 @@ struct ScratchPool {
 }
 
 impl ScratchPool {
-    fn checkout(&self) -> PooledScratch<'_> {
-        let scratch = self
+    /// Checks a scratch out with `budget` installed: every checkout
+    /// installs its call's budget, so a token a cancelled call left in
+    /// a pooled scratch never reaches a later call.
+    fn checkout(&self, budget: &Budget) -> PooledScratch<'_> {
+        let mut scratch = self
             .free
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop()
             .unwrap_or_default();
+        scratch.budget = budget.clone();
         PooledScratch {
             pool: self,
             scratch,
@@ -168,11 +172,7 @@ struct PooledScratch<'a> {
 
 impl Drop for PooledScratch<'_> {
     fn drop(&mut self) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        // Never return a request-scoped budget to the pool: the next
-        // request must start from the unlimited default, not inherit a
-        // cancelled or expired token.
-        scratch.budget = Budget::default();
+        let scratch = std::mem::take(&mut self.scratch);
         self.pool
             .free
             .lock()
@@ -678,37 +678,28 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// with one pooled scratch per worker. Pure per net, so serial and
     /// parallel schedules commit byte-identical results.
     ///
-    /// With a `budget`, each worker installs a clone into its scratch
-    /// (fine-grained, per-expansion checks inside the gridless A\*) and
-    /// every net runs a full check first (coarse-grained cover for
-    /// engines whose inner loops are not budget-aware). A net that
-    /// observes the budget exhausted yields `RouteError::Cancelled`;
-    /// drivers treat any such result as "commit nothing".
+    /// Every worker's scratch carries `budget`, which the A\* searches
+    /// poll on every expansion, and every net runs a full check first
+    /// (the only check the Hightower prober gets). A net that observes
+    /// the budget exhausted yields `RouteError::Cancelled`; drivers
+    /// treat any such result as "commit nothing".
     fn route_many(
         &self,
         ids: &[NetId],
         penalty: Option<&CongestionPenalty>,
-        budget: Option<&Budget>,
+        budget: &Budget,
     ) -> Vec<Result<NetRoute, RouteError>> {
         let threads = self.batch.threads_for(ids.len());
         parallel_map_with(
             ids,
             threads,
-            || {
-                let mut scratch = self.pool.checkout();
-                if let Some(b) = budget {
-                    scratch.scratch.budget = b.clone();
-                }
-                scratch
-            },
+            || self.pool.checkout(budget),
             |scratch, _, &id| {
-                if let Some(b) = budget {
-                    if let Err(reason) = b.check() {
-                        return Err(RouteError::Cancelled {
-                            what: format!("{id}"),
-                            reason,
-                        });
-                    }
+                if let Err(reason) = budget.check() {
+                    return Err(RouteError::Cancelled {
+                        what: format!("{id}"),
+                        reason,
+                    });
                 }
                 match &self.trace {
                     Some(handle) => {
@@ -800,7 +791,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
             });
         }
         let result = {
-            let mut scratch = self.pool.checkout();
+            let mut scratch = self.pool.checkout(&Budget::unlimited());
             match &self.trace {
                 Some(handle) => self.route_one_traced(handle, id, None, &mut scratch.scratch),
                 None => self.route_one(id, None, &mut scratch.scratch),
@@ -825,7 +816,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
     ///
     /// See [`RouteError`].
     pub fn route_net_pin_tree(&self, id: NetId) -> Result<NetRoute, RouteError> {
-        let mut scratch = self.pool.checkout();
+        let mut scratch = self.pool.checkout(&Budget::unlimited());
         grow_net(
             &self.layout,
             self.plane.index(),
@@ -843,12 +834,8 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// Byte-identical on every schedule and index (see
     /// [`RoutingSession`]).
     pub fn route_all(&mut self) -> GlobalRouting {
-        let ids = self.layout.net_ids();
-        let results = self.route_many(&ids, None, None);
-        for (id, result) in ids.into_iter().zip(results) {
-            self.commit(id, result);
-        }
-        self.routing()
+        self.route_all_budgeted(&Budget::unlimited())
+            .expect("an unlimited budget never cancels")
     }
 
     /// [`RoutingSession::route_all`] under a cooperative [`Budget`].
@@ -866,7 +853,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// cancelled mid-route.
     pub fn route_all_budgeted(&mut self, budget: &Budget) -> Result<GlobalRouting, RouteError> {
         let ids = self.layout.net_ids();
-        let results = self.route_many(&ids, None, Some(budget));
+        let results = self.route_many(&ids, None, budget);
         if let Some(e) = Self::first_cancellation(&results) {
             return Err(e);
         }
@@ -910,7 +897,8 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// result and clearing the dirty marks. Clean nets are untouched —
     /// this is the warm path an ECO loop lives on.
     pub fn reroute_dirty(&mut self) -> RerouteOutcome {
-        self.reroute_dirty_with(None)
+        self.reroute_dirty_budgeted(&Budget::unlimited())
+            .expect("an unlimited budget never cancels")
     }
 
     /// [`RoutingSession::reroute_dirty`] under a cooperative [`Budget`],
@@ -927,21 +915,16 @@ impl<E: RoutingEngine> RoutingSession<E> {
         &mut self,
         budget: &Budget,
     ) -> Result<RerouteOutcome, RouteError> {
-        self.reroute_dirty_inner(None, Some(budget))
+        self.reroute(None, budget)
     }
 
-    pub(crate) fn reroute_dirty_with(
+    /// Re-routes the dirty set under `penalty` (the surcharged passes of
+    /// the two-pass flow and negotiation) and `budget`, with the
+    /// all-or-nothing contract of [`RoutingSession::reroute_dirty_budgeted`].
+    pub(crate) fn reroute(
         &mut self,
         penalty: Option<&CongestionPenalty>,
-    ) -> RerouteOutcome {
-        self.reroute_dirty_inner(penalty, None)
-            .expect("unbudgeted reroute cannot be cancelled")
-    }
-
-    pub(crate) fn reroute_dirty_inner(
-        &mut self,
-        penalty: Option<&CongestionPenalty>,
-        budget: Option<&Budget>,
+        budget: &Budget,
     ) -> Result<RerouteOutcome, RouteError> {
         let ids = self.dirty_nets();
         if let Some(m) = crate::telem::live() {
@@ -998,7 +981,9 @@ impl<E: RoutingEngine> RoutingSession<E> {
             // index names a routed slot; mark it for the surcharged pass.
             self.set_dirty_slot(net_index);
         }
-        let outcome = self.reroute_dirty_with(Some(&penalty));
+        let outcome = self
+            .reroute(Some(&penalty), &Budget::unlimited())
+            .expect("an unlimited budget never cancels");
         let after = self.analyze_committed(&passages);
         TwoPassReport {
             routing: self.routing(),
@@ -1015,7 +1000,8 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// for the cost model; byte-identical across serial/parallel ×
     /// flat/sharded schedules.
     pub fn route_negotiated(&mut self, config: &NegotiationConfig) -> NegotiationReport {
-        crate::negotiate::negotiate(self, config)
+        crate::negotiate::negotiate(self, config, &Budget::unlimited())
+            .expect("an unlimited budget never cancels")
     }
 
     /// [`RoutingSession::route_negotiated`] under a cooperative
@@ -1034,7 +1020,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
         budget: &Budget,
     ) -> Result<NegotiationReport, RouteError> {
         let checkpoint = self.checkpoint();
-        match crate::negotiate::negotiate_budgeted(self, config, budget) {
+        match crate::negotiate::negotiate(self, config, budget) {
             Ok(report) => Ok(report),
             Err(e) => {
                 self.restore(checkpoint);

@@ -192,11 +192,7 @@ impl SearchSpace for RoutingSpace<'_> {
     type State = RouteState;
     type Cost = LexCost;
 
-    fn start_states(&self) -> Vec<(RouteState, LexCost)> {
-        self.sources.to_vec()
-    }
-
-    fn start_states_into(&self, out: &mut Vec<(RouteState, LexCost)>) {
+    fn start_states(&self, out: &mut Vec<(RouteState, LexCost)>) {
         out.clear();
         out.extend_from_slice(&self.sources);
     }

@@ -390,6 +390,12 @@ impl Plane {
         self.index.is_some()
     }
 
+    /// Drops the ray-tracing index, so mutations stop maintaining it and
+    /// queries fall back to the linear scans.
+    pub(crate) fn drop_index(&mut self) {
+        self.index = None;
+    }
+
     /// Translates every rectangle of obstacle `id` by `(dx, dy)` in
     /// place, returning `false` when the id is unknown (or was removed).
     ///

@@ -91,12 +91,13 @@ impl ShardedPlane {
     /// least 1). Mostly useful for tests that want to force shard
     /// boundaries through specific coordinates.
     #[must_use]
-    pub fn with_shard_size(plane: Plane, shard: Coord) -> ShardedPlane {
-        // No sharded query reads the flat plane's topological index, so
-        // it is neither built nor dropped here: a plane passed in indexed
-        // stays indexed for `flat()` callers. Corner queries are served
-        // by the dedicated corner tables (built once here, in bulk);
-        // buckets serve the local queries (points, segments, rays).
+    pub fn with_shard_size(mut plane: Plane, shard: Coord) -> ShardedPlane {
+        // Buckets serve the local queries (points, segments, rays) and
+        // the corner tables, built once here in bulk, the corner
+        // queries. No query reads the flat plane's topological index,
+        // so it is dropped rather than kept up to date by every
+        // mutation.
+        plane.drop_index();
         let corners = CornerIndex::build(plane.rects());
         let shard = shard.max(1);
         let b = plane.bounds();
@@ -120,7 +121,8 @@ impl ShardedPlane {
         ShardedPlane::new(Plane::new(bounds))
     }
 
-    /// The underlying flat plane (same rectangles, same bounds).
+    /// The underlying flat plane (same rectangles, same bounds), without
+    /// its topological index: its own queries run the linear scans.
     #[must_use]
     pub fn flat(&self) -> &Plane {
         &self.flat
@@ -139,10 +141,8 @@ impl ShardedPlane {
     }
 
     /// Adds a rectangular obstacle and returns its id (see
-    /// [`Plane::add_obstacle`]). A built flat index is maintained
-    /// incrementally by the insert (sorted-insert, not a rebuild), so
-    /// mutation is O(log n) per face list plus the bucket and
-    /// corner-table registration.
+    /// [`Plane::add_obstacle`]): an append to the flat list plus the
+    /// bucket and corner-table registration.
     pub fn add_obstacle(&mut self, rect: Rect) -> ObstacleId {
         let from = self.flat.rects().len();
         let id = self.flat.add_obstacle(rect);
@@ -152,10 +152,9 @@ impl ShardedPlane {
     }
 
     /// Adds a batch of rectangular obstacles in one step (see
-    /// [`Plane::add_obstacles`]): a built flat index is rebuilt once by
-    /// sort, the corner tables are rebuilt in bulk and buckets are
-    /// appended — the bulk construction path for large generated
-    /// instances and batched ECOs.
+    /// [`Plane::add_obstacles`]): the corner tables are rebuilt in bulk
+    /// and buckets are appended — the bulk construction path for large
+    /// generated instances and batched ECOs.
     pub fn add_obstacles(&mut self, rects: &[Rect]) -> std::ops::Range<ObstacleId> {
         let from = self.flat.rects().len();
         let ids = self.flat.add_obstacles(rects);
@@ -709,6 +708,7 @@ mod tests {
         flat.build_index();
         for shard in [1, 7, 33, 1000] {
             let mut s = ShardedPlane::with_shard_size(flat.clone(), shard);
+            assert!(!s.flat().has_index(), "no sharded query reads it");
             let p = Point::new(0, 50);
             assert_eq!(s.ray_hit(p, Dir::East).stop, 30, "shard {shard}");
             assert!(s.translate_obstacle(id, 15, 10));

@@ -12,6 +12,8 @@
 //!
 //! * [`lee_moore`] — wavefront (breadth-first) expansion, ĥ = 0,
 //! * [`grid_astar`] — the same grid successors with the Manhattan ĥ,
+//! * [`route_multi`] — either regime from many sources to many goals
+//!   under a shared [`Budget`], the form the session's grid engine uses,
 //!
 //! so the reproduction can demonstrate both the special-case relationship
 //! (identical path costs) and the efficiency claim (grid node counts grow
@@ -27,8 +29,8 @@ use std::fmt;
 
 use gcr_geom::{Coord, PlaneIndex, Point, Polyline};
 use gcr_search::{
-    astar, astar_with_limits_in, breadth_first, Found, Labels, SearchArena, SearchLimits,
-    SearchOutcome, SearchSpace, SearchStats, ZeroHeuristic,
+    astar, astar_in, breadth_first, Budget, CancelReason, Found, Labels, SearchArena,
+    SearchOutcome, SearchSpace, SearchStats,
 };
 
 /// The reusable search arena of the grid routers: state = grid node,
@@ -156,6 +158,11 @@ pub enum GridRouteError {
         /// The limit that was hit.
         limit: usize,
     },
+    /// The shared [`Budget`] ran out or was cancelled mid-search.
+    Cancelled {
+        /// Why the budget stopped the search.
+        reason: CancelReason,
+    },
 }
 
 impl fmt::Display for GridRouteError {
@@ -177,6 +184,7 @@ impl fmt::Display for GridRouteError {
             GridRouteError::LimitExceeded { limit } => {
                 write!(f, "grid search expansion limit {limit} exceeded")
             }
+            GridRouteError::Cancelled { reason } => write!(f, "grid search cancelled: {reason}"),
         }
     }
 }
@@ -198,135 +206,13 @@ pub struct GridRoute {
     pub grid_nodes: usize,
 }
 
-/// The grid search problem: 4-neighbor successors, unit (pitch) edges.
+/// The grid search problem: start the wavefront from every source at
+/// cost 0, terminate on any goal node, with 4-neighbor successors and
+/// pitch-long edges. One start and one goal is the classic two-point
+/// problem; several of each is what lets the grid baseline drive the same
+/// tree-growing net router as the gridless engine (every connection step
+/// is sources = the partial tree, goals = the unconnected pins).
 struct GridSpace<'a> {
-    grid: &'a RoutingGrid<'a>,
-    start: (i32, i32),
-    goal: (i32, i32),
-    use_heuristic: bool,
-}
-
-impl SearchSpace for GridSpace<'_> {
-    type State = (i32, i32);
-    type Cost = i64;
-
-    fn start_states(&self) -> Vec<((i32, i32), i64)> {
-        vec![(self.start, 0)]
-    }
-
-    fn successors(
-        &self,
-        s: &(i32, i32),
-        _: &dyn Labels<(i32, i32), i64>,
-        out: &mut Vec<((i32, i32), i64)>,
-    ) {
-        for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
-            let n = (s.0 + dx, s.1 + dy);
-            if self.grid.edge_usable(*s, n) {
-                out.push((n, self.grid.pitch()));
-            }
-        }
-    }
-
-    fn is_goal(&self, s: &(i32, i32)) -> bool {
-        *s == self.goal
-    }
-
-    fn heuristic(&self, s: &(i32, i32)) -> i64 {
-        if self.use_heuristic {
-            self.grid.point(*s).manhattan(self.grid.point(self.goal))
-        } else {
-            0
-        }
-    }
-}
-
-fn route_on_grid(
-    plane: &dyn PlaneIndex,
-    a: Point,
-    b: Point,
-    pitch: Coord,
-    informed: bool,
-) -> Result<GridRoute, GridRouteError> {
-    let grid = RoutingGrid::new(plane, pitch);
-    let start = grid.snap(a).ok_or(GridRouteError::OffGrid { point: a })?;
-    let goal = grid.snap(b).ok_or(GridRouteError::OffGrid { point: b })?;
-    if !grid.usable(start) {
-        return Err(GridRouteError::InvalidEndpoint { point: a });
-    }
-    if !grid.usable(goal) {
-        return Err(GridRouteError::InvalidEndpoint { point: b });
-    }
-    let space = GridSpace {
-        grid: &grid,
-        start,
-        goal,
-        use_heuristic: informed,
-    };
-    let found: Option<Found<(i32, i32), i64>> = if informed {
-        astar(&space)
-    } else {
-        // Lee–Moore wavefront: FIFO expansion, which on a uniform grid is
-        // exactly breadth-first search and returns a minimal path.
-        breadth_first(&space)
-    };
-    match found {
-        Some(Found { path, cost, stats }) => {
-            let points: Vec<Point> = path.into_iter().map(|n| grid.point(n)).collect();
-            let polyline = if points.len() == 1 {
-                Polyline::single(points[0])
-            } else {
-                Polyline::new(points)
-                    .expect("grid steps are axis-aligned")
-                    .simplified()
-            };
-            Ok(GridRoute {
-                polyline,
-                length: cost,
-                stats,
-                grid_nodes: grid.node_count(),
-            })
-        }
-        None => Err(GridRouteError::Unreachable),
-    }
-}
-
-/// Routes `a → b` with the classic Lee–Moore wavefront (breadth-first
-/// expansion, ĥ = 0). Returns a minimal-length grid path.
-///
-/// # Errors
-///
-/// See [`GridRouteError`].
-pub fn lee_moore(
-    plane: &dyn PlaneIndex,
-    a: Point,
-    b: Point,
-    pitch: Coord,
-) -> Result<GridRoute, GridRouteError> {
-    route_on_grid(plane, a, b, pitch, false)
-}
-
-/// Routes `a → b` on the same grid with the Manhattan heuristic — the
-/// "special case" A\* the paper derives Lee–Moore from, run informed.
-///
-/// # Errors
-///
-/// See [`GridRouteError`].
-pub fn grid_astar(
-    plane: &dyn PlaneIndex,
-    a: Point,
-    b: Point,
-    pitch: Coord,
-) -> Result<GridRoute, GridRouteError> {
-    route_on_grid(plane, a, b, pitch, true)
-}
-
-/// The multi-source / multi-goal grid problem: start the wavefront from
-/// every source at cost 0, terminate on any goal node. This is what lets
-/// the grid baseline drive the same tree-growing net router as the
-/// gridless engine (every connection step is sources = the partial tree,
-/// goals = the unconnected pins).
-struct MultiGridSpace<'a> {
     grid: &'a RoutingGrid<'a>,
     starts: Vec<(i32, i32)>,
     goals: BTreeSet<(i32, i32)>,
@@ -334,12 +220,73 @@ struct MultiGridSpace<'a> {
     use_heuristic: bool,
 }
 
-impl SearchSpace for MultiGridSpace<'_> {
+impl<'a> GridSpace<'a> {
+    /// Snaps every endpoint to `grid`, sources first, failing on the
+    /// first one off the grid or not a legal wire position. Sources and
+    /// goals are deduplicated, and sources are seeded in sorted grid
+    /// order, so the search is deterministic.
+    fn new(
+        grid: &'a RoutingGrid<'a>,
+        sources: &[Point],
+        goals: &[Point],
+        use_heuristic: bool,
+    ) -> Result<GridSpace<'a>, GridRouteError> {
+        if sources.is_empty() || goals.is_empty() {
+            return Err(GridRouteError::NothingToRoute);
+        }
+        let node = |p: Point| {
+            let node = grid.snap(p).ok_or(GridRouteError::OffGrid { point: p })?;
+            if grid.usable(node) {
+                Ok(node)
+            } else {
+                Err(GridRouteError::InvalidEndpoint { point: p })
+            }
+        };
+        let starts: BTreeSet<(i32, i32)> =
+            sources.iter().map(|&p| node(p)).collect::<Result<_, _>>()?;
+        let mut goal_nodes: BTreeSet<(i32, i32)> = BTreeSet::new();
+        let mut goal_points: Vec<Point> = Vec::new();
+        for &p in goals {
+            let n = node(p)?;
+            if goal_nodes.insert(n) {
+                goal_points.push(grid.point(n));
+            }
+        }
+        Ok(GridSpace {
+            grid,
+            starts: starts.into_iter().collect(),
+            goals: goal_nodes,
+            goal_points,
+            use_heuristic,
+        })
+    }
+
+    /// The route along a found node path.
+    fn route(&self, path: &[(i32, i32)], length: i64, stats: SearchStats) -> GridRoute {
+        let points: Vec<Point> = path.iter().map(|&n| self.grid.point(n)).collect();
+        let polyline = if points.len() == 1 {
+            Polyline::single(points[0])
+        } else {
+            Polyline::new(points)
+                .expect("grid steps are axis-aligned")
+                .simplified()
+        };
+        GridRoute {
+            polyline,
+            length,
+            stats,
+            grid_nodes: self.grid.node_count(),
+        }
+    }
+}
+
+impl SearchSpace for GridSpace<'_> {
     type State = (i32, i32);
     type Cost = i64;
 
-    fn start_states(&self) -> Vec<((i32, i32), i64)> {
-        self.starts.iter().map(|&s| (s, 0)).collect()
+    fn start_states(&self, out: &mut Vec<((i32, i32), i64)>) {
+        out.clear();
+        out.extend(self.starts.iter().map(|&s| (s, 0)));
     }
 
     fn successors(
@@ -374,17 +321,68 @@ impl SearchSpace for MultiGridSpace<'_> {
     }
 }
 
+fn route_pair(
+    plane: &dyn PlaneIndex,
+    a: Point,
+    b: Point,
+    pitch: Coord,
+    informed: bool,
+) -> Result<GridRoute, GridRouteError> {
+    let grid = RoutingGrid::new(plane, pitch);
+    let space = GridSpace::new(&grid, &[a], &[b], informed)?;
+    let found = if informed {
+        astar(&space)
+    } else {
+        // Lee–Moore wavefront: FIFO expansion, which on a uniform grid is
+        // exactly breadth-first search and returns a minimal path.
+        breadth_first(&space)
+    };
+    let Found { path, cost, stats } = found.ok_or(GridRouteError::Unreachable)?;
+    Ok(space.route(&path, cost, stats))
+}
+
+/// Routes `a → b` with the classic Lee–Moore wavefront (breadth-first
+/// expansion, ĥ = 0). Returns a minimal-length grid path.
+///
+/// # Errors
+///
+/// See [`GridRouteError`].
+pub fn lee_moore(
+    plane: &dyn PlaneIndex,
+    a: Point,
+    b: Point,
+    pitch: Coord,
+) -> Result<GridRoute, GridRouteError> {
+    route_pair(plane, a, b, pitch, false)
+}
+
+/// Routes `a → b` on the same grid with the Manhattan heuristic — the
+/// "special case" A\* the paper derives Lee–Moore from, run informed.
+///
+/// # Errors
+///
+/// See [`GridRouteError`].
+pub fn grid_astar(
+    plane: &dyn PlaneIndex,
+    a: Point,
+    b: Point,
+    pitch: Coord,
+) -> Result<GridRoute, GridRouteError> {
+    route_pair(plane, a, b, pitch, true)
+}
+
 /// Routes from the nearest of `sources` to the nearest of `goals` on the
-/// grid (multi-source, multi-goal). With `informed` the Manhattan
-/// minimum-over-goals heuristic is used (admissible); otherwise the
-/// search is blind (ĥ = 0, the Lee–Moore regime — run through the same
-/// bounded engine so `max_expansions` applies, which on the uniform grid
-/// returns the same minimal lengths as the classic wavefront).
+/// grid (multi-source, multi-goal) through `arena`, under a per-call
+/// expansion cap and a shared [`Budget`] (see [`astar_in`]). With
+/// `informed` the Manhattan minimum-over-goals heuristic is used
+/// (admissible); otherwise the search is blind (ĥ = 0, the Lee–Moore
+/// regime, which on the uniform grid returns the same minimal lengths
+/// as the classic wavefront).
 ///
 /// Sources and goals are deduplicated; the search is deterministic
 /// (sources are seeded in sorted grid order, ties broken by the engine's
-/// sequence numbers). `max_expansions` bounds the search effort per call
-/// (`None` = unlimited).
+/// sequence numbers), and the arena is reset on entry, so reuse never
+/// changes a result.
 ///
 /// # Errors
 ///
@@ -392,7 +390,9 @@ impl SearchSpace for MultiGridSpace<'_> {
 /// * [`GridRouteError::OffGrid`] / [`GridRouteError::InvalidEndpoint`]
 ///   for illegal endpoints,
 /// * [`GridRouteError::Unreachable`] when no grid path exists,
-/// * [`GridRouteError::LimitExceeded`] when `max_expansions` is hit.
+/// * [`GridRouteError::LimitExceeded`] when `max_expansions` is hit,
+/// * [`GridRouteError::Cancelled`] when `budget` runs out first.
+#[allow(clippy::too_many_arguments)]
 pub fn route_multi(
     plane: &dyn PlaneIndex,
     sources: &[Point],
@@ -400,98 +400,19 @@ pub fn route_multi(
     pitch: Coord,
     informed: bool,
     max_expansions: Option<usize>,
-) -> Result<GridRoute, GridRouteError> {
-    route_multi_in(
-        plane,
-        sources,
-        goals,
-        pitch,
-        informed,
-        max_expansions,
-        &mut GridSearchArena::new(),
-    )
-}
-
-/// [`route_multi`] with a caller-owned [`GridSearchArena`], so batch
-/// drivers routing many connections amortize the search's allocations.
-/// The arena is reset on entry; results are bit-identical to
-/// [`route_multi`].
-///
-/// # Errors
-///
-/// See [`route_multi`].
-pub fn route_multi_in(
-    plane: &dyn PlaneIndex,
-    sources: &[Point],
-    goals: &[Point],
-    pitch: Coord,
-    informed: bool,
-    max_expansions: Option<usize>,
+    budget: &Budget,
     arena: &mut GridSearchArena,
 ) -> Result<GridRoute, GridRouteError> {
-    if sources.is_empty() || goals.is_empty() {
-        return Err(GridRouteError::NothingToRoute);
-    }
     let grid = RoutingGrid::new(plane, pitch);
-    let mut starts: BTreeSet<(i32, i32)> = BTreeSet::new();
-    for &p in sources {
-        let node = grid.snap(p).ok_or(GridRouteError::OffGrid { point: p })?;
-        if !grid.usable(node) {
-            return Err(GridRouteError::InvalidEndpoint { point: p });
-        }
-        starts.insert(node);
-    }
-    let mut goal_nodes: BTreeSet<(i32, i32)> = BTreeSet::new();
-    let mut goal_points: Vec<Point> = Vec::new();
-    for &p in goals {
-        let node = grid.snap(p).ok_or(GridRouteError::OffGrid { point: p })?;
-        if !grid.usable(node) {
-            return Err(GridRouteError::InvalidEndpoint { point: p });
-        }
-        if goal_nodes.insert(node) {
-            goal_points.push(grid.point(node));
-        }
-    }
-    let space = MultiGridSpace {
-        grid: &grid,
-        starts: starts.into_iter().collect(),
-        goals: goal_nodes,
-        goal_points,
-        use_heuristic: informed,
-    };
-    let limits = SearchLimits { max_expansions };
-    let outcome = if informed {
-        astar_with_limits_in(&space, limits, arena)
-    } else {
-        astar_with_limits_in(&ZeroHeuristic(&space), limits, arena)
-    };
-    match outcome {
-        SearchOutcome::Found(Found { path, cost, stats }) => {
-            let points: Vec<Point> = path.into_iter().map(|n| grid.point(n)).collect();
-            let polyline = if points.len() == 1 {
-                Polyline::single(points[0])
-            } else {
-                Polyline::new(points)
-                    .expect("grid steps are axis-aligned")
-                    .simplified()
-            };
-            Ok(GridRoute {
-                polyline,
-                length: cost,
-                stats,
-                grid_nodes: grid.node_count(),
-            })
-        }
+    let space = GridSpace::new(&grid, sources, goals, informed)?;
+    let mut path = Vec::new();
+    match astar_in(&space, max_expansions, budget, arena, &mut path) {
+        SearchOutcome::Found(Found { cost, stats, .. }) => Ok(space.route(&path, cost, stats)),
         SearchOutcome::Exhausted(_) => Err(GridRouteError::Unreachable),
-        // No budget is threaded into the grid searcher (session drivers
-        // bound grid work per net instead), so a Cancelled outcome can
-        // only mean the effort bound was enforced elsewhere — fold it
-        // into the limit error rather than inventing a new one.
-        SearchOutcome::LimitReached(_) | SearchOutcome::Cancelled(..) => {
-            Err(GridRouteError::LimitExceeded {
-                limit: max_expansions.unwrap_or(0),
-            })
-        }
+        SearchOutcome::LimitReached(_) => Err(GridRouteError::LimitExceeded {
+            limit: max_expansions.unwrap_or(0),
+        }),
+        SearchOutcome::Cancelled(reason, _) => Err(GridRouteError::Cancelled { reason }),
     }
 }
 
@@ -508,6 +429,29 @@ mod tests {
         let mut p = open_plane();
         p.add_obstacle(Rect::new(20, 20, 40, 40).unwrap());
         p
+    }
+
+    /// [`route_multi`] through a fresh arena under an unlimited budget.
+    fn multi(
+        plane: &Plane,
+        sources: &[Point],
+        goals: &[Point],
+        pitch: Coord,
+        informed: bool,
+        max_expansions: Option<usize>,
+    ) -> Result<GridRoute, GridRouteError> {
+        let budget = Budget::unlimited();
+        let mut arena = GridSearchArena::new();
+        route_multi(
+            plane,
+            sources,
+            goals,
+            pitch,
+            informed,
+            max_expansions,
+            &budget,
+            &mut arena,
+        )
     }
 
     #[test]
@@ -646,12 +590,12 @@ mod tests {
         // (0,10) -> (60,10) clears the block and costs 60.
         let sources = [Point::new(0, 50), Point::new(0, 10)];
         let goals = [Point::new(60, 10), Point::new(60, 55)];
-        let r = route_multi(&plane, &sources, &goals, 1, true, None).unwrap();
+        let r = multi(&plane, &sources, &goals, 1, true, None).unwrap();
         assert_eq!(r.length, 60);
         assert_eq!(r.polyline.start(), Point::new(0, 10));
         assert_eq!(r.polyline.end(), Point::new(60, 10));
         // Informed and blind agree on cost.
-        let blind = route_multi(&plane, &sources, &goals, 1, false, None).unwrap();
+        let blind = multi(&plane, &sources, &goals, 1, false, None).unwrap();
         assert_eq!(blind.length, 60);
     }
 
@@ -660,7 +604,7 @@ mod tests {
         let plane = one_block();
         let (a, b) = (Point::new(0, 30), Point::new(60, 30));
         let single = grid_astar(&plane, a, b, 1).unwrap();
-        let multi = route_multi(&plane, &[a], &[b], 1, true, None).unwrap();
+        let multi = multi(&plane, &[a], &[b], 1, true, None).unwrap();
         assert_eq!(single.length, multi.length);
     }
 
@@ -668,15 +612,15 @@ mod tests {
     fn multi_route_error_cases() {
         let plane = one_block();
         assert!(matches!(
-            route_multi(&plane, &[], &[Point::new(0, 0)], 1, true, None),
+            multi(&plane, &[], &[Point::new(0, 0)], 1, true, None),
             Err(GridRouteError::NothingToRoute)
         ));
         assert!(matches!(
-            route_multi(&plane, &[Point::new(0, 0)], &[], 1, true, None),
+            multi(&plane, &[Point::new(0, 0)], &[], 1, true, None),
             Err(GridRouteError::NothingToRoute)
         ));
         assert!(matches!(
-            route_multi(
+            multi(
                 &plane,
                 &[Point::new(30, 30)],
                 &[Point::new(0, 0)],
@@ -687,7 +631,7 @@ mod tests {
             Err(GridRouteError::InvalidEndpoint { .. })
         ));
         assert!(matches!(
-            route_multi(
+            multi(
                 &plane,
                 &[Point::new(1, 1)],
                 &[Point::new(3, 3)],
@@ -704,15 +648,15 @@ mod tests {
         let plane = one_block();
         let (a, b) = (Point::new(0, 30), Point::new(60, 30));
         assert!(matches!(
-            route_multi(&plane, &[a], &[b], 1, true, Some(1)),
+            multi(&plane, &[a], &[b], 1, true, Some(1)),
             Err(GridRouteError::LimitExceeded { limit: 1 })
         ));
         assert!(matches!(
-            route_multi(&plane, &[a], &[b], 1, false, Some(1)),
+            multi(&plane, &[a], &[b], 1, false, Some(1)),
             Err(GridRouteError::LimitExceeded { limit: 1 })
         ));
         // Unlimited still routes.
-        assert!(route_multi(&plane, &[a], &[b], 1, true, None).is_ok());
+        assert!(multi(&plane, &[a], &[b], 1, true, None).is_ok());
     }
 
     #[test]
@@ -724,10 +668,10 @@ mod tests {
         let plane = one_block();
         let (a, b) = (Point::new(0, 30), Point::new(60, 30));
         for informed in [true, false] {
-            let full = route_multi(&plane, &[a], &[b], 1, informed, None).unwrap();
+            let full = multi(&plane, &[a], &[b], 1, informed, None).unwrap();
             let needed = full.stats.expanded;
             assert!(needed > 1, "detour must take work (informed {informed})");
-            let bounded = route_multi(&plane, &[a], &[b], 1, informed, Some(needed)).unwrap();
+            let bounded = multi(&plane, &[a], &[b], 1, informed, Some(needed)).unwrap();
             assert_eq!(bounded.length, full.length, "informed {informed}");
             assert_eq!(
                 bounded.stats.expanded, needed,
@@ -735,7 +679,7 @@ mod tests {
             );
             assert!(
                 matches!(
-                    route_multi(&plane, &[a], &[b], 1, informed, Some(needed - 1)),
+                    multi(&plane, &[a], &[b], 1, informed, Some(needed - 1)),
                     Err(GridRouteError::LimitExceeded { limit }) if limit == needed - 1
                 ),
                 "one fewer expansion must fail with the limit echoed (informed {informed})"
@@ -748,7 +692,7 @@ mod tests {
         let plane = one_block();
         let (a, b) = (Point::new(0, 30), Point::new(60, 30));
         for limit in [1usize, 5, 17] {
-            match route_multi(&plane, &[a], &[b], 1, true, Some(limit)) {
+            match multi(&plane, &[a], &[b], 1, true, Some(limit)) {
                 Err(GridRouteError::LimitExceeded { limit: l }) => assert_eq!(l, limit),
                 other => panic!("limit {limit}: expected LimitExceeded, got {other:?}"),
             }
@@ -761,12 +705,12 @@ mod tests {
         // which precedes the limit check — zero budget must succeed.
         let plane = open_plane();
         let p = Point::new(5, 5);
-        let r = route_multi(&plane, &[p], &[p], 1, true, Some(0)).unwrap();
+        let r = multi(&plane, &[p], &[p], 1, true, Some(0)).unwrap();
         assert_eq!(r.length, 0);
         assert_eq!(r.stats.expanded, 0);
         // A source strictly away from every goal cannot.
         assert!(matches!(
-            route_multi(&plane, &[p], &[Point::new(6, 5)], 1, true, Some(0)),
+            multi(&plane, &[p], &[Point::new(6, 5)], 1, true, Some(0)),
             Err(GridRouteError::LimitExceeded { limit: 0 })
         ));
     }
@@ -777,8 +721,8 @@ mod tests {
         let plane = one_block();
         let sources = [Point::new(0, 50), Point::new(0, 10)];
         let goals = [Point::new(60, 10), Point::new(60, 55)];
-        let free = route_multi(&plane, &sources, &goals, 1, true, None).unwrap();
-        let capped = route_multi(&plane, &sources, &goals, 1, true, Some(1_000_000)).unwrap();
+        let free = multi(&plane, &sources, &goals, 1, true, None).unwrap();
+        let capped = multi(&plane, &sources, &goals, 1, true, Some(1_000_000)).unwrap();
         assert_eq!(free.polyline, capped.polyline);
         assert_eq!(free.stats, capped.stats);
     }
@@ -789,32 +733,83 @@ mod tests {
         // blind, multi-source, unreachable budget): every call must be
         // bit-identical to a fresh-arena run.
         let plane = one_block();
+        let budget = Budget::unlimited();
         let mut arena = GridSearchArena::new();
         let sources = [Point::new(0, 50), Point::new(0, 10)];
         let goals = [Point::new(60, 10), Point::new(60, 55)];
         for round in 0..2 {
             for informed in [true, false] {
-                let reused =
-                    route_multi_in(&plane, &sources, &goals, 1, informed, None, &mut arena)
-                        .unwrap();
-                let fresh = route_multi(&plane, &sources, &goals, 1, informed, None).unwrap();
+                let reused = route_multi(
+                    &plane, &sources, &goals, 1, informed, None, &budget, &mut arena,
+                )
+                .unwrap();
+                let fresh = multi(&plane, &sources, &goals, 1, informed, None).unwrap();
                 assert_eq!(reused.polyline, fresh.polyline, "round {round}");
                 assert_eq!(reused.length, fresh.length, "round {round}");
                 assert_eq!(reused.stats, fresh.stats, "round {round}");
             }
             // A limit hit must not poison the next search either.
             assert!(matches!(
-                route_multi_in(
+                route_multi(
                     &plane,
                     &[Point::new(0, 30)],
                     &[Point::new(60, 30)],
                     1,
                     true,
                     Some(1),
+                    &budget,
                     &mut arena
                 ),
                 Err(GridRouteError::LimitExceeded { limit: 1 })
             ));
+        }
+    }
+
+    #[test]
+    fn budget_cancels_mid_search_and_charges_the_meter() {
+        // The detour takes more than one charge block of expansions in
+        // both regimes; a ceiling below it stops the search typed, and a
+        // pre-raised flag stops it before the first expansion.
+        let plane = one_block();
+        let (a, b) = (Point::new(0, 30), Point::new(60, 30));
+        for informed in [true, false] {
+            let full = multi(&plane, &[a], &[b], 1, informed, None).unwrap();
+            assert!(full.stats.expanded > 2 * gcr_search::CHARGE_BLOCK as usize);
+            let ceiling = Budget::unlimited().with_expansion_ceiling(10);
+            let mut arena = GridSearchArena::new();
+            assert_eq!(
+                route_multi(&plane, &[a], &[b], 1, informed, None, &ceiling, &mut arena)
+                    .unwrap_err(),
+                GridRouteError::Cancelled {
+                    reason: CancelReason::ExpansionCeiling
+                },
+                "informed {informed}"
+            );
+            assert!(ceiling.expansions() >= 10, "informed {informed}");
+            let cancelled = Budget::unlimited();
+            cancelled.cancel();
+            assert_eq!(
+                route_multi(
+                    &plane,
+                    &[a],
+                    &[b],
+                    1,
+                    informed,
+                    None,
+                    &cancelled,
+                    &mut arena
+                )
+                .unwrap_err(),
+                GridRouteError::Cancelled {
+                    reason: CancelReason::Cancelled
+                }
+            );
+            // A generous budget is invisible, and the arena is clean.
+            let generous = Budget::unlimited().with_expansion_ceiling(1_000_000);
+            let routed =
+                route_multi(&plane, &[a], &[b], 1, informed, None, &generous, &mut arena).unwrap();
+            assert_eq!(routed.stats, full.stats);
+            assert_eq!(generous.expansions(), full.stats.expanded as u64);
         }
     }
 

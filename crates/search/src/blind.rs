@@ -23,7 +23,9 @@ pub fn breadth_first<Sp: SearchSpace>(space: &Sp) -> Option<Found<Sp::State, Sp:
     let mut parents: HashMap<Sp::State, Option<Sp::State>> = HashMap::new();
     let mut gvals: HashMap<Sp::State, Sp::Cost> = HashMap::new();
     let mut queue: VecDeque<Sp::State> = VecDeque::new();
-    for (s, g0) in space.start_states() {
+    let mut starts = Vec::new();
+    space.start_states(&mut starts);
+    for (s, g0) in starts {
         if let Entry::Vacant(e) = parents.entry(s.clone()) {
             e.insert(None);
             gvals.insert(s.clone(), g0);
@@ -72,7 +74,9 @@ pub fn depth_first<Sp: SearchSpace>(
     let mut parents: HashMap<Sp::State, Option<Sp::State>> = HashMap::new();
     let mut gvals: HashMap<Sp::State, (Sp::Cost, usize)> = HashMap::new();
     let mut stack: Vec<Sp::State> = Vec::new();
-    for (s, g0) in space.start_states() {
+    let mut starts = Vec::new();
+    space.start_states(&mut starts);
+    for (s, g0) in starts {
         if let Entry::Vacant(e) = parents.entry(s.clone()) {
             e.insert(None);
             gvals.insert(s.clone(), (g0, 0));
@@ -147,7 +151,9 @@ pub fn exhaustive<Sp: SearchSpace>(space: &Sp) -> Option<Found<Sp::State, Sp::Co
     let mut nodes: Vec<Node<Sp::State, Sp::Cost>> = Vec::new();
     let mut index: HashMap<Sp::State, usize> = HashMap::new();
     let mut heap: BinaryHeap<E<Sp::Cost>> = BinaryHeap::new();
-    for (s, g0) in space.start_states() {
+    let mut starts = Vec::new();
+    space.start_states(&mut starts);
+    for (s, g0) in starts {
         match index.entry(s.clone()) {
             Entry::Occupied(e) => {
                 let id = *e.get();
@@ -246,8 +252,9 @@ mod tests {
     impl SearchSpace for GridWorld {
         type State = (i32, i32);
         type Cost = i64;
-        fn start_states(&self) -> Vec<((i32, i32), i64)> {
-            vec![(self.start, 0)]
+        fn start_states(&self, out: &mut Vec<((i32, i32), i64)>) {
+            out.clear();
+            out.push((self.start, 0));
         }
         fn successors(
             &self,

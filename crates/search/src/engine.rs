@@ -19,14 +19,7 @@ pub struct Found<S, C> {
     pub stats: SearchStats,
 }
 
-/// Resource limits for a search.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SearchLimits {
-    /// Abort after expanding this many nodes (`None` = unlimited).
-    pub max_expansions: Option<usize>,
-}
-
-/// The ways a bounded search can end.
+/// The ways an [`astar_in`] search can end.
 #[derive(Debug, Clone)]
 pub enum SearchOutcome<S, C> {
     /// A goal was removed from OPEN; the path is minimal-cost (given an
@@ -34,10 +27,9 @@ pub enum SearchOutcome<S, C> {
     Found(Found<S, C>),
     /// OPEN emptied without reaching a goal: no path exists.
     Exhausted(SearchStats),
-    /// The expansion limit was hit first.
+    /// The search's own expansion cap (`max_expansions`) was hit first.
     LimitReached(SearchStats),
-    /// The [`Budget`] was exhausted or cancelled first (only produced by
-    /// [`astar_budgeted_into`] when a budget is supplied).
+    /// The shared [`Budget`] was exhausted or cancelled first.
     Cancelled(CancelReason, SearchStats),
 }
 
@@ -124,37 +116,39 @@ impl<C: PathCost> Ord for HeapEntry<C> {
 }
 
 /// The reusable allocation footprint of one A\* run: the node table, the
-/// FNV-hashed state index, the OPEN heap and the successor scratch
-/// buffer, all in one struct that is [`reset`](SearchArena::reset)
-/// between searches instead of reallocated.
+/// FNV-hashed state index, the OPEN heap and the successor and source
+/// staging buffers, all in one struct that is
+/// [`reset`](SearchArena::reset) between searches instead of
+/// reallocated.
 ///
 /// Routing runs thousands of searches per batch, each touching a few
 /// hundred nodes: the dominant cost of a fresh search is not the geometry
-/// but building these four containers from nothing every time. An arena
-/// amortizes them — [`astar_with_limits_in`] borrows one, resets it, and
-/// leaves its capacity behind for the next search. Reuse is **purely an
-/// allocation optimization**: a search through a reused arena returns
-/// bit-identical results to one through a fresh arena (the reset clears
-/// every element; only capacity survives), which `tests/determinism.rs`
-/// asserts across interleaved, differently-shaped nets.
+/// but building these containers from nothing every time. An arena
+/// amortizes them — [`astar_in`] borrows one, resets it, and leaves its
+/// capacity behind for the next search. Reuse is **purely an allocation
+/// optimization**: a search through a reused arena returns bit-identical
+/// results to one through a fresh arena (the reset clears every element;
+/// only capacity survives), which `tests/determinism.rs` asserts across
+/// interleaved, differently-shaped nets.
 ///
 /// ```
-/// use gcr_search::{astar_with_limits, astar_with_limits_in, SearchArena, SearchLimits};
+/// use gcr_search::{astar, astar_in, Budget, SearchArena};
 /// # use gcr_search::{Labels, SearchSpace};
 /// # struct Line;
 /// # impl SearchSpace for Line {
 /// #     type State = i32; type Cost = i64;
-/// #     fn start_states(&self) -> Vec<(i32, i64)> { vec![(0, 0)] }
+/// #     fn start_states(&self, out: &mut Vec<(i32, i64)>) { out.clear(); out.push((0, 0)); }
 /// #     fn successors(&self, s: &i32, _: &dyn Labels<i32, i64>, out: &mut Vec<(i32, i64)>) {
 /// #         out.push((s + 1, 1));
 /// #     }
 /// #     fn is_goal(&self, s: &i32) -> bool { *s == 5 }
 /// # }
 /// let mut arena = SearchArena::new();
+/// let mut path = Vec::new();
 /// for _ in 0..3 {
-///     let reused = astar_with_limits_in(&Line, SearchLimits::default(), &mut arena);
-///     let fresh = astar_with_limits(&Line, SearchLimits::default());
-///     assert_eq!(reused.found().unwrap().path, fresh.found().unwrap().path);
+///     let reused = astar_in(&Line, None, &Budget::unlimited(), &mut arena, &mut path);
+///     assert!(reused.found().is_some());
+///     assert_eq!(path, astar(&Line).unwrap().path);
 /// }
 /// ```
 pub struct SearchArena<S, C> {
@@ -179,8 +173,8 @@ impl<S, C> SearchArena<S, C> {
     }
 
     /// Clears every container while keeping its capacity. Called by
-    /// [`astar_with_limits_in`] on entry, so a dirty arena can never
-    /// poison the next search.
+    /// [`astar_in`] on entry, so a dirty arena can never poison the next
+    /// search.
     pub fn reset(&mut self) {
         crate::telem::note_arena_reset();
         self.nodes.clear();
@@ -222,8 +216,14 @@ impl<S, C> std::fmt::Debug for SearchArena<S, C> {
 /// smaller ĝ its parent pointer is redirected and, if it was on CLOSED, it
 /// is moved back to OPEN; the search terminates when a goal node is removed
 /// from OPEN. With an admissible ĥ the returned path is minimal-cost.
+///
+/// A convenience form of [`astar_in`] with no expansion cap, an unlimited
+/// budget, a fresh arena and an owned path.
 pub fn astar<Sp: SearchSpace>(space: &Sp) -> Option<Found<Sp::State, Sp::Cost>> {
-    astar_with_limits(space, SearchLimits::default()).found()
+    let mut path = Vec::new();
+    let budget = Budget::unlimited();
+    let found = astar_in(space, None, &budget, &mut SearchArena::new(), &mut path).found()?;
+    Some(Found { path, ..found })
 }
 
 /// Runs best-first search (branch-and-bound ordered by ĝ alone, i.e.
@@ -232,75 +232,33 @@ pub fn best_first<Sp: SearchSpace>(space: &Sp) -> Option<Found<Sp::State, Sp::Co
     astar(&ZeroHeuristic(space))
 }
 
-/// Runs A\* under resource limits; see [`astar`].
+/// Runs A\* (see [`astar`]) under an expansion cap and a cooperative
+/// [`Budget`], using `arena` for every allocation the search makes; the
+/// one search entry point every other form delegates to.
 ///
-/// Thin wrapper over [`astar_with_limits_in`] that owns a fresh
-/// [`SearchArena`]; hot callers (the routing session's net driver) keep
-/// an arena and call the `_in` form directly.
-pub fn astar_with_limits<Sp: SearchSpace>(
-    space: &Sp,
-    limits: SearchLimits,
-) -> SearchOutcome<Sp::State, Sp::Cost> {
-    astar_with_limits_in(space, limits, &mut SearchArena::new())
-}
-
-/// Runs A\* under resource limits using `arena` for every allocation the
-/// search makes; see [`astar`] for the algorithm and [`SearchArena`] for
-/// the reuse contract. The arena is reset on entry, so results are
-/// bit-identical to [`astar_with_limits`] no matter what ran in it
-/// before.
-pub fn astar_with_limits_in<Sp: SearchSpace>(
-    space: &Sp,
-    limits: SearchLimits,
-    arena: &mut SearchArena<Sp::State, Sp::Cost>,
-) -> SearchOutcome<Sp::State, Sp::Cost> {
-    let mut path = Vec::new();
-    match astar_with_limits_into(space, limits, arena, &mut path) {
-        SearchOutcome::Found(Found { cost, stats, .. }) => {
-            SearchOutcome::Found(Found { path, cost, stats })
-        }
-        other => other,
-    }
-}
-
-/// [`astar_with_limits_in`] with a **caller-owned path buffer**: on
-/// success the goal path is reconstructed into `path_out` (cleared
-/// first) and the returned [`Found::path`] is left empty, so a caller
-/// that reuses `path_out` runs the entire search — staging, frontier,
-/// reconstruction — without allocating. On the other outcomes
-/// `path_out` is cleared.
+/// * `max_expansions` caps this search alone: reaching it ends the
+///   search with [`SearchOutcome::LimitReached`].
+/// * `budget` is shared by every search of a request. The loop polls its
+///   cancel flag and expansion ceiling before every expansion (one
+///   relaxed load each) and charges it once per [`CHARGE_BLOCK`]
+///   expansions, reading the wall clock only then and only if it has a
+///   deadline, so parallel searches drain one ceiling together. A failing check ends the search with
+///   [`SearchOutcome::Cancelled`]. A budget can only stop a search, never
+///   steer it: a search that completes is bit-identical under any
+///   budget.
 ///
-/// This is the form the routing hot path uses (`SearchScratch` in
-/// `gcr-core` carries the buffer); [`astar_with_limits_in`] wraps it for
-/// callers that want an owned path.
-pub fn astar_with_limits_into<Sp: SearchSpace>(
+/// The arena is reset on entry (see [`SearchArena`]), so results never
+/// depend on what ran in it before. On success the goal path is
+/// reconstructed into `path_out` (cleared first) and the returned
+/// [`Found::path`] is left empty, so a caller that reuses `path_out`
+/// runs the whole search — staging, frontier, reconstruction — without
+/// allocating; on every other outcome `path_out` is cleared. This is
+/// also the single point where a search's statistics reach the telemetry
+/// registry and the active trace span.
+pub fn astar_in<Sp: SearchSpace>(
     space: &Sp,
-    limits: SearchLimits,
-    arena: &mut SearchArena<Sp::State, Sp::Cost>,
-    path_out: &mut Vec<Sp::State>,
-) -> SearchOutcome<Sp::State, Sp::Cost> {
-    astar_budgeted_into(space, limits, None, arena, path_out)
-}
-
-/// [`astar_with_limits_into`] under a cooperative [`Budget`].
-///
-/// When `budget` is `Some`, the expansion loop polls it: the cancel
-/// flag and the shared expansion ceiling before every expansion (one
-/// relaxed load each), and the wall-clock deadline once per
-/// [`CHARGE_BLOCK`] expansions (block-charging the shared meter at the
-/// same time, so parallel searches drain one ceiling together). A
-/// failing check abandons the search with
-/// [`SearchOutcome::Cancelled`]; the arena holds only discarded
-/// scratch state, exactly as after any other outcome.
-///
-/// A budget can only *stop* the search, never steer it: any run that
-/// completes under a budget is bit-identical to one without it. When
-/// `budget` is `None` no checks run at all — this form costs nothing
-/// over [`astar_with_limits_into`] (which is this call with `None`).
-pub fn astar_budgeted_into<Sp: SearchSpace>(
-    space: &Sp,
-    limits: SearchLimits,
-    budget: Option<&Budget>,
+    max_expansions: Option<usize>,
+    budget: &Budget,
     arena: &mut SearchArena<Sp::State, Sp::Cost>,
     path_out: &mut Vec<Sp::State>,
 ) -> SearchOutcome<Sp::State, Sp::Cost> {
@@ -308,18 +266,17 @@ pub fn astar_budgeted_into<Sp: SearchSpace>(
     // request (one thread-local probe otherwise), so the flush below
     // can attribute the search's wall window to the active net span.
     let trace_start = crate::telem::trace_begin();
-    let outcome = astar_budgeted_into_raw(space, limits, budget, arena, path_out);
-    // One registry flush per search, at the single funnel every search
-    // form delegates through; the expansion loop itself never touches
-    // shared state.
+    let outcome = run(space, max_expansions, budget, arena, path_out);
+    // One registry flush per search; the expansion loop itself never
+    // touches shared state.
     crate::telem::flush_outcome(&outcome, trace_start);
     outcome
 }
 
-fn astar_budgeted_into_raw<Sp: SearchSpace>(
+fn run<Sp: SearchSpace>(
     space: &Sp,
-    limits: SearchLimits,
-    budget: Option<&Budget>,
+    max_expansions: Option<usize>,
+    budget: &Budget,
     arena: &mut SearchArena<Sp::State, Sp::Cost>,
     path_out: &mut Vec<Sp::State>,
 ) -> SearchOutcome<Sp::State, Sp::Cost> {
@@ -340,11 +297,11 @@ fn astar_budgeted_into_raw<Sp: SearchSpace>(
     // until the search stops, so no entry above it is ever popped.
     let mut bound: Option<Sp::Cost> = None;
     // Expansions run since the shared meter was last charged; flushed in
-    // blocks (and on exit) so parallel searches share one ceiling
-    // without a fetch_add per expansion.
+    // blocks, and on the one exit below, so parallel searches share one
+    // ceiling without a fetch_add per expansion.
     let mut uncharged: u64 = 0;
 
-    space.start_states_into(starts);
+    space.start_states(starts);
     for (state, g0) in starts.drain(..) {
         match index.entry(state.clone()) {
             Entry::Occupied(mut e) => {
@@ -386,7 +343,10 @@ fn astar_budgeted_into_raw<Sp: SearchSpace>(
     stats.max_open = open_valid;
     stats.touched = nodes.len();
 
-    while let Some(entry) = open.pop() {
+    let outcome = loop {
+        let Some(entry) = open.pop() else {
+            break SearchOutcome::Exhausted(stats);
+        };
         let id = entry.node;
         // Lazy deletion: skip entries superseded by a cheaper path or
         // already expanded at this cost.
@@ -404,37 +364,25 @@ fn astar_budgeted_into_raw<Sp: SearchSpace>(
                 cur = nodes[i].parent;
             }
             path_out.reverse();
-            if let Some(b) = budget {
-                let _ = b.charge(uncharged);
-            }
-            return SearchOutcome::Found(Found {
+            break SearchOutcome::Found(Found {
                 path: Vec::new(),
                 cost,
                 stats,
             });
         }
 
-        if let Some(max) = limits.max_expansions {
-            if stats.expanded >= max {
-                if let Some(b) = budget {
-                    let _ = b.charge(uncharged);
-                }
-                return SearchOutcome::LimitReached(stats);
-            }
+        if max_expansions.is_some_and(|max| stats.expanded >= max) {
+            break SearchOutcome::LimitReached(stats);
         }
-        if let Some(b) = budget {
-            // Cheap checks every expansion; the clock (and the shared
-            // meter) only once per block.
-            if let Err(reason) = b.check_cancel() {
-                let _ = b.charge(uncharged);
-                return SearchOutcome::Cancelled(reason, stats);
-            }
-            uncharged += 1;
-            if uncharged >= CHARGE_BLOCK {
-                let flushed = std::mem::take(&mut uncharged);
-                if let Err(reason) = b.charge(flushed) {
-                    return SearchOutcome::Cancelled(reason, stats);
-                }
+        // Cheap checks every expansion; the clock (and the shared meter)
+        // only once per block.
+        if let Err(reason) = budget.check_cancel() {
+            break SearchOutcome::Cancelled(reason, stats);
+        }
+        uncharged += 1;
+        if uncharged >= CHARGE_BLOCK {
+            if let Err(reason) = budget.charge(std::mem::take(&mut uncharged)) {
+                break SearchOutcome::Cancelled(reason, stats);
             }
         }
         stats.expanded += 1;
@@ -501,11 +449,9 @@ fn astar_budgeted_into_raw<Sp: SearchSpace>(
             stats.max_open = stats.max_open.max(open_valid);
         }
         stats.touched = nodes.len();
-    }
-    if let Some(b) = budget {
-        let _ = b.charge(uncharged);
-    }
-    SearchOutcome::Exhausted(stats)
+    };
+    let _ = budget.charge(uncharged);
+    outcome
 }
 
 #[cfg(test)]
@@ -524,8 +470,9 @@ mod tests {
     impl SearchSpace for Graph {
         type State = usize;
         type Cost = i64;
-        fn start_states(&self) -> Vec<(usize, i64)> {
-            self.starts.clone()
+        fn start_states(&self, out: &mut Vec<(usize, i64)>) {
+            out.clear();
+            out.extend_from_slice(&self.starts);
         }
         fn successors(&self, s: &usize, _: &dyn Labels<usize, i64>, out: &mut Vec<(usize, i64)>) {
             out.extend(self.edges[*s].iter().copied());
@@ -536,6 +483,18 @@ mod tests {
         fn heuristic(&self, s: &usize) -> i64 {
             self.h[*s]
         }
+    }
+
+    /// [`astar_in`] through a fresh arena under an unlimited budget.
+    fn search(g: &Graph, max_expansions: Option<usize>) -> SearchOutcome<usize, i64> {
+        let budget = Budget::unlimited();
+        astar_in(
+            g,
+            max_expansions,
+            &budget,
+            &mut SearchArena::new(),
+            &mut Vec::new(),
+        )
     }
 
     fn diamond() -> Graph {
@@ -562,7 +521,7 @@ mod tests {
         g.edges.resize(100, vec![]);
         g.h = vec![0; 100];
         assert!(astar(&g).is_none());
-        let outcome = astar_with_limits(&g, SearchLimits::default());
+        let outcome = search(&g, None);
         assert!(matches!(outcome, SearchOutcome::Exhausted(_)));
         assert!(outcome.stats().expanded >= 4);
     }
@@ -579,13 +538,7 @@ mod tests {
 
     #[test]
     fn expansion_limit_aborts() {
-        let g = diamond();
-        let outcome = astar_with_limits(
-            &g,
-            SearchLimits {
-                max_expansions: Some(1),
-            },
-        );
+        let outcome = search(&diamond(), Some(1));
         assert!(matches!(outcome, SearchOutcome::LimitReached(_)));
     }
 
@@ -694,29 +647,26 @@ mod tests {
         unreachable.goals = vec![99];
         unreachable.edges.resize(100, vec![]);
         unreachable.h = vec![0; 100];
-        let tight = SearchLimits {
-            max_expansions: Some(1),
-        };
-        let free = SearchLimits::default();
+        let budget = Budget::unlimited();
 
         let mut arena = SearchArena::new();
+        let mut path = Vec::new();
         for round in 0..3 {
-            let reused = astar_with_limits_in(&found_graph, free, &mut arena);
-            let fresh = astar_with_limits(&found_graph, free);
-            let (r, f) = (reused.found().unwrap(), fresh.found().unwrap());
-            assert_eq!(r.path, f.path, "round {round}");
+            let reused = astar_in(&found_graph, None, &budget, &mut arena, &mut path);
+            let (r, f) = (reused.found().unwrap(), astar(&found_graph).unwrap());
+            assert_eq!(path, f.path, "round {round}");
             assert_eq!(r.cost, f.cost, "round {round}");
             assert_eq!(r.stats, f.stats, "round {round}");
 
-            let reused = astar_with_limits_in(&unreachable, free, &mut arena);
+            let reused = astar_in(&unreachable, None, &budget, &mut arena, &mut path);
             assert!(matches!(reused, SearchOutcome::Exhausted(_)));
             assert_eq!(
                 *reused.stats(),
-                *astar_with_limits(&unreachable, free).stats(),
+                *search(&unreachable, None).stats(),
                 "round {round}"
             );
 
-            let reused = astar_with_limits_in(&found_graph, tight, &mut arena);
+            let reused = astar_in(&found_graph, Some(1), &budget, &mut arena, &mut path);
             assert!(matches!(reused, SearchOutcome::LimitReached(_)));
         }
         assert!(arena.node_capacity() > 0, "capacity must survive reuse");
@@ -724,24 +674,25 @@ mod tests {
 
     #[test]
     fn arena_reset_clears_state() {
+        let budget = Budget::unlimited();
         let mut arena: SearchArena<usize, i64> = SearchArena::new();
-        astar_with_limits_in(&diamond(), SearchLimits::default(), &mut arena);
+        let mut path = Vec::new();
+        astar_in(&diamond(), None, &budget, &mut arena, &mut path);
         arena.reset();
         assert!(format!("{arena:?}").contains("nodes: 0"));
         // A reset arena behaves exactly like a new one.
-        let a = astar_with_limits_in(&diamond(), SearchLimits::default(), &mut arena);
-        let b = astar_with_limits(&diamond(), SearchLimits::default());
-        assert_eq!(a.found().unwrap().path, b.found().unwrap().path);
+        astar_in(&diamond(), None, &budget, &mut arena, &mut path);
+        assert_eq!(path, astar(&diamond()).unwrap().path);
     }
 
     #[test]
-    fn path_into_matches_owned_path_form() {
+    fn path_buffer_matches_owned_path_form() {
         let g = diamond();
+        let budget = Budget::unlimited();
         let mut arena = SearchArena::new();
         let mut path = vec![99usize]; // dirty buffer must be cleared
-        let into = astar_with_limits_into(&g, SearchLimits::default(), &mut arena, &mut path);
-        let owned = astar_with_limits(&g, SearchLimits::default());
-        let (i, o) = (into.found().unwrap(), owned.found().unwrap());
+        let into = astar_in(&g, None, &budget, &mut arena, &mut path);
+        let (i, o) = (into.found().unwrap(), astar(&g).unwrap());
         assert!(i.path.is_empty(), "path is delivered through the buffer");
         assert_eq!(path, o.path);
         assert_eq!(i.cost, o.cost);
@@ -751,8 +702,7 @@ mod tests {
         unreachable.goals = vec![99];
         unreachable.edges.resize(100, vec![]);
         unreachable.h = vec![0; 100];
-        let out =
-            astar_with_limits_into(&unreachable, SearchLimits::default(), &mut arena, &mut path);
+        let out = astar_in(&unreachable, None, &budget, &mut arena, &mut path);
         assert!(matches!(out, SearchOutcome::Exhausted(_)));
         assert!(path.is_empty());
     }
@@ -764,7 +714,7 @@ mod tests {
         let mut path = vec![7usize]; // dirty buffer must still be cleared
         let b = Budget::unlimited();
         b.cancel();
-        let out = astar_budgeted_into(&g, SearchLimits::default(), Some(&b), &mut arena, &mut path);
+        let out = astar_in(&g, None, &b, &mut arena, &mut path);
         assert!(matches!(
             out,
             SearchOutcome::Cancelled(CancelReason::Cancelled, _)
@@ -779,7 +729,7 @@ mod tests {
         let mut arena = SearchArena::new();
         let mut path = Vec::new();
         let b = Budget::unlimited().with_expansion_ceiling(0);
-        let out = astar_budgeted_into(&g, SearchLimits::default(), Some(&b), &mut arena, &mut path);
+        let out = astar_in(&g, None, &b, &mut arena, &mut path);
         assert!(matches!(
             out,
             SearchOutcome::Cancelled(CancelReason::ExpansionCeiling, _)
@@ -790,18 +740,16 @@ mod tests {
     #[test]
     fn live_budget_never_changes_results() {
         // A generous budget must be invisible: identical path, cost and
-        // stats to the unbudgeted run — the budget can stop a search but
-        // never steer one.
+        // stats to the run under an unlimited one — the budget can stop
+        // a search but never steer one.
         let g = diamond();
         let b = Budget::unlimited()
             .with_deadline(std::time::Duration::from_secs(3600))
             .with_expansion_ceiling(1_000_000);
         let mut arena = SearchArena::new();
         let mut path = Vec::new();
-        let budgeted =
-            astar_budgeted_into(&g, SearchLimits::default(), Some(&b), &mut arena, &mut path);
-        let plain = astar_with_limits(&g, SearchLimits::default());
-        let (x, y) = (budgeted.found().unwrap(), plain.found().unwrap());
+        let budgeted = astar_in(&g, None, &b, &mut arena, &mut path);
+        let (x, y) = (budgeted.found().unwrap(), astar(&g).unwrap());
         assert_eq!(path, y.path);
         assert_eq!(x.cost, y.cost);
         assert_eq!(x.stats, y.stats);
@@ -820,17 +768,15 @@ mod tests {
             starts: vec![(0, 0)],
             goals: vec![n - 1],
         };
-        let limits = SearchLimits {
-            max_expansions: Some(CHARGE_BLOCK as usize + 5),
-        };
+        let cap = CHARGE_BLOCK as usize + 5;
         let b = Budget::unlimited();
         let mut arena = SearchArena::new();
         let mut path = Vec::new();
-        let out = astar_budgeted_into(&g, limits, Some(&b), &mut arena, &mut path);
+        let out = astar_in(&g, Some(cap), &b, &mut arena, &mut path);
         let SearchOutcome::LimitReached(stats) = out else {
             panic!("the cap must stop the search: {out:?}");
         };
-        assert_eq!(stats.expanded, CHARGE_BLOCK as usize + 5);
+        assert_eq!(stats.expanded, cap);
         assert_eq!(b.expansions(), stats.expanded as u64);
     }
 
@@ -874,8 +820,8 @@ mod tests {
     impl SearchSpace for BoundRecorder {
         type State = usize;
         type Cost = i64;
-        fn start_states(&self) -> Vec<(usize, i64)> {
-            self.graph.start_states()
+        fn start_states(&self, out: &mut Vec<(usize, i64)>) {
+            self.graph.start_states(out);
         }
         fn successors(
             &self,

@@ -18,7 +18,10 @@
 //!
 //! The engine is generic over a [`SearchSpace`], so the same code drives the
 //! gridless router, the Lee–Moore grid router (the special case with grid
-//! successors and ĥ = 0), and the toy puzzles in the tests.
+//! successors and ĥ = 0), and the toy puzzles in the tests. Every A\*
+//! runs through [`astar_in`], under a per-search expansion cap and a
+//! cooperative [`Budget`] shared by a request's searches, in a reusable
+//! [`SearchArena`]; [`astar`] and [`best_first`] are its conveniences.
 //!
 //! # Example
 //!
@@ -34,7 +37,10 @@
 //! impl SearchSpace for Graph {
 //!     type State = usize;
 //!     type Cost = i64;
-//!     fn start_states(&self) -> Vec<(usize, i64)> { vec![(0, 0)] }
+//!     fn start_states(&self, out: &mut Vec<(usize, i64)>) {
+//!         out.clear();
+//!         out.push((0, 0));
+//!     }
 //!     fn successors(&self, s: &usize, _: &dyn Labels<usize, i64>, out: &mut Vec<(usize, i64)>) {
 //!         out.extend(self.edges[*s].iter().copied());
 //!     }
@@ -66,10 +72,7 @@ mod telem;
 pub use blind::{breadth_first, depth_first, exhaustive};
 pub use budget::{Budget, CancelReason, CHARGE_BLOCK};
 pub use cost::{LexCost, PathCost};
-pub use engine::{
-    astar, astar_budgeted_into, astar_with_limits, astar_with_limits_in, astar_with_limits_into,
-    best_first, Found, SearchArena, SearchLimits, SearchOutcome,
-};
+pub use engine::{astar, astar_in, best_first, Found, SearchArena, SearchOutcome};
 pub use fnv::{FnvBuildHasher, FnvHashMap, FnvHasher};
 pub use parallel::{default_threads, effective_threads, parallel_map, parallel_map_with};
 pub use space::{Labels, NoLabels, SearchSpace, ZeroHeuristic};

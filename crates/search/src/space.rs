@@ -62,21 +62,12 @@ pub trait SearchSpace {
     /// The accumulated path-cost type.
     type Cost: PathCost;
 
-    /// The source node(s) with their initial costs. A classic single-source
-    /// search returns one pair `(s, 0)`.
-    fn start_states(&self) -> Vec<(Self::State, Self::Cost)>;
-
-    /// Buffer-reuse form of [`SearchSpace::start_states`]: clears `out`
-    /// and fills it with the same pairs in the same order. The engines
-    /// stage sources through this hook into an arena-held buffer, so a
-    /// space that holds its sources (or can compute them in place) makes
-    /// the per-search source staging allocation-free. The default is a
-    /// compatibility shim that pays the allocation of the allocate-and-
-    /// return form.
-    fn start_states_into(&self, out: &mut Vec<(Self::State, Self::Cost)>) {
-        out.clear();
-        out.extend(self.start_states());
-    }
+    /// Clears `out` and fills it with the source node(s) and their
+    /// initial costs. A classic single-source search yields one pair
+    /// `(s, 0)`. A\* stages the sources into a buffer its arena keeps, so
+    /// a space that holds its sources makes the per-search staging
+    /// allocation-free.
+    fn start_states(&self, out: &mut Vec<(Self::State, Self::Cost)>);
 
     /// Appends each successor of `state` to `out` along with the edge cost
     /// of reaching it. Edge costs must be non-negative in the ordering
@@ -134,7 +125,7 @@ pub trait SearchSpace {
 /// # struct S;
 /// # impl SearchSpace for S {
 /// #     type State = u8; type Cost = i64;
-/// #     fn start_states(&self) -> Vec<(u8, i64)> { vec![(0, 0)] }
+/// #     fn start_states(&self, out: &mut Vec<(u8, i64)>) { out.clear(); out.push((0, 0)); }
 /// #     fn successors(&self, s: &u8, _: &dyn Labels<u8, i64>, out: &mut Vec<(u8, i64)>) {
 /// #         if *s < 3 { out.push((s + 1, 1)); }
 /// #     }
@@ -153,12 +144,8 @@ impl<S: SearchSpace> SearchSpace for ZeroHeuristic<'_, S> {
     type State = S::State;
     type Cost = S::Cost;
 
-    fn start_states(&self) -> Vec<(Self::State, Self::Cost)> {
-        self.0.start_states()
-    }
-
-    fn start_states_into(&self, out: &mut Vec<(Self::State, Self::Cost)>) {
-        self.0.start_states_into(out);
+    fn start_states(&self, out: &mut Vec<(Self::State, Self::Cost)>) {
+        self.0.start_states(out);
     }
 
     fn successors(
@@ -193,8 +180,9 @@ mod tests {
     impl SearchSpace for Line {
         type State = i32;
         type Cost = i64;
-        fn start_states(&self) -> Vec<(i32, i64)> {
-            vec![(0, 0)]
+        fn start_states(&self, out: &mut Vec<(i32, i64)>) {
+            out.clear();
+            out.push((0, 0));
         }
         fn successors(&self, s: &i32, _: &dyn Labels<i32, i64>, out: &mut Vec<(i32, i64)>) {
             out.push((s + 1, 1));
@@ -213,10 +201,13 @@ mod tests {
         assert_eq!(space.heuristic(&0), 5);
         let blind = ZeroHeuristic(&space);
         assert_eq!(blind.heuristic(&0), 0);
-        assert_eq!(blind.start_states(), space.start_states());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        space.start_states(&mut a);
+        blind.start_states(&mut b);
+        assert_eq!(a, b);
         assert!(blind.is_goal(&5));
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        a.clear();
+        b.clear();
         space.successors(&2, &NoLabels, &mut a);
         blind.successors(&2, &NoLabels, &mut b);
         assert_eq!(a, b);
@@ -228,8 +219,9 @@ mod tests {
         impl SearchSpace for NoH {
             type State = u8;
             type Cost = u32;
-            fn start_states(&self) -> Vec<(u8, u32)> {
-                vec![(0, 0)]
+            fn start_states(&self, out: &mut Vec<(u8, u32)>) {
+                out.clear();
+                out.push((0, 0));
             }
             fn successors(&self, _: &u8, _: &dyn Labels<u8, u32>, _: &mut Vec<(u8, u32)>) {}
             fn is_goal(&self, _: &u8) -> bool {

@@ -4,7 +4,7 @@
 //! weighted graphs checked against Bellman–Ford.
 
 use gcr_search::{
-    astar, astar_with_limits, best_first, breadth_first, exhaustive, Labels, SearchLimits,
+    astar, astar_in, best_first, breadth_first, exhaustive, Budget, Found, Labels, SearchArena,
     SearchOutcome, SearchSpace,
 };
 use rand::rngs::StdRng;
@@ -67,8 +67,9 @@ impl Tray {
 impl SearchSpace for EightPuzzle {
     type State = Tray;
     type Cost = i64;
-    fn start_states(&self) -> Vec<(Tray, i64)> {
-        vec![(self.start.clone(), 0)]
+    fn start_states(&self, out: &mut Vec<(Tray, i64)>) {
+        out.clear();
+        out.push((self.start.clone(), 0));
     }
     fn successors(&self, s: &Tray, _: &dyn Labels<Tray, i64>, out: &mut Vec<(Tray, i64)>) {
         out.extend(s.neighbors().into_iter().map(|t| (t, 1)));
@@ -136,8 +137,9 @@ struct RandomGraph {
 impl SearchSpace for RandomGraph {
     type State = usize;
     type Cost = i64;
-    fn start_states(&self) -> Vec<(usize, i64)> {
-        vec![(0, 0)]
+    fn start_states(&self, out: &mut Vec<(usize, i64)>) {
+        out.clear();
+        out.push((0, 0));
     }
     fn successors(&self, s: &usize, _: &dyn Labels<usize, i64>, out: &mut Vec<(usize, i64)>) {
         out.extend(self.edges[*s].iter().copied());
@@ -267,8 +269,9 @@ struct BoundedGraph {
 impl SearchSpace for BoundedGraph {
     type State = usize;
     type Cost = i64;
-    fn start_states(&self) -> Vec<(usize, i64)> {
-        vec![(0, 0)]
+    fn start_states(&self, out: &mut Vec<(usize, i64)>) {
+        out.clear();
+        out.push((0, 0));
     }
     fn successors(&self, s: &usize, labels: &dyn Labels<usize, i64>, out: &mut Vec<(usize, i64)>) {
         let cut = match (labels.label(s), labels.bound()) {
@@ -287,6 +290,17 @@ impl SearchSpace for BoundedGraph {
     }
     fn heuristic(&self, s: &usize) -> i64 {
         self.h[*s]
+    }
+}
+
+/// [`astar_in`] to completion, with the found path moved into the
+/// outcome.
+fn search(space: &BoundedGraph) -> SearchOutcome<usize, i64> {
+    let mut path = Vec::new();
+    let budget = Budget::unlimited();
+    match astar_in(space, None, &budget, &mut SearchArena::new(), &mut path) {
+        SearchOutcome::Found(found) => SearchOutcome::Found(Found { path, ..found }),
+        other => other,
     }
 }
 
@@ -322,9 +336,7 @@ fn pruning_above_the_goal_bound_changes_no_expansion_path_or_cost() {
             goals: goals.clone(),
             prune,
         };
-        let limits = SearchLimits::default();
-        let p = astar_with_limits(&space(true), limits);
-        let f = astar_with_limits(&space(false), limits);
+        let (p, f) = (search(&space(true)), search(&space(false)));
         let (ps, fs) = (*p.stats(), *f.stats());
         assert_eq!(
             ps.expanded, fs.expanded,

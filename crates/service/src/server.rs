@@ -809,15 +809,11 @@ fn dispatch(request: Request, ctx: &Ctx<'_>, trace: TraceId) -> Response {
             full,
             deadline_ms,
         } => with_session(ctx, sid, trace, verb, move |_e, s| {
+            let budget = deadline_budget(deadline_ms);
             if full || !s.routed_once {
-                let routing = match deadline_ms {
-                    // No deadline: the unbudgeted path, bit-for-bit the
-                    // pre-hardening behaviour with zero budget checks.
-                    None => s.session.route_all(),
-                    Some(ms) => match s.session.route_all_budgeted(&deadline_budget(ms)) {
-                        Ok(routing) => routing,
-                        Err(e) => return cancel_response(&e),
-                    },
+                let routing = match s.session.route_all_budgeted(&budget) {
+                    Ok(routing) => routing,
+                    Err(e) => return cancel_response(&e),
                 };
                 s.routed_once = true;
                 Response::ok_with(
@@ -830,12 +826,9 @@ fn dispatch(request: Request, ctx: &Ctx<'_>, trace: TraceId) -> Response {
                     ),
                 )
             } else {
-                let outcome = match deadline_ms {
-                    None => s.session.reroute_dirty(),
-                    Some(ms) => match s.session.reroute_dirty_budgeted(&deadline_budget(ms)) {
-                        Ok(outcome) => outcome,
-                        Err(e) => return cancel_response(&e),
-                    },
+                let outcome = match s.session.reroute_dirty_budgeted(&budget) {
+                    Ok(outcome) => outcome,
+                    Err(e) => return cancel_response(&e),
                 };
                 let stats = s.session.stats();
                 Response::ok_with(
@@ -856,17 +849,12 @@ fn dispatch(request: Request, ctx: &Ctx<'_>, trace: TraceId) -> Response {
             if let Some(n) = max_iters {
                 ncfg.max_iters(n as usize);
             }
-            let report = match deadline_ms {
-                None => s.session.route_negotiated(&ncfg),
-                Some(ms) => {
-                    match s
-                        .session
-                        .route_negotiated_budgeted(&ncfg, &deadline_budget(ms))
-                    {
-                        Ok(report) => report,
-                        Err(e) => return cancel_response(&e),
-                    }
-                }
+            let report = match s
+                .session
+                .route_negotiated_budgeted(&ncfg, &deadline_budget(deadline_ms))
+            {
+                Ok(report) => report,
+                Err(e) => return cancel_response(&e),
             };
             s.routed_once = true;
             Response::ok_with(
@@ -1011,11 +999,15 @@ fn dispatch(request: Request, ctx: &Ctx<'_>, trace: TraceId) -> Response {
     }
 }
 
-/// A per-request budget for a wire `DEADLINE <ms>` option. `0` means
-/// "already expired": the request cancels at its first budget check,
+/// The budget a request runs under: unlimited without a wire
+/// `DEADLINE <ms>` option, else that deadline. `0` means "already
+/// expired": the request cancels at its first budget check,
 /// deterministically — the cancellation tests rely on this.
-fn deadline_budget(ms: u64) -> Budget {
-    Budget::unlimited().with_deadline(Duration::from_millis(ms))
+fn deadline_budget(deadline_ms: Option<u64>) -> Budget {
+    match deadline_ms {
+        None => Budget::unlimited(),
+        Some(ms) => Budget::unlimited().with_deadline(Duration::from_millis(ms)),
+    }
 }
 
 /// Maps a budgeted driver's error to the wire: cancellation is the

@@ -46,68 +46,121 @@ fn main() -> ExitCode {
     }
 }
 
-/// Flags that consume the following argument as their value.
-const VALUE_FLAGS: &[&str] = &[
-    "--render",
-    "--engine",
-    "--max-iters",
-    "--pitch",
-    "--addr",
-    "--capacity",
-    "--workers",
-    "--nets",
-    "--rows",
-    "--cols",
-    "--seed",
-    "--util",
-    "--fill",
-    "--spread",
-    "--kfrac",
-    "--max-terminals",
-    "--locality",
-    "--cell-max",
-    "--channel",
-    "--read-timeout-ms",
-    "--max-body-kb",
-    "--timeout-ms",
-    "--deadline-ms",
-    "--retries",
-    "--slow-log-ms",
-    "--slow-log-cap",
-    "--trace-sample-rate",
-    "--clients",
-    "--requests",
-    "--kind",
-];
-
-/// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &[
-    "--help",
-    "--two-pass",
-    "--negotiate",
-    "--sharded",
-    "--serial",
-    "--no-epsilon",
-    "--collapsed",
-    "--list",
+/// Each command's options: first those that consume the following
+/// argument as their value, then the flags that take none. A command
+/// accepts only the options it reads.
+const COMMANDS: &[(&str, &[&str], &[&str])] = &[
+    ("help", &[], &["--help"]),
+    (
+        "route",
+        &["--engine", "--pitch", "--max-iters", "--render"],
+        &[
+            "--sharded",
+            "--serial",
+            "--no-epsilon",
+            "--two-pass",
+            "--negotiate",
+        ],
+    ),
+    (
+        "eco",
+        &["--engine", "--pitch", "--render"],
+        &["--sharded", "--serial", "--no-epsilon"],
+    ),
+    ("check", &[], &[]),
+    ("stats", &[], &[]),
+    (
+        "gen",
+        &[
+            "--nets",
+            "--seed",
+            "--rows",
+            "--cols",
+            "--util",
+            "--fill",
+            "--spread",
+            "--kfrac",
+            "--max-terminals",
+            "--locality",
+            "--cell-max",
+            "--channel",
+        ],
+        &[],
+    ),
+    (
+        "serve",
+        &[
+            "--addr",
+            "--capacity",
+            "--workers",
+            "--read-timeout-ms",
+            "--max-body-kb",
+            "--slow-log-ms",
+            "--slow-log-cap",
+            "--trace-sample-rate",
+        ],
+        &[],
+    ),
+    (
+        "client",
+        &["--timeout-ms", "--deadline-ms", "--retries"],
+        &[],
+    ),
+    (
+        "loadgen",
+        &[
+            "--clients",
+            "--requests",
+            "--nets",
+            "--seed",
+            "--kind",
+            "--engine",
+        ],
+        &[],
+    ),
+    (
+        "profile",
+        &["--requests", "--nets", "--seed", "--engine"],
+        &["--collapsed"],
+    ),
+    ("explain", &[], &[]),
+    ("repro", &[], &["--list"]),
 ];
 
 fn run(args: &[String]) -> Result<(), String> {
-    // Positional arguments: everything that is neither a flag nor the
-    // value of a value-taking flag. An unknown flag, or a value flag
-    // with nothing after it, is an error rather than silently ignored.
+    // The command is the first argument that is not an option. Every
+    // other argument is either one of the command's options, the value
+    // of one of its value-taking options, or a positional. An option of
+    // no command, an option of another command, or a value option with
+    // nothing after it is an error rather than silently ignored.
+    let command = match args.iter().find(|a| !a.starts_with("--")) {
+        None => "help",
+        Some(a) if a == "-h" => "help",
+        Some(a) => a.as_str(),
+    };
+    let &(_, values, flags) = COMMANDS
+        .iter()
+        .find(|(name, _, _)| *name == command)
+        .ok_or_else(|| format!("unknown command {command:?}; try gcrt help"))?;
     let mut positionals: Vec<&String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if a.starts_with("--") {
-            if VALUE_FLAGS.contains(&a.as_str()) {
+            if values.contains(&a.as_str()) {
                 if i + 1 == args.len() {
                     return Err(format!("option {a} requires a value"));
                 }
                 i += 2;
-            } else if BOOL_FLAGS.contains(&a.as_str()) {
+            } else if flags.contains(&a.as_str()) {
                 i += 1;
+            } else if COMMANDS
+                .iter()
+                .any(|(_, v, f)| v.contains(&a.as_str()) || f.contains(&a.as_str()))
+            {
+                return Err(format!(
+                    "{a} is not an option of gcrt {command}; try gcrt help"
+                ));
             } else {
                 return Err(format!("unknown option {a}; try gcrt help"));
             }
@@ -116,7 +169,6 @@ fn run(args: &[String]) -> Result<(), String> {
         positionals.push(a);
         i += 1;
     }
-    let command = positionals.first().map(|s| s.as_str()).unwrap_or("help");
     let path = positionals.get(1).copied();
     let flag = |name: &str| args.iter().any(|a| a == name);
     let value_of = |name: &str| {
@@ -124,7 +176,6 @@ fn run(args: &[String]) -> Result<(), String> {
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1))
     };
-    let int_of = |name: &str| value_of(name).and_then(|v| v.parse::<i64>().ok());
     // Strict form: an unparseable value is an error, not a silent
     // fallback to the default (a daemon sized by a typo is worse than
     // no daemon).
@@ -148,7 +199,7 @@ fn run(args: &[String]) -> Result<(), String> {
     };
 
     match command {
-        "help" | "--help" | "-h" => {
+        "help" => {
             println!(
                 "usage: gcrt <command> <file.gcl> [options]\n\n\
                  commands:\n\
@@ -165,7 +216,7 @@ fn run(args: &[String]) -> Result<(), String> {
                  \x20 explain per-net cost attribution: gcrt explain <addr> <sid> <net>\n\
                  \x20 repro   print the paper's experiment tables:\n\
                  \x20         gcrt repro [e1 ... e10 | all] [--list]\n\n\
-                 options:\n\
+                 route and eco options (eco: all but the congestion flows):\n\
                  \x20 --engine E      routing backend: gridless (default), grid,\n\
                  \x20                 lee-moore, hightower\n\
                  \x20 --sharded       bucket-grid plane index with corner tables\n\
@@ -228,8 +279,7 @@ fn run(args: &[String]) -> Result<(), String> {
                  \x20 --nets N            nets per generated layout (default 120)\n\
                  \x20 --seed N            base generator seed (default 7)\n\
                  \x20 --kind K            request mix: reroute (default) or ping\n\
-                 \x20 --engine E          session engine (default gridless)\n\
-                 \x20 --sharded           sharded plane index (default: sharded)"
+                 \x20 --engine E          session engine (default gridless)"
             );
             Ok(())
         }
@@ -255,6 +305,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "route" => {
+            let render = int_value("--render")?;
             let layout = load(path)?;
             layout.validate().map_err(|e| e.to_string())?;
             let mut session = build_session(layout, args)?;
@@ -311,7 +362,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 detail.max_tracks(),
                 detail.total_vias()
             );
-            if let Some(scale) = int_of("--render") {
+            if let Some(scale) = render {
                 render_routes(session.layout(), &routing, scale);
             }
             if routing.failures.is_empty() {
@@ -321,6 +372,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
         }
         "eco" => {
+            let render = int_value("--render")?;
             let layout = load(path)?;
             layout.validate().map_err(|e| e.to_string())?;
             let eco_path = positionals
@@ -350,7 +402,7 @@ fn run(args: &[String]) -> Result<(), String> {
             );
             let routing = session.routing();
             println!("final: {}", session.stats());
-            if let Some(scale) = int_of("--render") {
+            if let Some(scale) = render {
                 render_routes(session.layout(), &routing, scale);
             }
             session.layout().validate().map_err(|e| e.to_string())?;

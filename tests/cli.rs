@@ -1,6 +1,7 @@
-//! `gcrt`'s option parsing: a mistyped or unknown option, or a value
-//! option with nothing after it, must stop the command with exit 2 and
-//! name the offending flag instead of being silently ignored.
+//! `gcrt`'s option parsing: a mistyped or unknown option, an option of
+//! another command, or a value option with nothing (or no number) after
+//! it, must stop the command with exit 2 and name the offending flag
+//! instead of being silently ignored.
 
 use std::process::{Command, Output};
 
@@ -16,19 +17,44 @@ fn gcrt(args: &[&str]) -> Output {
 fn unknown_and_valueless_options_exit_2_naming_the_flag() {
     let out = std::env::temp_dir().join(format!("gcrt-cli-{}.gcl", std::process::id()));
     let out = out.to_str().expect("utf-8 temp path");
-    for (args, flag) in [
-        (vec!["route", "fixtures/demo.gcl", "--shardd"], "--shardd"),
-        (vec!["gen", out, "--nets", "5", "--sed", "3"], "--sed"),
-        (vec!["gen", out, "--nets", "5", "--seed"], "--seed"),
+    // Each command accepts only its own options: one of another command
+    // is named with the command it was given to. A non-integer value is
+    // named too, and nothing runs.
+    for (args, culprits) in [
+        (
+            vec!["route", "fixtures/demo.gcl", "--shardd"],
+            &["--shardd"][..],
+        ),
+        (vec!["gen", out, "--nets", "5", "--sed", "3"], &["--sed"]),
+        (vec!["gen", out, "--nets", "5", "--seed"], &["--seed"]),
         (
             vec!["route", "fixtures/demo.gcl", "--precise-dirty"],
-            "--precise-dirty",
+            &["--precise-dirty"],
+        ),
+        (
+            vec!["check", "fixtures/demo.gcl", "--list"],
+            &["--list", "check"],
+        ),
+        (
+            vec!["stats", "fixtures/demo.gcl", "--collapsed", "--two-pass"],
+            &["--collapsed", "stats"],
+        ),
+        (
+            vec!["route", "fixtures/demo.gcl", "--nets", "5", "--addr", "x"],
+            &["--nets", "route"],
+        ),
+        (
+            vec!["route", "fixtures/demo.gcl", "--render", "abc"],
+            &["--render", "abc"],
         ),
     ] {
         let result = gcrt(&args);
         let stderr = String::from_utf8_lossy(&result.stderr);
         assert_eq!(result.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        for culprit in culprits {
+            assert!(stderr.contains(culprit), "{args:?}: {stderr}");
+        }
+        assert!(result.stdout.is_empty(), "{args:?}: the command ran");
     }
     assert!(
         !std::path::Path::new(out).exists(),

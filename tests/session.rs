@@ -355,56 +355,145 @@ fn demo_eco_fixture_replays_cleanly() {
 
 /// A cancelled request must commit nothing — the session stays
 /// byte-identical to its pre-request state — and a fresh retry must
-/// produce exactly what an uninterrupted, unbudgeted run produces,
-/// across {flat, sharded} × {serial, parallel}.
+/// produce exactly what an uninterrupted run under an unlimited budget
+/// produces: for the gridless engine across {flat, sharded} × {serial,
+/// parallel}, and for every baseline engine on one schedule, each
+/// compared with its own engine's uncancelled route.
 #[test]
 fn cancelled_route_all_rolls_back_and_retry_is_identical() {
+    let schedules = [
+        (BatchConfig::serial(), "flat-serial"),
+        (
+            BatchConfig::serial().with_index(PlaneIndexKind::Sharded),
+            "sharded-serial",
+        ),
+        (BatchConfig::default(), "flat-parallel"),
+        (BatchConfig::sharded(), "sharded-parallel"),
+    ];
+    let engines: Vec<(&str, gcr::service::BoxedEngine)> = vec![
+        ("gridless", Box::new(GridlessEngine)),
+        ("grid-astar", Box::new(GridEngine::default())),
+        ("lee-moore", Box::new(GridEngine::lee_moore())),
+        ("hightower", Box::new(HightowerEngine::default())),
+    ];
     for case in 0..4u64 {
         let layout = scaling_instance(2, 2, 5, 2, case);
-        for (batch, label) in [
-            (BatchConfig::serial(), "flat-serial"),
-            (
-                BatchConfig::serial().with_index(PlaneIndexKind::Sharded),
-                "sharded-serial",
-            ),
-            (BatchConfig::default(), "flat-parallel"),
-            (BatchConfig::sharded(), "sharded-parallel"),
-        ] {
-            let what = format!("{label}/case {case}");
-            let reference = session_for(&layout, &GridlessEngine, batch).route_all();
+        for (name, engine) in &engines {
+            let engine = &**engine;
+            let schedules = if *name == "gridless" {
+                &schedules[..]
+            } else {
+                &schedules[..1]
+            };
+            for &(batch, label) in schedules {
+                let what = format!("{name}/{label}/case {case}");
+                let reference = session_for(&layout, &engine, batch).route_all();
 
-            let mut session = session_for(&layout, &GridlessEngine, batch);
-            // A pre-raised cancel flag: deterministic immediate stop.
+                let mut session = session_for(&layout, &engine, batch);
+                // A pre-raised cancel flag: deterministic immediate stop.
+                let cancelled = Budget::unlimited();
+                cancelled.cancel();
+                match session.route_all_budgeted(&cancelled) {
+                    Err(RouteError::Cancelled { reason, .. }) => {
+                        assert_eq!(reason, CancelReason::Cancelled, "{what}");
+                    }
+                    other => panic!("{what}: expected Cancelled, got {other:?}"),
+                }
+                assert!(
+                    session.routing().routes.is_empty(),
+                    "{what}: cancel commits nothing"
+                );
+
+                // A zero expansion ceiling: cancels on the first check.
+                let starved = Budget::unlimited().with_expansion_ceiling(0);
+                match session.route_all_budgeted(&starved) {
+                    Err(RouteError::Cancelled { reason, .. }) => {
+                        assert_eq!(reason, CancelReason::ExpansionCeiling, "{what}");
+                    }
+                    other => panic!("{what}: expected Cancelled, got {other:?}"),
+                }
+                assert!(session.routing().routes.is_empty(), "{what}");
+
+                // Retry under a generous budget: the budget stops work, it
+                // never steers it — identical to the uncancelled run.
+                let generous = Budget::unlimited().with_deadline(Duration::from_secs(600));
+                let routed = session.route_all_budgeted(&generous).unwrap();
+                assert_routing_identical(&reference, &routed, &format!("{what}: retry"));
+                assert_routing_identical(&reference, &session.routing(), &format!("{what}: state"));
+            }
+        }
+    }
+}
+
+/// A shared expansion ceiling smaller than one net's search stops grid
+/// A\* and Lee–Moore inside that search, not only between nets: the
+/// request is cancelled with the ceiling as its reason, the search
+/// charged the meter, and nothing is committed.
+#[test]
+fn grid_searches_stop_mid_net_under_a_shared_ceiling() {
+    let mut layout = Layout::new(Rect::new(0, 0, 200, 200).unwrap());
+    layout
+        .add_cell("wall", Rect::new(50, 20, 150, 180).unwrap())
+        .unwrap();
+    layout.add_two_pin_net("across", Point::new(5, 100), Point::new(195, 100));
+    for engine in [GridEngine::default(), GridEngine::lee_moore()] {
+        let name = engine.capabilities().name;
+        let mut session = session_for(&layout, &engine, BatchConfig::serial());
+        let before = session.stats();
+        let ceiling = Budget::unlimited().with_expansion_ceiling(10);
+        match session.route_all_budgeted(&ceiling) {
+            Err(RouteError::Cancelled { reason, .. }) => {
+                assert_eq!(reason, CancelReason::ExpansionCeiling, "{name}");
+            }
+            other => panic!("{name}: expected Cancelled, got {other:?}"),
+        }
+        assert!(
+            ceiling.expansions() >= 10,
+            "{name}: the search itself charged {} expansion(s)",
+            ceiling.expansions()
+        );
+        assert_eq!(session.stats(), before, "{name}: nothing committed");
+        assert!(session.routing().routes.is_empty(), "{name}");
+        assert!(session.routing().failures.is_empty(), "{name}");
+    }
+}
+
+/// No budget a cancelled request installed in the session's pooled
+/// scratches reaches a later call: the plain calls that follow a
+/// cancelled `route_all_budgeted` route exactly what a fresh session
+/// routes.
+#[test]
+fn plain_calls_after_a_cancelled_request_route_normally() {
+    let layout = scaling_instance(2, 2, 5, 2, 0);
+    for batch in [BatchConfig::serial(), BatchConfig::sharded()] {
+        let what = format!("{:?}", batch.index);
+        let mut fresh = session_for(&layout, &GridlessEngine, batch);
+        let reference = fresh.route_all();
+        let mut session = session_for(&layout, &GridlessEngine, batch);
+        let cancel = |session: &mut RoutingSession| {
             let cancelled = Budget::unlimited();
             cancelled.cancel();
-            match session.route_all_budgeted(&cancelled) {
-                Err(RouteError::Cancelled { reason, .. }) => {
-                    assert_eq!(reason, CancelReason::Cancelled, "{what}");
-                }
-                other => panic!("{what}: expected Cancelled, got {other:?}"),
-            }
-            assert!(
-                session.routing().routes.is_empty(),
-                "{what}: cancel commits nothing"
-            );
+            assert!(session.route_all_budgeted(&cancelled).is_err(), "{what}");
+        };
+        let net = session.layout().net_ids()[0];
 
-            // A zero expansion ceiling: cancels on the first check.
-            let starved = Budget::unlimited().with_expansion_ceiling(0);
-            match session.route_all_budgeted(&starved) {
-                Err(RouteError::Cancelled { reason, .. }) => {
-                    assert_eq!(reason, CancelReason::ExpansionCeiling, "{what}");
-                }
-                other => panic!("{what}: expected Cancelled, got {other:?}"),
-            }
-            assert!(session.routing().routes.is_empty(), "{what}");
+        cancel(&mut session);
+        let strawman = session.route_net_pin_tree(net).expect("pin tree routes");
+        let expected = fresh.route_net_pin_tree(net).unwrap();
+        assert_eq!(strawman.tree.segments(), expected.tree.segments(), "{what}");
+        assert_eq!(strawman.stats, expected.stats, "{what}");
 
-            // Retry under a generous budget: the budget stops work, it
-            // never steers it — identical to the unbudgeted run.
-            let generous = Budget::unlimited().with_deadline(std::time::Duration::from_secs(600));
-            let routed = session.route_all_budgeted(&generous).unwrap();
-            assert_routing_identical(&reference, &routed, &format!("{what}: retry"));
-            assert_routing_identical(&reference, &session.routing(), &format!("{what}: state"));
-        }
+        cancel(&mut session);
+        let routed = session.route_net(net).expect("net routes").clone();
+        let expected = reference.route_for(net).unwrap();
+        assert_eq!(routed.tree.segments(), expected.tree.segments(), "{what}");
+        assert_eq!(routed.stats, expected.stats, "{what}");
+
+        cancel(&mut session);
+        session.mark_all_dirty();
+        let outcome = session.reroute_dirty();
+        assert_eq!(outcome.attempted, layout.nets().len(), "{what}");
+        assert_routing_identical(&reference, &session.routing(), &what);
     }
 }
 

@@ -14,7 +14,7 @@ use gcr::prelude::*;
 use gcr::router::congestion::{find_passages, CongestionPenalty};
 use gcr::router::{EdgeCoster, GoalSet, RouteState, RouteTree, RoutingSpace};
 use gcr::search::{
-    astar, astar_with_limits, exhaustive, Labels, LexCost, NoLabels, PathCost, SearchLimits,
+    astar, astar_in, exhaustive, Budget, Found, Labels, LexCost, NoLabels, PathCost, SearchArena,
     SearchOutcome, SearchSpace, SearchStats, ZeroHeuristic,
 };
 use gcr::workload::generator::{generate, GeneratorParams};
@@ -88,8 +88,8 @@ struct Unpruned<'s, 'a>(&'s RoutingSpace<'a>);
 impl SearchSpace for Unpruned<'_, '_> {
     type State = RouteState;
     type Cost = LexCost;
-    fn start_states(&self) -> Vec<(RouteState, LexCost)> {
-        self.0.start_states()
+    fn start_states(&self, out: &mut Vec<(RouteState, LexCost)>) {
+        self.0.start_states(out);
     }
     fn successors(
         &self,
@@ -115,13 +115,20 @@ fn run_both(
     space: &RoutingSpace<'_>,
     what: &str,
 ) -> (Option<Vec<Point>>, SearchStats, SearchStats) {
-    let limits = SearchLimits::default();
-    let pruned = astar_with_limits(&ZeroHeuristic(space), limits);
-    let full = astar_with_limits(&ZeroHeuristic(&Unpruned(space)), limits);
+    let pruned = search(&ZeroHeuristic(space));
+    let full = search(&ZeroHeuristic(&Unpruned(space)));
     agree(pruned, full, &format!("{what} best-first"));
-    let pruned = astar_with_limits(space, limits);
-    let full = astar_with_limits(&Unpruned(space), limits);
-    agree(pruned, full, what)
+    agree(search(space), search(&Unpruned(space)), what)
+}
+
+/// A\* to completion, with the found path moved into the outcome.
+fn search<Sp: SearchSpace>(space: &Sp) -> SearchOutcome<Sp::State, Sp::Cost> {
+    let mut path = Vec::new();
+    let budget = Budget::unlimited();
+    match astar_in(space, None, &budget, &mut SearchArena::new(), &mut path) {
+        SearchOutcome::Found(found) => SearchOutcome::Found(Found { path, ..found }),
+        other => other,
+    }
 }
 
 /// Asserts that a pruned and an unpruned search expanded the same nodes,
