@@ -108,11 +108,9 @@ pub enum PlaneIndexKind {
 /// one routing call, and which plane index it routes them over.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// Route nets on worker threads (`false` = plain serial loop). Output
-    /// is byte-identical either way.
-    pub parallel: bool,
     /// Worker count; `None` = the machine's available parallelism, capped
-    /// by the number of nets in the call.
+    /// by the number of nets in the call, and `Some(1)` a plain serial
+    /// loop. Output is byte-identical at any count.
     pub threads: Option<usize>,
     /// The spatial index answering the engines' connection queries.
     /// Output is byte-identical either way.
@@ -122,7 +120,6 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> BatchConfig {
         BatchConfig {
-            parallel: true,
             threads: None,
             index: PlaneIndexKind::Flat,
         }
@@ -130,12 +127,12 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// A forced-serial configuration (useful for baselines and for
-    /// verifying the parallel/serial equivalence).
+    /// A forced-serial configuration, one worker (useful for baselines
+    /// and for verifying the parallel/serial equivalence).
     #[must_use]
     pub fn serial() -> BatchConfig {
         BatchConfig {
-            parallel: false,
+            threads: Some(1),
             ..BatchConfig::default()
         }
     }
@@ -154,9 +151,6 @@ impl BatchConfig {
     }
 
     pub(crate) fn threads_for(&self, items: usize) -> usize {
-        if !self.parallel {
-            return 1;
-        }
         self.threads
             .unwrap_or_else(|| gcr_search::default_threads(items))
             .max(1)

@@ -276,13 +276,13 @@ where
     }
 }
 
-/// Panics with a message naming `what` unless `weight` is non-negative.
-/// A negative congestion weight would make a surcharge negative, and the
-/// search's edge costs must never be.
-pub(crate) fn assert_non_negative(what: &str, weight: i64) {
+/// Panics unless `weight` is non-negative. A negative congestion weight
+/// would make a surcharge negative, and the search's edge costs must
+/// never be.
+fn assert_non_negative(weight: i64) {
     assert!(
         weight >= 0,
-        "{what} {weight} is negative: congestion surcharges must not be"
+        "congestion weight {weight} is negative: congestion surcharges must not be"
     );
 }
 
@@ -306,7 +306,7 @@ impl CongestionPenalty {
     /// Panics if `weight` is negative.
     #[must_use]
     pub fn from_regions(regions: Vec<(Rect, Axis)>, weight: i64) -> CongestionPenalty {
-        assert_non_negative("congestion weight", weight);
+        assert_non_negative(weight);
         CongestionPenalty {
             regions: regions.into_iter().map(|(r, a)| (r, a, weight)).collect(),
         }
@@ -321,7 +321,7 @@ impl CongestionPenalty {
     #[must_use]
     pub fn from_weighted_regions(regions: Vec<(Rect, Axis, i64)>) -> CongestionPenalty {
         for &(_, _, weight) in &regions {
-            assert_non_negative("congestion weight", weight);
+            assert_non_negative(weight);
         }
         CongestionPenalty { regions }
     }
@@ -542,12 +542,6 @@ mod tests {
         config.wire_pitch(5).congestion_weight(0);
         let report = congested_session(&config).route_two_pass();
         assert!(report.before.total_overflow() > 0, "scenario must congest");
-        let mut negotiation = crate::NegotiationConfig::default();
-        negotiation
-            .max_iters(2)
-            .present_weight(0)
-            .history_increment(0);
-        let _ = congested_session(&config).route_negotiated(&negotiation);
     }
 
     #[test]
@@ -556,26 +550,6 @@ mod tests {
         let mut config = crate::RouterConfig::default();
         config.wire_pitch(5).congestion_weight(-1);
         let _ = congested_session(&config).route_two_pass();
-    }
-
-    #[test]
-    #[should_panic(expected = "present weight -1 is negative")]
-    fn a_negative_present_weight_panics_in_a_route() {
-        let mut config = crate::RouterConfig::default();
-        config.wire_pitch(5);
-        let mut negotiation = crate::NegotiationConfig::default();
-        negotiation.present_weight(-1);
-        let _ = congested_session(&config).route_negotiated(&negotiation);
-    }
-
-    #[test]
-    #[should_panic(expected = "history increment -1 is negative")]
-    fn a_negative_history_increment_panics_in_a_route() {
-        let mut config = crate::RouterConfig::default();
-        config.wire_pitch(5);
-        let mut negotiation = crate::NegotiationConfig::default();
-        negotiation.history_increment(-1);
-        let _ = congested_session(&config).route_negotiated(&negotiation);
     }
 
     #[test]

@@ -23,9 +23,13 @@
 //! summary. The loop runs until zero overflow or
 //! [`NegotiationConfig::max_iters`]; within each round any net a
 //! *surcharged* search failed is retried at true cost, so negotiation
-//! never ends with fewer routed nets than the plain first pass. A capped run that ends mid-oscillation is rolled back to
-//! the best state it visited (keep-best), so a bigger budget never buys
-//! a worse answer.
+//! never ends with fewer routed nets than the plain first pass.
+//!
+//! Keep-best: while overflow remains, the loop checkpoints the session
+//! at the first pass and at every round that sets a new best. A capped
+//! run that ends mid-oscillation, worse than that best, restores the
+//! checkpoint — the best round's committed state exactly, counters
+//! included — so a bigger budget never buys a worse answer.
 //!
 //! Determinism: every iteration reroutes its dirty set through the same
 //! deterministic schedule as all other flows, so serial ≡ parallel and
@@ -35,12 +39,20 @@ use std::collections::BTreeSet;
 
 use gcr_search::Budget;
 
-use crate::congestion::{
-    assert_non_negative, find_passages, CongestionAnalysis, CongestionPenalty, Passage,
-};
+use crate::congestion::{find_passages, CongestionAnalysis, CongestionPenalty, Passage};
 use crate::engine::RoutingEngine;
 use crate::session::RoutingSession;
 use crate::{GlobalRouting, RouteError};
+
+/// Present-cost weight: each unit of wire in a passage currently over
+/// capacity is surcharged `PRESENT_WEIGHT × overflow` — deliberately
+/// gentler than the two-pass `congestion_weight`, because negotiation
+/// gets to push again.
+const PRESENT_WEIGHT: i64 = 1;
+
+/// History growth: every iteration a passage is over-subscribed adds
+/// `HISTORY_INCREMENT × overflow` to its permanent per-unit price.
+const HISTORY_INCREMENT: i64 = 1;
 
 /// Tuning knobs for the negotiation loop (non-consuming builder, like
 /// [`RouterConfig`](crate::RouterConfig)).
@@ -48,7 +60,7 @@ use crate::{GlobalRouting, RouteError};
 /// ```
 /// use gcr_core::NegotiationConfig;
 /// let mut config = NegotiationConfig::default();
-/// config.max_iters(8).history_increment(2);
+/// config.max_iters(8);
 /// assert_eq!(config.max_iters, 8);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,24 +68,11 @@ pub struct NegotiationConfig {
     /// Iteration cap: reroute rounds before the loop gives up on the
     /// remaining overflow. Default 16.
     pub max_iters: usize,
-    /// Present-cost weight: each unit of wire in a passage currently
-    /// over capacity is surcharged `present_weight × overflow`.
-    /// Default 1 — deliberately gentler than the two-pass
-    /// `congestion_weight`, because negotiation gets to push again.
-    pub present_weight: i64,
-    /// History growth: every iteration a passage is over-subscribed adds
-    /// `history_increment × overflow` to its permanent per-unit price.
-    /// Default 1.
-    pub history_increment: i64,
 }
 
 impl Default for NegotiationConfig {
     fn default() -> NegotiationConfig {
-        NegotiationConfig {
-            max_iters: 16,
-            present_weight: 1,
-            history_increment: 1,
-        }
+        NegotiationConfig { max_iters: 16 }
     }
 }
 
@@ -87,22 +86,6 @@ impl NegotiationConfig {
     pub fn max_iters(&mut self, n: usize) -> &mut NegotiationConfig {
         assert!(n >= 1, "negotiation needs at least one iteration");
         self.max_iters = n;
-        self
-    }
-
-    /// Sets the present-cost weight. It must be non-negative: a
-    /// negotiation round panics when it prices passages with a negative
-    /// one (see [`NegotiationCost::penalty`]).
-    pub fn present_weight(&mut self, weight: i64) -> &mut NegotiationConfig {
-        self.present_weight = weight;
-        self
-    }
-
-    /// Sets the history growth per over-subscribed iteration. It must be
-    /// non-negative: a negotiation round panics when it grows history by
-    /// a negative one (see [`NegotiationCost::absorb`]).
-    pub fn history_increment(&mut self, increment: i64) -> &mut NegotiationConfig {
-        self.history_increment = increment;
         self
     }
 }
@@ -130,16 +113,14 @@ impl NegotiationCost {
     }
 
     /// Absorbs one iteration's analysis: every over-subscribed passage
-    /// gains `increment × overflow` of permanent history. Passages that
+    /// gains its overflow as permanent history. Passages that
     /// decongested keep their history — that is the anti-oscillation
     /// property.
     ///
     /// # Panics
     ///
-    /// Panics if the analysis covers a different passage list, or if
-    /// `increment` is negative.
-    pub fn absorb(&mut self, analysis: &CongestionAnalysis, increment: i64) {
-        assert_non_negative("history increment", increment);
+    /// Panics if the analysis covers a different passage list.
+    pub fn absorb(&mut self, analysis: &CongestionAnalysis) {
         assert_eq!(
             analysis.passages.len(),
             self.history.len(),
@@ -148,24 +129,19 @@ impl NegotiationCost {
         for i in 0..self.history.len() {
             let over = analysis.overflow(i);
             if over > 0 {
-                self.history[i] += increment * over;
+                self.history[i] += HISTORY_INCREMENT * over;
             }
         }
     }
 
     /// Prices the current state: passage `i` is surcharged
-    /// `present_weight × overflow(i) + history(i)` per unit of wire.
-    /// Passages with zero total price produce no region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `present_weight` is negative.
+    /// `overflow(i) + history(i)` per unit of wire. Passages with zero
+    /// total price produce no region.
     #[must_use]
-    pub fn penalty(&self, analysis: &CongestionAnalysis, present_weight: i64) -> CongestionPenalty {
-        assert_non_negative("present weight", present_weight);
+    pub fn penalty(&self, analysis: &CongestionAnalysis) -> CongestionPenalty {
         let regions = (0..self.history.len().min(analysis.passages.len()))
             .filter_map(|i| {
-                let weight = present_weight * analysis.overflow(i) + self.history[i];
+                let weight = PRESENT_WEIGHT * analysis.overflow(i) + self.history[i];
                 (weight > 0).then(|| {
                     let p = &analysis.passages[i];
                     (p.rect, p.corridor_axis, weight)
@@ -191,16 +167,19 @@ pub struct NegotiationReport {
     /// Surcharged reroute rounds actually run (0 when the first pass
     /// had no overflow or the engine is congestion-blind).
     pub iterations: usize,
-    /// Successful reroute commits across all rounds and the final
-    /// repair pass.
+    /// Successful reroute commits across every round run, casualty
+    /// repairs included. A keep-best restore does not take back the
+    /// commits of the rounds it discards.
     pub rerouted: usize,
     /// Did the loop reach zero overflow (rather than the iteration
     /// cap)?
     pub converged: bool,
     /// `Some(round)` when the run hit the cap mid-oscillation and the
-    /// committed state was rolled back to the best round it had visited
-    /// (0 = the plain first pass). `None` when the final state was
-    /// already the best one seen.
+    /// session was restored from the checkpoint of the best round it had
+    /// visited (0 = the plain first pass): routes, dirty marks, per-net
+    /// attempts and [`SessionStats`](crate::SessionStats) are then
+    /// exactly that round's. `None` when the final state was already the
+    /// best one seen.
     pub restored: Option<usize>,
 }
 
@@ -246,12 +225,16 @@ pub(crate) fn negotiate<E: RoutingEngine>(
     let mut rerouted = 0;
     let mut restored = None;
     if session.engine().capabilities().supports_congestion {
-        // (overflow, rounds) of the best state visited so far.
-        let mut best = (current.total_overflow(), 0);
+        let mut best_overflow = current.total_overflow();
+        let mut best_round = 0;
+        let mut best_state = None;
         while current.total_overflow() > 0 && iterations < config.max_iters {
+            // No checkpoint held means the state entering this round is
+            // the best so far: snapshot it before the round can make it
+            // worse.
+            best_state.get_or_insert_with(|| session.checkpoint());
             current = negotiation_round(
                 session,
-                config,
                 &passages,
                 &baseline_failed,
                 &mut cost,
@@ -260,36 +243,19 @@ pub(crate) fn negotiate<E: RoutingEngine>(
                 budget,
             )?;
             iterations += 1;
-            if current.total_overflow() < best.0 {
-                best = (current.total_overflow(), iterations);
+            if current.total_overflow() < best_overflow {
+                best_overflow = current.total_overflow();
+                best_round = iterations;
+                best_state = None;
             }
         }
         // Keep-best: a capped run ends wherever the oscillation happened
         // to stop, which can be *worse* than a state it already visited
-        // (more budget must never buy a worse answer). Every search
-        // depends only on geometry and the penalty schedule, so ripping
-        // everything up and replaying `best.1` rounds reproduces that
-        // state byte-for-byte.
-        if current.total_overflow() > best.0 {
-            session.mark_all_dirty();
-            let outcome = session.reroute(None, budget)?;
-            rerouted += outcome.rerouted;
+        // (more budget must never buy a worse answer).
+        if current.total_overflow() > best_overflow {
+            session.restore(best_state.expect("the best round was checkpointed"));
             current = session.analyze_committed(&passages);
-            let mut replay_cost = NegotiationCost::new(passages.len());
-            for _ in 0..best.1 {
-                current = negotiation_round(
-                    session,
-                    config,
-                    &passages,
-                    &baseline_failed,
-                    &mut replay_cost,
-                    &current,
-                    &mut rerouted,
-                    budget,
-                )?;
-            }
-            debug_assert_eq!(current.total_overflow(), best.0);
-            restored = Some(best.1);
+            restored = Some(best_round);
         }
     }
     if let Some(m) = crate::telem::live() {
@@ -319,10 +285,8 @@ pub(crate) fn negotiate<E: RoutingEngine>(
 /// One surcharged round of the loop: grow history, price every passage,
 /// reroute the nets through over-subscribed passages, restore surcharge
 /// casualties at true cost, and re-analyze.
-#[allow(clippy::too_many_arguments)]
 fn negotiation_round<E: RoutingEngine>(
     session: &mut RoutingSession<E>,
-    config: &NegotiationConfig,
     passages: &[Passage],
     baseline_failed: &BTreeSet<usize>,
     cost: &mut NegotiationCost,
@@ -330,8 +294,8 @@ fn negotiation_round<E: RoutingEngine>(
     rerouted: &mut usize,
     budget: &Budget,
 ) -> Result<CongestionAnalysis, RouteError> {
-    cost.absorb(current, config.history_increment);
-    let penalty = cost.penalty(current, config.present_weight);
+    cost.absorb(current);
+    let penalty = cost.penalty(current);
     for idx in current.affected_nets() {
         session.set_dirty_slot(idx);
     }
@@ -384,16 +348,16 @@ mod tests {
     #[test]
     fn history_grows_monotonically_and_survives_decongestion() {
         let rect = Rect::new(40, 20, 50, 80).unwrap();
-        // Width 10, pitch 10 → capacity 1; two users → overflow 1.
-        let congested = analysis_over(rect, &[&[0, 1]], 10);
+        // Width 10, pitch 10 → capacity 1; three users → overflow 2.
+        let congested = analysis_over(rect, &[&[0, 1, 2]], 10);
         let clean = analysis_over(rect, &[&[0]], 10);
         let mut cost = NegotiationCost::new(1);
-        cost.absorb(&congested, 2);
+        cost.absorb(&congested);
         assert_eq!(cost.history(0), 2);
-        cost.absorb(&congested, 2);
+        cost.absorb(&congested);
         assert_eq!(cost.history(0), 4);
         // Decongestion does not forgive.
-        cost.absorb(&clean, 2);
+        cost.absorb(&clean);
         assert_eq!(cost.history(0), 4);
     }
 
@@ -402,13 +366,13 @@ mod tests {
         let rect = Rect::new(40, 20, 50, 80).unwrap();
         let congested = analysis_over(rect, &[&[0, 1, 2]], 10); // overflow 2
         let mut cost = NegotiationCost::new(1);
-        cost.absorb(&congested, 1); // history 2
-        let penalty = cost.penalty(&congested, 3); // 3×2 + 2 = 8 per unit
+        cost.absorb(&congested); // history 2
+        let penalty = cost.penalty(&congested); // present 2 + history 2
         assert_eq!(penalty.region_count(), 1);
-        assert_eq!(penalty.surcharge(&Segment::vertical(45, 20, 80)), 60 * 8);
+        assert_eq!(penalty.surcharge(&Segment::vertical(45, 20, 80)), 60 * 4);
         // A decongested passage with history still prices the history.
         let clean = analysis_over(rect, &[&[0]], 10);
-        let lingering = cost.penalty(&clean, 3);
+        let lingering = cost.penalty(&clean);
         assert_eq!(lingering.region_count(), 1);
         assert_eq!(lingering.surcharge(&Segment::vertical(45, 20, 80)), 60 * 2);
     }
@@ -418,7 +382,7 @@ mod tests {
         let rect = Rect::new(40, 20, 50, 80).unwrap();
         let clean = analysis_over(rect, &[&[0]], 10);
         let cost = NegotiationCost::new(1);
-        assert_eq!(cost.penalty(&clean, 5).region_count(), 0);
+        assert_eq!(cost.penalty(&clean).region_count(), 0);
     }
 
     #[test]
@@ -426,7 +390,7 @@ mod tests {
     fn mismatched_analysis_is_rejected() {
         let rect = Rect::new(40, 20, 50, 80).unwrap();
         let a = analysis_over(rect, &[&[0, 1]], 10);
-        NegotiationCost::new(3).absorb(&a, 1);
+        NegotiationCost::new(3).absorb(&a);
     }
 
     #[test]

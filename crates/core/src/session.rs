@@ -64,19 +64,19 @@ impl<E: RoutingEngine> SessionBuilder<E> {
         self
     }
 
-    /// Replaces the whole scheduling configuration (parallelism, thread
-    /// count and spatial index at once).
+    /// Replaces the whole scheduling configuration (thread count and
+    /// spatial index at once).
     #[must_use]
     pub fn batch(mut self, batch: BatchConfig) -> SessionBuilder<E> {
         self.batch = batch;
         self
     }
 
-    /// Forces serial scheduling (useful for baselines and differential
-    /// tests; output is byte-identical either way).
+    /// Forces serial scheduling, one worker (useful for baselines and
+    /// differential tests; output is byte-identical either way).
     #[must_use]
     pub fn serial(mut self) -> SessionBuilder<E> {
-        self.batch.parallel = false;
+        self.batch.threads = Some(1);
         self
     }
 
@@ -200,7 +200,7 @@ const DIRTY_GRID_DIM: i64 = 64;
 /// affected route is ever missed. The per-candidate bounding-box test is
 /// unchanged from the scan-everything implementation, which keeps the
 /// dirty set byte-identical (asserted by `tests/session.rs`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct DirtyGrid {
     x0: i64,
     y0: i64,
@@ -288,6 +288,13 @@ impl DirtyGrid {
         }
     }
 
+    /// Unregisters every slot, keeping the grid's geometry and the
+    /// cells' allocations.
+    fn clear(&mut self) {
+        self.cells.iter_mut().for_each(Vec::clear);
+        self.boxes.fill(None);
+    }
+
     /// Every registered slot whose bounding box *may* intersect `rect`
     /// (sorted, deduplicated). A superset of the true intersecting set;
     /// callers re-test each candidate exactly.
@@ -305,17 +312,13 @@ impl DirtyGrid {
 }
 
 /// A snapshot of a session's committed state, taken by
-/// [`RoutingSession::checkpoint`] so multi-round budgeted drivers
-/// (negotiation) can roll a cancelled request back byte-exactly.
+/// [`RoutingSession::checkpoint`] so negotiation can roll a cancelled
+/// request back, or a capped run forward to its best round, byte-exactly.
+/// It holds only the slots: every running aggregate and the dirty grid
+/// are functions of them, recounted by [`RoutingSession::restore`].
 #[derive(Debug)]
 pub(crate) struct SessionCheckpoint {
     slots: Vec<NetState>,
-    dirty_grid: DirtyGrid,
-    dirty_count: usize,
-    routed_count: usize,
-    failed_count: usize,
-    wire_length: i64,
-    reroutes: u64,
 }
 
 /// What a [`RoutingSession::reroute_dirty`] pass did.
@@ -350,7 +353,9 @@ pub struct SessionStats {
     pub wire_length: i64,
     /// Cumulative re-routes: committed routing attempts beyond each
     /// net's first, over the session's lifetime (rip-up + reroute, ECO
-    /// flushes and two-pass reroutes all count).
+    /// flushes and two-pass reroutes all count). A negotiation that
+    /// goes back to a checkpoint — cancelled, or keep-best — takes back
+    /// the attempts committed since.
     pub reroutes: u64,
 }
 
@@ -745,25 +750,30 @@ impl<E: RoutingEngine> RoutingSession<E> {
         }
     }
 
+    /// Adds slot `idx`'s committed state to the running aggregates — the
+    /// inverse of [`RoutingSession::retire_slot`].
+    fn admit_slot(&mut self, idx: usize) {
+        match &self.slots[idx].slot {
+            NetSlot::Routed(r) => {
+                self.routed_count += 1;
+                self.wire_length += r.wire_length();
+                if let Some(bb) = route_bounding_box(r) {
+                    self.dirty_grid.register(idx, bb);
+                }
+            }
+            NetSlot::Failed(_) => self.failed_count += 1,
+            NetSlot::Unrouted => {}
+        }
+    }
+
     fn commit(&mut self, id: NetId, result: Result<NetRoute, RouteError>) {
         let idx = id.index();
         self.retire_slot(idx);
-        let slot = match result {
-            Ok(route) => {
-                self.routed_count += 1;
-                self.wire_length += route.wire_length();
-                if let Some(bb) = route_bounding_box(&route) {
-                    self.dirty_grid.register(idx, bb);
-                }
-                NetSlot::Routed(route)
-            }
-            Err(e) => {
-                self.failed_count += 1;
-                NetSlot::Failed(e)
-            }
-        };
         let state = &mut self.slots[idx];
-        state.slot = slot;
+        state.slot = match result {
+            Ok(route) => NetSlot::Routed(route),
+            Err(e) => NetSlot::Failed(e),
+        };
         if state.dirty {
             state.dirty = false;
             self.dirty_count -= 1;
@@ -775,6 +785,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
             }
         }
         state.attempts += 1;
+        self.admit_slot(idx);
     }
 
     /// Routes (or re-routes) one net now and commits the result as the
@@ -1000,7 +1011,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// for the cost model; byte-identical across serial/parallel ×
     /// flat/sharded schedules.
     pub fn route_negotiated(&mut self, config: &NegotiationConfig) -> NegotiationReport {
-        crate::negotiate::negotiate(self, config, &Budget::unlimited())
+        self.route_negotiated_budgeted(config, &Budget::unlimited())
             .expect("an unlimited budget never cancels")
     }
 
@@ -1024,48 +1035,41 @@ impl<E: RoutingEngine> RoutingSession<E> {
             Ok(report) => Ok(report),
             Err(e) => {
                 self.restore(checkpoint);
+                if let Some(m) = crate::telem::live() {
+                    m.rollbacks.inc();
+                }
                 Err(e)
             }
         }
     }
 
-    /// Snapshots the committed state (slots, dirty bookkeeping, running
-    /// aggregates) so a multi-round driver can roll a cancelled request
-    /// back to exactly its pre-request bytes. The obstacle plane is not
-    /// snapshotted: routing commits never mutate it.
+    /// Snapshots the committed state — the slots, with their routes,
+    /// dirty marks and attempt counts — so negotiation can go back to
+    /// exactly these bytes. The obstacle plane is not snapshotted:
+    /// routing commits never mutate it.
     pub(crate) fn checkpoint(&self) -> SessionCheckpoint {
         SessionCheckpoint {
             slots: self.slots.clone(),
-            dirty_grid: self.dirty_grid.clone(),
-            dirty_count: self.dirty_count,
-            routed_count: self.routed_count,
-            failed_count: self.failed_count,
-            wire_length: self.wire_length,
-            reroutes: self.reroutes,
         }
     }
 
-    /// Restores a [`SessionCheckpoint`] taken on this session.
+    /// Restores a [`SessionCheckpoint`] taken on this session: the slots
+    /// come back as they were, and the running aggregates and the dirty
+    /// grid are recounted from them.
     pub(crate) fn restore(&mut self, checkpoint: SessionCheckpoint) {
-        if let Some(m) = crate::telem::live() {
-            m.rollbacks.inc();
+        self.slots = checkpoint.slots;
+        self.dirty_grid.clear();
+        self.dirty_count = 0;
+        self.routed_count = 0;
+        self.failed_count = 0;
+        self.wire_length = 0;
+        self.reroutes = 0;
+        for idx in 0..self.slots.len() {
+            let state = &self.slots[idx];
+            self.dirty_count += usize::from(state.dirty);
+            self.reroutes += state.attempts.saturating_sub(1);
+            self.admit_slot(idx);
         }
-        let SessionCheckpoint {
-            slots,
-            dirty_grid,
-            dirty_count,
-            routed_count,
-            failed_count,
-            wire_length,
-            reroutes,
-        } = checkpoint;
-        self.slots = slots;
-        self.dirty_grid = dirty_grid;
-        self.dirty_count = dirty_count;
-        self.routed_count = routed_count;
-        self.failed_count = failed_count;
-        self.wire_length = wire_length;
-        self.reroutes = reroutes;
     }
 
     /// Congestion of the committed occupancy over the plane's current
@@ -1623,7 +1627,11 @@ mod tests {
 
     #[test]
     fn running_aggregates_match_full_scan_through_a_mutation_storm() {
-        let mut session = RoutingSession::gridless(two_net_layout(), RouterConfig::default());
+        // Pitch 10 leaves the 20-wide passage above cell `a` room for two
+        // wires, so the three nets added below congest it.
+        let mut config = RouterConfig::default();
+        config.wire_pitch(10);
+        let mut session = RoutingSession::gridless(two_net_layout(), config);
         let check = |s: &RoutingSession<GridlessEngine>| {
             assert_eq!(s.stats(), scan_stats(s));
             assert_grid_consistent(s);
@@ -1660,6 +1668,37 @@ mod tests {
         check(&session);
         session.reroute_dirty();
         check(&session);
+        let top2 = session.add_two_pin_net("top2", Point::new(5, 92), Point::new(95, 92));
+        session.add_two_pin_net("top3", Point::new(5, 94), Point::new(95, 94));
+        session.reroute_dirty();
+        session.rip_up(top2);
+        session.mark_dirty(mid);
+        check(&session);
+        // A negotiation cancelled after its first pass committed: the
+        // ceiling admits exactly the first pass's expansions, so a later
+        // round trips it and the pre-request checkpoint is restored —
+        // `top2` unrouted and `mid` dirty again.
+        let probe = Budget::unlimited();
+        let mut twin = RoutingSession::gridless(session.layout().clone(), session.config().clone());
+        twin.route_all_budgeted(&probe).unwrap();
+        assert!(twin.congestion().total_overflow() > 0, "the storm congests");
+        let explain = |s: &RoutingSession<GridlessEngine>| {
+            let ids = s.layout().net_ids();
+            (
+                s.stats(),
+                ids.into_iter()
+                    .map(|id| s.explain_net(id))
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let before = explain(&session);
+        let ceiling = Budget::unlimited().with_expansion_ceiling(probe.expansions() + 1);
+        assert!(matches!(
+            session.route_negotiated_budgeted(&NegotiationConfig::default(), &ceiling),
+            Err(RouteError::Cancelled { .. })
+        ));
+        check(&session);
+        assert_eq!(explain(&session), before);
         let _ = session.route_two_pass();
         check(&session);
     }

@@ -59,7 +59,7 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
             ),
             rollbacks: reg.counter(
                 "gcr_core_rollbacks_total",
-                "Session checkpoint restores (cancelled requests rolled back)",
+                "Cancelled requests rolled back to their pre-request checkpoint",
             ),
         }
     })

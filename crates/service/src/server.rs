@@ -563,6 +563,9 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx<'_>) {
                 if mid_frame {
                     // Slow loris: half a request then silence.
                     ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
+                    if gcr_telemetry::enabled() {
+                        ctx.metrics.error_counter(ErrCode::Timeout).inc();
+                    }
                     let resp =
                         Response::err(ErrCode::Timeout, "read timed out mid-request; closing");
                     let _ = write_response(&mut writer, &resp).and_then(|()| writer.flush());

@@ -42,7 +42,6 @@ fn with_batch<E: RoutingEngine>(
 
 fn on_threads(threads: usize) -> BatchConfig {
     BatchConfig {
-        parallel: true,
         threads: Some(threads),
         ..BatchConfig::default()
     }

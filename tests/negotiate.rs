@@ -12,6 +12,7 @@
 use gcr::layout::format;
 use gcr::prelude::*;
 use gcr::router::NegotiationConfig;
+use gcr::service::dump_routing;
 use gcr::workload::generator::{generate, GeneratorParams};
 
 fn dense_fixture() -> Layout {
@@ -46,6 +47,15 @@ fn session_with(layout: &Layout, config: &RouterConfig, batch: BatchConfig) -> R
         .config(config.clone())
         .batch(batch)
         .build()
+}
+
+/// Cancelled requests rolled back so far, process-wide. No test in this
+/// file cancels one.
+fn rollbacks() -> f64 {
+    gcr::telemetry::parse_exposition(&gcr::telemetry::global().expose())
+        .iter()
+        .find(|s| s.name == "gcr_core_rollbacks_total")
+        .map_or(0.0, |s| s.value)
 }
 
 fn assert_routing_identical(reference: &GlobalRouting, other: &GlobalRouting, what: &str) {
@@ -197,8 +207,9 @@ fn dense_fixture_quality_bar() {
         .congestion_weight(10)
         .max_expansions(Some(200));
     let two_pass = session_with(&dense, &wide, BatchConfig::serial()).route_two_pass();
-    let negotiated = session_with(&dense, &wide, BatchConfig::serial())
-        .route_negotiated(&NegotiationConfig::default());
+    let mut session = session_with(&dense, &wide, BatchConfig::serial());
+    let rollbacks_before = rollbacks();
+    let negotiated = session.route_negotiated(&NegotiationConfig::default());
     assert!(two_pass.routing.failures.is_empty());
     assert!(negotiated.routing.failures.is_empty());
     assert!(
@@ -211,6 +222,29 @@ fn dense_fixture_quality_bar() {
         negotiated.restored.is_some(),
         "this config is pinned to exercise the keep-best rollback"
     );
+    assert_eq!(
+        rollbacks(),
+        rollbacks_before,
+        "a keep-best restore is not a cancelled request"
+    );
+
+    // Keep-best restores the best round exactly: the session equals a
+    // fresh one whose loop stopped at that round, counters included.
+    let k = negotiated.restored.unwrap();
+    let mut stopped = session_with(&dense, &wide, BatchConfig::serial());
+    let mut capped = NegotiationConfig::default();
+    capped.max_iters(k);
+    let at_best = stopped.route_negotiated(&capped);
+    assert_eq!(at_best.restored, None, "round {k} is the capped run's best");
+    assert_eq!(
+        dump_routing(&session.routing()),
+        dump_routing(&stopped.routing())
+    );
+    assert_eq!(negotiated.after.users, at_best.after.users);
+    assert_eq!(session.stats(), stopped.stats());
+    for id in dense.net_ids() {
+        assert_eq!(session.explain_net(id), stopped.explain_net(id), "{id}");
+    }
 }
 
 /// Acceptance: negotiation results are byte-identical across

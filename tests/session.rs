@@ -546,8 +546,18 @@ fn alley_layout() -> Layout {
     gcr::layout::format::parse(&text).unwrap()
 }
 
+/// Cancelled requests rolled back so far, process-wide (other tests
+/// here may add to it concurrently, never subtract).
+fn rollbacks() -> f64 {
+    gcr::telemetry::parse_exposition(&gcr::telemetry::global().expose())
+        .iter()
+        .find(|s| s.name == "gcr_core_rollbacks_total")
+        .map_or(0.0, |s| s.value)
+}
+
 /// A cancelled negotiation restores the checkpoint byte-identically,
-/// and the retried negotiation equals an uninterrupted one.
+/// counts as a rollback, and the retried negotiation equals an
+/// uninterrupted one.
 #[test]
 fn cancelled_negotiation_restores_the_checkpoint() {
     let layout = alley_layout();
@@ -565,10 +575,12 @@ fn cancelled_negotiation_restores_the_checkpoint() {
 
         let cancelled = Budget::unlimited();
         cancelled.cancel();
+        let rollbacks_before = rollbacks();
         assert!(matches!(
             session.route_negotiated_budgeted(&NegotiationConfig::default(), &cancelled),
             Err(RouteError::Cancelled { .. })
         ));
+        assert!(rollbacks() > rollbacks_before, "the rollback is counted");
         assert_routing_identical(
             &twin.routing(),
             &session.routing(),

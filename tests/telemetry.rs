@@ -9,13 +9,16 @@
 //! values serializes on [`telemetry_lock`] — within the lock, only that
 //! scenario's server is generating traffic.
 
-use std::net::SocketAddr;
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
+use std::time::Duration;
 
 use gcr::prelude::*;
 use gcr::service::{
-    loadgen, Client, EngineKind, Request, Server, ServerConfig, ServerReport, VERBS,
+    loadgen, proto, Client, EngineKind, ErrCode, Request, Response, Server, ServerConfig,
+    ServerReport, VERBS,
 };
 use gcr::telemetry::{
     histogram_buckets, parse_exposition, quantile_bucket_index, Sample, SpanNode,
@@ -56,16 +59,31 @@ fn stats_int(body: &str, key: &str) -> Option<i64> {
     })
 }
 
+/// The server's error count as `STATS` reports it, and as `METRICS`
+/// reports it summed over every error code.
+fn error_counts(client: &mut Client) -> (i64, u64) {
+    let stats = client.stats(None).unwrap();
+    let from_metrics = parse_exposition(&client.metrics().unwrap().body)
+        .iter()
+        .filter(|s| s.name == "gcr_service_errors_total")
+        .map(|s| s.value as u64)
+        .sum();
+    (stats_int(&stats.body, "errors").unwrap(), from_metrics)
+}
+
 /// STATS and METRICS must report identical per-verb request counts:
 /// both read the same registered atomics. The one systematic offset is
 /// the `metrics` verb itself — requests are counted at read time, so
 /// the scrape that follows the STATS call adds one to its own series.
+/// Errors agree too, including the `ERR TIMEOUT` a half-sent request
+/// draws, which is answered outside the per-request path.
 #[test]
 fn stats_and_metrics_agree_on_per_verb_counts() {
     let _guard = telemetry_lock();
     let (addr, handle) = spawn_server(ServerConfig {
         capacity: 4,
         workers: 2,
+        read_timeout_ms: 500,
         ..ServerConfig::default()
     });
     let mut client = Client::connect(addr).unwrap();
@@ -106,6 +124,31 @@ fn stats_and_metrics_agree_on_per_verb_counts() {
     // Session accounting flows to both views from the same entries.
     let session_requests = stats_int(&stats.body, "session-requests").unwrap();
     assert!(session_requests >= 3, "route/eco/stats-sid: {stats:?}");
+
+    // Half a request, then silence until the read timeout.
+    let (stats_before, metrics_before) = error_counts(&mut client);
+    let mut loris = TcpStream::connect(addr).unwrap();
+    loris.write_all(b"STA").unwrap();
+    loris
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match proto::read_response(&mut BufReader::new(loris)).unwrap() {
+        Response::Err(e) => assert_eq!(e.code, ErrCode::Timeout, "{e}"),
+        Response::Ok { head, .. } => panic!("unexpected OK {head}"),
+    }
+    // The first connection idled past the read timeout meanwhile.
+    let mut client = Client::connect(addr).unwrap();
+    let (stats_after, metrics_after) = error_counts(&mut client);
+    assert_eq!(
+        stats_after - stats_before,
+        1,
+        "STATS counts the ERR TIMEOUT"
+    );
+    assert_eq!(
+        (metrics_after - metrics_before) as i64,
+        stats_after - stats_before,
+        "errors: STATS and METRICS disagree"
+    );
 
     client.close_session(sid).unwrap();
     client.shutdown().unwrap();
