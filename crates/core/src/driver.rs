@@ -16,7 +16,8 @@ use gcr_search::SearchStats;
 use crate::congestion::CongestionPenalty;
 use crate::engine::RoutingEngine;
 use crate::{
-    EdgeCoster, NetRoute, PlaneIndexKind, RouteError, RouteTree, RouterConfig, SearchScratch,
+    EdgeCoster, NetRoute, PlaneIndexKind, RouteError, RouteTree, RoutedPath, RouterConfig,
+    SearchScratch,
 };
 
 /// The obstacle plane behind a routing driver, in whichever index the
@@ -88,6 +89,11 @@ impl PlaneStore {
 ///
 /// `segment_connections = false` is the paper's strawman rule (pins
 /// only, never tree segments); every production caller passes `true`.
+///
+/// `previous` are the connections of the net's last route when it is
+/// rerouted; every connection's search receives all of them (see
+/// [`RoutingEngine::route_connection`]), and the result is the same as
+/// with `&[]` except for the search counters that may fall.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn grow_net<E: RoutingEngine + ?Sized>(
     layout: &Layout,
@@ -97,6 +103,7 @@ pub(crate) fn grow_net<E: RoutingEngine + ?Sized>(
     id: NetId,
     penalty: Option<&CongestionPenalty>,
     segment_connections: bool,
+    previous: &[RoutedPath],
     scratch: &mut SearchScratch,
 ) -> Result<NetRoute, RouteError> {
     let net: &Net = layout.net(id).ok_or(RouteError::NothingToRoute {
@@ -140,14 +147,14 @@ pub(crate) fn grow_net<E: RoutingEngine + ?Sized>(
             }
         }
         let routed = if segment_connections {
-            engine.route_connection(plane, &tree, &goals, &coster, config, scratch)
+            engine.route_connection(plane, &tree, &goals, &coster, config, previous, scratch)
         } else {
             // Strawman: seed only from connected pins/junction points.
             let mut pin_tree = RouteTree::new();
             for p in tree.points() {
                 pin_tree.add_point(*p);
             }
-            engine.route_connection(plane, &pin_tree, &goals, &coster, config, scratch)
+            engine.route_connection(plane, &pin_tree, &goals, &coster, config, previous, scratch)
         };
         scratch.goal_set = goals;
         let routed = routed.map_err(|e| match e {

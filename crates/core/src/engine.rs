@@ -66,6 +66,15 @@ pub trait RoutingEngine: Sync {
     /// (search arenas, staging buffers). An engine whose search polls a
     /// budget polls the scratch's.
     ///
+    /// `previous` holds the connections of the net's last route when the
+    /// net is being rerouted, and is empty otherwise. An engine may use
+    /// them only to search less, never to return something else: the
+    /// result must equal the one for `&[]` in polyline, cost, `expanded`
+    /// and `reopened` (see [`SearchStats`] for what may fall). The
+    /// gridless engine seeds its A\* goal bound with the cheapest of them
+    /// that is still a path of its search; the grid and Hightower engines
+    /// ignore them.
+    ///
     /// The returned polyline starts on the tree and ends exactly on a
     /// goal point (the net driver uses the endpoint to identify which
     /// terminal was reached).
@@ -83,6 +92,7 @@ pub trait RoutingEngine: Sync {
     /// means "not found", not "proven absent" — check
     /// [`EngineCaps::complete`]. A search stopped by the scratch's budget
     /// is [`RouteError::Cancelled`].
+    #[allow(clippy::too_many_arguments)]
     fn route_connection(
         &self,
         plane: &dyn PlaneIndex,
@@ -90,6 +100,7 @@ pub trait RoutingEngine: Sync {
         goals: &GoalSet,
         coster: &EdgeCoster<'_>,
         config: &RouterConfig,
+        previous: &[RoutedPath],
         scratch: &mut SearchScratch,
     ) -> Result<RoutedPath, RouteError>;
 }
@@ -108,9 +119,10 @@ impl<E: RoutingEngine + ?Sized> RoutingEngine for &E {
         goals: &GoalSet,
         coster: &EdgeCoster<'_>,
         config: &RouterConfig,
+        previous: &[RoutedPath],
         scratch: &mut SearchScratch,
     ) -> Result<RoutedPath, RouteError> {
-        (**self).route_connection(plane, tree, goals, coster, config, scratch)
+        (**self).route_connection(plane, tree, goals, coster, config, previous, scratch)
     }
 }
 
@@ -126,9 +138,10 @@ impl<E: RoutingEngine + ?Sized> RoutingEngine for Box<E> {
         goals: &GoalSet,
         coster: &EdgeCoster<'_>,
         config: &RouterConfig,
+        previous: &[RoutedPath],
         scratch: &mut SearchScratch,
     ) -> Result<RoutedPath, RouteError> {
-        (**self).route_connection(plane, tree, goals, coster, config, scratch)
+        (**self).route_connection(plane, tree, goals, coster, config, previous, scratch)
     }
 }
 
@@ -158,9 +171,10 @@ impl RoutingEngine for GridlessEngine {
         goals: &GoalSet,
         coster: &EdgeCoster<'_>,
         config: &RouterConfig,
+        previous: &[RoutedPath],
         scratch: &mut SearchScratch,
     ) -> Result<RoutedPath, RouteError> {
-        route_from_tree(plane, tree, goals, *coster, config, scratch)
+        route_from_tree(plane, tree, goals, *coster, config, previous, scratch)
     }
 }
 
@@ -279,6 +293,7 @@ impl RoutingEngine for GridEngine {
         goals: &GoalSet,
         _coster: &EdgeCoster<'_>,
         config: &RouterConfig,
+        _previous: &[RoutedPath],
         scratch: &mut SearchScratch,
     ) -> Result<RoutedPath, RouteError> {
         let SearchScratch {
@@ -386,6 +401,7 @@ impl RoutingEngine for HightowerEngine {
         goals: &GoalSet,
         _coster: &EdgeCoster<'_>,
         config: &RouterConfig,
+        _previous: &[RoutedPath],
         scratch: &mut SearchScratch,
     ) -> Result<RoutedPath, RouteError> {
         // Departure candidates: tree points, segment endpoints, and the
@@ -518,6 +534,7 @@ mod tests {
                     &goals,
                     &coster,
                     &config,
+                    &[],
                     &mut SearchScratch::new(),
                 )
                 .unwrap_or_else(|err| panic!("{}: {err}", caps.name));
@@ -553,6 +570,7 @@ mod tests {
                     &goals,
                     &coster,
                     &config,
+                    &[],
                     &mut SearchScratch::new(),
                 )
                 .unwrap();
@@ -563,6 +581,7 @@ mod tests {
                     &goals,
                     &coster,
                     &config,
+                    &[],
                     &mut SearchScratch::new(),
                 )
                 .unwrap();
@@ -589,6 +608,7 @@ mod tests {
                 &goals,
                 &coster,
                 &config,
+                &[],
                 &mut SearchScratch::new(),
             )
             .unwrap();
@@ -621,6 +641,7 @@ mod tests {
             &goals,
             &coster,
             &config,
+            &[],
             &mut SearchScratch::new(),
         );
         assert!(matches!(r, Err(RouteError::LimitExceeded { limit: 1, .. })));
@@ -642,6 +663,7 @@ mod tests {
                 &goals,
                 &coster,
                 &config,
+                &[],
                 &mut SearchScratch::new(),
             )
             .unwrap();
@@ -672,6 +694,7 @@ mod tests {
             &goals,
             &coster,
             &config,
+            &[],
             &mut SearchScratch::new(),
         );
         assert!(matches!(r, Err(RouteError::Unreachable { .. })));

@@ -72,6 +72,7 @@ pub fn route_two_points(
         &sources,
         coster,
         config,
+        &[],
         &mut SearchScratch::new(),
         || format!("{a} -> {b}"),
     )
@@ -80,6 +81,13 @@ pub fn route_two_points(
 /// Routes from an existing [`RouteTree`] (every segment a legal connection
 /// point) to the nearest member of `goals`, using `coster` for pricing
 /// and `scratch` for every reusable allocation and for its budget.
+///
+/// `previous` are the connections of the net's last route, when it is
+/// being rerouted. The cheapest of them that is still a path of this
+/// search (replayed through the same ray stops the successor generator
+/// uses) becomes the search's initial goal bound, so A\* creates fewer
+/// nodes; the route, its cost and the expansions are the same as with
+/// `&[]`.
 ///
 /// This is one growth step of the paper's Steiner approximation; the
 /// net driver (`driver::grow_net`) runs it once per terminal, through
@@ -98,6 +106,7 @@ pub fn route_from_tree(
     goals: &GoalSet,
     coster: EdgeCoster<'_>,
     config: &RouterConfig,
+    previous: &[RoutedPath],
     scratch: &mut SearchScratch,
 ) -> Result<RoutedPath, RouteError> {
     if tree.is_empty() || goals.is_empty() {
@@ -114,23 +123,33 @@ pub fn route_from_tree(
     tree.seeds_into(plane, goals, &mut stage, &mut pts, &mut seeds);
     scratch.seed_stage = stage;
     scratch.seed_points = pts;
-    let result = run(plane, goals, &seeds, coster, config, scratch, || {
-        "tree-to-goal connection".into()
-    });
+    let result = run(
+        plane,
+        goals,
+        &seeds,
+        coster,
+        config,
+        previous,
+        scratch,
+        || "tree-to-goal connection".into(),
+    );
     scratch.seeds = seeds;
     result
 }
 
+#[allow(clippy::too_many_arguments)]
 fn run(
     plane: &dyn PlaneIndex,
     goals: &GoalSet,
     sources: &[(RouteState, LexCost)],
     coster: EdgeCoster<'_>,
     config: &RouterConfig,
+    previous: &[RoutedPath],
     scratch: &mut SearchScratch,
     what: impl Fn() -> String,
 ) -> Result<RoutedPath, RouteError> {
     let space = RoutingSpace::new(plane, goals, sources, coster).with_hanan_walk(config.hanan_walk);
+    let incumbent = space.incumbent(previous);
     let SearchScratch {
         gridless,
         path_states,
@@ -138,7 +157,15 @@ fn run(
         budget,
         ..
     } = scratch;
-    match astar_in(&space, config.max_expansions, budget, gridless, path_states) {
+    let found = astar_in(
+        &space,
+        config.max_expansions,
+        incumbent,
+        budget,
+        gridless,
+        path_states,
+    );
+    match found {
         SearchOutcome::Found(Found { cost, stats, .. }) => {
             let polyline = if path_states.len() == 1 {
                 Polyline::single(path_states[0].point)
@@ -345,6 +372,7 @@ mod tests {
             &goals,
             coster,
             &config,
+            &[],
             &mut SearchScratch::new(),
         )
         .unwrap();
@@ -363,7 +391,7 @@ mod tests {
         let coster = EdgeCoster::new(&config);
         let mut scratch = SearchScratch::new();
         assert!(matches!(
-            route_from_tree(&plane, &tree, &goals, coster, &config, &mut scratch),
+            route_from_tree(&plane, &tree, &goals, coster, &config, &[], &mut scratch),
             Err(RouteError::NothingToRoute { .. })
         ));
     }

@@ -13,8 +13,8 @@ use crate::driver::{grow_net, PlaneStore};
 use crate::engine::{GridlessEngine, RoutingEngine};
 use crate::negotiate::{NegotiationConfig, NegotiationReport};
 use crate::{
-    BatchConfig, GlobalRouting, NetRoute, PlaneIndexKind, RouteError, RouterConfig, SearchScratch,
-    TwoPassReport,
+    BatchConfig, GlobalRouting, NetRoute, PlaneIndexKind, RouteError, RoutedPath, RouterConfig,
+    SearchScratch, TwoPassReport,
 };
 
 /// Builds a [`RoutingSession`]; see [`RoutingSession::builder`].
@@ -135,6 +135,12 @@ struct NetState {
     /// How many routing attempts have been committed for this net over
     /// the session's lifetime (feeds the cumulative reroute counter).
     attempts: u64,
+    /// The connections of the route the last [`RoutingSession::rip_up`]
+    /// removed, kept only as the reroute's search hint (see
+    /// [`RoutingSession::previous`]): occupancy, analyses, `DUMP`,
+    /// `stats()` and the dirty grid never see it, and the next commit
+    /// clears it.
+    ripped: Vec<RoutedPath>,
 }
 
 /// A pool of per-worker [`SearchScratch`] arenas owned by the session, so
@@ -416,7 +422,10 @@ impl std::fmt::Display for SessionStats {
 ///    mutation + [`RoutingSession::reroute_dirty`] commit exactly what a
 ///    fresh session over the same layout routes (`tests/session.rs`);
 ///    the plane mutations in `gcr-geom` preserve rectangle slot order
-///    precisely so that no tie-break can drift.
+///    precisely so that no tie-break can drift. A net routed again is
+///    handed its last route as an incumbent bound, which keeps its
+///    routes and expansions and only lowers the nodes its searches
+///    create.
 ///
 /// ```
 /// use gcr_core::{PlaneIndexKind, RouterConfig, RoutingSession};
@@ -675,8 +684,22 @@ impl<E: RoutingEngine> RoutingSession<E> {
             id,
             penalty,
             true,
+            self.previous(id),
             scratch,
         )
+    }
+
+    /// The route a net is handed when it is routed again: its committed
+    /// connections, or after a rip-up the connections the rip-up
+    /// removed, or none. The engine only searches less with them (see
+    /// [`RoutingEngine::route_connection`]); a connection that is no
+    /// longer a path of the current plane, tree or goals is ignored.
+    fn previous(&self, id: NetId) -> &[RoutedPath] {
+        let state = &self.slots[id.index()];
+        match &state.slot {
+            NetSlot::Routed(route) => &route.connections,
+            _ => &state.ripped,
+        }
     }
 
     /// Routes `ids` on the configured schedule against the shared plane,
@@ -770,6 +793,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
         let idx = id.index();
         self.retire_slot(idx);
         let state = &mut self.slots[idx];
+        state.ripped = Vec::new();
         state.slot = match result {
             Ok(route) => NetSlot::Routed(route),
             Err(e) => NetSlot::Failed(e),
@@ -836,6 +860,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
             id,
             None,
             false,
+            &[],
             &mut scratch.scratch,
         )
     }
@@ -876,15 +901,22 @@ impl<E: RoutingEngine> RoutingSession<E> {
 
     /// Removes a net's committed segments from the session (its
     /// occupancy disappears from congestion analyses) and marks it dirty.
-    /// Returns `true` when a committed route was actually removed.
+    /// The removed connections stay behind only as the reroute's search
+    /// hint. Returns `true` when a committed route was actually removed.
     pub fn rip_up(&mut self, id: NetId) -> bool {
         let idx = id.index();
         if idx >= self.slots.len() {
             return false;
         }
         self.retire_slot(idx);
-        let had_route = matches!(self.slots[idx].slot, NetSlot::Routed(_));
-        self.slots[idx].slot = NetSlot::Unrouted;
+        let state = &mut self.slots[idx];
+        let had_route = match std::mem::take(&mut state.slot) {
+            NetSlot::Routed(route) => {
+                state.ripped = route.connections;
+                true
+            }
+            _ => false,
+        };
         self.set_dirty_slot(idx);
         had_route
     }
@@ -893,14 +925,6 @@ impl<E: RoutingEngine> RoutingSession<E> {
     pub fn mark_dirty(&mut self, id: NetId) {
         if id.index() < self.slots.len() {
             self.set_dirty_slot(id.index());
-        }
-    }
-
-    /// Marks every net dirty (a full re-route on the next
-    /// [`RoutingSession::reroute_dirty`]).
-    pub fn mark_all_dirty(&mut self) {
-        for idx in 0..self.slots.len() {
-            self.set_dirty_slot(idx);
         }
     }
 
@@ -1111,9 +1135,8 @@ impl<E: RoutingEngine> RoutingSession<E> {
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
         let id = self.layout.add_net(name);
         self.slots.push(NetState {
-            slot: NetSlot::Unrouted,
             dirty: true,
-            attempts: 0,
+            ..NetState::default()
         });
         self.dirty_count += 1;
         self.dirty_grid.ensure_slot(self.slots.len());
@@ -1321,6 +1344,9 @@ pub struct NetExplain {
     pub expanded: Option<u64>,
     /// Successor edges generated across the committed attempt's searches.
     pub generated: Option<u64>,
+    /// How many of the committed attempt's searches began with an
+    /// incumbent: the net's previous route, replayed as a bound.
+    pub seeded: Option<u64>,
     /// Binding failure cause from [`failure_cause`] (failed nets only).
     pub cause: Option<&'static str>,
     /// The committed error's display text (failed nets only).
@@ -1366,6 +1392,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
             connections: None,
             expanded: None,
             generated: None,
+            seeded: None,
             cause: None,
             detail: None,
         };
@@ -1377,6 +1404,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
                 out.connections = Some(route.connections.len() as u64);
                 out.expanded = Some(route.stats.expanded as u64);
                 out.generated = Some(route.stats.generated as u64);
+                out.seeded = Some(route.stats.seeded as u64);
             }
             NetSlot::Failed(error) => {
                 out.status = "failed";
@@ -1431,7 +1459,15 @@ mod tests {
         );
         let again = session.routing();
         assert_eq!(first.wire_length(), again.wire_length());
-        assert_eq!(first.stats(), again.stats());
+        // The ripped route seeds the reroute's goal bound: the same
+        // expansions, fewer nodes created.
+        let (cold, warm) = (first.stats(), again.stats());
+        assert_eq!(
+            (warm.expanded, warm.reopened),
+            (cold.expanded, cold.reopened)
+        );
+        assert!(warm.generated < cold.generated && warm.touched <= cold.touched);
+        assert_eq!((cold.seeded, warm.seeded), (0, 1));
     }
 
     #[test]
@@ -1649,7 +1685,9 @@ mod tests {
         session.mark_dirty(mid);
         session.mark_dirty(mid); // idempotent
         check(&session);
-        session.mark_all_dirty();
+        for id in session.layout().net_ids() {
+            session.mark_dirty(id);
+        }
         check(&session);
         session.reroute_dirty();
         check(&session);
@@ -1850,8 +1888,9 @@ mod tests {
     /// The two-pass flow written out once more, independently of the
     /// session: on a fresh flat plane, route every net through the
     /// driver core in net-id order and analyze; surcharge the congested
-    /// passages; reroute each affected net under that penalty unless the
-    /// engine cannot price it; analyze again.
+    /// passages; reroute each affected net under that penalty, handing it
+    /// its first-pass route as the session does, unless the engine cannot
+    /// price it; analyze again.
     fn two_pass_oracle<E: RoutingEngine>(
         layout: &Layout,
         config: &RouterConfig,
@@ -1860,7 +1899,7 @@ mod tests {
         let plane = layout.to_plane();
         let passages = find_passages(&plane);
         let mut scratch = SearchScratch::new();
-        let mut route = |id, penalty| {
+        let mut route = |id, penalty, previous: &[RoutedPath]| {
             grow_net(
                 layout,
                 &plane,
@@ -1869,6 +1908,7 @@ mod tests {
                 id,
                 penalty,
                 true,
+                previous,
                 &mut scratch,
             )
         };
@@ -1882,7 +1922,7 @@ mod tests {
         let mut results: Vec<_> = layout
             .net_ids()
             .into_iter()
-            .map(|id| (id, route(id, None)))
+            .map(|id| (id, route(id, None, &[])))
             .collect();
         let before = analyze_all(&results);
         let affected = before.affected_nets();
@@ -1891,7 +1931,8 @@ mod tests {
         if engine.capabilities().supports_congestion {
             for (id, result) in &mut results {
                 if affected.contains(&id.index()) {
-                    *result = route(*id, Some(&penalty));
+                    let first = result.as_ref().map_or(&[][..], |r| &r.connections);
+                    *result = route(*id, Some(&penalty), first);
                     rerouted += usize::from(result.is_ok());
                 }
             }

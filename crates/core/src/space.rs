@@ -32,9 +32,10 @@
 //! Rays are maximal, so an expansion re-casts rays along lines that
 //! earlier expansions already swept, and it offers stops A\* will never
 //! pop. Given the engine's [`Labels`] (its ĝ labels and its **goal bound**
-//! U, the smallest f̂ among the goal entries it has pushed), the
-//! generator walks the ray from `p` in direction `d` in travel order and
-//! ends it at the first stop `c`, `p` itself included, where either
+//! U, the smaller of the search's incumbent, if any, and the smallest f̂
+//! among the goal entries it has pushed), the generator walks the ray
+//! from `p` in direction `d` in travel order and ends it at the first
+//! stop `c`, `p` itself included, where either
 //!
 //! * (a) the arrived state `(c, d)` holds a label no worse than the offer
 //!   ĝ + ε + cost(p → c), where ε is the bend's departure charge; or
@@ -50,13 +51,23 @@
 //!    ε paid once at departure. ĥ, the Manhattan distance to the nearest
 //!    goal, falls by at most that length. So after (b), every later stop
 //!    also exceeds U.
-//! 2. **An entry above U is never popped.** A\* pops a goal entry with
-//!    f̂ ≤ U before any entry above U, and stops there. Leaving such an
-//!    entry out skips one `seq` number; later numbers shift uniformly, so
-//!    the order of every entry that is popped stays the same. If the same
-//!    state is offered again later, the engine pushes the offer exactly
-//!    when it would have pushed it with the entry made, with the same f̂
-//!    and ĝ; otherwise the offer is above U again.
+//! 2. **An entry above U is never popped.** U is the cost of a path of
+//!    this graph from a source to a goal, so U ≥ C\*, the minimal cost.
+//!    A goal entry A\* pushed is such a path. So is the incumbent: a
+//!    previous connection that [`RoutingSpace::replay`] accepted, since
+//!    each of its legs is an edge the generator would emit (the leg's end
+//!    is a stop of the ray, found by the same `ray_stops`) and its cost
+//!    is the sum of those edges' prices from a source's initial cost.
+//!    Until a goal pops, OPEN holds an entry of a minimal path with its
+//!    minimal ĝ, whose f̂ ≤ C\* because ĥ is admissible; A\* pops the
+//!    smallest f̂, so it pops no entry above C\* ≤ U, and it stops at a
+//!    goal popped at C\*. This holds from the first expansion, before any
+//!    goal entry exists, which is why an incumbent may seed U. Leaving
+//!    such an entry out skips one `seq` number; later numbers shift
+//!    uniformly, so the order of every entry that is popped stays the
+//!    same. If the same state is offered again later, the engine pushes
+//!    the offer exactly when it would have pushed it with the entry made,
+//!    with the same f̂ and ĝ; otherwise the offer is above U again.
 //! 3. **Invariant.** For an arrived state `(c, d)` with label L, each stop
 //!    `c′` ahead of `c` on its ray either holds a label no worse than
 //!    L + cost(c → c′), or has L + cost(c → c′) + ĥ(c′) > U. It holds when
@@ -74,9 +85,16 @@
 //!    better than its target's label (the engine discards it without
 //!    touching OPEN, the node table or the `seq` counter) or above U
 //!    (step 2). So expansion order, `expanded`, paths, costs and routes
-//!    are identical, and `generated`, `touched` and `max_open` fall.
-//!    `reopened` can only fall, and it is 0 on every routing search,
-//!    because ĥ is consistent.
+//!    are identical, with or without an incumbent, and `generated`,
+//!    `touched` and `max_open` fall. `reopened` can only fall, and it is
+//!    0 on every routing search, because ĥ is consistent (a surcharge
+//!    only adds to an edge).
+//!
+//! Nothing here asks whether the incumbent is still a good route, or
+//! whether the plane changed since it was found: the replay checks it
+//! against the current plane, tree and goals edge by edge, and a
+//! polyline that is not a path is simply not an incumbent. A search that
+//! trips its expansion cap trips it at the same expansion either way.
 //!
 //! The Hanan-walk ablation steps only to the next grid line, so its rays
 //! are not maximal, the invariant's base case fails, and it never ends a
@@ -86,10 +104,10 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 
-use gcr_geom::{Coord, PlaneIndex};
+use gcr_geom::{Coord, Dir, PlaneIndex, Point, Polyline};
 use gcr_search::{Labels, LexCost, PathCost, SearchSpace};
 
-use crate::{bend_is_anchored, EdgeCoster, GoalSet, RouteState};
+use crate::{bend_is_anchored, EdgeCoster, GoalSet, RouteState, RoutedPath};
 
 /// Per-expansion staging buffers of the successor generator, reused for
 /// every expansion of a search instead of reallocated (the generator
@@ -186,6 +204,112 @@ impl<'a> RoutingSpace<'a> {
     pub fn plane(&self) -> &'a dyn PlaneIndex {
         self.plane
     }
+
+    /// Fills `bufs.stops` with the coordinates, in travel order, at which
+    /// the ray from `p` in `dir` stops: its goal alignments, anchored
+    /// corner coordinates and the ray stop, or under the Hanan walk only
+    /// the adjacent grid line. Empty when the ray has no length. The one
+    /// definition of a ray's stops, shared by the successor generator and
+    /// [`RoutingSpace::replay`].
+    fn ray_stops(&self, p: Point, dir: Dir, bufs: &mut SuccessorBufs) {
+        let SuccessorBufs { stops, goal_stops } = bufs;
+        stops.clear();
+        let hit = self.plane.ray_hit(p, dir);
+        if hit.distance == 0 {
+            return;
+        }
+        if let Some((xs, ys)) = &self.hanan {
+            // Ablation: step only to the adjacent Hanan grid line in
+            // this direction (clipped by the ray stop).
+            let coords = match dir.axis() {
+                gcr_geom::Axis::X => xs,
+                gcr_geom::Axis::Y => ys,
+            };
+            let u0 = p.coord(dir.axis());
+            let next = if dir.sign() > 0 {
+                let i = coords.partition_point(|&c| c <= u0);
+                coords.get(i).copied().filter(|&c| c <= hit.stop)
+            } else {
+                let i = coords.partition_point(|&c| c < u0);
+                i.checked_sub(1)
+                    .and_then(|i| coords.get(i))
+                    .copied()
+                    .filter(|&c| c >= hit.stop)
+            };
+            stops.extend(next);
+            return;
+        }
+        // Corner stops arrive distinct and in travel order, and the ray
+        // stop lies at or beyond all of them, so one pass builds a
+        // strictly monotone travel-order list.
+        self.plane.corner_stops_into(p, dir, hit.stop, stops);
+        if stops.last() != Some(&hit.stop) {
+            stops.push(hit.stop);
+        }
+        // The few goal alignments merge in by binary search.
+        goal_stops.clear();
+        self.goals
+            .stops_along_ray_into(p, dir, hit.stop, goal_stops);
+        let positive = dir.sign() > 0;
+        for &c in goal_stops.iter() {
+            let travel = |&s: &Coord| if positive { s.cmp(&c) } else { c.cmp(&s) };
+            if let Err(i) = stops.binary_search_by(travel) {
+                stops.insert(i, c);
+            }
+        }
+    }
+
+    /// Prices `polyline` as a path of this space's graph, or returns
+    /// `None` when it is not one. It is one when
+    ///
+    /// * it starts on a source without an arrival direction,
+    /// * each vertex is a stop of the ray from the vertex before it, in a
+    ///   direction that does not reverse the arrival, and
+    /// * it ends on a goal.
+    ///
+    /// The cost is the source's initial cost plus [`EdgeCoster::edge`]
+    /// over the legs, the price of the same edges in the search. A
+    /// committed connection replayed in the space that found it prices
+    /// at exactly its cost, because wire, surcharge and ε add up along a
+    /// ray and a straight leg through several stops is itself one edge.
+    #[must_use]
+    pub(crate) fn replay(&self, polyline: &Polyline) -> Option<LexCost> {
+        let (&start, legs) = polyline.points().split_first()?;
+        let mut state = RouteState::source(start);
+        let mut cost = self
+            .sources
+            .iter()
+            .filter(|(s, _)| *s == state)
+            .map(|&(_, c)| c)
+            .min()?;
+        let mut bufs = self.bufs.borrow_mut();
+        for &to in legs {
+            let p = state.point;
+            let dir = p.dir_toward(to)?;
+            if state.reverses_into(dir) {
+                return None;
+            }
+            self.ray_stops(p, dir, &mut bufs);
+            if !bufs.stops.contains(&to.coord(dir.axis())) {
+                return None;
+            }
+            let anchored = state.arrival.is_some() && bend_is_anchored(self.plane, p);
+            cost = cost.plus(self.coster.edge(&state, to, dir, anchored));
+            state = RouteState::arrived(to, dir);
+        }
+        self.is_goal(&state).then_some(cost)
+    }
+
+    /// The incumbent bound of a search that reroutes a connection: the
+    /// cheapest of `previous` that [`RoutingSpace::replay`] accepts, or
+    /// `None` when none is a path of this space.
+    #[must_use]
+    pub(crate) fn incumbent(&self, previous: &[RoutedPath]) -> Option<LexCost> {
+        previous
+            .iter()
+            .filter_map(|r| self.replay(&r.polyline))
+            .min()
+    }
 }
 
 impl SearchSpace for RoutingSpace<'_> {
@@ -224,8 +348,7 @@ impl SearchSpace for RoutingSpace<'_> {
         // Hot path: one borrow per expansion, buffers cleared per ray —
         // no allocation once the high-water capacity is reached.
         let mut bufs = self.bufs.borrow_mut();
-        let SuccessorBufs { stops, goal_stops } = &mut *bufs;
-        for dir in gcr_geom::Dir::ALL {
+        for dir in Dir::ALL {
             if state.reverses_into(dir) {
                 continue;
             }
@@ -236,55 +359,12 @@ impl SearchSpace for RoutingSpace<'_> {
                     continue;
                 }
             }
-            let hit = self.plane.ray_hit(p, dir);
-            if hit.distance == 0 {
-                continue;
-            }
+            self.ray_stops(p, dir, &mut bufs);
             let axis = dir.axis();
-            stops.clear();
-            if let Some((xs, ys)) = &self.hanan {
-                // Ablation: step only to the adjacent Hanan grid line in
-                // this direction (clipped by the ray stop).
-                let coords = match axis {
-                    gcr_geom::Axis::X => xs,
-                    gcr_geom::Axis::Y => ys,
-                };
-                let u0 = p.coord(axis);
-                let next = if dir.sign() > 0 {
-                    let i = coords.partition_point(|&c| c <= u0);
-                    coords.get(i).copied().filter(|&c| c <= hit.stop)
-                } else {
-                    let i = coords.partition_point(|&c| c < u0);
-                    i.checked_sub(1)
-                        .and_then(|i| coords.get(i))
-                        .copied()
-                        .filter(|&c| c >= hit.stop)
-                };
-                stops.extend(next);
-            } else {
-                // Corner stops arrive distinct and in travel order, and
-                // the ray stop lies at or beyond all of them, so one pass
-                // builds a strictly monotone travel-order list.
-                self.plane.corner_stops_into(p, dir, hit.stop, stops);
-                if stops.last() != Some(&hit.stop) {
-                    stops.push(hit.stop);
-                }
-                // The few goal alignments merge in by binary search.
-                goal_stops.clear();
-                self.goals
-                    .stops_along_ray_into(p, dir, hit.stop, goal_stops);
-                let positive = dir.sign() > 0;
-                for &c in goal_stops.iter() {
-                    let travel = |&s: &Coord| if positive { s.cmp(&c) } else { c.cmp(&s) };
-                    if let Err(i) = stops.binary_search_by(travel) {
-                        stops.insert(i, c);
-                    }
-                }
-            }
             // Walk the ray in travel order and end it at the first stop
             // A* would throw away.
             let first = out.len();
-            for &c in stops.iter() {
+            for &c in &bufs.stops {
                 let to = p.with_coord(axis, c);
                 debug_assert_ne!(to, p, "zero-length successor");
                 let edge = self.coster.edge(state, to, dir, anchored);
@@ -825,6 +905,164 @@ mod tests {
         );
         assert!(bound_cuts > 1_000, "the bound must end rays: {bound_cuts}");
         assert!(bound_ties > 0, "the sweep must keep stops at the bound");
+    }
+
+    /// A polyline from points.
+    fn line(points: &[(i64, i64)]) -> Polyline {
+        Polyline::new(points.iter().map(|&(x, y)| Point::new(x, y)).collect()).unwrap()
+    }
+
+    /// The replay accepts exactly the paths of the search's graph. A
+    /// polyline of real stops from a source to a goal prices at what the
+    /// search pays for it; one that bends off a stop, starts off the
+    /// sources, ends off the goals or crosses a cell is rejected, each by
+    /// its own rule alone (the other three hold for it).
+    #[test]
+    fn replay_accepts_only_paths_of_the_search_graph() {
+        let plane = one_block();
+        let (from, to) = (Point::new(10, 50), Point::new(90, 50));
+        let goals = GoalSet::from_point(to);
+        let config = RouterConfig::default();
+        let space = space_over(&plane, &goals, &config, from);
+        let best = crate::route_two_points(&plane, from, to, &config).unwrap();
+        assert_eq!(space.replay(&best.polyline), Some(best.cost));
+        // Over the block, bending twice in the open: 120 wire, 2 ε.
+        let over = line(&[(10, 50), (10, 70), (90, 70), (90, 50)]);
+        assert_eq!(space.replay(&over), Some(LexCost::new(120, 2)));
+        let off_stop = line(&[(10, 50), (10, 75), (90, 75), (90, 50)]);
+        assert!(
+            plane.polyline_free(&off_stop),
+            "legal wire, no stop at y = 75"
+        );
+        let cases = [
+            ("bends off a stop", off_stop),
+            (
+                "starts off the sources",
+                line(&[(10, 70), (90, 70), (90, 50)]),
+            ),
+            ("ends off the goals", line(&[(10, 50), (10, 70), (90, 70)])),
+            ("crosses a cell", line(&[(10, 50), (90, 50)])),
+            ("reverses", line(&[(10, 50), (10, 70), (10, 60), (90, 60)])),
+        ];
+        for (what, bad) in &cases {
+            assert_eq!(space.replay(bad), None, "{what}");
+        }
+        // The incumbent is the cheapest previous connection that replays.
+        let previous: Vec<RoutedPath> = [&cases[0].1, &over, &best.polyline]
+            .into_iter()
+            .map(|polyline| RoutedPath {
+                polyline: polyline.clone(),
+                cost: LexCost::zero(),
+                stats: gcr_search::SearchStats::default(),
+            })
+            .collect();
+        assert_eq!(space.incumbent(&previous), Some(best.cost));
+        assert_eq!(space.incumbent(&previous[..2]), Some(LexCost::new(120, 2)));
+        assert_eq!(space.incumbent(&previous[..1]), None);
+    }
+
+    /// Walks a committed net's connections the way the net driver grew
+    /// them and replays each in the search it came from, priced by
+    /// `coster`: it must cost exactly its committed cost. Returns the
+    /// connections whose cost carries a congestion surcharge.
+    fn replay_committed(
+        plane: &dyn PlaneIndex,
+        layout: &gcr_layout::Layout,
+        route: &crate::NetRoute,
+        coster: EdgeCoster<'_>,
+    ) -> usize {
+        let terminals = layout.net(route.id).unwrap().terminals();
+        let mut tree = crate::RouteTree::new();
+        for pin in terminals[0].pins() {
+            tree.add_point(pin.position);
+        }
+        let mut remaining: Vec<usize> = (1..terminals.len()).collect();
+        let mut surcharged = 0;
+        for conn in &route.connections {
+            let mut goals = GoalSet::new();
+            for &t in &remaining {
+                for pin in terminals[t].pins() {
+                    goals.add_point(pin.position);
+                }
+            }
+            let space = RoutingSpace::new(plane, &goals, tree.seeds(plane, &goals), coster);
+            let what = format!("net {}: {}", route.net, conn.polyline);
+            assert_eq!(space.replay(&conn.polyline), Some(conn.cost), "{what}");
+            surcharged += usize::from(conn.cost.primary > conn.polyline.length());
+            let reached = conn.polyline.end();
+            let k = remaining
+                .iter()
+                .position(|&t| terminals[t].pins().iter().any(|p| p.position == reached))
+                .expect("a connection ends on a goal pin");
+            tree.add_polyline(&conn.polyline);
+            for pin in terminals[remaining[k]].pins() {
+                tree.add_point(pin.position);
+            }
+            remaining.remove(k);
+        }
+        surcharged
+    }
+
+    /// In an unchanged session every committed connection replays at
+    /// exactly its [`RoutedPath::cost`], on both plane indexes: after the
+    /// plain first pass of a congested die, and after a surcharged
+    /// negotiation round, priced under that round's penalty.
+    #[test]
+    fn committed_connections_replay_at_their_exact_cost() {
+        use crate::{Budget, NegotiationCost, PlaneIndexKind, RoutingSession};
+        let mut config = RouterConfig::default();
+        config
+            .wire_pitch(2)
+            .congestion_weight(20)
+            .max_expansions(Some(1200));
+        let (mut replayed, mut surcharged) = (0, 0);
+        for case in 0..3u64 {
+            let mut params = gcr_workload::generator::GeneratorParams::with_nets(48, case);
+            params.utilization = 0.85;
+            let layout = gcr_workload::generator::generate(&params);
+            for index in [PlaneIndexKind::Flat, PlaneIndexKind::Sharded] {
+                let mut session = RoutingSession::builder(layout.clone())
+                    .config(config.clone())
+                    .index(index)
+                    .build();
+                session.route_all();
+                let plain = EdgeCoster::new(&config);
+                for id in layout.net_ids() {
+                    if let Some(route) = session.route(id) {
+                        replay_committed(session.plane(), &layout, route, plain);
+                        replayed += route.connections.len();
+                    }
+                }
+                let analysis = session.congestion();
+                let mut cost = NegotiationCost::new(analysis.passages.len());
+                cost.absorb(&analysis);
+                let penalty = cost.penalty(&analysis);
+                let affected = analysis.affected_nets();
+                for &idx in &affected {
+                    session.set_dirty_slot(idx);
+                }
+                session
+                    .reroute(Some(&penalty), &Budget::unlimited())
+                    .unwrap();
+                let priced = EdgeCoster::with_congestion(&config, &penalty);
+                for id in layout.net_ids() {
+                    if let Some(route) = session.route(id) {
+                        let coster = if affected.contains(&id.index()) {
+                            priced
+                        } else {
+                            plain
+                        };
+                        surcharged += replay_committed(session.plane(), &layout, route, coster);
+                        replayed += route.connections.len();
+                    }
+                }
+            }
+        }
+        assert!(
+            replayed > 500,
+            "the sweep must replay real work: {replayed}"
+        );
+        assert!(surcharged > 10, "surcharges must be priced: {surcharged}");
     }
 
     #[test]

@@ -406,7 +406,7 @@ pub fn route_multi(
     let grid = RoutingGrid::new(plane, pitch);
     let space = GridSpace::new(&grid, sources, goals, informed)?;
     let mut path = Vec::new();
-    match astar_in(&space, max_expansions, budget, arena, &mut path) {
+    match astar_in(&space, max_expansions, None, budget, arena, &mut path) {
         SearchOutcome::Found(Found { cost, stats, .. }) => Ok(space.route(&path, cost, stats)),
         SearchOutcome::Exhausted(_) => Err(GridRouteError::Unreachable),
         SearchOutcome::LimitReached(_) => Err(GridRouteError::LimitExceeded {

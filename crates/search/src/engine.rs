@@ -146,7 +146,7 @@ impl<C: PathCost> Ord for HeapEntry<C> {
 /// let mut arena = SearchArena::new();
 /// let mut path = Vec::new();
 /// for _ in 0..3 {
-///     let reused = astar_in(&Line, None, &Budget::unlimited(), &mut arena, &mut path);
+///     let reused = astar_in(&Line, None, None, &Budget::unlimited(), &mut arena, &mut path);
 ///     assert!(reused.found().is_some());
 ///     assert_eq!(path, astar(&Line).unwrap().path);
 /// }
@@ -217,12 +217,13 @@ impl<S, C> std::fmt::Debug for SearchArena<S, C> {
 /// is moved back to OPEN; the search terminates when a goal node is removed
 /// from OPEN. With an admissible ĥ the returned path is minimal-cost.
 ///
-/// A convenience form of [`astar_in`] with no expansion cap, an unlimited
-/// budget, a fresh arena and an owned path.
+/// A convenience form of [`astar_in`] with no expansion cap, no upper
+/// bound, an unlimited budget, a fresh arena and an owned path.
 pub fn astar<Sp: SearchSpace>(space: &Sp) -> Option<Found<Sp::State, Sp::Cost>> {
     let mut path = Vec::new();
     let budget = Budget::unlimited();
-    let found = astar_in(space, None, &budget, &mut SearchArena::new(), &mut path).found()?;
+    let arena = &mut SearchArena::new();
+    let found = astar_in(space, None, None, &budget, arena, &mut path).found()?;
     Some(Found { path, ..found })
 }
 
@@ -238,6 +239,16 @@ pub fn best_first<Sp: SearchSpace>(space: &Sp) -> Option<Found<Sp::State, Sp::Co
 ///
 /// * `max_expansions` caps this search alone: reaching it ends the
 ///   search with [`SearchOutcome::LimitReached`].
+/// * `upper_bound` is the cost of a path from a start state to a goal
+///   that the caller already holds (an **incumbent**), or `None`. It is
+///   the initial goal bound the space sees through [`Labels::bound`],
+///   so the space can leave out successors above it from the first
+///   expansion. It must not be below the minimal cost C\*, which the
+///   cost of any path of this space satisfies. With an admissible ĥ,
+///   A\* pops no entry above C\*, so the search expands, finds and costs
+///   exactly what it would without one; only `generated`, `touched` and
+///   `max_open` fall (and `reopened`, if ĥ is inconsistent). A search
+///   given one counts it in [`SearchStats::seeded`].
 /// * `budget` is shared by every search of a request. The loop polls its
 ///   cancel flag and expansion ceiling before every expansion (one
 ///   relaxed load each) and charges it once per [`CHARGE_BLOCK`]
@@ -258,6 +269,7 @@ pub fn best_first<Sp: SearchSpace>(space: &Sp) -> Option<Found<Sp::State, Sp::Co
 pub fn astar_in<Sp: SearchSpace>(
     space: &Sp,
     max_expansions: Option<usize>,
+    upper_bound: Option<Sp::Cost>,
     budget: &Budget,
     arena: &mut SearchArena<Sp::State, Sp::Cost>,
     path_out: &mut Vec<Sp::State>,
@@ -266,7 +278,7 @@ pub fn astar_in<Sp: SearchSpace>(
     // request (one thread-local probe otherwise), so the flush below
     // can attribute the search's wall window to the active net span.
     let trace_start = crate::telem::trace_begin();
-    let outcome = run(space, max_expansions, budget, arena, path_out);
+    let outcome = run(space, max_expansions, upper_bound, budget, arena, path_out);
     // One registry flush per search; the expansion loop itself never
     // touches shared state.
     crate::telem::flush_outcome(&outcome, trace_start);
@@ -276,6 +288,7 @@ pub fn astar_in<Sp: SearchSpace>(
 fn run<Sp: SearchSpace>(
     space: &Sp,
     max_expansions: Option<usize>,
+    upper_bound: Option<Sp::Cost>,
     budget: &Budget,
     arena: &mut SearchArena<Sp::State, Sp::Cost>,
     path_out: &mut Vec<Sp::State>,
@@ -289,13 +302,17 @@ fn run<Sp: SearchSpace>(
         succ: succ_buf,
         starts,
     } = arena;
-    let mut stats = SearchStats::default();
+    let mut stats = SearchStats {
+        seeded: usize::from(upper_bound.is_some()),
+        ..SearchStats::default()
+    };
     let mut seq: u64 = 0;
     let mut open_valid: usize = 0;
-    // The goal bound handed to the space: the smallest f̂ among the goal
-    // successors pushed so far. A goal entry no worse than it is on OPEN
-    // until the search stops, so no entry above it is ever popped.
-    let mut bound: Option<Sp::Cost> = None;
+    // The goal bound handed to the space: the smaller of the incumbent
+    // and the smallest f̂ among the goal successors pushed so far. Either
+    // is the cost of a path to a goal, so it is at least C*, and A* pops
+    // no entry above C* before a goal.
+    let mut bound: Option<Sp::Cost> = upper_bound;
     // Expansions run since the shared meter was last charged; flushed in
     // blocks, and on the one exit below, so parallel searches share one
     // ceiling without a fetch_add per expansion.
@@ -491,6 +508,7 @@ mod tests {
         astar_in(
             g,
             max_expansions,
+            None,
             &budget,
             &mut SearchArena::new(),
             &mut Vec::new(),
@@ -652,13 +670,13 @@ mod tests {
         let mut arena = SearchArena::new();
         let mut path = Vec::new();
         for round in 0..3 {
-            let reused = astar_in(&found_graph, None, &budget, &mut arena, &mut path);
+            let reused = astar_in(&found_graph, None, None, &budget, &mut arena, &mut path);
             let (r, f) = (reused.found().unwrap(), astar(&found_graph).unwrap());
             assert_eq!(path, f.path, "round {round}");
             assert_eq!(r.cost, f.cost, "round {round}");
             assert_eq!(r.stats, f.stats, "round {round}");
 
-            let reused = astar_in(&unreachable, None, &budget, &mut arena, &mut path);
+            let reused = astar_in(&unreachable, None, None, &budget, &mut arena, &mut path);
             assert!(matches!(reused, SearchOutcome::Exhausted(_)));
             assert_eq!(
                 *reused.stats(),
@@ -666,7 +684,7 @@ mod tests {
                 "round {round}"
             );
 
-            let reused = astar_in(&found_graph, Some(1), &budget, &mut arena, &mut path);
+            let reused = astar_in(&found_graph, Some(1), None, &budget, &mut arena, &mut path);
             assert!(matches!(reused, SearchOutcome::LimitReached(_)));
         }
         assert!(arena.node_capacity() > 0, "capacity must survive reuse");
@@ -677,11 +695,11 @@ mod tests {
         let budget = Budget::unlimited();
         let mut arena: SearchArena<usize, i64> = SearchArena::new();
         let mut path = Vec::new();
-        astar_in(&diamond(), None, &budget, &mut arena, &mut path);
+        astar_in(&diamond(), None, None, &budget, &mut arena, &mut path);
         arena.reset();
         assert!(format!("{arena:?}").contains("nodes: 0"));
         // A reset arena behaves exactly like a new one.
-        astar_in(&diamond(), None, &budget, &mut arena, &mut path);
+        astar_in(&diamond(), None, None, &budget, &mut arena, &mut path);
         assert_eq!(path, astar(&diamond()).unwrap().path);
     }
 
@@ -691,7 +709,7 @@ mod tests {
         let budget = Budget::unlimited();
         let mut arena = SearchArena::new();
         let mut path = vec![99usize]; // dirty buffer must be cleared
-        let into = astar_in(&g, None, &budget, &mut arena, &mut path);
+        let into = astar_in(&g, None, None, &budget, &mut arena, &mut path);
         let (i, o) = (into.found().unwrap(), astar(&g).unwrap());
         assert!(i.path.is_empty(), "path is delivered through the buffer");
         assert_eq!(path, o.path);
@@ -702,7 +720,7 @@ mod tests {
         unreachable.goals = vec![99];
         unreachable.edges.resize(100, vec![]);
         unreachable.h = vec![0; 100];
-        let out = astar_in(&unreachable, None, &budget, &mut arena, &mut path);
+        let out = astar_in(&unreachable, None, None, &budget, &mut arena, &mut path);
         assert!(matches!(out, SearchOutcome::Exhausted(_)));
         assert!(path.is_empty());
     }
@@ -714,7 +732,7 @@ mod tests {
         let mut path = vec![7usize]; // dirty buffer must still be cleared
         let b = Budget::unlimited();
         b.cancel();
-        let out = astar_in(&g, None, &b, &mut arena, &mut path);
+        let out = astar_in(&g, None, None, &b, &mut arena, &mut path);
         assert!(matches!(
             out,
             SearchOutcome::Cancelled(CancelReason::Cancelled, _)
@@ -729,7 +747,7 @@ mod tests {
         let mut arena = SearchArena::new();
         let mut path = Vec::new();
         let b = Budget::unlimited().with_expansion_ceiling(0);
-        let out = astar_in(&g, None, &b, &mut arena, &mut path);
+        let out = astar_in(&g, None, None, &b, &mut arena, &mut path);
         assert!(matches!(
             out,
             SearchOutcome::Cancelled(CancelReason::ExpansionCeiling, _)
@@ -748,7 +766,7 @@ mod tests {
             .with_expansion_ceiling(1_000_000);
         let mut arena = SearchArena::new();
         let mut path = Vec::new();
-        let budgeted = astar_in(&g, None, &b, &mut arena, &mut path);
+        let budgeted = astar_in(&g, None, None, &b, &mut arena, &mut path);
         let (x, y) = (budgeted.found().unwrap(), astar(&g).unwrap());
         assert_eq!(path, y.path);
         assert_eq!(x.cost, y.cost);
@@ -772,7 +790,7 @@ mod tests {
         let b = Budget::unlimited();
         let mut arena = SearchArena::new();
         let mut path = Vec::new();
-        let out = astar_in(&g, Some(cap), &b, &mut arena, &mut path);
+        let out = astar_in(&g, Some(cap), None, &b, &mut arena, &mut path);
         let SearchOutcome::LimitReached(stats) = out else {
             panic!("the cap must stop the search: {out:?}");
         };
@@ -840,33 +858,36 @@ mod tests {
         }
     }
 
+    /// Goals 4 and 5 are each offered several times, while non-goal
+    /// successors sit below the bound. The expansions run 0, 2, 1, 3
+    /// (equal f̂ pops the larger ĝ first), then goal 5 is popped:
+    ///   0 pushes 1 (f̂ 3), 2 (f̂ 3) and goal 4 (f̂ 10) → bound 10;
+    ///   2 pushes goal 5 (f̂ 5); goal 4 at ĝ 22 improves nothing
+    ///                                                → bound 5;
+    ///   1 improves goal 4 to f̂ 7 and pushes 3 (f̂ 3)  → bound 5;
+    ///   3 improves goal 5 to f̂ 3                     → bound 3.
+    fn two_goal_recorder() -> BoundRecorder {
+        BoundRecorder {
+            graph: Graph {
+                edges: vec![
+                    vec![(1, 1), (2, 2), (4, 10)],
+                    vec![(4, 6), (3, 1)],
+                    vec![(5, 3), (4, 20)],
+                    vec![(5, 1)],
+                    vec![],
+                    vec![],
+                ],
+                h: vec![3, 2, 1, 1, 0, 0],
+                starts: vec![(0, 0)],
+                goals: vec![4, 5],
+            },
+            seen: std::cell::RefCell::new(Vec::new()),
+        }
+    }
+
     #[test]
     fn the_goal_bound_is_the_best_goal_entry_pushed_so_far() {
-        // Goals 4 and 5 are each offered several times, while non-goal
-        // successors sit below the bound. The expansions run 0, 2, 1, 3
-        // (equal f̂ pops the larger ĝ first), then goal 5 is popped:
-        //   0 pushes 1 (f̂ 3), 2 (f̂ 3) and goal 4 (f̂ 10) → bound 10;
-        //   2 pushes goal 5 (f̂ 5); goal 4 at ĝ 22 improves nothing
-        //                                                → bound 5;
-        //   1 improves goal 4 to f̂ 7 and pushes 3 (f̂ 3)  → bound 5;
-        //   3 improves goal 5 to f̂ 3                     → bound 3.
-        let graph = Graph {
-            edges: vec![
-                vec![(1, 1), (2, 2), (4, 10)],
-                vec![(4, 6), (3, 1)],
-                vec![(5, 3), (4, 20)],
-                vec![(5, 1)],
-                vec![],
-                vec![],
-            ],
-            h: vec![3, 2, 1, 1, 0, 0],
-            starts: vec![(0, 0)],
-            goals: vec![4, 5],
-        };
-        let space = BoundRecorder {
-            graph,
-            seen: std::cell::RefCell::new(Vec::new()),
-        };
+        let space = two_goal_recorder();
         let found = astar(&space).unwrap();
         assert_eq!((found.path, found.cost), (vec![0, 1, 3, 5], 3));
         assert_eq!(
@@ -887,6 +908,26 @@ mod tests {
             assert!(space.seen.borrow().iter().all(Option::is_none));
             assert!(!space.seen.borrow().is_empty());
         }
+    }
+
+    #[test]
+    fn an_incumbent_is_the_goal_bound_from_the_first_expansion() {
+        // With an incumbent of cost 9 the bound is 9 from the start, goal
+        // 4's entry (f̂ 10) does not lower it, and goal 5's entries do.
+        // The search itself is unchanged.
+        let space = two_goal_recorder();
+        let free = astar(&space).unwrap();
+        space.seen.borrow_mut().clear();
+        let budget = Budget::unlimited();
+        let mut path = Vec::new();
+        let arena = &mut SearchArena::new();
+        let seeded = astar_in(&space, None, Some(9), &budget, arena, &mut path)
+            .found()
+            .unwrap();
+        assert_eq!((path, seeded.cost), (free.path, free.cost));
+        assert_eq!(*space.seen.borrow(), [Some(9), Some(9), Some(5), Some(5)]);
+        assert_eq!(seeded.stats.expanded, free.stats.expanded);
+        assert_eq!((seeded.stats.seeded, free.stats.seeded), (1, 0));
     }
 
     #[test]

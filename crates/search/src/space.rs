@@ -16,9 +16,11 @@ pub trait Labels<S, C> {
     fn label(&self, state: &S) -> Option<C>;
 
     /// The goal bound: the smallest f̂ = ĝ + ĥ among the goal entries the
-    /// engine has put on OPEN, or `None` before there is one. A\* stops
-    /// at a goal entry no worse than it, so it never expands an entry
-    /// whose f̂ exceeds it. The default knows no bound.
+    /// engine has put on OPEN, or the cost of the incumbent path the
+    /// search began with if that is smaller, or `None` while there is
+    /// neither. Either is the cost of a real path, so it is at least the
+    /// minimal cost, and A\* (with an admissible ĥ) never expands an
+    /// entry whose f̂ exceeds it. The default knows no bound.
     fn bound(&self) -> Option<C> {
         None
     }

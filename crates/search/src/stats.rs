@@ -27,6 +27,10 @@ pub struct SearchStats {
     pub reopened: usize,
     /// Peak size of the OPEN list.
     pub max_open: usize,
+    /// Searches that began with an incumbent: a caller-held path whose
+    /// cost seeds the goal bound (see [`astar_in`](crate::astar_in)).
+    /// 0 or 1 for one search; summed by [`SearchStats::absorb`].
+    pub seeded: usize,
 }
 
 impl SearchStats {
@@ -37,6 +41,7 @@ impl SearchStats {
         self.touched += other.touched;
         self.reopened += other.reopened;
         self.max_open = self.max_open.max(other.max_open);
+        self.seeded += other.seeded;
     }
 }
 
@@ -44,8 +49,8 @@ impl fmt::Display for SearchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "expanded {} generated {} touched {} reopened {} max-open {}",
-            self.expanded, self.generated, self.touched, self.reopened, self.max_open
+            "expanded {} generated {} touched {} reopened {} max-open {} seeded {}",
+            self.expanded, self.generated, self.touched, self.reopened, self.max_open, self.seeded
         )
     }
 }
@@ -62,6 +67,7 @@ mod tests {
             touched: 3,
             reopened: 0,
             max_open: 5,
+            seeded: 1,
         };
         let b = SearchStats {
             expanded: 10,
@@ -69,6 +75,7 @@ mod tests {
             touched: 30,
             reopened: 1,
             max_open: 3,
+            seeded: 0,
         };
         a.absorb(&b);
         assert_eq!(a.expanded, 11);
@@ -76,12 +83,20 @@ mod tests {
         assert_eq!(a.touched, 33);
         assert_eq!(a.reopened, 1);
         assert_eq!(a.max_open, 5);
+        assert_eq!(a.seeded, 1);
     }
 
     #[test]
     fn display_labels_every_counter() {
         let s = SearchStats::default().to_string();
-        for label in ["expanded", "generated", "touched", "reopened", "max-open"] {
+        for label in [
+            "expanded",
+            "generated",
+            "touched",
+            "reopened",
+            "max-open",
+            "seeded",
+        ] {
             assert!(s.contains(label), "missing {label} in {s}");
         }
     }

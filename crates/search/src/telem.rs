@@ -16,6 +16,7 @@ struct SearchMetrics {
     searches: &'static Counter,
     expansions: &'static Counter,
     generated: &'static Counter,
+    seeded: &'static Counter,
     budget_trips: &'static Counter,
     arena_resets: &'static Counter,
 }
@@ -33,6 +34,10 @@ fn metrics() -> &'static SearchMetrics {
             generated: reg.counter(
                 "gcr_search_generated_total",
                 "Successor edges generated, across all searches",
+            ),
+            seeded: reg.counter(
+                "gcr_search_seeded_total",
+                "Searches that began with an incumbent path's cost as their goal bound",
             ),
             budget_trips: reg.counter(
                 "gcr_search_budget_trips_total",
@@ -78,17 +83,20 @@ pub(crate) fn flush_outcome<S, C>(
     let stats = outcome.stats();
     let cancelled = matches!(outcome, SearchOutcome::Cancelled(..));
     if let (Some(start), Some(span)) = (trace_start, gcr_telemetry::active_span()) {
+        // `seeded` and `budget-trips` appear only when they are 1.
         let mut counters = [
             ("expanded", stats.expanded as u64),
             ("generated", stats.generated as u64),
-            ("budget-trips", 0),
+            ("", 0),
+            ("", 0),
         ];
-        let len = if cancelled {
-            counters[2].1 = 1;
-            3
-        } else {
-            2
-        };
+        let mut len = 2;
+        for (name, on) in [("seeded", stats.seeded > 0), ("budget-trips", cancelled)] {
+            if on {
+                counters[len] = (name, 1);
+                len += 1;
+            }
+        }
         span.recorder()
             .leaf(span.parent(), "search", "", start, &counters[..len]);
     }
@@ -99,6 +107,7 @@ pub(crate) fn flush_outcome<S, C>(
     m.searches.inc();
     m.expansions.add(stats.expanded as u64);
     m.generated.add(stats.generated as u64);
+    m.seeded.add(stats.seeded as u64);
     if cancelled {
         m.budget_trips.inc();
     }
@@ -115,9 +124,11 @@ mod tests {
         let before_exp = metrics().expansions.get();
         let before_trips = metrics().budget_trips.get();
 
+        let before_seeded = metrics().seeded.get();
         let stats = SearchStats {
             expanded: 7,
             generated: 20,
+            seeded: 1,
             ..SearchStats::default()
         };
         flush_outcome(&SearchOutcome::<u32, u32>::Exhausted(stats), None);
@@ -131,5 +142,6 @@ mod tests {
         assert!(metrics().searches.get() >= before_searches + 2);
         assert!(metrics().expansions.get() >= before_exp + 14);
         assert!(metrics().budget_trips.get() > before_trips);
+        assert!(metrics().seeded.get() >= before_seeded + 2);
     }
 }

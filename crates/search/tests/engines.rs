@@ -4,8 +4,8 @@
 //! weighted graphs checked against Bellman–Ford.
 
 use gcr_search::{
-    astar, astar_in, best_first, breadth_first, exhaustive, Budget, Found, Labels, SearchArena,
-    SearchOutcome, SearchSpace,
+    astar, astar_in, best_first, breadth_first, depth_first, exhaustive, Budget, Found, Labels,
+    SearchArena, SearchOutcome, SearchSpace,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -293,14 +293,44 @@ impl SearchSpace for BoundedGraph {
     }
 }
 
-/// [`astar_in`] to completion, with the found path moved into the
-/// outcome.
-fn search(space: &BoundedGraph) -> SearchOutcome<usize, i64> {
+/// [`astar_in`] to completion under `upper_bound`, with the found path
+/// moved into the outcome.
+fn search(space: &BoundedGraph, upper_bound: Option<i64>) -> SearchOutcome<usize, i64> {
     let mut path = Vec::new();
     let budget = Budget::unlimited();
-    match astar_in(space, None, &budget, &mut SearchArena::new(), &mut path) {
+    let arena = &mut SearchArena::new();
+    match astar_in(space, None, upper_bound, &budget, arena, &mut path) {
         SearchOutcome::Found(found) => SearchOutcome::Found(Found { path, ..found }),
         other => other,
+    }
+}
+
+/// The pruning sweep's graph for one seed: random edges, three goals
+/// and a random admissible (generally inconsistent) heuristic, pruned.
+fn bounded_graph(rng: &mut StdRng, n: usize) -> BoundedGraph {
+    let edges = random_edges(rng, n, 4, 60);
+    let goals: Vec<usize> = (0..3).map(|_| rng.gen_range(1..n)).collect();
+    // Exact remaining cost: shortest distance to any goal over the
+    // reversed edges. A random share of it is admissible.
+    let mut reversed = vec![Vec::new(); n + 1];
+    for (u, adj) in edges.iter().enumerate() {
+        for &(v, w) in adj {
+            reversed[v].push((u, w));
+        }
+    }
+    reversed[n] = goals.iter().map(|&g| (g, 0)).collect();
+    let exact = bellman_ford(&reversed, n);
+    let h: Vec<i64> = (0..n)
+        .map(|v| match exact[v] {
+            Some(d) => rng.gen_range(0..=d),
+            None => rng.gen_range(0..200),
+        })
+        .collect();
+    BoundedGraph {
+        edges,
+        h,
+        goals,
+        prune: true,
     }
 }
 
@@ -311,32 +341,12 @@ fn pruning_above_the_goal_bound_changes_no_expansion_path_or_cost() {
     for case in 0..200 {
         let seed = meta.gen_range(0..10_000u64);
         let n = meta.gen_range(4usize..40);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let edges = random_edges(&mut rng, n, 4, 60);
-        let goals: Vec<usize> = (0..3).map(|_| rng.gen_range(1..n)).collect();
-        // Exact remaining cost: shortest distance to any goal over the
-        // reversed edges. A random share of it is admissible.
-        let mut reversed = vec![Vec::new(); n + 1];
-        for (u, adj) in edges.iter().enumerate() {
-            for &(v, w) in adj {
-                reversed[v].push((u, w));
-            }
-        }
-        reversed[n] = goals.iter().map(|&g| (g, 0)).collect();
-        let exact = bellman_ford(&reversed, n);
-        let h: Vec<i64> = (0..n)
-            .map(|v| match exact[v] {
-                Some(d) => rng.gen_range(0..=d),
-                None => rng.gen_range(0..200),
-            })
-            .collect();
-        let space = |prune| BoundedGraph {
-            edges: edges.clone(),
-            h: h.clone(),
-            goals: goals.clone(),
-            prune,
+        let pruned = bounded_graph(&mut StdRng::seed_from_u64(seed), n);
+        let full = BoundedGraph {
+            prune: false,
+            ..bounded_graph(&mut StdRng::seed_from_u64(seed), n)
         };
-        let (p, f) = (search(&space(true)), search(&space(false)));
+        let (p, f) = (search(&pruned, None), search(&full, None));
         let (ps, fs) = (*p.stats(), *f.stats());
         assert_eq!(
             ps.expanded, fs.expanded,
@@ -372,4 +382,78 @@ fn pruning_above_the_goal_bound_changes_no_expansion_path_or_cost() {
         "pruning must leave successors out: {pruned_generated} vs {full_generated}"
     );
     assert!(reopened > 0, "the sweep must cover reopened nodes");
+}
+
+/// The costs of real paths from the start to a goal: the optimum, the
+/// paths breadth-first and depth-first search find, and a random walk
+/// that reaches a goal. None is below the optimum.
+fn real_path_costs(g: &BoundedGraph, rng: &mut StdRng) -> Vec<i64> {
+    let n = g.edges.len();
+    let found = [best_first(g), breadth_first(g), depth_first(g, n)];
+    let mut costs: Vec<i64> = found.into_iter().flatten().map(|f| f.cost).collect();
+    let (mut at, mut cost) = (0usize, 0i64);
+    for _ in 0..4 * n {
+        if g.goals.contains(&at) {
+            costs.push(cost);
+            break;
+        }
+        let Some(&(next, w)) = g.edges[at].get(rng.gen_range(0..g.edges[at].len().max(1))) else {
+            break;
+        };
+        (at, cost) = (next, cost + w);
+    }
+    costs
+}
+
+/// An incumbent seeds the goal bound before the first expansion. Any
+/// bound taken from a real path is at least C*, so with an admissible ĥ
+/// A\* pops nothing above it either way: the same path, cost and
+/// expansions as without one, no more successors, and the search counts
+/// itself as seeded.
+#[test]
+fn an_incumbent_from_any_real_path_changes_no_expansion_path_or_cost() {
+    let mut meta = StdRng::seed_from_u64(0x1c0b);
+    let (mut seeded, mut unseeded, mut fell, mut tight) = (0, 0, 0, 0);
+    for case in 0..200 {
+        let seed = meta.gen_range(0..10_000u64);
+        let n = meta.gen_range(4usize..40);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let space = bounded_graph(&mut rng, n);
+        let reference = search(&space, None);
+        let SearchOutcome::Found(reference) = reference else {
+            continue;
+        };
+        for u in real_path_costs(&space, &mut rng) {
+            let what = format!("case {case} seed {seed} bound {u}");
+            assert!(u >= reference.cost, "{what}: not a real path");
+            let SearchOutcome::Found(found) = search(&space, Some(u)) else {
+                panic!("{what}: a bounded search must find the path");
+            };
+            let (s, r) = (found.stats, reference.stats);
+            assert_eq!(
+                (&found.path, found.cost),
+                (&reference.path, reference.cost),
+                "{what}"
+            );
+            assert_eq!(s.expanded, r.expanded, "{what}: {s} vs {r}");
+            assert!(s.reopened <= r.reopened, "{what}: {s} vs {r}");
+            assert!(
+                s.generated <= r.generated && s.touched <= r.touched && s.max_open <= r.max_open,
+                "{what}: {s} vs {r}"
+            );
+            assert_eq!((s.seeded, r.seeded), (1, 0), "{what}");
+            seeded += s.generated;
+            unseeded += r.generated;
+            fell += usize::from(s.generated < r.generated);
+            tight += usize::from(u == reference.cost);
+        }
+    }
+    assert!(
+        seeded < unseeded && fell > 50,
+        "incumbents must leave successors out: {seeded} vs {unseeded} in {fell} searches"
+    );
+    assert!(
+        tight > 100,
+        "the sweep must cover bounds equal to C*: {tight}"
+    );
 }

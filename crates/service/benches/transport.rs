@@ -446,7 +446,9 @@ fn main() {
     // concurrency, with the client-side histogram cross-checked against
     // the server's METRICS view of the same traffic (per-run cumulative
     // bucket deltas, so earlier bench phases don't pollute the check).
-    for (tier_nets, per_client) in [(120usize, 25u64), (1000, 5)] {
+    // 2 × 500 requests leave 10 samples beyond q0.99, so no single
+    // client-side stall decides a compared bucket.
+    for (tier_nets, per_client) in [(120usize, 500u64), (1000, 500)] {
         let before = parse_exposition(&client.metrics().expect("metrics").body);
         let config = loadgen::LoadGenConfig {
             addr: addr.to_string(),

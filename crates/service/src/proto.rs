@@ -29,7 +29,8 @@
 //!                            # usual ERR and retains the tree in the slow log.
 //! EXPLAIN <sid> <net>        # per-net cost attribution of the committed state:
 //!                            # status, attempts, wire length vs. the pin-bbox
-//!                            # lower bound, search stats, failure cause
+//!                            # lower bound, search stats (with how many
+//!                            # searches began with an incumbent), failure cause
 //! STATS [<sid>]              # session stats, or server stats without a sid
 //! METRICS                    # full registry, Prometheus text exposition as the body
 //! DUMP <sid>                 # committed routes as polylines (diffable)
@@ -1151,6 +1152,9 @@ pub fn format_explain(explain: &NetExplain) -> String {
     if let Some(n) = explain.generated {
         writeln!(out, "generated {n}").unwrap();
     }
+    if let Some(n) = explain.seeded {
+        writeln!(out, "seeded {n}").unwrap();
+    }
     if let Some(cause) = explain.cause {
         writeln!(out, "cause {cause}").unwrap();
     }
@@ -1416,6 +1420,7 @@ mod tests {
             connections: Some(1),
             expanded: Some(14),
             generated: Some(40),
+            seeded: Some(1),
             cause: None,
             detail: None,
         };
@@ -1428,6 +1433,7 @@ mod tests {
             "wire-length 110",
             "detour 20",
             "expanded 14",
+            "seeded 1",
         ] {
             assert!(body.contains(line), "{line:?} in {body:?}");
         }
@@ -1442,6 +1448,7 @@ mod tests {
             connections: None,
             expanded: Some(300),
             generated: Some(900),
+            seeded: None,
             cause: Some("blocked-goal"),
             detail: Some("no path\nfrom (5,50)".to_string()),
         };
@@ -1452,6 +1459,7 @@ mod tests {
             "multi-line detail is flattened: {body:?}"
         );
         assert!(!body.contains("wire-length"), "{body:?}");
+        assert!(!body.contains("seeded"), "{body:?}");
     }
 
     #[test]

@@ -241,29 +241,46 @@ fn generator_gcl_roundtrip_is_byte_identical_and_routes_identically() {
 /// would throw away shrinks the successor set, so it moves `generated`
 /// and `touched` only; a change to the successors' order or cost, or
 /// to the A\* tie-breaks, moves `expanded` or the digest too.
+///
+/// The second leg rips every net up and reroutes the dirty set: each
+/// search then starts with the ripped route as its incumbent bound, so
+/// it expands the same 8054 nodes and emits the same `DUMP` while
+/// creating far fewer.
 #[test]
 fn search_work_and_route_digest_are_pinned() {
     use gcr::search::FnvHasher;
     use gcr::service::dump_routing;
     use std::hash::Hasher;
 
+    let digest = |routing: &GlobalRouting| {
+        let mut fnv = FnvHasher::default();
+        fnv.write(dump_routing(routing).as_bytes());
+        format!("{:016x}", fnv.finish())
+    };
+    let work = |routing: &GlobalRouting| {
+        let stats = routing.stats();
+        (stats.expanded, stats.generated, stats.touched, stats.seeded)
+    };
     let layout = generate(&GeneratorParams::with_nets(120, 4));
     for index in [PlaneIndexKind::Flat, PlaneIndexKind::Sharded] {
         let batch = BatchConfig::serial().with_index(index);
-        let routing = with_batch(&layout, GridlessEngine, batch).route_all();
-        let stats = routing.stats();
+        let mut session = with_batch(&layout, GridlessEngine, batch);
+        let routing = session.route_all();
+        let searches = routing.routes.iter().map(|r| r.connections.len()).sum();
+        assert_eq!(work(&routing), (8054, 111_606, 101_319, 0), "{index:?}");
+        assert_eq!(digest(&routing), "6a6f9d3a0b6ea838", "{index:?}");
+
+        for id in layout.net_ids() {
+            session.rip_up(id);
+        }
+        session.reroute_dirty();
+        let rerouted = session.routing();
         assert_eq!(
-            (stats.expanded, stats.generated, stats.touched),
-            (8054, 111_606, 101_319),
-            "{index:?}: {stats:?}"
+            work(&rerouted),
+            (8054, 17_435, 17_902, searches),
+            "{index:?}: rip-up + reroute"
         );
-        let mut fnv = FnvHasher::default();
-        fnv.write(dump_routing(&routing).as_bytes());
-        assert_eq!(
-            format!("{:016x}", fnv.finish()),
-            "6a6f9d3a0b6ea838",
-            "{index:?}"
-        );
+        assert_eq!(digest(&rerouted), "6a6f9d3a0b6ea838", "{index:?}");
     }
 }
 

@@ -9,6 +9,8 @@
 //! the loop, so it never hands back fewer routed nets than the plain
 //! first pass — that is the structural advantage these tests assert.
 
+mod common;
+
 use gcr::layout::format;
 use gcr::prelude::*;
 use gcr::router::NegotiationConfig;
@@ -292,7 +294,8 @@ fn negotiation_is_schedule_and_index_invariant() {
 
 /// A session that already routed and answered congestion queries (its
 /// arenas and committed state warm) must negotiate byte-identically to
-/// a fresh one.
+/// a fresh one. Its first pass reroutes every net with the committed
+/// route as an incumbent, so only the nodes created may fall.
 #[test]
 fn warm_cache_negotiation_equals_cold() {
     let layout = congested_instance(64, 1);
@@ -317,7 +320,8 @@ fn warm_cache_negotiation_equals_cold() {
         assert_eq!(warm.rerouted, cold.rerouted, "{label}");
         assert_eq!(warm.restored, cold.restored, "{label}");
         assert_eq!(warm.after.users, cold.after.users, "{label}");
-        assert_routing_identical(&cold.routing, &warm.routing, label);
+        let fell = common::assert_warm_matches_cold(&cold.routing, &warm.routing, label);
+        assert!(fell > 0, "{label}: the committed routes must save nodes");
     }
 }
 

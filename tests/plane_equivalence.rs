@@ -11,6 +11,8 @@
 //! fully determined by their arguments), so any failure reproduces from
 //! its case number alone.
 
+mod common;
+
 use gcr::prelude::*;
 use gcr::workload::generator::{generate, GeneratorParams};
 use gcr::workload::{random_free_point, rng_for, scaling_instance};
@@ -121,19 +123,27 @@ fn schedules() -> [(BatchConfig, &'static str); 4] {
     ]
 }
 
-fn sweep_engine<E: RoutingEngine + Clone>(engine: E, name: &str, cases: u64) {
-    for case in 0..cases {
-        let layout = scaling_instance(2, 2, 5, 2, case);
-        sweep_layout(&engine, &format!("{name}/case {case}"), &layout);
-    }
+/// Runs [`sweep_layout`] on `cases` seeded layouts; returns how much
+/// `generated` fell on the net-by-net legs.
+fn sweep_engine<E: RoutingEngine + Clone>(engine: E, name: &str, cases: u64) -> usize {
+    (0..cases)
+        .map(|case| {
+            let layout = scaling_instance(2, 2, 5, 2, case);
+            sweep_layout(&engine, &format!("{name}/case {case}"), &layout)
+        })
+        .sum()
 }
 
 /// Every schedule's `route_all` ≡ a fresh serial flat session's; and
-/// routing net by net through the session's single-net entry point
-/// commits the same state as `route_all`.
-fn sweep_layout<E: RoutingEngine + Clone>(engine: &E, name: &str, layout: &Layout) {
+/// ripping every net up and routing it again net by net through the
+/// session's single-net entry point commits the same state, with the
+/// ripped route as each search's incumbent (see
+/// `common::assert_warm_matches_cold`). Returns how much `generated`
+/// fell on the net-by-net legs.
+fn sweep_layout<E: RoutingEngine + Clone>(engine: &E, name: &str, layout: &Layout) -> usize {
     let config = RouterConfig::default();
     let reference = session(layout, &config, engine.clone(), BatchConfig::serial()).route_all();
+    let mut fell = 0;
     for (batch, label) in schedules() {
         let what = format!("{name}/{label}");
         let mut session = session(layout, &config, engine.clone(), batch);
@@ -144,37 +154,41 @@ fn sweep_layout<E: RoutingEngine + Clone>(engine: &E, name: &str, layout: &Layou
         for id in layout.net_ids() {
             let _ = session.route_net(id);
         }
-        assert_routing_identical(
-            &reference,
-            &session.routing(),
-            &format!("{what}: net-by-net"),
-        );
+        let what = format!("{what}: net-by-net");
+        fell += common::assert_warm_matches_cold(&reference, &session.routing(), &what);
     }
+    fell
 }
 
 /// The gridless sweep also covers the 30-, 60- and 120-net workload
 /// scaling instances.
 #[test]
 fn gridless_engine_flat_equals_sharded_serial_and_parallel() {
-    sweep_engine(GridlessEngine, "gridless", CASES);
+    let mut fell = sweep_engine(GridlessEngine, "gridless", CASES);
     for (label, rows, cols, two_pin, multi) in [
         ("2x2-30", 2, 2, 24, 6),
         ("4x4-60", 4, 4, 48, 12),
         ("6x6-120", 6, 6, 96, 24),
     ] {
         let layout = scaling_instance(rows, cols, two_pin, multi, 0);
-        sweep_layout(&GridlessEngine, &format!("gridless/{label}"), &layout);
+        fell += sweep_layout(&GridlessEngine, &format!("gridless/{label}"), &layout);
     }
+    assert!(fell > 0, "the ripped routes must save nodes");
 }
 
+/// The baseline engines ignore the previous route, so their net-by-net
+/// legs search exactly as much as a cold route.
 #[test]
 fn grid_engine_flat_equals_sharded_serial_and_parallel() {
-    sweep_engine(GridEngine::default(), "grid-astar", CASES);
+    assert_eq!(sweep_engine(GridEngine::default(), "grid-astar", CASES), 0);
 }
 
 #[test]
 fn hightower_engine_flat_equals_sharded_serial_and_parallel() {
-    sweep_engine(HightowerEngine::default(), "hightower", CASES);
+    assert_eq!(
+        sweep_engine(HightowerEngine::default(), "hightower", CASES),
+        0
+    );
 }
 
 /// The Lee–Moore wavefront regime (blind grid search) goes through the
@@ -182,7 +196,7 @@ fn hightower_engine_flat_equals_sharded_serial_and_parallel() {
 /// shipped engine configurations are covered.
 #[test]
 fn lee_moore_engine_flat_equals_sharded() {
-    sweep_engine(GridEngine::lee_moore(), "lee-moore", 4);
+    assert_eq!(sweep_engine(GridEngine::lee_moore(), "lee-moore", 4), 0);
 }
 
 /// The two-pass congestion flow (route, analyze, reroute under

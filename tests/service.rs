@@ -891,10 +891,26 @@ fn trace_verb_returns_a_parseable_span_tree() {
     assert_eq!(explain.field("status"), Some("routed"));
     assert_eq!(explain.int_field("attempts"), Some(1));
     assert!(explain.int_field("expanded").unwrap() > 0);
+    assert_eq!(explain.int_field("seeded"), Some(0), "a cold route");
     assert!(
         explain.int_field("wire-length").unwrap() >= explain.int_field("lower-bound").unwrap(),
         "no route beats the half-perimeter bound"
     );
+
+    // A traced rip-up + reroute hands clk its ripped route: the search
+    // span and EXPLAIN both show the search that began with it.
+    let eco = Request::Eco {
+        sid,
+        eco: "ripup clk\nreroute\n".to_string(),
+    };
+    let tree = client.trace(sid, eco).unwrap().span_tree().unwrap();
+    let searches = tree.find_all("search");
+    assert_eq!(searches.len(), 1, "clk is one connection");
+    assert_eq!(searches[0].counter("seeded"), Some(1));
+    let reexplain = client.explain(sid, "clk").unwrap();
+    assert_eq!(reexplain.int_field("attempts"), Some(2));
+    assert_eq!(reexplain.int_field("seeded"), Some(1));
+    assert_eq!(reexplain.field("expanded"), explain.field("expanded"));
     match client.explain(sid, "nosuchnet") {
         Err(ClientError::Server(e)) => assert_eq!(e.code, ErrCode::UnknownName),
         other => panic!("expected UNKNOWN-NAME, got {other:?}"),

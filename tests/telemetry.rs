@@ -212,9 +212,21 @@ fn metrics_exposition_carries_the_key_series() {
 /// and the client-side histogram agrees with the server's `METRICS`
 /// view of the same traffic — exact on the count, within one bucket on
 /// the quantiles (reroute is compute-dominated, so client RTT and
-/// server dispatch time land in the same or adjacent buckets).
+/// server dispatch time land in the same or adjacent buckets). The run
+/// is large enough that every compared quantile has at least 10
+/// samples beyond it, so no single client-side stall decides a bucket.
 #[test]
 fn loadgen_agrees_with_the_server_metrics() {
+    const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+    const CLIENTS: u64 = 2;
+    const PER_CLIENT: u64 = 500;
+    let requests = CLIENTS * PER_CLIENT;
+    for q in QUANTILES {
+        assert!(
+            (1.0 - q) * requests as f64 >= 10.0,
+            "q{q} needs 10 samples beyond it"
+        );
+    }
     let _guard = telemetry_lock();
     let (addr, handle) = spawn_server(ServerConfig {
         capacity: 8,
@@ -226,8 +238,8 @@ fn loadgen_agrees_with_the_server_metrics() {
 
     let config = loadgen::LoadGenConfig {
         addr: addr.to_string(),
-        clients: 2,
-        requests_per_client: 10,
+        clients: CLIENTS as usize,
+        requests_per_client: PER_CLIENT,
         nets: 120,
         seed: 3,
         engine: EngineKind::Gridless,
@@ -235,7 +247,10 @@ fn loadgen_agrees_with_the_server_metrics() {
         kind: loadgen::LoadKind::Reroute,
     };
     let report = loadgen::run(&config).unwrap();
-    assert_eq!(report.requests, 20, "every closed-loop request completed");
+    assert_eq!(
+        report.requests, requests,
+        "every closed-loop request completed"
+    );
     assert_eq!(report.errors, 0, "no ERR replies under a clean run");
     assert!(report.req_per_s > 0.0);
 
@@ -243,7 +258,11 @@ fn loadgen_agrees_with_the_server_metrics() {
     let eco = |samples: &[Sample]| {
         series_value(samples, "gcr_service_requests_total", &[("verb", "eco")])
     };
-    assert_eq!(eco(&after) - eco(&before), 20, "server counted every eco");
+    assert_eq!(
+        eco(&after) - eco(&before),
+        requests,
+        "server counted every eco"
+    );
 
     // Quantile cross-check on the run's own traffic: subtract the
     // pre-run cumulative buckets, then compare bucket indexes.
@@ -257,7 +276,7 @@ fn loadgen_agrees_with_the_server_metrics() {
             (le, cum - prior)
         })
         .collect();
-    for q in [0.50, 0.95, 0.99] {
+    for q in QUANTILES {
         let client_idx = report.latency.quantile_bucket(q).unwrap();
         let server_idx = quantile_bucket_index(&run_buckets, q).unwrap();
         assert!(

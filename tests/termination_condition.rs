@@ -125,7 +125,14 @@ fn run_both(
 fn search<Sp: SearchSpace>(space: &Sp) -> SearchOutcome<Sp::State, Sp::Cost> {
     let mut path = Vec::new();
     let budget = Budget::unlimited();
-    match astar_in(space, None, &budget, &mut SearchArena::new(), &mut path) {
+    match astar_in(
+        space,
+        None,
+        None,
+        &budget,
+        &mut SearchArena::new(),
+        &mut path,
+    ) {
         SearchOutcome::Found(found) => SearchOutcome::Found(Found { path, ..found }),
         other => other,
     }
