@@ -67,12 +67,20 @@ impl<'a> EdgeCoster<'a> {
     /// every edge.
     #[must_use]
     pub fn edge(&self, from: &RouteState, to: Point, dir: Dir, anchored: bool) -> LexCost {
-        let mut primary = from.point.manhattan(to);
+        self.leg(from.point, to) + self.departure(from, dir, anchored)
+    }
+
+    /// The part of an edge paid along the wire from `from` to `to`: the
+    /// Manhattan length plus any congestion surcharge. It adds up along
+    /// a ray, and the length alone is a lower bound on it.
+    #[must_use]
+    pub fn leg(&self, from: Point, to: Point) -> LexCost {
+        let mut primary = from.manhattan(to);
         if let Some(c) = self.congestion {
-            let seg = Segment::new(from.point, to).expect("search edges are axis-aligned");
+            let seg = Segment::new(from, to).expect("search edges are axis-aligned");
             primary += c.surcharge(&seg);
         }
-        LexCost::primary(primary) + self.departure(from, dir, anchored)
+        LexCost::primary(primary)
     }
 
     /// The part of every edge from `from` in `dir` that is paid before

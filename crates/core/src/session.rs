@@ -1342,7 +1342,7 @@ pub struct NetExplain {
     pub connections: Option<u64>,
     /// Nodes expanded across the committed attempt's searches.
     pub expanded: Option<u64>,
-    /// Successor edges generated across the committed attempt's searches.
+    /// Offers (ray stops) the committed attempt's searches placed on OPEN.
     pub generated: Option<u64>,
     /// How many of the committed attempt's searches began with an
     /// incumbent: the net's previous route, replayed as a bound.

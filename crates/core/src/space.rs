@@ -27,68 +27,76 @@
 //! cross-validates this against the Lee–Moore router on thousands of
 //! random instances (experiment E3).
 //!
-//! ## Why ending a ray early is exact
+//! ## How A\* walks the rays, and why it is exact
 //!
-//! Rays are maximal, so an expansion re-casts rays along lines that
-//! earlier expansions already swept, and it offers stops A\* will never
-//! pop. Given the engine's [`Labels`] (its ĝ labels and its **goal bound**
-//! U, the smaller of the search's incumbent, if any, and the smallest f̂
-//! among the goal entries it has pushed), the generator walks the ray
-//! from `p` in direction `d` in travel order and ends it at the first
-//! stop `c`, `p` itself included, where either
+//! A\* does not take the successor list. [`RoutingSpace::runs`] casts
+//! one ray per direction (except straight back), named by the arrived
+//! state at its start, `(p, d)`, and paying the bend's ε as its departure;
+//! [`SearchSpace::stops`] lists the ray's stops from the same `ray_stops`
+//! as the successor list, and [`SearchSpace::leg`] prices the wire and
+//! surcharge to each. The engine (`gcr_search::astar_in`, whose doc has
+//! the engine side of the proof) keeps one cursor per ray on OPEN,
+//! prices a stop only when the cursor reaches it, and creates a node only
+//! for an offer it pops that improves its state's label. With the goal
+//! bound U (the smaller of the search's incumbent, if any, and the least
+//! f̂ of a goal offer priced so far), it leaves a stop `c` of a ray from
+//! `p` in direction `d` out when
 //!
 //! * (a) the arrived state `(c, d)` holds a label no worse than the offer
-//!   ĝ + ε + cost(p → c), where ε is the bend's departure charge; or
+//!   ĝ + ε + cost(p → c) (or than its floor, the offer without the
+//!   surcharge), tested at `p` itself before the ray is cast, at each
+//!   stop as the ray is cast while U exists, and at a popped stop, where
+//!   the ray's later stops go with it; or
 //! * (b) the offer plus ĥ(c) exceeds U.
 //!
-//! At `p` itself, (a) is the test that skips a ray an earlier expansion
-//! already swept at no greater cost; the straight-ahead ray is the case
-//! where `(p, d)` is the expanding state itself, so an arrived state never
-//! casts it. Nothing left out changes an expansion:
+//! At `p` itself, (a) skips a ray an earlier expansion already swept at no
+//! greater cost; the straight-ahead ray is the case where `(p, d)` is the
+//! expanding state itself, so an arrived state never casts it. Nothing
+//! left out changes an expansion:
 //!
-//! 1. **f̂ never falls along a ray in travel order.** Each step adds at
-//!    least its length to ĝ: wire plus a non-negative surcharge, with the
-//!    ε paid once at departure. ĥ, the Manhattan distance to the nearest
-//!    goal, falls by at most that length. So after (b), every later stop
-//!    also exceeds U.
+//! 1. **f̂ never falls along a ray in travel order**, and no stop's f̂ is
+//!    below ĝ + ε + ĥ(p). Each step adds at least its length to ĝ: wire
+//!    plus a non-negative surcharge, with the ε paid once at departure.
+//!    ĥ, the Manhattan distance to the nearest goal, falls by at most that
+//!    length. So after (b), every later stop also exceeds U; and a ray
+//!    whose ε bend is deferred until OPEN reaches ĝ + ε + ĥ(p) is cast
+//!    before any of its stops can pop. Along a ray ĝ strictly rises, so a run of
+//!    equal-f̂ stops pops far to near, as eager A\* pops them.
 //! 2. **An entry above U is never popped.** U is the cost of a path of
 //!    this graph from a source to a goal, so U ≥ C\*, the minimal cost.
-//!    A goal entry A\* pushed is such a path. So is the incumbent: a
-//!    previous connection that [`RoutingSpace::replay`] accepted, since
-//!    each of its legs is an edge the generator would emit (the leg's end
-//!    is a stop of the ray, found by the same `ray_stops`) and its cost
-//!    is the sum of those edges' prices from a source's initial cost.
-//!    Until a goal pops, OPEN holds an entry of a minimal path with its
-//!    minimal ĝ, whose f̂ ≤ C\* because ĥ is admissible; A\* pops the
-//!    smallest f̂, so it pops no entry above C\* ≤ U, and it stops at a
-//!    goal popped at C\*. This holds from the first expansion, before any
-//!    goal entry exists, which is why an incumbent may seed U. Leaving
-//!    such an entry out skips one `seq` number; later numbers shift
-//!    uniformly, so the order of every entry that is popped stays the
-//!    same. If the same state is offered again later, the engine pushes
-//!    the offer exactly when it would have pushed it with the entry made,
-//!    with the same f̂ and ĝ; otherwise the offer is above U again.
-//! 3. **Invariant.** For an arrived state `(c, d)` with label L, each stop
-//!    `c′` ahead of `c` on its ray either holds a label no worse than
-//!    L + cost(c → c′), or has L + cost(c → c′) + ĥ(c′) > U. It holds when
-//!    L is set: L was set by a ray in direction `d` through `c` (sources
-//!    carry no arrival direction), and that ray generated every stop
-//!    ahead of `c` the ray from `c` would, priced at L + cost(c → c′)
-//!    (corner stops and goal alignments depend only on the ray's line,
-//!    direction and range, the ray stop is the same first blocker, and
-//!    wire and surcharge add up along a ray while going straight pays no
-//!    ε). So that ray either went on to offer `c′` at L + cost(c → c′),
-//!    or stopped by (a) at some `(c″, d)`, whose own invariant covers
-//!    `c′`, or stopped by (b), which step 1 covers. It stays true,
-//!    because labels and U only fall.
-//! 4. **Conclusion.** After (a) at `c`, every later offer is either no
-//!    better than its target's label (the engine discards it without
-//!    touching OPEN, the node table or the `seq` counter) or above U
-//!    (step 2). So expansion order, `expanded`, paths, costs and routes
-//!    are identical, with or without an incumbent, and `generated`,
-//!    `touched` and `max_open` fall. `reopened` can only fall, and it is
-//!    0 on every routing search, because ĥ is consistent (a surcharge
-//!    only adds to an edge).
+//!    A priced goal offer is such a path. So is the incumbent: a previous
+//!    connection that [`RoutingSpace::replay`] accepted, since each of its
+//!    legs is an edge the generator would emit (the leg's end is a stop
+//!    of the ray, found by the same `ray_stops`) and its cost is the sum
+//!    of those edges' prices from a source's initial cost. Until a goal
+//!    pops, OPEN holds an offer of a minimal path with its minimal ĝ,
+//!    whose f̂ ≤ C\* because ĥ is admissible; A\* pops the smallest f̂, so
+//!    it pops no entry above C\* ≤ U, and it stops at a goal popped at
+//!    C\*. This holds from the first expansion, before any goal offer is
+//!    priced, which is why an incumbent may seed U.
+//! 3. **Invariant.** A label at an arrived state `(c, d)` was set when an
+//!    offer from a ray in direction `d` through `c` popped (sources carry
+//!    no arrival direction). That ray offers every stop `c′` ahead of `c`
+//!    that the ray from `c` would, at no more than the label plus
+//!    cost(c → c′) (corner stops and goal alignments depend only on the
+//!    ray's line, direction and range, the ray stop is the same first
+//!    blocker, and wire and surcharge add up along a ray while going
+//!    straight pays no ε). Its offer there is still on OPEN, has popped
+//!    (a label no worse), or was itself left out by (a) at a later stop,
+//!    whose own label covers `c′`, or by (b).
+//! 4. **Conclusion.** After (a) at `c`, each later offer of our ray has an
+//!    offer for the same state that pops first: a lower ĝ, or an equal ĝ
+//!    from a ray numbered earlier (A\* numbers a ray when its state is
+//!    expanded, and breaks ties in that order). Had our ray been numbered
+//!    earlier, the label's offer, with the same state and ĝ, would have
+//!    popped after ours; a deferred ray is cast ahead of every offer of
+//!    equal f̂, so a label set after it was queued is strictly lower. So
+//!    our offer would have
+//!    been dropped when it popped, or is above U (step 2), and the same
+//!    offers pop in the same order: expansion order, `expanded`, paths,
+//!    costs and routes are those of eager A\*, with or without an
+//!    incumbent. `reopened` is 0 on every routing search, because ĥ is
+//!    consistent (a surcharge only adds to an edge).
 //!
 //! Nothing here asks whether the incumbent is still a good route, or
 //! whether the plane changed since it was found: the replay checks it
@@ -97,15 +105,18 @@
 //! trips its expansion cap trips it at the same expansion either way.
 //!
 //! The Hanan-walk ablation steps only to the next grid line, so its rays
-//! are not maximal, the invariant's base case fails, and it never ends a
-//! ray early. Nor does a space handed a source that carries an arrival
-//! direction, whose label no ray set.
+//! are not maximal, the invariant's base case fails, and (a) never
+//! applies: its rays are cast whole, never deferred. Nor does (a) apply
+//! in a space handed a source that carries an arrival direction, whose
+//! label no ray set. [`SearchSpace::successors`] lists every successor;
+//! the blind engines and `exhaustive` read it, so they stay independent
+//! oracles.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 
 use gcr_geom::{Coord, Dir, PlaneIndex, Point, Polyline};
-use gcr_search::{Labels, LexCost, PathCost, SearchSpace};
+use gcr_search::{LexCost, PathCost, Runs, SearchSpace};
 
 use crate::{bend_is_anchored, EdgeCoster, GoalSet, RouteState, RoutedPath};
 
@@ -321,61 +332,31 @@ impl SearchSpace for RoutingSpace<'_> {
         out.extend_from_slice(&self.sources);
     }
 
-    fn successors(
-        &self,
-        state: &RouteState,
-        labels: &dyn Labels<RouteState, LexCost>,
-        out: &mut Vec<(RouteState, LexCost)>,
-    ) {
+    fn successors(&self, state: &RouteState, out: &mut Vec<(RouteState, LexCost)>) {
         let p = state.point;
         // The ε probe depends only on the popped state: once per
         // expansion, not once per bending successor. A source never
         // bends, so it skips the probe.
         let anchored = state.arrival.is_some() && bend_is_anchored(self.plane, p);
-        // This state's label, when its rays may end early (see the
-        // module doc); `None` walks every ray to its end.
-        let g = match self.hanan {
-            None if self.unarrived_sources => labels.label(state),
-            _ => None,
-        };
-        let bound = labels.bound();
-        // Rules (a) and (b) of the module doc: A* throws the offer of
-        // `to` away.
-        let discarded = |to: &RouteState, offer: LexCost| {
-            labels.label(to).is_some_and(|l| l <= offer)
-                || bound.is_some_and(|u| offer.plus(self.heuristic(to)) > u)
-        };
-        // Hot path: one borrow per expansion, buffers cleared per ray —
-        // no allocation once the high-water capacity is reached.
+        // One borrow per expansion, buffers cleared per ray — no
+        // allocation once the high-water capacity is reached.
         let mut bufs = self.bufs.borrow_mut();
         for dir in Dir::ALL {
             if state.reverses_into(dir) {
                 continue;
             }
-            // The walk's step at `p` itself.
-            if let Some(g) = g {
-                let offer = g.plus(self.coster.departure(state, dir, anchored));
-                if discarded(&RouteState::arrived(p, dir), offer) {
-                    continue;
-                }
-            }
             self.ray_stops(p, dir, &mut bufs);
             let axis = dir.axis();
-            // Walk the ray in travel order and end it at the first stop
-            // A* would throw away.
             let first = out.len();
-            for &c in &bufs.stops {
+            out.extend(bufs.stops.iter().map(|&c| {
                 let to = p.with_coord(axis, c);
                 debug_assert_ne!(to, p, "zero-length successor");
-                let edge = self.coster.edge(state, to, dir, anchored);
-                let arrived = RouteState::arrived(to, dir);
-                if g.is_some_and(|g| discarded(&arrived, g.plus(edge))) {
-                    break;
-                }
-                out.push((arrived, edge));
-            }
-            // Ascending stop order is the successor order, which sets the
-            // A* `seq` tie-break.
+                (
+                    RouteState::arrived(to, dir),
+                    self.coster.edge(state, to, dir, anchored),
+                )
+            }));
+            // Ascending stop order is the successor order.
             if dir.sign() < 0 {
                 out[first..].reverse();
             }
@@ -389,6 +370,47 @@ impl SearchSpace for RoutingSpace<'_> {
     fn heuristic(&self, state: &RouteState) -> LexCost {
         LexCost::primary(self.goals.distance_to(state.point))
     }
+
+    fn runs(&self, state: &RouteState, out: &mut Runs<RouteState, LexCost>) {
+        let p = state.point;
+        let anchored = state.arrival.is_some() && bend_is_anchored(self.plane, p);
+        // Rule (a) of the module doc holds for maximal rays only.
+        let maximal = self.hanan.is_none() && self.unarrived_sources;
+        for dir in Dir::ALL {
+            if !state.reverses_into(dir) {
+                let departure = self.coster.departure(state, dir, anchored);
+                out.ray(RouteState::arrived(p, dir), departure, maximal);
+            }
+        }
+    }
+
+    fn stops(
+        &self,
+        from: &RouteState,
+        origin: &RouteState,
+        mut each: impl FnMut(RouteState) -> bool,
+    ) {
+        let (p, dir) = (
+            from.point,
+            origin.arrival.expect("a ray is named by its direction"),
+        );
+        let mut bufs = self.bufs.borrow_mut();
+        self.ray_stops(p, dir, &mut bufs);
+        let axis = dir.axis();
+        for &c in &bufs.stops {
+            if !each(RouteState::arrived(p.with_coord(axis, c), dir)) {
+                break;
+            }
+        }
+    }
+
+    fn leg(&self, from: &RouteState, to: &RouteState) -> LexCost {
+        self.coster.leg(from.point, to.point)
+    }
+
+    fn leg_floor(&self, from: &RouteState, to: &RouteState) -> LexCost {
+        LexCost::primary(from.point.manhattan(to.point))
+    }
 }
 
 #[cfg(test)]
@@ -396,17 +418,7 @@ mod tests {
     use super::*;
     use crate::RouterConfig;
     use gcr_geom::{Dir, Plane, Point, Rect, Segment, ShardedPlane};
-    use gcr_search::{NoLabels, PathCost};
-    use std::collections::HashMap;
-
-    /// A label view holding chosen labels.
-    struct Chosen(HashMap<RouteState, LexCost>);
-
-    impl Labels<RouteState, LexCost> for Chosen {
-        fn label(&self, state: &RouteState) -> Option<LexCost> {
-            self.0.get(state).copied()
-        }
-    }
+    use gcr_search::{PathCost, SearchSpace};
 
     fn one_block() -> Plane {
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
@@ -435,11 +447,7 @@ mod tests {
         let config = RouterConfig::default();
         let space = space_over(&plane, &goals, &config, Point::new(10, 10));
         let mut succ = Vec::new();
-        space.successors(
-            &RouteState::source(Point::new(10, 10)),
-            &NoLabels,
-            &mut succ,
-        );
+        space.successors(&RouteState::source(Point::new(10, 10)), &mut succ);
         // East: goal alignment at x=40 and the boundary at x=100.
         assert!(succ
             .iter()
@@ -460,11 +468,7 @@ mod tests {
         let config = RouterConfig::default();
         let space = space_over(&plane, &goals, &config, Point::new(10, 50));
         let mut succ = Vec::new();
-        space.successors(
-            &RouteState::source(Point::new(10, 50)),
-            &NoLabels,
-            &mut succ,
-        );
+        space.successors(&RouteState::source(Point::new(10, 50)), &mut succ);
         // The eastward ray must stop exactly on the block's west face.
         assert!(succ
             .iter()
@@ -484,7 +488,7 @@ mod tests {
         // xs (30 and 70) are anchored candidates.
         let space = space_over(&plane, &goals, &config, Point::new(0, 10));
         let mut succ = Vec::new();
-        space.successors(&RouteState::source(Point::new(0, 10)), &NoLabels, &mut succ);
+        space.successors(&RouteState::source(Point::new(0, 10)), &mut succ);
         assert!(succ.iter().any(|(s, _)| s.point == Point::new(30, 10)));
         assert!(succ.iter().any(|(s, _)| s.point == Point::new(70, 10)));
     }
@@ -497,7 +501,7 @@ mod tests {
         let space = space_over(&plane, &goals, &config, Point::new(10, 10));
         let state = RouteState::arrived(Point::new(50, 10), Dir::East);
         let mut succ = Vec::new();
-        space.successors(&state, &NoLabels, &mut succ);
+        space.successors(&state, &mut succ);
         assert!(
             succ.iter().all(|(s, _)| s.arrival != Some(Dir::West)),
             "westward successor would reverse the arrival direction"
@@ -645,7 +649,7 @@ mod tests {
                 let mut succ = Vec::new();
                 for state in corner_grid_states(plane) {
                     succ.clear();
-                    space.successors(&state, &NoLabels, &mut succ);
+                    space.successors(&state, &mut succ);
                     let want = reference_successors(plane, &goals, &config, &state);
                     assert_eq!(succ, want, "case {case} {plane:?}: {state}");
                     compared += succ.len();
@@ -657,254 +661,75 @@ mod tests {
         assert!(charged > 0, "the sweep must cover ε-charged bends");
     }
 
-    /// The lockdown with labels. The expanding state holds label `g`, and
-    /// each other `(p, d)` holds a label chosen around it. The generator
-    /// must emit [`reference_successors`] minus exactly the rays whose
-    /// witness `(p, d)` holds a label no worse than `g` plus the ε the
-    /// bend into `d` pays. Under the Hanan walk, and when a source carries
-    /// an arrival direction, it must emit its full output.
+    /// A ray's stops, priced at its departure plus each stop's leg, are
+    /// exactly the successors along that ray, in travel order, and the
+    /// leg floor never exceeds the leg, with and without a congestion
+    /// surcharge, on flat and sharded planes.
     #[test]
-    fn labelled_successors_drop_exactly_the_dominated_rays() {
+    fn rays_list_and_price_exactly_the_successors() {
+        use crate::congestion::{find_passages, CongestionPenalty};
         let config = RouterConfig::default();
-        let g = LexCost::new(500, 3);
-        // Below `g`, equal, one ε above (dominated only by an ε-paying
-        // bend), two ε above, one unit of wire above, and no label.
-        let witness_labels = [
-            Some(LexCost::new(493, 8)),
-            Some(g),
-            Some(LexCost::new(500, 4)),
-            Some(LexCost::new(500, 5)),
-            Some(LexCost::new(501, 0)),
-            None,
-        ];
-        let (mut kept, mut dropped, mut dropped_by_epsilon) = (0usize, 0usize, 0usize);
-        let mut k = 0usize;
-        for case in 0..6u64 {
+        let (mut compared, mut surcharged) = (0usize, 0usize);
+        for case in 0..4u64 {
             let flat = seeded_plane(case);
             let sharded = ShardedPlane::new(flat.clone());
             let goals = lockdown_goals(&flat);
+            let penalty = CongestionPenalty::from_weighted_regions(
+                find_passages(&flat)
+                    .iter()
+                    .map(|p| (p.rect, p.corridor_axis, 3))
+                    .collect(),
+            );
             for plane in [&flat as &dyn PlaneIndex, &sharded] {
-                let source = Point::new(0, 0);
-                let space = RoutingSpace::new(
-                    plane,
-                    &goals,
-                    vec![(RouteState::source(source), LexCost::zero())],
+                for coster in [
                     EdgeCoster::new(&config),
-                );
-                let hanan = space.clone().with_hanan_walk(true);
-                let arrived_source = RoutingSpace::new(
-                    plane,
-                    &goals,
-                    vec![(RouteState::arrived(source, Dir::East), LexCost::zero())],
-                    EdgeCoster::new(&config),
-                );
-                let (mut succ, mut full) = (Vec::new(), Vec::new());
-                for state in corner_grid_states(plane) {
-                    let p = state.point;
-                    let mut view = Chosen(HashMap::from([(state, g)]));
-                    for d in Dir::ALL {
-                        let witness = RouteState::arrived(p, d);
-                        if witness != state {
-                            k += 1;
-                            if let Some(l) = witness_labels[k % witness_labels.len()] {
-                                view.0.insert(witness, l);
-                            }
-                        }
-                    }
-                    let anchored = bend_is_anchored(plane, p);
-                    let witness_label = |d: Dir| view.label(&RouteState::arrived(p, d));
-                    let dominated = |d: Dir| {
-                        let eps = config.corner_penalty && state.bends_into(d) && !anchored;
-                        let offered = g + LexCost::epsilon(i64::from(eps));
-                        witness_label(d).is_some_and(|l| l <= offered)
-                    };
-                    let mut want = reference_successors(plane, &goals, &config, &state);
-                    let all = want.len();
-                    want.retain(|(t, _)| !dominated(t.arrival.expect("successors arrive")));
-                    succ.clear();
-                    space.successors(&state, &view, &mut succ);
-                    assert_eq!(succ, want, "case {case} {plane:?}: {state}");
-                    kept += want.len();
-                    dropped += all - want.len();
-                    dropped_by_epsilon += Dir::ALL
-                        .into_iter()
-                        .filter(|&d| dominated(d) && witness_label(d) > Some(g))
-                        .count();
-                    for blind in [&hanan, &arrived_source] {
+                    EdgeCoster::with_congestion(&config, &penalty),
+                ] {
+                    let source = vec![(RouteState::source(Point::new(0, 0)), LexCost::zero())];
+                    let space = RoutingSpace::new(plane, &goals, source, coster);
+                    let mut succ = Vec::new();
+                    for state in corner_grid_states(plane) {
                         succ.clear();
-                        blind.successors(&state, &view, &mut succ);
-                        full.clear();
-                        blind.successors(&state, &NoLabels, &mut full);
-                        assert_eq!(succ, full, "case {case} {plane:?}: {state}");
-                    }
-                }
-            }
-        }
-        assert!(kept > 10_000, "the sweep must keep real work");
-        assert!(dropped > 10_000, "the sweep must drop real work");
-        assert!(dropped_by_epsilon > 0, "the sweep must cover the ε bound");
-    }
-
-    /// A label view holding chosen labels and a chosen goal bound.
-    struct ChosenBound(Chosen, Option<LexCost>);
-
-    impl Labels<RouteState, LexCost> for ChosenBound {
-        fn label(&self, state: &RouteState) -> Option<LexCost> {
-            self.0.label(state)
-        }
-
-        fn bound(&self) -> Option<LexCost> {
-            self.1
-        }
-    }
-
-    /// The walk with labels at every stop and a goal bound. The expanding
-    /// state holds label `g`; each witness `(p, d)` and each stop along
-    /// each ray holds a label chosen around its offer, and the bound is
-    /// chosen around one stop's f̂. The generator must emit
-    /// [`reference_successors`] minus exactly, per ray, the travel-order
-    /// suffix from the first step, `p` itself included, whose offer the
-    /// target's label is no worse than or whose f̂ exceeds the bound.
-    /// Under the Hanan walk, and when a source carries an arrival
-    /// direction, it must emit its full output.
-    #[test]
-    fn labelled_successors_end_each_ray_at_the_first_discarded_stop() {
-        let config = RouterConfig::default();
-        let g = LexCost::new(500, 3);
-        let eps = LexCost::epsilon(1);
-        let unit = LexCost::primary(1);
-        // Labels relative to an offer: below, at, one ε above, one unit
-        // above, and none.
-        let label_at = |k: usize, offer: LexCost| match k % 9 {
-            0 => Some(LexCost::new(offer.primary - 1, offer.penalty)),
-            3 => Some(offer),
-            5 => Some(offer + eps),
-            7 => Some(offer + unit),
-            _ => None,
-        };
-        let (mut kept, mut dropped) = (0usize, 0usize);
-        let (mut mid_ray_cuts, mut bound_cuts, mut bound_ties) = (0usize, 0usize, 0usize);
-        let mut k = 0usize;
-        for case in 0..6u64 {
-            let flat = seeded_plane(case);
-            let sharded = ShardedPlane::new(flat.clone());
-            let goals = lockdown_goals(&flat);
-            for plane in [&flat as &dyn PlaneIndex, &sharded] {
-                let source = Point::new(0, 0);
-                let space = RoutingSpace::new(
-                    plane,
-                    &goals,
-                    vec![(RouteState::source(source), LexCost::zero())],
-                    EdgeCoster::new(&config),
-                );
-                let hanan = space.clone().with_hanan_walk(true);
-                let arrived_source = RoutingSpace::new(
-                    plane,
-                    &goals,
-                    vec![(RouteState::arrived(source, Dir::East), LexCost::zero())],
-                    EdgeCoster::new(&config),
-                );
-                let (mut succ, mut full) = (Vec::new(), Vec::new());
-                for state in corner_grid_states(plane) {
-                    let p = state.point;
-                    let anchored = bend_is_anchored(plane, p);
-                    let departure = |d: Dir| {
-                        let bends = config.corner_penalty && state.bends_into(d) && !anchored;
-                        LexCost::epsilon(i64::from(bends))
-                    };
-                    let reference = reference_successors(plane, &goals, &config, &state);
-                    let f_hat = |(t, edge): &(RouteState, LexCost)| g + *edge + space.heuristic(t);
-                    let mut labels = HashMap::from([(state, g)]);
-                    for d in Dir::ALL {
-                        let witness = RouteState::arrived(p, d);
-                        if witness != state {
-                            k += 1;
-                            if let Some(l) = label_at(k, g + departure(d)) {
-                                labels.insert(witness, l);
-                            }
-                        }
-                    }
-                    for (t, edge) in &reference {
-                        k += 1;
-                        if let Some(l) = label_at(k, g + *edge) {
-                            labels.insert(*t, l);
-                        }
-                    }
-                    // The bound sits below, at or just above one stop's f̂,
-                    // or is absent.
-                    k += 1;
-                    let bound = reference.get(k % reference.len().max(1)).and_then(|s| {
-                        let f = f_hat(s);
-                        [
-                            None,
-                            Some(LexCost::new(f.primary - 1, f.penalty)),
-                            Some(f),
-                            Some(f + eps),
-                        ][k % 4]
-                    });
-                    let view = ChosenBound(Chosen(labels), bound);
-                    let discarded = |t: &RouteState, offer: LexCost| {
-                        view.label(t).is_some_and(|l| l <= offer)
-                            || bound.is_some_and(|u| offer + space.heuristic(t) > u)
-                    };
-                    let mut want = Vec::new();
-                    for d in Dir::ALL {
-                        if discarded(&RouteState::arrived(p, d), g + departure(d)) {
-                            dropped += reference
+                        space.successors(&state, &mut succ);
+                        let anchored =
+                            state.arrival.is_some() && bend_is_anchored(plane, state.point);
+                        for d in Dir::ALL {
+                            let mut want: Vec<_> = succ
                                 .iter()
                                 .filter(|(t, _)| t.arrival == Some(d))
-                                .count();
-                            continue;
+                                .copied()
+                                .collect();
+                            if d.sign() < 0 {
+                                want.reverse();
+                            }
+                            let mut ray = Vec::new();
+                            if !state.reverses_into(d) {
+                                let origin = RouteState::arrived(state.point, d);
+                                space.stops(&state, &origin, |t| {
+                                    ray.push(t);
+                                    true
+                                });
+                            }
+                            let departure = coster.departure(&state, d, anchored);
+                            let priced: Vec<_> = ray
+                                .iter()
+                                .map(|t| (*t, departure + space.leg(&state, t)))
+                                .collect();
+                            assert_eq!(priced, want, "case {case} {plane:?}: {state} {d}");
+                            for t in &ray {
+                                let (floor, leg) =
+                                    (space.leg_floor(&state, t), space.leg(&state, t));
+                                assert!(floor <= leg, "case {case}: {state} to {t}");
+                                surcharged += usize::from(floor < leg);
+                            }
+                            compared += ray.len();
                         }
-                        let mut ray: Vec<_> = reference
-                            .iter()
-                            .filter(|(t, _)| t.arrival == Some(d))
-                            .copied()
-                            .collect();
-                        if d.sign() < 0 {
-                            ray.reverse();
-                        }
-                        let cut = ray
-                            .iter()
-                            .position(|(t, edge)| discarded(t, g + *edge))
-                            .unwrap_or(ray.len());
-                        mid_ray_cuts += usize::from(cut > 0 && cut < ray.len());
-                        if let Some(s) = ray.get(cut) {
-                            bound_cuts += usize::from(bound.is_some_and(|u| f_hat(s) > u));
-                        }
-                        bound_ties += ray[..cut]
-                            .iter()
-                            .filter(|s| Some(f_hat(s)) == bound)
-                            .count();
-                        dropped += ray.len() - cut;
-                        ray.truncate(cut);
-                        if d.sign() < 0 {
-                            ray.reverse();
-                        }
-                        want.extend(ray);
-                    }
-                    succ.clear();
-                    space.successors(&state, &view, &mut succ);
-                    assert_eq!(succ, want, "case {case} {plane:?}: {state} bound {bound:?}");
-                    kept += want.len();
-                    for blind in [&hanan, &arrived_source] {
-                        succ.clear();
-                        blind.successors(&state, &view, &mut succ);
-                        full.clear();
-                        blind.successors(&state, &NoLabels, &mut full);
-                        assert_eq!(succ, full, "case {case} {plane:?}: {state}");
                     }
                 }
             }
         }
-        assert!(kept > 50_000, "the sweep must keep real work: {kept}");
-        assert!(dropped > 50_000, "the sweep must drop real work: {dropped}");
-        assert!(
-            mid_ray_cuts > 10_000,
-            "rays must end mid-way: {mid_ray_cuts}"
-        );
-        assert!(bound_cuts > 1_000, "the bound must end rays: {bound_cuts}");
-        assert!(bound_ties > 0, "the sweep must keep stops at the bound");
+        assert!(compared > 10_000, "the sweep must compare real work");
+        assert!(surcharged > 0, "the sweep must price surcharges");
     }
 
     /// A polyline from points.
@@ -1072,11 +897,7 @@ mod tests {
         let config = RouterConfig::default();
         let space = space_over(&plane, &goals, &config, Point::new(10, 50));
         let mut succ = Vec::new();
-        space.successors(
-            &RouteState::source(Point::new(10, 50)),
-            &NoLabels,
-            &mut succ,
-        );
+        space.successors(&RouteState::source(Point::new(10, 50)), &mut succ);
         for (s, c) in succ {
             assert_eq!(c.primary, Point::new(10, 50).manhattan(s.point));
         }

@@ -29,8 +29,8 @@ use std::fmt;
 
 use gcr_geom::{Coord, PlaneIndex, Point, Polyline};
 use gcr_search::{
-    astar, astar_in, breadth_first, Budget, CancelReason, Found, Labels, SearchArena,
-    SearchOutcome, SearchSpace, SearchStats,
+    astar, astar_in, breadth_first, Budget, CancelReason, Found, SearchArena, SearchOutcome,
+    SearchSpace, SearchStats,
 };
 
 /// The reusable search arena of the grid routers: state = grid node,
@@ -289,12 +289,7 @@ impl SearchSpace for GridSpace<'_> {
         out.extend(self.starts.iter().map(|&s| (s, 0)));
     }
 
-    fn successors(
-        &self,
-        s: &(i32, i32),
-        _: &dyn Labels<(i32, i32), i64>,
-        out: &mut Vec<((i32, i32), i64)>,
-    ) {
+    fn successors(&self, s: &(i32, i32), out: &mut Vec<((i32, i32), i64)>) {
         for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
             let n = (s.0 + dx, s.1 + dy);
             if self.grid.edge_usable(*s, n) {

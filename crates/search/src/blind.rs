@@ -10,7 +10,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
-use crate::{Found, NoLabels, PathCost, SearchSpace, SearchStats};
+use crate::{Found, PathCost, SearchSpace, SearchStats};
 
 /// Breadth-first search: OPEN served first-in-first-out.
 ///
@@ -43,7 +43,7 @@ pub fn breadth_first<Sp: SearchSpace>(space: &Sp) -> Option<Found<Sp::State, Sp:
         }
         stats.expanded += 1;
         succ_buf.clear();
-        space.successors(&state, &NoLabels, &mut succ_buf);
+        space.successors(&state, &mut succ_buf);
         stats.generated += succ_buf.len();
         let g = gvals[&state];
         for (succ, edge) in succ_buf.drain(..) {
@@ -98,7 +98,7 @@ pub fn depth_first<Sp: SearchSpace>(
         }
         stats.expanded += 1;
         succ_buf.clear();
-        space.successors(&state, &NoLabels, &mut succ_buf);
+        space.successors(&state, &mut succ_buf);
         stats.generated += succ_buf.len();
         // Push in reverse so the first-listed successor is explored first.
         for (succ, edge) in succ_buf.drain(..).rev() {
@@ -178,7 +178,7 @@ pub fn exhaustive<Sp: SearchSpace>(space: &Sp) -> Option<Found<Sp::State, Sp::Co
         nodes[id].3 = true;
         stats.expanded += 1;
         succ_buf.clear();
-        space.successors(&nodes[id].0, &NoLabels, &mut succ_buf);
+        space.successors(&nodes[id].0, &mut succ_buf);
         stats.generated += succ_buf.len();
         for (succ, edge) in succ_buf.drain(..) {
             let ng = g.plus(edge);
@@ -238,7 +238,7 @@ fn reconstruct<S: Clone + Eq + std::hash::Hash>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{astar, Labels};
+    use crate::astar;
 
     /// A small bidirectional grid with a wall, unit edge costs.
     struct GridWorld {
@@ -256,12 +256,7 @@ mod tests {
             out.clear();
             out.push((self.start, 0));
         }
-        fn successors(
-            &self,
-            s: &(i32, i32),
-            _: &dyn Labels<(i32, i32), i64>,
-            out: &mut Vec<((i32, i32), i64)>,
-        ) {
+        fn successors(&self, s: &(i32, i32), out: &mut Vec<((i32, i32), i64)>) {
             for (dx, dy) in [(1, 0), (-1, 0), (0, 1), (0, -1)] {
                 let n = (s.0 + dx, s.1 + dy);
                 let inside = n.0 >= 0 && n.0 < self.w && n.1 >= 0 && n.1 < self.h;

@@ -1,10 +1,11 @@
 //! The A\* / best-first engine with OPEN and CLOSED lists.
 
+use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::{
-    Budget, CancelReason, FnvHashMap, Labels, PathCost, SearchSpace, SearchStats, ZeroHeuristic,
+    Budget, CancelReason, FnvHashMap, PathCost, Runs, SearchSpace, SearchStats, ZeroHeuristic,
     CHARGE_BLOCK,
 };
 
@@ -55,69 +56,107 @@ impl<S, C> SearchOutcome<S, C> {
     }
 }
 
-/// Node bookkeeping: best-known ĝ, parent pointer, and whether the node is
-/// currently on CLOSED.
+/// A state's record. While `closed`, `g` and `parent` are its label,
+/// set when an offer of it popped and improved the label; otherwise they
+/// are the best start or edge offered to it, as eager A\* keeps them. A
+/// ray's stop gets a record only when it is labelled, so the closed
+/// records are the CLOSED list.
 struct Node<S, C> {
     state: S,
     g: C,
-    parent: Option<usize>,
+    /// The parent node, or [`NONE`] for a start.
+    parent: u32,
+    /// The state holds a label.
     closed: bool,
+    /// The state held a label until an edge below it reopened the
+    /// record, counted in `reopened` then.
+    reopening: bool,
 }
 
-/// The node table and the goal bound seen as [`Labels`]: what A\* hands
-/// the space on each expansion.
-struct NodeLabels<'a, S, C> {
-    index: &'a FnvHashMap<S, usize>,
-    nodes: &'a [Node<S, C>],
-    bound: Option<C>,
-}
-
-impl<S: Eq + std::hash::Hash, C: Copy> Labels<S, C> for NodeLabels<'_, S, C> {
-    fn label(&self, state: &S) -> Option<C> {
-        self.index.get(state).map(|&id| self.nodes[id].g)
-    }
-
-    fn bound(&self) -> Option<C> {
-        self.bound
+impl<S, C: PathCost> Node<S, C> {
+    /// `true` when the state's label is no worse than `g`.
+    fn beats(&self, g: C) -> bool {
+        self.closed && self.g <= g
     }
 }
 
-/// Heap entry ordered for a min-heap on (f̂, larger-ĝ-first, sequence).
+/// The parent of a start.
+const NONE: u32 = u32::MAX;
+
+/// A ray: a run of offers, its stops, which share a parent, a departure
+/// cost and an order in which they pop. (A start or an edge is a run of
+/// one offer that its node holds.)
+struct Run<C> {
+    /// The node whose expansion cast it.
+    parent: u32,
+    /// The parent's ĝ plus the departure: a stop's ĝ is this plus its leg.
+    g0: C,
+    /// The run's stops end at `stops[end]`, in travel order; `end` falls
+    /// when the run's later blocks are dropped.
+    end: u32,
+    /// The near end of the block being served, the stop past its far
+    /// end, and the stop on OPEN.
+    lo: u32,
+    next: u32,
+    at: u32,
+    /// The space's promise that rule (a) holds (see [`Runs::ray`]).
+    maximal: bool,
+}
+
+/// An entry on OPEN: the next offer of a run.
 ///
-/// The ĝ tie-break prefers deeper nodes among equal f̂, which reaches goals
-/// sooner; the sequence number makes expansion order fully deterministic.
-struct HeapEntry<C> {
+/// Ordered for a min-heap on (f̂, larger-ĝ-first, run). The ĝ tie-break
+/// prefers deeper nodes among equal f̂, which reaches goals sooner; runs
+/// are numbered in the order their offers were made, which makes the
+/// order fully deterministic and first-in-first-out.
+struct Cursor<C> {
     f: C,
     g: C,
-    node: usize,
-    seq: u64,
+    /// The run's number.
+    run: u32,
+    /// The ray's index in the runs, or for a start or an edge its
+    /// state's node, tagged [`EDGE`].
+    of: u32,
 }
 
-impl<C: PathCost> PartialEq for HeapEntry<C> {
+/// The tag of a cursor whose run is a start or an edge: one offer, the
+/// best its open node holds.
+const EDGE: u32 = 1 << 31;
+
+/// A ray queued uncast, with its run's index and number: no stop of it
+/// can pop before `floor` comes due.
+struct Deferred<S, C> {
+    floor: C,
+    run: u32,
+    number: u32,
+    origin: S,
+}
+
+impl<C: PathCost> PartialEq for Cursor<C> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
-impl<C: PathCost> Eq for HeapEntry<C> {}
-impl<C: PathCost> PartialOrd for HeapEntry<C> {
+impl<C: PathCost> Eq for Cursor<C> {}
+impl<C: PathCost> PartialOrd for Cursor<C> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<C: PathCost> Ord for HeapEntry<C> {
+impl<C: PathCost> Ord for Cursor<C> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; invert to pop the smallest f first.
         other
             .f
             .cmp(&self.f)
             .then_with(|| self.g.cmp(&other.g)) // prefer larger g
-            .then_with(|| other.seq.cmp(&self.seq)) // then FIFO
+            .then_with(|| other.run.cmp(&self.run)) // then FIFO
     }
 }
 
 /// The reusable allocation footprint of one A\* run: the node table, the
-/// FNV-hashed state index, the OPEN heap and the successor and source
-/// staging buffers, all in one struct that is
+/// FNV-hashed state index, the OPEN heap, the runs with their stops, and
+/// the staging buffers, all in one struct that is
 /// [`reset`](SearchArena::reset) between searches instead of
 /// reallocated.
 ///
@@ -133,12 +172,12 @@ impl<C: PathCost> Ord for HeapEntry<C> {
 ///
 /// ```
 /// use gcr_search::{astar, astar_in, Budget, SearchArena};
-/// # use gcr_search::{Labels, SearchSpace};
+/// # use gcr_search::SearchSpace;
 /// # struct Line;
 /// # impl SearchSpace for Line {
 /// #     type State = i32; type Cost = i64;
 /// #     fn start_states(&self, out: &mut Vec<(i32, i64)>) { out.clear(); out.push((0, 0)); }
-/// #     fn successors(&self, s: &i32, _: &dyn Labels<i32, i64>, out: &mut Vec<(i32, i64)>) {
+/// #     fn successors(&self, s: &i32, out: &mut Vec<(i32, i64)>) {
 /// #         out.push((s + 1, 1));
 /// #     }
 /// #     fn is_goal(&self, s: &i32) -> bool { *s == 5 }
@@ -154,8 +193,11 @@ impl<C: PathCost> Ord for HeapEntry<C> {
 pub struct SearchArena<S, C> {
     nodes: Vec<Node<S, C>>,
     index: FnvHashMap<S, usize>,
-    open: BinaryHeap<HeapEntry<C>>,
-    succ: Vec<(S, C)>,
+    open: BinaryHeap<Cursor<C>>,
+    deferred: VecDeque<Deferred<S, C>>,
+    runs: Vec<Run<C>>,
+    stops: Vec<S>,
+    cast: Runs<S, C>,
     starts: Vec<(S, C)>,
 }
 
@@ -167,7 +209,10 @@ impl<S, C> SearchArena<S, C> {
             nodes: Vec::new(),
             index: FnvHashMap::default(),
             open: BinaryHeap::new(),
-            succ: Vec::new(),
+            deferred: VecDeque::new(),
+            runs: Vec::new(),
+            stops: Vec::new(),
+            cast: Runs::new(),
             starts: Vec::new(),
         }
     }
@@ -180,7 +225,10 @@ impl<S, C> SearchArena<S, C> {
         self.nodes.clear();
         self.index.clear();
         self.open.clear();
-        self.succ.clear();
+        self.deferred.clear();
+        self.runs.clear();
+        self.stops.clear();
+        self.cast.clear();
         self.starts.clear();
     }
 
@@ -204,6 +252,7 @@ impl<S, C> std::fmt::Debug for SearchArena<S, C> {
             .field("nodes", &self.nodes.len())
             .field("node_capacity", &self.nodes.capacity())
             .field("open", &self.open.len())
+            .field("stops", &self.stops.len())
             .finish_non_exhaustive()
     }
 }
@@ -237,26 +286,102 @@ pub fn best_first<Sp: SearchSpace>(space: &Sp) -> Option<Found<Sp::State, Sp::Co
 /// [`Budget`], using `arena` for every allocation the search makes; the
 /// one search entry point every other form delegates to.
 ///
+/// # How OPEN holds the successors
+///
+/// OPEN holds **offers**, not nodes. An expansion casts the state's
+/// [`runs`](SearchSpace::runs): an edge is a run of one offer, a ray a run
+/// of one offer per stop. Each run has one entry on OPEN, a cursor at its
+/// next offer, keyed exactly as eager A\* keys that offer's node: f̂, then
+/// the larger ĝ, then the order the offer was made in (runs are numbered
+/// when their state is expanded, in successor order, and only one offer
+/// of a run is ever on OPEN). A popped offer whose state already holds a
+/// label no worse is dropped; any other labels (or relabels) its state,
+/// which is then expanded at once. So the labels are the CLOSED list. A
+/// state gets a record when it is labelled or when an edge (or a start)
+/// is offered to it; while the state holds no label, the record keeps
+/// the best edge offered and its parent, as eager A\* keeps an open node.
+/// An edge's run needs nothing else, so a space of edges (the grid, the
+/// test graphs) pays one hash lookup per edge, as eager A\* does, and
+/// none per pop.
+///
+/// A ray's stops pop in travel order, except that a block of equal-f̂
+/// stops pops far to near, because ĝ rises along the ray and f̂ never
+/// falls ([`Runs::ray`]'s promise). The cursor finds a block's far end by
+/// a galloping binary search, bracketed by the space's cheap
+/// [`leg_floor`](SearchSpace::leg_floor), and prices a stop (its
+/// [`leg`](SearchSpace::leg) plus ĥ) only when it looks at it; when a
+/// cursor moves on, it replaces the top of OPEN in place. So a ray whose
+/// stops never come due costs its stop list and a few prices. A maximal
+/// ray whose departure pays a cost waits uncast beside OPEN, in a queue
+/// ordered by its floor ĝ + departure + ĥ of the expanding state (a
+/// lower bound on all of its stops, as ĥ is consistent along rays), and
+/// is cast as soon as OPEN's top reaches its floor: ahead of every offer
+/// of equal f̂, so before any of its stops can come due. Floors arrive
+/// in order, so the queue costs a push and a pop.
+///
+/// **Why this pops what eager A\* pops.** Eager A\* pushes each improving
+/// offer with a sequence number and discards the rest. Here every offer
+/// eager A\* would push is held by a cursor at the key eager A\* gives it,
+/// or left out by one of the rules below; an offer eager A\* would
+/// discard pops after the label that beats it (same state, so the same
+/// ĥ: a lower ĝ, or an equal ĝ made earlier) and is dropped. So the same
+/// offers pop in the same order, and `expanded`, `reopened`, paths,
+/// costs, cap trips and budget stops are those of eager A\*. An offer is
+/// left out when
+///
+/// * (b) its f̂ exceeds the goal bound U, the smaller of `upper_bound` and
+///   the least f̂ of a goal offer priced so far. Each is the cost of a
+///   path, so U ≥ C\*, and A\* with an admissible ĥ pops a goal at C\*
+///   before any entry above it; f̂ never falls along a ray, so the rest
+///   of the ray goes with it. Tested on a stop's floor (its `leg_floor`
+///   in place of its leg) when the ray is cast, on the whole ray before
+///   it is queued, and on each block's price as the cursor reaches it.
+/// * (a) on a maximal ray, at or after the first stop whose state holds a
+///   label no worse than the offer (or than its floor): at the ray's
+///   origin before it is queued and again before it is cast, at a stop
+///   while U exists when the ray is cast, and at a popped stop, whose
+///   later blocks go. The label was set by the pop of an offer from a
+///   maximal ray through that state, which goes on to offer every later
+///   stop no worse (the `maximal` promise): with a lower ĝ, or with an
+///   equal ĝ from a run numbered earlier. (Had our run been numbered
+///   earlier, the label's offer, same state and ĝ, would have popped
+///   after ours; a deferred ray is cast before any offer of its floor
+///   pops, so a label set after it was queued is strictly lower.) That
+///   ray's later offers are on OPEN, popped, or left out by the same
+///   rules, so each offer left out here has an offer for its state that
+///   pops before it, or is above U.
+/// * (c) it is an edge (or a start) to a state that an edge or a start
+///   placed earlier reaches at a ĝ no greater: that offer pops first (a
+///   lower ĝ, or the same ĝ from a run numbered earlier) and leaves a
+///   label no worse, as eager A\* drops the offer against the open node.
+///
+/// Counters under this engine: `generated` is every edge the space lists
+/// plus the ray stops placed in runs, `touched` the states labelled (the
+/// distinct states expanded, plus the goal reached: `expanded` + 1 on a
+/// routing search, which never reopens), and `max_open` the most cursors
+/// and uncast rays queued at once.
+///
+/// # Arguments
+///
 /// * `max_expansions` caps this search alone: reaching it ends the
 ///   search with [`SearchOutcome::LimitReached`].
 /// * `upper_bound` is the cost of a path from a start state to a goal
-///   that the caller already holds (an **incumbent**), or `None`. It is
-///   the initial goal bound the space sees through [`Labels::bound`],
-///   so the space can leave out successors above it from the first
-///   expansion. It must not be below the minimal cost C\*, which the
-///   cost of any path of this space satisfies. With an admissible ĥ,
-///   A\* pops no entry above C\*, so the search expands, finds and costs
-///   exactly what it would without one; only `generated`, `touched` and
-///   `max_open` fall (and `reopened`, if ĥ is inconsistent). A search
-///   given one counts it in [`SearchStats::seeded`].
+///   that the caller already holds (an **incumbent**), or `None`. It
+///   seeds the goal bound U, so rules (a) and (b) cut rays as they are
+///   cast from the first expansion on. It must not be below the minimal
+///   cost C\*, which the cost of any path of this space satisfies. With
+///   an admissible ĥ, A\* pops no entry above C\*, so the search expands,
+///   finds and costs exactly what it would without one; only `generated`
+///   and `max_open` move. A search given one counts it in
+///   [`SearchStats::seeded`].
 /// * `budget` is shared by every search of a request. The loop polls its
 ///   cancel flag and expansion ceiling before every expansion (one
 ///   relaxed load each) and charges it once per [`CHARGE_BLOCK`]
 ///   expansions, reading the wall clock only then and only if it has a
-///   deadline, so parallel searches drain one ceiling together. A failing check ends the search with
-///   [`SearchOutcome::Cancelled`]. A budget can only stop a search, never
-///   steer it: a search that completes is bit-identical under any
-///   budget.
+///   deadline, so parallel searches drain one ceiling together. A failing
+///   check ends the search with [`SearchOutcome::Cancelled`]. A budget can
+///   only stop a search, never steer it: a search that completes is
+///   bit-identical under any budget.
 ///
 /// The arena is reset on entry (see [`SearchArena`]), so results never
 /// depend on what ran in it before. On success the goal path is
@@ -299,20 +424,26 @@ fn run<Sp: SearchSpace>(
         nodes,
         index,
         open,
-        succ: succ_buf,
+        deferred,
+        runs,
+        stops,
+        cast,
         starts,
     } = arena;
-    let mut stats = SearchStats {
-        seeded: usize::from(upper_bound.is_some()),
-        ..SearchStats::default()
+    let mut walk = Walk {
+        space,
+        nodes,
+        index,
+        deferred,
+        runs,
+        stops,
+        bound: upper_bound,
+        numbered: 0,
+        stats: SearchStats {
+            seeded: usize::from(upper_bound.is_some()),
+            ..SearchStats::default()
+        },
     };
-    let mut seq: u64 = 0;
-    let mut open_valid: usize = 0;
-    // The goal bound handed to the space: the smaller of the incumbent
-    // and the smallest f̂ among the goal successors pushed so far. Either
-    // is the cost of a path to a goal, so it is at least C*, and A* pops
-    // no entry above C* before a goal.
-    let mut bound: Option<Sp::Cost> = upper_bound;
     // Expansions run since the shared meter was last charged; flushed in
     // blocks, and on the one exit below, so parallel searches share one
     // ceiling without a fetch_add per expansion.
@@ -320,161 +451,444 @@ fn run<Sp: SearchSpace>(
 
     space.start_states(starts);
     for (state, g0) in starts.drain(..) {
-        match index.entry(state.clone()) {
-            Entry::Occupied(mut e) => {
-                let id = *e.get_mut();
-                if g0 < nodes[id].g {
-                    nodes[id].g = g0;
-                    nodes[id].parent = None;
-                    let f = g0.plus(space.heuristic(&state));
-                    open.push(HeapEntry {
-                        f,
-                        g: g0,
-                        node: id,
-                        seq,
-                    });
-                    seq += 1;
-                }
-            }
-            Entry::Vacant(e) => {
-                let id = nodes.len();
-                e.insert(id);
-                nodes.push(Node {
-                    state: state.clone(),
-                    g: g0,
-                    parent: None,
-                    closed: false,
-                });
-                let f = g0.plus(space.heuristic(&state));
-                open.push(HeapEntry {
-                    f,
-                    g: g0,
-                    node: id,
-                    seq,
-                });
-                seq += 1;
-                open_valid += 1;
-            }
-        }
+        open.extend(walk.offer_edge(NONE, state, g0));
     }
-    stats.max_open = open_valid;
-    stats.touched = nodes.len();
+    walk.stats.max_open = open.len();
 
     let outcome = loop {
-        let Some(entry) = open.pop() else {
-            break SearchOutcome::Exhausted(stats);
+        // A deferred ray is cast before any offer at or above its floor
+        // pops; by then its origin has usually been popped.
+        if let Some(ray) = walk.deferred.front() {
+            if open.peek().is_none_or(|top| ray.floor <= top.f) {
+                let ray = walk.deferred.pop_front().expect("a front");
+                let r = ray.run as usize;
+                if !walk.skips(&ray.origin, walk.runs[r].g0, ray.floor) {
+                    open.extend(walk.cast_ray(r, ray.number, &ray.origin));
+                }
+                continue;
+            }
+        }
+        let Some(mut top) = open.peek_mut() else {
+            break SearchOutcome::Exhausted(walk.stats);
         };
-        let id = entry.node;
-        // Lazy deletion: skip entries superseded by a cheaper path or
-        // already expanded at this cost.
-        if nodes[id].closed || entry.g != nodes[id].g {
+        let g = top.g;
+        let edge = top.of & EDGE != 0;
+        let of = (top.of & !EDGE) as usize;
+        let (state, label) = if edge {
+            (walk.nodes[of].state.clone(), Some(of))
+        } else {
+            let state = walk.stops[walk.runs[of].at as usize].clone();
+            let label = walk.index.get(&state).copied();
+            (state, label)
+        };
+        // An edge's open node holds the best edge offered (rule (c)).
+        let dominated = label.is_some_and(|id| {
+            let node = &walk.nodes[id];
+            node.beats(g) || (edge && node.g < g)
+        });
+        if edge {
+            PeekMut::pop(top);
+        } else {
+            if dominated && walk.runs[of].maximal {
+                // Rule (a): the run's later blocks are no better than
+                // offers that pop first.
+                walk.runs[of].end = walk.runs[of].next;
+            }
+            match walk.advance(of, top.f, top.run) {
+                Some(next) => {
+                    *top = next;
+                    drop(top);
+                }
+                None => drop(PeekMut::pop(top)),
+            }
+        }
+        if dominated {
             continue;
         }
-        open_valid -= 1;
-        nodes[id].closed = true;
-
-        if space.is_goal(&nodes[id].state) {
-            let cost = nodes[id].g;
-            let mut cur = Some(id);
-            while let Some(i) = cur {
-                path_out.push(nodes[i].state.clone());
-                cur = nodes[i].parent;
+        // This offer is the entry eager A* pops here.
+        let parent = if edge {
+            walk.nodes[of].parent
+        } else {
+            walk.runs[of].parent
+        };
+        if space.is_goal(&state) {
+            let cost = g;
+            let mut cur = index32(walk.label(state, g, parent, label));
+            while cur != NONE {
+                let node = &walk.nodes[cur as usize];
+                path_out.push(node.state.clone());
+                cur = node.parent;
             }
             path_out.reverse();
             break SearchOutcome::Found(Found {
                 path: Vec::new(),
                 cost,
-                stats,
+                stats: walk.stats,
             });
         }
 
-        if max_expansions.is_some_and(|max| stats.expanded >= max) {
-            break SearchOutcome::LimitReached(stats);
+        if max_expansions.is_some_and(|max| walk.stats.expanded >= max) {
+            break SearchOutcome::LimitReached(walk.stats);
         }
         // Cheap checks every expansion; the clock (and the shared meter)
         // only once per block.
         if let Err(reason) = budget.check_cancel() {
-            break SearchOutcome::Cancelled(reason, stats);
+            break SearchOutcome::Cancelled(reason, walk.stats);
         }
         uncharged += 1;
         if uncharged >= CHARGE_BLOCK {
             if let Err(reason) = budget.charge(std::mem::take(&mut uncharged)) {
-                break SearchOutcome::Cancelled(reason, stats);
+                break SearchOutcome::Cancelled(reason, walk.stats);
             }
         }
-        stats.expanded += 1;
-
-        succ_buf.clear();
-        let labels = NodeLabels {
-            index: &*index,
-            nodes: &nodes[..],
-            bound,
-        };
-        space.successors(&nodes[id].state, &labels, succ_buf);
-        stats.generated += succ_buf.len();
-        for (succ, edge) in succ_buf.drain(..) {
-            let g = nodes[id].g.plus(edge);
-            let (succ_id, improved, was_closed, was_fresh) = match index.entry(succ.clone()) {
-                Entry::Occupied(e) => {
-                    let sid = *e.get();
-                    if g < nodes[sid].g {
-                        (sid, true, nodes[sid].closed, false)
-                    } else {
-                        (sid, false, false, false)
-                    }
-                }
-                Entry::Vacant(e) => {
-                    let sid = nodes.len();
-                    e.insert(sid);
-                    nodes.push(Node {
-                        state: succ.clone(),
-                        g,
-                        parent: Some(id),
-                        closed: false,
-                    });
-                    (sid, true, false, true)
-                }
-            };
-            if !improved {
-                continue;
-            }
-            // (Re)label the node with the better path.
-            nodes[succ_id].g = g;
-            nodes[succ_id].parent = Some(id);
-            if was_closed {
-                // "If its new f̂ is less than the old it must be placed back
-                // on OPEN … its pointers must be redirected."
-                nodes[succ_id].closed = false;
-                stats.reopened += 1;
-                open_valid += 1;
-            } else if was_fresh {
-                open_valid += 1;
-            }
-            // An improvement to an already-open node replaces its entry
-            // (the stale one is skipped on pop), leaving open_valid as-is.
-            let f = g.plus(space.heuristic(&succ));
-            if bound.is_none_or(|u| f < u) && space.is_goal(&succ) {
-                bound = Some(f);
-            }
-            open.push(HeapEntry {
-                f,
-                g,
-                node: succ_id,
-                seq,
-            });
-            seq += 1;
-            stats.max_open = stats.max_open.max(open_valid);
-        }
-        stats.touched = nodes.len();
+        walk.stats.expanded += 1;
+        let id = walk.label(state, g, parent, label);
+        walk.expand(id, cast, open);
+        let queued = open.len() + walk.deferred.len();
+        walk.stats.max_open = walk.stats.max_open.max(queued);
     };
     let _ = budget.charge(uncharged);
     outcome
 }
 
+/// The search state the loop shares with its helpers: everything in the
+/// arena but OPEN, the goal bound and the counters.
+struct Walk<'a, Sp: SearchSpace> {
+    space: &'a Sp,
+    nodes: &'a mut Vec<Node<Sp::State, Sp::Cost>>,
+    index: &'a mut FnvHashMap<Sp::State, usize>,
+    /// Uncast rays in order of floor.
+    deferred: &'a mut VecDeque<Deferred<Sp::State, Sp::Cost>>,
+    runs: &'a mut Vec<Run<Sp::Cost>>,
+    stops: &'a mut Vec<Sp::State>,
+    /// The goal bound U (rule (b)).
+    bound: Option<Sp::Cost>,
+    /// Runs numbered so far.
+    numbered: u32,
+    stats: SearchStats,
+}
+
+impl<Sp: SearchSpace> Walk<'_, Sp> {
+    /// `true` when `state` holds a label no worse than `g`.
+    fn dominated(&self, state: &Sp::State, g: Sp::Cost) -> bool {
+        self.index
+            .get(state)
+            .is_some_and(|&id| self.nodes[id].beats(g))
+    }
+
+    /// `true` when rule (a) at its origin or rule (b) leaves out a whole
+    /// maximal ray: one named `origin`, whose stops' ĝ and f̂ are at
+    /// least `g0` and `floor`.
+    fn skips(&self, origin: &Sp::State, g0: Sp::Cost, floor: Sp::Cost) -> bool {
+        self.dominated(origin, g0) || self.bound.is_some_and(|u| floor > u)
+    }
+
+    /// Lowers the goal bound to `f` when node `id`'s state, offered at
+    /// f̂ = `f`, is a goal below it.
+    fn note_goal(&mut self, id: usize, f: Sp::Cost) {
+        if self.bound.is_none_or(|u| f < u) && self.space.is_goal(&self.nodes[id].state) {
+            self.bound = Some(f);
+        }
+    }
+
+    /// Labels `state` with `g` and `parent`: a new node, or the node
+    /// `label` labelled or relabelled.
+    fn label(&mut self, state: Sp::State, g: Sp::Cost, parent: u32, label: Option<usize>) -> usize {
+        let id = label.unwrap_or_else(|| {
+            self.index.insert(state.clone(), self.nodes.len());
+            self.nodes.push(Node {
+                state,
+                g,
+                parent,
+                closed: false,
+                reopening: false,
+            });
+            self.nodes.len() - 1
+        });
+        let node = &mut self.nodes[id];
+        if node.closed {
+            // A ray's offer below the label (an edge reopens its node
+            // when it is placed): "If its new f̂ is less than the old it
+            // must be placed back on OPEN … its pointers must be
+            // redirected."
+            self.stats.reopened += 1;
+        } else if !node.reopening {
+            self.stats.touched += 1;
+        }
+        node.g = g;
+        node.parent = parent;
+        node.closed = true;
+        node.reopening = false;
+        id
+    }
+
+    /// Places an edge (or a start, with no parent) to `to` at ĝ `g` on
+    /// OPEN as a run of one offer, numbered next, and returns its cursor,
+    /// unless it is left out: its state's label is no worse, or rule (c)
+    /// or (b) of [`astar_in`] holds. An edge below a label reopens its
+    /// state.
+    fn offer_edge(&mut self, parent: u32, to: Sp::State, g: Sp::Cost) -> Option<Cursor<Sp::Cost>> {
+        let id = match self.index.entry(to) {
+            Entry::Occupied(e) => {
+                let id = *e.get();
+                let node = &mut self.nodes[id];
+                if node.g <= g {
+                    return None;
+                }
+                if node.closed {
+                    // Eager A* reopens the node here, when the offer is
+                    // made.
+                    (node.closed, node.reopening) = (false, true);
+                    self.stats.reopened += 1;
+                }
+                (node.g, node.parent) = (g, parent);
+                id
+            }
+            Entry::Vacant(e) => {
+                let state = e.key().clone();
+                e.insert(self.nodes.len());
+                self.nodes.push(Node {
+                    state,
+                    g,
+                    parent,
+                    closed: false,
+                    reopening: false,
+                });
+                self.nodes.len() - 1
+            }
+        };
+        let f = g.plus(self.space.heuristic(&self.nodes[id].state));
+        self.note_goal(id, f);
+        if self.bound.is_some_and(|u| f > u) {
+            return None;
+        }
+        Some(Cursor {
+            f,
+            g,
+            run: self.number(),
+            of: index32(id) | EDGE,
+        })
+    }
+
+    /// The next run's number.
+    fn number(&mut self) -> u32 {
+        self.numbered += 1;
+        self.numbered - 1
+    }
+
+    /// A new ray with no stops yet.
+    fn new_run(&mut self, parent: u32, g0: Sp::Cost, maximal: bool) -> usize {
+        self.runs.push(Run {
+            parent,
+            g0,
+            end: 0,
+            lo: 0,
+            next: 0,
+            at: 0,
+            maximal,
+        });
+        self.runs.len() - 1
+    }
+
+    /// Casts the runs of node `id` and puts their cursors on OPEN.
+    fn expand(
+        &mut self,
+        id: usize,
+        cast: &mut Runs<Sp::State, Sp::Cost>,
+        open: &mut BinaryHeap<Cursor<Sp::Cost>>,
+    ) {
+        let from = self.nodes[id].state.clone();
+        let g = self.nodes[id].g;
+        cast.clear();
+        self.space.runs(&from, cast);
+        self.stats.generated += cast.edges.len();
+        for (to, edge) in cast.edges.drain(..) {
+            if let Some(cursor) = self.offer_edge(index32(id), to, g.plus(edge)) {
+                open.push(cursor);
+            }
+        }
+        if cast.rays.is_empty() {
+            return;
+        }
+        let f_from = g.plus(self.space.heuristic(&from));
+        for ray in cast.rays.drain(..) {
+            let g0 = g.plus(ray.departure);
+            // Every stop's f̂ is at least this.
+            let floor = f_from.plus(ray.departure);
+            if ray.maximal {
+                if self.skips(&ray.origin, g0, floor) {
+                    continue;
+                }
+                // A ray that pays to depart waits uncast until OPEN
+                // reaches its floor, by when its origin has usually popped.
+                if ray.departure > Sp::Cost::zero() {
+                    let run = index32(self.new_run(index32(id), g0, true));
+                    let number = self.number();
+                    // Floors arrive in order while ĥ is consistent, so
+                    // this is a push to the back.
+                    let at = self.deferred.partition_point(|d| d.floor <= floor);
+                    let origin = ray.origin;
+                    self.deferred.insert(
+                        at,
+                        Deferred {
+                            floor,
+                            run,
+                            number,
+                            origin,
+                        },
+                    );
+                    continue;
+                }
+            }
+            let r = self.new_run(index32(id), g0, ray.maximal);
+            let number = self.number();
+            if let Some(cursor) = self.cast_ray(r, number, &ray.origin) {
+                open.push(cursor);
+            }
+        }
+    }
+
+    /// Lists the stops of ray `r`, named `origin`, and returns the cursor
+    /// of its first block. While a goal bound exists a maximal ray ends at
+    /// the first stop that rule (a) or (b) leaves out on its
+    /// [`leg_floor`](SearchSpace::leg_floor).
+    fn cast_ray(&mut self, r: usize, number: u32, origin: &Sp::State) -> Option<Cursor<Sp::Cost>> {
+        let (parent, g0, maximal) = {
+            let run = &self.runs[r];
+            (run.parent, run.g0, run.maximal)
+        };
+        let start = self.stops.len();
+        let (space, index, nodes, stops) =
+            (self.space, &*self.index, &*self.nodes, &mut *self.stops);
+        let from = &nodes[parent as usize].state;
+        match self.bound.filter(|_| maximal) {
+            None => space.stops(from, origin, |to| {
+                stops.push(to);
+                true
+            }),
+            // A lower bound on each stop's ĝ: the label it must beat,
+            // and below f̂ once ĥ is added.
+            Some(u) => space.stops(from, origin, |to| {
+                let g = g0.plus(space.leg_floor(from, &to));
+                let cut = g.plus(space.heuristic(&to)) > u
+                    || index.get(&to).is_some_and(|&id| nodes[id].beats(g));
+                if !cut {
+                    stops.push(to);
+                }
+                !cut
+            }),
+        }
+        let end = self.stops.len();
+        self.stats.generated += end - start;
+        self.runs[r].end = index32(end);
+        self.block(r, start, number)
+    }
+
+    /// The (ĝ, f̂) of stop `j` of run `r`.
+    fn offer(&mut self, r: usize, j: usize) -> (Sp::Cost, Sp::Cost) {
+        let run = &self.runs[r];
+        let to = &self.stops[j];
+        let g = run
+            .g0
+            .plus(self.space.leg(&self.nodes[run.parent as usize].state, to));
+        let f = g.plus(self.space.heuristic(to));
+        if self.bound.is_none_or(|u| f < u) && self.space.is_goal(to) {
+            self.bound = Some(f);
+        }
+        (g, f)
+    }
+
+    /// The (ĝ, f̂) of stop `j` of ray `r` if its f̂ is `f`, found by
+    /// pricing it only when its [`leg_floor`](SearchSpace::leg_floor)
+    /// does not already put it above `f`.
+    fn offer_at(&mut self, r: usize, j: usize, f: Sp::Cost) -> Option<Sp::Cost> {
+        let run = &self.runs[r];
+        let (from, to) = (&self.nodes[run.parent as usize].state, &self.stops[j]);
+        let h = self.space.heuristic(to);
+        if run.g0.plus(self.space.leg_floor(from, to)).plus(h) > f {
+            return None;
+        }
+        let g = run.g0.plus(self.space.leg(from, to));
+        let f_to = g.plus(h);
+        if self.bound.is_none_or(|u| f_to < u) && self.space.is_goal(to) {
+            self.bound = Some(f_to);
+        }
+        (f_to == f).then_some(g)
+    }
+
+    /// The cursor of ray `r`, numbered `number`, at the block that starts
+    /// at stop `i`: its far end, found by galloping and then bisecting
+    /// over the stops of equal f̂.
+    fn block(&mut self, r: usize, i: usize, number: u32) -> Option<Cursor<Sp::Cost>> {
+        let mut hi = self.runs[r].end as usize;
+        if i >= hi {
+            return None;
+        }
+        let (g, f) = self.offer(r, i);
+        if self.bound.is_some_and(|u| f > u) {
+            // Rule (b): f̂ never falls along the run.
+            return None;
+        }
+        let (mut k, mut g_k) = (i, g);
+        let mut step = 1;
+        while k + step < hi {
+            let j = k + step;
+            let Some(g_j) = self.offer_at(r, j, f) else {
+                hi = j;
+                break;
+            };
+            (k, g_k) = (j, g_j);
+            step *= 2;
+        }
+        while hi - k > 1 {
+            let mid = k + (hi - k) / 2;
+            match self.offer_at(r, mid, f) {
+                Some(g_m) => (k, g_k) = (mid, g_m),
+                None => hi = mid,
+            }
+        }
+        let run = &mut self.runs[r];
+        (run.lo, run.next, run.at) = (index32(i), index32(k + 1), index32(k));
+        Some(Cursor {
+            f,
+            g: g_k,
+            run: number,
+            of: index32(r),
+        })
+    }
+
+    /// The cursor of ray `r`, numbered `number`, after its offer on OPEN,
+    /// whose f̂ is `f`: the next nearer stop of the block, or the next
+    /// block.
+    fn advance(&mut self, r: usize, f: Sp::Cost, number: u32) -> Option<Cursor<Sp::Cost>> {
+        let Run { lo, next, at, .. } = self.runs[r];
+        if at > lo {
+            let (g, f_near) = self.offer(r, at as usize - 1);
+            debug_assert!(f_near == f, "a block's stops share one f̂");
+            self.runs[r].at = at - 1;
+            return Some(Cursor {
+                f,
+                g,
+                run: number,
+                of: index32(r),
+            });
+        }
+        self.block(r, next as usize, number)
+    }
+}
+
+/// `i` as a run or stop index.
+fn index32(i: usize) -> u32 {
+    u32::try_from(i)
+        .ok()
+        .filter(|&i| i < EDGE)
+        .expect("a search holds fewer than 2^31 runs, stops and nodes")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{breadth_first, depth_first, exhaustive, SearchSpace};
+    use crate::SearchSpace;
 
     /// A weighted digraph with an optional per-node heuristic.
     struct Graph {
@@ -491,7 +905,7 @@ mod tests {
             out.clear();
             out.extend_from_slice(&self.starts);
         }
-        fn successors(&self, s: &usize, _: &dyn Labels<usize, i64>, out: &mut Vec<(usize, i64)>) {
+        fn successors(&self, s: &usize, out: &mut Vec<(usize, i64)>) {
             out.extend(self.edges[*s].iter().copied());
         }
         fn is_goal(&self, s: &usize) -> bool {
@@ -827,107 +1241,6 @@ mod tests {
         // An untraced search records nothing further.
         let _ = astar(&diamond()).unwrap();
         assert_eq!(rec.finish().find_all("search").len(), 1);
-    }
-
-    /// A graph space that records the goal bound each expansion hands it.
-    struct BoundRecorder {
-        graph: Graph,
-        seen: std::cell::RefCell<Vec<Option<i64>>>,
-    }
-
-    impl SearchSpace for BoundRecorder {
-        type State = usize;
-        type Cost = i64;
-        fn start_states(&self, out: &mut Vec<(usize, i64)>) {
-            self.graph.start_states(out);
-        }
-        fn successors(
-            &self,
-            s: &usize,
-            labels: &dyn Labels<usize, i64>,
-            out: &mut Vec<(usize, i64)>,
-        ) {
-            self.seen.borrow_mut().push(labels.bound());
-            self.graph.successors(s, labels, out);
-        }
-        fn is_goal(&self, s: &usize) -> bool {
-            self.graph.is_goal(s)
-        }
-        fn heuristic(&self, s: &usize) -> i64 {
-            self.graph.heuristic(s)
-        }
-    }
-
-    /// Goals 4 and 5 are each offered several times, while non-goal
-    /// successors sit below the bound. The expansions run 0, 2, 1, 3
-    /// (equal f̂ pops the larger ĝ first), then goal 5 is popped:
-    ///   0 pushes 1 (f̂ 3), 2 (f̂ 3) and goal 4 (f̂ 10) → bound 10;
-    ///   2 pushes goal 5 (f̂ 5); goal 4 at ĝ 22 improves nothing
-    ///                                                → bound 5;
-    ///   1 improves goal 4 to f̂ 7 and pushes 3 (f̂ 3)  → bound 5;
-    ///   3 improves goal 5 to f̂ 3                     → bound 3.
-    fn two_goal_recorder() -> BoundRecorder {
-        BoundRecorder {
-            graph: Graph {
-                edges: vec![
-                    vec![(1, 1), (2, 2), (4, 10)],
-                    vec![(4, 6), (3, 1)],
-                    vec![(5, 3), (4, 20)],
-                    vec![(5, 1)],
-                    vec![],
-                    vec![],
-                ],
-                h: vec![3, 2, 1, 1, 0, 0],
-                starts: vec![(0, 0)],
-                goals: vec![4, 5],
-            },
-            seen: std::cell::RefCell::new(Vec::new()),
-        }
-    }
-
-    #[test]
-    fn the_goal_bound_is_the_best_goal_entry_pushed_so_far() {
-        let space = two_goal_recorder();
-        let found = astar(&space).unwrap();
-        assert_eq!((found.path, found.cost), (vec![0, 1, 3, 5], 3));
-        assert_eq!(
-            *space.seen.borrow(),
-            [None, Some(10), Some(5), Some(5)],
-            "None until a goal successor improved, then the best goal f̂"
-        );
-        // The blind engines know no bound, and best-first search hides
-        // it: the space's own ĥ is not the zero it was taken with.
-        for run in [
-            best_first as fn(&BoundRecorder) -> _,
-            breadth_first,
-            |s: &BoundRecorder| depth_first(s, 8),
-            exhaustive,
-        ] {
-            space.seen.borrow_mut().clear();
-            assert!(run(&space).is_some());
-            assert!(space.seen.borrow().iter().all(Option::is_none));
-            assert!(!space.seen.borrow().is_empty());
-        }
-    }
-
-    #[test]
-    fn an_incumbent_is_the_goal_bound_from_the_first_expansion() {
-        // With an incumbent of cost 9 the bound is 9 from the start, goal
-        // 4's entry (f̂ 10) does not lower it, and goal 5's entries do.
-        // The search itself is unchanged.
-        let space = two_goal_recorder();
-        let free = astar(&space).unwrap();
-        space.seen.borrow_mut().clear();
-        let budget = Budget::unlimited();
-        let mut path = Vec::new();
-        let arena = &mut SearchArena::new();
-        let seeded = astar_in(&space, None, Some(9), &budget, arena, &mut path)
-            .found()
-            .unwrap();
-        assert_eq!((path, seeded.cost), (free.path, free.cost));
-        assert_eq!(*space.seen.borrow(), [Some(9), Some(9), Some(5), Some(5)]);
-        assert_eq!(seeded.stats.expanded, free.stats.expanded);
-        assert_eq!((seeded.stats.seeded, free.stats.seeded), (1, 0));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use gcr_search::{astar, Found, Labels, SearchSpace};
+//! use gcr_search::{astar, Found, SearchSpace};
 //!
 //! /// Shortest path on a tiny weighted digraph.
 //! struct Graph {
@@ -41,7 +41,7 @@
 //!         out.clear();
 //!         out.push((0, 0));
 //!     }
-//!     fn successors(&self, s: &usize, _: &dyn Labels<usize, i64>, out: &mut Vec<(usize, i64)>) {
+//!     fn successors(&self, s: &usize, out: &mut Vec<(usize, i64)>) {
 //!         out.extend(self.edges[*s].iter().copied());
 //!     }
 //!     fn is_goal(&self, s: &usize) -> bool { *s == self.goal }
@@ -75,5 +75,5 @@ pub use cost::{LexCost, PathCost};
 pub use engine::{astar, astar_in, best_first, Found, SearchArena, SearchOutcome};
 pub use fnv::{FnvBuildHasher, FnvHashMap, FnvHasher};
 pub use parallel::{default_threads, effective_threads, parallel_map, parallel_map_with};
-pub use space::{Labels, NoLabels, SearchSpace, ZeroHeuristic};
+pub use space::{Runs, SearchSpace, ZeroHeuristic};
 pub use stats::SearchStats;

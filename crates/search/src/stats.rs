@@ -13,19 +13,19 @@ use std::fmt;
 pub struct SearchStats {
     /// Nodes removed from OPEN and expanded.
     pub expanded: usize,
-    /// Successor edges the space generated: after those it left out
-    /// because the engine's labels and goal bound prove they change no
-    /// expansion, before the engine's duplicate filtering.
+    /// Successors generated: every edge the space listed, and every ray
+    /// stop A\* placed on a run after the cuts made as the ray was cast.
     pub generated: usize,
-    /// Distinct states ever given a cost (≈ OPEN ∪ CLOSED, the memory
-    /// footprint of the search). A space that leaves out successors
-    /// above the goal bound never creates their nodes, so this falls
-    /// with `generated` while `expanded` stays put.
+    /// Distinct states given a label. A\* labels only a state it expands
+    /// or the goal it reaches: `expanded` plus one on success when no
+    /// node is reopened (the blind engines: every state they reached).
     pub touched: usize,
     /// Nodes whose cost improved after they were closed and that were moved
     /// back to OPEN ("its pointers must be redirected").
     pub reopened: usize,
-    /// Peak size of the OPEN list.
+    /// The most entries queued at once: A\*'s run cursors (one per ray,
+    /// edge or start on OPEN) plus the rays waiting uncast (the blind
+    /// engines: queued states).
     pub max_open: usize,
     /// Searches that began with an incumbent: a caller-held path whose
     /// cost seeds the goal bound (see [`astar_in`](crate::astar_in)).

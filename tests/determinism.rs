@@ -237,15 +237,17 @@ fn generator_gcl_roundtrip_is_byte_identical_and_routes_identically() {
 
 /// The search-work pin: a serial default-config session route of the seeded
 /// 120-net die must do exactly this much A\* work and emit exactly this
-/// `DUMP`, on both plane indexes. Pruning that leaves out successors A\*
-/// would throw away shrinks the successor set, so it moves `generated`
-/// and `touched` only; a change to the successors' order or cost, or
+/// `DUMP`, on both plane indexes. A\* creates a node only for an offer
+/// it pops and expands, so `touched` is `expanded` plus one per search
+/// that reaches a goal (8054 + 137); `generated` counts the ray stops it
+/// placed on OPEN. Pruning that leaves out stops A\* would throw away
+/// moves `generated` only; a change to the successors' order or cost, or
 /// to the A\* tie-breaks, moves `expanded` or the digest too.
 ///
 /// The second leg rips every net up and reroutes the dirty set: each
 /// search then starts with the ripped route as its incumbent bound, so
 /// it expands the same 8054 nodes and emits the same `DUMP` while
-/// creating far fewer.
+/// placing far fewer stops: rays are cut as they are cast.
 #[test]
 fn search_work_and_route_digest_are_pinned() {
     use gcr::search::FnvHasher;
@@ -267,7 +269,7 @@ fn search_work_and_route_digest_are_pinned() {
         let mut session = with_batch(&layout, GridlessEngine, batch);
         let routing = session.route_all();
         let searches = routing.routes.iter().map(|r| r.connections.len()).sum();
-        assert_eq!(work(&routing), (8054, 111_606, 101_319, 0), "{index:?}");
+        assert_eq!(work(&routing), (8054, 134_439, 8_191, 0), "{index:?}");
         assert_eq!(digest(&routing), "6a6f9d3a0b6ea838", "{index:?}");
 
         for id in layout.net_ids() {
@@ -277,7 +279,7 @@ fn search_work_and_route_digest_are_pinned() {
         let rerouted = session.routing();
         assert_eq!(
             work(&rerouted),
-            (8054, 17_435, 17_902, searches),
+            (8054, 34_403, 8_191, searches),
             "{index:?}: rip-up + reroute"
         );
         assert_eq!(digest(&rerouted), "6a6f9d3a0b6ea838", "{index:?}");
@@ -292,4 +294,27 @@ fn format_roundtrip_preserves_routing_results() {
     let b = gridless(&reparsed).route_all();
     assert_eq!(a.wire_length(), b.wire_length());
     assert_eq!(a.stats().expanded, b.stats().expanded);
+}
+
+/// The cold 1k die's work pin: the serial sharded route of the die the
+/// `cold-1k` benchmark times (generator seed 3; its net order does not
+/// change the work) expands exactly 188,498 nodes, creates one more per
+/// connection for the goal it reaches, and places exactly this many ray
+/// stops on OPEN. Work counters catch an algorithmic regression on any
+/// host, where wall time cannot.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a 1k-net die is slow unoptimized; runs under cargo test --release"
+)]
+fn cold_1k_die_search_work_is_pinned() {
+    let layout = generate(&GeneratorParams::with_nets(1000, 3));
+    let batch = BatchConfig::serial().with_index(PlaneIndexKind::Sharded);
+    let routing = with_batch(&layout, GridlessEngine, batch).route_all();
+    let stats = routing.stats();
+    let searches: usize = routing.routes.iter().map(|r| r.connections.len()).sum();
+    assert_eq!(routing.routed_count(), 1000);
+    assert_eq!(stats.expanded, 188_498);
+    assert_eq!(stats.touched, stats.expanded + searches);
+    assert_eq!((stats.generated, stats.touched), (6_832_818, 189_657));
 }

@@ -14,8 +14,8 @@ use gcr::prelude::*;
 use gcr::router::congestion::{find_passages, CongestionPenalty};
 use gcr::router::{EdgeCoster, GoalSet, RouteState, RouteTree, RoutingSpace};
 use gcr::search::{
-    astar, astar_in, exhaustive, Budget, Found, Labels, LexCost, NoLabels, PathCost, SearchArena,
-    SearchOutcome, SearchSpace, SearchStats, ZeroHeuristic,
+    astar, astar_in, exhaustive, Budget, Found, LexCost, PathCost, SearchArena, SearchOutcome,
+    SearchSpace, SearchStats, ZeroHeuristic,
 };
 use gcr::workload::generator::{generate, GeneratorParams};
 
@@ -81,8 +81,8 @@ fn exhaustive_search_agrees_on_detour_instances() {
     }
 }
 
-/// Hands the wrapped space a view that knows no labels, so it generates
-/// every successor.
+/// Hides the wrapped space's rays: A\* then walks every successor as an
+/// edge of its own, pricing each when it is made, as eager A\* did.
 struct Unpruned<'s, 'a>(&'s RoutingSpace<'a>);
 
 impl SearchSpace for Unpruned<'_, '_> {
@@ -91,13 +91,8 @@ impl SearchSpace for Unpruned<'_, '_> {
     fn start_states(&self, out: &mut Vec<(RouteState, LexCost)>) {
         self.0.start_states(out);
     }
-    fn successors(
-        &self,
-        state: &RouteState,
-        _: &dyn Labels<RouteState, LexCost>,
-        out: &mut Vec<(RouteState, LexCost)>,
-    ) {
-        self.0.successors(state, &NoLabels, out);
+    fn successors(&self, state: &RouteState, out: &mut Vec<(RouteState, LexCost)>) {
+        self.0.successors(state, out);
     }
     fn is_goal(&self, state: &RouteState) -> bool {
         self.0.is_goal(state)
@@ -107,28 +102,65 @@ impl SearchSpace for Unpruned<'_, '_> {
     }
 }
 
-/// Runs A* over `space` and over its unpruned twin, asserts they agree,
+/// What one search of a [`run_both`] pair ended with.
+struct Ran {
+    path: Option<Vec<Point>>,
+    cost: Option<LexCost>,
+    stats: SearchStats,
+}
+
+/// Runs A\* over `space` and over its unpruned twin, asserts they agree,
 /// and returns the found path's points with both runs' stats. Best-first
-/// search (A* without the heuristic) must agree with its unpruned twin
-/// the same way.
+/// search (A\* without the heuristic) must agree with its unpruned twin
+/// the same way, and so must both searches when seeded with the optimum
+/// as an incumbent and when capped at half their expansions: they stop
+/// at the same expansion with the same outcome.
 fn run_both(
     space: &RoutingSpace<'_>,
     what: &str,
 ) -> (Option<Vec<Point>>, SearchStats, SearchStats) {
-    let pruned = search(&ZeroHeuristic(space));
-    let full = search(&ZeroHeuristic(&Unpruned(space)));
-    agree(pruned, full, &format!("{what} best-first"));
-    agree(search(space), search(&Unpruned(space)), what)
+    let mut starts = Vec::new();
+    space.start_states(&mut starts);
+    let pair = |max_expansions, upper_bound, how: &str| {
+        agree(
+            search(space, max_expansions, upper_bound),
+            search(&Unpruned(space), max_expansions, upper_bound),
+            starts.len(),
+            &format!("{what}{how}"),
+        )
+    };
+    let (p, f) = pair(None, None, "");
+    agree(
+        search(&ZeroHeuristic(space), None, None),
+        search(&ZeroHeuristic(&Unpruned(space)), None, None),
+        starts.len(),
+        &format!("{what} best-first"),
+    );
+    if let Some(cost) = p.cost {
+        let (s, _) = pair(None, Some(cost), " seeded");
+        assert_eq!(s.stats.expanded, p.stats.expanded, "{what} seeded");
+    }
+    if p.stats.expanded > 1 {
+        let cap = p.stats.expanded / 2;
+        let (c, _) = pair(Some(cap), None, " capped");
+        assert_eq!(c.stats.expanded, cap, "{what} capped");
+    }
+    (p.path, p.stats, f.stats)
 }
 
-/// A\* to completion, with the found path moved into the outcome.
-fn search<Sp: SearchSpace>(space: &Sp) -> SearchOutcome<Sp::State, Sp::Cost> {
+/// A\* to its end under an expansion cap and an incumbent, with the found
+/// path moved into the outcome.
+fn search<Sp: SearchSpace>(
+    space: &Sp,
+    max_expansions: Option<usize>,
+    upper_bound: Option<Sp::Cost>,
+) -> SearchOutcome<Sp::State, Sp::Cost> {
     let mut path = Vec::new();
     let budget = Budget::unlimited();
     match astar_in(
         space,
-        None,
-        None,
+        max_expansions,
+        upper_bound,
         &budget,
         &mut SearchArena::new(),
         &mut path,
@@ -138,14 +170,19 @@ fn search<Sp: SearchSpace>(space: &Sp) -> SearchOutcome<Sp::State, Sp::Cost> {
     }
 }
 
-/// Asserts that a pruned and an unpruned search expanded the same nodes,
-/// found the same path and cost, and that pruning added no work; returns
-/// the found path's points with both runs' stats.
+/// Asserts that a pruned and an unpruned search from `starts` sources
+/// expanded the same nodes and ended the same way, with the same path and
+/// cost if they found one, that each created exactly the nodes it
+/// expanded plus the goal it reached, and that the rays placed no more
+/// successors than the edge walk lists and held at most one OPEN entry
+/// per ray (four per expansion) besides the starts. Returns what each
+/// ran into.
 fn agree(
     pruned: SearchOutcome<RouteState, LexCost>,
     full: SearchOutcome<RouteState, LexCost>,
+    starts: usize,
     what: &str,
-) -> (Option<Vec<Point>>, SearchStats, SearchStats) {
+) -> (Ran, Ran) {
     let (p, f) = (*pruned.stats(), *full.stats());
     assert_eq!(
         (p.expanded, p.reopened),
@@ -153,35 +190,74 @@ fn agree(
         "{what}: {p} vs {f}"
     );
     assert!(
-        p.generated <= f.generated && p.touched <= f.touched && p.max_open <= f.max_open,
-        "{what}: {p} vs {f}"
+        p.generated <= f.generated && p.max_open <= 4 * p.expanded + starts,
+        "{what}: {p} vs {f} from {starts} starts"
     );
-    let path = match (pruned, full) {
+    for (run, side) in [(&pruned, "pruned"), (&full, "full")] {
+        let s = run.stats();
+        let goal = usize::from(matches!(run, SearchOutcome::Found(_)));
+        assert_eq!(s.touched, s.expanded + goal, "{what} {side}: {s}");
+    }
+    let ran = |outcome: SearchOutcome<RouteState, LexCost>| match outcome {
+        SearchOutcome::Found(found) => Ran {
+            path: Some(found.path.iter().map(|s| s.point).collect()),
+            cost: Some(found.cost),
+            stats: found.stats,
+        },
+        other => Ran {
+            path: None,
+            cost: None,
+            stats: *other.stats(),
+        },
+    };
+    match (&pruned, &full) {
         (SearchOutcome::Found(p), SearchOutcome::Found(f)) => {
             assert_eq!(p.path, f.path, "{what}");
             assert_eq!(p.cost, f.cost, "{what}");
-            Some(p.path.iter().map(|s| s.point).collect())
         }
-        (SearchOutcome::Exhausted(_), SearchOutcome::Exhausted(_)) => None,
+        (SearchOutcome::Exhausted(_), SearchOutcome::Exhausted(_))
+        | (SearchOutcome::LimitReached(_), SearchOutcome::LimitReached(_)) => {}
         (p, f) => panic!("{what}: outcomes differ: {p:?} vs {f:?}"),
-    };
-    (path, p, f)
+    }
+    (ran(pruned), ran(full))
 }
 
 /// Grows every net of a seeded die the way the net driver does — a
 /// multi-source search from the tree's seeds toward every pin of the
 /// unconnected terminals, repeated until all terminals are on the tree —
 /// on flat and sharded planes, with and without a congestion surcharge,
-/// and with the Hanan walk. Ending rays early must leave every
-/// expansion, path and cost as they were and never add work; it must
-/// generate and create strictly fewer nodes over the sweep, and change
-/// no counter under the Hanan walk, which never prunes.
+/// and with the Hanan walk, and routes each search once more from the
+/// same seeds arriving from a direction. Walking rays lazily and ending
+/// them early must leave every expansion, path and cost as they were,
+/// cold, seeded and capped, and add no work in any search; over the
+/// sweep the rays must place strictly fewer stops and hold a smaller
+/// OPEN at its largest. The Hanan walk never ends a ray early, so its
+/// rays place every successor the edge walk lists. Nor may a source
+/// that arrives from a direction: its label was set by no ray, and the
+/// straight run ahead of it must not be skipped as swept.
 #[test]
 fn ray_pruning_changes_no_expansion_path_or_cost() {
     let config = RouterConfig::default();
     let (mut pruned, mut full) = (SearchStats::default(), SearchStats::default());
-    let mut hanan_searches = 0;
+    let (mut hanan_searches, mut arrived_searches) = (0, 0);
     let (mut from_wire, mut multi_goal) = (0, 0);
+
+    let mut block = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
+    block.add_obstacle(Rect::new(30, 30, 70, 70).unwrap());
+    block.build_index();
+    let goals = GoalSet::from_point(Point::new(90, 10));
+    let ahead = vec![(
+        RouteState::arrived(Point::new(10, 10), Dir::East),
+        LexCost::zero(),
+    )];
+    let space = RoutingSpace::new(&block, &goals, ahead, EdgeCoster::new(&config));
+    let (path, _, _) = run_both(&space, "arrived east");
+    assert_eq!(
+        path,
+        Some(vec![Point::new(10, 10), Point::new(90, 10)]),
+        "the goal is straight ahead of the arrived source"
+    );
+
     for seed in 0..3u64 {
         let layout = generate(&GeneratorParams::with_nets(12, seed));
         let mut flat = layout.to_plane();
@@ -218,12 +294,23 @@ fn ray_pruning_changes_no_expansion_path_or_cost() {
                         let seeds = tree.seeds(plane, &goals);
                         from_wire += usize::from(!tree.segments().is_empty());
                         multi_goal += usize::from(goals.points().len() > 1);
+                        let what = format!("seed {seed} {plane:?} hanan {hanan} {}", net.name());
+                        if !hanan {
+                            let arrived: Vec<_> = seeds
+                                .iter()
+                                .zip(Dir::ALL.iter().cycle())
+                                .map(|(&(s, c), &d)| (RouteState::arrived(s.point, d), c))
+                                .collect();
+                            let space = RoutingSpace::new(plane, &goals, arrived, coster);
+                            let (_, p, f) = run_both(&space, &format!("{what} arrived"));
+                            assert_eq!(p.generated, f.generated, "{what} arrived: {p} vs {f}");
+                            arrived_searches += 1;
+                        }
                         let space =
                             RoutingSpace::new(plane, &goals, seeds, coster).with_hanan_walk(hanan);
-                        let what = format!("seed {seed} {plane:?} hanan {hanan} {}", net.name());
                         let (path, p, f) = run_both(&space, &what);
                         if hanan {
-                            assert_eq!(p, f, "{what}: the Hanan walk never prunes");
+                            assert_eq!(p.generated, f.generated, "{what}: {p} vs {f}");
                             hanan_searches += 1;
                         } else {
                             pruned.absorb(&p);
@@ -249,8 +336,11 @@ fn ray_pruning_changes_no_expansion_path_or_cost() {
     }
     assert!(from_wire > 0 && multi_goal > 0, "the sweep must grow trees");
     assert!(
-        pruned.generated < full.generated && pruned.touched < full.touched,
+        pruned.generated < full.generated && pruned.max_open < full.max_open,
         "pruning must save work: {pruned} vs {full}"
     );
-    assert!(hanan_searches > 0, "the sweep must run the Hanan walk");
+    assert!(
+        hanan_searches > 0 && arrived_searches > 0,
+        "the sweep must run the Hanan walk and arrived sources"
+    );
 }
