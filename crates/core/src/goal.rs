@@ -95,29 +95,17 @@ impl GoalSet {
         best
     }
 
-    /// Stop coordinates along a ray from `origin` in `dir` (travel bounded
-    /// by the axis coordinate `stop`) at which the ray aligns with, or
-    /// crosses, a goal: turning (or stopping) there can complete a minimal
-    /// connection.
+    /// Appends to `out` the stop coordinates along a ray from `origin` in
+    /// `dir` (travel bounded by the axis coordinate `stop`) at which the
+    /// ray aligns with, or crosses, a goal: turning (or stopping) there can
+    /// complete a minimal connection.
     ///
     /// For a goal point this is its coordinate on the ray axis; for a goal
     /// segment it is the crossing point if the ray crosses it, plus the
-    /// endpoint alignments.
-    #[must_use]
-    pub fn stops_along_ray(&self, origin: Point, dir: Dir, stop: Coord) -> Vec<Coord> {
-        let mut out = Vec::new();
-        self.stops_along_ray_into(origin, dir, stop, &mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Buffer-reuse form of [`GoalSet::stops_along_ray`]: **appends** the
-    /// stop coordinates to `out` without sorting or deduplicating. The
-    /// successor generator collects them in a buffer of their own and
-    /// merges each into the ray's ascending stop list by binary search.
-    /// (The allocating wrapper sorts and dedups to keep its historical
-    /// contract.)
+    /// endpoint alignments. The coordinates are neither sorted nor
+    /// deduplicated: the successor generator collects them in a buffer of
+    /// their own and merges each into the ray's travel-order stop list by
+    /// binary search.
     pub fn stops_along_ray_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
         let axis = dir.axis();
         let u0 = origin.coord(axis);
@@ -166,9 +154,9 @@ mod tests {
         assert!(g.is_empty());
         assert!(!g.contains(Point::new(0, 0)));
         assert!(g.distance_to(Point::new(0, 0)) > 1_000_000);
-        assert!(g
-            .stops_along_ray(Point::new(0, 0), Dir::East, 100)
-            .is_empty());
+        let mut out = Vec::new();
+        g.stops_along_ray_into(Point::new(0, 0), Dir::East, 100, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -207,40 +195,40 @@ mod tests {
     #[test]
     fn ray_stops_for_point_goals() {
         let g = GoalSet::from_point(Point::new(30, 99));
+        let mut out = Vec::new();
         // Eastward ray at y=0: alignment at x=30.
-        assert_eq!(
-            g.stops_along_ray(Point::new(0, 0), Dir::East, 100),
-            vec![30]
-        );
+        g.stops_along_ray_into(Point::new(0, 0), Dir::East, 100, &mut out);
+        assert_eq!(out, [30]);
         // Stops short of 30: no alignment.
-        assert!(g
-            .stops_along_ray(Point::new(0, 0), Dir::East, 20)
-            .is_empty());
+        out.clear();
+        g.stops_along_ray_into(Point::new(0, 0), Dir::East, 20, &mut out);
+        assert!(out.is_empty());
         // Westward from the right.
-        assert_eq!(g.stops_along_ray(Point::new(50, 0), Dir::West, 0), vec![30]);
-        // Behind the origin: nothing.
-        assert!(g
-            .stops_along_ray(Point::new(40, 0), Dir::East, 100)
-            .is_empty());
+        g.stops_along_ray_into(Point::new(50, 0), Dir::West, 0, &mut out);
+        assert_eq!(out, [30]);
+        // Behind the origin: nothing, and the buffer is appended to.
+        g.stops_along_ray_into(Point::new(40, 0), Dir::East, 100, &mut out);
+        assert_eq!(out, [30]);
     }
 
     #[test]
     fn ray_stops_for_goal_on_the_ray_line() {
         let g = GoalSet::from_point(Point::new(30, 0));
         // The goal is on the ray itself; the stop is the goal coordinate.
-        assert_eq!(
-            g.stops_along_ray(Point::new(0, 0), Dir::East, 100),
-            vec![30]
-        );
+        let mut out = Vec::new();
+        g.stops_along_ray_into(Point::new(0, 0), Dir::East, 100, &mut out);
+        assert_eq!(out, [30]);
     }
 
     #[test]
     fn ray_stops_for_crossing_segment() {
         let mut g = GoalSet::new();
         g.add_segment(Segment::vertical(40, -10, 10));
-        // Eastward ray at y=0 crosses the segment at x=40.
-        let stops = g.stops_along_ray(Point::new(0, 0), Dir::East, 100);
-        assert_eq!(stops, vec![40]);
+        // Eastward ray at y=0 crosses the segment at x=40, where both
+        // its endpoints align too: one entry each, unmerged.
+        let mut out = Vec::new();
+        g.stops_along_ray_into(Point::new(0, 0), Dir::East, 100, &mut out);
+        assert_eq!(out, [40, 40, 40]);
     }
 
     #[test]
@@ -249,17 +237,20 @@ mod tests {
         g.add_segment(Segment::horizontal(50, 20, 60));
         // Eastward ray at y=0, parallel to the goal segment: align with
         // its endpoints.
-        let stops = g.stops_along_ray(Point::new(0, 0), Dir::East, 100);
-        assert_eq!(stops, vec![20, 60]);
+        let mut out = Vec::new();
+        g.stops_along_ray_into(Point::new(0, 0), Dir::East, 100, &mut out);
+        assert_eq!(out, [20, 60]);
     }
 
     #[test]
     fn vertical_ray_alignments() {
         let mut g = GoalSet::from_point(Point::new(99, 25));
         g.add_segment(Segment::horizontal(70, 0, 10));
-        let stops = g.stops_along_ray(Point::new(5, 0), Dir::North, 100);
         // Point alignment at y=25; segment crossing at y=70 (the ray at
-        // x=5 crosses the horizontal segment spanning x 0..10).
-        assert_eq!(stops, vec![25, 70]);
+        // x=5 crosses the horizontal segment spanning x 0..10), where the
+        // segment's endpoints align too.
+        let mut out = Vec::new();
+        g.stops_along_ray_into(Point::new(5, 0), Dir::North, 100, &mut out);
+        assert_eq!(out, [25, 70, 70, 70]);
     }
 }

@@ -80,13 +80,6 @@ impl<E: RoutingEngine> SessionBuilder<E> {
         self
     }
 
-    /// Pins the worker count (`None` = available parallelism).
-    #[must_use]
-    pub fn threads(mut self, threads: Option<usize>) -> SessionBuilder<E> {
-        self.batch.threads = threads;
-        self
-    }
-
     /// Builds the session: the plane index is constructed **now** (a
     /// session's plane is long-lived state, not a per-call lazy).
     #[must_use]

@@ -253,7 +253,7 @@ impl<'a> RoutingSpace<'a> {
         // Corner stops arrive distinct and in travel order, and the ray
         // stop lies at or beyond all of them, so one pass builds a
         // strictly monotone travel-order list.
-        self.plane.corner_stops_into(p, dir, hit.stop, stops);
+        self.plane.corner_candidates_into(p, dir, hit.stop, stops);
         if stops.last() != Some(&hit.stop) {
             stops.push(hit.stop);
         }
@@ -522,10 +522,10 @@ mod tests {
         );
     }
 
-    /// The reference successor list, built from the full candidates: every
-    /// corner candidate's `at`, the goal alignments and the ray stop,
-    /// sorted and deduplicated, each edge priced with its own
-    /// `bend_is_anchored` probe.
+    /// The reference successor list, built without the generator's
+    /// travel-order merge: the ray's corner coordinates, its goal
+    /// alignments and the ray stop, sorted and deduplicated, each edge
+    /// priced with its own `bend_is_anchored` probe.
     fn reference_successors(
         plane: &dyn PlaneIndex,
         goals: &GoalSet,
@@ -542,13 +542,9 @@ mod tests {
             if hit.distance == 0 {
                 continue;
             }
-            let mut stops = goals.stops_along_ray(p, dir, hit.stop);
-            stops.extend(
-                plane
-                    .corner_candidates(p, dir, hit.stop)
-                    .iter()
-                    .map(|c| c.at),
-            );
+            let mut stops = Vec::new();
+            plane.corner_candidates_into(p, dir, hit.stop, &mut stops);
+            goals.stops_along_ray_into(p, dir, hit.stop, &mut stops);
             stops.push(hit.stop);
             stops.sort_unstable();
             stops.dedup();
@@ -810,7 +806,9 @@ mod tests {
                     goals.add_point(pin.position);
                 }
             }
-            let space = RoutingSpace::new(plane, &goals, tree.seeds(plane, &goals), coster);
+            let mut seeds = Vec::new();
+            tree.seeds_into(plane, &goals, &mut Vec::new(), &mut Vec::new(), &mut seeds);
+            let space = RoutingSpace::new(plane, &goals, seeds, coster);
             let what = format!("net {}: {}", route.net, conn.polyline);
             assert_eq!(space.replay(&conn.polyline), Some(conn.cost), "{what}");
             surcharged += usize::from(conn.cost.primary > conn.polyline.length());

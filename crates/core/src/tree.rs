@@ -96,20 +96,6 @@ impl RouteTree {
         best
     }
 
-    /// Converts the tree into a goal set (used when searching *toward* the
-    /// tree, e.g. in tests).
-    #[must_use]
-    pub fn to_goal_set(&self) -> GoalSet {
-        let mut g = GoalSet::new();
-        for p in &self.points {
-            g.add_point(*p);
-        }
-        for s in &self.segments {
-            g.add_segment(*s);
-        }
-        g
-    }
-
     /// The multi-source seed states for the next connection: "all line
     /// segments in the spanning tree being built" are potential connection
     /// points, realized by the canonical departure points —
@@ -120,19 +106,10 @@ impl RouteTree {
     ///   leaving the segment turns at such an alignment).
     ///
     /// All seeds carry zero initial cost: leaving the existing tree is
-    /// free.
-    #[must_use]
-    pub fn seeds(&self, plane: &dyn PlaneIndex, goals: &GoalSet) -> Vec<(RouteState, LexCost)> {
-        let mut out = Vec::new();
-        self.seeds_into(plane, goals, &mut Vec::new(), &mut Vec::new(), &mut out);
-        out
-    }
-
-    /// Buffer-reuse form of [`RouteTree::seeds`]: clears the staging
-    /// buffers and `out`, then fills `out` with the same seed states in
-    /// the same (sorted, deduplicated) order. The hot net driver threads
-    /// the buffers through [`SearchScratch`](crate::SearchScratch), so
-    /// repeated tree growth allocates nothing once the high-water
+    /// free. Clears the staging buffers and `out`, then fills `out` with
+    /// the seed states in sorted, deduplicated order. The hot net driver
+    /// threads the buffers through [`SearchScratch`](crate::SearchScratch),
+    /// so repeated tree growth allocates nothing once the high-water
     /// capacities are reached.
     pub fn seeds_into(
         &self,
@@ -179,20 +156,6 @@ impl RouteTree {
             pts.iter()
                 .map(|&p| (RouteState::source(p), LexCost::zero())),
         );
-    }
-
-    /// The tree's segments split by axis, mostly for reporting.
-    #[must_use]
-    pub fn segments_by_axis(&self) -> (Vec<Segment>, Vec<Segment>) {
-        let mut h = Vec::new();
-        let mut v = Vec::new();
-        for s in &self.segments {
-            match s.axis() {
-                Axis::X => h.push(*s),
-                Axis::Y => v.push(*s),
-            }
-        }
-        (h, v)
     }
 }
 
@@ -256,7 +219,8 @@ mod tests {
         let mut t = RouteTree::new();
         t.add_polyline(&Polyline::new(vec![Point::new(0, 10), Point::new(80, 10)]).unwrap());
         let goals = GoalSet::from_point(Point::new(55, 90));
-        let seeds = t.seeds(&plane, &goals);
+        let (mut stage, mut scratch, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
+        t.seeds_into(&plane, &goals, &mut stage, &mut scratch, &mut seeds);
         let pts: Vec<Point> = seeds.iter().map(|(s, _)| s.point).collect();
         assert!(pts.contains(&Point::new(0, 10))); // endpoint
         assert!(pts.contains(&Point::new(80, 10))); // endpoint
@@ -281,11 +245,8 @@ mod tests {
             ])
             .unwrap(),
         );
-        let pts: Vec<Point> = t
-            .seeds(&plane, &goals)
-            .iter()
-            .map(|(s, _)| s.point)
-            .collect();
+        t.seeds_into(&plane, &goals, &mut stage, &mut scratch, &mut seeds);
+        let pts: Vec<Point> = seeds.iter().map(|(s, _)| s.point).collect();
         let want = [
             (0, 10),  // endpoint and corner x = 0 (plane boundary)
             (20, 70), // endpoint
@@ -304,27 +265,5 @@ mod tests {
         ]
         .map(|(x, y)| Point::new(x, y));
         assert_eq!(pts, want);
-    }
-
-    #[test]
-    fn to_goal_set_mirrors_tree() {
-        let mut t = RouteTree::new();
-        t.add_point(Point::new(1, 2));
-        t.add_polyline(&Polyline::new(vec![Point::new(5, 5), Point::new(5, 9)]).unwrap());
-        let g = t.to_goal_set();
-        assert!(g.contains(Point::new(1, 2)));
-        assert!(g.contains(Point::new(5, 7)));
-        assert!(!g.contains(Point::new(2, 2)));
-    }
-
-    #[test]
-    fn segments_by_axis_partitions() {
-        let mut t = RouteTree::new();
-        t.add_polyline(
-            &Polyline::new(vec![Point::new(0, 0), Point::new(10, 0), Point::new(10, 5)]).unwrap(),
-        );
-        let (h, v) = t.segments_by_axis();
-        assert_eq!(h.len(), 1);
-        assert_eq!(v.len(), 1);
     }
 }

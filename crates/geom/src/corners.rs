@@ -1,49 +1,37 @@
-//! Bucketed corner-candidate tables: perpendicular-distance pruning for
-//! [`corner_candidates`](crate::Plane::corner_candidates) queries.
+//! Bucketed corner tables: perpendicular-distance pruning for the corner
+//! query ([`PlaneIndex::corner_candidates_into`](crate::PlaneIndex::corner_candidates_into)).
 //!
 //! The flat plane answers a corner query by scanning **every** face in
 //! the ray's coordinate slab and sorting what survives — cost
 //! proportional to all obstacles sharing the slab, regardless of how far
 //! from the ray line they sit. [`CornerIndex`] restructures the same
 //! faces so a query pays only for the *distinct face coordinates* in the
-//! slab, with the perpendicular dimension resolved by binary search:
+//! slab:
 //!
 //! * per ray axis, the distinct face coordinates are kept sorted
-//!   (`coords`), each with a **column** of the rectangles owning a face
-//!   there;
-//! * a column stores its rectangles twice: keyed by the low
-//!   perpendicular edge (ascending, with a *suffix*-minimum obstacle-id
-//!   table) and by the high perpendicular edge (ascending, with a
-//!   *prefix*-minimum table). For a ray line at `w`, the rectangles
-//!   wholly on the positive side are exactly the suffix with
-//!   `perp_lo ≥ w`, and the negative side is the prefix with
-//!   `perp_hi ≤ w` — so the one surviving candidate per `(coord, side)`
-//!   (the minimum obstacle id, per the canonical dedup in
-//!   [`finish_corner_candidates`](crate::plane::finish_corner_candidates))
-//!   is a single `partition_point` plus a table lookup.
+//!   (`coords`), each with a **column** holding the perpendicular extents
+//!   of the rectangles owning a face there: their low edges (`los`) and
+//!   their high edges (`his`), each sorted;
+//! * parallel to `coords`, a compact `reach` array holds each column's
+//!   `(max lo, min hi)`. A coordinate anchors a turn from the ray line
+//!   `w` exactly when some rectangle lies wholly on the positive side
+//!   (`max lo ≥ w`) or wholly on the negative side (`min hi ≤ w`), so
+//!   [`CornerIndex::candidates_into`] reads two contiguous arrays and
+//!   never touches a column.
 //!
-//! Because columns are visited in coordinate order and each emits its
-//! Positive candidate before its Negative one, the output needs **no
-//! sort and no dedup**: it is constructed directly in the canonical
-//! order the flat plane produces. Bit-identity against the flat slab
-//! scan is locked by the differential suites (`tests/plane_equivalence.rs`,
+//! The columns exist only to keep `reach` exact when a face is removed:
+//! the next-largest `lo` and next-smallest `hi` are the neighbours of the
+//! removed values. Columns are visited in coordinate order, so the output
+//! needs **no sort and no dedup**. Equality with the flat slab scan is
+//! locked by the differential suites (`tests/plane_equivalence.rs`,
 //! `crates/geom/tests/sharded.rs`).
 //!
-//! The successor generator needs only the coordinates, not the anchoring
-//! obstacle or side, so each axis also keeps a compact `reach` array
-//! parallel to `coords`: a column's `(max perp_lo, min perp_hi)`. A
-//! coordinate anchors a turn from the ray line `w` exactly when
-//! `max_lo ≥ w` (some rectangle wholly on the positive side) or
-//! `min_hi ≤ w` (one wholly on the negative side), so
-//! [`CornerIndex::stops_into`] answers from two contiguous arrays and
-//! never touches a column.
-//!
 //! Degenerate rectangles never anchor a turn (see
-//! [`turn_side_of`](crate::plane::turn_side_of)) and are excluded at
-//! insertion; straddling rectangles are excluded per query by the `w`
-//! threshold tests.
+//! [`anchors`](crate::plane::anchors)) and are excluded at insertion;
+//! straddling rectangles are excluded per query by the `w` threshold
+//! tests.
 
-use crate::{Axis, Coord, CornerCandidate, Dir, ObstacleId, Point, Rect, TurnSide};
+use crate::{Axis, Coord, Dir, ObstacleId, Point, Rect};
 
 /// The corner tables of one ray axis: distinct face coordinates with a
 /// [`Column`] each.
@@ -57,74 +45,30 @@ struct AxisCorners {
     columns: Vec<Column>,
 }
 
-/// The rectangles owning a face at one coordinate, keyed for both turn
-/// sides.
+/// The perpendicular extents of the rectangles owning a face at one
+/// coordinate (one entry per face, so equal extents repeat).
 #[derive(Debug, Clone, Default)]
 struct Column {
-    /// `(perp_lo, obstacle)` ascending. For a ray line at `w`, the
-    /// suffix with `perp_lo ≥ w` is exactly the positive-side set
-    /// (non-degeneracy guarantees `perp_hi > perp_lo ≥ w`).
-    pos: Vec<(Coord, ObstacleId)>,
-    /// `pos_min[i]` = minimum obstacle id over `pos[i..]`.
-    pos_min: Vec<ObstacleId>,
-    /// `(perp_hi, obstacle)` ascending. The prefix with `perp_hi ≤ w`
-    /// is the negative-side set (`perp_lo < perp_hi ≤ w`).
-    neg: Vec<(Coord, ObstacleId)>,
-    /// `neg_min[i]` = minimum obstacle id over `neg[..=i]`.
-    neg_min: Vec<ObstacleId>,
+    /// Low perpendicular edges, ascending.
+    los: Vec<Coord>,
+    /// High perpendicular edges, ascending.
+    his: Vec<Coord>,
 }
 
 impl Column {
-    /// Rebuilds both running-minimum tables after a face insert/remove
-    /// (O(len); columns hold only the rects sharing one coordinate).
-    fn recompute_mins(&mut self) {
-        self.pos_min.clear();
-        self.pos_min.resize(self.pos.len(), 0);
-        let mut min = ObstacleId::MAX;
-        for i in (0..self.pos.len()).rev() {
-            min = min.min(self.pos[i].1);
-            self.pos_min[i] = min;
-        }
-        self.neg_min.clear();
-        self.neg_min.resize(self.neg.len(), 0);
-        let mut min = ObstacleId::MAX;
-        for (i, &(_, id)) in self.neg.iter().enumerate() {
-            min = min.min(id);
-            self.neg_min[i] = min;
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos.is_empty()
-    }
-
-    /// `(max perp_lo, min perp_hi)` of a non-empty column: a ray line at
-    /// `w` finds a positive-side rectangle iff `max_lo ≥ w` and a
-    /// negative-side one iff `min_hi ≤ w` — exactly when
-    /// [`Column::positive_at`] or [`Column::negative_at`] is `Some`.
+    /// `(max lo, min hi)` of a non-empty column: a ray line at `w` finds
+    /// a rectangle wholly on the positive side iff `max lo ≥ w`, and one
+    /// wholly on the negative side iff `min hi ≤ w` (non-degeneracy makes
+    /// `lo ≥ w` imply `hi > w`, and `hi ≤ w` imply `lo < w`).
     fn reach(&self) -> (Coord, Coord) {
-        (self.pos[self.pos.len() - 1].0, self.neg[0].0)
-    }
-
-    /// The minimum obstacle id among rectangles wholly on the positive
-    /// side of the ray line `w`, if any.
-    fn positive_at(&self, w: Coord) -> Option<ObstacleId> {
-        let k = self.pos.partition_point(|&(lo, _)| lo < w);
-        (k < self.pos.len()).then(|| self.pos_min[k])
-    }
-
-    /// The minimum obstacle id among rectangles wholly on the negative
-    /// side of the ray line `w`, if any.
-    fn negative_at(&self, w: Coord) -> Option<ObstacleId> {
-        let k = self.neg.partition_point(|&(hi, _)| hi <= w);
-        (k > 0).then(|| self.neg_min[k - 1])
+        (self.los[self.los.len() - 1], self.his[0])
     }
 }
 
 impl AxisCorners {
-    /// Inserts one face: the owning rectangle, keyed by both
-    /// perpendicular edges, into the column at `c` (created if absent).
-    fn insert_face(&mut self, c: Coord, lo: Coord, hi: Coord, id: ObstacleId) {
+    /// Inserts one face: its perpendicular extent `lo..hi` goes into the
+    /// column at `c` (created if absent).
+    fn insert_face(&mut self, c: Coord, lo: Coord, hi: Coord) {
         let i = match self.coords.binary_search(&c) {
             Ok(i) => i,
             Err(i) => {
@@ -135,39 +79,34 @@ impl AxisCorners {
             }
         };
         let col = &mut self.columns[i];
-        let at = col.pos.partition_point(|e| *e < (lo, id));
-        col.pos.insert(at, (lo, id));
-        let at = col.neg.partition_point(|e| *e < (hi, id));
-        col.neg.insert(at, (hi, id));
-        col.recompute_mins();
+        col.los.insert(col.los.partition_point(|&v| v < lo), lo);
+        col.his.insert(col.his.partition_point(|&v| v < hi), hi);
         self.reach[i] = col.reach();
     }
 
     /// Removes one face (the exact inverse of
     /// [`AxisCorners::insert_face`]); a drained column is dropped so
     /// queries never walk empty coordinates.
-    fn remove_face(&mut self, c: Coord, lo: Coord, hi: Coord, id: ObstacleId) {
+    fn remove_face(&mut self, c: Coord, lo: Coord, hi: Coord) {
         let Ok(i) = self.coords.binary_search(&c) else {
             debug_assert!(false, "face coordinate must be present");
             return;
         };
-        let emptied = {
-            let col = &mut self.columns[i];
-            let at = col.pos.partition_point(|e| *e < (lo, id));
-            debug_assert_eq!(col.pos.get(at), Some(&(lo, id)), "face must exist");
-            col.pos.remove(at);
-            let at = col.neg.partition_point(|e| *e < (hi, id));
-            debug_assert_eq!(col.neg.get(at), Some(&(hi, id)), "face must exist");
-            col.neg.remove(at);
-            col.recompute_mins();
-            col.is_empty()
-        };
-        if emptied {
+        let col = &mut self.columns[i];
+        for (list, v) in [(&mut col.los, lo), (&mut col.his, hi)] {
+            match list.binary_search(&v) {
+                Ok(at) => {
+                    list.remove(at);
+                }
+                Err(_) => debug_assert!(false, "face must exist"),
+            }
+        }
+        if col.los.is_empty() {
             self.coords.remove(i);
             self.reach.remove(i);
             self.columns.remove(i);
         } else {
-            self.reach[i] = self.columns[i].reach();
+            self.reach[i] = col.reach();
         }
     }
 
@@ -191,8 +130,8 @@ impl AxisCorners {
     }
 }
 
-/// The bucketed corner-candidate index of a plane: one [`AxisCorners`]
-/// per ray axis, built in O(N log N) and maintained per mutation.
+/// The bucketed corner index of a plane: one [`AxisCorners`] per ray
+/// axis, built in O(N log N) and maintained per mutation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CornerIndex {
     /// Face coordinates on [`Axis::X`] (vertical faces, queried by
@@ -214,27 +153,27 @@ impl CornerIndex {
 
     /// Registers one rectangle (both faces on both axes). Degenerate
     /// rectangles anchor nothing and are skipped entirely.
-    pub(crate) fn insert(&mut self, rect: &Rect, id: ObstacleId) {
+    pub(crate) fn insert(&mut self, rect: &Rect) {
         if rect.is_degenerate() {
             return;
         }
         let (xs, ys) = (rect.span(Axis::X), rect.span(Axis::Y));
-        self.x.insert_face(xs.lo(), ys.lo(), ys.hi(), id);
-        self.x.insert_face(xs.hi(), ys.lo(), ys.hi(), id);
-        self.y.insert_face(ys.lo(), xs.lo(), xs.hi(), id);
-        self.y.insert_face(ys.hi(), xs.lo(), xs.hi(), id);
+        self.x.insert_face(xs.lo(), ys.lo(), ys.hi());
+        self.x.insert_face(xs.hi(), ys.lo(), ys.hi());
+        self.y.insert_face(ys.lo(), xs.lo(), xs.hi());
+        self.y.insert_face(ys.hi(), xs.lo(), xs.hi());
     }
 
     /// Unregisters one rectangle (the inverse of [`CornerIndex::insert`]).
-    pub(crate) fn remove(&mut self, rect: &Rect, id: ObstacleId) {
+    pub(crate) fn remove(&mut self, rect: &Rect) {
         if rect.is_degenerate() {
             return;
         }
         let (xs, ys) = (rect.span(Axis::X), rect.span(Axis::Y));
-        self.x.remove_face(xs.lo(), ys.lo(), ys.hi(), id);
-        self.x.remove_face(xs.hi(), ys.lo(), ys.hi(), id);
-        self.y.remove_face(ys.lo(), xs.lo(), xs.hi(), id);
-        self.y.remove_face(ys.hi(), xs.lo(), xs.hi(), id);
+        self.x.remove_face(xs.lo(), ys.lo(), ys.hi());
+        self.x.remove_face(xs.hi(), ys.lo(), ys.hi());
+        self.y.remove_face(ys.lo(), xs.lo(), xs.hi());
+        self.y.remove_face(ys.hi(), xs.lo(), xs.hi());
     }
 
     /// The tables of the axis a ray along `axis` travels.
@@ -245,52 +184,17 @@ impl CornerIndex {
         }
     }
 
-    /// Fills `out` with the corner candidates along the clipped ray, in
-    /// the canonical order and dedup of the flat plane's
-    /// [`corner_candidates_into`](crate::Plane::corner_candidates_into):
-    /// ascending distance from the origin, Positive before Negative on
-    /// ties, minimum obstacle id per `(at, side)` — emitted directly,
-    /// with no sort or dedup pass.
+    /// Clears `out` and fills it with the anchoring corner coordinates
+    /// along the clipped ray, distinct and in travel order, reading only
+    /// `coords` and `reach`.
     pub(crate) fn candidates_into(
         &self,
         origin: Point,
         dir: Dir,
         stop: Coord,
-        out: &mut Vec<CornerCandidate>,
+        out: &mut Vec<Coord>,
     ) {
         out.clear();
-        let axis = dir.axis();
-        let w = origin.coord(axis.perpendicular());
-        let ac = self.axis(axis);
-        let mut emit = |i: usize| {
-            let (at, col) = (ac.coords[i], &ac.columns[i]);
-            if let Some(obstacle) = col.positive_at(w) {
-                out.push(CornerCandidate {
-                    at,
-                    obstacle,
-                    side: TurnSide::Positive,
-                });
-            }
-            if let Some(obstacle) = col.negative_at(w) {
-                out.push(CornerCandidate {
-                    at,
-                    obstacle,
-                    side: TurnSide::Negative,
-                });
-            }
-        };
-        let range = ac.ahead(origin.coord(axis), stop, dir.sign() > 0);
-        if dir.sign() > 0 {
-            range.for_each(&mut emit);
-        } else {
-            range.rev().for_each(&mut emit);
-        }
-    }
-
-    /// Appends the distinct `at` values of
-    /// [`candidates_into`](CornerIndex::candidates_into) to `out`, in
-    /// travel order, reading only `coords` and `reach`.
-    pub(crate) fn stops_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
         let axis = dir.axis();
         let w = origin.coord(axis.perpendicular());
         let ac = self.axis(axis);
@@ -312,32 +216,26 @@ impl CornerIndex {
 /// locally.
 fn build_axis(rects: &[(Rect, ObstacleId)], axis: Axis) -> AxisCorners {
     let perp = axis.perpendicular();
-    let mut faces: Vec<(Coord, Coord, Coord, ObstacleId)> = Vec::with_capacity(rects.len() * 2);
-    for (r, id) in rects {
+    let mut faces: Vec<(Coord, Coord, Coord)> = Vec::with_capacity(rects.len() * 2);
+    for (r, _) in rects {
         if r.is_degenerate() {
             continue;
         }
         let m = r.span(axis);
         let pv = r.span(perp);
-        faces.push((m.lo(), pv.lo(), pv.hi(), *id));
-        faces.push((m.hi(), pv.lo(), pv.hi(), *id));
+        faces.push((m.lo(), pv.lo(), pv.hi()));
+        faces.push((m.hi(), pv.lo(), pv.hi()));
     }
     faces.sort_unstable_by_key(|&(c, ..)| c);
     let mut ac = AxisCorners::default();
-    let mut i = 0;
-    while i < faces.len() {
-        let c = faces[i].0;
-        let mut col = Column::default();
-        while i < faces.len() && faces[i].0 == c {
-            let (_, lo, hi, id) = faces[i];
-            col.pos.push((lo, id));
-            col.neg.push((hi, id));
-            i += 1;
-        }
-        col.pos.sort_unstable();
-        col.neg.sort_unstable();
-        col.recompute_mins();
-        ac.coords.push(c);
+    for group in faces.chunk_by(|a, b| a.0 == b.0) {
+        let mut col = Column {
+            los: group.iter().map(|&(_, lo, _)| lo).collect(),
+            his: group.iter().map(|&(.., hi)| hi).collect(),
+        };
+        col.los.sort_unstable();
+        col.his.sort_unstable();
+        ac.coords.push(group[0].0);
         ac.reach.push(col.reach());
         ac.columns.push(col);
     }
@@ -349,15 +247,12 @@ mod tests {
     use super::*;
     use crate::Plane;
 
-    /// Both table queries against the flat slab scan: the candidates
-    /// bit for bit, and the coordinate-only stops as the distinct `at`s
-    /// of the flat candidates — from the tables and from the flat
-    /// plane's own `corner_stops_into` — for full and clipped stops.
+    /// The table query against the flat plane's slab scan, for full and
+    /// clipped stops, into a buffer left dirty by the previous query.
     fn differential(plane: &Plane, index: &CornerIndex, what: &str) {
         let xs = plane.corner_coords(Axis::X);
         let ys = plane.corner_coords(Axis::Y);
-        let mut buf = Vec::new();
-        let mut stops = Vec::new();
+        let (mut want, mut got) = (Vec::new(), vec![Coord::MIN]);
         for &x in &xs {
             for &y in &ys {
                 let p = Point::new(x, y);
@@ -368,17 +263,9 @@ mod tests {
                     let hit = plane.ray_hit(p, dir);
                     let mid = (p.coord(dir.axis()) + hit.stop) / 2;
                     for stop in [hit.stop, mid] {
-                        let want = plane.corner_candidates(p, dir, stop);
-                        index.candidates_into(p, dir, stop, &mut buf);
-                        assert_eq!(buf, want, "{what}: {p} {dir:?} @{stop}");
-                        let mut ats: Vec<Coord> = want.iter().map(|c| c.at).collect();
-                        ats.dedup();
-                        stops.clear();
-                        index.stops_into(p, dir, stop, &mut stops);
-                        assert_eq!(stops, ats, "{what}: table stops {p} {dir:?} @{stop}");
-                        stops.clear();
-                        plane.corner_stops_into(p, dir, stop, &mut stops);
-                        assert_eq!(stops, ats, "{what}: flat stops {p} {dir:?} @{stop}");
+                        plane.corner_candidates_into(p, dir, stop, &mut want);
+                        index.candidates_into(p, dir, stop, &mut got);
+                        assert_eq!(got, want, "{what}: {p} {dir:?} @{stop}");
                     }
                 }
             }
@@ -425,8 +312,8 @@ mod tests {
         let mut index = CornerIndex::default();
         let rects = seeded_rects(3, 12);
         for (k, &r) in rects.iter().enumerate() {
-            let id = plane.add_obstacle(r);
-            index.insert(&r, id);
+            plane.add_obstacle(r);
+            index.insert(&r);
             differential(&plane, &index, &format!("after insert {k}"));
         }
         // Remove half of them (faces shared between rects must survive
@@ -434,7 +321,7 @@ mod tests {
         for (k, &r) in rects.iter().enumerate().filter(|(k, _)| k % 2 == 0) {
             let id = plane.rects().iter().find(|(pr, _)| *pr == r).unwrap().1;
             plane.remove_obstacle(id);
-            index.remove(&r, id);
+            index.remove(&r);
             differential(&plane, &index, &format!("after remove {k}"));
         }
     }
@@ -442,32 +329,34 @@ mod tests {
     #[test]
     fn degenerate_rects_are_ignored() {
         let mut index = CornerIndex::default();
-        index.insert(&Rect::new(10, 0, 10, 50).unwrap(), 0);
-        index.insert(&Rect::new(0, 20, 50, 20).unwrap(), 1);
+        index.insert(&Rect::new(10, 0, 10, 50).unwrap());
+        index.insert(&Rect::new(0, 20, 50, 20).unwrap());
         let mut out = Vec::new();
         index.candidates_into(Point::new(0, 30), Dir::East, 100, &mut out);
         assert!(out.is_empty(), "degenerate faces anchor nothing");
-        let mut stops = Vec::new();
-        index.stops_into(Point::new(0, 30), Dir::East, 100, &mut stops);
-        assert!(stops.is_empty(), "degenerate faces stop nothing");
-        index.remove(&Rect::new(10, 0, 10, 50).unwrap(), 0);
+        index.remove(&Rect::new(10, 0, 10, 50).unwrap());
     }
 
     #[test]
-    fn shared_face_coordinate_keeps_minimum_id() {
-        // Two rects share the face x=20 on the same side of the ray;
-        // the flat dedup keeps the lower id — so must the tables.
-        let mut plane = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
-        let a = plane.add_obstacle(Rect::new(20, 60, 40, 70).unwrap());
-        let b = plane.add_obstacle(Rect::new(20, 80, 45, 90).unwrap());
-        plane.build_index();
-        let index = CornerIndex::build(plane.rects());
-        let mut out = Vec::new();
-        index.candidates_into(Point::new(0, 50), Dir::East, 100, &mut out);
-        assert_eq!(
-            out,
-            plane.corner_candidates(Point::new(0, 50), Dir::East, 100)
+    fn removing_a_face_restores_the_reach_it_set() {
+        // Two rects share the face x=20: one spans y 55..70, the other
+        // y 60..80. From the ray line y=57 the first straddles and the
+        // second lies above, so x=20 anchors. Removing the second must
+        // bring the column's reach back to the first's extent alone.
+        let (low, high) = (
+            Rect::new(20, 55, 40, 70).unwrap(),
+            Rect::new(20, 60, 30, 80).unwrap(),
         );
-        assert_eq!(out[0].obstacle, a.min(b));
+        let mut index = CornerIndex::default();
+        index.insert(&low);
+        index.insert(&high);
+        let mut out = Vec::new();
+        index.candidates_into(Point::new(0, 57), Dir::East, 100, &mut out);
+        assert_eq!(out, [20, 30], "the upper rect anchors both its faces");
+        index.remove(&high);
+        index.candidates_into(Point::new(0, 57), Dir::East, 100, &mut out);
+        assert!(out.is_empty(), "the lower rect straddles y=57: {out:?}");
+        index.candidates_into(Point::new(0, 50), Dir::East, 100, &mut out);
+        assert_eq!(out, [20, 40]);
     }
 }

@@ -10,11 +10,13 @@
 //! implementation answered.
 //!
 //! The contract is **semantic equality**: every implementation must
-//! return *bit-identical* answers for identical queries (the stop
-//! coordinate, the blocker id, the candidate order — everything). That
-//! is what lets `tests/plane_equivalence.rs` assert that routing over a
-//! sharded plane produces byte-identical routes to routing over the flat
-//! one, serially and in parallel.
+//! return *bit-identical* answers for identical queries — the ray's stop
+//! coordinate and distance, and the corner coordinates in their order.
+//! Ray and corner queries answer coordinates only, never which obstacle
+//! stopped or anchored them: the successor generator reads nothing else.
+//! That is what lets `tests/plane_equivalence.rs` assert that routing
+//! over a sharded plane produces byte-identical routes to routing over
+//! the flat one, serially and in parallel.
 //!
 //! The two implementations are free to answer *differently inside*: the
 //! flat plane scans the obstacles overlapping a query's slab, the
@@ -27,7 +29,7 @@
 
 use std::fmt;
 
-use crate::{Axis, Coord, CornerCandidate, Dir, ObstacleId, Plane, Point, Polyline, RayHit, Rect};
+use crate::{Axis, Coord, Dir, ObstacleId, Plane, Point, Polyline, RayHit, Rect};
 
 /// The query interface of an obstacle plane.
 ///
@@ -62,40 +64,16 @@ pub trait PlaneIndex: fmt::Debug + Sync {
     /// position.
     fn ray_hit(&self, origin: Point, dir: Dir) -> RayHit;
 
-    /// Enumerates the obstacle-corner coordinates along a ray from
-    /// `origin` in `dir`, up to and including `stop` (normally the
-    /// [`RayHit::stop`] of the same ray), sorted by distance from the
-    /// origin and deduplicated by `(at, side)`.
-    fn corner_candidates(&self, origin: Point, dir: Dir, stop: Coord) -> Vec<CornerCandidate>;
-
-    /// Buffer-reuse form of [`PlaneIndex::corner_candidates`]: clears
-    /// `out` and fills it with the same candidates in the same order.
+    /// Clears `out` and fills it with the obstacle-corner coordinates
+    /// along a ray from `origin` in `dir`, up to and including `stop`
+    /// (normally the [`RayHit::stop`] of the same ray): each coordinate in
+    /// the ray's range at which a rectangle lying wholly on one side of
+    /// the ray line has a face, once, in travel order (nearest to the
+    /// origin first).
     ///
-    /// The default pays one allocation by delegating to the
-    /// allocate-and-return form; both shipped implementations fill `out`
-    /// in place. The search does not call it: successor generation needs
-    /// only the coordinates, which [`PlaneIndex::corner_stops_into`]
-    /// answers more cheaply.
-    fn corner_candidates_into(
-        &self,
-        origin: Point,
-        dir: Dir,
-        stop: Coord,
-        out: &mut Vec<CornerCandidate>,
-    ) {
-        out.clear();
-        out.extend(self.corner_candidates(origin, dir, stop));
-    }
-
-    /// Appends the distinct [`CornerCandidate::at`] values of
-    /// [`PlaneIndex::corner_candidates`] to `out`, in travel order
-    /// (nearest to the ray origin first).
-    ///
-    /// This is the form the hot search loop calls (one corner query per
-    /// ray per expansion): it skips the anchoring obstacle and side the
-    /// successor generator never reads, and appends so the caller can
-    /// build its stop list in one pass over a reused buffer.
-    fn corner_stops_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>);
+    /// This is the "hug cells as they are encountered" query: the search
+    /// calls it once per ray it casts, into a reused buffer.
+    fn corner_candidates_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>);
 
     /// The sorted, deduplicated coordinates of all obstacle edges on
     /// `axis`, including the plane boundary.
@@ -145,22 +123,8 @@ impl PlaneIndex for Plane {
         Plane::ray_hit(self, origin, dir)
     }
 
-    fn corner_candidates(&self, origin: Point, dir: Dir, stop: Coord) -> Vec<CornerCandidate> {
-        Plane::corner_candidates(self, origin, dir, stop)
-    }
-
-    fn corner_candidates_into(
-        &self,
-        origin: Point,
-        dir: Dir,
-        stop: Coord,
-        out: &mut Vec<CornerCandidate>,
-    ) {
+    fn corner_candidates_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
         Plane::corner_candidates_into(self, origin, dir, stop, out);
-    }
-
-    fn corner_stops_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
-        Plane::corner_stops_into(self, origin, dir, stop, out);
     }
 
     fn corner_coords(&self, axis: Axis) -> Vec<Coord> {
@@ -193,6 +157,9 @@ mod tests {
         assert!(!ix.segment_free(Point::new(0, 50), Point::new(100, 50)));
         let hit = ix.ray_hit(Point::new(0, 50), Dir::East);
         assert_eq!((hit.stop, hit.distance), (30, 30));
+        let mut corners = vec![-1];
+        ix.corner_candidates_into(Point::new(0, 10), Dir::East, 100, &mut corners);
+        assert_eq!(corners, [30, 70]);
         assert_eq!(ix.corner_coords(Axis::X), vec![0, 30, 70, 100]);
         assert_eq!(ix.obstacle_at(Point::new(30, 30)), Some(0));
         assert!(ix.in_bounds(Point::new(100, 100)));

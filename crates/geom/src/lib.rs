@@ -24,8 +24,12 @@
 //!
 //! // A ray eastward at y=50 stops on the block's west face.
 //! let hit = plane.ray_hit(Point::new(0, 50), Dir::East);
-//! assert_eq!(hit.stop, 40);
-//! assert!(hit.blocker.is_some());
+//! assert_eq!((hit.stop, hit.distance), (40, 40));
+//!
+//! // Eastward below the block, a path may turn to hug either x face.
+//! let mut corners = Vec::new();
+//! plane.corner_candidates_into(Point::new(0, 20), Dir::East, 100, &mut corners);
+//! assert_eq!(corners, [40, 60]);
 //! # Ok(())
 //! # }
 //! ```
@@ -52,7 +56,7 @@ pub use dir::{Axis, Dir, Turn};
 pub use error::GeomError;
 pub use index::PlaneIndex;
 pub use interval::Interval;
-pub use plane::{CornerCandidate, ObstacleId, Plane, RayHit, TurnSide};
+pub use plane::{ObstacleId, Plane, RayHit};
 pub use point::Point;
 pub use polyline::Polyline;
 pub use rect::Rect;

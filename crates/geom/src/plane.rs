@@ -4,14 +4,14 @@
 //! describes a data structure of points "linked to reflect their topological
 //! order in both *x* and *y*" over which "an efficient means of ray-tracing
 //! is used to expand the frontiers of the search". [`Plane`] provides that
-//! service with three queries:
+//! service with three queries, each answering coordinates only:
 //!
 //! * [`Plane::ray_hit`] — how far can a wire travel from a point in a
 //!   direction before an obstacle (or the boundary) stops it; this is the
 //!   "extend any path as far … as is feasible" primitive,
-//! * [`Plane::corner_candidates`] — the obstacle-corner coordinates along a
-//!   ray at which a minimal path may usefully turn; this is the "hug cells
-//!   as they are encountered" primitive,
+//! * [`Plane::corner_candidates_into`] — the obstacle-corner coordinates
+//!   along a ray at which a minimal path may usefully turn; this is the
+//!   "hug cells as they are encountered" primitive,
 //! * [`Plane::segment_free`] / [`Plane::point_free`] — legality checks.
 //!
 //! Wires may run *on* obstacle boundaries (they hug them); only the open
@@ -28,43 +28,15 @@ use crate::{Axis, Coord, Dir, Interval, Point, Rect, RectilinearPolygon};
 /// the same id.
 pub type ObstacleId = usize;
 
-/// Result of casting a ray from a point: where movement must stop and what
-/// stopped it.
+/// Result of casting a ray from a point: where movement must stop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RayHit {
-    /// The coordinate on the ray's axis at which travel stops. Equal to the
-    /// origin coordinate when the ray is blocked immediately.
+    /// The coordinate on the ray's axis at which travel stops: the entry
+    /// face of the nearest blocking obstacle, or the plane boundary. Equal
+    /// to the origin coordinate when the ray is blocked immediately.
     pub stop: Coord,
-    /// Obstacle that stopped the ray, or `None` when the plane boundary did.
-    pub blocker: Option<ObstacleId>,
     /// Distance travelled from the origin to `stop` (always ≥ 0).
     pub distance: Coord,
-}
-
-/// Which perpendicular turn an obstacle corner anchors.
-///
-/// When a ray travels along an axis, an obstacle lying on the positive
-/// perpendicular side can only be hugged by turning toward it (positive
-/// perpendicular direction), and symmetrically for the negative side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TurnSide {
-    /// The obstacle lies on the positive-perpendicular side (turn north for
-    /// a horizontal ray, east for a vertical one).
-    Positive,
-    /// The obstacle lies on the negative-perpendicular side.
-    Negative,
-}
-
-impl TurnSide {
-    /// The concrete turn direction for a ray travelling along `ray_axis`.
-    #[must_use]
-    pub fn turn_dir(self, ray_axis: Axis) -> Dir {
-        let perp = ray_axis.perpendicular();
-        match self {
-            TurnSide::Positive => Dir::positive(perp),
-            TurnSide::Negative => Dir::negative(perp),
-        }
-    }
 }
 
 /// The entry-face coordinate at which `r` blocks a ray travelling along
@@ -96,56 +68,13 @@ pub(crate) fn ray_entry(
     }
 }
 
-/// Which side of a ray line (perpendicular coordinate `w`) the rectangle
-/// lies wholly on, or `None` when it straddles the line (blocking rather
-/// than anchoring) or is degenerate. Shared by every plane
-/// implementation's corner-candidate enumeration.
-pub(crate) fn turn_side_of(r: &Rect, perp: Axis, w: Coord) -> Option<TurnSide> {
-    if r.is_degenerate() {
-        return None;
-    }
-    let pv = r.span(perp);
-    if pv.lo() >= w && pv.hi() > w {
-        Some(TurnSide::Positive)
-    } else if pv.hi() <= w && pv.lo() < w {
-        Some(TurnSide::Negative)
-    } else {
-        // Straddles (blocks) or is perpendicular-degenerate on the ray
-        // line; either way its corners anchor nothing new.
-        None
-    }
-}
-
-/// The canonical ordering + dedup applied to corner candidates by every
-/// plane implementation: sorted by distance from the origin (positive
-/// side first on ties, then lowest obstacle id), deduplicated by
-/// `(at, side)`. Operates in place so buffer-reusing callers pay no
-/// allocation.
-pub(crate) fn finish_corner_candidates(out: &mut Vec<CornerCandidate>, positive: bool) {
-    if positive {
-        out.sort_by_key(|c| (c.at, c.side == TurnSide::Negative, c.obstacle));
-    } else {
-        out.sort_by_key(|c| {
-            (
-                std::cmp::Reverse(c.at),
-                c.side == TurnSide::Negative,
-                c.obstacle,
-            )
-        });
-    }
-    out.dedup_by_key(|c| (c.at, c.side));
-}
-
-/// A coordinate along a ray at which a minimal path may usefully turn,
-/// because it aligns with a corner of some obstacle on the turning side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CornerCandidate {
-    /// Coordinate along the ray axis.
-    pub at: Coord,
-    /// The obstacle whose corner anchors this candidate.
-    pub obstacle: ObstacleId,
-    /// The side the obstacle lies on (hence the useful turn direction).
-    pub side: TurnSide,
+/// Whether the faces of `r` anchor turns from the ray line at
+/// perpendicular coordinate `w`: `r` is non-degenerate and lies wholly on
+/// one side of the line, touching it at most. A rectangle that straddles
+/// the line blocks the ray instead, and a degenerate one never anchors.
+/// Shared by every plane implementation's corner query.
+pub(crate) fn anchors(r: &Rect, perp: Axis, w: Coord) -> bool {
+    !r.is_degenerate() && !r.span(perp).contains_open(w)
 }
 
 /// The routing surface: a bounded plane containing rectangular obstacles.
@@ -154,10 +83,15 @@ pub struct CornerCandidate {
 /// use gcr_geom::{Dir, Plane, Point, Rect};
 /// # fn main() -> Result<(), gcr_geom::GeomError> {
 /// let mut plane = Plane::new(Rect::new(0, 0, 100, 100)?);
-/// let block = plane.add_obstacle(Rect::new(30, 30, 70, 70)?);
+/// plane.add_obstacle(Rect::new(30, 30, 70, 70)?);
 ///
 /// let hit = plane.ray_hit(Point::new(10, 50), Dir::East);
-/// assert_eq!((hit.stop, hit.blocker), (30, Some(block)));
+/// assert_eq!((hit.stop, hit.distance), (30, 20));
+///
+/// // Eastward along y=20 the block anchors turns at both its x faces.
+/// let mut corners = Vec::new();
+/// plane.corner_candidates_into(Point::new(10, 20), Dir::East, 100, &mut corners);
+/// assert_eq!(corners, [30, 70]);
 ///
 /// // Travelling along the block's boundary is legal ("hugging").
 /// assert!(plane.segment_free(Point::new(30, 30), Point::new(30, 70)));
@@ -227,16 +161,6 @@ impl TopoIndex {
             (Axis::X, false) => &self.xmax,
             (Axis::Y, true) => &self.ymin,
             (Axis::Y, false) => &self.ymax,
-        }
-    }
-
-    /// Exit-face list (the far corners) for the same ray direction.
-    fn exits(&self, axis: Axis, positive: bool) -> &[(Coord, u32)] {
-        match (axis, positive) {
-            (Axis::X, true) => &self.xmax,
-            (Axis::X, false) => &self.xmin,
-            (Axis::Y, true) => &self.ymax,
-            (Axis::Y, false) => &self.ymin,
         }
     }
 
@@ -538,7 +462,7 @@ impl Plane {
             self.bounds.span(axis).lo()
         };
 
-        let (stop, blocker) = match &self.index {
+        let stop = match &self.index {
             Some(ix) => self.ray_scan_indexed(ix, axis, positive, u0, w, perp, bound),
             None => self.ray_scan_linear(axis, positive, u0, w, perp, bound),
         };
@@ -547,13 +471,11 @@ impl Plane {
         // stop lands on u0 and distance is 0.
         let distance = if positive { stop - u0 } else { u0 - stop };
         debug_assert!(distance >= 0, "ray travelled backwards");
-        RayHit {
-            stop,
-            blocker,
-            distance,
-        }
+        RayHit { stop, distance }
     }
 
+    /// The nearest entry face over every rectangle: the scan the indexed
+    /// one must agree with.
     fn ray_scan_linear(
         &self,
         axis: Axis,
@@ -562,20 +484,17 @@ impl Plane {
         w: Coord,
         perp: Axis,
         bound: Coord,
-    ) -> (Coord, Option<ObstacleId>) {
-        let mut stop = bound;
-        let mut blocker = None;
-        for (r, id) in &self.rects {
-            let Some(entry) = ray_entry(r, axis, perp, positive, u0, w, bound) else {
-                continue;
-            };
-            // Strict comparison: the first (lowest-index) rect wins ties.
-            if (positive && entry < stop) || (!positive && entry > stop) {
-                stop = entry;
-                blocker = Some(*id);
-            }
-        }
-        (stop, blocker)
+    ) -> Coord {
+        let entries = self
+            .rects
+            .iter()
+            .filter_map(|(r, _)| ray_entry(r, axis, perp, positive, u0, w, bound));
+        let nearest = if positive {
+            entries.min()
+        } else {
+            entries.max()
+        };
+        nearest.unwrap_or(bound)
     }
 
     /// Indexed ray scan: walk the sorted entry faces from the first face at
@@ -591,122 +510,53 @@ impl Plane {
         w: Coord,
         perp: Axis,
         bound: Coord,
-    ) -> (Coord, Option<ObstacleId>) {
+    ) -> Coord {
         let entries = ix.entries(axis, positive);
-        let hit = |ri: u32| -> Option<ObstacleId> {
-            let (r, id) = &self.rects[ri as usize];
-            (!r.is_degenerate() && r.span(perp).contains_open(w)).then_some(*id)
+        let blocks = |ri: u32| {
+            let r = &self.rects[ri as usize].0;
+            !r.is_degenerate() && r.span(perp).contains_open(w)
         };
-        if positive {
+        let first = if positive {
             let start = entries.partition_point(|&(c, _)| c < u0);
-            for &(c, ri) in &entries[start..] {
-                if c >= bound {
-                    break;
-                }
-                if let Some(id) = hit(ri) {
-                    return (c, Some(id));
-                }
-            }
+            entries[start..]
+                .iter()
+                .take_while(|&&(c, _)| c < bound)
+                .find(|&&(_, ri)| blocks(ri))
         } else {
             let end = entries.partition_point(|&(c, _)| c <= u0);
-            let mut it = entries[..end].iter().rev();
-            while let Some(&(c, ri)) = it.next() {
-                if c <= bound {
-                    break;
-                }
-                if let Some(id) = hit(ri) {
-                    // Entries sharing this coordinate follow in descending
-                    // rect order; the linear scan's tie-break is the
-                    // *lowest* rect index, so keep scanning the tie group.
-                    let mut best = id;
-                    for &(c2, ri2) in it {
-                        if c2 != c {
-                            break;
-                        }
-                        if let Some(id2) = hit(ri2) {
-                            best = id2;
-                        }
-                    }
-                    return (c, Some(best));
-                }
-            }
-        }
-        (bound, None)
+            entries[..end]
+                .iter()
+                .rev()
+                .take_while(|&&(c, _)| c > bound)
+                .find(|&&(_, ri)| blocks(ri))
+        };
+        first.map_or(bound, |&(c, _)| c)
     }
 
-    /// Enumerates the obstacle-corner coordinates along a ray from `origin`
-    /// in `dir`, up to and including `stop` (normally the
-    /// [`RayHit::stop`] of the same ray).
+    /// Clears `out` and fills it with the obstacle-corner coordinates along
+    /// a ray from `origin` in `dir`, up to and including `stop` (normally
+    /// the [`RayHit::stop`] of the same ray): distinct, in travel order
+    /// (nearest to the origin first).
     ///
-    /// Each candidate records which perpendicular turn it anchors: an
-    /// obstacle wholly on the positive-perpendicular side of the ray line
-    /// can only be hugged by turning toward it. Obstacles that straddle the
-    /// ray line block it and are never candidates. The result is sorted by
-    /// distance from the origin and deduplicated by `(at, side)`.
-    ///
-    /// Allocating wrapper over [`Plane::corner_candidates_into`]; hot
-    /// callers reuse a buffer through the `_into` form.
-    #[must_use]
-    pub fn corner_candidates(&self, origin: Point, dir: Dir, stop: Coord) -> Vec<CornerCandidate> {
-        let mut out = Vec::new();
-        self.corner_candidates_into(origin, dir, stop, &mut out);
-        out
-    }
-
-    /// Buffer-reuse form of [`Plane::corner_candidates`]: clears `out` and
-    /// fills it with the same candidates in the same order, allocating
-    /// only if the buffer's capacity is insufficient.
+    /// A face coordinate anchors a turn when its obstacle lies wholly on
+    /// one side of the ray line, so that a path can hug it by turning
+    /// toward it. Obstacles that straddle the ray line block it and never
+    /// anchor.
     pub fn corner_candidates_into(
         &self,
         origin: Point,
         dir: Dir,
         stop: Coord,
-        out: &mut Vec<CornerCandidate>,
+        out: &mut Vec<Coord>,
     ) {
         out.clear();
-        self.slab_corners(origin, dir, stop, |at, obstacle, side| {
-            out.push(CornerCandidate { at, obstacle, side });
-        });
-        finish_corner_candidates(out, dir.sign() > 0);
-    }
-
-    /// Appends the distinct `at` values of [`Plane::corner_candidates`]
-    /// to `out`, in travel order (nearest to the origin first). The same
-    /// slab scan, sorting and deduplicating bare coordinates in place.
-    pub fn corner_stops_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
-        let start = out.len();
-        self.slab_corners(origin, dir, stop, |at, _, _| out.push(at));
-        let found = &mut out[start..];
-        if dir.sign() > 0 {
-            found.sort_unstable();
-        } else {
-            found.sort_unstable_by(|a, b| b.cmp(a));
-        }
-        let mut len = start;
-        for i in start..out.len() {
-            if len == start || out[i] != out[len - 1] {
-                out[len] = out[i];
-                len += 1;
-            }
-        }
-        out.truncate(len);
-    }
-
-    /// The slab scan behind both corner queries: reports every anchoring
-    /// `(at, obstacle, side)` ahead of the origin up to `stop`, unsorted
-    /// and with duplicates.
-    fn slab_corners(
-        &self,
-        origin: Point,
-        dir: Dir,
-        stop: Coord,
-        mut found: impl FnMut(Coord, ObstacleId, TurnSide),
-    ) {
         let axis = dir.axis();
         let perp = axis.perpendicular();
         let u0 = origin.coord(axis);
         let w = origin.coord(perp);
         let positive = dir.sign() > 0;
+        // Positive rays take coordinates in (u0, stop], negative rays
+        // [stop, u0).
         let ahead = |c: Coord| {
             if positive {
                 c > u0 && c <= stop
@@ -714,43 +564,38 @@ impl Plane {
                 c < u0 && c >= stop
             }
         };
-        let classify = |r: &Rect| -> Option<TurnSide> { turn_side_of(r, perp, w) };
         match &self.index {
             Some(ix) => {
-                // Both corner coordinates of an obstacle appear once across
-                // the entry and exit lists; slice each to the ray's range.
-                for list in [ix.entries(axis, positive), ix.exits(axis, positive)] {
-                    // Positive rays need coordinates in (u0, stop];
-                    // negative rays need [stop, u0).
+                // Each rectangle has one face in each of the axis's two
+                // face lists; slice both to the ray's range.
+                for list in [ix.entries(axis, true), ix.entries(axis, false)] {
                     let from = if positive {
                         list.partition_point(|&(c, _)| c <= u0)
                     } else {
                         list.partition_point(|&(c, _)| c < stop)
                     };
-                    for &(c, ri) in &list[from..] {
-                        if (positive && c > stop) || (!positive && c >= u0) {
-                            break;
-                        }
-                        debug_assert!(ahead(c), "sliced range must be ahead");
-                        let (r, id) = &self.rects[ri as usize];
-                        if let Some(side) = classify(r) {
-                            found(c, *id, side);
+                    for &(c, ri) in list[from..].iter().take_while(|&&(c, _)| ahead(c)) {
+                        if anchors(&self.rects[ri as usize].0, perp, w) {
+                            out.push(c);
                         }
                     }
                 }
             }
             None => {
-                for (r, id) in &self.rects {
-                    let Some(side) = classify(r) else { continue };
-                    let m = r.span(axis);
-                    for c in [m.lo(), m.hi()] {
-                        if ahead(c) {
-                            found(c, *id, side);
-                        }
+                for (r, _) in &self.rects {
+                    if anchors(r, perp, w) {
+                        let m = r.span(axis);
+                        out.extend([m.lo(), m.hi()].into_iter().filter(|&c| ahead(c)));
                     }
                 }
             }
         }
+        if positive {
+            out.sort_unstable();
+        } else {
+            out.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        out.dedup();
     }
 
     /// The sorted, deduplicated coordinates of all obstacle edges on `axis`,
@@ -812,6 +657,12 @@ mod tests {
         (p, id)
     }
 
+    fn corners(p: &Plane, origin: Point, dir: Dir, stop: Coord) -> Vec<Coord> {
+        let mut out = vec![-1];
+        p.corner_candidates_into(origin, dir, stop, &mut out);
+        out
+    }
+
     #[test]
     fn point_free_semantics() {
         let (p, _) = plane_one_block();
@@ -843,13 +694,12 @@ mod tests {
 
     #[test]
     fn ray_hits_block_face() {
-        let (p, id) = plane_one_block();
+        let (p, _) = plane_one_block();
         let hit = p.ray_hit(Point::new(0, 50), Dir::East);
         assert_eq!(
             hit,
             RayHit {
                 stop: 30,
-                blocker: Some(id),
                 distance: 30
             }
         );
@@ -858,7 +708,6 @@ mod tests {
             hit,
             RayHit {
                 stop: 70,
-                blocker: Some(id),
                 distance: 30
             }
         );
@@ -867,7 +716,6 @@ mod tests {
             hit,
             RayHit {
                 stop: 30,
-                blocker: Some(id),
                 distance: 30
             }
         );
@@ -876,7 +724,6 @@ mod tests {
             hit,
             RayHit {
                 stop: 70,
-                blocker: Some(id),
                 distance: 30
             }
         );
@@ -890,7 +737,6 @@ mod tests {
             hit,
             RayHit {
                 stop: 100,
-                blocker: None,
                 distance: 100
             }
         );
@@ -900,7 +746,6 @@ mod tests {
             hit,
             RayHit {
                 stop: 100,
-                blocker: None,
                 distance: 100
             }
         );
@@ -908,13 +753,12 @@ mod tests {
 
     #[test]
     fn ray_from_face_moving_inward_stops_immediately() {
-        let (p, id) = plane_one_block();
+        let (p, _) = plane_one_block();
         let hit = p.ray_hit(Point::new(30, 50), Dir::East);
         assert_eq!(
             hit,
             RayHit {
                 stop: 30,
-                blocker: Some(id),
                 distance: 0
             }
         );
@@ -923,7 +767,6 @@ mod tests {
             hit,
             RayHit {
                 stop: 70,
-                blocker: Some(id),
                 distance: 0
             }
         );
@@ -937,7 +780,6 @@ mod tests {
             hit,
             RayHit {
                 stop: 0,
-                blocker: None,
                 distance: 30
             }
         );
@@ -946,25 +788,41 @@ mod tests {
     #[test]
     fn nearest_of_two_blockers_wins() {
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
-        let near = p.add_obstacle(Rect::new(20, 40, 30, 60).unwrap());
-        let _far = p.add_obstacle(Rect::new(50, 40, 60, 60).unwrap());
-        let hit = p.ray_hit(Point::new(0, 50), Dir::East);
-        assert_eq!((hit.stop, hit.blocker), (20, Some(near)));
+        p.add_obstacle(Rect::new(50, 40, 60, 60).unwrap());
+        p.add_obstacle(Rect::new(20, 40, 30, 60).unwrap());
+        for indexed in [false, true] {
+            if indexed {
+                p.build_index();
+            }
+            let hit = p.ray_hit(Point::new(0, 50), Dir::East);
+            assert_eq!((hit.stop, hit.distance), (20, 20), "indexed {indexed}");
+            let hit = p.ray_hit(Point::new(100, 50), Dir::West);
+            assert_eq!((hit.stop, hit.distance), (60, 40), "indexed {indexed}");
+        }
     }
 
     #[test]
-    fn indexed_and_linear_scans_break_entry_face_ties_identically() {
-        // Regression: two obstacles sharing one exit face (x = 60). The
-        // linear scan awards the tie to the first-inserted rect; the
-        // indexed westward scan used to return the last-inserted one.
+    fn shared_faces_stop_linear_and_indexed_rays_alike() {
+        // Two obstacles sharing one exit face (x = 60) and one entry face
+        // (x = 40): every ray through both stops on the shared face, on
+        // the linear scan and the indexed one (the westward case once
+        // disagreed about which obstacle stopped it).
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
-        let first = p.add_obstacle(Rect::new(40, 40, 60, 55).unwrap());
-        let _second = p.add_obstacle(Rect::new(30, 45, 60, 60).unwrap());
-        let linear = p.ray_hit(Point::new(100, 50), Dir::West);
-        p.build_index();
-        let indexed = p.ray_hit(Point::new(100, 50), Dir::West);
-        assert_eq!(linear, indexed);
-        assert_eq!(indexed.blocker, Some(first));
+        p.add_obstacle(Rect::new(40, 40, 60, 55).unwrap());
+        p.add_obstacle(Rect::new(40, 45, 60, 60).unwrap());
+        let mut indexed = p.clone();
+        indexed.build_index();
+        for (origin, dir, stop) in [
+            (Point::new(100, 50), Dir::West, 60),
+            (Point::new(0, 50), Dir::East, 40),
+        ] {
+            let want = RayHit {
+                stop,
+                distance: (origin.x - stop).abs(),
+            };
+            assert_eq!(p.ray_hit(origin, dir), want, "linear {dir:?}");
+            assert_eq!(indexed.ray_hit(origin, dir), want, "indexed {dir:?}");
+        }
     }
 
     #[test]
@@ -972,28 +830,21 @@ mod tests {
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
         p.add_obstacle(Rect::new(50, 0, 50, 100).unwrap()); // zero width
         let hit = p.ray_hit(Point::new(0, 50), Dir::East);
-        assert_eq!(hit.blocker, None);
+        assert_eq!(hit.stop, 100);
         assert!(p.segment_free(Point::new(0, 50), Point::new(100, 50)));
+        assert!(corners(&p, Point::new(0, 50), Dir::East, 100).is_empty());
     }
 
     #[test]
-    fn corner_candidates_sides_and_order() {
+    fn corner_candidates_from_both_sides_in_travel_order() {
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
-        let above = p.add_obstacle(Rect::new(20, 60, 40, 80).unwrap());
-        let below = p.add_obstacle(Rect::new(50, 10, 65, 40).unwrap());
+        p.add_obstacle(Rect::new(20, 60, 40, 80).unwrap()); // above the ray
+        p.add_obstacle(Rect::new(50, 10, 65, 40).unwrap()); // below it
         let hit = p.ray_hit(Point::new(0, 50), Dir::East);
-        assert_eq!(hit.blocker, None);
-        let cands = p.corner_candidates(Point::new(0, 50), Dir::East, hit.stop);
-        let ats: Vec<(Coord, TurnSide, ObstacleId)> =
-            cands.iter().map(|c| (c.at, c.side, c.obstacle)).collect();
+        assert_eq!(hit.stop, 100);
         assert_eq!(
-            ats,
-            vec![
-                (20, TurnSide::Positive, above),
-                (40, TurnSide::Positive, above),
-                (50, TurnSide::Negative, below),
-                (65, TurnSide::Negative, below),
-            ]
+            corners(&p, Point::new(0, 50), Dir::East, hit.stop),
+            [20, 40, 50, 65]
         );
     }
 
@@ -1002,47 +853,47 @@ mod tests {
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
         p.add_obstacle(Rect::new(20, 60, 40, 80).unwrap());
         // Stop short of the second corner.
-        let cands = p.corner_candidates(Point::new(0, 50), Dir::East, 30);
-        assert_eq!(cands.len(), 1);
-        assert_eq!(cands[0].at, 20);
+        assert_eq!(corners(&p, Point::new(0, 50), Dir::East, 30), [20]);
         // Westward from the right side sees them in reverse order.
-        let cands = p.corner_candidates(Point::new(100, 50), Dir::West, 0);
-        let ats: Vec<Coord> = cands.iter().map(|c| c.at).collect();
-        assert_eq!(ats, vec![40, 20]);
+        assert_eq!(corners(&p, Point::new(100, 50), Dir::West, 0), [40, 20]);
     }
 
     #[test]
     fn corner_candidates_exclude_straddling_blockers() {
         let (p, _) = plane_one_block();
         // The block straddles y=50, so it blocks rather than anchors.
-        let cands = p.corner_candidates(Point::new(0, 50), Dir::East, 30);
-        assert!(cands.is_empty());
+        assert!(corners(&p, Point::new(0, 50), Dir::East, 30).is_empty());
     }
 
     #[test]
     fn touching_obstacle_anchors_from_the_face_line() {
-        let (p, id) = plane_one_block();
-        // Ray along the south face line (y=30): block lies on +y side.
-        let cands = p.corner_candidates(Point::new(0, 30), Dir::East, 100);
-        assert_eq!(cands.len(), 2);
-        assert!(cands.iter().all(|c| c.side == TurnSide::Positive));
-        assert!(cands.iter().all(|c| c.obstacle == id));
-        assert_eq!(cands[0].at, 30);
-        assert_eq!(cands[1].at, 70);
+        let (p, _) = plane_one_block();
+        // Rays along the south and north face lines (y=30, y=70): the
+        // block lies wholly on one side and anchors both x faces.
+        for y in [30, 70] {
+            assert_eq!(corners(&p, Point::new(0, y), Dir::East, 100), [30, 70]);
+        }
     }
 
     #[test]
     fn vertical_ray_candidates() {
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
-        let east_side = p.add_obstacle(Rect::new(60, 20, 80, 40).unwrap());
-        let cands = p.corner_candidates(Point::new(50, 0), Dir::North, 100);
-        let ats: Vec<(Coord, TurnSide)> = cands.iter().map(|c| (c.at, c.side)).collect();
-        assert_eq!(
-            ats,
-            vec![(20, TurnSide::Positive), (40, TurnSide::Positive)]
-        );
-        assert_eq!(cands[0].side.turn_dir(Axis::Y), Dir::East);
-        assert_eq!(cands[0].obstacle, east_side);
+        p.add_obstacle(Rect::new(60, 20, 80, 40).unwrap());
+        assert_eq!(corners(&p, Point::new(50, 0), Dir::North, 100), [20, 40]);
+        assert_eq!(corners(&p, Point::new(50, 100), Dir::South, 0), [40, 20]);
+    }
+
+    #[test]
+    fn shared_face_coordinates_appear_once() {
+        // Faces at x=20 on both sides of the ray, and x=40 twice above it.
+        let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
+        p.add_obstacle(Rect::new(20, 60, 40, 70).unwrap());
+        p.add_obstacle(Rect::new(20, 10, 30, 40).unwrap());
+        p.add_obstacle(Rect::new(40, 80, 45, 90).unwrap());
+        let want = [20, 30, 40, 45];
+        assert_eq!(corners(&p, Point::new(0, 50), Dir::East, 100), want);
+        p.build_index();
+        assert_eq!(corners(&p, Point::new(0, 50), Dir::East, 100), want);
     }
 
     #[test]
@@ -1151,7 +1002,7 @@ mod tests {
         assert!(p.point_free(Point::new(35, 50)));
         assert!(!p.point_free(Point::new(75, 50)));
         let hit = p.ray_hit(Point::new(0, 50), Dir::East);
-        assert_eq!((hit.stop, hit.blocker), (40, Some(id)));
+        assert_eq!(hit.stop, 40);
         // The maintained index answers exactly like a rebuilt one.
         let mut rebuilt = p.clone();
         rebuilt.build_index();
@@ -1162,8 +1013,8 @@ mod tests {
                 "y={y}"
             );
             assert_eq!(
-                p.corner_candidates(Point::new(0, y), Dir::East, 100),
-                rebuilt.corner_candidates(Point::new(0, y), Dir::East, 100),
+                corners(&p, Point::new(0, y), Dir::East, 100),
+                corners(&rebuilt, Point::new(0, y), Dir::East, 100),
                 "y={y}"
             );
         }
@@ -1177,13 +1028,16 @@ mod tests {
         // built from the mutated geometry.
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
         let a = p.add_obstacle(Rect::new(10, 40, 20, 60).unwrap());
-        let b = p.add_obstacle(Rect::new(50, 40, 60, 60).unwrap());
+        p.add_obstacle(Rect::new(50, 40, 60, 60).unwrap());
         p.build_index();
         assert!(p.translate_obstacle(a, 40, 0)); // now coincident with b
         assert_eq!(p.rects()[0], (Rect::new(50, 40, 60, 60).unwrap(), a));
-        let hit = p.ray_hit(Point::new(0, 50), Dir::East);
-        assert_eq!(hit.blocker, Some(a), "lowest slot wins the tie");
-        let _ = b;
+        assert_eq!(
+            p.obstacle_at(Point::new(55, 50)),
+            Some(a),
+            "lowest slot wins"
+        );
+        assert_eq!(p.ray_hit(Point::new(0, 50), Dir::East).stop, 50);
     }
 
     #[test]
@@ -1195,8 +1049,8 @@ mod tests {
         assert!(p.remove_obstacle(a));
         assert!(!p.remove_obstacle(a), "already removed");
         assert_eq!(p.obstacle_count(), 1);
-        let hit = p.ray_hit(Point::new(0, 50), Dir::East);
-        assert_eq!((hit.stop, hit.blocker), (50, Some(b)), "b keeps its id");
+        assert_eq!(p.ray_hit(Point::new(0, 50), Dir::East).stop, 50);
+        assert_eq!(p.obstacle_at(Point::new(55, 50)), Some(b), "b keeps its id");
         // Ids are never reused.
         let c = p.add_obstacle(Rect::new(70, 40, 80, 60).unwrap());
         assert_ne!(c, a);
@@ -1237,8 +1091,8 @@ mod tests {
                 assert_eq!(appended.ray_hit(p, dir), incremental.ray_hit(p, dir));
                 let stop = incremental.ray_hit(p, dir).stop;
                 assert_eq!(
-                    bulk.corner_candidates(p, dir, stop),
-                    incremental.corner_candidates(p, dir, stop),
+                    corners(&bulk, p, dir, stop),
+                    corners(&incremental, p, dir, stop),
                     "y={y}"
                 );
             }

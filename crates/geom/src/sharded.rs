@@ -13,16 +13,14 @@
 //!   nearest, see `ray_scan_sharded`),
 //! * [`PlaneIndex::segment_free`] / [`PlaneIndex::point_free`] test only
 //!   the rectangles registered in the buckets the probe touches,
-//! * [`PlaneIndex::corner_candidates`] and
-//!   [`PlaneIndex::corner_stops_into`] are served by dedicated **corner
-//!   tables** ([`CornerIndex`]): anchoring corners sit at any
+//! * [`PlaneIndex::corner_candidates_into`] is served by dedicated
+//!   **corner tables** ([`CornerIndex`]): anchoring corners sit at any
 //!   perpendicular distance from the ray line, so the uniform buckets
 //!   have no locality to offer — instead the faces are grouped per
-//!   distinct ray-axis coordinate with the perpendicular dimension
-//!   pre-sorted, making the cost proportional to the distinct face
-//!   coordinates in the slab (plus one binary search each) rather than
-//!   to every obstacle sharing it, and the canonical output order falls
-//!   out with no query-time sort.
+//!   distinct ray-axis coordinate with each column's perpendicular reach
+//!   precomputed, making the cost proportional to the distinct face
+//!   coordinates in the slab rather than to every obstacle sharing it,
+//!   and the travel order falls out with no query-time sort.
 //!
 //! Nothing is memoized: every query reads the buckets and tables as they
 //! stand, and every mutation updates them in place, so no answer can go
@@ -42,8 +40,8 @@ use std::fmt;
 use crate::corners::CornerIndex;
 use crate::plane::ray_entry;
 use crate::{
-    Axis, Coord, CornerCandidate, Dir, Interval, ObstacleId, Plane, PlaneIndex, Point, RayHit,
-    Rect, RectilinearPolygon,
+    Axis, Coord, Dir, Interval, ObstacleId, Plane, PlaneIndex, Point, RayHit, Rect,
+    RectilinearPolygon,
 };
 
 /// Hard ceiling on the bucket-grid size chosen by the sizing heuristic.
@@ -128,18 +126,6 @@ impl ShardedPlane {
         &self.flat
     }
 
-    /// The bucket edge length.
-    #[must_use]
-    pub fn shard_size(&self) -> Coord {
-        self.shard
-    }
-
-    /// The bucket-grid dimensions `(columns, rows)`.
-    #[must_use]
-    pub fn bucket_dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
     /// Adds a rectangular obstacle and returns its id (see
     /// [`Plane::add_obstacle`]): an append to the flat list plus the
     /// bucket and corner-table registration.
@@ -191,14 +177,14 @@ impl ShardedPlane {
         }
         for &(ri, old) in &moves {
             self.unregister_rect(ri, &old);
-            self.corners.remove(&old, id);
+            self.corners.remove(&old);
         }
         let moved = self.flat.translate_obstacle(id, dx, dy);
         debug_assert!(moved, "flat plane holds the same ids");
         for &(ri, old) in &moves {
             let new = old.translate(dx, dy);
             self.register_rect(ri, &new);
-            self.corners.insert(&new, id);
+            self.corners.insert(&new);
         }
         true
     }
@@ -224,9 +210,8 @@ impl ShardedPlane {
     /// tables (the incremental counterpart of the bulk
     /// [`CornerIndex::build`]).
     fn index_corners(&mut self, from: usize) {
-        for k in from..self.flat.rects().len() {
-            let (r, id) = self.flat.rects()[k];
-            self.corners.insert(&r, id);
+        for (r, _) in &self.flat.rects()[from..] {
+            self.corners.insert(r);
         }
     }
 
@@ -306,11 +291,10 @@ impl ShardedPlane {
 
     /// The sharded ray scan. Walk the bucket row (or column) under the
     /// ray in travel order; within each bucket take the nearest entry
-    /// face (ties to the lowest rectangle index, matching the flat scan).
-    /// The first bucket that yields a blocker holds the global nearest:
-    /// any rectangle not yet visited starts strictly beyond the current
-    /// bucket's far edge, while every candidate found inside it stops at
-    /// or before that edge.
+    /// face. The first bucket that yields a blocker holds the global
+    /// nearest: any rectangle not yet visited starts strictly beyond the
+    /// current bucket's far edge, while every candidate found inside it
+    /// stops at or before that edge.
     fn ray_scan_sharded(&self, origin: Point, dir: Dir) -> RayHit {
         let axis = dir.axis();
         let perp = axis.perpendicular();
@@ -326,35 +310,22 @@ impl ShardedPlane {
         let row = self.cell_of(perp, w);
         let mut c = self.cell_of(axis, u0);
         let cend = self.cell_of(axis, bound);
-        let (mut stop, mut blocker) = (bound, None);
+        let mut stop = bound;
         loop {
             let cell = match axis {
                 Axis::X => self.bucket(c, row),
                 Axis::Y => self.bucket(row, c),
             };
-            let mut best: Option<(Coord, u32)> = None;
-            for &ri in cell {
-                let (r, _) = &rects[ri as usize];
-                let Some(entry) = ray_entry(r, axis, perp, positive, u0, w, bound) else {
-                    continue;
-                };
-                let better = match best {
-                    None => true,
-                    Some((be, bi)) => {
-                        if positive {
-                            entry < be || (entry == be && ri < bi)
-                        } else {
-                            entry > be || (entry == be && ri < bi)
-                        }
-                    }
-                };
-                if better {
-                    best = Some((entry, ri));
-                }
-            }
-            if let Some((entry, ri)) = best {
+            let entries = cell.iter().filter_map(|&ri| {
+                ray_entry(&rects[ri as usize].0, axis, perp, positive, u0, w, bound)
+            });
+            let nearest = if positive {
+                entries.min()
+            } else {
+                entries.max()
+            };
+            if let Some(entry) = nearest {
                 stop = entry;
-                blocker = Some(rects[ri as usize].1);
                 break;
             }
             if c == cend {
@@ -368,11 +339,7 @@ impl ShardedPlane {
         }
         let distance = if positive { stop - u0 } else { u0 - stop };
         debug_assert!(distance >= 0, "ray travelled backwards");
-        RayHit {
-            stop,
-            blocker,
-            distance,
-        }
+        RayHit { stop, distance }
     }
 
     /// Collects the deduplicated, ascending rectangle indices registered
@@ -485,31 +452,13 @@ impl PlaneIndex for ShardedPlane {
         self.ray_scan_sharded(origin, dir)
     }
 
-    fn corner_candidates(&self, origin: Point, dir: Dir, stop: Coord) -> Vec<CornerCandidate> {
-        let mut out = Vec::new();
-        self.corner_candidates_into(origin, dir, stop, &mut out);
-        out
-    }
-
-    fn corner_candidates_into(
-        &self,
-        origin: Point,
-        dir: Dir,
-        stop: Coord,
-        out: &mut Vec<CornerCandidate>,
-    ) {
+    fn corner_candidates_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
         // The uniform buckets have no locality to offer here (anchoring
         // corners sit at any perpendicular distance from the ray line),
         // so corner queries go to the dedicated tables: cost proportional
-        // to the distinct face coordinates in the slab, with the
-        // perpendicular side resolved by binary search and the canonical
-        // output order emitted directly — no sort, no dedup, no
-        // allocation.
+        // to the distinct face coordinates in the slab, emitted in travel
+        // order with no sort, no dedup and no allocation.
         self.corners.candidates_into(origin, dir, stop, out);
-    }
-
-    fn corner_stops_into(&self, origin: Point, dir: Dir, stop: Coord, out: &mut Vec<Coord>) {
-        self.corners.stops_into(origin, dir, stop, out);
     }
 
     fn corner_coords(&self, axis: Axis) -> Vec<Coord> {
@@ -563,6 +512,13 @@ mod tests {
         (p, id)
     }
 
+    /// The corner query into a buffer that holds stale contents.
+    fn corners(plane: &dyn PlaneIndex, p: Point, dir: Dir, stop: Coord) -> Vec<Coord> {
+        let mut out = vec![Coord::MIN];
+        plane.corner_candidates_into(p, dir, stop, &mut out);
+        out
+    }
+
     #[test]
     fn matches_flat_on_the_basics() {
         let (flat, id) = one_block();
@@ -582,8 +538,8 @@ mod tests {
             assert!(!s.segment_free(Point::new(0, 50), Point::new(100, 50)));
             assert_eq!(s.obstacle_at(Point::new(30, 30)), Some(id));
             assert_eq!(
-                s.corner_candidates(Point::new(0, 10), Dir::East, 100),
-                flat.corner_candidates(Point::new(0, 10), Dir::East, 100),
+                corners(&s, Point::new(0, 10), Dir::East, 100),
+                corners(&flat, Point::new(0, 10), Dir::East, 100),
                 "shard {shard}"
             );
         }
@@ -594,21 +550,23 @@ mod tests {
         let (flat, _) = one_block();
         let s = ShardedPlane::new(flat.clone());
         let (p, stop) = (Point::new(0, 10), 100);
-        let full = s.corner_candidates(p, Dir::East, stop);
-        assert_eq!(full, flat.corner_candidates(p, Dir::East, stop));
+        let full = corners(&s, p, Dir::East, stop);
+        assert_eq!(full, [30, 70]);
+        assert_eq!(full, corners(&flat, p, Dir::East, stop));
         // A clipped stop changes the answer.
-        let clipped = s.corner_candidates(p, Dir::East, 50);
-        assert_eq!(clipped, flat.corner_candidates(p, Dir::East, 50));
+        let clipped = corners(&s, p, Dir::East, 50);
+        assert_eq!(clipped, [30]);
+        assert_eq!(clipped, corners(&flat, p, Dir::East, 50));
         // Mutation updates the tables: the new obstacle must appear.
         let mut s = s;
         s.add_obstacle(Rect::new(80, 20, 90, 40).unwrap());
-        let fresh = s.corner_candidates(p, Dir::East, stop);
-        assert!(fresh.iter().any(|c| c.at == 80));
-        assert_eq!(fresh, s.flat().corner_candidates(p, Dir::East, stop));
+        let fresh = corners(&s, p, Dir::East, stop);
+        assert_eq!(fresh, [30, 70, 80, 90]);
+        assert_eq!(fresh, corners(s.flat(), p, Dir::East, stop));
     }
 
     #[test]
-    fn corner_stops_append_in_travel_order() {
+    fn corner_candidates_clear_the_buffer_and_run_in_travel_order() {
         let (flat, _) = one_block();
         let s = ShardedPlane::new(flat.clone());
         for (p, dir, stop, want) in [
@@ -619,27 +577,13 @@ mod tests {
             (Point::new(0, 50), Dir::East, 30, vec![]),
         ] {
             for plane in [&s as &dyn PlaneIndex, &flat] {
-                // Appends after whatever the buffer already holds.
-                let mut out = vec![-1];
-                plane.corner_stops_into(p, dir, stop, &mut out);
-                assert_eq!(out[0], -1, "{plane:?} {p} {dir:?}");
-                assert_eq!(out[1..], want, "{plane:?} {p} {dir:?} @{stop}");
+                assert_eq!(
+                    corners(plane, p, dir, stop),
+                    want,
+                    "{plane:?} {p} {dir:?} @{stop}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn corner_candidates_into_reuses_the_buffer() {
-        let (flat, _) = one_block();
-        let s = ShardedPlane::new(flat);
-        let mut buf = vec![CornerCandidate {
-            at: -1,
-            obstacle: 9,
-            side: crate::TurnSide::Positive,
-        }];
-        s.corner_candidates_into(Point::new(0, 10), Dir::East, 100, &mut buf);
-        assert_eq!(buf, s.corner_candidates(Point::new(0, 10), Dir::East, 100));
-        assert!(buf.iter().all(|c| c.at >= 0), "stale contents cleared");
     }
 
     #[test]
@@ -660,7 +604,7 @@ mod tests {
         s.add_obstacle(Rect::new(40, 40, 60, 60).unwrap());
         let blocked = s.ray_hit(p, Dir::East);
         assert_eq!(blocked.stop, 40);
-        assert!(blocked.blocker.is_some());
+        assert_eq!(blocked.distance, 40);
     }
 
     #[test]
@@ -726,9 +670,10 @@ mod tests {
                     moved.ray_hit(probe, dir),
                     "shard {shard} probe {probe}"
                 );
+                let stop = moved.ray_hit(probe, dir).stop;
                 assert_eq!(
-                    s.corner_candidates(probe, dir, s.ray_hit(probe, dir).stop),
-                    moved.corner_candidates(probe, dir, moved.ray_hit(probe, dir).stop),
+                    corners(&s, probe, dir, stop),
+                    corners(&moved, probe, dir, stop),
                     "shard {shard} probe {probe}"
                 );
             }
@@ -751,7 +696,8 @@ mod tests {
         removed.remove_obstacle(a);
         let hit = s.ray_hit(Point::new(0, 50), Dir::East);
         assert_eq!(hit, removed.ray_hit(Point::new(0, 50), Dir::East));
-        assert_eq!(hit.blocker, Some(b));
+        assert_eq!(hit.stop, 50);
+        assert_eq!(s.obstacle_at(Point::new(55, 50)), Some(b), "b keeps its id");
         assert_eq!(s.obstacle_count(), 1);
         assert!(s.point_free(Point::new(15, 50)));
     }
@@ -777,12 +723,10 @@ mod tests {
         out
     }
 
-    /// Every corner query has two implementations that must agree bit for
+    /// The corner query has two implementations that must agree bit for
     /// bit: the flat plane's slab scan and the sharded plane's dedicated
-    /// corner tables, for both the full candidates and the coordinate-only
-    /// stops (the distinct `at`s of the flat candidates, in travel order).
-    /// Sweep both across bulk construction and every mutation kind, for
-    /// full and clipped stops.
+    /// corner tables. Sweep both across bulk construction and every
+    /// mutation kind, for full and clipped stops, with rays alongside.
     #[test]
     fn bucketed_corners_match_flat_across_mutations() {
         let extent: Coord = 200;
@@ -801,7 +745,6 @@ mod tests {
                 }
                 probes.sort_unstable();
                 probes.dedup();
-                let mut stops = Vec::new();
                 for &u in &probes {
                     for &v in &probes {
                         let origin = Point::new(u, v);
@@ -809,26 +752,15 @@ mod tests {
                             continue;
                         }
                         for dir in [Dir::East, Dir::West, Dir::North, Dir::South] {
-                            let hit = flat.ray_hit(origin, dir).stop;
-                            let mid = (origin.coord(dir.axis()) + hit) / 2;
-                            for stop in [hit, mid] {
-                                let want = flat.corner_candidates(origin, dir, stop);
+                            let hit = flat.ray_hit(origin, dir);
+                            assert_eq!(bucketed.ray_hit(origin, dir), hit);
+                            let mid = (origin.coord(dir.axis()) + hit.stop) / 2;
+                            for stop in [hit.stop, mid] {
                                 assert_eq!(
-                                    bucketed.corner_candidates(origin, dir, stop),
-                                    want,
-                                    "bucketed seed {seed} origin {origin} dir {dir:?} @{stop}"
+                                    corners(bucketed, origin, dir, stop),
+                                    corners(flat, origin, dir, stop),
+                                    "seed {seed} origin {origin} dir {dir:?} @{stop}"
                                 );
-                                let mut want_stops: Vec<Coord> =
-                                    want.iter().map(|c| c.at).collect();
-                                want_stops.dedup();
-                                for plane in [bucketed as &dyn PlaneIndex, flat] {
-                                    stops.clear();
-                                    plane.corner_stops_into(origin, dir, stop, &mut stops);
-                                    assert_eq!(
-                                        stops, want_stops,
-                                        "{plane:?} seed {seed} origin {origin} dir {dir:?} @{stop}"
-                                    );
-                                }
                             }
                         }
                     }
@@ -877,8 +809,8 @@ mod tests {
             assert_eq!(bulk.ray_hit(origin, dir), incremental.ray_hit(origin, dir));
             let stop = bulk.ray_hit(origin, dir).stop;
             assert_eq!(
-                bulk.corner_candidates(origin, dir, stop),
-                incremental.corner_candidates(origin, dir, stop)
+                corners(&bulk, origin, dir, stop),
+                corners(&incremental, origin, dir, stop)
             );
         }
     }
@@ -887,8 +819,7 @@ mod tests {
     fn auto_shard_is_sane() {
         let (flat, _) = one_block();
         let s = ShardedPlane::new(flat);
-        assert!(s.shard_size() >= 1);
-        let (nx, ny) = s.bucket_dims();
-        assert!(nx * ny <= MAX_BUCKETS);
+        assert!(s.shard >= 1);
+        assert!(s.nx * s.ny <= MAX_BUCKETS);
     }
 }

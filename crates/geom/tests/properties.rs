@@ -2,7 +2,10 @@
 //! environment has no proptest, so cases are drawn from the workspace's
 //! deterministic RNG instead).
 
-use gcr_geom::{Axis, Dir, Interval, Plane, Point, Polyline, Rect, RectilinearPolygon, Segment};
+use gcr_geom::{
+    Axis, Coord, Dir, Interval, Plane, PlaneIndex, Point, Polyline, Rect, RectilinearPolygon,
+    Segment, ShardedPlane,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -185,6 +188,7 @@ fn ray_hit_stop_is_free_and_maximal() {
 #[test]
 fn corner_candidates_are_within_ray_extent() {
     let mut rng = StdRng::seed_from_u64(10);
+    let mut cands = Vec::new();
     for _ in 0..CASES {
         let plane = obstacle_plane(&mut rng, 8);
         let origin = point(&mut rng);
@@ -194,20 +198,81 @@ fn corner_candidates_are_within_ray_extent() {
         for dir in Dir::ALL {
             let hit = plane.ray_hit(origin, dir);
             let u0 = origin.coord(dir.axis());
-            let cands = plane.corner_candidates(origin, dir, hit.stop);
-            let mut last_distance = -1i64;
-            for c in &cands {
-                let d = (c.at - u0).abs();
-                assert!(d > 0, "candidate at the origin");
+            plane.corner_candidates_into(origin, dir, hit.stop, &mut cands);
+            let mut last_distance = 0;
+            for &at in &cands {
+                let d = (at - u0).abs();
+                assert!(d > last_distance, "candidates not distinct in travel order");
                 assert!(d <= hit.distance, "candidate beyond the hit point");
-                assert!(d >= last_distance, "candidates not sorted by distance");
                 last_distance = d;
                 // The candidate point lies on legal wire.
-                let cp = origin.with_coord(dir.axis(), c.at);
+                let cp = origin.with_coord(dir.axis(), at);
                 assert!(plane.point_free(cp));
             }
         }
     }
+}
+
+/// Brute-force reference for the corner query: the distinct face
+/// coordinates in the ray's range — `(u0, stop]` ahead of the origin — of
+/// the non-degenerate obstacles lying wholly on one side of the ray line
+/// (touching it at most), nearest first.
+fn brute_corners(plane: &Plane, origin: Point, dir: Dir, stop: Coord) -> Vec<Coord> {
+    let axis = dir.axis();
+    let (u0, w) = (origin.coord(axis), origin.coord(axis.perpendicular()));
+    let travel = |c: Coord| (c - u0) * dir.sign();
+    let mut out: Vec<Coord> = Vec::new();
+    for (r, _) in plane.rects() {
+        let pv = r.span(axis.perpendicular());
+        if r.is_degenerate() || !(pv.lo() >= w || pv.hi() <= w) {
+            continue;
+        }
+        let m = r.span(axis);
+        for c in [m.lo(), m.hi()] {
+            if travel(c) > 0 && travel(c) <= travel(stop) {
+                out.push(c);
+            }
+        }
+    }
+    out.sort_by_key(|&c| travel(c));
+    out.dedup();
+    out
+}
+
+/// Every plane — flat unindexed, flat indexed and sharded — lists exactly
+/// the brute-force corner coordinates, for the full ray and a clipped
+/// stop, into a buffer holding the previous answer, and all three agree
+/// on the ray itself.
+#[test]
+fn corner_candidates_match_the_brute_force_oracle() {
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut out = Vec::new();
+    let mut compared = 0usize;
+    for _ in 0..CASES {
+        let linear = obstacle_plane(&mut rng, 10);
+        let mut indexed = linear.clone();
+        indexed.build_index();
+        let sharded = ShardedPlane::new(linear.clone());
+        let planes: [&dyn PlaneIndex; 3] = [&linear, &indexed, &sharded];
+        let origin = point(&mut rng);
+        if !linear.point_free(origin) {
+            continue;
+        }
+        for dir in Dir::ALL {
+            let hit = linear.ray_hit(origin, dir);
+            let mid = (origin.coord(dir.axis()) + hit.stop) / 2;
+            for stop in [hit.stop, mid] {
+                let want = brute_corners(&linear, origin, dir, stop);
+                for plane in planes {
+                    assert_eq!(plane.ray_hit(origin, dir), hit, "{plane:?} ray {dir}");
+                    plane.corner_candidates_into(origin, dir, stop, &mut out);
+                    assert_eq!(out, want, "{plane:?} corners {dir} from {origin} @{stop}");
+                }
+                compared += want.len();
+            }
+        }
+    }
+    assert!(compared > 100, "the sweep must compare real corner lists");
 }
 
 #[test]
@@ -229,10 +294,11 @@ fn segment_free_agrees_with_unit_walk() {
 }
 
 /// The topological index must answer every query identically to the
-/// linear scan — ray hits, corner candidates and segment checks.
+/// linear scan — ray hits, corner coordinates and segment checks.
 #[test]
 fn indexed_plane_agrees_with_linear_scan() {
     let mut rng = StdRng::seed_from_u64(12);
+    let (mut ca, mut cb) = (Vec::new(), Vec::new());
     for _ in 0..CASES {
         let naive = obstacle_plane(&mut rng, 10);
         let origin = point(&mut rng);
@@ -246,13 +312,13 @@ fn indexed_plane_agrees_with_linear_scan() {
                 let a = naive.ray_hit(origin, dir);
                 let b = indexed.ray_hit(origin, dir);
                 assert_eq!(a, b, "ray {dir} from {origin}");
-                let ca = naive.corner_candidates(origin, dir, a.stop);
-                let cb = indexed.corner_candidates(origin, dir, b.stop);
+                naive.corner_candidates_into(origin, dir, a.stop, &mut ca);
+                indexed.corner_candidates_into(origin, dir, b.stop, &mut cb);
                 assert_eq!(&ca, &cb, "candidates {dir} from {origin}");
                 // A shorter stop must agree too.
                 let mid = (origin.coord(dir.axis()) + a.stop) / 2;
-                let ca = naive.corner_candidates(origin, dir, mid);
-                let cb = indexed.corner_candidates(origin, dir, mid);
+                naive.corner_candidates_into(origin, dir, mid, &mut ca);
+                indexed.corner_candidates_into(origin, dir, mid, &mut cb);
                 assert_eq!(&ca, &cb, "clipped candidates {dir} from {origin}");
             }
         }

@@ -6,7 +6,7 @@
 //! query, the sharded plane answers **bit-identically** to the flat
 //! plane — including immediately after mutations.
 
-use gcr_geom::{Dir, Plane, PlaneIndex, Point, Rect, ShardedPlane};
+use gcr_geom::{Coord, Dir, Plane, PlaneIndex, Point, Rect, ShardedPlane};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,6 +30,13 @@ fn random_plane(rng: &mut StdRng, blocks: usize) -> Plane {
 
 fn probe(rng: &mut StdRng) -> Point {
     Point::new(rng.gen_range(0..=RANGE), rng.gen_range(0..=RANGE))
+}
+
+/// The corner query into a buffer that holds stale contents.
+fn corners(plane: &dyn PlaneIndex, p: Point, dir: Dir, stop: Coord) -> Vec<Coord> {
+    let mut out = vec![Coord::MIN];
+    plane.corner_candidates_into(p, dir, stop, &mut out);
+    out
 }
 
 /// Flat vs sharded on random planes, random probes, both the un-indexed
@@ -75,22 +82,12 @@ fn random_queries_agree_with_flat_for_all_shard_sizes() {
                             sharded.ray_hit(p, dir),
                             "case {case} shard {shard}: ray {p} {dir:?}"
                         );
-                        let corners = PlaneIndex::corner_candidates(&flat, p, dir, hit.stop);
-                        assert_eq!(
-                            corners,
-                            sharded.corner_candidates(p, dir, hit.stop),
-                            "case {case} shard {shard}: corners {p} {dir:?}"
-                        );
-                        // Coordinate-only stops: the distinct `at`s, in
-                        // travel order, on both planes.
-                        let mut ats: Vec<i64> = corners.iter().map(|c| c.at).collect();
-                        ats.dedup();
-                        for plane in [&flat as &dyn PlaneIndex, &sharded] {
-                            let mut stops = Vec::new();
-                            plane.corner_stops_into(p, dir, hit.stop, &mut stops);
+                        let mid = (p.coord(dir.axis()) + hit.stop) / 2;
+                        for stop in [hit.stop, mid] {
                             assert_eq!(
-                                stops, ats,
-                                "case {case} shard {shard}: stops {p} {dir:?} on {plane:?}"
+                                corners(&flat, p, dir, stop),
+                                corners(&sharded, p, dir, stop),
+                                "case {case} shard {shard}: corners {p} {dir:?} @{stop}"
                             );
                         }
                     }
@@ -140,10 +137,12 @@ fn queries_after_each_insert_match_a_fresh_plane() {
             );
             if PlaneIndex::point_free(&cold, p) {
                 for dir in Dir::ALL {
+                    let hit = PlaneIndex::ray_hit(&cold, p, dir);
+                    assert_eq!(hit, sharded.ray_hit(p, dir), "step {step}: ray {p} {dir:?}");
                     assert_eq!(
-                        PlaneIndex::ray_hit(&cold, p, dir),
-                        sharded.ray_hit(p, dir),
-                        "step {step}: ray {p} {dir:?}"
+                        corners(&cold, p, dir, hit.stop),
+                        corners(&sharded, p, dir, hit.stop),
+                        "step {step}: corners {p} {dir:?}"
                     );
                 }
             }
@@ -196,11 +195,20 @@ fn incrementally_maintained_index_matches_full_rebuild() {
                         want,
                         "case {case} step {step}: linear ray {p} {dir:?}"
                     );
-                    assert_eq!(
-                        incremental.corner_candidates(p, dir, want.stop),
-                        rebuilt.corner_candidates(p, dir, want.stop),
-                        "case {case} step {step}: corners {p} {dir:?}"
-                    );
+                    let mid = (p.coord(dir.axis()) + want.stop) / 2;
+                    for stop in [want.stop, mid] {
+                        let reference = corners(&linear, p, dir, stop);
+                        assert_eq!(
+                            corners(&incremental, p, dir, stop),
+                            reference,
+                            "case {case} step {step}: corners {p} {dir:?} @{stop}"
+                        );
+                        assert_eq!(
+                            corners(&rebuilt, p, dir, stop),
+                            reference,
+                            "case {case} step {step}: rebuilt corners {p} {dir:?} @{stop}"
+                        );
+                    }
                     let q = probe(&mut rng);
                     let b = Point::new(q.x, p.y);
                     assert_eq!(
@@ -210,31 +218,6 @@ fn incrementally_maintained_index_matches_full_rebuild() {
                     );
                 }
             }
-        }
-    }
-}
-
-/// The incremental path must also cover polygon obstacles (several
-/// rectangles per insert) and preserve tie-break order for rectangles
-/// sharing face coordinates with earlier ones.
-#[test]
-fn incremental_insert_preserves_tie_break_order() {
-    let mut incremental = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
-    incremental.build_index();
-    let first = incremental.add_obstacle(Rect::new(40, 40, 60, 55).unwrap());
-    let _second = incremental.add_obstacle(Rect::new(40, 45, 80, 60).unwrap());
-    let mut rebuilt = incremental.clone();
-    rebuilt.build_index();
-    for (p, dir) in [
-        (Point::new(0, 50), Dir::East),
-        (Point::new(100, 50), Dir::West),
-        (Point::new(50, 0), Dir::North),
-        (Point::new(50, 100), Dir::South),
-    ] {
-        let hit = incremental.ray_hit(p, dir);
-        assert_eq!(hit, rebuilt.ray_hit(p, dir), "{p} {dir:?}");
-        if dir == Dir::East {
-            assert_eq!(hit.blocker, Some(first), "shared entry face tie");
         }
     }
 }
@@ -266,7 +249,7 @@ fn straddling_queries_track_a_far_insert() {
     // A ray past the first obstacle's face line finds the new blocker
     // across three shard columns of empty space.
     let hit2 = sharded.ray_hit(Point::new(60, 50), Dir::East);
-    assert_eq!((hit2.stop, hit2.blocker.is_some()), (72, true));
+    assert_eq!((hit2.stop, hit2.distance), (72, 12));
     // And everything still agrees with a cold flat plane.
     let mut cold = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
     for (r, _) in sharded.rects() {
@@ -315,21 +298,38 @@ fn obstacles_on_shard_boundaries_block_from_both_sides() {
     }
 }
 
-/// Tie-breaking parity: two obstacles sharing the same entry face must
-/// yield the same blocker id as the flat scan (first insertion wins).
+/// Shared faces: the first two obstacles share their exit face x = 60,
+/// the first and third their entry face x = 40. Rays through a shared
+/// face stop on it on every plane — linear, indexed, and sharded at every
+/// shard size — including the westward ray on which the indexed scan once
+/// disagreed (about which obstacle stopped it, never where).
 #[test]
-fn shared_entry_faces_tie_break_like_the_flat_scan() {
-    let mut flat = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
-    let first = flat.add_obstacle(Rect::new(40, 40, 60, 55).unwrap());
-    let _second = flat.add_obstacle(Rect::new(40, 45, 80, 60).unwrap());
+fn shared_faces_stop_every_plane_on_the_same_coordinate() {
+    let mut linear = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
+    linear.add_obstacle(Rect::new(40, 40, 60, 55).unwrap());
+    linear.add_obstacle(Rect::new(30, 45, 60, 60).unwrap());
+    linear.add_obstacle(Rect::new(40, 20, 50, 44).unwrap());
+    let mut indexed = linear.clone();
+    indexed.build_index();
+    let mut planes: Vec<Box<dyn PlaneIndex>> = vec![Box::new(linear.clone()), Box::new(indexed)];
     for shard in [1, 9, 50, 200] {
-        let sharded = ShardedPlane::with_shard_size(flat.clone(), shard);
-        let hit = sharded.ray_hit(Point::new(0, 50), Dir::East);
-        assert_eq!(
-            hit,
-            PlaneIndex::ray_hit(&flat, Point::new(0, 50), Dir::East),
-            "shard {shard}"
-        );
-        assert_eq!(hit.blocker, Some(first), "shard {shard}");
+        planes.push(Box::new(ShardedPlane::with_shard_size(
+            linear.clone(),
+            shard,
+        )));
+    }
+    for (origin, dir, stop) in [
+        (Point::new(100, 50), Dir::West, 60),
+        (Point::new(100, 42), Dir::West, 60),
+        (Point::new(0, 42), Dir::East, 40),
+        (Point::new(0, 50), Dir::East, 30),
+        (Point::new(45, 0), Dir::North, 20),
+        (Point::new(45, 100), Dir::South, 60),
+    ] {
+        for plane in &planes {
+            let hit = plane.ray_hit(origin, dir);
+            assert_eq!(hit.stop, stop, "{plane:?}: {origin} {dir:?}");
+            assert_eq!(hit, PlaneIndex::ray_hit(&linear, origin, dir));
+        }
     }
 }

@@ -481,7 +481,7 @@ fn flatten(line: &str) -> String {
 
 /// Writes a dot-framed body: every line of `body`, dot-stuffed, then the
 /// terminating `.` line.
-fn write_body(w: &mut impl Write, body: &str) -> io::Result<()> {
+fn write_body(w: &mut dyn Write, body: &str) -> io::Result<()> {
     for line in body.lines() {
         if line.starts_with('.') {
             w.write_all(b".")?;
@@ -492,11 +492,11 @@ fn write_body(w: &mut impl Write, body: &str) -> io::Result<()> {
     w.write_all(b".\n")
 }
 
-/// Size caps applied while reading framed *requests*: the maximum
-/// request-line length and the maximum accumulated dot-framed body, in
-/// bytes. A server reads through these so one unterminated line or one
-/// endless body cannot grow its memory without bound; breaching either
-/// cap answers [`ErrCode::TooLarge`]. Responses are not capped (a
+/// Size caps applied while reading frames: the maximum line length and
+/// the maximum accumulated dot-framed body, in bytes. A server reads
+/// requests through these so one unterminated line or one endless body
+/// cannot grow its memory without bound; breaching either cap answers
+/// [`ErrCode::TooLarge`]. Responses are read with neither size capped (a
 /// `DUMP` body is as large as the session it describes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireLimits {
@@ -505,6 +505,13 @@ pub struct WireLimits {
     /// Maximum accumulated body size in bytes.
     pub max_body: usize,
 }
+
+/// No cap on either size: the response path, where the peer is the
+/// server the client chose to talk to.
+const UNCAPPED: WireLimits = WireLimits {
+    max_line: usize::MAX,
+    max_body: usize::MAX,
+};
 
 impl Default for WireLimits {
     fn default() -> WireLimits {
@@ -515,22 +522,10 @@ impl Default for WireLimits {
     }
 }
 
-/// Reads one line; `Ok(None)` at EOF. Strips the trailing `\n` / `\r\n`.
-fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
-    let mut line = String::new();
-    let n = r.read_line(&mut line)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(Some(line))
-}
-
-/// [`read_line`] bounded by `max` bytes (`Read::take`, so an
+/// Reads one line of at most `max` bytes; `Ok(None)` at EOF. Strips the
+/// trailing `\n` / `\r\n`. The read goes through `Read::take`, so an
 /// unterminated line stops pulling from the socket at the cap instead
-/// of growing forever). Over-long lines yield [`ErrCode::TooLarge`];
+/// of growing forever. Over-long lines yield [`ErrCode::TooLarge`];
 /// the unread remainder stays in the stream (the caller replies and
 /// closes — a line that breached the cap has unknowable framing).
 fn read_line_bounded(
@@ -540,7 +535,7 @@ fn read_line_bounded(
     let mut line = String::new();
     // +3 leaves room for "\r\n" on a maximal line, and guarantees a
     // breach is distinguishable from an exactly-max unterminated line.
-    let mut limited = Read::take(&mut *r, max as u64 + 3);
+    let mut limited = Read::take(&mut *r, (max as u64).saturating_add(3));
     let n = limited.read_line(&mut line)?;
     if n == 0 {
         return Ok(None);
@@ -606,38 +601,32 @@ fn read_body(r: &mut impl BufRead, limits: &WireLimits) -> io::Result<Result<Str
     }
 }
 
-/// Reads a dot-framed body with no size cap — the *response* path,
-/// where the peer is the server we chose to talk to and a `DUMP` body
-/// is legitimately as large as the session it describes.
-fn read_body_unbounded(r: &mut impl BufRead) -> io::Result<Result<String, WireError>> {
-    let mut body = String::new();
-    loop {
-        match read_line(r)? {
-            None => {
-                return Ok(Err(WireError::new(
-                    ErrCode::Truncated,
-                    "body ended at EOF before the terminating '.' line",
-                )))
-            }
-            Some(line) => {
-                if line == "." {
-                    return Ok(Ok(body));
-                }
-                let line = line.strip_prefix('.').unwrap_or(&line);
-                body.push_str(line);
-                body.push('\n');
-            }
-        }
-    }
-}
-
 /// Encodes a request to its wire form (request line + dot-framed body
 /// for `OPEN`/`ECO`).
 ///
 /// # Errors
 ///
 /// Only I/O errors from `w`.
+///
+/// # Panics
+///
+/// On a [`Request::Trace`] whose inner request is not a `ROUTE`, `ECO`,
+/// `NEGOTIATE` or `RIPUP` (the parser never builds one).
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
+    encode_request(w, req, true)
+}
+
+/// The one request encoder. `TRACE` writes its own sid, then its inner
+/// request with `with_sid` off: the wrapped verb's usual line minus the
+/// sid, and an inner `ECO`'s dot-framed body as usual.
+fn encode_request(w: &mut dyn Write, req: &Request, with_sid: bool) -> io::Result<()> {
+    let head = |w: &mut dyn Write, verb: &str, sid: u64| -> io::Result<()> {
+        w.write_all(verb.as_bytes())?;
+        if with_sid {
+            write!(w, " {sid}")?;
+        }
+        Ok(())
+    };
     match req {
         Request::Ping => writeln!(w, "PING"),
         Request::Open { engine, index, gcl } => {
@@ -645,7 +634,8 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
             write_body(w, gcl)
         }
         Request::Eco { sid, eco } => {
-            writeln!(w, "ECO {sid}")?;
+            head(w, "ECO", *sid)?;
+            writeln!(w)?;
             write_body(w, eco)
         }
         Request::Route {
@@ -653,7 +643,7 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
             full,
             deadline_ms,
         } => {
-            write!(w, "ROUTE {sid}")?;
+            head(w, "ROUTE", *sid)?;
             if *full {
                 write!(w, " FULL")?;
             }
@@ -662,13 +652,16 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
             }
             writeln!(w)
         }
-        Request::RipUp { sid, net } => writeln!(w, "RIPUP {sid} {net}"),
+        Request::RipUp { sid, net } => {
+            head(w, "RIPUP", *sid)?;
+            writeln!(w, " {net}")
+        }
         Request::Negotiate {
             sid,
             max_iters,
             deadline_ms,
         } => {
-            write!(w, "NEGOTIATE {sid}")?;
+            head(w, "NEGOTIATE", *sid)?;
             if let Some(n) = max_iters {
                 write!(w, " {n}")?;
             }
@@ -678,43 +671,19 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
             writeln!(w)
         }
         Request::Trace { sid, inner } => {
+            assert!(
+                matches!(
+                    **inner,
+                    Request::Route { .. }
+                        | Request::Eco { .. }
+                        | Request::Negotiate { .. }
+                        | Request::RipUp { .. }
+                ),
+                "TRACE cannot wrap {:?}",
+                inner.verb()
+            );
             write!(w, "TRACE {sid} ")?;
-            // The inner request re-encodes without its sid (the TRACE
-            // line already carries it); ECO keeps its dot-framed body.
-            match &**inner {
-                Request::Route {
-                    full, deadline_ms, ..
-                } => {
-                    write!(w, "ROUTE")?;
-                    if *full {
-                        write!(w, " FULL")?;
-                    }
-                    if let Some(ms) = deadline_ms {
-                        write!(w, " DEADLINE {ms}")?;
-                    }
-                    writeln!(w)
-                }
-                Request::Eco { eco, .. } => {
-                    writeln!(w, "ECO")?;
-                    write_body(w, eco)
-                }
-                Request::Negotiate {
-                    max_iters,
-                    deadline_ms,
-                    ..
-                } => {
-                    write!(w, "NEGOTIATE")?;
-                    if let Some(n) = max_iters {
-                        write!(w, " {n}")?;
-                    }
-                    if let Some(ms) = deadline_ms {
-                        write!(w, " DEADLINE {ms}")?;
-                    }
-                    writeln!(w)
-                }
-                Request::RipUp { net, .. } => writeln!(w, "RIPUP {net}"),
-                other => panic!("TRACE cannot wrap {:?}", other.verb()),
-            }
+            encode_request(w, inner, false)
         }
         Request::Explain { sid, net } => writeln!(w, "EXPLAIN {sid} {net}"),
         Request::Stats { sid: Some(sid) } => writeln!(w, "STATS {sid}"),
@@ -760,21 +729,15 @@ pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Result<Request, W
 /// yield a typed [`ErrCode::TooLarge`] error instead of unbounded
 /// buffering. This is the form the server's connection loop uses.
 ///
+/// `TRACE` re-enters this function over a `Chain` of its synthesized
+/// inner request line and the live stream; taking `&mut dyn BufRead`
+/// keeps that recursion at one instantiation instead of an infinitely
+/// deepening generic type.
+///
 /// # Errors
 ///
 /// Only I/O errors from `r`.
 pub fn read_request_limited(
-    r: &mut impl BufRead,
-    limits: &WireLimits,
-) -> io::Result<Option<Result<Request, WireError>>> {
-    read_request_impl(r, limits)
-}
-
-/// The non-generic request reader. `TRACE` re-enters this function over
-/// a `Chain` of its synthesized inner request line and the live stream;
-/// taking `&mut dyn BufRead` keeps that recursion at one instantiation
-/// instead of an infinitely deepening generic type.
-fn read_request_impl(
     r: &mut dyn BufRead,
     limits: &WireLimits,
 ) -> io::Result<Option<Result<Request, WireError>>> {
@@ -947,7 +910,7 @@ fn read_request_impl(
             }
             inner_line.push('\n');
             let mut chained = io::Cursor::new(inner_line.into_bytes()).chain(&mut r);
-            match read_request_impl(&mut chained, limits)? {
+            match read_request_limited(&mut chained, limits)? {
                 Some(Ok(inner)) => Request::Trace {
                     sid,
                     inner: Box::new(inner),
@@ -1049,8 +1012,11 @@ pub fn read_response(r: &mut impl BufRead) -> io::Result<Response> {
             "connection closed mid-response",
         )
     };
-    let status = read_line(r)?.ok_or_else(eof)?;
-    let body = read_body_unbounded(r)?.map_err(|_| eof())?;
+    let status = match read_line_bounded(r, UNCAPPED.max_line)? {
+        Some(Ok(line)) => line,
+        _ => return Err(eof()),
+    };
+    let body = read_body(r, &UNCAPPED)?.map_err(|_| eof())?;
     if let Some(head) = status.strip_prefix("OK ") {
         return Ok(Response::Ok {
             head: head.to_string(),
@@ -1316,6 +1282,140 @@ mod tests {
             write_response(&mut wire, &resp).unwrap();
             let back = read_response(&mut BufReader::new(wire.as_slice())).unwrap();
             assert_eq!(back, resp, "{resp:?}");
+        }
+    }
+
+    /// The exact bytes of every request verb, each `TRACE` form, a
+    /// dot-stuffed body and each response shape, written and read back:
+    /// any codec change must leave the wire untouched.
+    #[test]
+    fn golden_wire_bytes() {
+        let route = |sid, full, deadline_ms| Request::Route {
+            sid,
+            full,
+            deadline_ms,
+        };
+        let negotiate = |sid, max_iters, deadline_ms| Request::Negotiate {
+            sid,
+            max_iters,
+            deadline_ms,
+        };
+        let trace = |sid, inner| Request::Trace {
+            sid,
+            inner: Box::new(inner),
+        };
+        let eco = |sid, eco: &str| Request::Eco {
+            sid,
+            eco: eco.to_string(),
+        };
+        let ripup = |sid, net: &str| Request::RipUp {
+            sid,
+            net: net.to_string(),
+        };
+        let requests: Vec<(Request, &str)> = vec![
+            (Request::Ping, "PING\n"),
+            (
+                Request::Open {
+                    engine: EngineKind::Gridless,
+                    index: gcr_core::PlaneIndexKind::Flat,
+                    gcl: "gcl 1\nbounds 0 0 9 9\n".to_string(),
+                },
+                "OPEN gridless flat\ngcl 1\nbounds 0 0 9 9\n.\n",
+            ),
+            (
+                Request::Open {
+                    engine: EngineKind::Hightower,
+                    index: gcr_core::PlaneIndexKind::Sharded,
+                    gcl: String::new(),
+                },
+                "OPEN hightower sharded\n.\n",
+            ),
+            (
+                eco(7, ".\n..x\n.move a 1 0\nreroute\n"),
+                "ECO 7\n..\n...x\n..move a 1 0\nreroute\n.\n",
+            ),
+            (route(1, false, None), "ROUTE 1\n"),
+            (route(2, true, None), "ROUTE 2 FULL\n"),
+            (route(3, false, Some(250)), "ROUTE 3 DEADLINE 250\n"),
+            (route(4, true, Some(0)), "ROUTE 4 FULL DEADLINE 0\n"),
+            (ripup(3, "clk"), "RIPUP 3 clk\n"),
+            (negotiate(8, None, None), "NEGOTIATE 8\n"),
+            (negotiate(9, Some(12), None), "NEGOTIATE 9 12\n"),
+            (
+                negotiate(9, None, Some(1500)),
+                "NEGOTIATE 9 DEADLINE 1500\n",
+            ),
+            (negotiate(9, Some(3), Some(7)), "NEGOTIATE 9 3 DEADLINE 7\n"),
+            (trace(2, route(2, false, None)), "TRACE 2 ROUTE\n"),
+            (
+                trace(3, route(3, true, Some(250))),
+                "TRACE 3 ROUTE FULL DEADLINE 250\n",
+            ),
+            (
+                trace(4, eco(4, "move a 1 0\n.x\n")),
+                "TRACE 4 ECO\nmove a 1 0\n..x\n.\n",
+            ),
+            (trace(5, eco(5, "")), "TRACE 5 ECO\n.\n"),
+            (trace(5, negotiate(5, None, None)), "TRACE 5 NEGOTIATE\n"),
+            (
+                trace(5, negotiate(5, Some(8), Some(100))),
+                "TRACE 5 NEGOTIATE 8 DEADLINE 100\n",
+            ),
+            (trace(6, ripup(6, "clk")), "TRACE 6 RIPUP clk\n"),
+            (
+                Request::Explain {
+                    sid: 7,
+                    net: "clk".to_string(),
+                },
+                "EXPLAIN 7 clk\n",
+            ),
+            (Request::Stats { sid: Some(4) }, "STATS 4\n"),
+            (Request::Stats { sid: None }, "STATS\n"),
+            (Request::Metrics, "METRICS\n"),
+            (Request::Dump { sid: 5 }, "DUMP 5\n"),
+            (Request::Close { sid: 6 }, "CLOSE 6\n"),
+            (Request::Shutdown, "SHUTDOWN\n"),
+            (Request::Crash { sid: 11 }, "CRASH 11\n"),
+        ];
+        let mut transcript = Vec::new();
+        for (req, want) in &requests {
+            let mut wire = Vec::new();
+            write_request(&mut wire, req).unwrap();
+            assert_eq!(String::from_utf8(wire).unwrap(), *want, "{req:?}");
+            transcript.extend_from_slice(want.as_bytes());
+        }
+        // The whole transcript reads back request by request.
+        let mut r = BufReader::new(transcript.as_slice());
+        for (req, _) in &requests {
+            assert_eq!(read_request(&mut r).unwrap().unwrap().unwrap(), *req);
+        }
+        assert!(read_request(&mut r).unwrap().is_none());
+
+        let responses = [
+            (Response::ok("pong"), "OK pong\n.\n"),
+            (
+                Response::ok_with("dump 1", "net a 0 length 4 bends 0\n.lead\n.\n"),
+                "OK dump 1\nnet a 0 length 4 bends 0\n..lead\n..\n.\n",
+            ),
+            (
+                Response::err(ErrCode::UnknownSession, "no session 9"),
+                "ERR UNKNOWN-SESSION no session 9\n.\n",
+            ),
+            (
+                Response::Err(WireError::new(ErrCode::Parse, String::new())),
+                "ERR PARSE\n.\n",
+            ),
+        ];
+        let mut transcript = Vec::new();
+        for (resp, want) in &responses {
+            let mut wire = Vec::new();
+            write_response(&mut wire, resp).unwrap();
+            assert_eq!(String::from_utf8(wire).unwrap(), *want, "{resp:?}");
+            transcript.extend_from_slice(want.as_bytes());
+        }
+        let mut r = BufReader::new(transcript.as_slice());
+        for (resp, _) in &responses {
+            assert_eq!(read_response(&mut r).unwrap(), *resp);
         }
     }
 

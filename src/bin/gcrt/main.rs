@@ -490,6 +490,10 @@ fn run(args: &[String]) -> Result<(), String> {
             if max_body_kb < 1 {
                 return Err("--max-body-kb must be at least 1".to_string());
             }
+            let max_body = usize::try_from(max_body_kb)
+                .ok()
+                .and_then(|kb| kb.checked_mul(1024))
+                .ok_or_else(|| format!("--max-body-kb {max_body_kb} overflows a byte count"))?;
             let slow_log_ms = int_value("--slow-log-ms")?.unwrap_or(1_000);
             if slow_log_ms < 0 {
                 return Err("--slow-log-ms must be non-negative (0 = panics only)".to_string());
@@ -510,7 +514,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 queue: 0,
                 read_timeout_ms: read_timeout_ms as u64,
                 limits: WireLimits {
-                    max_body: max_body_kb as usize * 1024,
+                    max_body,
                     ..WireLimits::default()
                 },
                 crash_probe: false,

@@ -3,7 +3,8 @@
 //! it, must stop the command with exit 2 and name the offending flag
 //! instead of being silently ignored.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn gcrt(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_gcrt"))
@@ -104,4 +105,38 @@ fn repro_rejects_unknown_options_and_experiment_ids() {
         assert_eq!(e2.status.code(), Some(0), "{e2:?}");
         assert!(String::from_utf8_lossy(&e2.stdout).starts_with("### E2 "));
     }
+}
+
+/// `gcrt serve --max-body-kb N` converts N to bytes: a count whose byte
+/// total overflows is rejected with exit 2 naming the flag, before the
+/// server binds. The child is killed after a few seconds, so a
+/// regression that starts serving fails here instead of hanging.
+#[test]
+fn serve_rejects_a_body_limit_that_overflows() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gcrt"))
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--max-body-kb",
+            "18014398509481984", // 2^54 KiB = 2^64 bytes
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("gcrt runs");
+    let started = Instant::now();
+    while child.try_wait().expect("child status").is_none() {
+        if started.elapsed() > Duration::from_secs(5) {
+            child.kill().expect("kill the server");
+            child.wait().expect("reap the server");
+            panic!("gcrt serve accepted an overflowing --max-body-kb and kept running");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let result = child.wait_with_output().expect("child output");
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--max-body-kb"), "{stderr}");
+    assert!(result.stdout.is_empty(), "the server started");
 }

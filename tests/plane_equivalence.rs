@@ -225,115 +225,99 @@ fn two_pass_reports_are_identical_across_plane_indexes() {
     assert!(rerouted > 0, "the sweep must exercise the second pass");
 }
 
-/// What `corner_stops_into` must append: the distinct `at`s of the flat
-/// plane's candidates, in their travel order.
-fn distinct_ats(reference: &[gcr::geom::CornerCandidate]) -> Vec<Coord> {
-    let mut ats: Vec<Coord> = reference.iter().map(|c| c.at).collect();
-    ats.dedup();
-    ats
-}
-
-/// `corner_stops_into` over a buffer that already holds a sentinel: the
-/// query must append after it, never clear it.
-fn stops_after_sentinel(plane: &dyn PlaneIndex, p: Point, dir: Dir, stop: Coord) -> Vec<Coord> {
+/// The corner query into a buffer that already holds a sentinel: the
+/// query must clear it, so a stale answer can never leak into the next.
+fn corners(plane: &dyn PlaneIndex, p: Point, dir: Dir, stop: Coord) -> Vec<Coord> {
     let mut out = vec![Coord::MIN];
-    plane.corner_stops_into(p, dir, stop, &mut out);
-    assert_eq!(out[0], Coord::MIN, "{p} {dir:?}: appended, not cleared");
-    out.split_off(1)
+    plane.corner_candidates_into(p, dir, stop, &mut out);
+    out
 }
 
-/// Query-level sweep for the buffer-reuse corner contracts: on every
-/// workload plane, `corner_candidates_into` must agree with the
-/// allocating form across implementations (flat vs bucketed sharded,
-/// repeated queries included), and `corner_stops_into` must append the
-/// distinct `at`s of the flat candidates on both planes — for full and
-/// clipped stops, and again after an insert rebuilds the tables. The
-/// reused candidate buffer is deliberately left dirty between queries.
-#[test]
-fn corner_queries_agree_flat_sharded_before_and_after_insert() {
-    for case in 0..CASES {
-        let layout = scaling_instance(2, 2, 3, 1, case);
-        let flat = layout.to_plane();
-        let mut sharded = ShardedPlane::new(layout.to_plane());
-        let xs = PlaneIndex::corner_coords(&flat, Axis::X);
-        let ys = PlaneIndex::corner_coords(&flat, Axis::Y);
-        let mut buf = Vec::new();
-        let mut probes = Vec::new();
-        for &x in &xs {
-            for &y in &ys {
-                let p = Point::new(x, y);
-                if !PlaneIndex::point_free(&flat, p) {
-                    continue;
-                }
-                for dir in Dir::ALL {
-                    let hit = PlaneIndex::ray_hit(&flat, p, dir);
-                    // Full ray and a clipped stop: both are real queries
-                    // the successor generator issues.
-                    let mid = (p.coord(dir.axis()) + hit.stop) / 2;
+/// Every ray and corner query from the free Hanan crossings of `oracle`
+/// (full and clipped stops) must agree between `oracle` and each of
+/// `planes`. Returns how many corner coordinates were compared.
+fn assert_queries_agree(oracle: &Plane, planes: &[&dyn PlaneIndex], what: &str) -> usize {
+    let xs = oracle.corner_coords(Axis::X);
+    let ys = oracle.corner_coords(Axis::Y);
+    let mut compared = 0;
+    for &x in &xs {
+        for &y in &ys {
+            let p = Point::new(x, y);
+            if !oracle.point_free(p) {
+                continue;
+            }
+            for dir in Dir::ALL {
+                let hit = oracle.ray_hit(p, dir);
+                // Full ray and a clipped stop: both are real queries the
+                // successor generator issues.
+                let mid = (p.coord(dir.axis()) + hit.stop) / 2;
+                for &plane in planes {
+                    assert_eq!(plane.ray_hit(p, dir), hit, "{what}: ray {p} {dir:?}");
                     for stop in [hit.stop, mid] {
-                        let reference = PlaneIndex::corner_candidates(&flat, p, dir, stop);
-                        PlaneIndex::corner_candidates_into(&flat, p, dir, stop, &mut buf);
-                        assert_eq!(buf, reference, "case {case}: flat into {p} {dir:?}");
-                        sharded.corner_candidates_into(p, dir, stop, &mut buf);
-                        assert_eq!(buf, reference, "case {case}: sharded {p} {dir:?}");
-                        sharded.corner_candidates_into(p, dir, stop, &mut buf);
-                        assert_eq!(buf, reference, "case {case}: sharded again {p} {dir:?}");
-                        let ats = distinct_ats(&reference);
+                        let want = corners(oracle, p, dir, stop);
                         assert_eq!(
-                            stops_after_sentinel(&flat, p, dir, stop),
-                            ats,
-                            "case {case}: flat stops {p} {dir:?} @{stop}"
+                            corners(plane, p, dir, stop),
+                            want,
+                            "{what}: corners {p} {dir:?} @{stop} on {plane:?}"
                         );
-                        assert_eq!(
-                            stops_after_sentinel(&sharded, p, dir, stop),
-                            ats,
-                            "case {case}: sharded stops {p} {dir:?} @{stop}"
-                        );
-                        probes.push((p, dir, stop));
+                        compared += want.len();
                     }
                 }
             }
         }
-        // Insert an obstacle: the bucketed tables must update in place
-        // and both planes must agree again.
-        let b = PlaneIndex::bounds(&flat);
-        let (cx, cy) = ((b.xmin() + b.xmax()) / 2, (b.ymin() + b.ymax()) / 2);
-        let blocker = Rect::new(cx, cy, (cx + 9).min(b.xmax()), (cy + 9).min(b.ymax()))
-            .expect("in-bounds rect");
-        let mut flat2 = layout.to_plane();
-        flat2.add_obstacle(blocker);
-        sharded.add_obstacle(blocker);
-        for (p, dir, stop) in probes {
-            if !PlaneIndex::point_free(&flat2, p) {
-                continue;
-            }
-            let reference = PlaneIndex::corner_candidates(&flat2, p, dir, stop);
-            sharded.corner_candidates_into(p, dir, stop, &mut buf);
-            assert_eq!(
-                buf, reference,
-                "case {case}: post-insert {p} {dir:?} @{stop}"
-            );
-            let ats = distinct_ats(&reference);
-            assert_eq!(
-                stops_after_sentinel(&flat2, p, dir, stop),
-                ats,
-                "case {case}: post-insert flat stops {p} {dir:?} @{stop}"
-            );
-            assert_eq!(
-                stops_after_sentinel(&sharded, p, dir, stop),
-                ats,
-                "case {case}: post-insert sharded stops {p} {dir:?} @{stop}"
-            );
-        }
     }
+    compared
+}
+
+/// Query-level sweep for the coordinate contract: on every workload
+/// plane, the flat indexed plane and the bucketed sharded plane answer
+/// every ray and corner query exactly like the flat unindexed plane (the
+/// linear-scan oracle), for full and clipped stops — bulk-built, then
+/// after a translate, a remove and an insert applied to all three.
+#[test]
+fn corner_queries_agree_flat_sharded_before_and_after_insert() {
+    let mut compared = 0;
+    for case in 0..CASES {
+        let layout = scaling_instance(2, 2, 3, 1, case);
+        let mut indexed = layout.to_plane();
+        let mut sharded = ShardedPlane::new(layout.to_plane());
+        let mut linear = sharded.flat().clone();
+        assert!(indexed.has_index() && !linear.has_index());
+        compared += assert_queries_agree(&linear, &[&indexed, &sharded], &format!("case {case}"));
+
+        let b = linear.bounds();
+        let rects = linear.rects();
+        let (moved, gone) = (rects[0].1, rects[rects.len() - 1].1);
+        let (cx, cy) = ((b.xmin() + b.xmax()) / 2, (b.ymin() + b.ymax()) / 2);
+        let extra = Rect::new(cx, cy, (cx + 9).min(b.xmax()), (cy + 9).min(b.ymax()))
+            .expect("in-bounds rect");
+        assert!(linear.translate_obstacle(moved, 3, -2));
+        assert!(indexed.translate_obstacle(moved, 3, -2));
+        assert!(sharded.translate_obstacle(moved, 3, -2));
+        let what = format!("case {case} after translate");
+        compared += assert_queries_agree(&linear, &[&indexed, &sharded], &what);
+        assert!(linear.remove_obstacle(gone));
+        assert!(indexed.remove_obstacle(gone));
+        assert!(sharded.remove_obstacle(gone));
+        let what = format!("case {case} after remove");
+        compared += assert_queries_agree(&linear, &[&indexed, &sharded], &what);
+        linear.add_obstacle(extra);
+        indexed.add_obstacle(extra);
+        sharded.add_obstacle(extra);
+        let what = format!("case {case} after insert");
+        compared += assert_queries_agree(&linear, &[&indexed, &sharded], &what);
+    }
+    assert!(
+        compared > 10_000,
+        "the sweep must compare real corner lists"
+    );
 }
 
 /// Scale-tier query differential: on the full 1k-net generated die (~900
 /// obstacles — an order of magnitude past the macro-grid cases above),
 /// the bucketed corner tables must agree bit for bit with the flat slab
-/// scan — full candidates and coordinate-only stops — across sampled
-/// free probes, every direction, full and clipped stops, and after a
-/// mutation updates the tables.
+/// scan across sampled free probes, every direction, full and clipped
+/// stops, and after a mutation updates the tables; rays agree alongside.
 #[test]
 fn scale_tier_bucketed_corners_match_flat() {
     let layout = generate(&GeneratorParams::with_nets(1000, 0));
@@ -349,22 +333,10 @@ fn scale_tier_bucketed_corners_match_flat() {
             assert_eq!(hit, bucketed.ray_hit(p, dir), "probe {i}: ray {p} {dir:?}");
             let mid = (p.coord(dir.axis()) + hit.stop) / 2;
             for stop in [hit.stop, mid] {
-                let reference = PlaneIndex::corner_candidates(&flat, p, dir, stop);
                 assert_eq!(
-                    bucketed.corner_candidates(p, dir, stop),
-                    reference,
+                    corners(&bucketed, p, dir, stop),
+                    corners(&flat, p, dir, stop),
                     "probe {i}: bucketed {p} {dir:?} @{stop}"
-                );
-                let ats = distinct_ats(&reference);
-                assert_eq!(
-                    stops_after_sentinel(&flat, p, dir, stop),
-                    ats,
-                    "probe {i}: flat stops {p} {dir:?} @{stop}"
-                );
-                assert_eq!(
-                    stops_after_sentinel(&bucketed, p, dir, stop),
-                    ats,
-                    "probe {i}: bucketed stops {p} {dir:?} @{stop}"
                 );
             }
         }
@@ -385,22 +357,10 @@ fn scale_tier_bucketed_corners_match_flat() {
         for dir in Dir::ALL {
             let hit = PlaneIndex::ray_hit(&flat2, p, dir);
             assert_eq!(hit, bucketed.ray_hit(p, dir), "post-insert probe {i}");
-            let reference = PlaneIndex::corner_candidates(&flat2, p, dir, hit.stop);
             assert_eq!(
-                bucketed.corner_candidates(p, dir, hit.stop),
-                reference,
+                corners(&bucketed, p, dir, hit.stop),
+                corners(&flat2, p, dir, hit.stop),
                 "post-insert probe {i}: bucketed {p} {dir:?}"
-            );
-            let ats = distinct_ats(&reference);
-            assert_eq!(
-                stops_after_sentinel(&flat2, p, dir, hit.stop),
-                ats,
-                "post-insert probe {i}: flat stops {p} {dir:?}"
-            );
-            assert_eq!(
-                stops_after_sentinel(&bucketed, p, dir, hit.stop),
-                ats,
-                "post-insert probe {i}: bucketed stops {p} {dir:?}"
             );
         }
     }
@@ -465,8 +425,8 @@ fn query_level_flat_sharded_agreement_on_workload_planes() {
                     let hit = PlaneIndex::ray_hit(&flat, p, dir);
                     assert_eq!(hit, sharded.ray_hit(p, dir), "case {case}: ray {p} {dir:?}");
                     assert_eq!(
-                        PlaneIndex::corner_candidates(&flat, p, dir, hit.stop),
-                        sharded.corner_candidates(p, dir, hit.stop),
+                        corners(&flat, p, dir, hit.stop),
+                        corners(&sharded, p, dir, hit.stop),
                         "case {case}: corners {p} {dir:?}"
                     );
                 }
