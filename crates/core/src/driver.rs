@@ -59,16 +59,6 @@ impl PlaneStore {
         }
     }
 
-    /// Adds many obstacles in one batch, rebuilding the sorted face
-    /// lists (and corner tables, for the sharded store) once at the end
-    /// instead of once per rectangle. Returns the assigned id range.
-    pub(crate) fn add_obstacles(&mut self, rects: &[Rect]) -> std::ops::Range<usize> {
-        match self {
-            PlaneStore::Flat(p) => p.add_obstacles(rects),
-            PlaneStore::Sharded(s) => s.add_obstacles(rects),
-        }
-    }
-
     /// Translates obstacle `id` in place (see
     /// [`Plane::translate_obstacle`]); the sharded store rewrites only
     /// the touched buckets and corner-table columns.

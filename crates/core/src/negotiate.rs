@@ -25,11 +25,12 @@
 //! *surcharged* search failed is retried at true cost, so negotiation
 //! never ends with fewer routed nets than the plain first pass.
 //!
-//! Keep-best: while overflow remains, the loop checkpoints the session
-//! at the first pass and at every round that sets a new best. A capped
-//! run that ends mid-oscillation, worse than that best, restores the
-//! checkpoint — the best round's committed state exactly, counters
-//! included — so a bigger budget never buys a worse answer.
+//! Keep-best: while overflow remains, the loop checkpoints the session's
+//! slots at the first pass and at every round that sets a new best. A
+//! capped run that ends mid-oscillation, worse than that best, assigns
+//! the checkpoint back — the best round's routes, dirty marks and attempt
+//! counts exactly, so [`SessionStats`](crate::SessionStats) too — and a
+//! bigger budget never buys a worse answer.
 //!
 //! Determinism: every iteration reroutes its dirty set through the same
 //! deterministic schedule as all other flows, so serial ≡ parallel and

@@ -85,9 +85,9 @@ impl<E: RoutingEngine> SessionBuilder<E> {
     #[must_use]
     pub fn build(self) -> RoutingSession<E> {
         let plane = PlaneStore::build(&self.layout, self.batch.index);
-        let nets = self.layout.nets().len();
-        let slots = (0..nets).map(|_| NetState::default()).collect();
-        let dirty_grid = DirtyGrid::new(self.layout.bounds(), nets);
+        let slots = (0..self.layout.nets().len())
+            .map(|_| NetState::default())
+            .collect();
         RoutingSession {
             layout: self.layout,
             config: self.config,
@@ -96,12 +96,6 @@ impl<E: RoutingEngine> SessionBuilder<E> {
             plane,
             slots,
             pool: ScratchPool::default(),
-            dirty_grid,
-            dirty_count: 0,
-            routed_count: 0,
-            failed_count: 0,
-            wire_length: 0,
-            reroutes: 0,
             trace: None,
         }
     }
@@ -113,8 +107,10 @@ enum NetSlot {
     /// Never routed, or ripped up.
     #[default]
     Unrouted,
-    /// Committed route (the net's occupancy).
-    Routed(NetRoute),
+    /// Committed route (the net's occupancy), with its bounding box
+    /// taken once at commit for the mutations' dirty test (see
+    /// [`route_bounding_box`]).
+    Routed { route: NetRoute, bbox: Option<Rect> },
     /// The last routing attempt failed.
     Failed(RouteError),
 }
@@ -126,12 +122,13 @@ struct NetState {
     /// committed route; cleared by the commit of a routing attempt.
     dirty: bool,
     /// How many routing attempts have been committed for this net over
-    /// the session's lifetime (feeds the cumulative reroute counter).
+    /// the session's lifetime ([`SessionStats::reroutes`] counts all but
+    /// the first).
     attempts: u64,
     /// The connections of the route the last [`RoutingSession::rip_up`]
     /// removed, kept only as the reroute's search hint (see
     /// [`RoutingSession::previous`]): occupancy, analyses, `DUMP`,
-    /// `stats()` and the dirty grid never see it, and the next commit
+    /// `stats()` and the dirty test never see it, and the next commit
     /// clears it.
     ripped: Vec<RoutedPath>,
 }
@@ -180,141 +177,12 @@ impl Drop for PooledScratch<'_> {
     }
 }
 
-/// Target cell count per axis for the [`DirtyGrid`]. 64×64 ≈ 4k cells:
-/// coarse enough that registration touches a handful of cells per route,
-/// fine enough that a mutation's candidate set is a small neighborhood
-/// of the die rather than every net.
-const DIRTY_GRID_DIM: i64 = 64;
-
-/// A uniform bucket grid over committed-route bounding boxes, so a
-/// mutation marks only spatially local nets dirty instead of scanning
-/// every slot ([`RoutingSession::dirty_routes_touching`]).
-///
-/// Invariant: slot `i` is registered (its bounding box recorded and its
-/// index present, sorted, in every grid cell the box covers) **iff**
-/// `slots[i]` holds a committed route with a bounding box. Commit and
-/// rip-up maintain this; the candidate query then over-approximates the
-/// set of routes whose bounding box can intersect a mutation rectangle —
-/// two intersecting rectangles share a point, hence a grid cell, so no
-/// affected route is ever missed. The per-candidate bounding-box test is
-/// unchanged from the scan-everything implementation, which keeps the
-/// dirty set byte-identical (asserted by `tests/session.rs`).
-#[derive(Debug, Default)]
-struct DirtyGrid {
-    x0: i64,
-    y0: i64,
-    /// Cell extents (≥ 1); cells on the high edge absorb the remainder.
-    sx: i64,
-    sy: i64,
-    nx: usize,
-    ny: usize,
-    /// Sorted route-slot indices per cell, row-major.
-    cells: Vec<Vec<u32>>,
-    /// The registered bounding box per slot (`None` = not registered).
-    boxes: Vec<Option<Rect>>,
-}
-
-impl DirtyGrid {
-    fn new(bounds: Rect, slots: usize) -> DirtyGrid {
-        let w = (bounds.xmax() - bounds.xmin()).max(1);
-        let h = (bounds.ymax() - bounds.ymin()).max(1);
-        // Ceiling division (both operands positive; signed div_ceil is
-        // unstable).
-        let sx = (w + DIRTY_GRID_DIM - 1) / DIRTY_GRID_DIM;
-        let sy = (h + DIRTY_GRID_DIM - 1) / DIRTY_GRID_DIM;
-        let nx = (w / sx) as usize + 1;
-        let ny = (h / sy) as usize + 1;
-        DirtyGrid {
-            x0: bounds.xmin(),
-            y0: bounds.ymin(),
-            sx,
-            sy,
-            nx,
-            ny,
-            cells: vec![Vec::new(); nx * ny],
-            boxes: vec![None; slots],
-        }
-    }
-
-    fn ensure_slot(&mut self, slots: usize) {
-        if self.boxes.len() < slots {
-            self.boxes.resize(slots, None);
-        }
-    }
-
-    /// The inclusive cell-index span a rectangle covers, clamped to the
-    /// grid (clamping is monotone, so out-of-bounds geometry still maps
-    /// consistently to border cells).
-    fn cell_span(&self, r: &Rect) -> (usize, usize, usize, usize) {
-        let nx = self.nx as i64 - 1;
-        let ny = self.ny as i64 - 1;
-        let cx0 = (r.xmin() - self.x0).div_euclid(self.sx).clamp(0, nx) as usize;
-        let cx1 = (r.xmax() - self.x0).div_euclid(self.sx).clamp(0, nx) as usize;
-        let cy0 = (r.ymin() - self.y0).div_euclid(self.sy).clamp(0, ny) as usize;
-        let cy1 = (r.ymax() - self.y0).div_euclid(self.sy).clamp(0, ny) as usize;
-        (cx0, cx1, cy0, cy1)
-    }
-
-    fn register(&mut self, slot: usize, bb: Rect) {
-        self.ensure_slot(slot + 1);
-        debug_assert!(self.boxes[slot].is_none(), "double registration");
-        let (cx0, cx1, cy0, cy1) = self.cell_span(&bb);
-        let s = slot as u32;
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let cell = &mut self.cells[cy * self.nx + cx];
-                if let Err(pos) = cell.binary_search(&s) {
-                    cell.insert(pos, s);
-                }
-            }
-        }
-        self.boxes[slot] = Some(bb);
-    }
-
-    fn unregister(&mut self, slot: usize) {
-        let Some(bb) = self.boxes.get_mut(slot).and_then(Option::take) else {
-            return;
-        };
-        let (cx0, cx1, cy0, cy1) = self.cell_span(&bb);
-        let s = slot as u32;
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let cell = &mut self.cells[cy * self.nx + cx];
-                if let Ok(pos) = cell.binary_search(&s) {
-                    cell.remove(pos);
-                }
-            }
-        }
-    }
-
-    /// Unregisters every slot, keeping the grid's geometry and the
-    /// cells' allocations.
-    fn clear(&mut self) {
-        self.cells.iter_mut().for_each(Vec::clear);
-        self.boxes.fill(None);
-    }
-
-    /// Every registered slot whose bounding box *may* intersect `rect`
-    /// (sorted, deduplicated). A superset of the true intersecting set;
-    /// callers re-test each candidate exactly.
-    fn candidates(&self, rect: &Rect, out: &mut Vec<u32>) {
-        out.clear();
-        let (cx0, cx1, cy0, cy1) = self.cell_span(rect);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                out.extend_from_slice(&self.cells[cy * self.nx + cx]);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-}
-
 /// A snapshot of a session's committed state, taken by
 /// [`RoutingSession::checkpoint`] so negotiation can roll a cancelled
 /// request back, or a capped run forward to its best round, byte-exactly.
-/// It holds only the slots: every running aggregate and the dirty grid
-/// are functions of them, recounted by [`RoutingSession::restore`].
+/// The slots are the session's whole committed state ([`SessionStats`]
+/// and the dirty set are read from them), so
+/// [`RoutingSession::restore`] assigns them back.
 #[derive(Debug)]
 pub(crate) struct SessionCheckpoint {
     slots: Vec<NetState>,
@@ -451,22 +319,10 @@ pub struct RoutingSession<E: RoutingEngine = GridlessEngine> {
     batch: BatchConfig,
     engine: E,
     plane: PlaneStore,
+    /// One slot per net, in net-id order: the committed state. Stats,
+    /// the dirty set and the mutations' dirty test all read it.
     slots: Vec<NetState>,
     pool: ScratchPool,
-    /// Bounding boxes of committed routes, bucketed so mutations only
-    /// examine spatially local nets (see [`DirtyGrid`]).
-    dirty_grid: DirtyGrid,
-    /// Running count of dirty slots (kept exact by every transition, so
-    /// [`RoutingSession::stats`] is O(1) on a 100k-net session).
-    dirty_count: usize,
-    /// Running count of slots holding a committed route.
-    routed_count: usize,
-    /// Running count of slots holding a committed failure.
-    failed_count: usize,
-    /// Running total wire length over all committed routes.
-    wire_length: i64,
-    /// Cumulative committed re-routes (see [`SessionStats::reroutes`]).
-    reroutes: u64,
     /// Span handle of the traced request currently driving this session
     /// (see [`RoutingSession::set_trace`]); `None` — the overwhelmingly
     /// common state — costs one branch per routed net.
@@ -504,12 +360,6 @@ impl<E: RoutingEngine> RoutingSession<E> {
         &self.config
     }
 
-    /// The active scheduling configuration.
-    #[must_use]
-    pub fn batch(&self) -> &BatchConfig {
-        &self.batch
-    }
-
     /// The engine driving every connection.
     #[must_use]
     pub fn engine(&self) -> &E {
@@ -538,7 +388,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
     #[must_use]
     pub fn route(&self, id: NetId) -> Option<&NetRoute> {
         match self.slots.get(id.index()).map(|s| &s.slot) {
-            Some(NetSlot::Routed(r)) => Some(r),
+            Some(NetSlot::Routed { route, .. }) => Some(route),
             _ => None,
         }
     }
@@ -558,42 +408,38 @@ impl<E: RoutingEngine> RoutingSession<E> {
         self.slots.get(id.index()).is_some_and(|s| s.dirty)
     }
 
-    /// The dirty nets, in stable net-id order. The running dirty count
-    /// short-circuits the all-clean case (the common state between ECOs)
-    /// and stops the scan once every dirty slot is found.
+    /// The dirty nets, in stable net-id order (one pass over the slots).
     #[must_use]
     pub fn dirty_nets(&self) -> Vec<NetId> {
-        if self.dirty_count == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(self.dirty_count);
-        for id in self.layout.net_ids() {
-            if self.slots[id.index()].dirty {
-                out.push(id);
-                if out.len() == self.dirty_count {
-                    break;
-                }
-            }
-        }
-        out
+        let ids = self.layout.net_ids();
+        ids.into_iter()
+            .zip(&self.slots)
+            .filter_map(|(id, state)| state.dirty.then_some(id))
+            .collect()
     }
 
-    /// Summarizes the committed state in O(1): outcome counts, committed
-    /// wire length, dirty set size and the cumulative reroute counter are
-    /// all running aggregates maintained by the commit/rip-up/dirty
-    /// transitions, so a `STATS` request on a 100k-net session costs the
-    /// same as on a 10-net one.
+    /// Summarizes the committed state in one pass over the slots:
+    /// outcome counts, committed wire length, dirty set size and the
+    /// cumulative reroute counter.
     #[must_use]
     pub fn stats(&self) -> SessionStats {
-        SessionStats {
+        let mut stats = SessionStats {
             nets: self.slots.len(),
-            routed: self.routed_count,
-            failed: self.failed_count,
-            unrouted: self.slots.len() - self.routed_count - self.failed_count,
-            dirty: self.dirty_count,
-            wire_length: self.wire_length,
-            reroutes: self.reroutes,
+            ..SessionStats::default()
+        };
+        for state in &self.slots {
+            stats.dirty += usize::from(state.dirty);
+            stats.reroutes += state.attempts.saturating_sub(1);
+            match &state.slot {
+                NetSlot::Routed { route, .. } => {
+                    stats.routed += 1;
+                    stats.wire_length += route.wire_length();
+                }
+                NetSlot::Failed(_) => stats.failed += 1,
+                NetSlot::Unrouted => stats.unrouted += 1,
+            }
         }
+        stats
     }
 
     /// Assembles the committed state as a [`GlobalRouting`] (routes and
@@ -604,7 +450,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
         let mut out = GlobalRouting::default();
         for (id, state) in ids.into_iter().zip(&self.slots) {
             match &state.slot {
-                NetSlot::Routed(r) => out.routes.push(r.clone()),
+                NetSlot::Routed { route, .. } => out.routes.push(route.clone()),
                 NetSlot::Failed(e) => out.failures.push((id, e.clone())),
                 NetSlot::Unrouted => {}
             }
@@ -690,7 +536,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
     fn previous(&self, id: NetId) -> &[RoutedPath] {
         let state = &self.slots[id.index()];
         match &state.slot {
-            NetSlot::Routed(route) => &route.connections,
+            NetSlot::Routed { route, .. } => &route.connections,
             _ => &state.ripped,
         }
     }
@@ -741,68 +587,31 @@ impl<E: RoutingEngine> RoutingSession<E> {
         })
     }
 
-    /// Marks slot `idx` dirty, keeping the running count exact.
+    /// Marks slot `idx` dirty.
     pub(crate) fn set_dirty_slot(&mut self, idx: usize) {
-        let state = &mut self.slots[idx];
-        if !state.dirty {
-            state.dirty = true;
-            self.dirty_count += 1;
-        }
+        self.slots[idx].dirty = true;
     }
 
-    /// Removes slot `idx`'s committed state from the running aggregates
-    /// (outcome counts, wire length, dirty-grid registration), leaving
-    /// the slot itself untouched. Every transition that replaces a slot
-    /// calls this first, so the aggregates never double-count.
-    fn retire_slot(&mut self, idx: usize) {
-        match &self.slots[idx].slot {
-            NetSlot::Routed(r) => {
-                self.routed_count -= 1;
-                self.wire_length -= r.wire_length();
-                self.dirty_grid.unregister(idx);
-            }
-            NetSlot::Failed(_) => self.failed_count -= 1,
-            NetSlot::Unrouted => {}
-        }
-    }
-
-    /// Adds slot `idx`'s committed state to the running aggregates — the
-    /// inverse of [`RoutingSession::retire_slot`].
-    fn admit_slot(&mut self, idx: usize) {
-        match &self.slots[idx].slot {
-            NetSlot::Routed(r) => {
-                self.routed_count += 1;
-                self.wire_length += r.wire_length();
-                if let Some(bb) = route_bounding_box(r) {
-                    self.dirty_grid.register(idx, bb);
-                }
-            }
-            NetSlot::Failed(_) => self.failed_count += 1,
-            NetSlot::Unrouted => {}
-        }
-    }
-
+    /// Commits a routing attempt as the net's state: the route (with its
+    /// bounding box) or the failure replaces the slot, the dirty mark and
+    /// any ripped hint clear, and the attempt is counted.
     fn commit(&mut self, id: NetId, result: Result<NetRoute, RouteError>) {
-        let idx = id.index();
-        self.retire_slot(idx);
-        let state = &mut self.slots[idx];
+        let state = &mut self.slots[id.index()];
         state.ripped = Vec::new();
         state.slot = match result {
-            Ok(route) => NetSlot::Routed(route),
+            Ok(route) => NetSlot::Routed {
+                bbox: route_bounding_box(&route),
+                route,
+            },
             Err(e) => NetSlot::Failed(e),
         };
-        if state.dirty {
-            state.dirty = false;
-            self.dirty_count -= 1;
-        }
+        state.dirty = false;
         if state.attempts > 0 {
-            self.reroutes += 1;
             if let Some(m) = crate::telem::live() {
                 m.reroutes.inc();
             }
         }
         state.attempts += 1;
-        self.admit_slot(idx);
     }
 
     /// Routes (or re-routes) one net now and commits the result as the
@@ -827,7 +636,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
         };
         self.commit(id, result);
         match &self.slots[id.index()].slot {
-            NetSlot::Routed(r) => Ok(r),
+            NetSlot::Routed { route, .. } => Ok(route),
             NetSlot::Failed(e) => Err(e.clone()),
             NetSlot::Unrouted => unreachable!("commit just filled this slot"),
         }
@@ -897,21 +706,17 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// The removed connections stay behind only as the reroute's search
     /// hint. Returns `true` when a committed route was actually removed.
     pub fn rip_up(&mut self, id: NetId) -> bool {
-        let idx = id.index();
-        if idx >= self.slots.len() {
+        let Some(state) = self.slots.get_mut(id.index()) else {
             return false;
-        }
-        self.retire_slot(idx);
-        let state = &mut self.slots[idx];
-        let had_route = match std::mem::take(&mut state.slot) {
-            NetSlot::Routed(route) => {
+        };
+        state.dirty = true;
+        match std::mem::take(&mut state.slot) {
+            NetSlot::Routed { route, .. } => {
                 state.ripped = route.connections;
                 true
             }
             _ => false,
-        };
-        self.set_dirty_slot(idx);
-        had_route
+        }
     }
 
     /// Marks one net for re-routing without touching its committed route.
@@ -1035,8 +840,9 @@ impl<E: RoutingEngine> RoutingSession<E> {
     /// [`RoutingSession::route_negotiated`] under a cooperative
     /// [`Budget`]. Negotiation commits between rounds, so cancellation
     /// rolls back through a pre-request checkpoint rather than by
-    /// skipping commits: on error the committed state (slots, dirty
-    /// marks, aggregates) is byte-identical to the pre-call state.
+    /// skipping commits: on error the committed state (routes, failures,
+    /// dirty marks and attempt counts) is byte-identical to the pre-call
+    /// state.
     ///
     /// # Errors
     ///
@@ -1071,22 +877,9 @@ impl<E: RoutingEngine> RoutingSession<E> {
     }
 
     /// Restores a [`SessionCheckpoint`] taken on this session: the slots
-    /// come back as they were, and the running aggregates and the dirty
-    /// grid are recounted from them.
+    /// come back as they were.
     pub(crate) fn restore(&mut self, checkpoint: SessionCheckpoint) {
         self.slots = checkpoint.slots;
-        self.dirty_grid.clear();
-        self.dirty_count = 0;
-        self.routed_count = 0;
-        self.failed_count = 0;
-        self.wire_length = 0;
-        self.reroutes = 0;
-        for idx in 0..self.slots.len() {
-            let state = &self.slots[idx];
-            self.dirty_count += usize::from(state.dirty);
-            self.reroutes += state.attempts.saturating_sub(1);
-            self.admit_slot(idx);
-        }
     }
 
     /// Congestion of the committed occupancy over the plane's current
@@ -1113,7 +906,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
                 .iter()
                 .enumerate()
                 .filter_map(|(i, s)| match &s.slot {
-                    NetSlot::Routed(r) => Some((i, r.segments())),
+                    NetSlot::Routed { route, .. } => Some((i, route.segments())),
                     _ => None,
                 }),
             self.config.wire_pitch,
@@ -1131,8 +924,6 @@ impl<E: RoutingEngine> RoutingSession<E> {
             dirty: true,
             ..NetState::default()
         });
-        self.dirty_count += 1;
-        self.dirty_grid.ensure_slot(self.slots.len());
         id
     }
 
@@ -1192,57 +983,8 @@ impl<E: RoutingEngine> RoutingSession<E> {
             id.index(),
             "cell ids and obstacle ids stay aligned"
         );
-        self.dirty_routes_touching(rect);
+        self.mark_routes_touching(&[rect], false);
         Ok(id)
-    }
-
-    /// Adds many rectangular cells in one batch: the layout gains every
-    /// cell, then the live plane ingests all rectangles at once —
-    /// rebuilding its sorted face lists (and corner tables, on the
-    /// sharded index) a single time instead of once per rectangle, the
-    /// same O((N+M) log (N+M)) path [`Plane::add_obstacles`] gives bulk
-    /// construction. Dirty marking is per rectangle, exactly as if each
-    /// cell had been added individually.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`LayoutError`] hit (duplicate name, out of
-    /// bounds, …). Cells accepted before the error are kept — layout and
-    /// plane stay consistent — but their ids are not returned.
-    ///
-    /// [`Plane::add_obstacles`]: gcr_geom::Plane::add_obstacles
-    pub fn add_obstacles<N: Into<String>>(
-        &mut self,
-        cells: impl IntoIterator<Item = (N, Rect)>,
-    ) -> Result<Vec<CellId>, LayoutError> {
-        let mut ids = Vec::new();
-        let mut rects = Vec::new();
-        let mut failure = None;
-        for (name, rect) in cells {
-            match self.layout.add_cell(name, rect) {
-                Ok(id) => {
-                    ids.push(id);
-                    rects.push(rect);
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        let obstacles = self.plane.add_obstacles(&rects);
-        debug_assert_eq!(obstacles.len(), rects.len());
-        debug_assert!(
-            ids.first().is_none_or(|id| id.index() == obstacles.start),
-            "cell ids and obstacle ids stay aligned"
-        );
-        for &rect in &rects {
-            self.dirty_routes_touching(rect);
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(ids),
-        }
     }
 
     /// Moves a cell by `(dx, dy)`: the layout edit (outline + attached
@@ -1271,45 +1013,27 @@ impl<E: RoutingEngine> RoutingSession<E> {
         let moved_nets = self.layout.move_cell(id, dx, dy)?;
         let translated = self.plane.translate_obstacle(id.index(), dx, dy);
         debug_assert!(translated, "cell ids and obstacle ids stay aligned");
-        self.dirty_routes_touching(old);
-        self.dirty_routes_touching(old.translate(dx, dy));
-        for idx in 0..self.slots.len() {
-            if matches!(self.slots[idx].slot, NetSlot::Failed(_)) {
-                self.set_dirty_slot(idx);
-            }
-        }
+        self.mark_routes_touching(&[old, old.translate(dx, dy)], true);
         for net in moved_nets {
             self.mark_dirty(net);
         }
         Ok(())
     }
 
-    /// Marks every committed route that `rect` may have affected as
-    /// dirty. The test is conservative — a route whose **bounding box**
-    /// intersects the rectangle is marked (a route that does not even
-    /// touch the rectangle cannot have been affected).
-    ///
-    /// Cost is O(local): the [`DirtyGrid`] narrows the scan to routes
-    /// whose bounding box shares a grid cell with `rect`, so a mutation
-    /// on a 100k-net die examines a neighborhood, not every slot. The
-    /// per-candidate test is unchanged, so the resulting dirty set is
-    /// byte-identical to the full scan.
-    fn dirty_routes_touching(&mut self, rect: Rect) {
-        let mut candidates = Vec::new();
-        self.dirty_grid.candidates(&rect, &mut candidates);
-        for idx in candidates {
-            let idx = idx as usize;
-            let state = &self.slots[idx];
-            if state.dirty {
-                continue;
-            }
-            let NetSlot::Routed(route) = &state.slot else {
-                // Registered ⇒ routed; tolerate a stale candidate anyway.
-                continue;
+    /// Marks dirty, in one pass over the slots, every committed route
+    /// whose **bounding box** touches one of `extents` — a route that
+    /// does not even touch the changed extent cannot have been affected,
+    /// since nets see only the cells — and, with `failed`, every
+    /// committed failure.
+    fn mark_routes_touching(&mut self, extents: &[Rect], failed: bool) {
+        for state in &mut self.slots {
+            state.dirty |= match &state.slot {
+                NetSlot::Routed { bbox: Some(bb), .. } => {
+                    extents.iter().any(|rect| bb.touches(rect))
+                }
+                NetSlot::Failed(_) => failed,
+                _ => false,
             };
-            if route_bounding_box(route).is_some_and(|bb| bb.intersect(&rect).is_some()) {
-                self.set_dirty_slot(idx);
-            }
         }
     }
 }
@@ -1391,7 +1115,7 @@ impl<E: RoutingEngine> RoutingSession<E> {
         };
         match &state.slot {
             NetSlot::Unrouted => {}
-            NetSlot::Routed(route) => {
+            NetSlot::Routed { route, .. } => {
                 out.status = "routed";
                 out.wire_length = Some(route.wire_length());
                 out.connections = Some(route.connections.len() as u64);
@@ -1614,105 +1338,35 @@ mod tests {
         assert!(text.contains("1 failed"), "{text}");
     }
 
-    /// The scan-everything definition of [`SessionStats`], recomputed
-    /// from scratch; the running aggregates must agree after any
-    /// transition sequence.
-    fn scan_stats<E: RoutingEngine>(s: &RoutingSession<E>) -> SessionStats {
-        let mut stats = SessionStats {
-            nets: s.slots.len(),
-            reroutes: s.reroutes,
-            ..SessionStats::default()
-        };
-        for state in &s.slots {
-            if state.dirty {
-                stats.dirty += 1;
-            }
-            match &state.slot {
-                NetSlot::Routed(r) => {
-                    stats.routed += 1;
-                    stats.wire_length += r.wire_length();
-                }
-                NetSlot::Failed(_) => stats.failed += 1,
-                NetSlot::Unrouted => stats.unrouted += 1,
-            }
-        }
-        stats
-    }
-
-    /// Every registered dirty-grid box must belong to a routed slot and
-    /// equal that route's bounding box; every routed slot must be
-    /// registered.
-    fn assert_grid_consistent<E: RoutingEngine>(s: &RoutingSession<E>) {
-        for (idx, state) in s.slots.iter().enumerate() {
-            let registered = s.dirty_grid.boxes.get(idx).copied().flatten();
-            match &state.slot {
-                NetSlot::Routed(r) => {
-                    assert_eq!(registered, route_bounding_box(r), "slot {idx}");
-                }
-                _ => assert!(registered.is_none(), "slot {idx} stale box"),
-            }
-        }
-    }
-
+    /// A negotiation cancelled after its first pass committed goes back to
+    /// the pre-request checkpoint: `stats()` and every `explain_net` come
+    /// back exactly, with a failed net, a ripped (unrouted, dirty) net,
+    /// a dirty routed net and earlier reroutes in the state.
     #[test]
-    fn running_aggregates_match_full_scan_through_a_mutation_storm() {
+    fn negotiation_cancelled_after_its_first_pass_restores_stats_and_explain() {
         // Pitch 10 leaves the 20-wide passage above cell `a` room for two
-        // wires, so the three nets added below congest it.
+        // wires, so the nets added below congest it.
         let mut config = RouterConfig::default();
         config.wire_pitch(10);
         let mut session = RoutingSession::gridless(two_net_layout(), config);
-        let check = |s: &RoutingSession<GridlessEngine>| {
-            assert_eq!(s.stats(), scan_stats(s));
-            assert_grid_consistent(s);
-        };
-        check(&session);
         session.route_all();
-        check(&session);
         let mid = session.layout().net_by_name("mid").unwrap();
         session.rip_up(mid);
-        check(&session);
-        session.rip_up(mid); // double rip-up must not double-count
-        check(&session);
         session.reroute_dirty();
-        check(&session);
-        session.mark_dirty(mid);
-        session.mark_dirty(mid); // idempotent
-        check(&session);
-        for id in session.layout().net_ids() {
-            session.mark_dirty(id);
-        }
-        check(&session);
-        session.reroute_dirty();
-        check(&session);
-        session
-            .add_obstacle("blk", Rect::new(40, 20, 60, 45).unwrap())
-            .unwrap();
-        check(&session);
         let lonely = session.add_net("lonely");
-        check(&session);
         let _ = session.route_net(lonely); // commits a failure
-        check(&session);
-        session.reroute_dirty();
-        check(&session);
-        let cell = session.layout().cell_by_name("blk").unwrap();
-        session.move_cell(cell, 5, 5).unwrap();
-        check(&session);
-        session.reroute_dirty();
-        check(&session);
         let top2 = session.add_two_pin_net("top2", Point::new(5, 92), Point::new(95, 92));
         session.add_two_pin_net("top3", Point::new(5, 94), Point::new(95, 94));
         session.reroute_dirty();
         session.rip_up(top2);
         session.mark_dirty(mid);
-        check(&session);
-        // A negotiation cancelled after its first pass committed: the
-        // ceiling admits exactly the first pass's expansions, so a later
-        // round trips it and the pre-request checkpoint is restored —
-        // `top2` unrouted and `mid` dirty again.
+        // The ceiling admits exactly the first pass's expansions, so a
+        // later round trips it and the pre-request checkpoint is
+        // restored: `top2` unrouted and `mid` dirty again.
         let probe = Budget::unlimited();
         let mut twin = RoutingSession::gridless(session.layout().clone(), session.config().clone());
         twin.route_all_budgeted(&probe).unwrap();
-        assert!(twin.congestion().total_overflow() > 0, "the storm congests");
+        assert!(twin.congestion().total_overflow() > 0, "the nets congest");
         let explain = |s: &RoutingSession<GridlessEngine>| {
             let ids = s.layout().net_ids();
             (
@@ -1723,15 +1377,15 @@ mod tests {
             )
         };
         let before = explain(&session);
+        let stats = before.0;
+        let counts = (stats.failed, stats.unrouted, stats.dirty, stats.reroutes);
+        assert_eq!(counts, (1, 1, 2, 1), "{stats}");
         let ceiling = Budget::unlimited().with_expansion_ceiling(probe.expansions() + 1);
         assert!(matches!(
             session.route_negotiated_budgeted(&NegotiationConfig::default(), &ceiling),
             Err(RouteError::Cancelled { .. })
         ));
-        check(&session);
         assert_eq!(explain(&session), before);
-        let _ = session.route_two_pass();
-        check(&session);
     }
 
     /// The congested alley: two cells 10 apart and four nets whose
@@ -1747,88 +1401,6 @@ mod tests {
             l.add_two_pin_net(format!("n{i}"), Point::new(x, 0), Point::new(x, 110));
         }
         l
-    }
-
-    /// A penalty reroute that downgrades a Routed slot to Failed must
-    /// keep the running [`SessionStats`] aggregates and the dirty-grid
-    /// registry in lockstep with a from-scratch recount — for both the
-    /// two-pass report and the negotiated driver. The alley nets route
-    /// fine at true cost but blow a tight expansion budget once the
-    /// surcharge inflates the heuristic gap.
-    #[test]
-    fn routed_to_failed_transitions_keep_aggregates_consistent() {
-        let mut config = RouterConfig::default();
-        config
-            .wire_pitch(5)
-            .congestion_weight(200)
-            .max_expansions(Some(30));
-        // Sanity: at true cost every alley net routes under this budget.
-        let clean = RoutingSession::gridless(alley_layout(), config.clone()).route_all();
-        assert!(clean.failures.is_empty(), "first pass must be clean");
-
-        let mut two_pass = RoutingSession::gridless(alley_layout(), config.clone());
-        let report = two_pass.route_two_pass();
-        assert!(
-            !report.routing.failures.is_empty(),
-            "the surcharge must blow the expansion budget for this test \
-             to exercise the Routed -> Failed transition"
-        );
-        assert_eq!(two_pass.stats(), scan_stats(&two_pass));
-        assert_grid_consistent(&two_pass);
-
-        // Negotiation drives the same transition every iteration, then
-        // repairs it; the books must balance at the end as well.
-        let mut negotiated = RoutingSession::gridless(alley_layout(), config);
-        let report = negotiated.route_negotiated(&crate::NegotiationConfig::default());
-        assert!(
-            report.routing.failures.is_empty(),
-            "negotiation repairs surcharge casualties at true cost"
-        );
-        assert_eq!(negotiated.stats(), scan_stats(&negotiated));
-        assert_grid_consistent(&negotiated);
-    }
-
-    #[test]
-    fn bulk_add_obstacles_matches_one_by_one() {
-        let mut bulk = RoutingSession::gridless(two_net_layout(), RouterConfig::default());
-        let mut one_by_one = RoutingSession::gridless(two_net_layout(), RouterConfig::default());
-        bulk.route_all();
-        one_by_one.route_all();
-        let cells = [
-            ("b0", Rect::new(10, 10, 20, 20).unwrap()),
-            ("b1", Rect::new(40, 20, 60, 45).unwrap()),
-            ("b2", Rect::new(80, 82, 90, 95).unwrap()),
-        ];
-        let ids = bulk.add_obstacles(cells).unwrap();
-        assert_eq!(ids.len(), 3);
-        for (name, rect) in cells {
-            one_by_one.add_obstacle(name, rect).unwrap();
-        }
-        assert_eq!(bulk.dirty_nets(), one_by_one.dirty_nets());
-        bulk.reroute_dirty();
-        one_by_one.reroute_dirty();
-        assert_eq!(bulk.stats(), one_by_one.stats());
-        for (a, b) in bulk
-            .routing()
-            .routes
-            .iter()
-            .zip(&one_by_one.routing().routes)
-        {
-            assert_eq!(a.tree.segments(), b.tree.segments());
-        }
-        // A duplicate name fails, but the cells before it are kept and
-        // layout/plane stay aligned.
-        let err = bulk.add_obstacles([
-            ("c0", Rect::new(5, 5, 8, 8).unwrap()),
-            ("b0", Rect::new(25, 25, 28, 28).unwrap()),
-        ]);
-        assert!(err.is_err());
-        assert!(bulk.layout().cell_by_name("c0").is_some());
-        assert_eq!(
-            bulk.layout().cells().len(),
-            bulk.plane().obstacle_count(),
-            "layout and plane stay aligned after a failed batch"
-        );
     }
 
     #[test]

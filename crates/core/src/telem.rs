@@ -1,10 +1,10 @@
 //! Registry flush points for the routing session layer.
 //!
-//! The session's own bookkeeping (running aggregates, `SessionStats`)
-//! stays untouched — these counters are the process-wide aggregates the
-//! `METRICS` wire verb exposes. Every recording site is gated on
-//! [`gcr_telemetry::enabled`] and amortized (per commit, per reroute
-//! pass, per negotiation run — never per expansion).
+//! The session's own bookkeeping (its slots, which `SessionStats` is
+//! read from) stays untouched — these counters are the process-wide
+//! aggregates the `METRICS` wire verb exposes. Every recording site is
+//! gated on [`gcr_telemetry::enabled`] and amortized (per commit, per
+//! reroute pass, per negotiation run — never per expansion).
 
 use std::sync::OnceLock;
 

@@ -86,15 +86,14 @@ pub struct Quarantined;
 /// One registered session: the id, the LRU stamp, the serialized
 /// session state, and lock-free request/wall accounting.
 ///
-/// The accounting is deliberately *outside* the session mutex. The old
-/// layout kept `requests`/`wall` inside [`ServiceSession`]: a panic
-/// poisoned them along with the lock (the panicked request's wall time
-/// was silently dropped and the totals became unreadable), and an
-/// eviction unlinked them from every aggregate while a request could
-/// still be running against the held `Arc`. Entry-level atomics plus
-/// the registry's retired aggregates (absorbed at unlink time, see
-/// [`SessionRegistry::lifetime_requests`]) close both holes;
-/// `registry.rs` tests lock the conservation property.
+/// The accounting is deliberately *outside* the session mutex, so a
+/// panic that poisons the lock neither drops the panicked request's
+/// tally nor makes the totals unreadable, and a request still running
+/// against an evicted entry's `Arc` keeps counting. The server bumps the
+/// process-wide `gcr_service_session_requests_total` and
+/// `gcr_service_session_wall_us_total` counters beside these tallies;
+/// the server-form `STATS` reads those, so closing or evicting an entry
+/// takes nothing back (`tests/telemetry.rs` checks both views).
 #[derive(Debug)] // ServiceSession has a summary Debug, so this derives
 pub struct SessionEntry {
     /// The session id handed to the client by `OPEN`.
@@ -164,10 +163,6 @@ pub struct SessionRegistry {
     clock: AtomicU64,
     capacity: usize,
     evictions: AtomicU64,
-    /// Accounting absorbed from unlinked (closed or evicted) sessions,
-    /// so lifetime totals survive the entries that produced them.
-    retired_requests: AtomicU64,
-    retired_wall_us: AtomicU64,
 }
 
 impl SessionRegistry {
@@ -181,8 +176,6 @@ impl SessionRegistry {
             clock: AtomicU64::new(1),
             capacity: capacity.max(1),
             evictions: AtomicU64::new(0),
-            retired_requests: AtomicU64::new(0),
-            retired_wall_us: AtomicU64::new(0),
         }
     }
 
@@ -219,16 +212,9 @@ impl SessionRegistry {
         (sid, evicted)
     }
 
-    /// Folds an unlinked entry's accounting into the lifetime
-    /// aggregates before the entry can retire. A request still in
-    /// flight against the held `Arc` keeps bumping the entry's atomics;
-    /// the snapshot taken here is what survives — the pre-fix layout
-    /// dropped the whole tally instead.
-    fn retire(&self, entry: &SessionEntry) {
-        self.retired_requests
-            .fetch_add(entry.requests(), Ordering::Relaxed);
-        self.retired_wall_us
-            .fetch_add(entry.wall_us(), Ordering::Relaxed);
+    /// Counts an unlinked (closed or evicted) entry out of the live
+    /// sessions.
+    fn retire(&self) {
         ServiceMetrics::get().sessions_live.dec();
     }
 
@@ -244,8 +230,8 @@ impl SessionRegistry {
             }
         }
         let (_, sid) = victim?;
-        if let Some(entry) = self.shard(sid).remove(&sid) {
-            self.retire(&entry);
+        if self.shard(sid).remove(&sid).is_some() {
+            self.retire();
         }
         self.evictions.fetch_add(1, Ordering::Relaxed);
         ServiceMetrics::get().sessions_evicted.inc();
@@ -262,13 +248,11 @@ impl SessionRegistry {
 
     /// Unlinks a session; returns `false` for an unknown id.
     pub fn close(&self, sid: u64) -> bool {
-        match self.shard(sid).remove(&sid) {
-            Some(entry) => {
-                self.retire(&entry);
-                true
-            }
-            None => false,
+        let removed = self.shard(sid).remove(&sid).is_some();
+        if removed {
+            self.retire();
         }
+        removed
     }
 
     /// Live session count.
@@ -296,43 +280,6 @@ impl SessionRegistry {
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Requests served across every session this registry has ever
-    /// held: live entries plus the retired aggregate absorbed at
-    /// close/evict time.
-    #[must_use]
-    pub fn lifetime_requests(&self) -> u64 {
-        let live: u64 = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(|e| e.requests())
-                    .sum::<u64>()
-            })
-            .sum();
-        live + self.retired_requests.load(Ordering::Relaxed)
-    }
-
-    /// Wall microseconds spent inside sessions, lifetime (live entries
-    /// plus the retired aggregate).
-    #[must_use]
-    pub fn lifetime_wall_us(&self) -> u64 {
-        let live: u64 = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(|e| e.wall_us())
-                    .sum::<u64>()
-            })
-            .sum();
-        live + self.retired_wall_us.load(Ordering::Relaxed)
     }
 }
 
@@ -435,55 +382,5 @@ mod tests {
         reg.close(a);
         let (b, _) = reg.open(boxed_session());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn eviction_and_close_preserve_session_accounting() {
-        let reg = SessionRegistry::new(1);
-        let (a, _) = reg.open(boxed_session());
-        let entry = reg.get(a).unwrap();
-        entry.begin_request();
-        entry.begin_request();
-        entry.add_wall_us(150);
-        drop(entry);
-        // Opening b evicts a; a's tally must survive into the lifetime
-        // aggregate (it used to vanish with the entry).
-        let (b, evicted) = reg.open(boxed_session());
-        assert_eq!(evicted, Some(a));
-        assert_eq!(reg.lifetime_requests(), 2);
-        assert_eq!(reg.lifetime_wall_us(), 150);
-        // Live accounting folds in on top of the retired aggregate.
-        let entry = reg.get(b).unwrap();
-        entry.begin_request();
-        entry.add_wall_us(50);
-        assert_eq!(reg.lifetime_requests(), 3);
-        assert_eq!(reg.lifetime_wall_us(), 200);
-        // Explicit close absorbs the same way.
-        reg.close(b);
-        assert_eq!(reg.lifetime_requests(), 3);
-        assert_eq!(reg.lifetime_wall_us(), 200);
-    }
-
-    #[test]
-    fn quarantined_sessions_stay_accounted() {
-        let reg = SessionRegistry::new(2);
-        let (sid, _) = reg.open(boxed_session());
-        let entry = reg.get(sid).unwrap();
-        // Accounting happens outside the session lock, so a panicked
-        // request is still counted and the tally stays readable after
-        // the lock is poisoned.
-        entry.begin_request();
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = entry.lock().unwrap();
-            panic!("injected fault");
-        }));
-        assert!(poisoned.is_err());
-        entry.add_wall_us(75);
-        assert!(entry.is_quarantined());
-        assert_eq!(entry.requests(), 1);
-        assert_eq!(entry.wall_us(), 75);
-        reg.close(sid);
-        assert_eq!(reg.lifetime_requests(), 1);
-        assert_eq!(reg.lifetime_wall_us(), 75);
     }
 }

@@ -967,8 +967,8 @@ fn dispatch(request: Request, ctx: &Ctx<'_>, trace: TraceId) -> Response {
                 ctx.start.elapsed().as_secs(),
                 ctx.metrics.queue_depth.get(),
                 ctx.metrics.slow_requests.get(),
-                ctx.registry.lifetime_requests(),
-                ctx.registry.lifetime_wall_us(),
+                ctx.metrics.session_requests.get(),
+                ctx.metrics.session_wall_us.get(),
             ));
             for (i, name) in VERBS.iter().enumerate() {
                 body.push_str(&format!("verb-{name} {}\n", ctx.metrics.requests[i].get()));

@@ -29,9 +29,9 @@
 //! [`enabled`] is a single relaxed atomic load. Instrumented crates
 //! gate *expensive* work (clock reads, per-search stat flushes) on it;
 //! raw counter bumps are cheap enough to leave unconditional. It is
-//! controlled by [`set_enabled`], by [`TelemetryConfig`], or by the
-//! `GCR_TELEMETRY` environment variable (`off` / `0` / `false`
-//! disables), consulted once on first use.
+//! controlled by [`set_enabled`] or by the `GCR_TELEMETRY` environment
+//! variable (`off` / `0` / `false` disables), consulted once on first
+//! use.
 //!
 //! ## Naming convention
 //!
@@ -47,7 +47,7 @@ mod registry;
 mod slowlog;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, SpanTimer, LATENCY_BOUNDS_US, SIZE_BOUNDS};
+pub use metrics::{Counter, Gauge, Histogram, LATENCY_BOUNDS_US, SIZE_BOUNDS};
 pub use registry::{
     global, histogram_buckets, parse_exposition, quantile_bucket_index, MetricKind,
     MetricsRegistry, Sample,
@@ -91,32 +91,6 @@ pub fn enabled() -> bool {
 pub fn set_enabled(on: bool) {
     ENV_CHECKED.call_once(|| {});
     ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Declarative on/off switch, for callers that prefer a config value
-/// over the free functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryConfig {
-    /// Collect metrics when true.
-    pub enabled: bool,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self { enabled: true }
-    }
-}
-
-impl TelemetryConfig {
-    /// A configuration with collection switched off.
-    pub fn disabled() -> Self {
-        Self { enabled: false }
-    }
-
-    /// Apply this configuration to the process-global switch.
-    pub fn apply(self) {
-        set_enabled(self.enabled);
-    }
 }
 
 /// A per-request trace identifier: unique within the process, cheap to
@@ -170,10 +144,6 @@ mod tests {
         let _guard = SWITCH.lock().unwrap();
         assert!(enabled(), "tests run with telemetry on by default");
         set_enabled(false);
-        assert!(!enabled());
-        TelemetryConfig::default().apply();
-        assert!(enabled());
-        TelemetryConfig::disabled().apply();
         assert!(!enabled());
         set_enabled(true);
         assert!(enabled());

@@ -153,16 +153,6 @@ impl Histogram {
         us
     }
 
-    /// Start a span timer that records into this histogram on drop.
-    /// When telemetry is [disabled](crate::enabled) the timer never
-    /// reads the clock and records nothing.
-    pub fn start_span(&self) -> SpanTimer<'_> {
-        SpanTimer {
-            hist: self,
-            start: crate::enabled().then(Instant::now),
-        }
-    }
-
     /// The configured upper bounds (exclusive of the implicit +Inf).
     pub fn bounds(&self) -> &'static [u64] {
         self.bounds
@@ -214,33 +204,6 @@ impl Histogram {
     pub fn quantile(&self, q: f64) -> Option<u64> {
         self.quantile_bucket(q)
             .map(|i| self.bounds[i.min(self.bounds.len() - 1)])
-    }
-}
-
-/// Times a region and records it into a [`Histogram`] when dropped.
-/// Created by [`Histogram::start_span`].
-#[derive(Debug)]
-pub struct SpanTimer<'a> {
-    hist: &'a Histogram,
-    start: Option<Instant>,
-}
-
-impl SpanTimer<'_> {
-    /// Stop now and return the recorded duration in microseconds
-    /// (zero when telemetry was disabled at span start).
-    pub fn stop(mut self) -> u64 {
-        match self.start.take() {
-            Some(s) => self.hist.observe_since(s),
-            None => 0,
-        }
-    }
-}
-
-impl Drop for SpanTimer<'_> {
-    fn drop(&mut self) {
-        if let Some(s) = self.start.take() {
-            self.hist.observe_since(s);
-        }
     }
 }
 
@@ -323,16 +286,5 @@ mod tests {
         assert_eq!(h.quantile(0.99), Some(1_000));
         let empty = Histogram::new(&[1]);
         assert_eq!(empty.quantile(0.5), None);
-    }
-
-    #[test]
-    fn span_timer_records_once() {
-        let h = Histogram::latency_us();
-        {
-            let _span = h.start_span();
-        }
-        let us = h.start_span().stop();
-        assert_eq!(h.count(), 2);
-        assert!(h.sum() >= us);
     }
 }

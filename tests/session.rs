@@ -471,6 +471,198 @@ fn stats_agree_with_the_assembled_routing() {
     }
 }
 
+/// What a [`dirty_and_stats_digest`] stream reached, so the test can
+/// require that every transition it pins was exercised.
+#[derive(Debug, Default)]
+struct StreamCoverage {
+    /// Steps folded into the digest.
+    folds: usize,
+    /// `move_cell` calls made while some net held a committed failure.
+    moves_with_failures: usize,
+    /// Obstacles dropped on a pin its net's wire does not reach.
+    pins_covered: usize,
+    /// Capped negotiations that went back to their best round.
+    keep_best_restores: usize,
+}
+
+/// A seeded stream of session transitions on `layout`, with the dirty set
+/// and [`SessionStats`] folded into one FNV digest after every step. The
+/// stream mixes `rip_up`, `move_cell` there and back and one way,
+/// `add_obstacle` (some dropped on a pin off its net's wire),
+/// `add_two_pin_net`, `route_net` of an unroutable one-terminal net,
+/// `mark_dirty` and `reroute_dirty`, and once each `route_two_pass` and
+/// a capped `route_negotiated`.
+fn dirty_and_stats_digest(
+    layout: &Layout,
+    index: PlaneIndexKind,
+    config: &RouterConfig,
+    capped: &NegotiationConfig,
+    steps: usize,
+) -> (String, StreamCoverage) {
+    use gcr::search::FnvHasher;
+    use std::hash::Hasher;
+
+    let mut session = RoutingSession::builder(layout.clone())
+        .config(config.clone())
+        .index(index)
+        .serial()
+        .build();
+    let mut fnv = FnvHasher::default();
+    let mut folds = 0;
+    let mut fold = |session: &RoutingSession, step: &str| {
+        let line = format!("{step}: {:?} {:?}\n", session.dirty_nets(), session.stats());
+        fnv.write(line.as_bytes());
+        folds += 1;
+    };
+    let mut coverage = StreamCoverage::default();
+    let mut rng = rng_for("dirty-stats-stream", 0);
+    let bounds = session.layout().bounds();
+    session.route_all();
+    fold(&session, "route_all");
+    for step in 0..steps {
+        let tag = format!("s{step}");
+        if step == steps / 3 {
+            let _ = session.route_two_pass();
+            fold(&session, "two-pass");
+            continue;
+        }
+        if step == 2 * steps / 3 {
+            let report = session.route_negotiated(capped);
+            coverage.keep_best_restores += usize::from(report.restored.is_some());
+            fold(&session, "negotiated");
+            continue;
+        }
+        let ids = session.layout().net_ids();
+        match rng.gen_range(0..10u32) {
+            0 => {
+                session.rip_up(ids[rng.gen_range(0..ids.len())]);
+                fold(&session, "rip_up");
+            }
+            op @ (1 | 2) => {
+                let cells = session.layout().cells();
+                let picked = &cells[rng.gen_range(0..cells.len())];
+                let (dx, dy) = (rng.gen_range(-3..=3), rng.gen_range(-3..=3));
+                if !bounds.contains_rect(&picked.rect().translate(dx, dy)) {
+                    continue;
+                }
+                let cell = session.layout().cell_by_name(picked.name()).unwrap();
+                let failed = session.stats().failed > 0;
+                coverage.moves_with_failures += usize::from(failed);
+                session.move_cell(cell, dx, dy).unwrap();
+                fold(&session, "move");
+                if op == 1 {
+                    coverage.moves_with_failures += usize::from(failed);
+                    session.move_cell(cell, -dx, -dy).unwrap();
+                    fold(&session, "move back");
+                }
+            }
+            3 => {
+                let at = random_free_point(session.plane(), &mut rng);
+                let (w, h) = (rng.gen_range(1..5), rng.gen_range(1..5));
+                let x = at.x.min(bounds.xmax() - w);
+                let y = at.y.min(bounds.ymax() - h);
+                let rect = Rect::new(x, y, x + w, y + h).unwrap();
+                session.add_obstacle(format!("blk{tag}"), rect).unwrap();
+                fold(&session, "obstacle");
+            }
+            4 => {
+                // A pin of a multi-pin terminal that the wire does not
+                // reach still belongs to the route's tree and its box.
+                let off_route: Vec<Point> = ids
+                    .iter()
+                    .filter_map(|&id| {
+                        let route = session.route(id)?;
+                        let net = session.layout().net(id)?;
+                        net.all_pins()
+                            .map(|pin| pin.position)
+                            .find(|&p| !route.tree.segments().iter().any(|s| s.contains(p)))
+                    })
+                    .collect();
+                let Some(&p) = off_route.get(rng.gen_range(0..off_route.len().max(1))) else {
+                    continue;
+                };
+                let rect = Rect::new(
+                    (p.x - 1).max(bounds.xmin()),
+                    (p.y - 1).max(bounds.ymin()),
+                    (p.x + 1).min(bounds.xmax()),
+                    (p.y + 1).min(bounds.ymax()),
+                )
+                .unwrap();
+                session.add_obstacle(format!("pin{tag}"), rect).unwrap();
+                coverage.pins_covered += 1;
+                fold(&session, "pin obstacle");
+            }
+            5 => {
+                let a = random_free_point(session.plane(), &mut rng);
+                let b = random_free_point(session.plane(), &mut rng);
+                session.add_two_pin_net(format!("net{tag}"), a, b);
+                fold(&session, "add net");
+            }
+            6 => {
+                let lonely = session.add_net(format!("lonely{tag}"));
+                let terminal = session.add_terminal(lonely, "only");
+                let at = random_free_point(session.plane(), &mut rng);
+                session.add_pin(terminal, Pin::floating(at)).unwrap();
+                assert!(session.route_net(lonely).is_err(), "one terminal");
+                fold(&session, "route_net");
+            }
+            7 => {
+                session.mark_dirty(ids[rng.gen_range(0..ids.len())]);
+                fold(&session, "mark_dirty");
+            }
+            _ => {
+                session.reroute_dirty();
+                fold(&session, "reroute_dirty");
+            }
+        }
+    }
+    coverage.folds = folds;
+    (format!("{:016x}", fnv.finish()), coverage)
+}
+
+/// The dirty sets and [`SessionStats`] of seeded mutation streams are
+/// pinned step by step, on the 120-net scaling instance and on the demo
+/// fixture (whose `power` net has a multi-pin terminal), flat and
+/// sharded alike. A change to how a mutation marks nets, how a commit
+/// counts, or how a checkpoint restores moves a digest.
+#[test]
+fn mutation_streams_pin_dirty_sets_and_stats() {
+    let demo = gcr::layout::format::parse(
+        &std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/demo.gcl"))
+            .expect("demo fixture"),
+    )
+    .expect("demo parses");
+    let (_, six) = scaling_instances()[2].clone();
+    // Pitch 1 congests the 120-net die; the expansion cap keeps its
+    // negotiation cheap and makes surcharged searches fail. Pitch 10
+    // congests the demo once the stream has added nets.
+    let mut tight = RouterConfig::default();
+    tight
+        .wire_pitch(1)
+        .congestion_weight(4)
+        .max_expansions(Some(200));
+    let mut wide = RouterConfig::default();
+    wide.wire_pitch(10).congestion_weight(4);
+    let mut capped = NegotiationConfig::default();
+    capped.max_iters(2);
+    let cases = [
+        ("6x6-120", six, tight, 200, "3a19528063e049dc"),
+        ("demo", demo, wide, 240, "ca01d131f8183d26"),
+    ];
+    for (what, layout, config, steps, pinned) in cases {
+        for index in [PlaneIndexKind::Flat, PlaneIndexKind::Sharded] {
+            let what = format!("{what}/{index:?}");
+            let (digest, coverage) =
+                dirty_and_stats_digest(&layout, index, &config, &capped, steps);
+            assert!(coverage.folds >= 200, "{what}: {coverage:?}");
+            assert!(coverage.moves_with_failures > 0, "{what}: {coverage:?}");
+            assert!(coverage.pins_covered > 0, "{what}: {coverage:?}");
+            assert!(coverage.keep_best_restores > 0, "{what}: {coverage:?}");
+            assert_eq!(digest, pinned, "{what}");
+        }
+    }
+}
+
 /// The shipped demo change list replays cleanly against the demo layout
 /// and converges to the fresh route of the mutated design.
 #[test]

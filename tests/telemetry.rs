@@ -71,12 +71,31 @@ fn error_counts(client: &mut Client) -> (i64, u64) {
     (stats_int(&stats.body, "errors").unwrap(), from_metrics)
 }
 
+/// The server-form `STATS` session totals (`session-requests`,
+/// `session-wall-us`), checked equal to the `METRICS` series they read.
+fn session_totals(client: &mut Client) -> (i64, i64) {
+    let stats = client.stats(None).unwrap();
+    let samples = parse_exposition(&client.metrics().unwrap().body);
+    let from_stats = (
+        stats_int(&stats.body, "session-requests").unwrap(),
+        stats_int(&stats.body, "session-wall-us").unwrap(),
+    );
+    let from_metrics = (
+        series_value(&samples, "gcr_service_session_requests_total", &[]) as i64,
+        series_value(&samples, "gcr_service_session_wall_us_total", &[]) as i64,
+    );
+    assert_eq!(from_stats, from_metrics, "session totals: {stats:?}");
+    from_stats
+}
+
 /// STATS and METRICS must report identical per-verb request counts:
 /// both read the same registered atomics. The one systematic offset is
 /// the `metrics` verb itself — requests are counted at read time, so
 /// the scrape that follows the STATS call adds one to its own series.
 /// Errors agree too, including the `ERR TIMEOUT` a half-sent request
-/// draws, which is answered outside the per-request path.
+/// draws, which is answered outside the per-request path. So do the
+/// session totals, which no `CLOSE`, LRU eviction or panic quarantine
+/// takes back.
 #[test]
 fn stats_and_metrics_agree_on_per_verb_counts() {
     let _guard = telemetry_lock();
@@ -84,6 +103,7 @@ fn stats_and_metrics_agree_on_per_verb_counts() {
         capacity: 4,
         workers: 2,
         read_timeout_ms: 500,
+        crash_probe: true,
         ..ServerConfig::default()
     });
     let mut client = Client::connect(addr).unwrap();
@@ -121,8 +141,8 @@ fn stats_and_metrics_agree_on_per_verb_counts() {
         .find(|s| s.name == "gcr_service_queue_depth")
         .map_or(0.0, |s| s.value) as i64;
     assert_eq!(queue_from_stats, queue_from_metrics);
-    // Session accounting flows to both views from the same entries.
-    let session_requests = stats_int(&stats.body, "session-requests").unwrap();
+    // Session accounting flows to both views from the same counters.
+    let (session_requests, _) = session_totals(&mut client);
     assert!(session_requests >= 3, "route/eco/stats-sid: {stats:?}");
 
     // Half a request, then silence until the read timeout.
@@ -150,7 +170,42 @@ fn stats_and_metrics_agree_on_per_verb_counts() {
         "errors: STATS and METRICS disagree"
     );
 
+    // Closing a session keeps its requests in the totals.
+    let before = session_totals(&mut client);
     client.close_session(sid).unwrap();
+    assert_eq!(session_totals(&mut client), before, "after CLOSE");
+
+    // So does evicting one: the fifth OPEN evicts the routed session.
+    let gcl = demo_gcl();
+    let open = |client: &mut Client| {
+        client
+            .open(EngineKind::Gridless, PlaneIndexKind::Sharded, &gcl)
+            .unwrap()
+    };
+    let (victim, _) = open(&mut client);
+    client.route(victim, false).unwrap();
+    for _ in 0..3 {
+        open(&mut client);
+    }
+    let before = session_totals(&mut client);
+    let (_, reply) = open(&mut client);
+    assert_eq!(reply.int_field("evicted"), Some(victim as i64));
+    assert_eq!(session_totals(&mut client), before, "after eviction");
+
+    // A panicked request counts, and quarantining or then closing its
+    // session takes nothing back.
+    let (crashed, _) = open(&mut client);
+    let before = session_totals(&mut client);
+    match client.request(&Request::Crash { sid: crashed }).unwrap() {
+        Response::Err(e) => assert_eq!(e.code, ErrCode::Quarantined, "{e}"),
+        Response::Ok { head, .. } => panic!("unexpected OK {head}"),
+    }
+    let quarantined = session_totals(&mut client);
+    assert_eq!(quarantined.0, before.0 + 1, "the CRASH request counts");
+    assert!(quarantined.1 >= before.1, "wall time never falls");
+    client.close_session(crashed).unwrap();
+    assert_eq!(session_totals(&mut client), quarantined, "after CLOSE");
+
     client.shutdown().unwrap();
     handle.join().unwrap();
 }
