@@ -87,43 +87,36 @@ impl RouterConfig {
     }
 }
 
-/// Which spatial index backs a session's obstacle plane.
+/// Which plane a session routes over: the production index (the
+/// default) or the reference it must match.
 ///
-/// Both implementations answer every query bit-identically (asserted by
+/// Both answer every query bit-identically (asserted by
 /// `tests/plane_equivalence.rs`); the knob only changes how the answers
-/// are computed.
+/// are computed, so routes never depend on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlaneIndexKind {
-    /// The flat ray-traced [`Plane`](gcr_geom::Plane) with its
-    /// sorted-face topological index.
-    #[default]
+    /// Routes over the reference plane (linear scans); for differential
+    /// checks.
     Flat,
     /// The bucket-gridded [`ShardedPlane`](gcr_geom::ShardedPlane) with
     /// its perpendicular-pruned corner tables, shared across all nets of
-    /// the session.
+    /// the session: the production index.
+    #[default]
     Sharded,
 }
 
 /// How a [`RoutingSession`](crate::RoutingSession) schedules the nets of
-/// one routing call, and which plane index it routes them over.
-#[derive(Debug, Clone, Copy)]
+/// one routing call, and which plane it routes them over. The default is
+/// every available worker over the sharded plane.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BatchConfig {
     /// Worker count; `None` = the machine's available parallelism, capped
     /// by the number of nets in the call, and `Some(1)` a plain serial
     /// loop. Output is byte-identical at any count.
     pub threads: Option<usize>,
-    /// The spatial index answering the engines' connection queries.
-    /// Output is byte-identical either way.
+    /// The plane answering the engines' connection queries (default
+    /// [`PlaneIndexKind::Sharded`]). Output is byte-identical either way.
     pub index: PlaneIndexKind,
-}
-
-impl Default for BatchConfig {
-    fn default() -> BatchConfig {
-        BatchConfig {
-            threads: None,
-            index: PlaneIndexKind::Flat,
-        }
-    }
 }
 
 impl BatchConfig {
@@ -135,12 +128,6 @@ impl BatchConfig {
             threads: Some(1),
             ..BatchConfig::default()
         }
-    }
-
-    /// The default schedule over the sharded plane index.
-    #[must_use]
-    pub fn sharded() -> BatchConfig {
-        BatchConfig::default().with_index(PlaneIndexKind::Sharded)
     }
 
     /// Replaces the spatial-index selection.
@@ -190,6 +177,13 @@ mod tests {
         assert_eq!(c.wire_pitch, 3);
         assert_eq!(c.congestion_weight, 10);
         assert_eq!(c.max_expansions, Some(500));
+    }
+
+    #[test]
+    fn sessions_default_to_the_sharded_plane() {
+        assert_eq!(PlaneIndexKind::default(), PlaneIndexKind::Sharded);
+        assert_eq!(BatchConfig::default().index, PlaneIndexKind::Sharded);
+        assert_eq!(BatchConfig::serial().index, PlaneIndexKind::Sharded);
     }
 
     #[test]

@@ -57,7 +57,9 @@ impl<E: RoutingEngine> SessionBuilder<E> {
         }
     }
 
-    /// Selects the spatial index backing the session's plane.
+    /// Selects the plane the session routes over (default
+    /// [`PlaneIndexKind::Sharded`]; [`PlaneIndexKind::Flat`] is the
+    /// reference, for differential checks).
     #[must_use]
     pub fn index(mut self, index: PlaneIndexKind) -> SessionBuilder<E> {
         self.batch.index = index;
@@ -277,8 +279,9 @@ impl std::fmt::Display for SessionStats {
 /// 1. **serial ≡ parallel**, byte for byte, at any thread count: nets
 ///    are independent ("the only obstacles are the cells") and the merge
 ///    is in net-id order (`tests/determinism.rs`);
-/// 2. **flat ≡ sharded**: both plane indexes answer every query
-///    bit-identically (`tests/plane_equivalence.rs`);
+/// 2. **reference ≡ sharded**: the sharded plane answers every query
+///    bit-identically to the reference plane's linear scans
+///    (`tests/plane_equivalence.rs`);
 /// 3. **incremental ≡ fresh**: net-by-net routing, rip-up + reroute and
 ///    mutation + [`RoutingSession::reroute_dirty`] commit exactly what a
 ///    fresh session over the same layout routes (`tests/session.rs`);
@@ -331,7 +334,8 @@ pub struct RoutingSession<E: RoutingEngine = GridlessEngine> {
 
 impl RoutingSession<GridlessEngine> {
     /// Starts building a session that owns `layout` (paper's gridless
-    /// engine, flat index and the default schedule unless reconfigured).
+    /// engine, sharded plane and the default schedule unless
+    /// reconfigured).
     #[must_use]
     pub fn builder(layout: Layout) -> SessionBuilder<GridlessEngine> {
         SessionBuilder::new(layout)

@@ -575,7 +575,6 @@ mod tests {
             let (w, h) = (next(18) + 1, next(18) + 1);
             plane.add_obstacle(Rect::new(x, y, x + w, y + h).unwrap());
         }
-        plane.build_index();
         plane
     }
 

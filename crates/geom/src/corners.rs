@@ -1,12 +1,11 @@
 //! Bucketed corner tables: perpendicular-distance pruning for the corner
 //! query ([`PlaneIndex::corner_candidates_into`](crate::PlaneIndex::corner_candidates_into)).
 //!
-//! The flat plane answers a corner query by scanning **every** face in
-//! the ray's coordinate slab and sorting what survives — cost
-//! proportional to all obstacles sharing the slab, regardless of how far
-//! from the ray line they sit. [`CornerIndex`] restructures the same
-//! faces so a query pays only for the *distinct face coordinates* in the
-//! slab:
+//! The reference plane answers a corner query by scanning **every**
+//! rectangle and sorting the faces that survive — cost proportional to
+//! all obstacles, regardless of how far from the ray line they sit.
+//! [`CornerIndex`] restructures the same faces so a query pays only for
+//! the *distinct face coordinates* in the slab:
 //!
 //! * per ray axis, the distinct face coordinates are kept sorted
 //!   (`coords`), each with a **column** holding the perpendicular extents
@@ -22,7 +21,7 @@
 //! The columns exist only to keep `reach` exact when a face is removed:
 //! the next-largest `lo` and next-smallest `hi` are the neighbours of the
 //! removed values. Columns are visited in coordinate order, so the output
-//! needs **no sort and no dedup**. Equality with the flat slab scan is
+//! needs **no sort and no dedup**. Equality with the reference scan is
 //! locked by the differential suites (`tests/plane_equivalence.rs`,
 //! `crates/geom/tests/sharded.rs`).
 //!
@@ -247,7 +246,7 @@ mod tests {
     use super::*;
     use crate::Plane;
 
-    /// The table query against the flat plane's slab scan, for full and
+    /// The table query against the reference plane's linear scan, for full and
     /// clipped stops, into a buffer left dirty by the previous query.
     fn differential(plane: &Plane, index: &CornerIndex, what: &str) {
         let xs = plane.corner_coords(Axis::X);
@@ -299,7 +298,6 @@ mod tests {
             for r in seeded_rects(case, 14) {
                 plane.add_obstacle(r);
             }
-            plane.build_index();
             let index = CornerIndex::build(plane.rects());
             differential(&plane, &index, &format!("case {case}"));
         }
@@ -308,7 +306,6 @@ mod tests {
     #[test]
     fn incremental_maintenance_matches_rebuild() {
         let mut plane = Plane::new(Rect::new(0, 0, 200, 200).unwrap());
-        plane.build_index();
         let mut index = CornerIndex::default();
         let rects = seeded_rects(3, 12);
         for (k, &r) in rects.iter().enumerate() {
@@ -316,14 +313,17 @@ mod tests {
             index.insert(&r);
             differential(&plane, &index, &format!("after insert {k}"));
         }
-        // Remove half of them (faces shared between rects must survive
-        // partial removal), checking the differential at every step.
+        // Move half of them the way a session translates a cell (faces
+        // shared between rects must survive the removal of the old
+        // faces), checking the differential at every step.
         for (k, &r) in rects.iter().enumerate().filter(|(k, _)| k % 2 == 0) {
-            let id = plane.rects().iter().find(|(pr, _)| *pr == r).unwrap().1;
-            plane.remove_obstacle(id);
+            assert!(plane.translate_obstacle(k, 5, -3));
             index.remove(&r);
-            differential(&plane, &index, &format!("after remove {k}"));
+            index.insert(&r.translate(5, -3));
+            differential(&plane, &index, &format!("after move {k}"));
         }
+        let rebuilt = CornerIndex::build(plane.rects());
+        differential(&plane, &rebuilt, "rebuilt");
     }
 
     #[test]

@@ -141,32 +141,6 @@ impl Dir {
             Equal => None,
         }
     }
-
-    /// Classifies the turn taken when travel changes from `self` to `next`.
-    #[inline]
-    #[must_use]
-    pub fn turn_to(self, next: Dir) -> Turn {
-        if self == next {
-            Turn::Straight
-        } else if self == next.opposite() {
-            Turn::Reverse
-        } else {
-            // With North = +y (mathematical orientation), East -> North is a
-            // left (counter-clockwise) turn.
-            let left = matches!(
-                (self, next),
-                (Dir::East, Dir::North)
-                    | (Dir::North, Dir::West)
-                    | (Dir::West, Dir::South)
-                    | (Dir::South, Dir::East)
-            );
-            if left {
-                Turn::Left
-            } else {
-                Turn::Right
-            }
-        }
-    }
 }
 
 impl fmt::Display for Dir {
@@ -178,29 +152,6 @@ impl fmt::Display for Dir {
             Dir::South => "south",
         };
         write!(f, "{s}")
-    }
-}
-
-/// The relationship between two consecutive directions of travel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Turn {
-    /// Same direction: no bend.
-    Straight,
-    /// Counter-clockwise quarter turn.
-    Left,
-    /// Clockwise quarter turn.
-    Right,
-    /// A 180° reversal (never useful on a minimal path).
-    Reverse,
-}
-
-impl Turn {
-    /// Returns `true` for quarter turns (`Left` or `Right`), the turns that
-    /// create a bend in a rectilinear wire.
-    #[inline]
-    #[must_use]
-    pub fn is_bend(self) -> bool {
-        matches!(self, Turn::Left | Turn::Right)
     }
 }
 
@@ -251,29 +202,6 @@ mod tests {
             assert_eq!(Dir::negative(a).axis(), a);
             assert_eq!(Dir::positive(a).sign(), 1);
             assert_eq!(Dir::negative(a).sign(), -1);
-        }
-    }
-
-    #[test]
-    fn turn_classification() {
-        assert_eq!(Dir::East.turn_to(Dir::East), Turn::Straight);
-        assert_eq!(Dir::East.turn_to(Dir::West), Turn::Reverse);
-        assert_eq!(Dir::East.turn_to(Dir::North), Turn::Left);
-        assert_eq!(Dir::East.turn_to(Dir::South), Turn::Right);
-        assert_eq!(Dir::North.turn_to(Dir::West), Turn::Left);
-        assert_eq!(Dir::North.turn_to(Dir::East), Turn::Right);
-        assert_eq!(Dir::West.turn_to(Dir::South), Turn::Left);
-        assert_eq!(Dir::South.turn_to(Dir::East), Turn::Left);
-        assert_eq!(Dir::South.turn_to(Dir::West), Turn::Right);
-    }
-
-    #[test]
-    fn every_quarter_turn_is_bend() {
-        for d in Dir::ALL {
-            for n in Dir::ALL {
-                let t = d.turn_to(n);
-                assert_eq!(t.is_bend(), d.axis() != n.axis());
-            }
         }
     }
 

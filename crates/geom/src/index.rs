@@ -3,9 +3,9 @@
 //!
 //! Every router in the workspace asks the routing surface the same small
 //! set of geometric connection queries — ray casts, corner enumeration,
-//! wire-legality checks. This trait pins those queries down so the flat
-//! ray-traced [`Plane`] and the bucket-gridded
-//! [`ShardedPlane`](crate::ShardedPlane) are interchangeable behind one
+//! wire-legality checks. This trait pins those queries down so the
+//! reference [`Plane`] and the production index, the bucket-gridded
+//! [`ShardedPlane`](crate::ShardedPlane), are interchangeable behind one
 //! reference: engines take `&dyn PlaneIndex` and cannot observe which
 //! implementation answered.
 //!
@@ -16,10 +16,10 @@
 //! stopped or anchored them: the successor generator reads nothing else.
 //! That is what lets `tests/plane_equivalence.rs` assert that routing
 //! over a sharded plane produces byte-identical routes to routing over
-//! the flat one, serially and in parallel.
+//! the reference, serially and in parallel.
 //!
 //! The two implementations are free to answer *differently inside*: the
-//! flat plane scans the obstacles overlapping a query's slab, the
+//! reference scans every obstacle for every query, the
 //! sharded plane walks buckets for local queries and binary-searches its
 //! perpendicular-pruned corner tables (`corners.rs`) for corner
 //! enumeration — the equality contract (not a shared code path) is what

@@ -52,7 +52,7 @@ mod segment;
 mod sharded;
 
 pub use coord::{Coord, COORD_MAX, COORD_MIN};
-pub use dir::{Axis, Dir, Turn};
+pub use dir::{Axis, Dir};
 pub use error::GeomError;
 pub use index::PlaneIndex;
 pub use interval::Interval;

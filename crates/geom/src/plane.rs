@@ -3,7 +3,7 @@
 //! This module is the geometric heart of the reproduction. The paper
 //! describes a data structure of points "linked to reflect their topological
 //! order in both *x* and *y*" over which "an efficient means of ray-tracing
-//! is used to expand the frontiers of the search". [`Plane`] provides that
+//! is used to expand the frontiers of the search". [`Plane`] defines that
 //! service with three queries, each answering coordinates only:
 //!
 //! * [`Plane::ray_hit`] — how far can a wire travel from a point in a
@@ -13,6 +13,11 @@
 //!   along a ray at which a minimal path may usefully turn; this is the
 //!   "hug cells as they are encountered" primitive,
 //! * [`Plane::segment_free`] / [`Plane::point_free`] — legality checks.
+//!
+//! [`Plane`] answers every query by a linear scan over all of its
+//! rectangles. It is the **reference**: the production index,
+//! [`ShardedPlane`](crate::ShardedPlane), keeps its rectangles in a
+//! `Plane` and must answer every query exactly as the scan does.
 //!
 //! Wires may run *on* obstacle boundaries (they hug them); only the open
 //! interior of an obstacle blocks. Obstacles added from rectilinear
@@ -43,10 +48,10 @@ pub struct RayHit {
 /// `axis` (perpendicular coordinate `w`) from `u0` toward `bound`, or
 /// `None` when it does not block.
 ///
-/// This single predicate defines the blocking semantics for **every**
-/// plane implementation (flat linear scan, flat indexed scan, sharded
-/// bucket walk), so they cannot drift apart: an obstacle blocks when its
-/// open perpendicular span straddles the ray line and its interior lies
+/// This single predicate defines the blocking semantics for **both**
+/// planes (the reference's linear scan and the sharded bucket walk), so
+/// they cannot drift apart: an obstacle blocks when its open
+/// perpendicular span straddles the ray line and its interior lies
 /// strictly ahead of the origin and strictly before the boundary.
 pub(crate) fn ray_entry(
     r: &Rect,
@@ -72,12 +77,13 @@ pub(crate) fn ray_entry(
 /// perpendicular coordinate `w`: `r` is non-degenerate and lies wholly on
 /// one side of the line, touching it at most. A rectangle that straddles
 /// the line blocks the ray instead, and a degenerate one never anchors.
-/// Shared by every plane implementation's corner query.
+/// Shared by both planes' corner queries.
 pub(crate) fn anchors(r: &Rect, perp: Axis, w: Coord) -> bool {
     !r.is_degenerate() && !r.span(perp).contains_open(w)
 }
 
-/// The routing surface: a bounded plane containing rectangular obstacles.
+/// The routing surface: a bounded plane containing rectangular obstacles,
+/// queried by linear scan (the reference every index must match).
 ///
 /// ```
 /// use gcr_geom::{Dir, Plane, Point, Rect};
@@ -102,102 +108,10 @@ pub(crate) fn anchors(r: &Rect, perp: Axis, w: Coord) -> bool {
 pub struct Plane {
     bounds: Rect,
     rects: Vec<(Rect, ObstacleId)>,
-    /// Number of live obstacles (polygons count once; removal decrements).
+    /// Number of obstacles (polygons count once). Obstacles are never
+    /// removed, so this is also the next id to allocate: ids run 0, 1,
+    /// 2, … in insertion order.
     obstacle_count: usize,
-    /// Next id to allocate. Ids are never reused, so removing an obstacle
-    /// keeps every other id stable.
-    next_id: ObstacleId,
-    index: Option<TopoIndex>,
-}
-
-/// The paper's "topological ordering" of the geometry: obstacle entry
-/// faces sorted per axis and direction, so a ray finds its first blocker
-/// by scanning forward from a binary-searched start instead of visiting
-/// every obstacle. ("Points are linked to reflect their topological order
-/// in both x and y … an efficient means of ray-tracing is used to expand
-/// the frontiers of the search.")
-#[derive(Debug, Clone)]
-struct TopoIndex {
-    /// `(xmin, rect index)` ascending — entry faces for eastward rays.
-    xmin: Vec<(Coord, u32)>,
-    /// `(xmax, rect index)` ascending — entry faces for westward rays.
-    xmax: Vec<(Coord, u32)>,
-    /// `(ymin, rect index)` ascending — entry faces for northward rays.
-    ymin: Vec<(Coord, u32)>,
-    /// `(ymax, rect index)` ascending — entry faces for southward rays.
-    ymax: Vec<(Coord, u32)>,
-}
-
-impl TopoIndex {
-    fn build(rects: &[(Rect, ObstacleId)]) -> TopoIndex {
-        let mut xmin = Vec::with_capacity(rects.len());
-        let mut xmax = Vec::with_capacity(rects.len());
-        let mut ymin = Vec::with_capacity(rects.len());
-        let mut ymax = Vec::with_capacity(rects.len());
-        for (i, (r, _)) in rects.iter().enumerate() {
-            let i = i as u32;
-            xmin.push((r.xmin(), i));
-            xmax.push((r.xmax(), i));
-            ymin.push((r.ymin(), i));
-            ymax.push((r.ymax(), i));
-        }
-        xmin.sort_unstable();
-        xmax.sort_unstable();
-        ymin.sort_unstable();
-        ymax.sort_unstable();
-        TopoIndex {
-            xmin,
-            xmax,
-            ymin,
-            ymax,
-        }
-    }
-
-    /// Entry-face list for rays travelling along `axis` in the positive or
-    /// negative direction.
-    fn entries(&self, axis: Axis, positive: bool) -> &[(Coord, u32)] {
-        match (axis, positive) {
-            (Axis::X, true) => &self.xmin,
-            (Axis::X, false) => &self.xmax,
-            (Axis::Y, true) => &self.ymin,
-            (Axis::Y, false) => &self.ymax,
-        }
-    }
-
-    /// Inserts one rectangle's faces by binary search, keeping every list
-    /// exactly as a full rebuild would leave it: the lists hold unique
-    /// `(coordinate, rect index)` tuples in ascending tuple order, and
-    /// `sort_unstable` on unique keys is a deterministic total order — so
-    /// `partition_point` insertion lands each entry at the identical
-    /// position, in O(log n) search + one memmove instead of a full
-    /// re-sort. `crates/geom/tests/sharded.rs` holds the differential
-    /// against the rebuild path.
-    fn insert(&mut self, rect: &Rect, ri: u32) {
-        fn insert_sorted(list: &mut Vec<(Coord, u32)>, entry: (Coord, u32)) {
-            let at = list.partition_point(|e| *e < entry);
-            list.insert(at, entry);
-        }
-        insert_sorted(&mut self.xmin, (rect.xmin(), ri));
-        insert_sorted(&mut self.xmax, (rect.xmax(), ri));
-        insert_sorted(&mut self.ymin, (rect.ymin(), ri));
-        insert_sorted(&mut self.ymax, (rect.ymax(), ri));
-    }
-
-    /// Removes one rectangle's faces (the exact inverse of
-    /// [`TopoIndex::insert`]): each list holds unique `(coordinate, rect
-    /// index)` tuples, so `partition_point` lands on the entry directly
-    /// and the removal is O(log n) search + one memmove per list.
-    fn remove(&mut self, rect: &Rect, ri: u32) {
-        fn remove_sorted(list: &mut Vec<(Coord, u32)>, entry: (Coord, u32)) {
-            let at = list.partition_point(|e| *e < entry);
-            debug_assert_eq!(list.get(at), Some(&entry), "face entry must exist");
-            list.remove(at);
-        }
-        remove_sorted(&mut self.xmin, (rect.xmin(), ri));
-        remove_sorted(&mut self.xmax, (rect.xmax(), ri));
-        remove_sorted(&mut self.ymin, (rect.ymin(), ri));
-        remove_sorted(&mut self.ymax, (rect.ymax(), ri));
-    }
 }
 
 impl Plane {
@@ -208,8 +122,6 @@ impl Plane {
             bounds,
             rects: Vec::new(),
             obstacle_count: 0,
-            next_id: 0,
-            index: None,
         }
     }
 
@@ -223,150 +135,41 @@ impl Plane {
     /// Adds a rectangular obstacle and returns its id.
     ///
     /// Degenerate rectangles are accepted but never block (their interior is
-    /// empty). A built [`Plane::build_index`] is maintained incrementally
-    /// (sorted insertion, O(log n) per face list), so indexed planes stay
-    /// indexed across mutation.
+    /// empty).
     pub fn add_obstacle(&mut self, rect: Rect) -> ObstacleId {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.obstacle_count;
         self.obstacle_count += 1;
-        let ri = self.rects.len() as u32;
         self.rects.push((rect, id));
-        if let Some(ix) = &mut self.index {
-            ix.insert(&rect, ri);
-        }
         id
-    }
-
-    /// Adds a batch of rectangular obstacles in one step, returning the
-    /// contiguous id range allocated (one id per rectangle, in `rects`
-    /// order — exactly the ids N calls to [`Plane::add_obstacle`] would
-    /// allocate).
-    ///
-    /// On an indexed plane this is the **bulk-build path**: the
-    /// rectangles are appended and the topological index is rebuilt once
-    /// by sort (O((N+M) log (N+M))) instead of maintained by M sorted
-    /// insertions (each an O(N) memmove, O(M·N) total). Large generated
-    /// instances and batched ECOs construct through here; the result is
-    /// indistinguishable from incremental insertion because both leave
-    /// the face lists in ascending unique-tuple order.
-    pub fn add_obstacles(&mut self, rects: &[Rect]) -> std::ops::Range<ObstacleId> {
-        let first = self.next_id;
-        self.rects.reserve(rects.len());
-        for &rect in rects {
-            let id = self.next_id;
-            self.next_id += 1;
-            self.obstacle_count += 1;
-            self.rects.push((rect, id));
-        }
-        if self.index.is_some() {
-            self.build_index();
-        }
-        first..self.next_id
-    }
-
-    /// Builds an **indexed** plane from a batch of obstacles in one step:
-    /// every rectangle is appended first and the ray-tracing index is
-    /// built once via sort, never touched incrementally. This is the
-    /// preferred constructor for large instances: it builds the same
-    /// plane as indexed incremental insertion (O(N) memmove per insert)
-    /// in one O(N log N) sort.
-    #[must_use]
-    pub fn with_obstacles(bounds: Rect, rects: &[Rect]) -> Plane {
-        let mut plane = Plane::new(bounds);
-        plane.add_obstacles(rects);
-        plane.build_index();
-        plane
     }
 
     /// Adds a rectilinear-polygon obstacle (decomposed into rectangles that
-    /// share one id) and returns the id. A built index is maintained
-    /// incrementally, as in [`Plane::add_obstacle`].
+    /// share one id) and returns the id.
     pub fn add_polygon(&mut self, polygon: &RectilinearPolygon) -> ObstacleId {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.obstacle_count;
         self.obstacle_count += 1;
         // The overlapping cover is required here: a pure partition would
         // leave interior seams a wire could legally run through.
-        for r in polygon.decompose_overlapping() {
-            let ri = self.rects.len() as u32;
-            self.rects.push((r, id));
-            if let Some(ix) = &mut self.index {
-                ix.insert(&r, ri);
-            }
-        }
+        let pieces = polygon.decompose_overlapping();
+        self.rects.extend(pieces.into_iter().map(|r| (r, id)));
         id
     }
 
-    /// Builds the topological ray-tracing index (sorted entry faces per
-    /// axis). Queries work without it by linear scan; with it, ray casts
-    /// binary-search their starting face. Once built, the index is kept
-    /// current by obstacle insertion (incremental sorted insert), so a
-    /// rebuild is only ever needed to index a plane that was never
-    /// indexed.
-    pub fn build_index(&mut self) {
-        self.index = Some(TopoIndex::build(&self.rects));
-    }
-
-    /// Returns `true` when the ray-tracing index is built and current.
-    #[must_use]
-    pub fn has_index(&self) -> bool {
-        self.index.is_some()
-    }
-
-    /// Drops the ray-tracing index, so mutations stop maintaining it and
-    /// queries fall back to the linear scans.
-    pub(crate) fn drop_index(&mut self) {
-        self.index = None;
-    }
-
     /// Translates every rectangle of obstacle `id` by `(dx, dy)` in
-    /// place, returning `false` when the id is unknown (or was removed).
+    /// place, returning `false` when the id is unknown.
     ///
     /// This is the incremental-layout mutation an ECO flow makes when a
     /// cell moves: the rectangle *slots* are overwritten, so the rect list
     /// order — and with it every tie-break that depends on insertion
     /// order — stays exactly what a fresh plane built from the mutated
-    /// layout would have. A built index is maintained by targeted face
-    /// removal + re-insertion (O(log n) + memmove per face list).
+    /// layout would have.
     pub fn translate_obstacle(&mut self, id: ObstacleId, dx: Coord, dy: Coord) -> bool {
         let mut found = false;
-        for ri in 0..self.rects.len() {
-            if self.rects[ri].1 != id {
-                continue;
-            }
+        for (r, _) in self.rects.iter_mut().filter(|(_, i)| *i == id) {
+            *r = r.translate(dx, dy);
             found = true;
-            let old = self.rects[ri].0;
-            let new = old.translate(dx, dy);
-            if let Some(ix) = &mut self.index {
-                ix.remove(&old, ri as u32);
-                ix.insert(&new, ri as u32);
-            }
-            self.rects[ri].0 = new;
         }
         found
-    }
-
-    /// Removes obstacle `id` (every rectangle carrying it), returning
-    /// `false` when the id is unknown or already removed.
-    ///
-    /// Ids are **never reused**: every other obstacle keeps its id, so
-    /// handles held by callers stay valid. Removal compacts the rectangle
-    /// list (later rectangles shift down), so a built index is rebuilt
-    /// rather than patched — removal is the rare structural mutation; the
-    /// common ECO move is [`Plane::translate_obstacle`], which is
-    /// incremental.
-    pub fn remove_obstacle(&mut self, id: ObstacleId) -> bool {
-        let before = self.rects.len();
-        self.rects.retain(|(_, i)| *i != id);
-        if self.rects.len() == before {
-            return false;
-        }
-        self.obstacle_count -= 1;
-        if self.index.is_some() {
-            self.build_index();
-        }
-        true
     }
 
     /// Number of obstacles (polygons count once).
@@ -415,16 +218,6 @@ impl Plane {
         if a == b {
             return self.point_free(a);
         }
-        if self.index.is_some() {
-            // With the index a segment check is one ray cast: the segment
-            // is free iff the ray from a toward b is not stopped short.
-            if !self.point_free(a) {
-                return false;
-            }
-            let dir = a.dir_toward(b).expect("checked axis-aligned, a != b");
-            let hit = self.ray_cast(a, dir);
-            return hit.distance >= a.manhattan(b);
-        }
         let axis = if a.y == b.y { Axis::X } else { Axis::Y };
         let perp = axis.perpendicular();
         let w = a.coord(perp);
@@ -445,12 +238,6 @@ impl Plane {
     #[must_use]
     pub fn ray_hit(&self, origin: Point, dir: Dir) -> RayHit {
         debug_assert!(self.point_free(origin), "ray origin must be free: {origin}");
-        self.ray_cast(origin, dir)
-    }
-
-    /// Ray casting without the free-origin debug assertion (used internally
-    /// where the origin has already been validated).
-    fn ray_cast(&self, origin: Point, dir: Dir) -> RayHit {
         let axis = dir.axis();
         let perp = axis.perpendicular();
         let u0 = origin.coord(axis);
@@ -461,30 +248,6 @@ impl Plane {
         } else {
             self.bounds.span(axis).lo()
         };
-
-        let stop = match &self.index {
-            Some(ix) => self.ray_scan_indexed(ix, axis, positive, u0, w, perp, bound),
-            None => self.ray_scan_linear(axis, positive, u0, w, perp, bound),
-        };
-        // The origin may sit outside an obstacle but level with the boundary
-        // in a way that already blocks (e.g. on a face moving inward): then
-        // stop lands on u0 and distance is 0.
-        let distance = if positive { stop - u0 } else { u0 - stop };
-        debug_assert!(distance >= 0, "ray travelled backwards");
-        RayHit { stop, distance }
-    }
-
-    /// The nearest entry face over every rectangle: the scan the indexed
-    /// one must agree with.
-    fn ray_scan_linear(
-        &self,
-        axis: Axis,
-        positive: bool,
-        u0: Coord,
-        w: Coord,
-        perp: Axis,
-        bound: Coord,
-    ) -> Coord {
         let entries = self
             .rects
             .iter()
@@ -494,43 +257,12 @@ impl Plane {
         } else {
             entries.max()
         };
-        nearest.unwrap_or(bound)
-    }
-
-    /// Indexed ray scan: walk the sorted entry faces from the first face at
-    /// or beyond the origin; the first obstacle whose perpendicular span
-    /// straddles the ray line is the nearest blocker.
-    #[allow(clippy::too_many_arguments)]
-    fn ray_scan_indexed(
-        &self,
-        ix: &TopoIndex,
-        axis: Axis,
-        positive: bool,
-        u0: Coord,
-        w: Coord,
-        perp: Axis,
-        bound: Coord,
-    ) -> Coord {
-        let entries = ix.entries(axis, positive);
-        let blocks = |ri: u32| {
-            let r = &self.rects[ri as usize].0;
-            !r.is_degenerate() && r.span(perp).contains_open(w)
-        };
-        let first = if positive {
-            let start = entries.partition_point(|&(c, _)| c < u0);
-            entries[start..]
-                .iter()
-                .take_while(|&&(c, _)| c < bound)
-                .find(|&&(_, ri)| blocks(ri))
-        } else {
-            let end = entries.partition_point(|&(c, _)| c <= u0);
-            entries[..end]
-                .iter()
-                .rev()
-                .take_while(|&&(c, _)| c > bound)
-                .find(|&&(_, ri)| blocks(ri))
-        };
-        first.map_or(bound, |&(c, _)| c)
+        let stop = nearest.unwrap_or(bound);
+        // An origin on a face, moving inward, is blocked at once: then
+        // stop lands on u0 and distance is 0.
+        let distance = if positive { stop - u0 } else { u0 - stop };
+        debug_assert!(distance >= 0, "ray travelled backwards");
+        RayHit { stop, distance }
     }
 
     /// Clears `out` and fills it with the obstacle-corner coordinates along
@@ -564,30 +296,10 @@ impl Plane {
                 c < u0 && c >= stop
             }
         };
-        match &self.index {
-            Some(ix) => {
-                // Each rectangle has one face in each of the axis's two
-                // face lists; slice both to the ray's range.
-                for list in [ix.entries(axis, true), ix.entries(axis, false)] {
-                    let from = if positive {
-                        list.partition_point(|&(c, _)| c <= u0)
-                    } else {
-                        list.partition_point(|&(c, _)| c < stop)
-                    };
-                    for &(c, ri) in list[from..].iter().take_while(|&&(c, _)| ahead(c)) {
-                        if anchors(&self.rects[ri as usize].0, perp, w) {
-                            out.push(c);
-                        }
-                    }
-                }
-            }
-            None => {
-                for (r, _) in &self.rects {
-                    if anchors(r, perp, w) {
-                        let m = r.span(axis);
-                        out.extend([m.lo(), m.hi()].into_iter().filter(|&c| ahead(c)));
-                    }
-                }
+        for (r, _) in &self.rects {
+            if anchors(r, perp, w) {
+                let m = r.span(axis);
+                out.extend([m.lo(), m.hi()].into_iter().filter(|&c| ahead(c)));
             }
         }
         if positive {
@@ -790,39 +502,10 @@ mod tests {
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
         p.add_obstacle(Rect::new(50, 40, 60, 60).unwrap());
         p.add_obstacle(Rect::new(20, 40, 30, 60).unwrap());
-        for indexed in [false, true] {
-            if indexed {
-                p.build_index();
-            }
-            let hit = p.ray_hit(Point::new(0, 50), Dir::East);
-            assert_eq!((hit.stop, hit.distance), (20, 20), "indexed {indexed}");
-            let hit = p.ray_hit(Point::new(100, 50), Dir::West);
-            assert_eq!((hit.stop, hit.distance), (60, 40), "indexed {indexed}");
-        }
-    }
-
-    #[test]
-    fn shared_faces_stop_linear_and_indexed_rays_alike() {
-        // Two obstacles sharing one exit face (x = 60) and one entry face
-        // (x = 40): every ray through both stops on the shared face, on
-        // the linear scan and the indexed one (the westward case once
-        // disagreed about which obstacle stopped it).
-        let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
-        p.add_obstacle(Rect::new(40, 40, 60, 55).unwrap());
-        p.add_obstacle(Rect::new(40, 45, 60, 60).unwrap());
-        let mut indexed = p.clone();
-        indexed.build_index();
-        for (origin, dir, stop) in [
-            (Point::new(100, 50), Dir::West, 60),
-            (Point::new(0, 50), Dir::East, 40),
-        ] {
-            let want = RayHit {
-                stop,
-                distance: (origin.x - stop).abs(),
-            };
-            assert_eq!(p.ray_hit(origin, dir), want, "linear {dir:?}");
-            assert_eq!(indexed.ray_hit(origin, dir), want, "indexed {dir:?}");
-        }
+        let hit = p.ray_hit(Point::new(0, 50), Dir::East);
+        assert_eq!((hit.stop, hit.distance), (20, 20));
+        let hit = p.ray_hit(Point::new(100, 50), Dir::West);
+        assert_eq!((hit.stop, hit.distance), (60, 40));
     }
 
     #[test]
@@ -890,10 +573,10 @@ mod tests {
         p.add_obstacle(Rect::new(20, 60, 40, 70).unwrap());
         p.add_obstacle(Rect::new(20, 10, 30, 40).unwrap());
         p.add_obstacle(Rect::new(40, 80, 45, 90).unwrap());
-        let want = [20, 30, 40, 45];
-        assert_eq!(corners(&p, Point::new(0, 50), Dir::East, 100), want);
-        p.build_index();
-        assert_eq!(corners(&p, Point::new(0, 50), Dir::East, 100), want);
+        assert_eq!(
+            corners(&p, Point::new(0, 50), Dir::East, 100),
+            [20, 30, 40, 45]
+        );
     }
 
     #[test]
@@ -912,6 +595,9 @@ mod tests {
         assert_eq!(p.obstacle_count(), 1);
         assert!(p.rects().len() >= 2);
         assert!(p.rects().iter().all(|(_, i)| *i == id));
+        // Ids count obstacles, not rectangles.
+        assert_eq!(p.add_obstacle(Rect::new(70, 70, 80, 80).unwrap()), id + 1);
+        assert_eq!(p.obstacle_count(), 2);
         // The notch interior (x in 40..60, y in 40..60) is free.
         assert!(p.point_free(Point::new(50, 50)));
         // A point inside the lower arm of the L is blocked.
@@ -994,27 +680,26 @@ mod tests {
     }
 
     #[test]
-    fn translate_obstacle_moves_queries_and_maintains_index() {
+    fn translate_obstacle_moves_every_query() {
         let (mut p, id) = plane_one_block();
-        p.build_index();
         assert!(p.translate_obstacle(id, 10, -5));
         // The moved block now spans [40,80] × [25,65].
         assert!(p.point_free(Point::new(35, 50)));
         assert!(!p.point_free(Point::new(75, 50)));
         let hit = p.ray_hit(Point::new(0, 50), Dir::East);
         assert_eq!(hit.stop, 40);
-        // The maintained index answers exactly like a rebuilt one.
-        let mut rebuilt = p.clone();
-        rebuilt.build_index();
+        // The translated plane answers exactly like a fresh one.
+        let mut fresh = Plane::new(p.bounds());
+        fresh.add_obstacle(Rect::new(40, 25, 80, 65).unwrap());
         for y in [0, 25, 30, 50, 65, 100] {
             assert_eq!(
                 p.ray_hit(Point::new(0, y), Dir::East),
-                rebuilt.ray_hit(Point::new(0, y), Dir::East),
+                fresh.ray_hit(Point::new(0, y), Dir::East),
                 "y={y}"
             );
             assert_eq!(
                 corners(&p, Point::new(0, y), Dir::East, 100),
-                corners(&rebuilt, Point::new(0, y), Dir::East, 100),
+                corners(&fresh, Point::new(0, y), Dir::East, 100),
                 "y={y}"
             );
         }
@@ -1029,7 +714,6 @@ mod tests {
         let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
         let a = p.add_obstacle(Rect::new(10, 40, 20, 60).unwrap());
         p.add_obstacle(Rect::new(50, 40, 60, 60).unwrap());
-        p.build_index();
         assert!(p.translate_obstacle(a, 40, 0)); // now coincident with b
         assert_eq!(p.rects()[0], (Rect::new(50, 40, 60, 60).unwrap(), a));
         assert_eq!(
@@ -1038,92 +722,5 @@ mod tests {
             "lowest slot wins"
         );
         assert_eq!(p.ray_hit(Point::new(0, 50), Dir::East).stop, 50);
-    }
-
-    #[test]
-    fn remove_obstacle_keeps_other_ids_stable() {
-        let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
-        let a = p.add_obstacle(Rect::new(10, 40, 20, 60).unwrap());
-        let b = p.add_obstacle(Rect::new(50, 40, 60, 60).unwrap());
-        p.build_index();
-        assert!(p.remove_obstacle(a));
-        assert!(!p.remove_obstacle(a), "already removed");
-        assert_eq!(p.obstacle_count(), 1);
-        assert_eq!(p.ray_hit(Point::new(0, 50), Dir::East).stop, 50);
-        assert_eq!(p.obstacle_at(Point::new(55, 50)), Some(b), "b keeps its id");
-        // Ids are never reused.
-        let c = p.add_obstacle(Rect::new(70, 40, 80, 60).unwrap());
-        assert_ne!(c, a);
-        assert_ne!(c, b);
-    }
-
-    #[test]
-    fn bulk_add_matches_incremental_insertion() {
-        // The bulk path must be indistinguishable from N incremental
-        // inserts: same ids, same rect slots, same query answers.
-        let rects: Vec<Rect> = (0..40)
-            .map(|i| {
-                let x = (i % 8) * 12 + 3;
-                let y = (i / 8) * 12 + 3;
-                Rect::new(x, y, x + 6, y + 6).unwrap()
-            })
-            .collect();
-        let bounds = Rect::new(0, 0, 100, 100).unwrap();
-        let mut incremental = Plane::new(bounds);
-        incremental.build_index();
-        let inc_ids: Vec<ObstacleId> = rects.iter().map(|&r| incremental.add_obstacle(r)).collect();
-        let bulk = Plane::with_obstacles(bounds, &rects);
-        assert!(bulk.has_index());
-        let mut appended = Plane::new(bounds);
-        appended.build_index();
-        let ids = appended.add_obstacles(&rects);
-        assert_eq!(ids.clone().collect::<Vec<_>>(), inc_ids);
-        assert_eq!(bulk.rects(), incremental.rects());
-        assert_eq!(appended.rects(), incremental.rects());
-        for y in [0, 3, 9, 15, 50, 99] {
-            for dir in [Dir::East, Dir::West] {
-                let p = if dir == Dir::East {
-                    Point::new(0, y)
-                } else {
-                    Point::new(100, y)
-                };
-                assert_eq!(bulk.ray_hit(p, dir), incremental.ray_hit(p, dir), "y={y}");
-                assert_eq!(appended.ray_hit(p, dir), incremental.ray_hit(p, dir));
-                let stop = incremental.ray_hit(p, dir).stop;
-                assert_eq!(
-                    corners(&bulk, p, dir, stop),
-                    corners(&incremental, p, dir, stop),
-                    "y={y}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bulk_add_on_unindexed_plane_stays_unindexed() {
-        let mut p = Plane::new(Rect::new(0, 0, 50, 50).unwrap());
-        p.add_obstacles(&[Rect::new(10, 10, 20, 20).unwrap()]);
-        assert!(!p.has_index());
-        assert_eq!(p.obstacle_count(), 1);
-        assert!(!p.point_free(Point::new(15, 15)));
-    }
-
-    #[test]
-    fn remove_polygon_obstacle_removes_every_rect() {
-        let mut p = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
-        let l = RectilinearPolygon::new(vec![
-            Point::new(20, 20),
-            Point::new(60, 20),
-            Point::new(60, 40),
-            Point::new(40, 40),
-            Point::new(40, 60),
-            Point::new(20, 60),
-        ])
-        .unwrap();
-        let id = p.add_polygon(&l);
-        assert!(p.remove_obstacle(id));
-        assert_eq!(p.obstacle_count(), 0);
-        assert!(p.rects().is_empty());
-        assert!(p.point_free(Point::new(30, 30)));
     }
 }

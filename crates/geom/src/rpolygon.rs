@@ -102,14 +102,6 @@ impl RectilinearPolygon {
         Ok(RectilinearPolygon { vertices })
     }
 
-    /// Creates the polygon of a plain rectangle.
-    #[must_use]
-    pub fn from_rect(r: Rect) -> RectilinearPolygon {
-        RectilinearPolygon {
-            vertices: r.corners().to_vec(),
-        }
-    }
-
     /// The (merged) boundary vertices.
     #[inline]
     #[must_use]
@@ -362,7 +354,7 @@ mod tests {
     #[test]
     fn rect_roundtrip() {
         let r = Rect::new(1, 2, 7, 9).unwrap();
-        let poly = RectilinearPolygon::from_rect(r);
+        let poly = RectilinearPolygon::new(r.corners().to_vec()).unwrap();
         assert_eq!(poly.area(), r.area());
         assert_eq!(poly.decompose(), vec![r]);
         assert_eq!(poly.bounding_rect(), r);

@@ -189,22 +189,6 @@ impl Segment {
         })
     }
 
-    /// Splits the segment at `p` (which must lie on it) into up to two
-    /// non-degenerate pieces.
-    #[must_use]
-    pub fn split_at(&self, p: Point) -> Vec<Segment> {
-        let mut out = Vec::with_capacity(2);
-        if !self.contains(p) {
-            return vec![*self];
-        }
-        for (u, v) in [(self.a, p), (p, self.b)] {
-            if u != v {
-                out.push(Segment::new(u, v).expect("sub-segment is aligned"));
-            }
-        }
-        out
-    }
-
     /// The direction of travel from endpoint `a()` to endpoint `b()`, or
     /// `None` for a degenerate segment.
     #[must_use]
@@ -320,20 +304,6 @@ mod tests {
         assert_eq!(s.manhattan_to_point(Point::new(8, 5)), 4);
         assert_eq!(s.manhattan_to_point(Point::new(8, 14)), 8);
         assert_eq!(s.manhattan_to_point(Point::new(4, 5)), 0);
-    }
-
-    #[test]
-    fn split_at_interior_and_ends() {
-        let s = Segment::horizontal(0, 0, 10);
-        let mid = s.split_at(Point::new(4, 0));
-        assert_eq!(
-            mid,
-            vec![Segment::horizontal(0, 0, 4), Segment::horizontal(0, 4, 10)]
-        );
-        let end = s.split_at(Point::new(0, 0));
-        assert_eq!(end, vec![s]);
-        let off = s.split_at(Point::new(4, 2));
-        assert_eq!(off, vec![s]);
     }
 
     #[test]

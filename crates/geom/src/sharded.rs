@@ -1,12 +1,12 @@
-//! [`ShardedPlane`]: a bucket-grid spatial index over the obstacle plane.
+//! [`ShardedPlane`]: the production spatial index over the obstacle
+//! plane, and the one every routing session uses by default.
 //!
-//! The flat [`Plane`] answers every query by scanning (or
-//! binary-searching) one global obstacle list. Once a routing session
-//! hammers the plane from every net at once, the plane is the hot path —
-//! so this implementation shards the surface into a uniform grid of
-//! buckets, each holding the interval list of the obstacle rectangles
-//! that touch it. A query then visits only the buckets its geometry
-//! crosses:
+//! The flat [`Plane`] is the reference: it answers every query by
+//! scanning its whole obstacle list. Once a routing session hammers the
+//! plane from every net at once, the plane is the hot path — so this
+//! implementation shards the surface into a uniform grid of buckets,
+//! each holding the interval list of the obstacle rectangles that touch
+//! it. A query then visits only the buckets its geometry crosses:
 //!
 //! * [`PlaneIndex::ray_hit`] walks the bucket row/column under the ray and
 //!   stops at the first bucket that yields a blocker (provably the global
@@ -23,11 +23,12 @@
 //!   and the travel order falls out with no query-time sort.
 //!
 //! Nothing is memoized: every query reads the buckets and tables as they
-//! stand, and every mutation updates them in place, so no answer can go
-//! stale. (An earlier query memo cost more in hashing and locking than
-//! the bucket walks it saved.) Flat/sharded equivalence is asserted by
-//! `tests/plane_equivalence.rs` and the differential tests in
-//! `crates/geom/tests/sharded.rs`.
+//! stand, and the two mutations a session makes ([`ShardedPlane::add_obstacle`]
+//! and [`ShardedPlane::translate_obstacle`]) update them in place, so no
+//! answer can go stale. (An earlier query memo cost more in hashing and
+//! locking than the bucket walks it saved.) Equivalence with the
+//! reference is asserted by `tests/plane_equivalence.rs` and the
+//! differential tests in `crates/geom/tests/sharded.rs`.
 //!
 //! **Shard sizing heuristic:** the constructor aims at ~4 buckets per
 //! obstacle rectangle (bucket edge ≈ √(area / 4·rects)), clamped so the
@@ -39,17 +40,14 @@ use std::fmt;
 
 use crate::corners::CornerIndex;
 use crate::plane::ray_entry;
-use crate::{
-    Axis, Coord, Dir, Interval, ObstacleId, Plane, PlaneIndex, Point, RayHit, Rect,
-    RectilinearPolygon,
-};
+use crate::{Axis, Coord, Dir, Interval, ObstacleId, Plane, PlaneIndex, Point, RayHit, Rect};
 
 /// Hard ceiling on the bucket-grid size chosen by the sizing heuristic.
 const MAX_BUCKETS: usize = 1 << 20;
 
-/// A spatially sharded obstacle plane: drop-in [`PlaneIndex`] replacement
-/// for the flat [`Plane`] with bucket-local queries and table-backed
-/// corner enumeration.
+/// A spatially sharded obstacle plane: the production [`PlaneIndex`],
+/// answering exactly as the reference [`Plane`] it wraps, with
+/// bucket-local queries and table-backed corner enumeration.
 ///
 /// ```
 /// use gcr_geom::{Dir, Plane, PlaneIndex, Point, Rect, ShardedPlane};
@@ -89,13 +87,10 @@ impl ShardedPlane {
     /// least 1). Mostly useful for tests that want to force shard
     /// boundaries through specific coordinates.
     #[must_use]
-    pub fn with_shard_size(mut plane: Plane, shard: Coord) -> ShardedPlane {
+    pub fn with_shard_size(plane: Plane, shard: Coord) -> ShardedPlane {
         // Buckets serve the local queries (points, segments, rays) and
         // the corner tables, built once here in bulk, the corner
-        // queries. No query reads the flat plane's topological index,
-        // so it is dropped rather than kept up to date by every
-        // mutation.
-        plane.drop_index();
+        // queries.
         let corners = CornerIndex::build(plane.rects());
         let shard = shard.max(1);
         let b = plane.bounds();
@@ -109,54 +104,21 @@ impl ShardedPlane {
             buckets: vec![Vec::new(); nx * ny],
             corners,
         };
-        sharded.index_rects(0);
+        for ri in 0..sharded.flat.rects().len() {
+            let rect = sharded.flat.rects()[ri].0;
+            sharded.register_rect(ri as u32, &rect);
+        }
         sharded
-    }
-
-    /// An empty sharded plane with the given routing boundary.
-    #[must_use]
-    pub fn from_bounds(bounds: Rect) -> ShardedPlane {
-        ShardedPlane::new(Plane::new(bounds))
-    }
-
-    /// The underlying flat plane (same rectangles, same bounds), without
-    /// its topological index: its own queries run the linear scans.
-    #[must_use]
-    pub fn flat(&self) -> &Plane {
-        &self.flat
     }
 
     /// Adds a rectangular obstacle and returns its id (see
     /// [`Plane::add_obstacle`]): an append to the flat list plus the
     /// bucket and corner-table registration.
     pub fn add_obstacle(&mut self, rect: Rect) -> ObstacleId {
-        let from = self.flat.rects().len();
         let id = self.flat.add_obstacle(rect);
-        self.index_rects(from);
-        self.index_corners(from);
-        id
-    }
-
-    /// Adds a batch of rectangular obstacles in one step (see
-    /// [`Plane::add_obstacles`]): the corner tables are rebuilt in bulk
-    /// and buckets are appended — the bulk construction path for large
-    /// generated instances and batched ECOs.
-    pub fn add_obstacles(&mut self, rects: &[Rect]) -> std::ops::Range<ObstacleId> {
-        let from = self.flat.rects().len();
-        let ids = self.flat.add_obstacles(rects);
-        self.index_rects(from);
-        self.corners = CornerIndex::build(self.flat.rects());
-        ids
-    }
-
-    /// Adds a rectilinear-polygon obstacle and returns its id (see
-    /// [`Plane::add_polygon`]), maintained like
-    /// [`ShardedPlane::add_obstacle`].
-    pub fn add_polygon(&mut self, polygon: &RectilinearPolygon) -> ObstacleId {
-        let from = self.flat.rects().len();
-        let id = self.flat.add_polygon(polygon);
-        self.index_rects(from);
-        self.index_corners(from);
+        let ri = self.flat.rects().len() - 1;
+        self.register_rect(ri as u32, &rect);
+        self.corners.insert(&rect);
         id
     }
 
@@ -189,32 +151,6 @@ impl ShardedPlane {
         true
     }
 
-    /// Removes obstacle `id` (see [`Plane::remove_obstacle`]). Removal
-    /// compacts the flat rectangle list, shifting the indices every bucket
-    /// refers to, so the bucket grid is rebuilt — removal is the rare
-    /// structural mutation; the common ECO move is
-    /// [`ShardedPlane::translate_obstacle`], which is targeted.
-    pub fn remove_obstacle(&mut self, id: ObstacleId) -> bool {
-        if !self.flat.remove_obstacle(id) {
-            return false;
-        }
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.index_rects(0);
-        self.corners = CornerIndex::build(self.flat.rects());
-        true
-    }
-
-    /// Registers the corner faces of rectangles `from..` in the corner
-    /// tables (the incremental counterpart of the bulk
-    /// [`CornerIndex::build`]).
-    fn index_corners(&mut self, from: usize) {
-        for (r, _) in &self.flat.rects()[from..] {
-            self.corners.insert(r);
-        }
-    }
-
     /// Removes rectangle index `ri` from every bucket `rect` touches
     /// (each bucket list is sorted ascending, so the entry binary-searches
     /// out in O(log n) + one memmove).
@@ -232,7 +168,9 @@ impl ShardedPlane {
     }
 
     /// Registers rectangle index `ri` in every bucket `rect` touches,
-    /// preserving each bucket's ascending order.
+    /// preserving each bucket's ascending order: queries that scan a
+    /// bucket see rects in insertion order, exactly like the flat plane's
+    /// global scan.
     fn register_rect(&mut self, ri: u32, rect: &Rect) {
         let (cx0, cx1) = self.cell_range(Axis::X, rect.span(Axis::X));
         let (cy0, cy1) = self.cell_range(Axis::Y, rect.span(Axis::Y));
@@ -241,27 +179,6 @@ impl ShardedPlane {
                 let bucket = &mut self.buckets[cy * self.nx + cx];
                 if let Err(at) = bucket.binary_search(&ri) {
                     bucket.insert(at, ri);
-                }
-            }
-        }
-    }
-
-    /// Registers rectangles `from..` in every bucket they touch. Indices
-    /// are appended in ascending rectangle order, so each bucket's list
-    /// stays sorted — queries that scan a bucket see rects in insertion
-    /// order, exactly like the flat plane's global scan.
-    fn index_rects(&mut self, from: usize) {
-        let rects: Vec<(usize, Rect)> = self.flat.rects()[from..]
-            .iter()
-            .enumerate()
-            .map(|(k, (r, _))| (from + k, *r))
-            .collect();
-        for (i, r) in rects {
-            let (cx0, cx1) = self.cell_range(Axis::X, r.span(Axis::X));
-            let (cy0, cy1) = self.cell_range(Axis::Y, r.span(Axis::Y));
-            for cy in cy0..=cy1 {
-                for cx in cx0..=cx1 {
-                    self.buckets[cy * self.nx + cx].push(i as u32);
                 }
             }
         }
@@ -547,7 +464,7 @@ mod tests {
 
     #[test]
     fn corner_candidates_track_clipping_and_mutation() {
-        let (flat, _) = one_block();
+        let (mut flat, _) = one_block();
         let s = ShardedPlane::new(flat.clone());
         let (p, stop) = (Point::new(0, 10), 100);
         let full = corners(&s, p, Dir::East, stop);
@@ -559,10 +476,12 @@ mod tests {
         assert_eq!(clipped, corners(&flat, p, Dir::East, 50));
         // Mutation updates the tables: the new obstacle must appear.
         let mut s = s;
-        s.add_obstacle(Rect::new(80, 20, 90, 40).unwrap());
+        let added = Rect::new(80, 20, 90, 40).unwrap();
+        s.add_obstacle(added);
+        flat.add_obstacle(added);
         let fresh = corners(&s, p, Dir::East, stop);
         assert_eq!(fresh, [30, 70, 80, 90]);
-        assert_eq!(fresh, corners(s.flat(), p, Dir::East, stop));
+        assert_eq!(fresh, corners(&flat, p, Dir::East, stop));
     }
 
     #[test]
@@ -597,7 +516,7 @@ mod tests {
 
     #[test]
     fn insert_changes_later_answers() {
-        let mut s = ShardedPlane::from_bounds(Rect::new(0, 0, 100, 100).unwrap());
+        let mut s = ShardedPlane::new(Plane::new(Rect::new(0, 0, 100, 100).unwrap()));
         let p = Point::new(0, 50);
         let open = s.ray_hit(p, Dir::East);
         assert_eq!(open.stop, 100);
@@ -609,9 +528,8 @@ mod tests {
 
     #[test]
     fn polygon_obstacles_register_in_buckets() {
-        let mut s =
-            ShardedPlane::with_shard_size(Plane::new(Rect::new(0, 0, 100, 100).unwrap()), 8);
-        let l = RectilinearPolygon::new(vec![
+        let mut flat = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
+        let l = crate::RectilinearPolygon::new(vec![
             Point::new(20, 20),
             Point::new(60, 20),
             Point::new(60, 40),
@@ -620,7 +538,8 @@ mod tests {
             Point::new(20, 60),
         ])
         .unwrap();
-        let id = s.add_polygon(&l);
+        let id = flat.add_polygon(&l);
+        let s = ShardedPlane::with_shard_size(flat, 8);
         assert_eq!(s.obstacle_count(), 1);
         assert!(!s.point_free(Point::new(30, 30)));
         assert!(s.point_free(Point::new(50, 50)));
@@ -648,11 +567,9 @@ mod tests {
 
     #[test]
     fn translate_obstacle_matches_flat() {
-        let (mut flat, id) = one_block();
-        flat.build_index();
+        let (flat, id) = one_block();
         for shard in [1, 7, 33, 1000] {
             let mut s = ShardedPlane::with_shard_size(flat.clone(), shard);
-            assert!(!s.flat().has_index(), "no sharded query reads it");
             let p = Point::new(0, 50);
             assert_eq!(s.ray_hit(p, Dir::East).stop, 30, "shard {shard}");
             assert!(s.translate_obstacle(id, 15, 10));
@@ -683,25 +600,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn remove_obstacle_matches_flat() {
-        let mut flat = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
-        let a = flat.add_obstacle(Rect::new(10, 40, 20, 60).unwrap());
-        let b = flat.add_obstacle(Rect::new(50, 40, 60, 60).unwrap());
-        flat.build_index();
-        let mut s = ShardedPlane::with_shard_size(flat.clone(), 8);
-        assert!(s.remove_obstacle(a));
-        assert!(!s.remove_obstacle(a));
-        let mut removed = flat;
-        removed.remove_obstacle(a);
-        let hit = s.ray_hit(Point::new(0, 50), Dir::East);
-        assert_eq!(hit, removed.ray_hit(Point::new(0, 50), Dir::East));
-        assert_eq!(hit.stop, 50);
-        assert_eq!(s.obstacle_at(Point::new(55, 50)), Some(b), "b keeps its id");
-        assert_eq!(s.obstacle_count(), 1);
-        assert!(s.point_free(Point::new(15, 50)));
-    }
-
     /// Deterministic LCG so the differential sweep needs no external RNG.
     fn lcg(state: &mut u64) -> u64 {
         *state = state
@@ -724,18 +622,19 @@ mod tests {
     }
 
     /// The corner query has two implementations that must agree bit for
-    /// bit: the flat plane's slab scan and the sharded plane's dedicated
-    /// corner tables. Sweep both across bulk construction and every
-    /// mutation kind, for full and clipped stops, with rays alongside.
+    /// bit: the reference plane's linear scan and the sharded plane's
+    /// dedicated corner tables. Sweep both across construction and both
+    /// mutations, for full and clipped stops, with rays alongside.
     #[test]
     fn bucketed_corners_match_flat_across_mutations() {
         let extent: Coord = 200;
         let bounds = Rect::new(0, 0, extent, extent).unwrap();
         for seed in 0..6u64 {
-            let rects = seeded_rects(seed, 40, extent);
-            let flat = Plane::with_obstacles(bounds, &rects);
-            let mut bucketed = ShardedPlane::from_bounds(bounds);
-            bucketed.add_obstacles(&rects);
+            let mut flat = Plane::new(bounds);
+            for r in seeded_rects(seed, 40, extent) {
+                flat.add_obstacle(r);
+            }
+            let mut bucketed = ShardedPlane::new(flat.clone());
 
             let check = |flat: &Plane, bucketed: &ShardedPlane| {
                 let mut probes = vec![0, extent / 2, extent];
@@ -768,50 +667,16 @@ mod tests {
             };
             check(&flat, &bucketed);
 
-            // Mutations: translate one obstacle, remove another, insert one.
-            let mut flat = flat;
+            // Mutations: translate one obstacle, then insert one.
             let victim = flat.rects()[(seed as usize * 7) % flat.rects().len()].1;
             assert!(bucketed.translate_obstacle(victim, 3, -2));
             assert!(flat.translate_obstacle(victim, 3, -2));
-            check(&flat, &bucketed);
-
-            let gone = flat.rects()[(seed as usize * 3) % flat.rects().len()].1;
-            assert!(bucketed.remove_obstacle(gone));
-            assert!(flat.remove_obstacle(gone));
             check(&flat, &bucketed);
 
             let extra = Rect::new(11, 13, 23, 29).unwrap();
             bucketed.add_obstacle(extra);
             flat.add_obstacle(extra);
             check(&flat, &bucketed);
-        }
-    }
-
-    #[test]
-    fn bulk_add_obstacles_matches_incremental_on_sharded() {
-        let bounds = Rect::new(0, 0, 200, 200).unwrap();
-        let rects = seeded_rects(9, 30, 200);
-        let mut bulk = ShardedPlane::from_bounds(bounds);
-        let ids = bulk.add_obstacles(&rects);
-        assert_eq!(ids.len(), rects.len());
-        let mut incremental = ShardedPlane::from_bounds(bounds);
-        for &r in &rects {
-            incremental.add_obstacle(r);
-        }
-        assert_eq!(bulk.obstacle_count(), incremental.obstacle_count());
-        for &(u, v, dir) in &[
-            (0, 50, Dir::East),
-            (200, 137, Dir::West),
-            (41, 0, Dir::North),
-            (99, 200, Dir::South),
-        ] {
-            let origin = Point::new(u, v);
-            assert_eq!(bulk.ray_hit(origin, dir), incremental.ray_hit(origin, dir));
-            let stop = bulk.ray_hit(origin, dir).stop;
-            assert_eq!(
-                corners(&bulk, origin, dir, stop),
-                corners(&incremental, origin, dir, stop)
-            );
         }
     }
 

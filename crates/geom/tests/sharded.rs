@@ -3,8 +3,8 @@
 //! deterministic RNG instead).
 //!
 //! The contract under test: for any obstacle set, any shard size and any
-//! query, the sharded plane answers **bit-identically** to the flat
-//! plane — including immediately after mutations.
+//! query, the sharded plane answers **bit-identically** to the reference
+//! plane's linear scans — including immediately after mutations.
 
 use gcr_geom::{Coord, Dir, Plane, PlaneIndex, Point, Rect, ShardedPlane};
 use rand::rngs::StdRng;
@@ -39,18 +39,14 @@ fn corners(plane: &dyn PlaneIndex, p: Point, dir: Dir, stop: Coord) -> Vec<Coord
     out
 }
 
-/// Flat vs sharded on random planes, random probes, both the un-indexed
-/// and topologically indexed flat variants, and shard sizes from
-/// degenerate (1: every coordinate its own bucket column) to coarse
-/// (larger than the plane: a single bucket, the flat scan in disguise).
+/// Reference vs sharded on random planes, random probes, and shard sizes
+/// from degenerate (1: every coordinate its own bucket column) to coarse
+/// (larger than the plane: a single bucket, the linear scan in disguise).
 #[test]
 fn random_queries_agree_with_flat_for_all_shard_sizes() {
     for case in 0..16u64 {
         let mut rng = StdRng::seed_from_u64(0x5A_DED + case);
-        let mut flat = random_plane(&mut rng, (case % 12) as usize);
-        if case % 2 == 0 {
-            flat.build_index();
-        }
+        let flat = random_plane(&mut rng, (case % 12) as usize);
         for shard in [1, 7, 64, 1000] {
             let sharded = ShardedPlane::with_shard_size(flat.clone(), shard);
             for _ in 0..40 {
@@ -118,7 +114,7 @@ fn queries_after_each_insert_match_a_fresh_plane() {
             sharded.segment_free(p, q);
         }
         sharded.add_obstacle(rect(&mut rng));
-        // Cold reference: a fresh flat plane with the identical rects.
+        // Cold reference: a fresh plane with the identical rects.
         let mut cold = Plane::new(Rect::new(0, 0, RANGE, RANGE).unwrap());
         for (r, _) in sharded.rects() {
             cold.add_obstacle(*r);
@@ -143,78 +139,6 @@ fn queries_after_each_insert_match_a_fresh_plane() {
                         corners(&cold, p, dir, hit.stop),
                         corners(&sharded, p, dir, hit.stop),
                         "step {step}: corners {p} {dir:?}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Incremental index maintenance differential: a plane whose topological
-/// index was built once and then maintained by sorted insertion across
-/// many mutations must answer every query — ray, corner, segment —
-/// identically to (a) a plane whose index is rebuilt from scratch after
-/// all inserts and (b) the un-indexed linear scan. This is the lockdown
-/// for replacing the per-insert `build_index` re-sort.
-#[test]
-fn incrementally_maintained_index_matches_full_rebuild() {
-    for case in 0..8u64 {
-        let mut rng = StdRng::seed_from_u64(0x1_DEC + case);
-        let mut incremental = Plane::new(Rect::new(0, 0, RANGE, RANGE).unwrap());
-        incremental.build_index(); // built empty, maintained ever after
-        let mut linear = Plane::new(Rect::new(0, 0, RANGE, RANGE).unwrap());
-        for step in 0..12 {
-            let r = rect(&mut rng);
-            incremental.add_obstacle(r);
-            linear.add_obstacle(r);
-            assert!(
-                incremental.has_index(),
-                "insert must keep the index current"
-            );
-            let mut rebuilt = linear.clone();
-            rebuilt.build_index();
-            for _ in 0..20 {
-                let p = probe(&mut rng);
-                assert_eq!(
-                    linear.point_free(p),
-                    incremental.point_free(p),
-                    "case {case} step {step}: point {p}"
-                );
-                if !linear.point_free(p) {
-                    continue;
-                }
-                for dir in Dir::ALL {
-                    let want = rebuilt.ray_hit(p, dir);
-                    assert_eq!(
-                        incremental.ray_hit(p, dir),
-                        want,
-                        "case {case} step {step}: ray {p} {dir:?}"
-                    );
-                    assert_eq!(
-                        linear.ray_hit(p, dir),
-                        want,
-                        "case {case} step {step}: linear ray {p} {dir:?}"
-                    );
-                    let mid = (p.coord(dir.axis()) + want.stop) / 2;
-                    for stop in [want.stop, mid] {
-                        let reference = corners(&linear, p, dir, stop);
-                        assert_eq!(
-                            corners(&incremental, p, dir, stop),
-                            reference,
-                            "case {case} step {step}: corners {p} {dir:?} @{stop}"
-                        );
-                        assert_eq!(
-                            corners(&rebuilt, p, dir, stop),
-                            reference,
-                            "case {case} step {step}: rebuilt corners {p} {dir:?} @{stop}"
-                        );
-                    }
-                    let q = probe(&mut rng);
-                    let b = Point::new(q.x, p.y);
-                    assert_eq!(
-                        incremental.segment_free(p, b),
-                        rebuilt.segment_free(p, b),
-                        "case {case} step {step}: segment {p}-{b}"
                     );
                 }
             }
@@ -250,7 +174,7 @@ fn straddling_queries_track_a_far_insert() {
     // across three shard columns of empty space.
     let hit2 = sharded.ray_hit(Point::new(60, 50), Dir::East);
     assert_eq!((hit2.stop, hit2.distance), (72, 12));
-    // And everything still agrees with a cold flat plane.
+    // And everything still agrees with a cold reference plane.
     let mut cold = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
     for (r, _) in sharded.rects() {
         cold.add_obstacle(*r);
@@ -300,18 +224,16 @@ fn obstacles_on_shard_boundaries_block_from_both_sides() {
 
 /// Shared faces: the first two obstacles share their exit face x = 60,
 /// the first and third their entry face x = 40. Rays through a shared
-/// face stop on it on every plane — linear, indexed, and sharded at every
-/// shard size — including the westward ray on which the indexed scan once
-/// disagreed (about which obstacle stopped it, never where).
+/// face stop on it on every plane — the reference, and sharded at every
+/// shard size — including the westward ray on which an earlier indexed
+/// scan once disagreed (about which obstacle stopped it, never where).
 #[test]
 fn shared_faces_stop_every_plane_on_the_same_coordinate() {
     let mut linear = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
     linear.add_obstacle(Rect::new(40, 40, 60, 55).unwrap());
     linear.add_obstacle(Rect::new(30, 45, 60, 60).unwrap());
     linear.add_obstacle(Rect::new(40, 20, 50, 44).unwrap());
-    let mut indexed = linear.clone();
-    indexed.build_index();
-    let mut planes: Vec<Box<dyn PlaneIndex>> = vec![Box::new(linear.clone()), Box::new(indexed)];
+    let mut planes: Vec<Box<dyn PlaneIndex>> = vec![Box::new(linear.clone())];
     for shard in [1, 9, 50, 200] {
         planes.push(Box::new(ShardedPlane::with_shard_size(
             linear.clone(),

@@ -224,10 +224,15 @@ impl Layout {
     }
 
     /// Builds the routing surface: the plane bounded by
-    /// [`Layout::bounds`] with every cell as an obstacle.
+    /// [`Layout::bounds`] with every cell as an obstacle, in cell order
+    /// (cell `i` is obstacle `i`).
     ///
     /// Per the paper's global-routing model, *only* cells are obstacles —
-    /// nets are routed independently and do not block each other.
+    /// nets are routed independently and do not block each other. The
+    /// result is the plain rectangle list, the reference plane whose
+    /// queries scan linearly; code that routes on it wraps it in a
+    /// [`ShardedPlane`](gcr_geom::ShardedPlane), as every session does
+    /// by default.
     #[must_use]
     pub fn to_plane(&self) -> Plane {
         let mut plane = Plane::new(self.bounds);
@@ -241,9 +246,6 @@ impl Layout {
                 }
             }
         }
-        // The placement is complete, so build the ray-tracing index now;
-        // routers get the topologically ordered plane for free.
-        plane.build_index();
         plane
     }
 

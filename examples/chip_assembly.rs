@@ -47,9 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  FAILED {id}: {err}");
     }
 
-    // Detailed routing substrate: dynamic channels + left-edge tracks.
-    let plane = layout.to_plane();
-    let detail = route_details(&plane, &report.routing);
+    // Detailed routing substrate: dynamic channels + left-edge tracks,
+    // over the plane the session routed on.
+    let detail = route_details(session.plane(), &report.routing);
     println!(
         "\ndetailed routing: {} channels, {} total tracks (widest {}), {:?}",
         detail.channel_count(),

@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use gcr::detail::route_details;
-use gcr::geom::{Point, Rect};
+use gcr::geom::{PlaneIndex, Point, Rect, ShardedPlane};
 use gcr::grid::{grid_astar, lee_moore};
 use gcr::hightower::{hightower, HightowerConfig};
 use gcr::layout::{Layout, NetId, Pin};
@@ -188,7 +188,7 @@ fn e3_optimality() -> Table {
     );
     for (rows, cols) in [(2, 2), (4, 4), (6, 6)] {
         let layout = grid_layout(rows, cols, (rows * 100 + cols) as u64);
-        let plane = layout.to_plane();
+        let plane = ShardedPlane::new(layout.to_plane());
         let mut rng = rng_for("e3", (rows * cols) as u64);
         let mut equal = 0usize;
         let mut total = 0usize;
@@ -243,7 +243,7 @@ fn e4_scaling() -> Table {
     for (rows, cols) in [(2, 2), (4, 4), (6, 6), (8, 8)] {
         let cells = rows * cols;
         let layout = grid_layout(rows, cols, cells as u64);
-        let plane = layout.to_plane();
+        let plane = ShardedPlane::new(layout.to_plane());
         let mut rng = rng_for("e4", cells as u64);
         // Endpoints snapped to the coarsest pitch so every router (pitch
         // 1, 2 and 4) can reach them exactly.
@@ -318,7 +318,7 @@ fn e5_hightower() -> Table {
     );
     // Random general-cell scenes.
     let layout = grid_layout(4, 4, 55);
-    let plane = layout.to_plane();
+    let plane = ShardedPlane::new(layout.to_plane());
     let mut rng = rng_for("e5", 0);
     let pairs: Vec<(Point, Point)> = (0..40)
         .map(|_| {
@@ -482,10 +482,12 @@ fn e7_fullflow() -> Table {
         let mut rng = rng_for("e7", rows as u64 * 10 + cols as u64);
         netlists::add_two_pin_nets(&mut layout, two_pin, &mut rng);
         netlists::add_multi_terminal_nets(&mut layout, multi, 4, &mut rng);
-        let (routing, global_time) =
-            timed(|| RoutingSession::gridless(layout.clone(), RouterConfig::default()).route_all());
-        let plane = layout.to_plane();
-        let (report, detail_time) = timed(|| route_details(&plane, &routing));
+        let ((session, routing), global_time) = timed(|| {
+            let mut session = RoutingSession::gridless(layout.clone(), RouterConfig::default());
+            let routing = session.route_all();
+            (session, routing)
+        });
+        let (report, detail_time) = timed(|| route_details(session.plane(), &routing));
         t.row([
             label.to_string(),
             (two_pin + multi).to_string(),
@@ -605,7 +607,7 @@ fn e9_ablation() -> Table {
     for (rows, cols) in [(2, 2), (4, 4), (6, 6)] {
         let cells = rows * cols;
         let layout = grid_layout(rows, cols, 900 + cells as u64);
-        let plane = layout.to_plane();
+        let plane = ShardedPlane::new(layout.to_plane());
         let mut rng = rng_for("e9", cells as u64);
         let mut equal = 0;
         let mut total = 0;

@@ -5,7 +5,6 @@
 //! gcrt route chip.gcl --two-pass      # congestion-aware two-pass flow
 //! gcrt route chip.gcl --negotiate     # PathFinder negotiated congestion
 //! gcrt route chip.gcl --engine grid   # pick the routing backend
-//! gcrt route chip.gcl --sharded       # bucket-grid plane + corner tables
 //! gcrt route chip.gcl --render 2      # ASCII-render layout + routes
 //! gcrt eco chip.gcl changes.eco       # replay an ECO change list
 //! gcrt check chip.gcl                 # parse + validate only
@@ -31,8 +30,8 @@ use gcr::layout::{format, render};
 use gcr::prelude::*;
 use gcr::router::{apply_eco, parse_eco, NegotiationConfig};
 use gcr::service::{
-    ClientError, EngineKind, Reply, Request, RetryPolicy, RetryingClient, Server, ServerConfig,
-    WireLimits,
+    parse_index, ClientError, EngineKind, Reply, Request, RetryPolicy, RetryingClient, Server,
+    ServerConfig, WireLimits,
 };
 
 fn main() -> ExitCode {
@@ -54,18 +53,12 @@ const COMMANDS: &[(&str, &[&str], &[&str])] = &[
     (
         "route",
         &["--engine", "--pitch", "--max-iters", "--render"],
-        &[
-            "--sharded",
-            "--serial",
-            "--no-epsilon",
-            "--two-pass",
-            "--negotiate",
-        ],
+        &["--serial", "--no-epsilon", "--two-pass", "--negotiate"],
     ),
     (
         "eco",
         &["--engine", "--pitch", "--render"],
-        &["--sharded", "--serial", "--no-epsilon"],
+        &["--serial", "--no-epsilon"],
     ),
     ("check", &[], &[]),
     ("stats", &[], &[]),
@@ -123,7 +116,6 @@ const COMMANDS: &[(&str, &[&str], &[&str])] = &[
         &["--requests", "--nets", "--seed", "--engine"],
         &["--collapsed"],
     ),
-    ("explain", &[], &[]),
     ("repro", &[], &["--list"]),
 ];
 
@@ -213,13 +205,11 @@ fn run(args: &[String]) -> Result<(), String> {
                  \x20 loadgen measure a daemon's req/s ceiling: gcrt loadgen <addr> [...]\n\
                  \x20 profile trace requests against a daemon and render span trees:\n\
                  \x20         gcrt profile <addr> [--requests N] [--collapsed]\n\
-                 \x20 explain per-net cost attribution: gcrt explain <addr> <sid> <net>\n\
                  \x20 repro   print the paper's experiment tables:\n\
                  \x20         gcrt repro [e1 ... e10 | all] [--list]\n\n\
                  route and eco options (eco: all but the congestion flows):\n\
                  \x20 --engine E      routing backend: gridless (default), grid,\n\
                  \x20                 lee-moore, hightower\n\
-                 \x20 --sharded       bucket-grid plane index with corner tables\n\
                  \x20 --serial        disable parallel net routing\n\
                  \x20 --two-pass      congestion-aware two-pass routing\n\
                  \x20 --negotiate     PathFinder negotiated-congestion routing\n\
@@ -254,11 +244,13 @@ fn run(args: &[String]) -> Result<(), String> {
                  client commands (<sid> comes from open's reply):\n\
                  \x20 ping | shutdown\n\
                  \x20 open <engine> <flat|sharded> <file.gcl>\n\
+                 \x20                        (sharded: the production plane index;\n\
+                 \x20                        flat: the linear-scan reference)\n\
                  \x20 eco <sid> <file.eco>\n\
                  \x20 route <sid> [full]     ripup <sid> <net>\n\
                  \x20 negotiate <sid> [max-iters]\n\
                  \x20 trace <sid> <route|eco|negotiate|ripup> [...]\n\
-                 \x20 explain <sid> <net>\n\
+                 \x20 explain <sid> <net>    per-net cost attribution\n\
                  \x20 stats [<sid>]          dump <sid>\n\
                  \x20 metrics                close <sid>\n\n\
                  client options:\n\
@@ -353,8 +345,7 @@ fn run(args: &[String]) -> Result<(), String> {
             for (id, err) in &routing.failures {
                 println!("  FAILED {id}: {err}");
             }
-            let plane = session.layout().to_plane();
-            let detail = route_details(&plane, &routing);
+            let detail = route_details(session.plane(), &routing);
             println!(
                 "detail: {} channels, {} tracks (widest {}), {} vias",
                 detail.channel_count(),
@@ -679,23 +670,6 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        "explain" => {
-            let addr = positionals.get(1).ok_or("missing daemon address")?;
-            let sid = positionals
-                .get(2)
-                .ok_or("missing session id")?
-                .parse::<u64>()
-                .map_err(|_| "bad session id".to_string())?;
-            let net = positionals.get(3).ok_or("missing net name")?;
-            let mut client =
-                gcr::service::Client::connect(addr.as_str()).map_err(|e| format!("{addr}: {e}"))?;
-            let reply = client
-                .explain(sid, net.as_str())
-                .map_err(|e| format!("{addr}: {e}"))?;
-            println!("OK {}", reply.head);
-            print!("{}", reply.body);
-            Ok(())
-        }
         other => Err(format!("unknown command {other:?}; try gcrt help")),
     }
 }
@@ -736,6 +710,50 @@ fn run_client(addr: &str, verb: &str, rest: &[&String], args: &[String]) -> Resu
         let path = arg(i, what)?;
         std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
     };
+    // A route/eco/negotiate/ripup request on session `sid` whose own
+    // arguments start at `rest[at]`: sent alone, or wrapped by `trace`.
+    let session_request = |verb: &str, sid: u64, at: usize| -> Result<Request, String> {
+        Ok(match verb {
+            "route" => {
+                let full = match rest.get(at).map(|s| s.as_str()) {
+                    None => false,
+                    Some("full") => true,
+                    Some(other) => return Err(format!("unknown route modifier {other:?}")),
+                };
+                Request::Route {
+                    sid,
+                    full,
+                    deadline_ms,
+                }
+            }
+            "eco" => Request::Eco {
+                sid,
+                eco: file_arg(at, ".eco file")?,
+            },
+            "negotiate" => {
+                let max_iters = match rest.get(at) {
+                    None => None,
+                    Some(token) => Some(token.parse::<u64>().map_err(|_| {
+                        format!("{verb}: iteration cap must be a positive integer, got {token:?}")
+                    })?),
+                };
+                Request::Negotiate {
+                    sid,
+                    max_iters,
+                    deadline_ms,
+                }
+            }
+            "ripup" => Request::RipUp {
+                sid,
+                net: arg(at, "net name")?.to_string(),
+            },
+            other => {
+                return Err(format!(
+                    "trace cannot wrap {other:?} (route|eco|negotiate|ripup)"
+                ))
+            }
+        })
+    };
     let request = match verb {
         "ping" => Request::Ping,
         "shutdown" => Request::Shutdown,
@@ -743,92 +761,18 @@ fn run_client(addr: &str, verb: &str, rest: &[&String], args: &[String]) -> Resu
             let engine = arg(0, "engine")?;
             let engine =
                 EngineKind::parse(engine).ok_or_else(|| format!("unknown engine {engine:?}"))?;
-            let index = match arg(1, "index (flat|sharded)")? {
-                "flat" => PlaneIndexKind::Flat,
-                "sharded" => PlaneIndexKind::Sharded,
-                other => return Err(format!("unknown index {other:?}")),
-            };
+            let index = arg(1, "index (flat|sharded)")?;
+            let index = parse_index(index).ok_or_else(|| format!("unknown index {index:?}"))?;
             let gcl = file_arg(2, ".gcl file")?;
             Request::Open { engine, index, gcl }
         }
-        "eco" => Request::Eco {
-            sid: sid_arg(0)?,
-            eco: file_arg(1, ".eco file")?,
-        },
-        "route" => {
-            let full = match rest.get(1).map(|s| s.as_str()) {
-                None => false,
-                Some("full") => true,
-                Some(other) => return Err(format!("unknown route modifier {other:?}")),
-            };
-            Request::Route {
-                sid: sid_arg(0)?,
-                full,
-                deadline_ms,
-            }
-        }
-        "ripup" => Request::RipUp {
-            sid: sid_arg(0)?,
-            net: arg(1, "net name")?.to_string(),
-        },
-        "negotiate" => {
-            let max_iters = match rest.get(1) {
-                None => None,
-                Some(token) => Some(token.parse::<u64>().map_err(|_| {
-                    format!("{verb}: iteration cap must be a positive integer, got {token:?}")
-                })?),
-            };
-            Request::Negotiate {
-                sid: sid_arg(0)?,
-                max_iters,
-                deadline_ms,
-            }
-        }
+        "route" | "eco" | "negotiate" | "ripup" => session_request(verb, sid_arg(0)?, 1)?,
         "trace" => {
             let sid = sid_arg(0)?;
-            let inner = match arg(1, "inner command (route|eco|negotiate|ripup)")? {
-                "route" => {
-                    let full = match rest.get(2).map(|s| s.as_str()) {
-                        None => false,
-                        Some("full") => true,
-                        Some(other) => return Err(format!("unknown route modifier {other:?}")),
-                    };
-                    Request::Route {
-                        sid,
-                        full,
-                        deadline_ms,
-                    }
-                }
-                "eco" => Request::Eco {
-                    sid,
-                    eco: file_arg(2, ".eco file")?,
-                },
-                "negotiate" => {
-                    let max_iters = match rest.get(2) {
-                        None => None,
-                        Some(token) => Some(token.parse::<u64>().map_err(|_| {
-                            format!("trace negotiate: bad iteration cap {token:?}")
-                        })?),
-                    };
-                    Request::Negotiate {
-                        sid,
-                        max_iters,
-                        deadline_ms,
-                    }
-                }
-                "ripup" => Request::RipUp {
-                    sid,
-                    net: arg(2, "net name")?.to_string(),
-                },
-                other => {
-                    return Err(format!(
-                        "trace cannot wrap {other:?} (route|eco|negotiate|ripup)"
-                    ))
-                }
-            };
+            let inner = arg(1, "inner command (route|eco|negotiate|ripup)")?;
             Request::Trace {
                 sid,
-                inner: Box::new(inner),
+                inner: Box::new(session_request(inner, sid, 2)?),
             }
         }
         "explain" => Request::Explain {
@@ -887,8 +831,8 @@ fn repro(ids: &[&String], list: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the routing session the flags describe: engine, spatial index,
-/// schedule and cost configuration.
+/// Builds the routing session the flags describe: engine, schedule and
+/// cost configuration, over the default (sharded) plane.
 fn build_session(
     layout: Layout,
     args: &[String],
@@ -922,12 +866,7 @@ fn build_session(
     }
     let mut builder = RoutingSession::builder(layout)
         .config(config)
-        .engine(engine)
-        .index(if flag("--sharded") {
-            PlaneIndexKind::Sharded
-        } else {
-            PlaneIndexKind::Flat
-        });
+        .engine(engine);
     if flag("--serial") {
         builder = builder.serial();
     }

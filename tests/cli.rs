@@ -48,6 +48,20 @@ fn unknown_and_valueless_options_exit_2_naming_the_flag() {
             vec!["route", "fixtures/demo.gcl", "--render", "abc"],
             &["--render", "abc"],
         ),
+        // Sessions route on the sharded plane; there is nothing to select.
+        (
+            vec!["route", "fixtures/demo.gcl", "--sharded"],
+            &["--sharded"],
+        ),
+        (
+            vec!["eco", "fixtures/demo.gcl", "fixtures/demo.eco", "--sharded"],
+            &["--sharded"],
+        ),
+        // `gcrt client <addr> explain <sid> <net>` is the one explain.
+        (
+            vec!["explain", "127.0.0.1:9", "1", "clk"],
+            &["unknown command", "explain"],
+        ),
     ] {
         let result = gcrt(&args);
         let stderr = String::from_utf8_lossy(&result.stderr);
@@ -69,7 +83,6 @@ fn unknown_and_valueless_options_exit_2_naming_the_flag() {
             "fixtures/demo.gcl",
             "--engine",
             "grid",
-            "--sharded",
             "--serial",
             "--two-pass",
             "--pitch",

@@ -40,6 +40,12 @@ fn with_batch<E: RoutingEngine>(
         .build()
 }
 
+/// The serial reference schedule, over the reference plane (linear
+/// scans); the sessions compared with it take the default, sharded one.
+fn reference() -> BatchConfig {
+    BatchConfig::serial().with_index(PlaneIndexKind::Flat)
+}
+
 fn on_threads(threads: usize) -> BatchConfig {
     BatchConfig {
         threads: Some(threads),
@@ -75,8 +81,10 @@ fn routing_is_stable_across_router_instances() {
 /// The schedule invariant: a parallel session must produce the exact
 /// routes, costs, statistics and failure lists of a serial one — the
 /// schedule is unobservable because nets are independent and the merge
-/// is in stable net-id order. Checked on the seeded macro grid and on
-/// the 40- and 120-net workload scaling instances.
+/// is in stable net-id order. The serial reference routes over the
+/// reference plane, the parallel sessions over the default sharded one.
+/// Checked on the seeded macro grid and on the 40- and 120-net workload
+/// scaling instances.
 #[test]
 fn parallel_batch_output_is_byte_identical_to_serial() {
     for (label, layout) in [
@@ -84,7 +92,7 @@ fn parallel_batch_output_is_byte_identical_to_serial() {
         ("4x4-40", scaling_instance(4, 4, 32, 8, 0)),
         ("6x6-120", scaling_instance(6, 6, 96, 24, 0)),
     ] {
-        let serial = with_batch(&layout, GridlessEngine, BatchConfig::serial()).route_all();
+        let serial = with_batch(&layout, GridlessEngine, reference()).route_all();
         for threads in [2usize, 3, 8, 32] {
             let parallel = with_batch(&layout, GridlessEngine, on_threads(threads)).route_all();
             assert_routing_identical(&serial, &parallel, &format!("{label}, {threads} threads"));
@@ -100,12 +108,11 @@ fn parallel_batch_output_is_byte_identical_to_serial() {
 #[test]
 fn parallel_equivalence_holds_for_all_engines() {
     let layout = build();
-    let serial_grid = with_batch(&layout, GridEngine::default(), BatchConfig::serial()).route_all();
+    let serial_grid = with_batch(&layout, GridEngine::default(), reference()).route_all();
     let parallel_grid = with_batch(&layout, GridEngine::default(), on_threads(4)).route_all();
     assert_routing_identical(&serial_grid, &parallel_grid, "grid, 4 threads");
 
-    let serial_ht =
-        with_batch(&layout, HightowerEngine::default(), BatchConfig::serial()).route_all();
+    let serial_ht = with_batch(&layout, HightowerEngine::default(), reference()).route_all();
     let parallel_ht = with_batch(&layout, HightowerEngine::default(), on_threads(4)).route_all();
     assert_routing_identical(&serial_ht, &parallel_ht, "hightower, 4 threads");
 }
@@ -202,7 +209,7 @@ fn batch_route_all_matches_per_net_fresh_scratch_routing() {
         ("4x4-60", scaling_instance(4, 4, 48, 12, 0)),
         ("6x6-120", scaling_instance(6, 6, 96, 24, 0)),
     ] {
-        let routing = with_batch(&layout, GridlessEngine, BatchConfig::serial()).route_all();
+        let routing = with_batch(&layout, GridlessEngine, reference()).route_all();
         let mut net_by_net = gridless(&layout);
         for r in &routing.routes {
             let what = format!("{label}: route_all vs net by net");

@@ -72,8 +72,8 @@ fn dense_gcl_routes_identically_over_flat_and_sharded_planes() {
             .build()
             .route_all()
     };
-    let flat = route(BatchConfig::serial());
-    let sharded = route(BatchConfig::sharded());
+    let flat = route(BatchConfig::serial().with_index(PlaneIndexKind::Flat));
+    let sharded = route(BatchConfig::default().with_index(PlaneIndexKind::Sharded));
     assert_eq!(flat.wire_length(), sharded.wire_length());
     assert_eq!(flat.stats(), sharded.stats());
     for (a, b) in flat.routes.iter().zip(&sharded.routes) {

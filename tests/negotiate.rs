@@ -268,15 +268,25 @@ fn negotiation_is_schedule_and_index_invariant() {
         ("dense".into(), dense_fixture(), tight),
     ];
     for (what, layout, config) in &cases {
-        let reference = session_with(layout, config, BatchConfig::serial())
-            .route_negotiated(&NegotiationConfig::default());
+        let reference = session_with(
+            layout,
+            config,
+            BatchConfig::serial().with_index(PlaneIndexKind::Flat),
+        )
+        .route_negotiated(&NegotiationConfig::default());
         for (batch, label) in [
             (
                 BatchConfig::serial().with_index(PlaneIndexKind::Sharded),
                 "sharded-serial",
             ),
-            (BatchConfig::default(), "flat-parallel"),
-            (BatchConfig::sharded(), "sharded-parallel"),
+            (
+                BatchConfig::default().with_index(PlaneIndexKind::Flat),
+                "flat-parallel",
+            ),
+            (
+                BatchConfig::default().with_index(PlaneIndexKind::Sharded),
+                "sharded-parallel",
+            ),
         ] {
             let report =
                 session_with(layout, config, batch).route_negotiated(&NegotiationConfig::default());
@@ -305,7 +315,10 @@ fn warm_cache_negotiation_equals_cold() {
             BatchConfig::serial().with_index(PlaneIndexKind::Sharded),
             "sharded",
         ),
-        (BatchConfig::serial(), "flat"),
+        (
+            BatchConfig::serial().with_index(PlaneIndexKind::Flat),
+            "flat",
+        ),
     ] {
         let cold =
             session_with(&layout, &config, batch).route_negotiated(&NegotiationConfig::default());

@@ -1,9 +1,11 @@
 //! The differential harness guarding the session's schedule and the
-//! sharded spatial plane: a [`RoutingSession`] over [`ShardedPlane`] must
-//! route **byte-identically** to one over the flat [`Plane`], and a
-//! parallel session to a serial one — same polylines, same costs, same
-//! statistics, same failure lists — for every engine, across seeded
-//! random layouts. The reference is always a fresh serial flat session.
+//! sharded spatial plane: a [`RoutingSession`] over [`ShardedPlane`] (the
+//! production index) must route **byte-identically** to one over the
+//! reference [`Plane`] (linear scans), and a parallel session to a serial
+//! one — same polylines, same costs, same statistics, same failure lists
+//! — for every engine, across seeded random layouts. The reference is
+//! always a fresh serial session that names [`PlaneIndexKind::Flat`]
+//! explicitly: the default index is the sharded one.
 //!
 //! This is the lockdown the plane refactor ships under: a faster spatial
 //! index that changes even one route is a broken spatial index. The
@@ -102,20 +104,25 @@ fn session<E: RoutingEngine>(
         .build()
 }
 
-/// The four schedules every differential runs: both plane indexes,
-/// serial and on four workers.
+/// The reference schedule: serial, over the reference plane.
+fn reference() -> BatchConfig {
+    BatchConfig::serial().with_index(PlaneIndexKind::Flat)
+}
+
+/// The four schedules every differential runs: both planes, serial and
+/// on four workers.
 fn schedules() -> [(BatchConfig, &'static str); 4] {
     let parallel = BatchConfig {
         threads: Some(4),
         ..BatchConfig::default()
     };
     [
-        (BatchConfig::serial(), "flat-serial"),
+        (reference(), "flat-serial"),
         (
             BatchConfig::serial().with_index(PlaneIndexKind::Sharded),
             "sharded-serial",
         ),
-        (parallel, "flat-parallel"),
+        (parallel.with_index(PlaneIndexKind::Flat), "flat-parallel"),
         (
             parallel.with_index(PlaneIndexKind::Sharded),
             "sharded-parallel",
@@ -142,7 +149,7 @@ fn sweep_engine<E: RoutingEngine + Clone>(engine: E, name: &str, cases: u64) -> 
 /// fell on the net-by-net legs.
 fn sweep_layout<E: RoutingEngine + Clone>(engine: &E, name: &str, layout: &Layout) -> usize {
     let config = RouterConfig::default();
-    let reference = session(layout, &config, engine.clone(), BatchConfig::serial()).route_all();
+    let reference = session(layout, &config, engine.clone(), reference()).route_all();
     let mut fell = 0;
     for (batch, label) in schedules() {
         let what = format!("{name}/{label}");
@@ -209,8 +216,7 @@ fn two_pass_reports_are_identical_across_plane_indexes() {
     let mut rerouted = 0;
     for case in 0..6u64 {
         let layout = scaling_instance(2, 2, 8, 2, case);
-        let reference =
-            session(&layout, &config, GridlessEngine, BatchConfig::serial()).route_two_pass();
+        let reference = session(&layout, &config, GridlessEngine, reference()).route_two_pass();
         rerouted += reference.rerouted;
         for (batch, label) in schedules() {
             let what = format!("two-pass/{label}/case {case}");
@@ -270,42 +276,32 @@ fn assert_queries_agree(oracle: &Plane, planes: &[&dyn PlaneIndex], what: &str) 
 }
 
 /// Query-level sweep for the coordinate contract: on every workload
-/// plane, the flat indexed plane and the bucketed sharded plane answer
-/// every ray and corner query exactly like the flat unindexed plane (the
-/// linear-scan oracle), for full and clipped stops — bulk-built, then
-/// after a translate, a remove and an insert applied to all three.
+/// plane, the sharded plane answers every ray and corner query exactly
+/// like the reference plane (the linear-scan oracle), for full and
+/// clipped stops — as built, then after a translate and an insert
+/// applied to both.
 #[test]
 fn corner_queries_agree_flat_sharded_before_and_after_insert() {
     let mut compared = 0;
     for case in 0..CASES {
         let layout = scaling_instance(2, 2, 3, 1, case);
-        let mut indexed = layout.to_plane();
         let mut sharded = ShardedPlane::new(layout.to_plane());
-        let mut linear = sharded.flat().clone();
-        assert!(indexed.has_index() && !linear.has_index());
-        compared += assert_queries_agree(&linear, &[&indexed, &sharded], &format!("case {case}"));
+        let mut linear = layout.to_plane();
+        compared += assert_queries_agree(&linear, &[&sharded], &format!("case {case}"));
 
         let b = linear.bounds();
-        let rects = linear.rects();
-        let (moved, gone) = (rects[0].1, rects[rects.len() - 1].1);
+        let moved = linear.rects()[0].1;
         let (cx, cy) = ((b.xmin() + b.xmax()) / 2, (b.ymin() + b.ymax()) / 2);
         let extra = Rect::new(cx, cy, (cx + 9).min(b.xmax()), (cy + 9).min(b.ymax()))
             .expect("in-bounds rect");
         assert!(linear.translate_obstacle(moved, 3, -2));
-        assert!(indexed.translate_obstacle(moved, 3, -2));
         assert!(sharded.translate_obstacle(moved, 3, -2));
         let what = format!("case {case} after translate");
-        compared += assert_queries_agree(&linear, &[&indexed, &sharded], &what);
-        assert!(linear.remove_obstacle(gone));
-        assert!(indexed.remove_obstacle(gone));
-        assert!(sharded.remove_obstacle(gone));
-        let what = format!("case {case} after remove");
-        compared += assert_queries_agree(&linear, &[&indexed, &sharded], &what);
+        compared += assert_queries_agree(&linear, &[&sharded], &what);
         linear.add_obstacle(extra);
-        indexed.add_obstacle(extra);
         sharded.add_obstacle(extra);
         let what = format!("case {case} after insert");
-        compared += assert_queries_agree(&linear, &[&indexed, &sharded], &what);
+        compared += assert_queries_agree(&linear, &[&sharded], &what);
     }
     assert!(
         compared > 10_000,
@@ -315,9 +311,10 @@ fn corner_queries_agree_flat_sharded_before_and_after_insert() {
 
 /// Scale-tier query differential: on the full 1k-net generated die (~900
 /// obstacles — an order of magnitude past the macro-grid cases above),
-/// the bucketed corner tables must agree bit for bit with the flat slab
-/// scan across sampled free probes, every direction, full and clipped
-/// stops, and after a mutation updates the tables; rays agree alongside.
+/// the bucketed corner tables must agree bit for bit with the reference
+/// plane's linear scan across sampled free probes, every direction, full
+/// and clipped stops, and after a mutation updates the tables; rays agree
+/// alongside.
 #[test]
 fn scale_tier_bucketed_corners_match_flat() {
     let layout = generate(&GeneratorParams::with_nets(1000, 0));
@@ -368,12 +365,12 @@ fn scale_tier_bucketed_corners_match_flat() {
 
 /// The sampled 1k-tier routing differential: a deterministic sample of
 /// the generated die's nets, routed over the **full** 1k-tier plane —
-/// flat ≡ sharded, serial ≡ parallel, byte for byte.
+/// reference ≡ sharded, serial ≡ parallel, byte for byte.
 #[test]
 fn scale_tier_sampled_routes_flat_sharded_serial_parallel_identical() {
     let layout = sampled_scale_instance(50);
     let config = RouterConfig::default();
-    let reference = session(&layout, &config, GridlessEngine, BatchConfig::serial()).route_all();
+    let reference = session(&layout, &config, GridlessEngine, reference()).route_all();
     assert!(
         reference.routed_count() * 10 >= layout.nets().len() * 9,
         "scale tier must be routable: {} of {} routed",
@@ -388,8 +385,8 @@ fn scale_tier_sampled_routes_flat_sharded_serial_parallel_identical() {
 
 /// Raw query-level differential sweep over the workload planes (the
 /// seeded cases and the 120-net scaling instance): every ray, segment
-/// and corner query an engine could issue must agree between the flat
-/// and sharded implementations. Routing equivalence (above) exercises
+/// and corner query an engine could issue must agree between the
+/// reference and sharded planes. Routing equivalence (above) exercises
 /// the reachable subset; this covers queries the particular routes
 /// never asked.
 #[test]
@@ -464,31 +461,64 @@ fn query_level_flat_sharded_agreement_on_workload_planes() {
     }
 }
 
-/// Bulk-loading a plane (`Plane::with_obstacles`, one sort) must build
-/// the same plane as inserting the rectangles one at a time.
-fn assert_bulk_build_equals_incremental(bounds: Rect, rects: &[Rect], what: &str) {
-    let mut incremental = Plane::new(bounds);
-    incremental.build_index();
-    for &r in rects {
-        incremental.add_obstacle(r);
+/// Every query the router issues — ray, full and clipped corner lists,
+/// and segment legs toward the next probe — from `probes` free points of
+/// `reference`, seeded by `label`, agrees with `sharded`. Returns how
+/// many corner coordinates were compared.
+fn assert_free_probes_agree(
+    reference: &Plane,
+    sharded: &ShardedPlane,
+    label: &str,
+    probes: usize,
+    what: &str,
+) -> usize {
+    let mut rng = rng_for(label, 0);
+    let points: Vec<Point> = (0..=probes)
+        .map(|_| random_free_point(reference, &mut rng))
+        .collect();
+    let mut compared = 0;
+    for (i, w) in points.windows(2).enumerate() {
+        let (p, q) = (w[0], w[1]);
+        assert!(sharded.point_free(p), "{what}, probe {i}: point {p}");
+        for b in [Point::new(q.x, p.y), Point::new(p.x, q.y)] {
+            assert_eq!(
+                PlaneIndex::segment_free(reference, p, b),
+                sharded.segment_free(p, b),
+                "{what}, probe {i}: segment {p}-{b}"
+            );
+        }
+        for dir in Dir::ALL {
+            let hit = PlaneIndex::ray_hit(reference, p, dir);
+            assert_eq!(
+                hit,
+                sharded.ray_hit(p, dir),
+                "{what}, probe {i}: ray {p} {dir:?}"
+            );
+            let mid = (p.coord(dir.axis()) + hit.stop) / 2;
+            for stop in [hit.stop, mid] {
+                let want = corners(reference, p, dir, stop);
+                assert_eq!(
+                    corners(sharded, p, dir, stop),
+                    want,
+                    "{what}, probe {i}: corners {p} {dir:?} @{stop}"
+                );
+                compared += want.len();
+            }
+        }
     }
-    let bulk = Plane::with_obstacles(bounds, rects);
-    assert_eq!(incremental.rects(), bulk.rects(), "{what}: build parity");
+    compared
 }
 
 /// A whole generated scale tier (`with_nets(nets, 0)`):
-/// * the bulk plane build equals incremental insertion;
-/// * a cold serial route over the sharded plane equals the flat one
-///   byte for byte;
+/// * a cold serial route over the sharded plane equals the reference
+///   one byte for byte;
 /// * `ecos` seeded obstacle drops then each reroute exactly the nets
 ///   they marked dirty, on both sessions;
-/// * 1,500 seeded free probes get the same `ray_hit` and full-ray
-///   `corner_candidates_into` answers from both planes.
+/// * 1,500 seeded free probes get the same answers from both planes
+///   (see [`assert_free_probes_agree`]).
 fn assert_scale_tier_flat_equals_sharded(nets: usize, ecos: usize) {
     let layout = generate(&GeneratorParams::with_nets(nets, 0));
     let bounds = layout.bounds();
-    let rects: Vec<Rect> = layout.cells().iter().map(|c| c.rect()).collect();
-    assert_bulk_build_equals_incremental(bounds, &rects, &format!("{nets} nets"));
 
     let config = RouterConfig::default();
     let serial = |index| BatchConfig::serial().with_index(index);
@@ -523,18 +553,13 @@ fn assert_scale_tier_flat_equals_sharded(nets: usize, ecos: usize) {
 
     let flat = layout.to_plane();
     let sharded = ShardedPlane::new(flat.clone());
-    let mut rng = rng_for("scale-sweep", 0);
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    for i in 0..1500 {
-        let p = random_free_point(&flat, &mut rng);
-        for dir in Dir::ALL {
-            let hit = PlaneIndex::ray_hit(&flat, p, dir);
-            assert_eq!(hit, sharded.ray_hit(p, dir), "{nets} nets, probe {i}: ray");
-            PlaneIndex::corner_candidates_into(&flat, p, dir, hit.stop, &mut a);
-            sharded.corner_candidates_into(p, dir, hit.stop, &mut b);
-            assert_eq!(a, b, "{nets} nets, probe {i}: corners {p} {dir:?}");
-        }
-    }
+    assert_free_probes_agree(
+        &flat,
+        &sharded,
+        "scale-sweep",
+        1500,
+        &format!("{nets} nets"),
+    );
 }
 
 #[test]
@@ -551,14 +576,17 @@ fn scale_tier_1k_flat_equals_sharded() {
     assert_scale_tier_flat_equals_sharded(1000, 5);
 }
 
-/// The headline build instance: exactly 10,000 obstacles (a fully
-/// filled 100×100 slot grid).
+/// The largest plane any test shards: exactly 10,000 obstacles (a fully
+/// filled 100×100 slot grid). The sharded plane built from
+/// `Layout::to_plane` must answer like the reference on 1,500 seeded free
+/// probes as built, with one cell translated across several buckets, and
+/// with it moved back.
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "10k one-at-a-time inserts cost O(N²); runs under cargo test --release"
+    ignore = "10k-obstacle linear scans are slow unoptimized; runs under cargo test --release"
 )]
-fn bulk_build_equals_incremental_on_the_10k_obstacle_grid() {
+fn sharded_plane_matches_the_reference_on_the_10k_obstacle_grid() {
     let layout = generate(&GeneratorParams {
         rows: 100,
         cols: 100,
@@ -566,7 +594,21 @@ fn bulk_build_equals_incremental_on_the_10k_obstacle_grid() {
         nets: 1,
         ..GeneratorParams::default()
     });
-    let rects: Vec<Rect> = layout.cells().iter().map(|c| c.rect()).collect();
-    assert_eq!(rects.len(), 10_000);
-    assert_bulk_build_equals_incremental(layout.bounds(), &rects, "10k obstacles");
+    assert_eq!(layout.cells().len(), 10_000);
+    let mut reference = layout.to_plane();
+    let mut sharded = ShardedPlane::new(layout.to_plane());
+    let (moved, dx, dy) = (5_050, 97, -61);
+    let mut compared =
+        assert_free_probes_agree(&reference, &sharded, "10k-sweep", 1_500, "as built");
+    assert!(reference.translate_obstacle(moved, dx, dy));
+    assert!(sharded.translate_obstacle(moved, dx, dy));
+    compared += assert_free_probes_agree(&reference, &sharded, "10k-sweep", 1_500, "moved");
+    assert!(reference.translate_obstacle(moved, -dx, -dy));
+    assert!(sharded.translate_obstacle(moved, -dx, -dy));
+    assert_eq!(reference.rects(), layout.to_plane().rects());
+    compared += assert_free_probes_agree(&reference, &sharded, "10k-sweep", 1_500, "moved back");
+    assert!(
+        compared > 100_000,
+        "the sweep must compare real corner lists: {compared}"
+    );
 }

@@ -58,6 +58,16 @@ fn assert_routing_identical(reference: &GlobalRouting, other: &GlobalRouting, wh
     assert_eq!(reference.failures, other.failures, "{what}: failures");
 }
 
+/// Serial over the reference plane, and the default schedule (parallel,
+/// over the sharded plane): the two corners of the schedule × plane
+/// square the session tests cover.
+fn flat_serial_and_default() -> [BatchConfig; 2] {
+    [
+        BatchConfig::serial().with_index(PlaneIndexKind::Flat),
+        BatchConfig::default(),
+    ]
+}
+
 fn session_for<E: RoutingEngine + Clone>(
     layout: &Layout,
     engine: &E,
@@ -79,7 +89,7 @@ fn rip_up_reroute_is_deterministic() {
     let cases = (0..6u64).map(|case| (format!("case {case}"), scaling_instance(2, 2, 6, 2, case)));
     let mut fell = 0;
     for (what, layout) in cases.chain(scaling_instances()) {
-        for batch in [BatchConfig::serial(), BatchConfig::sharded()] {
+        for batch in flat_serial_and_default() {
             let mut session = session_for(&layout, &GridlessEngine, batch);
             let fresh = session.route_all();
             // Rip up every other net, then every net, then the last one
@@ -239,7 +249,7 @@ fn mutations_converge_to_the_fresh_route() {
             .expect("scaling instances name their macros m<r>_<c>");
         let offset = 2 + (case as i64) * 7;
         let walking = Rect::new(offset, offset, offset + 4, offset + 4).unwrap();
-        for batch in [BatchConfig::serial(), BatchConfig::sharded()] {
+        for batch in flat_serial_and_default() {
             let what = format!("case {case}/{:?}", batch.index);
             let mut session = session_for(&layout, &GridlessEngine, batch);
             session.route_all();
@@ -713,13 +723,19 @@ fn demo_eco_fixture_replays_cleanly() {
 #[test]
 fn cancelled_route_all_rolls_back_and_retry_is_identical() {
     let schedules = [
-        (BatchConfig::serial(), "flat-serial"),
+        (
+            BatchConfig::serial().with_index(PlaneIndexKind::Flat),
+            "flat-serial",
+        ),
         (
             BatchConfig::serial().with_index(PlaneIndexKind::Sharded),
             "sharded-serial",
         ),
-        (BatchConfig::default(), "flat-parallel"),
-        (BatchConfig::sharded(), "sharded-parallel"),
+        (
+            BatchConfig::default().with_index(PlaneIndexKind::Flat),
+            "flat-parallel",
+        ),
+        (BatchConfig::default(), "sharded-parallel"),
     ];
     let engines: Vec<(&str, gcr::service::BoxedEngine)> = vec![
         ("gridless", Box::new(GridlessEngine)),
@@ -816,7 +832,7 @@ fn grid_searches_stop_mid_net_under_a_shared_ceiling() {
 #[test]
 fn plain_calls_after_a_cancelled_request_route_normally() {
     let layout = scaling_instance(2, 2, 5, 2, 0);
-    for batch in [BatchConfig::serial(), BatchConfig::sharded()] {
+    for batch in flat_serial_and_default() {
         let what = format!("{:?}", batch.index);
         let mut fresh = session_for(&layout, &GridlessEngine, batch);
         let reference = fresh.route_all();
@@ -855,7 +871,7 @@ fn plain_calls_after_a_cancelled_request_route_normally() {
 /// half-committed), and the retried reroute reproduces the fresh route.
 #[test]
 fn cancelled_reroute_dirty_preserves_the_dirty_set() {
-    for batch in [BatchConfig::serial(), BatchConfig::sharded()] {
+    for batch in flat_serial_and_default() {
         let layout = scaling_instance(2, 2, 6, 2, 1);
         let mut session = session_for(&layout, &GridlessEngine, batch);
         let fresh = session.route_all();

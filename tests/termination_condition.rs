@@ -38,7 +38,6 @@ fn exhaustive_search_finds_the_same_optimum_with_more_work() {
     let mut plane = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
     plane.add_obstacle(Rect::new(20, 20, 45, 60).unwrap());
     plane.add_obstacle(Rect::new(55, 40, 80, 80).unwrap());
-    plane.build_index();
     let config = RouterConfig::default();
     let goals = GoalSet::from_point(Point::new(90, 90));
     let space = routing_space(&plane, &goals, &config, Point::new(5, 5));
@@ -63,7 +62,6 @@ fn exhaustive_search_agrees_on_detour_instances() {
     // A blocking wall between the endpoints forces a real detour.
     let mut plane = Plane::new(Rect::new(0, 0, 80, 80).unwrap());
     plane.add_obstacle(Rect::new(30, 10, 40, 70).unwrap());
-    plane.build_index();
     let config = RouterConfig::default();
     for (s, t) in [
         (Point::new(10, 40), Point::new(70, 40)),
@@ -244,7 +242,6 @@ fn ray_pruning_changes_no_expansion_path_or_cost() {
 
     let mut block = Plane::new(Rect::new(0, 0, 100, 100).unwrap());
     block.add_obstacle(Rect::new(30, 30, 70, 70).unwrap());
-    block.build_index();
     let goals = GoalSet::from_point(Point::new(90, 10));
     let ahead = vec![(
         RouteState::arrived(Point::new(10, 10), Dir::East),
@@ -261,8 +258,7 @@ fn ray_pruning_changes_no_expansion_path_or_cost() {
     let (mut stage, mut pts) = (Vec::new(), Vec::new());
     for seed in 0..3u64 {
         let layout = generate(&GeneratorParams::with_nets(12, seed));
-        let mut flat = layout.to_plane();
-        flat.build_index();
+        let flat = layout.to_plane();
         let sharded = ShardedPlane::new(flat.clone());
         let congestion = CongestionPenalty::from_weighted_regions(
             find_passages(&flat)
