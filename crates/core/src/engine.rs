@@ -299,30 +299,14 @@ impl RoutingEngine for GridEngine {
         let SearchScratch {
             grid: arena,
             sources,
-            goals: goal_points,
             budget,
             ..
         } = scratch;
         self.grid_sources_into(plane, tree, sources);
-        let origin = plane.bounds();
-        let on_grid = |p: Point| {
-            (p.x - origin.xmin()).rem_euclid(self.pitch) == 0
-                && (p.y - origin.ymin()).rem_euclid(self.pitch) == 0
-        };
-        goal_points.clear();
-        goal_points.extend_from_slice(goals.points());
-        for s in goals.segments() {
-            // Rasterize goal segments exactly like tree sources, so a
-            // connection may terminate on a segment interior. Off-grid
-            // endpoints are dropped (the lattice points cover the rest)
-            // rather than failing the whole call.
-            self.lattice_points(plane, s, goal_points);
-            goal_points.extend([s.a(), s.b()].into_iter().filter(|&p| on_grid(p)));
-        }
         let route = gcr_grid::route_multi(
             plane,
             sources,
-            goal_points,
+            goals.points(),
             self.pitch,
             self.informed,
             config.max_expansions,
@@ -361,11 +345,6 @@ impl RoutingEngine for GridEngine {
 
 /// The Hightower line-probe baseline as a [`RoutingEngine`] — fast and
 /// *incomplete*: an `Unreachable` error only means its probes gave up.
-///
-/// Goal *segments* are reduced to their endpoints (plus the projections
-/// used as departure candidates) — a pairwise prober cannot terminate on
-/// arbitrary interior points. This narrowing is consistent with the
-/// engine's `complete: false` capability statement.
 #[derive(Debug, Clone)]
 pub struct HightowerEngine {
     /// Probe budget per attempted endpoint pair.
@@ -407,29 +386,20 @@ impl RoutingEngine for HightowerEngine {
         // Departure candidates: tree points, segment endpoints, and the
         // projection of every goal onto every segment (the cheap subset
         // of segment sources a pairwise prober can exploit). Staged in
-        // the scratch buffers — the prober has no arena to adopt, but
-        // candidate assembly is per-call and reusable all the same.
-        let SearchScratch {
-            sources,
-            goals: goal_points,
-            ..
-        } = scratch;
+        // the scratch's source buffer — the prober has no arena to
+        // adopt, but candidate assembly is per-call and reusable all the
+        // same.
+        let sources = &mut scratch.sources;
         sources.clear();
         sources.extend_from_slice(tree.points());
-        goal_points.clear();
-        goal_points.extend_from_slice(goals.points());
-        for s in goals.segments() {
-            goal_points.push(s.a());
-            goal_points.push(s.b());
-        }
         for seg in tree.segments() {
             sources.push(seg.a());
             sources.push(seg.b());
-            for g in goal_points.iter() {
+            for g in goals.points() {
                 sources.push(seg.closest_point_to(*g));
             }
         }
-        if sources.is_empty() || goal_points.is_empty() {
+        if sources.is_empty() || goals.is_empty() {
             return Err(RouteError::NothingToRoute {
                 what: "line-probe connection".into(),
             });
@@ -445,7 +415,7 @@ impl RoutingEngine for HightowerEngine {
         let route = gcr_hightower::hightower_multi(
             plane,
             sources,
-            goal_points,
+            goals.points(),
             &probe_config,
             self.max_pairs,
         )
@@ -645,32 +615,6 @@ mod tests {
             &mut SearchScratch::new(),
         );
         assert!(matches!(r, Err(RouteError::LimitExceeded { limit: 1, .. })));
-    }
-
-    #[test]
-    fn grid_engine_terminates_on_goal_segment_interior() {
-        let plane = Plane::new(gcr_geom::Rect::new(0, 0, 100, 100).unwrap());
-        let config = RouterConfig::default();
-        let coster = EdgeCoster::new(&config);
-        let mut tree = RouteTree::new();
-        tree.add_point(Point::new(50, 10));
-        let mut goals = GoalSet::new();
-        goals.add_segment(gcr_geom::Segment::horizontal(40, 0, 100));
-        let r = GridEngine::default()
-            .route_connection(
-                &plane,
-                &tree,
-                &goals,
-                &coster,
-                &config,
-                &[],
-                &mut SearchScratch::new(),
-            )
-            .unwrap();
-        // Straight up to the segment interior at (50, 40): cost 30, not
-        // a detour to an endpoint.
-        assert_eq!(r.cost.primary, 30);
-        assert_eq!(r.polyline.end(), Point::new(50, 40));
     }
 
     #[test]

@@ -25,18 +25,8 @@ use gcr_layout::{CellOutline, Layout, Pin};
 use crate::congestion::{Passage, PassageSide};
 use crate::{RouterConfig, RoutingSession};
 
-/// Limits for the feedback loop.
-#[derive(Debug, Clone, Copy)]
-pub struct FeedbackOptions {
-    /// Stop after this many route-adjust iterations.
-    pub max_iterations: usize,
-}
-
-impl Default for FeedbackOptions {
-    fn default() -> FeedbackOptions {
-        FeedbackOptions { max_iterations: 10 }
-    }
-}
+/// The loop stops after this many route-adjust iterations.
+const MAX_ITERATIONS: usize = 10;
 
 /// One iteration of the loop, as observed *before* any adjustment.
 #[derive(Debug, Clone, Copy)]
@@ -61,23 +51,20 @@ pub struct FeedbackReport {
     pub converged: bool,
 }
 
-/// Runs the placement-feedback loop on `layout` and returns the adjusted
-/// layout plus the convergence record.
+/// Runs the placement-feedback loop on `layout`, for at most ten
+/// route-adjust iterations, and returns the adjusted layout plus the
+/// convergence record.
 ///
 /// Only cell-to-cell passages are widened (boundary strips can always be
 /// escaped toward the die edge). Widening shifts every cell whose extent
 /// lies beyond the passage and stretches the die; pins move with their
 /// cells, floating pins move when they lie beyond the passage too.
 #[must_use]
-pub fn placement_feedback(
-    layout: &Layout,
-    config: &RouterConfig,
-    options: FeedbackOptions,
-) -> (Layout, FeedbackReport) {
+pub fn placement_feedback(layout: &Layout, config: &RouterConfig) -> (Layout, FeedbackReport) {
     let mut current = layout.clone();
     let mut iterations = Vec::new();
     let mut converged = false;
-    for _ in 0..options.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         let mut session = RoutingSession::gridless(current, config.clone());
         session.route_all();
         let analysis = session.congestion();
@@ -253,7 +240,7 @@ mod tests {
         let layout = congested(4);
         let mut config = RouterConfig::default();
         config.wire_pitch(5);
-        let (adjusted, report) = placement_feedback(&layout, &config, FeedbackOptions::default());
+        let (adjusted, report) = placement_feedback(&layout, &config);
         assert!(report.converged, "records: {:?}", report.iterations);
         assert!(report.iterations.len() >= 2, "needs at least one widening");
         assert!(report.iterations[0].total_overflow > 0);
@@ -270,7 +257,7 @@ mod tests {
     fn already_clean_placement_converges_immediately() {
         let layout = congested(1);
         let config = RouterConfig::default(); // pitch 1: capacity 10
-        let (adjusted, report) = placement_feedback(&layout, &config, FeedbackOptions::default());
+        let (adjusted, report) = placement_feedback(&layout, &config);
         assert!(report.converged);
         assert_eq!(report.iterations.len(), 1);
         assert_eq!(adjusted.bounds(), layout.bounds());
@@ -283,7 +270,7 @@ mod tests {
         let layout = congested(4);
         let mut config = RouterConfig::default();
         config.wire_pitch(5);
-        let (_, report) = placement_feedback(&layout, &config, FeedbackOptions::default());
+        let (_, report) = placement_feedback(&layout, &config);
         for w in report.iterations.windows(2) {
             assert!(
                 w[1].total_overflow <= w[0].total_overflow,
@@ -309,7 +296,7 @@ mod tests {
             .unwrap();
         let mut config = RouterConfig::default();
         config.wire_pitch(5);
-        let (adjusted, report) = placement_feedback(&layout, &config, FeedbackOptions::default());
+        let (adjusted, report) = placement_feedback(&layout, &config);
         assert!(report.converged);
         adjusted.validate().unwrap();
         let east_rect = adjusted

@@ -77,7 +77,7 @@ pub use cost::{bend_is_anchored, EdgeCoster};
 pub use eco::{apply_eco, parse_eco, write_eco, EcoError, EcoOp, EcoReport, EcoStep};
 pub use engine::{EngineCaps, GridEngine, GridlessEngine, HightowerEngine, RoutingEngine};
 pub use error::RouteError;
-pub use feedback::{placement_feedback, FeedbackOptions, FeedbackReport, IterationRecord};
+pub use feedback::{placement_feedback, FeedbackReport, IterationRecord};
 pub use gcr_search::{Budget, CancelReason};
 pub use goal::GoalSet;
 pub use negotiate::{NegotiationConfig, NegotiationCost, NegotiationReport};

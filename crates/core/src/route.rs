@@ -118,11 +118,7 @@ pub fn route_from_tree(
     // duration of the search (leaving an allocation-free empty `Vec`
     // behind), because the search itself borrows the scratch mutably.
     let mut seeds = std::mem::take(&mut scratch.seeds);
-    let mut stage = std::mem::take(&mut scratch.seed_stage);
-    let mut pts = std::mem::take(&mut scratch.seed_points);
-    tree.seeds_into(plane, goals, &mut stage, &mut pts, &mut seeds);
-    scratch.seed_stage = stage;
-    scratch.seed_points = pts;
+    tree.seeds_into(plane, goals, &mut scratch.seed_points, &mut seeds);
     let result = run(
         plane,
         goals,

@@ -5,14 +5,14 @@
 //! build its node table, state index, OPEN heap and staging buffers from
 //! nothing. This struct bundles every reusable piece — one
 //! [`SearchArena`] per search-state type plus the point-staging buffers
-//! the engine adapters use to assemble sources and goals — so a worker
+//! the engine adapters use to assemble sources — so a worker
 //! (or a multi-terminal net driver) pays the allocations once and then
 //! only ever clears them.
 //!
 //! Ownership discipline (asserted by `tests/determinism.rs`):
 //!
 //! * [`RoutingSession`](crate::RoutingSession) keeps a pool of scratches
-//!   alive across calls and checks one out **per `parallel_map`
+//!   alive across calls and checks one out **per `parallel_map_with`
 //!   worker**, which reuses it across every net that worker claims;
 //! * the net driver reuses the same scratch across **all connections of
 //!   a multi-terminal net**;
@@ -41,18 +41,14 @@ pub struct SearchScratch {
     /// Staging buffer for source-point assembly (grid rasterization,
     /// probe-pair enumeration).
     pub(crate) sources: Vec<Point>,
-    /// Staging buffer for goal-point assembly.
-    pub(crate) goals: Vec<Point>,
     /// The net driver's per-connection goal set, cleared (not rebuilt)
     /// between connections. Taken out of the scratch for the duration of
     /// an engine call (`std::mem::take`, which leaves an allocation-free
     /// empty set) so the engine can borrow the scratch mutably alongside.
     pub(crate) goal_set: GoalSet,
-    /// Staging buffer for goal-point flattening in
-    /// [`RouteTree::seeds_into`](crate::RouteTree::seeds_into).
-    pub(crate) seed_stage: Vec<Point>,
-    /// Candidate-point buffer for seed assembly (sorted + deduplicated in
-    /// place).
+    /// Candidate-point buffer for seed assembly in
+    /// [`RouteTree::seeds_into`](crate::RouteTree::seeds_into) (sorted +
+    /// deduplicated in place).
     pub(crate) seed_points: Vec<Point>,
     /// The assembled multi-source seed states, reused across connections
     /// (taken out around the search like `goal_set`).
@@ -88,7 +84,7 @@ mod tests {
     fn fresh_scratch_is_empty_and_debuggable() {
         let s = SearchScratch::new();
         assert_eq!(s.gridless.node_capacity(), 0);
-        assert!(s.sources.is_empty() && s.goals.is_empty());
+        assert!(s.sources.is_empty() && s.seed_points.is_empty());
         assert!(format!("{s:?}").contains("SearchScratch"));
     }
 }

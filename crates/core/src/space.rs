@@ -194,10 +194,6 @@ impl<'a> RoutingSpace<'a> {
             for g in self.goals.points() {
                 add(*g);
             }
-            for s in self.goals.segments() {
-                add(s.a());
-                add(s.b());
-            }
             for (s, _) in self.sources.iter() {
                 add(s.point);
             }
@@ -417,7 +413,7 @@ impl SearchSpace for RoutingSpace<'_> {
 mod tests {
     use super::*;
     use crate::RouterConfig;
-    use gcr_geom::{Dir, Plane, Point, Rect, Segment, ShardedPlane};
+    use gcr_geom::{Dir, Plane, Point, Rect, ShardedPlane};
     use gcr_search::{PathCost, SearchSpace};
 
     fn one_block() -> Plane {
@@ -578,8 +574,8 @@ mod tests {
         plane
     }
 
-    /// A multi-pin goal set whose points and segments share coordinates
-    /// with `flat`'s obstacle corners and ray stops.
+    /// A multi-pin goal set whose points share coordinates with `flat`'s
+    /// obstacle corners and ray stops.
     fn lockdown_goals(flat: &Plane) -> GoalSet {
         let (a, b) = (flat.rects()[0].0, flat.rects()[1].0);
         let mut goals = GoalSet::new();
@@ -589,16 +585,6 @@ mod tests {
         goals.add_point(Point::new(b.xmin(), b.ymin()));
         // A point on the plane boundary: coincides with ray stops.
         goals.add_point(Point::new(200, b.ymax()));
-        // A segment along an obstacle face and one along the
-        // boundary: crossings land on corner and ray-stop coordinates.
-        goals.add_segment(
-            Segment::new(
-                Point::new(a.xmin(), a.ymin()),
-                Point::new(a.xmin(), a.ymax()),
-            )
-            .unwrap(),
-        );
-        goals.add_segment(Segment::new(Point::new(0, 0), Point::new(0, 200)).unwrap());
         goals
     }
 
@@ -624,8 +610,8 @@ mod tests {
     /// tie-break, so on seeded flat and sharded planes the generator must
     /// match [`reference_successors`] exactly — same states, same order,
     /// same length and ε — from source and arrived states, along every
-    /// ray direction, against a multi-pin goal set whose points and
-    /// segments share coordinates with obstacle corners and ray stops.
+    /// ray direction, against a multi-pin goal set whose points share
+    /// coordinates with obstacle corners and ray stops.
     #[test]
     fn successors_match_the_sorted_reference_exactly() {
         let config = RouterConfig::default();
@@ -806,7 +792,7 @@ mod tests {
                 }
             }
             let mut seeds = Vec::new();
-            tree.seeds_into(plane, &goals, &mut Vec::new(), &mut Vec::new(), &mut seeds);
+            tree.seeds_into(plane, &goals, &mut Vec::new(), &mut seeds);
             let space = RoutingSpace::new(plane, &goals, seeds, coster);
             let what = format!("net {}: {}", route.net, conn.polyline);
             assert_eq!(space.replay(&conn.polyline), Some(conn.cost), "{what}");

@@ -83,19 +83,6 @@ impl RouteTree {
         self.segments.iter().map(Segment::len).sum()
     }
 
-    /// The minimum Manhattan distance from `p` to the tree.
-    #[must_use]
-    pub fn distance_to(&self, p: Point) -> Coord {
-        let mut best = Coord::MAX / 4;
-        for q in &self.points {
-            best = best.min(p.manhattan(*q));
-        }
-        for s in &self.segments {
-            best = best.min(s.manhattan_to_point(p));
-        }
-        best
-    }
-
     /// The multi-source seed states for the next connection: "all line
     /// segments in the spanning tree being built" are potential connection
     /// points, realized by the canonical departure points —
@@ -106,34 +93,27 @@ impl RouteTree {
     ///   leaving the segment turns at such an alignment).
     ///
     /// All seeds carry zero initial cost: leaving the existing tree is
-    /// free. Clears the staging buffers and `out`, then fills `out` with
-    /// the seed states in sorted, deduplicated order. The hot net driver
-    /// threads the buffers through [`SearchScratch`](crate::SearchScratch),
+    /// free. Clears the staging buffer `pts` and `out`, then fills `out`
+    /// with the seed states in sorted, deduplicated order. The hot net
+    /// driver threads the buffers through [`SearchScratch`](crate::SearchScratch),
     /// so repeated tree growth allocates nothing once the high-water
     /// capacities are reached.
     pub fn seeds_into(
         &self,
         plane: &dyn PlaneIndex,
         goals: &GoalSet,
-        stage: &mut Vec<Point>,
         pts: &mut Vec<Point>,
         out: &mut Vec<(RouteState, LexCost)>,
     ) {
         pts.clear();
         pts.extend(self.points.iter().copied());
-        stage.clear();
-        stage.extend_from_slice(goals.points());
-        for s in goals.segments() {
-            stage.push(s.a());
-            stage.push(s.b());
-        }
         // Each axis's corner coordinates are fetched at most once: the
         // query collects and sorts every obstacle edge.
         let (mut xs, mut ys) = (None, None);
         for seg in &self.segments {
             pts.push(seg.a());
             pts.push(seg.b());
-            for g in stage.iter() {
+            for g in goals.points() {
                 pts.push(seg.closest_point_to(*g));
             }
             let axis = seg.axis();
@@ -195,16 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn distance_to_tree() {
-        let mut t = RouteTree::new();
-        t.add_polyline(&Polyline::new(vec![Point::new(0, 0), Point::new(10, 0)]).unwrap());
-        assert_eq!(t.distance_to(Point::new(5, 3)), 3);
-        assert_eq!(t.distance_to(Point::new(12, 0)), 2);
-        t.add_point(Point::new(12, 1));
-        assert_eq!(t.distance_to(Point::new(12, 0)), 1);
-    }
-
-    #[test]
     fn single_point_polyline_becomes_point() {
         let mut t = RouteTree::new();
         t.add_polyline(&Polyline::single(Point::new(4, 4)));
@@ -219,8 +189,8 @@ mod tests {
         let mut t = RouteTree::new();
         t.add_polyline(&Polyline::new(vec![Point::new(0, 10), Point::new(80, 10)]).unwrap());
         let goals = GoalSet::from_point(Point::new(55, 90));
-        let (mut stage, mut scratch, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
-        t.seeds_into(&plane, &goals, &mut stage, &mut scratch, &mut seeds);
+        let (mut scratch, mut seeds) = (Vec::new(), Vec::new());
+        t.seeds_into(&plane, &goals, &mut scratch, &mut seeds);
         let pts: Vec<Point> = seeds.iter().map(|(s, _)| s.point).collect();
         assert!(pts.contains(&Point::new(0, 10))); // endpoint
         assert!(pts.contains(&Point::new(80, 10))); // endpoint
@@ -245,7 +215,7 @@ mod tests {
             ])
             .unwrap(),
         );
-        t.seeds_into(&plane, &goals, &mut stage, &mut scratch, &mut seeds);
+        t.seeds_into(&plane, &goals, &mut scratch, &mut seeds);
         let pts: Vec<Point> = seeds.iter().map(|(s, _)| s.point).collect();
         let want = [
             (0, 10),  // endpoint and corner x = 0 (plane boundary)

@@ -1,9 +1,9 @@
 //! The [`Layout`]: cells + netlist + bounds, with validation.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
-use gcr_geom::{Plane, Point, Rect, RectilinearPolygon};
+use gcr_geom::{Plane, PlaneIndex, Point, Rect, RectilinearPolygon, ShardedPlane};
 
 use crate::{Cell, CellId, CellOutline, LayoutError, Net, NetId, Pin, Terminal, TerminalRef};
 
@@ -16,6 +16,12 @@ pub struct Layout {
     bounds: Rect,
     cells: Vec<Cell>,
     nets: Vec<Net>,
+    /// Name → id of every cell and every net, filled by the `add_*`
+    /// methods. Names are never changed or removed, so the maps stay
+    /// exact. Ordered maps, so `Debug` output never depends on hash
+    /// order.
+    cell_ids: BTreeMap<String, CellId>,
+    net_ids: BTreeMap<String, NetId>,
     /// Minimum required gap between two cells and between a cell and the
     /// boundary side it does not touch; the paper requires a "finite and
     /// non-zero distance" so the default is 1 unit.
@@ -31,6 +37,8 @@ impl Layout {
             bounds,
             cells: Vec::new(),
             nets: Vec::new(),
+            cell_ids: BTreeMap::new(),
+            net_ids: BTreeMap::new(),
             min_spacing: 1,
         }
     }
@@ -84,13 +92,13 @@ impl Layout {
     /// Finds a cell id by name.
     #[must_use]
     pub fn cell_by_name(&self, name: &str) -> Option<CellId> {
-        self.cells.iter().position(|c| c.name() == name).map(CellId)
+        self.cell_ids.get(name).copied()
     }
 
     /// Finds a net id by name.
     #[must_use]
     pub fn net_by_name(&self, name: &str) -> Option<NetId> {
-        self.nets.iter().position(|n| n.name() == name).map(NetId)
+        self.net_ids.get(name).copied()
     }
 
     /// Every net id in stable declaration order — the canonical
@@ -132,8 +140,10 @@ impl Layout {
         if self.cell_by_name(&name).is_some() {
             return Err(LayoutError::DuplicateName { kind: "cell", name });
         }
+        let id = CellId(self.cells.len());
+        self.cell_ids.insert(name.clone(), id);
         self.cells.push(Cell::new(name, outline));
-        Ok(CellId(self.cells.len() - 1))
+        Ok(id)
     }
 
     /// Adds an (initially empty) net. Duplicate names get a numeric suffix
@@ -148,8 +158,10 @@ impl Layout {
             }
             name = format!("{name}_{i}");
         }
+        let id = NetId(self.nets.len());
+        self.net_ids.insert(name.clone(), id);
         self.nets.push(Net::new(name));
-        NetId(self.nets.len() - 1)
+        id
     }
 
     /// Adds a terminal to `net` and returns a reference to it.
@@ -293,7 +305,7 @@ impl Layout {
                 }
             }
         }
-        let plane = self.to_plane();
+        let plane = ShardedPlane::new(self.to_plane());
         let mut seen_nets: HashSet<&str> = HashSet::new();
         for net in &self.nets {
             if !seen_nets.insert(net.name()) {
@@ -420,6 +432,59 @@ mod tests {
         let n1 = l.add_net("clk");
         let n2 = l.add_net("clk");
         assert_ne!(l.net(n1).unwrap().name(), l.net(n2).unwrap().name());
+    }
+
+    /// The name maps answer exactly like a linear scan of the lists, on
+    /// a grid die with a polygon cell and repeated net names, before and
+    /// after a `.gcl` round trip (the parser resolves every `pin <cell>`
+    /// through them).
+    #[test]
+    fn name_lookups_equal_a_linear_scan() {
+        let mut l = Layout::new(Rect::new(0, 0, 460, 400).unwrap());
+        for r in 0..12 {
+            for c in 0..12 {
+                let (x, y) = (10 + 30 * c, 10 + 30 * r);
+                let rect = Rect::new(x, y, x + 20, y + 20).unwrap();
+                l.add_cell(format!("m{r}_{c}"), rect).unwrap();
+            }
+        }
+        let poly = RectilinearPolygon::new(vec![
+            Point::new(380, 10),
+            Point::new(440, 10),
+            Point::new(440, 40),
+            Point::new(410, 40),
+            Point::new(410, 70),
+            Point::new(380, 70),
+        ])
+        .unwrap();
+        let rom = l.add_polygon_cell("rom", poly).unwrap();
+        // "n3_2" is taken before any "n3" repeats, so the second "n3"
+        // becomes "n3_3".
+        l.add_net("n3_2");
+        for i in 0..200 {
+            let net = l.add_net(format!("n{}", (i * 7) % 40));
+            let t = l.add_terminal(net, "t");
+            l.add_pin(t, Pin::on_cell(rom, Point::new(380, 20 + i % 40)))
+                .unwrap();
+        }
+        assert_eq!(l.nets()[30].name(), "n3");
+        assert_eq!(l.nets()[70].name(), "n3_3");
+        assert_eq!(l.nets()[110].name(), "n3_4");
+        let parsed = crate::format::parse(&crate::format::write(&l)).unwrap();
+        for layout in [&l, &parsed] {
+            let cell_names = layout.cells().iter().map(Cell::name);
+            let net_names = layout.nets().iter().map(Net::name);
+            let mut names: Vec<&str> = cell_names.chain(net_names).collect();
+            names.extend(["", "n40", "m12_0", "rom_2"]);
+            for name in names {
+                let cell = layout.cells().iter().position(|c| c.name() == name);
+                let net = layout.nets().iter().position(|n| n.name() == name);
+                assert_eq!(layout.cell_by_name(name), cell.map(CellId), "{name}");
+                assert_eq!(layout.net_by_name(name), net.map(NetId), "{name}");
+            }
+            assert_eq!(layout.cell_by_name("rom"), Some(rom));
+            assert_eq!(layout.net_by_name("n40"), None);
+        }
     }
 
     #[test]

@@ -74,6 +74,6 @@ pub use budget::{Budget, CancelReason, CHARGE_BLOCK};
 pub use cost::{LexCost, PathCost};
 pub use engine::{astar, astar_in, best_first, Found, SearchArena, SearchOutcome};
 pub use fnv::{FnvBuildHasher, FnvHashMap, FnvHasher};
-pub use parallel::{default_threads, effective_threads, parallel_map, parallel_map_with};
+pub use parallel::{default_threads, parallel_map_with};
 pub use space::{Runs, SearchSpace, ZeroHeuristic};
 pub use stats::SearchStats;

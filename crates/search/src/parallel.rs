@@ -37,42 +37,25 @@ fn env_threads() -> Option<usize> {
     trimmed.parse::<usize>().ok().map(|n| n.max(1))
 }
 
-/// The worker count [`parallel_map`] / [`parallel_map_with`] will
-/// actually use for a request of `requested` threads: the `GCR_THREADS`
+/// The worker count [`parallel_map_with`] will actually use for a
+/// request of `requested` threads: the `GCR_THREADS`
 /// environment variable, when set, overrides the request (clamped ≥ 1),
 /// so a deployed daemon's per-request parallelism is controllable
 /// without a rebuild and tests can pin determinism-under-threads.
 /// Because results are schedule-independent, the override is
 /// output-invisible by contract.
-#[must_use]
-pub fn effective_threads(requested: usize) -> usize {
+fn effective_threads(requested: usize) -> usize {
     env_threads().unwrap_or(requested).max(1)
 }
 
 /// Maps `f` over `items` on `threads` workers, returning results in input
-/// order. `f` must be pure per item for the output to be schedule
-/// independent (it receives the item index for seeding / labelling).
+/// order, with **worker-local state**: every worker thread calls `init`
+/// exactly once and threads the resulting value, mutably, through every
+/// item it claims. `f` receives the item index for seeding / labelling.
 ///
 /// `threads <= 1` (or a batch of at most one item) degrades to a plain
-/// serial loop with no thread machinery at all, so callers can use one
-/// code path for both modes.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the scope joins all workers first).
-pub fn parallel_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    parallel_map_with(items, threads, || (), |(), i, t| f(i, t))
-}
-
-/// [`parallel_map`] with **worker-local state**: every worker thread
-/// calls `init` exactly once and threads the resulting value, mutably,
-/// through every item it claims. The serial path (`threads <= 1`) builds
-/// one state for the whole loop.
+/// serial loop with no thread machinery at all, which builds one state
+/// for the whole loop, so callers can use one code path for both modes.
 ///
 /// This is the seam a routing session uses to keep one reusable search
 /// arena per worker — allocation amortization without any cross-thread
@@ -120,7 +103,7 @@ where
             }));
         }
         for h in handles {
-            buckets.push(h.join().expect("parallel_map worker panicked"));
+            buckets.push(h.join().expect("parallel_map_with worker panicked"));
         }
     });
     let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
@@ -140,21 +123,26 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<usize> = (0..1000).collect();
-        let out = parallel_map(&items, 8, |i, &x| {
-            assert_eq!(i, x);
-            x * 2
-        });
+        let out = parallel_map_with(
+            &items,
+            8,
+            || (),
+            |(), i, &x| {
+                assert_eq!(i, x);
+                x * 2
+            },
+        );
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn serial_and_parallel_agree() {
         let items: Vec<u64> = (0..257).collect();
-        let f = |_: usize, &x: &u64| x.wrapping_mul(0x9e37_79b9).rotate_left(13);
-        let serial = parallel_map(&items, 1, f);
+        let f = |(): &mut (), _: usize, &x: &u64| x.wrapping_mul(0x9e37_79b9).rotate_left(13);
+        let serial = parallel_map_with(&items, 1, || (), f);
         for threads in [2, 3, 8, 64] {
             assert_eq!(
-                parallel_map(&items, threads, f),
+                parallel_map_with(&items, threads, || (), f),
                 serial,
                 "{threads} threads"
             );
@@ -164,15 +152,18 @@ mod tests {
     #[test]
     fn empty_and_single_item_batches() {
         let none: Vec<i32> = Vec::new();
-        assert!(parallel_map(&none, 4, |_, &x| x).is_empty());
-        assert_eq!(parallel_map(&[7], 4, |_, &x| x + 1), vec![8]);
+        assert!(parallel_map_with(&none, 4, || (), |(), _, &x| x).is_empty());
+        assert_eq!(
+            parallel_map_with(&[7], 4, || (), |(), _, &x| x + 1),
+            vec![8]
+        );
     }
 
     #[test]
     fn with_and_without_state_agree() {
         let items: Vec<u64> = (0..257).collect();
         let pure = |x: u64| x.wrapping_mul(0x9e37_79b9).rotate_left(13);
-        let base = parallel_map(&items, 4, |_, &x| pure(x));
+        let base = parallel_map_with(&items, 4, || (), |(), _, &x| pure(x));
         for threads in [1, 3, 8] {
             let with = parallel_map_with(&items, threads, Vec::<u64>::new, |scratch, _, &x| {
                 scratch.push(x); // worker-local scratch must not leak
@@ -198,9 +189,9 @@ mod tests {
         // observes worker-state scheduling lives HERE, inside the
         // env-controlled sections, never in a concurrently running test.
         let items: Vec<u64> = (0..97).collect();
-        let f = |_: usize, &x: &u64| x.wrapping_mul(0x9e37_79b9).rotate_left(7);
+        let f = |(): &mut (), _: usize, &x: &u64| x.wrapping_mul(0x9e37_79b9).rotate_left(7);
         std::env::remove_var("GCR_THREADS");
-        let baseline = parallel_map(&items, 1, f);
+        let baseline = parallel_map_with(&items, 1, || (), f);
         assert_eq!(effective_threads(4), 4, "no override: request wins");
 
         // The serial path must thread ONE state through the whole loop
@@ -225,13 +216,13 @@ mod tests {
             assert_eq!(effective_threads(4), expect, "GCR_THREADS={value:?}");
             // Output is identical whatever the override pins (1 vs N).
             assert_eq!(
-                parallel_map(&items, 6, f),
+                parallel_map_with(&items, 6, || (), f),
                 baseline,
                 "GCR_THREADS={value:?}"
             );
-            let with_state = parallel_map_with(&items, 6, Vec::<u64>::new, |scratch, _, &x| {
+            let with_state = parallel_map_with(&items, 6, Vec::<u64>::new, |scratch, i, &x| {
                 scratch.push(x);
-                f(0, &x)
+                f(&mut (), i, &x)
             });
             assert_eq!(with_state, baseline, "GCR_THREADS={value:?} (with state)");
         }

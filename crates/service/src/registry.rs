@@ -6,9 +6,10 @@
 //! every ECO pays the ~warm-reroute price instead of a cold full route.
 //! Three concurrency properties shape the design:
 //!
-//! * **sharded locks** — session lookup is spread over [`SHARDS`]
-//!   hash-sharded `Mutex<HashMap>` ways, so requests for different
-//!   sessions rarely contend on the map itself;
+//! * **one map lock** — the id → entry map sits behind one `Mutex`,
+//!   held for one hash probe per lookup (a served request takes tens of
+//!   microseconds, a lookup well under one) and across an `open`'s
+//!   eviction and insertion, so the capacity bound is exact;
 //! * **per-session serialization** — each entry holds its session behind
 //!   its own `Mutex`; two requests for the *same* session queue up (a
 //!   session is mutable warm state, not a pure function), while requests
@@ -28,9 +29,6 @@ use gcr_core::{RoutingSession, SessionStats};
 
 use crate::metrics::ServiceMetrics;
 use crate::proto::{BoxedEngine, EngineKind};
-
-/// Lock ways of the session map (power of two; ids hash by modulo).
-pub const SHARDS: usize = 16;
 
 /// A session plus the service-level bookkeeping the `STATS` verb
 /// reports.
@@ -141,24 +139,12 @@ impl SessionEntry {
     pub fn lock(&self) -> Result<MutexGuard<'_, ServiceSession>, Quarantined> {
         self.session.lock().map_err(|_| Quarantined)
     }
-
-    /// Is the session quarantined (its lock poisoned by a panic)?
-    #[must_use]
-    pub fn is_quarantined(&self) -> bool {
-        self.session.is_poisoned()
-    }
 }
-
-/// One lock way of the session map.
-type Shard = Mutex<HashMap<u64, Arc<SessionEntry>>>;
 
 /// The concurrent session map; see the [module docs](self).
 #[derive(Debug)]
 pub struct SessionRegistry {
-    shards: Box<[Shard]>,
-    /// Serializes open/evict decisions so the capacity bound is exact
-    /// (gets/closes stay lock-free across shards).
-    admit: Mutex<()>,
+    sessions: Mutex<HashMap<u64, Arc<SessionEntry>>>,
     next_id: AtomicU64,
     clock: AtomicU64,
     capacity: usize,
@@ -170,8 +156,7 @@ impl SessionRegistry {
     #[must_use]
     pub fn new(capacity: usize) -> SessionRegistry {
         SessionRegistry {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            admit: Mutex::new(()),
+            sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             clock: AtomicU64::new(1),
             capacity: capacity.max(1),
@@ -179,10 +164,8 @@ impl SessionRegistry {
         }
     }
 
-    fn shard(&self, sid: u64) -> MutexGuard<'_, HashMap<u64, Arc<SessionEntry>>> {
-        self.shards[(sid as usize) % SHARDS]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    fn map(&self) -> MutexGuard<'_, HashMap<u64, Arc<SessionEntry>>> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn tick(&self) -> u64 {
@@ -193,12 +176,6 @@ impl SessionRegistry {
     /// the registry is full. Returns the new session id and the evicted
     /// id, if any.
     pub fn open(&self, session: ServiceSession) -> (u64, Option<u64>) {
-        let _admit = self.admit.lock().unwrap_or_else(PoisonError::into_inner);
-        let evicted = if self.len() >= self.capacity {
-            self.evict_lru()
-        } else {
-            None
-        };
         let sid = self.next_id.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(SessionEntry {
             id: sid,
@@ -207,8 +184,27 @@ impl SessionRegistry {
             wall_us: AtomicU64::new(0),
             session: Mutex::new(session),
         });
-        self.shard(sid).insert(sid, entry);
+        let mut sessions = self.map();
+        let victim = if sessions.len() >= self.capacity {
+            let stalest = sessions
+                .values()
+                .min_by_key(|e| e.touched.load(Ordering::Relaxed))
+                .map(|e| e.id);
+            stalest.and_then(|id| sessions.remove(&id))
+        } else {
+            None
+        };
+        sessions.insert(sid, entry);
+        drop(sessions);
         ServiceMetrics::get().sessions_live.inc();
+        // The victim's `Arc` may be the last reference to a whole
+        // session: it drops here, after the map lock is released.
+        let evicted = victim.map(|victim| {
+            self.retire();
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            ServiceMetrics::get().sessions_evicted.inc();
+            victim.id
+        });
         (sid, evicted)
     }
 
@@ -218,50 +214,28 @@ impl SessionRegistry {
         ServiceMetrics::get().sessions_live.dec();
     }
 
-    fn evict_lru(&self) -> Option<u64> {
-        let mut victim: Option<(u64, u64)> = None; // (stamp, sid)
-        for shard in self.shards.iter() {
-            let map = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for entry in map.values() {
-                let stamp = entry.touched.load(Ordering::Relaxed);
-                if victim.is_none_or(|(s, _)| stamp < s) {
-                    victim = Some((stamp, entry.id));
-                }
-            }
-        }
-        let (_, sid) = victim?;
-        if self.shard(sid).remove(&sid).is_some() {
-            self.retire();
-        }
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        ServiceMetrics::get().sessions_evicted.inc();
-        Some(sid)
-    }
-
     /// Looks a session up and stamps it most-recently-used.
     #[must_use]
     pub fn get(&self, sid: u64) -> Option<Arc<SessionEntry>> {
-        let entry = self.shard(sid).get(&sid).cloned()?;
+        let entry = self.map().get(&sid).cloned()?;
         entry.touched.store(self.tick(), Ordering::Relaxed);
         Some(entry)
     }
 
     /// Unlinks a session; returns `false` for an unknown id.
     pub fn close(&self, sid: u64) -> bool {
-        let removed = self.shard(sid).remove(&sid).is_some();
-        if removed {
+        // Held past the map lock: it may be the session's last reference.
+        let removed = self.map().remove(&sid);
+        if removed.is_some() {
             self.retire();
         }
-        removed
+        removed.is_some()
     }
 
     /// Live session count.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.map().len()
     }
 
     /// Is the registry empty?
@@ -350,7 +324,6 @@ mod tests {
             panic!("injected fault");
         }));
         assert!(poisoned.is_err());
-        assert!(entry.is_quarantined());
         assert_eq!(entry.lock().unwrap_err(), Quarantined);
         // Other sessions are untouched, and CLOSE still unlinks.
         let (other, _) = reg.open(boxed_session());

@@ -1,7 +1,7 @@
 //! The routing daemon: a std-`TcpListener` server over the
 //! [`SessionRegistry`], with a bounded worker pool and graceful drain.
 //!
-//! The threading model mirrors `gcr_search::parallel_map`'s discipline —
+//! The threading model mirrors `gcr_search::parallel_map_with`'s discipline —
 //! plain `std::thread::scope` workers, no async runtime, no crates.io —
 //! because that is what the build environment offers and what the
 //! workload needs: routing requests are coarse (milliseconds of CPU per

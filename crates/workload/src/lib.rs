@@ -6,8 +6,7 @@
 //! seeded, so every number `gcrt repro` prints is reproducible bit for
 //! bit.
 //!
-//! * [`placements`] — macro grids, shelf rows and pad rings of
-//!   general cells,
+//! * [`placements`] — macro grids and pad rings of general cells,
 //! * [`generator`] — the parametric large-die generator behind the
 //!   scaling tier (`gcrt gen`, routebench's `cold-1k`),
 //! * [`netlists`] — random 2-pin, k-terminal and multi-pin netlists with

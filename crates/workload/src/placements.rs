@@ -69,59 +69,6 @@ pub fn macro_grid(params: &MacroGridParams, rng: &mut StdRng) -> Layout {
     layout
 }
 
-/// Parameters for the shelf-row generator.
-#[derive(Debug, Clone, Copy)]
-pub struct ShelfParams {
-    /// Number of shelves (rows).
-    pub rows: usize,
-    /// Cells per shelf.
-    pub cells_per_row: usize,
-    /// Cell width range.
-    pub width_range: (Coord, Coord),
-    /// Cell height range (per cell, within the shelf).
-    pub height_range: (Coord, Coord),
-    /// Channel width between cells and shelves.
-    pub channel: Coord,
-}
-
-impl Default for ShelfParams {
-    fn default() -> ShelfParams {
-        ShelfParams {
-            rows: 3,
-            cells_per_row: 4,
-            width_range: (10, 30),
-            height_range: (14, 22),
-            channel: 7,
-        }
-    }
-}
-
-/// Rows of abutting-style shelves with variable cell widths — the
-/// standard-cell-like arrangement that creates long horizontal passages.
-#[must_use]
-pub fn shelf_rows(params: &ShelfParams, rng: &mut StdRng) -> Layout {
-    let shelf_height = params.height_range.1 + params.channel;
-    let max_row_width =
-        params.cells_per_row as Coord * (params.width_range.1 + params.channel) + params.channel;
-    let height = params.rows as Coord * shelf_height + params.channel;
-    let bounds = Rect::new(0, 0, max_row_width, height).expect("positive extents");
-    let mut layout = Layout::new(bounds);
-    for r in 0..params.rows {
-        let y0 = params.channel + r as Coord * shelf_height;
-        let mut x = params.channel;
-        for c in 0..params.cells_per_row {
-            let w = rng.gen_range(params.width_range.0..=params.width_range.1);
-            let h = rng.gen_range(params.height_range.0..=params.height_range.1);
-            let rect = Rect::new(x, y0, x + w, y0 + h).expect("x grows monotonically");
-            layout
-                .add_cell(format!("s{r}_{c}"), rect)
-                .expect("names are unique");
-            x += w + params.channel;
-        }
-    }
-    layout
-}
-
 /// A core macro grid surrounded by a ring of pad cells — the "connect the
 /// components together, along with the pads, to form a complete chip"
 /// scenario.
@@ -214,14 +161,6 @@ mod tests {
         };
         let l = macro_grid(&params, &mut rng);
         assert_eq!(l.cells().len(), 30);
-        l.validate().unwrap();
-    }
-
-    #[test]
-    fn shelf_rows_are_valid() {
-        let mut rng = rng_for("placements", 2);
-        let l = shelf_rows(&ShelfParams::default(), &mut rng);
-        assert_eq!(l.cells().len(), 12);
         l.validate().unwrap();
     }
 

@@ -9,9 +9,7 @@ use gcr::geom::{PlaneIndex, Point, Rect, ShardedPlane};
 use gcr::grid::{grid_astar, lee_moore};
 use gcr::hightower::{hightower, HightowerConfig};
 use gcr::layout::{Layout, NetId, Pin};
-use gcr::router::{
-    placement_feedback, route_two_points, FeedbackOptions, RouterConfig, RoutingSession,
-};
+use gcr::router::{placement_feedback, route_two_points, RouterConfig, RoutingSession};
 use gcr::steiner::{exact_rsmt, iterated_one_steiner};
 use gcr::workload::{fixtures, netlists, placements, random_free_point, rng_for};
 
@@ -695,7 +693,7 @@ fn e10_feedback() -> Table {
     for (label, layout, pitch) in cases {
         let mut config = RouterConfig::default();
         config.wire_pitch(pitch);
-        let (_, report) = placement_feedback(&layout, &config, FeedbackOptions::default());
+        let (_, report) = placement_feedback(&layout, &config);
         for (i, rec) in report.iterations.iter().enumerate() {
             t.row([
                 if i == 0 {

@@ -7,7 +7,8 @@
 //! * [`geom`] — rectilinear geometry kernel and the ray-traced obstacle
 //!   [`Plane`](geom::Plane),
 //! * [`search`] — generic A\*/best-first/blind search engines and the
-//!   deterministic [`parallel_map`](search::parallel_map) executor,
+//!   deterministic [`parallel_map_with`](search::parallel_map_with)
+//!   executor,
 //! * [`layout`] — cells, multi-pin terminals, multi-terminal nets,
 //!   validation, the `.gcl` text format and an ASCII renderer,
 //! * [`router`] — **the paper's contribution**: the gridless A\* global

@@ -255,7 +255,7 @@ fn ray_pruning_changes_no_expansion_path_or_cost() {
         "the goal is straight ahead of the arrived source"
     );
 
-    let (mut stage, mut pts) = (Vec::new(), Vec::new());
+    let mut pts = Vec::new();
     for seed in 0..3u64 {
         let layout = generate(&GeneratorParams::with_nets(12, seed));
         let flat = layout.to_plane();
@@ -289,7 +289,7 @@ fn ray_pruning_changes_no_expansion_path_or_cost() {
                             }
                         }
                         let mut seeds = Vec::new();
-                        tree.seeds_into(plane, &goals, &mut stage, &mut pts, &mut seeds);
+                        tree.seeds_into(plane, &goals, &mut pts, &mut seeds);
                         from_wire += usize::from(!tree.segments().is_empty());
                         multi_goal += usize::from(goals.points().len() > 1);
                         let what = format!("seed {seed} {plane:?} hanan {hanan} {}", net.name());
